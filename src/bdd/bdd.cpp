@@ -182,8 +182,8 @@ bool BddManager::evaluate(BddRef f,
   return f == kTrue;
 }
 
-double BddManager::probability(BddRef f,
-                               const std::vector<double>& probabilities) {
+double BddManager::probability(
+    BddRef f, const std::vector<double>& probabilities) const {
   SAFEOPT_EXPECTS(probabilities.size() == variable_count_);
   // Shannon decomposition, memoized per call (probabilities vary per call).
   std::unordered_map<BddRef, double> memo;
@@ -339,7 +339,8 @@ BddRef exactly_one(BddManager& manager, const std::vector<BddRef>& items) {
 
 }  // namespace
 
-double CompiledFaultTree::probability(const fta::QuantificationInput& input) {
+double CompiledFaultTree::probability(
+    const fta::QuantificationInput& input) const {
   SAFEOPT_EXPECTS(input.basic_event_probability.size() == basic_event_count);
   SAFEOPT_EXPECTS(input.condition_probability.size() == condition_count);
   std::vector<double> probs(manager.variable_count(), 0.0);
@@ -426,6 +427,7 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
     return result;
   };
   compiled.root = build(build, tree.top());
+  manager.set_control(nullptr);  // the control bounds compilation only
   return compiled;
 }
 

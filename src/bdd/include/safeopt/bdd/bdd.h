@@ -73,7 +73,9 @@ struct BddOptions {
   std::size_t node_budget = 0;
   /// Cooperative deadline/cancellation, polled every ~1k ITE calls and at
   /// every gate during compile(); an abort throws Error(kDeadlineExceeded /
-  /// kCancelled). Not owned; must outlive the manager. nullptr = unbounded.
+  /// kCancelled). Not owned; must outlive the manager's operations.
+  /// compile() bounds only itself: the manager it returns holds no control.
+  /// nullptr = unbounded.
   const ExecutionControl* control = nullptr;
 };
 
@@ -134,9 +136,15 @@ class BddManager {
                               const std::vector<bool>& assignment) const;
 
   /// Exact P(f = 1) given independent per-variable probabilities
-  /// (probabilities.size() == variable_count()). Linear in node count.
-  [[nodiscard]] double probability(BddRef f,
-                                   const std::vector<double>& probabilities);
+  /// (probabilities.size() == variable_count()). Linear in node count;
+  /// the memo is per call, so concurrent calls are safe.
+  [[nodiscard]] double probability(
+      BddRef f, const std::vector<double>& probabilities) const;
+
+  /// Replaces the control later operations poll (nullptr = unbounded).
+  void set_control(const ExecutionControl* control) noexcept {
+    control_ = control;
+  }
 
   /// Number of unique nodes reachable from f (including terminals).
   [[nodiscard]] std::size_t size(BddRef f) const;
@@ -209,7 +217,8 @@ struct CompiledFaultTree {
 
   /// Exact top-event probability under a QuantificationInput — the
   /// no-approximation counterpart of fta::top_event_probability.
-  [[nodiscard]] double probability(const fta::QuantificationInput& input);
+  [[nodiscard]] double probability(
+      const fta::QuantificationInput& input) const;
 };
 
 /// Compiles the tree bottom-up under `options` (variable ordering heuristic,

@@ -1,7 +1,5 @@
 #include "safeopt/core/compiled_quantification.h"
 
-#include <algorithm>
-#include <set>
 #include <utility>
 
 #include "safeopt/support/contracts.h"
@@ -9,58 +7,22 @@
 
 namespace safeopt::core {
 
-namespace {
-
-/// Alphabetical union of every leaf/condition expression's parameters — the
-/// slot order the convenience constructor uses. The hazard and Birnbaum
-/// expressions are assembled from these leaves, so the union covers them.
-std::vector<std::string> default_order(
-    const ParameterizedQuantification& quantification) {
-  std::set<std::string> names;
-  const fta::FaultTree& tree = quantification.tree();
-  for (std::size_t e = 0; e < tree.basic_event_count(); ++e) {
-    const std::set<std::string> mentioned =
-        quantification.event_probability(static_cast<fta::BasicEventOrdinal>(e))
-            .parameters();
-    names.insert(mentioned.begin(), mentioned.end());
-  }
-  for (std::size_t c = 0; c < tree.condition_count(); ++c) {
-    const std::set<std::string> mentioned =
-        quantification
-            .condition_probability(static_cast<fta::ConditionOrdinal>(c))
-            .parameters();
-    names.insert(mentioned.begin(), mentioned.end());
-  }
-  return {names.begin(), names.end()};
-}
-
-}  // namespace
-
 CompiledQuantification::CompiledQuantification(
     const ParameterizedQuantification& quantification,
     const fta::CutSetCollection& mcs,
     std::vector<std::string> parameter_order, HazardFormula formula)
-    : parameter_order_(std::move(parameter_order)),
+    : leaves_(quantification, std::move(parameter_order)),
       formula_(formula),
       hazard_(expr::CompiledExpr::compile(
-          quantification.hazard_expression(mcs, formula), parameter_order_)) {
+          quantification.hazard_expression(mcs, formula),
+          leaves_.parameter_order())) {
   const fta::FaultTree& tree = quantification.tree();
   birnbaum_.reserve(tree.basic_event_count());
-  events_.reserve(tree.basic_event_count());
   for (std::size_t e = 0; e < tree.basic_event_count(); ++e) {
-    const auto ordinal = static_cast<fta::BasicEventOrdinal>(e);
     birnbaum_.push_back(expr::CompiledExpr::compile(
-        quantification.birnbaum_expression(mcs, ordinal, formula),
-        parameter_order_));
-    events_.push_back(expr::CompiledExpr::compile(
-        quantification.event_probability(ordinal), parameter_order_));
-  }
-  conditions_.reserve(tree.condition_count());
-  for (std::size_t c = 0; c < tree.condition_count(); ++c) {
-    conditions_.push_back(expr::CompiledExpr::compile(
-        quantification.condition_probability(
-            static_cast<fta::ConditionOrdinal>(c)),
-        parameter_order_));
+        quantification.birnbaum_expression(
+            mcs, static_cast<fta::BasicEventOrdinal>(e), formula),
+        leaves_.parameter_order()));
   }
 }
 
@@ -68,7 +30,8 @@ CompiledQuantification::CompiledQuantification(
     const ParameterizedQuantification& quantification, HazardFormula formula)
     : CompiledQuantification(quantification,
                              fta::minimal_cut_sets(quantification.tree()),
-                             default_order(quantification), formula) {}
+                             LeafTapes::default_parameter_order(quantification),
+                             formula) {}
 
 double CompiledQuantification::hazard(
     std::span<const double> parameters) const {
@@ -77,22 +40,20 @@ double CompiledQuantification::hazard(
 
 void CompiledQuantification::hazard_batch(std::span<const double> points,
                                           std::span<double> out) const {
-  hazard_.evaluate_batch({.points = points, .values = out,
-                          .backend = backend_});
+  hazard_.evaluate_batch({.points = points, .values = out});
 }
 
 void CompiledQuantification::hazard_batch(std::span<const double> points,
                                           std::span<double> out,
                                           ThreadPool& pool) const {
-  hazard_.evaluate_batch({.points = points, .values = out, .pool = &pool,
-                          .backend = backend_});
+  hazard_.evaluate_batch({.points = points, .values = out, .pool = &pool});
 }
 
 void CompiledQuantification::hazard_batch_with_gradients(
     std::span<const double> points, std::span<double> values_out,
     std::span<double> gradients_out) const {
   hazard_.evaluate_batch({.points = points, .values = values_out,
-                          .gradients = gradients_out, .backend = backend_});
+                          .gradients = gradients_out});
 }
 
 double CompiledQuantification::birnbaum(
@@ -103,39 +64,13 @@ double CompiledQuantification::birnbaum(
 void CompiledQuantification::birnbaum_batch(fta::BasicEventOrdinal event,
                                             std::span<const double> points,
                                             std::span<double> out) const {
-  birnbaum_tape(event).evaluate_batch(
-      {.points = points, .values = out, .backend = backend_});
+  birnbaum_tape(event).evaluate_batch({.points = points, .values = out});
 }
 
 const expr::CompiledExpr& CompiledQuantification::birnbaum_tape(
     fta::BasicEventOrdinal event) const {
   SAFEOPT_EXPECTS(event < birnbaum_.size());
   return birnbaum_[event];
-}
-
-fta::QuantificationInput CompiledQuantification::input_at(
-    std::span<const double> parameters) const {
-  fta::QuantificationInput input;
-  input.basic_event_probability.reserve(events_.size());
-  for (const expr::CompiledExpr& tape : events_) {
-    input.basic_event_probability.push_back(
-        std::clamp(tape.evaluate(parameters), 0.0, 1.0));
-  }
-  input.condition_probability.reserve(conditions_.size());
-  for (const expr::CompiledExpr& tape : conditions_) {
-    input.condition_probability.push_back(
-        std::clamp(tape.evaluate(parameters), 0.0, 1.0));
-  }
-  return input;
-}
-
-fta::QuantificationInput CompiledQuantification::input_at(
-    const expr::ParameterAssignment& at) const {
-  std::vector<double> parameters(parameter_order_.size());
-  for (std::size_t i = 0; i < parameters.size(); ++i) {
-    parameters[i] = at.get(parameter_order_[i]);
-  }
-  return input_at(parameters);
 }
 
 }  // namespace safeopt::core

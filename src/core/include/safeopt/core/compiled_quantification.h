@@ -8,9 +8,10 @@
 //
 //   * the assembled hazard expression (either HazardFormula),
 //   * the Birnbaum importance expression of every basic event,
-//   * every leaf/condition probability expression (for producing the
-//     numeric QuantificationInput the classical fta/bdd/mc engines take —
-//     the seam Monte Carlo cross-validation samples through).
+//   * every leaf/condition probability expression (a LeafTapes, for
+//     producing the numeric QuantificationInput the classical fta/bdd/mc
+//     engines take — the seam Monte Carlo cross-validation samples
+//     through).
 //
 // All tapes share one parameter order, so one optimizer vector serves every
 // evaluation. Values are bitwise-identical to the corresponding
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "safeopt/core/leaf_tapes.h"
 #include "safeopt/core/parameterized_fta.h"
 #include "safeopt/expr/compiled.h"
 #include "safeopt/fta/cut_sets.h"
@@ -55,23 +57,9 @@ class CompiledQuantification {
 
   [[nodiscard]] const std::vector<std::string>& parameter_order()
       const noexcept {
-    return parameter_order_;
+    return leaves_.parameter_order();
   }
   [[nodiscard]] HazardFormula formula() const noexcept { return formula_; }
-
-  // ---- evaluation backend -------------------------------------------------
-
-  /// Pins every batch entry point below to `backend` (a registry pointer,
-  /// valid for the process lifetime). Null restores runtime dispatch
-  /// (expr::BackendRegistry::active()). This is how the `backend=` engine
-  /// option flows Study → compiled tapes; results are bitwise-identical
-  /// either way — the pin only selects which kernel produces them.
-  void set_backend(const expr::EvalBackend* backend) noexcept {
-    backend_ = backend;
-  }
-  [[nodiscard]] const expr::EvalBackend* backend() const noexcept {
-    return backend_;
-  }
 
   // ---- hazard probability P(H)(X) -----------------------------------------
 
@@ -110,11 +98,15 @@ class CompiledQuantification {
   /// for the classical fta/bdd/mc engines. Identical (bitwise) to
   /// ParameterizedQuantification::evaluate at the same configuration.
   [[nodiscard]] fta::QuantificationInput input_at(
-      std::span<const double> parameters) const;
+      std::span<const double> parameters) const {
+    return leaves_.input_at(parameters);
+  }
 
   /// Name-based convenience; every slot must be bound in `at`.
   [[nodiscard]] fta::QuantificationInput input_at(
-      const expr::ParameterAssignment& at) const;
+      const expr::ParameterAssignment& at) const {
+    return leaves_.input_at(at);
+  }
 
   // ---- tape access (benches, custom solvers) ------------------------------
 
@@ -125,13 +117,10 @@ class CompiledQuantification {
       fta::BasicEventOrdinal event) const;
 
  private:
-  std::vector<std::string> parameter_order_;
+  LeafTapes leaves_;  // owns the parameter order every tape shares
   HazardFormula formula_;
-  const expr::EvalBackend* backend_ = nullptr;  // null → runtime dispatch
   expr::CompiledExpr hazard_;
-  std::vector<expr::CompiledExpr> birnbaum_;     // by BasicEventOrdinal
-  std::vector<expr::CompiledExpr> events_;       // leaf tapes, by ordinal
-  std::vector<expr::CompiledExpr> conditions_;   // by ConditionOrdinal
+  std::vector<expr::CompiledExpr> birnbaum_;  // by BasicEventOrdinal
 };
 
 }  // namespace safeopt::core

@@ -7,7 +7,7 @@
 // sampling checks the independence assumptions). `QuantificationEngine`
 // makes that exchangeability a first-class API: every engine consumes the
 // same numeric `fta::QuantificationInput` (produced on the compiled-tape hot
-// path by `CompiledQuantification::input_at`) and reports a
+// path by `LeafTapes::input_at`) and reports a
 // `QuantificationResult` plus capability flags, so callers — `core::Study`,
 // cross-validation benches, future sharded backends — can pick a backend by
 // name at runtime:
@@ -174,11 +174,13 @@ struct EngineConfig {
   /// compilation at engine construction (fta/bdd, including the prep
   /// pipeline) and each quantify() call (mc_adaptive, which aborts at a
   /// round boundary with a partial result instead of throwing). 0 = none
-  /// (document/CLI option `deadline_ms`).
+  /// (document/CLI option `deadline_ms`). Chained under the caller's
+  /// control, which is an argument of the factory and of each quantify().
   std::uint64_t deadline_ms = 0;
   /// Degradation chain: when engine construction fails with a *recoverable*
-  /// Error (resource_exhausted / deadline_exceeded), Study::quantify and
-  /// create_engine_with_fallback retry once with this engine instead,
+  /// Error (resource_exhausted / deadline_exceeded),
+  /// create_engine_with_fallback (and so Study) retries once with this
+  /// engine instead,
   /// recording the downgrade in QuantificationResult::diagnostics. Empty =
   /// fail hard (document/CLI option `fallback`, e.g. `fallback =
   /// mc_adaptive`).
@@ -189,17 +191,12 @@ struct EngineConfig {
   /// name degrades to the best available backend at resolve time with a
   /// diagnostic (never an error): the same document runs on any host.
   std::string backend;
-  /// Caller-provided cancellation/deadline control, chained as the parent
-  /// of any per-operation control the engine derives from `deadline_ms`.
-  /// Programmatic only (no document option). Not owned; must outlive the
-  /// engine. nullptr = unbounded.
-  const ExecutionControl* control = nullptr;
 
   /// The BddOptions slice of this config (the bdd engine's constructor
   /// argument for both the plain and the per-module compilation paths).
-  /// `control` is wired separately by the engine — it derives a
-  /// per-construction deadline control and points BddOptions::control at
-  /// that, not at this config's caller-level control.
+  /// BddOptions::control is wired separately by the engine: it points at a
+  /// per-construction control derived from `deadline_ms` and the caller's
+  /// construction control.
   [[nodiscard]] bdd::BddOptions bdd_options() const noexcept {
     bdd::BddOptions options{ordering, bdd_table_size, bdd_cache_size};
     options.node_budget = bdd_node_budget;
@@ -208,9 +205,12 @@ struct EngineConfig {
 };
 
 /// One quantification backend bound to one fault tree. Construction does the
-/// per-tree work exactly once (MOCUS, BDD compilation); quantify() is then a
-/// per-point evaluation sharing that preprocessing. Engines are not
-/// thread-safe (the BDD path memoizes); use one instance per thread.
+/// per-tree work exactly once (MOCUS, BDD compilation) under the factory's
+/// control; quantify() is then a const per-point evaluation sharing that
+/// work. Engines are immutable after construction: quantify() and
+/// quantify_batch() are thread-safe, keep all scratch state per call, and
+/// take the caller's deadline/cancellation control per call. No engine
+/// keeps a control pointer after its constructor returns.
 class QuantificationEngine {
  public:
   virtual ~QuantificationEngine() = default;
@@ -220,13 +220,17 @@ class QuantificationEngine {
   [[nodiscard]] virtual const fta::FaultTree& tree() const noexcept = 0;
 
   /// P(top event) under `input`. Precondition: input.is_valid_for(tree()).
+  /// `control` (not owned, nullptr = unbounded) bounds this call only;
+  /// engines whose quantify() is per-point arithmetic ignore it.
   [[nodiscard]] virtual QuantificationResult quantify(
-      const fta::QuantificationInput& input) = 0;
+      const fta::QuantificationInput& input,
+      const ExecutionControl* control = nullptr) const = 0;
 
   /// Quantifies many inputs. The base implementation is a serial loop;
   /// engines with capabilities().batch override it with a real batched path.
   [[nodiscard]] virtual std::vector<QuantificationResult> quantify_batch(
-      const std::vector<fta::QuantificationInput>& inputs);
+      const std::vector<fta::QuantificationInput>& inputs,
+      const ExecutionControl* control = nullptr) const;
 
  protected:
   QuantificationEngine() = default;
@@ -236,21 +240,25 @@ class QuantificationEngine {
 
 /// Process-wide name -> factory table for quantification engines. "fta",
 /// "bdd" and "mc" are pre-registered; add() extends it at runtime (last
-/// registration wins). All methods are thread-safe.
+/// registration wins). All methods are thread-safe. A factory's `control`
+/// (nullptr = unbounded) bounds construction only.
 class EngineRegistry {
  public:
   using Factory = std::function<std::unique_ptr<QuantificationEngine>(
-      const fta::FaultTree& tree, const EngineConfig& config)>;
+      const fta::FaultTree& tree, const EngineConfig& config,
+      const ExecutionControl* control)>;
 
   /// Registers `factory` under `name`; returns false when it replaced an
   /// existing registration. Precondition: name non-empty, factory callable.
   static bool add(std::string name, Factory factory);
 
-  /// Creates the named engine over `tree` (which must outlive the engine).
-  /// Throws std::invalid_argument listing available() for unknown names.
+  /// Creates the named engine over `tree` (which must outlive the engine),
+  /// with construction bounded by `control`. Throws std::invalid_argument
+  /// listing available() for unknown names.
   [[nodiscard]] static std::unique_ptr<QuantificationEngine> create(
       std::string_view name, const fta::FaultTree& tree,
-      const EngineConfig& config = {});
+      const EngineConfig& config = {},
+      const ExecutionControl* control = nullptr);
 
   [[nodiscard]] static bool contains(std::string_view name);
 
@@ -272,11 +280,13 @@ struct EngineRegistrar {
 /// instead (same config) and `*diagnostic` (when non-null) records the
 /// downgrade, category first, for QuantificationResult::diagnostics. The
 /// chain is one link long on purpose: a fallback that also fails propagates
-/// its error. Study::quantify and the CLI's constant-model path share this.
+/// its error. Both constructions run under `control`. Study and the
+/// constant-model quantify paths share this.
 [[nodiscard]] std::unique_ptr<QuantificationEngine>
 create_engine_with_fallback(std::string_view name, const fta::FaultTree& tree,
                             const EngineConfig& config,
-                            std::string* diagnostic = nullptr);
+                            std::string* diagnostic = nullptr,
+                            const ExecutionControl* control = nullptr);
 
 }  // namespace safeopt::core
 

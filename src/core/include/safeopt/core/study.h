@@ -22,22 +22,53 @@
 // SafetyOptimizer and shares its once-compiled problem, so repeated run()
 // calls reuse one tape) and produces bit-identical results to the legacy
 // enum path for equivalent solver selections.
+//
+// Thread safety: a Study is fully built once configured. Attaching a tree
+// compiles its leaf tapes and builds its engine; engine() rebuilds every
+// engine. Nothing is built lazily afterwards (the cost tape behind
+// problem() compiles once under std::call_once), so the const members —
+// run, quantify, evaluate_at, compare and the accessors — may be called
+// concurrently on one Study. The non-const setters may not run
+// concurrently with anything else. Deadlines and cancellation are per call:
+// run() and quantify() take the caller's ExecutionControl, and
+// from_document() builds the engines under one. Copies share the immutable
+// engines. A progress observer set with observe() is called from every
+// concurrent run(), so it must tolerate that itself.
 #ifndef SAFEOPT_CORE_STUDY_H
 #define SAFEOPT_CORE_STUDY_H
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "safeopt/core/compiled_quantification.h"
+#include "safeopt/core/leaf_tapes.h"
 #include "safeopt/core/parameterized_fta.h"
 #include "safeopt/core/quantification_engine.h"
 #include "safeopt/core/safety_optimizer.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/opt/solver.h"
 
+namespace safeopt {
+class ExecutionControl;  // support/execution.h
+}
+
 namespace safeopt::core {
+
+/// Caller overrides layered on a document's own selections, with the
+/// semantics of the CLI's --solver/--extra/--seed/--engine/--engine-opt and
+/// the service's request options: a fresh solver name restarts from that
+/// solver's defaults, while extras, the seed and engine options layer on
+/// whatever is selected.
+struct StudyOverrides {
+  std::optional<std::string> solver;
+  std::vector<std::string> extras;  // KEY=VALUE solver extras
+  std::optional<std::uint64_t> seed;
+  std::optional<std::string> engine;
+  std::vector<std::string> engine_options;  // KEY=VALUE
+};
 
 class Study {
  public:
@@ -56,11 +87,18 @@ class Study {
   /// max_iterations / tolerance / max_evaluations / seed map onto the typed
   /// SolverConfig fields, everything else becomes a typed extra; engine
   /// options resolve through the typed option schema — engine_option_docs()
-  /// lists every key — onto EngineConfig).
+  /// lists every key — onto EngineConfig), then `overrides` layer on top.
+  /// The engines are built once, with the final selection, under `control`
+  /// (not owned; nullptr = unbounded).
   /// The returned Study owns copies of the document's trees — it does not
   /// reference `document` after returning. Throws std::invalid_argument on
-  /// semantic problems (no hazards, unknown engine option, ...).
-  [[nodiscard]] static Study from_document(const ftio::StudyDocument& document);
+  /// semantic problems (no hazards, unknown engine option, ...) and
+  /// safeopt::Error when an engine build exhausts a budget or deadline with
+  /// no fallback.
+  [[nodiscard]] static Study from_document(
+      const ftio::StudyDocument& document,
+      const StudyOverrides& overrides = {},
+      const ExecutionControl* control = nullptr);
 
   /// load_study(path) + from_document — the whole pipeline from one file.
   /// Throws ftio::ParseError (with the file name) on parse problems.
@@ -86,22 +124,25 @@ class Study {
   Study& observe(opt::ProgressObserver observer);
 
   /// Selects the quantification engine (by registry name) used by
-  /// quantify(). Default: "fta". Resets engines already built for attached
-  /// hazard trees.
+  /// quantify(). Default: "fta". Rebuilds the engine of every attached
+  /// hazard tree.
   Study& engine(std::string name, EngineConfig config = {});
 
   /// Attaches the fault-tree derivation of the named hazard so engines can
-  /// quantify it. `tree` and `quantification` are referenced, not copied —
-  /// they must outlive the Study. The leaf tapes are compiled once (shared
-  /// CompiledQuantification) so every engine evaluates parameter points on
-  /// the compiled hot path.
+  /// quantify it: compiles its leaf tapes (the compiled hot path every
+  /// engine's input comes from) and builds its engine. `tree` is
+  /// referenced by the engine, not copied — it must outlive the Study;
+  /// `quantification` is read only during this call.
   Study& hazard_tree(std::string hazard, const fta::FaultTree& tree,
                      const ParameterizedQuantification& quantification);
 
   // ---- execution -----------------------------------------------------------
 
   /// Minimizes f_cost over the parameter box with the configured solver.
-  [[nodiscard]] SafetyOptimizationResult run() const;
+  /// A non-null `control` replaces the solver config's control for this
+  /// call (deadline/cancel return the best point so far).
+  [[nodiscard]] SafetyOptimizationResult run(
+      const ExecutionControl* control = nullptr) const;
 
   /// Evaluates cost and hazard probabilities at a configuration.
   [[nodiscard]] SafetyOptimizationResult evaluate_at(
@@ -113,13 +154,13 @@ class Study {
       const SafetyOptimizationResult& optimal) const;
 
   /// Quantifies the named hazard at `at` with the configured engine: leaf
-  /// probabilities come off the compiled tapes (CompiledQuantification::
-  /// input_at), the engine turns them into a top-event probability. The
-  /// hazard must have been attached via hazard_tree() (throws
-  /// std::invalid_argument otherwise). Not thread-safe: engines and tapes
-  /// are built lazily per Study.
+  /// probabilities come off the compiled tapes (LeafTapes::input_at), the
+  /// engine turns them into a top-event probability under `control` (not
+  /// owned; nullptr = unbounded). The hazard must have been attached via
+  /// hazard_tree() (throws std::invalid_argument otherwise).
   [[nodiscard]] QuantificationResult quantify(
-      std::string_view hazard, const expr::ParameterAssignment& at) const;
+      std::string_view hazard, const expr::ParameterAssignment& at,
+      const ExecutionControl* control = nullptr) const;
 
   // ---- access --------------------------------------------------------------
 
@@ -158,47 +199,28 @@ class Study {
   struct TreeHazard {
     std::string hazard;
     const fta::FaultTree* tree = nullptr;
-    const ParameterizedQuantification* quantification = nullptr;
-    // Lazily built; mutable state of the (single-threaded) quantify path.
-    mutable std::unique_ptr<CompiledQuantification> compiled;
-    mutable std::unique_ptr<QuantificationEngine> engine;
-    // Non-empty when the engine above is a fallback the configured engine
-    // degraded to (budget/deadline blown during construction); appended to
-    // every QuantificationResult::diagnostics the engine produces.
-    mutable std::string degradation;
-    // The resolved evaluation backend, cached alongside `compiled` and
-    // stamped on every result's `backend` field; when the `backend=`
-    // request degraded, the note is replayed into result diagnostics.
-    mutable std::string backend_name;
-    mutable std::string backend_note;
-
-    // Copying a Study copies the attachment, not the lazily built caches
-    // (each copy rebuilds its own engine — engines memoize and are
-    // documented single-threaded).
-    TreeHazard() = default;
-    TreeHazard(TreeHazard&&) noexcept = default;
-    TreeHazard& operator=(TreeHazard&&) noexcept = default;
-    TreeHazard(const TreeHazard& other)
-        : hazard(other.hazard),
-          tree(other.tree),
-          quantification(other.quantification) {}
-    TreeHazard& operator=(const TreeHazard& other) {
-      if (this != &other) {
-        hazard = other.hazard;
-        tree = other.tree;
-        quantification = other.quantification;
-        compiled.reset();
-        engine.reset();
-        degradation.clear();
-      }
-      return *this;
-    }
+    // Immutable, so copies of the Study share them.
+    std::shared_ptr<const LeafTapes> leaves;
+    std::shared_ptr<const QuantificationEngine> engine;
+    // Non-empty when `engine` is a fallback the configured engine degraded
+    // to (budget/deadline blown during construction); appended to every
+    // QuantificationResult::diagnostics the engine produces.
+    std::string degradation;
   };
 
-  /// Backing storage for document-loaded studies: the fault trees and
-  /// quantifications the TreeHazard entries reference. Shared (and
-  /// address-stable) so Study copies stay cheap and valid.
+  /// Backing storage for document-loaded studies: the fault trees the
+  /// TreeHazard entries and engines reference. Shared (and address-stable)
+  /// so Study copies stay cheap and valid.
   struct OwnedModel;
+
+  /// `entry` with its engine built for the `name`/`config` selection under
+  /// `control`.
+  [[nodiscard]] static TreeHazard with_engine(TreeHazard entry,
+                                              std::string_view name,
+                                              const EngineConfig& config,
+                                              const ExecutionControl* control);
+  /// Sets backend_name_/backend_note_ from engine_config_.backend.
+  void resolve_backend();
 
   std::shared_ptr<const OwnedModel> owned_;
   SafetyOptimizer optimizer_;
@@ -207,6 +229,11 @@ class Study {
       algorithm_solver_config(Algorithm::kMultiStartNelderMead);
   std::string engine_name_ = "fta";
   EngineConfig engine_config_;
+  // The evaluation backend `engine_config_.backend` resolves to, stamped on
+  // every result's `backend` field; when the request degraded, the note is
+  // replayed into result diagnostics.
+  std::string backend_name_;
+  std::string backend_note_;
   opt::ProgressObserver observer_;
   std::vector<TreeHazard> tree_hazards_;
 };
@@ -223,11 +250,12 @@ class Study {
 /// The engine selection a document requests: its `engine` section when
 /// present, otherwise the default cut-set engine — either way with the
 /// `formula`-derived probability method (overridable by an explicit method
-/// option). Throws std::invalid_argument on unknown names or malformed
-/// options. Lets engine-only callers (quantifying a constant model) share
+/// option) — with the engine and engine options of `overrides` layered on
+/// top. Throws std::invalid_argument on unknown names or malformed options.
+/// Lets engine-only callers (quantifying a constant model) share
 /// from_document's mapping.
 [[nodiscard]] std::pair<std::string, EngineConfig> document_engine_selection(
-    const ftio::StudyDocument& document);
+    const ftio::StudyDocument& document, const StudyOverrides& overrides = {});
 
 /// Applies one `KEY=VALUE` engine option onto `config` with exactly the
 /// document `engine` section's key mapping — the CLI's `--engine-opt`

@@ -16,11 +16,12 @@
 namespace safeopt::core {
 
 std::vector<QuantificationResult> QuantificationEngine::quantify_batch(
-    const std::vector<fta::QuantificationInput>& inputs) {
+    const std::vector<fta::QuantificationInput>& inputs,
+    const ExecutionControl* control) const {
   std::vector<QuantificationResult> results;
   results.reserve(inputs.size());
   for (const fta::QuantificationInput& input : inputs) {
-    results.push_back(quantify(input));
+    results.push_back(quantify(input, control));
   }
   return results;
 }
@@ -38,17 +39,17 @@ prep::PreprocessOptions to_prep_options(const EngineConfig& config,
   return options;
 }
 
-/// Fills `storage` with the engine's per-construction control — a fresh
-/// deadline derived from config.deadline_ms, chained to the caller's
-/// config.control as parent — and returns it; nullptr when the config asks
-/// for neither (so the unbounded path stays poll-free).
-const ExecutionControl* activate_control(const EngineConfig& config,
+/// Fills `storage` with a per-operation control — a fresh deadline derived
+/// from `deadline_ms` (0 = none), chained to the caller's `control` as
+/// parent — and returns it; nullptr when neither applies (so the unbounded
+/// path stays poll-free).
+const ExecutionControl* activate_control(std::uint64_t deadline_ms,
+                                         const ExecutionControl* control,
                                          ExecutionControl& storage) {
-  if (config.deadline_ms == 0 && config.control == nullptr) return nullptr;
-  storage.deadline = config.deadline_ms > 0
-                         ? Deadline::after_ms(config.deadline_ms)
-                         : Deadline::never();
-  storage.parent = config.control;
+  if (deadline_ms == 0 && control == nullptr) return nullptr;
+  storage.deadline =
+      deadline_ms > 0 ? Deadline::after_ms(deadline_ms) : Deadline::never();
+  storage.parent = control;
   return &storage;
 }
 
@@ -73,18 +74,19 @@ PreprocessSummary to_summary(const prep::PreprocessStatistics& statistics) {
 /// overestimate (Eq. 1/2 is the first Bonferroni bound).
 class CutSetEngine final : public QuantificationEngine {
  public:
-  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config)
+  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config,
+               const ExecutionControl* control)
       : tree_(tree), config_(config) {
-    // The construction-time control only needs to live through this body:
-    // MOCUS/preprocessing happen here, quantify() is per-point arithmetic.
+    // MOCUS/preprocessing happen here; quantify() is per-point arithmetic.
     ExecutionControl storage;
-    const ExecutionControl* control = activate_control(config, storage);
+    const ExecutionControl* active =
+        activate_control(config.deadline_ms, control, storage);
     if (config.preprocess) {
       // Composed modular cut sets are mapped back to the original ordinals
       // and minimize()d, so quantification below is bit-identical to the
       // direct MOCUS path — the pipeline only changes how mcs_ is found.
       const prep::PreprocessedTree preprocessed =
-          prep::preprocess(tree, to_prep_options(config, control));
+          prep::preprocess(tree, to_prep_options(config, active));
       mcs_ = prep::minimal_cut_sets(preprocessed);
       summary_ = to_summary(preprocessed.statistics);
     } else {
@@ -107,7 +109,8 @@ class CutSetEngine final : public QuantificationEngine {
   }
 
   [[nodiscard]] QuantificationResult quantify(
-      const fta::QuantificationInput& input) override {
+      const fta::QuantificationInput& input,
+      const ExecutionControl* /*control*/ = nullptr) const override {
     SAFEOPT_EXPECTS(input.is_valid_for(tree_));
     QuantificationResult result;
     result.probability = fta::top_event_probability(
@@ -132,20 +135,22 @@ class CutSetEngine final : public QuantificationEngine {
 /// linear-in-nodes oracle the other engines are validated against.
 class BddEngine final : public QuantificationEngine {
  public:
-  BddEngine(const fta::FaultTree& tree, const EngineConfig& config)
-      : tree_(tree), options_(config.bdd_options()) {
+  BddEngine(const fta::FaultTree& tree, const EngineConfig& config,
+            const ExecutionControl* control)
+      : tree_(tree) {
     // Construction is the expensive phase (the whole compilation), so the
-    // per-construction deadline starts here — but the managers keep the
-    // control pointer for their lifetime, so it lives in a member
-    // (declared first, destroyed last), never on this stack frame.
-    options_.control = activate_control(config, control_storage_);
+    // per-construction deadline starts here; bdd::compile detaches it from
+    // the managers it returns.
+    ExecutionControl storage;
+    bdd::BddOptions options = config.bdd_options();
+    options.control = activate_control(config.deadline_ms, control, storage);
     if (config.preprocess) {
       preprocessed_ =
-          prep::preprocess(tree, to_prep_options(config, options_.control));
-      modules_.emplace(*preprocessed_, options_);
+          prep::preprocess(tree, to_prep_options(config, options.control));
+      modules_.emplace(*preprocessed_, options);
       summary_ = to_summary(preprocessed_->statistics);
     } else {
-      compiled_.emplace(bdd::compile(tree, options_));
+      compiled_.emplace(bdd::compile(tree, options));
     }
   }
 
@@ -162,7 +167,8 @@ class BddEngine final : public QuantificationEngine {
   }
 
   [[nodiscard]] QuantificationResult quantify(
-      const fta::QuantificationInput& input) override {
+      const fta::QuantificationInput& input,
+      const ExecutionControl* /*control*/ = nullptr) const override {
     SAFEOPT_EXPECTS(input.is_valid_for(tree_));
     QuantificationResult result;
     result.probability = modules_.has_value()
@@ -174,10 +180,6 @@ class BddEngine final : public QuantificationEngine {
 
  private:
   const fta::FaultTree& tree_;
-  // Referenced by every manager compiled below; must be declared before
-  // them so it is destroyed after them.
-  ExecutionControl control_storage_;
-  bdd::BddOptions options_;
   std::optional<bdd::CompiledFaultTree> compiled_;
   // `modules_` keeps a pointer into `preprocessed_`; both live and die with
   // this engine (declaration order matters: preprocessed_ first).
@@ -210,7 +212,8 @@ class MonteCarloEngine final : public QuantificationEngine {
   }
 
   [[nodiscard]] QuantificationResult quantify(
-      const fta::QuantificationInput& input) override {
+      const fta::QuantificationInput& input,
+      const ExecutionControl* /*control*/ = nullptr) const override {
     SAFEOPT_EXPECTS(input.is_valid_for(tree_));
     const mc::MonteCarloResult estimate =
         config_.pool != nullptr
@@ -241,8 +244,7 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
                            const EngineConfig& config)
       : tree_(tree),
         sampler_(to_options(config)),
-        deadline_ms_(config.deadline_ms),
-        caller_control_(config.control) {}
+        deadline_ms_(config.deadline_ms) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "mc_adaptive";
@@ -259,9 +261,10 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
   }
 
   [[nodiscard]] QuantificationResult quantify(
-      const fta::QuantificationInput& input) override {
+      const fta::QuantificationInput& input,
+      const ExecutionControl* control = nullptr) const override {
     SAFEOPT_EXPECTS(input.is_valid_for(tree_));
-    return quantify_batch({input}).front();
+    return quantify_batch({input}, control).front();
   }
 
   /// Real batched path: one super-round scheduler drives every input, so
@@ -269,21 +272,17 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
   /// Entries are bitwise-identical to the serial quantify() loop. The
   /// sampling loop is this engine's expensive phase, so `deadline_ms` is a
   /// *per-call* budget: each call derives a fresh deadline (chained to the
-  /// caller's config.control) and an expired one flags `aborted` on the
-  /// partial results rather than throwing.
+  /// call's `control`) and an expired one flags `aborted` on the partial
+  /// results rather than throwing.
   [[nodiscard]] std::vector<QuantificationResult> quantify_batch(
-      const std::vector<fta::QuantificationInput>& inputs) override {
+      const std::vector<fta::QuantificationInput>& inputs,
+      const ExecutionControl* control = nullptr) const override {
     for (const fta::QuantificationInput& input : inputs) {
       SAFEOPT_EXPECTS(input.is_valid_for(tree_));
     }
-    ExecutionControl control;
-    const ExecutionControl* active = nullptr;
-    if (deadline_ms_ > 0 || caller_control_ != nullptr) {
-      control.deadline = deadline_ms_ > 0 ? Deadline::after_ms(deadline_ms_)
-                                          : Deadline::never();
-      control.parent = caller_control_;
-      active = &control;
-    }
+    ExecutionControl storage;
+    const ExecutionControl* active =
+        activate_control(deadline_ms_, control, storage);
     std::vector<QuantificationResult> results;
     results.reserve(inputs.size());
     for (const mc::AdaptiveResult& estimate :
@@ -323,7 +322,6 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
   const fta::FaultTree& tree_;
   mc::AdaptiveMonteCarlo sampler_;
   std::uint64_t deadline_ms_ = 0;
-  const ExecutionControl* caller_control_ = nullptr;
 };
 
 /// The shared registry scaffolding (support/registry.h), seeded with the
@@ -332,19 +330,23 @@ NameRegistry<EngineRegistry::Factory>& registry() {
   static NameRegistry<EngineRegistry::Factory> instance(
       "quantification engine",
       {{"fta",
-        [](const fta::FaultTree& tree, const EngineConfig& config) {
-          return std::make_unique<CutSetEngine>(tree, config);
+        [](const fta::FaultTree& tree, const EngineConfig& config,
+           const ExecutionControl* control) {
+          return std::make_unique<CutSetEngine>(tree, config, control);
         }},
        {"bdd",
-        [](const fta::FaultTree& tree, const EngineConfig& config) {
-          return std::make_unique<BddEngine>(tree, config);
+        [](const fta::FaultTree& tree, const EngineConfig& config,
+           const ExecutionControl* control) {
+          return std::make_unique<BddEngine>(tree, config, control);
         }},
        {"mc",
-        [](const fta::FaultTree& tree, const EngineConfig& config) {
+        [](const fta::FaultTree& tree, const EngineConfig& config,
+           const ExecutionControl*) {
           return std::make_unique<MonteCarloEngine>(tree, config);
         }},
        {"mc_adaptive",
-        [](const fta::FaultTree& tree, const EngineConfig& config) {
+        [](const fta::FaultTree& tree, const EngineConfig& config,
+           const ExecutionControl*) {
           return std::make_unique<AdaptiveMonteCarloEngine>(tree, config);
         }}});
   return instance;
@@ -358,9 +360,9 @@ bool EngineRegistry::add(std::string name, Factory factory) {
 
 std::unique_ptr<QuantificationEngine> EngineRegistry::create(
     std::string_view name, const fta::FaultTree& tree,
-    const EngineConfig& config) {
+    const EngineConfig& config, const ExecutionControl* control) {
   std::unique_ptr<QuantificationEngine> engine =
-      registry().find(name)(tree, config);
+      registry().find(name)(tree, config, control);
   SAFEOPT_ENSURES(engine != nullptr);
   return engine;
 }
@@ -375,9 +377,10 @@ std::vector<std::string> EngineRegistry::available() {
 
 std::unique_ptr<QuantificationEngine> create_engine_with_fallback(
     std::string_view name, const fta::FaultTree& tree,
-    const EngineConfig& config, std::string* diagnostic) {
+    const EngineConfig& config, std::string* diagnostic,
+    const ExecutionControl* control) {
   try {
-    return EngineRegistry::create(name, tree, config);
+    return EngineRegistry::create(name, tree, config, control);
   } catch (const Error& error) {
     if (!error.recoverable() || config.fallback.empty() ||
         config.fallback == name) {
@@ -386,7 +389,7 @@ std::unique_ptr<QuantificationEngine> create_engine_with_fallback(
     // One link only: a failing fallback propagates. The downgrade note
     // leads with the machine-readable category so log scrapers can filter.
     std::unique_ptr<QuantificationEngine> engine =
-        EngineRegistry::create(config.fallback, tree, config);
+        EngineRegistry::create(config.fallback, tree, config, control);
     if (diagnostic != nullptr) {
       *diagnostic = concat("engine \"", name, "\" degraded to \"",
                            config.fallback, "\" (",

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -392,23 +393,39 @@ std::optional<SolverSelection> document_solver_selection(
 }
 
 std::pair<std::string, EngineConfig> document_engine_selection(
-    const ftio::StudyDocument& document) {
+    const ftio::StudyDocument& document, const StudyOverrides& overrides) {
   const HazardFormula formula = document_formula(document);
+  std::string name = "fta";
   EngineConfig config;
   config.method = formula == HazardFormula::kMinCutUpperBound
                       ? fta::ProbabilityMethod::kMinCutUpperBound
                       : fta::ProbabilityMethod::kRareEvent;
-  if (!document.engine.has_value()) return {"fta", config};
-  const ftio::SelectionDecl& selection = *document.engine;
-  if (!EngineRegistry::contains(selection.name)) {
-    throw std::invalid_argument(
-        concat("document selects unknown engine \"", selection.name,
-               "\"; available: ", join(EngineRegistry::available(), ", ")));
+  if (document.engine.has_value()) {
+    const ftio::SelectionDecl& selection = *document.engine;
+    if (!EngineRegistry::contains(selection.name)) {
+      throw std::invalid_argument(
+          concat("document selects unknown engine \"", selection.name,
+                 "\"; available: ", join(EngineRegistry::available(), ", ")));
+    }
+    for (const auto& [key, value] : selection.options) {
+      apply_engine_option(config, key, value);
+    }
+    name = selection.name;
   }
-  for (const auto& [key, value] : selection.options) {
-    apply_engine_option(config, key, value);
+  // An engine override keeps the document's engine options (trials, seed,
+  // formula-derived method); engine options layer on individual keys.
+  if (overrides.engine.has_value()) {
+    if (!EngineRegistry::contains(*overrides.engine)) {
+      throw std::invalid_argument(
+          concat("unknown engine \"", *overrides.engine, "\"; available: ",
+                 join(EngineRegistry::available(), ", ")));
+    }
+    name = *overrides.engine;
   }
-  return {selection.name, config};
+  for (const std::string& option : overrides.engine_options) {
+    set_engine_argument(config, option);
+  }
+  return {std::move(name), config};
 }
 
 void set_engine_argument(EngineConfig& config,
@@ -438,21 +455,21 @@ void set_engine_argument(EngineConfig& config,
   apply_engine_option(config, key, ftio::OptionValue::of(text));
 }
 
-/// Backing storage for document-loaded studies. Entries are pointer-stable:
-/// TreeHazard, ParameterizedQuantification and the engines hold references
-/// into them for the Study's lifetime (including copies, via shared_ptr).
+/// Backing storage for document-loaded studies. The trees are pointer-stable:
+/// TreeHazard and the engines hold references into them for the Study's
+/// lifetime (including copies, via shared_ptr).
 struct Study::OwnedModel {
-  struct Entry {
-    std::unique_ptr<fta::FaultTree> tree;
-    std::unique_ptr<ParameterizedQuantification> quantification;
-  };
-  std::vector<Entry> entries;
+  std::vector<std::unique_ptr<fta::FaultTree>> trees;
 };
 
 Study::Study(CostModel model, ParameterSpace space)
-    : optimizer_(std::move(model), std::move(space)) {}
+    : optimizer_(std::move(model), std::move(space)) {
+  resolve_backend();
+}
 
-Study Study::from_document(const ftio::StudyDocument& document) {
+Study Study::from_document(const ftio::StudyDocument& document,
+                           const StudyOverrides& overrides,
+                           const ExecutionControl* control) {
   if (document.hazards.empty()) {
     throw std::invalid_argument(
         concat("study document", document.source.empty() ? "" : " ",
@@ -476,6 +493,8 @@ Study Study::from_document(const ftio::StudyDocument& document) {
   const HazardFormula formula = document_formula(document);
 
   auto owned = std::make_shared<OwnedModel>();
+  std::vector<ParameterizedQuantification> quantifications;
+  quantifications.reserve(document.hazards.size());
   CostModel model;
   for (const ftio::HazardDecl& hazard : document.hazards) {
     const ftio::TreeModel* source = document.find_tree(hazard.tree);
@@ -489,37 +508,55 @@ Study Study::from_document(const ftio::StudyDocument& document) {
       throw std::invalid_argument(
           concat("duplicate hazard for tree \"", hazard.tree, "\""));
     }
-    OwnedModel::Entry entry;
-    entry.tree = std::make_unique<fta::FaultTree>(source->tree);
-    auto quantification =
-        std::make_unique<ParameterizedQuantification>(*entry.tree);
+    const fta::FaultTree& tree = *owned->trees.emplace_back(
+        std::make_unique<fta::FaultTree>(source->tree));
+    ParameterizedQuantification& quantification =
+        quantifications.emplace_back(tree);
     for (const ftio::LeafProbability& leaf : source->leaves) {
       if (leaf.is_condition) {
-        quantification->set_condition_probability(leaf.name,
-                                                  leaf.probability);
+        quantification.set_condition_probability(leaf.name, leaf.probability);
       } else {
-        quantification->set_event_probability(leaf.name, leaf.probability);
+        quantification.set_event_probability(leaf.name, leaf.probability);
       }
     }
-    entry.quantification = std::move(quantification);
-    model.add_hazard({hazard.tree,
-                      entry.quantification->hazard_expression(formula),
+    model.add_hazard({hazard.tree, quantification.hazard_expression(formula),
                       hazard.cost});
-    owned->entries.push_back(std::move(entry));
   }
 
   Study study(std::move(model), std::move(space));
   study.owned_ = owned;
-  for (std::size_t i = 0; i < document.hazards.size(); ++i) {
-    study.hazard_tree(document.hazards[i].tree, *owned->entries[i].tree,
-                      *owned->entries[i].quantification);
-  }
   if (auto selection = document_solver_selection(document)) {
     study.solver(std::move(selection->name), std::move(selection->config));
   }
-  {
-    auto [name, config] = document_engine_selection(document);
-    study.engine(std::move(name), config);
+  if (overrides.solver.has_value() || !overrides.extras.empty() ||
+      overrides.seed.has_value()) {
+    if (overrides.solver.has_value()) {
+      // A fresh solver choice starts from that solver's legacy-equivalent
+      // defaults, not from another solver's document options.
+      auto resolved = resolve_solver(*overrides.solver);
+      if (!resolved.has_value()) {
+        throw std::invalid_argument(
+            concat("unknown solver \"", *overrides.solver, "\"; available: ",
+                   join(opt::SolverRegistry::available(), ", ")));
+      }
+      study.solver_name_ = std::move(resolved->name);
+      study.solver_config_ = std::move(resolved->config);
+    }
+    for (const std::string& extra : overrides.extras) {
+      study.solver_config_.set_extra_argument(extra);
+    }
+    if (overrides.seed.has_value()) study.solver_config_.seed = *overrides.seed;
+  }
+  std::tie(study.engine_name_, study.engine_config_) =
+      document_engine_selection(document, overrides);
+  study.resolve_backend();
+  // Trees attach after the final engine selection, so every engine is
+  // built exactly once, under the caller's control.
+  for (std::size_t i = 0; i < document.hazards.size(); ++i) {
+    study.tree_hazards_.push_back(with_engine(
+        {document.hazards[i].tree, owned->trees[i].get(),
+         std::make_shared<const LeafTapes>(quantifications[i]), nullptr, {}},
+        study.engine_name_, study.engine_config_, control));
   }
   return study;
 }
@@ -545,14 +582,17 @@ Study& Study::observe(opt::ProgressObserver observer) {
 }
 
 Study& Study::engine(std::string name, EngineConfig config) {
-  engine_name_ = std::move(name);
-  engine_config_ = config;
-  // Engines are per-(tree, config); drop the ones built for the old choice
-  // (and any degradation note recorded while building them).
+  // Every engine is built before any is replaced, so a throw leaves the
+  // Study as it was.
+  std::vector<TreeHazard> rebuilt;
+  rebuilt.reserve(tree_hazards_.size());
   for (const TreeHazard& entry : tree_hazards_) {
-    entry.engine.reset();
-    entry.degradation.clear();
+    rebuilt.push_back(with_engine(entry, name, config, nullptr));
   }
+  engine_name_ = std::move(name);
+  engine_config_ = std::move(config);
+  resolve_backend();
+  tree_hazards_ = std::move(rebuilt);
   return *this;
 }
 
@@ -561,20 +601,41 @@ Study& Study::hazard_tree(std::string hazard, const fta::FaultTree& tree,
   // Validate eagerly — the hazard must exist in the cost model so the
   // engine-quantified probability has an expression-path counterpart.
   (void)model().hazard_by_name(hazard);
-  TreeHazard entry;
-  entry.hazard = std::move(hazard);
-  entry.tree = &tree;
-  entry.quantification = &quantification;
-  tree_hazards_.push_back(std::move(entry));
+  tree_hazards_.push_back(with_engine(
+      {std::move(hazard), &tree,
+       std::make_shared<const LeafTapes>(quantification), nullptr, {}},
+      engine_name_, engine_config_, nullptr));
   return *this;
 }
 
-SafetyOptimizationResult Study::run() const {
-  if (!observer_ || solver_config_.observer) {
+Study::TreeHazard Study::with_engine(TreeHazard entry, std::string_view name,
+                                     const EngineConfig& config,
+                                     const ExecutionControl* control) {
+  // Degradation happens at construction time (budget/deadline blown while
+  // compiling), so the downgrade note is kept alongside the engine and
+  // replayed into every result it produces.
+  entry.degradation.clear();
+  entry.engine = create_engine_with_fallback(name, *entry.tree, config,
+                                             &entry.degradation, control);
+  return entry;
+}
+
+void Study::resolve_backend() {
+  // Unavailable hardware is a note, not an error (same policy as engine
+  // degradation).
+  expr::BackendRegistry::Selection selection =
+      expr::BackendRegistry::resolve(engine_config_.backend);
+  backend_name_ = std::string(selection.backend->name());
+  backend_note_ = std::move(selection.diagnostic);
+}
+
+SafetyOptimizationResult Study::run(const ExecutionControl* control) const {
+  if (control == nullptr && (!observer_ || solver_config_.observer)) {
     return optimizer_.optimize(solver_name_, solver_config_);
   }
   opt::SolverConfig config = solver_config_;
-  config.observer = observer_;
+  if (!config.observer) config.observer = observer_;
+  if (control != nullptr) config.control = control;
   return optimizer_.optimize(solver_name_, config);
 }
 
@@ -590,36 +651,17 @@ ComparisonReport Study::compare(
 }
 
 QuantificationResult Study::quantify(
-    std::string_view hazard, const expr::ParameterAssignment& at) const {
+    std::string_view hazard, const expr::ParameterAssignment& at,
+    const ExecutionControl* control) const {
   for (const TreeHazard& entry : tree_hazards_) {
     if (entry.hazard != hazard) continue;
-    if (!entry.compiled) {
-      entry.compiled =
-          std::make_unique<CompiledQuantification>(*entry.quantification);
-      // Resolve the `backend=` request once per compilation (same policy as
-      // engine degradation: unavailable hardware is a note, not an error).
-      const expr::BackendRegistry::Selection selection =
-          expr::BackendRegistry::resolve(engine_config_.backend);
-      entry.compiled->set_backend(selection.backend);
-      entry.backend_name = selection.backend->name();
-      entry.backend_note = selection.diagnostic;
-    }
-    if (!entry.engine) {
-      // Degradation happens at construction time (budget/deadline blown
-      // while compiling), so the downgrade note is cached alongside the
-      // engine and replayed into every result it produces.
-      entry.engine = create_engine_with_fallback(
-          engine_name_, *entry.tree, engine_config_, &entry.degradation);
-    }
     QuantificationResult result =
-        entry.engine->quantify(entry.compiled->input_at(at));
+        entry.engine->quantify(entry.leaves->input_at(at), control);
     if (!entry.degradation.empty()) {
       result.diagnostics.push_back(entry.degradation);
     }
-    if (!entry.backend_note.empty()) {
-      result.diagnostics.push_back(entry.backend_note);
-    }
-    result.backend = entry.backend_name;
+    if (!backend_note_.empty()) result.diagnostics.push_back(backend_note_);
+    result.backend = backend_name_;
     return result;
   }
   throw std::invalid_argument(

@@ -676,45 +676,6 @@ void CompiledExpr::run_generic_adjoint_block(std::size_t dim,
   }
 }
 
-// Legacy wrappers, deprecated in the header: each re-describes the call as
-// a BatchRequest. The lane_width overload pins the "generic" backend, whose
-// width set {1, 4, 8, 16} predates the registry.
-void CompiledExpr::evaluate_batch(std::span<const double> points,
-                                  std::span<double> out) const {
-  evaluate_batch(BatchRequest{.points = points, .values = out});
-}
-
-void CompiledExpr::evaluate_batch(std::span<const double> points,
-                                  std::span<double> out,
-                                  std::size_t lane_width) const {
-  evaluate_batch(BatchRequest{.points = points,
-                              .values = out,
-                              .lane_width = lane_width,
-                              .backend = &BackendRegistry::generic()});
-}
-
-void CompiledExpr::evaluate_batch(std::span<const double> points,
-                                  std::span<double> out,
-                                  ThreadPool& pool) const {
-  evaluate_batch(BatchRequest{.points = points, .values = out, .pool = &pool});
-}
-
-void CompiledExpr::evaluate_batch_with_gradients(
-    std::span<const double> points, std::span<double> values_out,
-    std::span<double> gradients_out) const {
-  evaluate_batch(BatchRequest{
-      .points = points, .values = values_out, .gradients = gradients_out});
-}
-
-void CompiledExpr::evaluate_batch_with_gradients(
-    std::span<const double> points, std::span<double> values_out,
-    std::span<double> gradients_out, ThreadPool& pool) const {
-  evaluate_batch(BatchRequest{.points = points,
-                              .values = values_out,
-                              .gradients = gradients_out,
-                              .pool = &pool});
-}
-
 template <std::size_t L>
 void CompiledExpr::run_lane_adjoint(std::size_t dim, double* gradients,
                                     LaneScratch& scratch) const {

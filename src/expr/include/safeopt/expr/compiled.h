@@ -172,28 +172,6 @@ class CompiledExpr {
   /// split, and thread count.
   void evaluate_batch(const BatchRequest& request) const;
 
-  // Legacy call shapes, kept as thin wrappers during the BatchRequest
-  // migration. Each forwards to evaluate_batch(BatchRequest); the
-  // lane_width overload pins the "generic" backend, whose supported widths
-  // {1, 4, 8, 16} predate the registry.
-  [[deprecated("describe the batch with a BatchRequest")]] void
-  evaluate_batch(std::span<const double> points, std::span<double> out) const;
-  [[deprecated("describe the batch with a BatchRequest")]] void
-  evaluate_batch(std::span<const double> points, std::span<double> out,
-                 std::size_t lane_width) const;
-  [[deprecated("describe the batch with a BatchRequest")]] void
-  evaluate_batch(std::span<const double> points, std::span<double> out,
-                 ThreadPool& pool) const;
-  [[deprecated("describe the batch with a BatchRequest")]] void
-  evaluate_batch_with_gradients(std::span<const double> points,
-                                std::span<double> values_out,
-                                std::span<double> gradients_out) const;
-  [[deprecated("describe the batch with a BatchRequest")]] void
-  evaluate_batch_with_gradients(std::span<const double> points,
-                                std::span<double> values_out,
-                                std::span<double> gradients_out,
-                                ThreadPool& pool) const;
-
   /// Human-readable tape listing, one instruction per line (debugging aid).
   [[nodiscard]] std::string disassemble() const;
 

@@ -170,7 +170,8 @@ class CompiledPreprocessedTree {
   /// are disjoint by construction). `input` is over the *original* tree's
   /// ordinals. The `probability` field of compile_statistics() is not
   /// touched — per-call results are returned, not stored.
-  [[nodiscard]] double probability(const fta::QuantificationInput& input);
+  [[nodiscard]] double probability(
+      const fta::QuantificationInput& input) const;
 
   /// Aggregated compile-time BDD counters (probability field is 0).
   [[nodiscard]] const ModularBddResult& compile_statistics() const noexcept {

@@ -686,7 +686,7 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
 }
 
 double CompiledPreprocessedTree::probability(
-    const fta::QuantificationInput& input) {
+    const fta::QuantificationInput& input) const {
   std::vector<double> module_probability;
   module_probability.reserve(compiled_.size());
   double probability = 0.0;

@@ -1,14 +1,13 @@
 #include "safeopt/serve/analysis_graph.h"
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "safeopt/core/quantification_engine.h"
 #include "safeopt/core/study.h"
 #include "safeopt/ftio/study_document.h"
-#include "safeopt/opt/solver.h"
 #include "safeopt/support/error.h"
-#include "safeopt/support/mutex.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::serve {
@@ -51,22 +50,6 @@ void append_optional_fingerprint_field(std::string& out, std::string_view name,
                            value.has_value() ? concat("+", *value) : "-");
 }
 
-/// Restores the slot to "no request" on every exit path; the caller holds
-/// the artifact mutex for the guard's whole lifetime.
-class SlotGuard {
- public:
-  SlotGuard(RequestControlSlot& slot, const ExecutionControl* control) noexcept
-      : slot_(slot) {
-    slot_.set(control);
-  }
-  ~SlotGuard() { slot_.clear(); }
-  SlotGuard(const SlotGuard&) = delete;
-  SlotGuard& operator=(const SlotGuard&) = delete;
-
- private:
-  RequestControlSlot& slot_;
-};
-
 bool control_fired(const ExecutionControl* control) {
   return control != nullptr && control->should_abort();
 }
@@ -107,19 +90,11 @@ std::string option_fingerprint(const AnalysisOptions& options) {
   return out;
 }
 
-RequestControlSlot::RequestControlSlot() {
-  control_.probe = [this]() -> ExecutionStatus {
-    const ExecutionControl* request =
-        request_.load(std::memory_order_acquire);
-    return request == nullptr ? ExecutionStatus::kRunning : request->status();
-  };
-}
-
 const std::vector<PassDesc>& analysis_passes() {
   static const std::vector<PassDesc> passes = {
       {"parse", "study document + canonical hash", ""},
       {"validate", "structural problem list", "parse"},
-      {"compile", "core::Study with compiled leaf tapes", "parse"},
+      {"compile", "core::Study with compiled leaf tapes and engines", "parse"},
       {"preprocess", "normalized/modularized trees (inside compile's study)",
        "compile"},
       {"mcs", "minimal cut sets (inside compile's study)", "preprocess"},
@@ -139,17 +114,8 @@ struct AnalysisGraph::ParsedArtifact {
 };
 
 struct AnalysisGraph::CompiledArtifact {
-  // The study's quantify path is documented single-threaded (lazy engines,
-  // mutable tape caches): requests serialize on this mutex. Different
-  // documents — different artifacts — still run concurrently. `study` is
-  // deliberately not GUARDED_BY(mutex): the guarded state is the Study's
-  // *internal* mutable caches, touched only by the mutating entry points
-  // (quantify/run/evaluate_at) below; the name/config accessors read
-  // members immutable after compile and stay lock-free.
-  mutable Mutex mutex;
-  mutable RequestControlSlot slot;
   std::shared_ptr<const ParsedArtifact> parsed;  // hazard order, model shape
-  std::optional<core::Study> study;
+  core::Study study;  // immutable; its const members are thread-safe
 };
 
 struct AnalysisGraph::QuantifyOutcome {
@@ -197,77 +163,29 @@ std::shared_ptr<const AnalysisGraph::ParsedArtifact> AnalysisGraph::parse_pass(
 std::shared_ptr<const AnalysisGraph::CompiledArtifact>
 AnalysisGraph::compile_pass(
     const std::shared_ptr<const ParsedArtifact>& parsed,
-    const AnalysisOptions& options, std::string* key_fingerprint) {
+    const AnalysisOptions& options, const ExecutionControl* control,
+    std::string* key_fingerprint) {
   const std::string fingerprint =
       concat(parsed->canonical_hex, ":",
              hex64(fnv1a(option_fingerprint(options))));
   if (key_fingerprint != nullptr) *key_fingerprint = fingerprint;
   const std::string key = concat("compile:", fingerprint);
   return cache_.get_as<CompiledArtifact>(key, [&] {
-    auto artifact = std::make_shared<CompiledArtifact>();
-    artifact->parsed = parsed;
-    core::Study study = core::Study::from_document(parsed->doc);
     // Request overrides layer exactly like the CLI's --solver/--extra/
-    // --seed/--engine/--engine-opt (configure_study in safeopt_cli.cpp):
-    // a fresh solver name restarts from that solver's defaults, extras and
-    // engine options layer on whatever is selected.
-    if (options.solver.has_value() || !options.extras.empty() ||
-        options.seed.has_value()) {
-      std::string name;
-      opt::SolverConfig config;
-      if (options.solver.has_value()) {
-        const auto resolved = core::resolve_solver(*options.solver);
-        if (!resolved.has_value()) {
-          throw std::invalid_argument(
-              concat("unknown solver \"", *options.solver, "\"; available: ",
-                     join(opt::SolverRegistry::available(), ", ")));
-        }
-        name = resolved->name;
-        config = resolved->config;
-      } else {
-        name = study.solver_name();
-        config = study.solver_config();
-      }
-      for (const std::string& extra : options.extras) {
-        config.set_extra_argument(extra);
-      }
-      if (options.seed.has_value()) config.seed = *options.seed;
-      study.solver(std::move(name), std::move(config));
-    }
-    if (options.engine.has_value() || !options.engine_options.empty()) {
-      if (options.engine.has_value() &&
-          !core::EngineRegistry::contains(*options.engine)) {
-        throw std::invalid_argument(
-            concat("unknown engine \"", *options.engine, "\"; available: ",
-                   join(core::EngineRegistry::available(), ", ")));
-      }
-      core::EngineConfig config = study.engine_config();
-      for (const std::string& option : options.engine_options) {
-        core::set_engine_argument(config, option);
-      }
-      study.engine(options.engine.value_or(study.engine_name()),
-                   std::move(config));
-    }
-    // Bake the slot's stable control into both configs. Engines and solver
-    // instrumentation capture this pointer once; the slot forwards to
-    // whichever request currently holds the artifact mutex.
-    {
-      opt::SolverConfig config = study.solver_config();
-      config.control = artifact->slot.control();
-      std::string name = study.solver_name();
-      study.solver(std::move(name), std::move(config));
-      core::EngineConfig engine_config = study.engine_config();
-      engine_config.control = artifact->slot.control();
-      std::string engine_name = study.engine_name();
-      study.engine(std::move(engine_name), std::move(engine_config));
-    }
-    artifact->study.emplace(std::move(study));
+    // --seed/--engine/--engine-opt; the engines are built once, under this
+    // request's control.
+    auto artifact = std::make_shared<CompiledArtifact>(
+        parsed, core::Study::from_document(parsed->doc, options, control));
     CacheEntry entry;
     entry.value = artifact;
-    // The compiled tapes + lazily built engine state dominate; scale the
-    // estimate off the document size (engines grow it further, but the
-    // budget is a shedding threshold, not an accounting ledger).
+    // The compiled tapes + engine state dominate; scale the estimate off
+    // the document size (the budget is a shedding threshold, not an
+    // accounting ledger).
     entry.bytes = parsed->text_bytes * 16 + 8192;
+    // Engines built under a fired control may have degraded to a fallback:
+    // such an artifact is this request's alone.
+    entry.store = !control_fired(control);
+    entry.share = entry.store;
     return entry;
   });
 }
@@ -303,20 +221,8 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
         concat("quantify:const:", parsed->canonical_hex, ":",
                hex64(fnv1a(option_fingerprint(options))));
     const auto outcome = cache_.get_as<QuantifyOutcome>(key, [&] {
-      auto [engine_name, engine_config] =
-          core::document_engine_selection(doc);
-      if (options.engine.has_value()) {
-        if (!core::EngineRegistry::contains(*options.engine)) {
-          throw std::invalid_argument(
-              concat("unknown engine \"", *options.engine, "\"; available: ",
-                     join(core::EngineRegistry::available(), ", ")));
-        }
-        engine_name = *options.engine;
-      }
-      for (const std::string& option : options.engine_options) {
-        core::set_engine_argument(engine_config, option);
-      }
-      engine_config.control = control;
+      const auto [engine_name, engine_config] =
+          core::document_engine_selection(doc, options);
       auto computed = std::make_shared<QuantifyOutcome>();
       computed->engine_name = engine_name;
       for (const ftio::HazardDecl& hazard : doc.hazards) {
@@ -328,8 +234,8 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
         }
         std::string degradation;
         const auto engine = core::create_engine_with_fallback(
-            engine_name, model->tree, engine_config, &degradation);
-        core::QuantificationResult result = engine->quantify(input);
+            engine_name, model->tree, engine_config, &degradation, control);
+        core::QuantificationResult result = engine->quantify(input, control);
         if (!degradation.empty()) {
           result.diagnostics.push_back(degradation);
         }
@@ -352,8 +258,8 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
   }
 
   std::string fingerprint;
-  const auto compiled = compile_pass(parsed, options, &fingerprint);
-  const core::Study& study = *compiled->study;
+  const auto compiled = compile_pass(parsed, options, control, &fingerprint);
+  const core::Study& study = compiled->study;
 
   // Evaluation point: box center, request components override per axis
   // (the CLI's default for quantify).
@@ -380,15 +286,13 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
   const std::string key =
       concat("quantify:", fingerprint, ":", hex64(fnv1a(at_fingerprint)));
   const auto outcome = cache_.get_as<QuantifyOutcome>(key, [&] {
-    const MutexLock lock(compiled->mutex);
-    SlotGuard guard(compiled->slot, control);
     auto computed = std::make_shared<QuantifyOutcome>();
     computed->at = at;
     computed->engine_name = study.engine_name();
     computed->cost = study.evaluate_at(at).cost;
     for (const ftio::HazardDecl& hazard : compiled->parsed->doc.hazards) {
       computed->results.emplace_back(hazard.tree,
-                                     study.quantify(hazard.tree, at));
+                                     study.quantify(hazard.tree, at, control));
     }
     CacheEntry entry;
     entry.value = computed;
@@ -409,14 +313,12 @@ std::string AnalysisGraph::optimize(const std::string& document_text,
                                     const ExecutionControl* control) {
   const auto parsed = parse_pass(document_text);
   std::string fingerprint;
-  const auto compiled = compile_pass(parsed, options, &fingerprint);
-  const core::Study& study = *compiled->study;
+  const auto compiled = compile_pass(parsed, options, control, &fingerprint);
+  const core::Study& study = compiled->study;
 
   const std::string key = concat("optimize:", fingerprint);
   const auto outcome = cache_.get_as<OptimizeOutcome>(key, [&] {
-    const MutexLock lock(compiled->mutex);
-    SlotGuard guard(compiled->slot, control);
-    const auto result = study.run();
+    const auto result = study.run(control);
     auto computed = std::make_shared<OptimizeOutcome>();
     computed->converged = result.optimization.converged;
     computed->evaluations = result.optimization.evaluations;
@@ -424,7 +326,8 @@ std::string AnalysisGraph::optimize(const std::string& document_text,
     computed->cost = result.cost;
     for (const ftio::HazardDecl& hazard : compiled->parsed->doc.hazards) {
       computed->results.emplace_back(
-          hazard.tree, study.quantify(hazard.tree, computed->optimum));
+          hazard.tree,
+          study.quantify(hazard.tree, computed->optimum, control));
     }
     CacheEntry entry;
     entry.value = computed;
@@ -465,6 +368,9 @@ std::vector<std::string> validate_problems(const ftio::StudyDocument& doc) {
       (void)core::Study::from_document(doc);
     }
   } catch (const std::invalid_argument& error) {
+    problems.emplace_back(error.what());
+  } catch (const Error& error) {
+    // The eager engine build exhausted a budget or deadline.
     problems.emplace_back(error.what());
   }
   return problems;

@@ -12,10 +12,10 @@
 //   parse:<raw-text hash>                 → ParsedArtifact (document +
 //                                           canonical hash)
 //   compile:<canonical>:<option fp>      → CompiledArtifact (core::Study
-//                                           with compiled tapes; the
-//                                           preprocess/MCS/BDD sub-passes
-//                                           live inside its lazily built
-//                                           engines, so their results are
+//                                           with compiled leaf tapes and
+//                                           engines; the preprocess/MCS/BDD
+//                                           sub-passes run inside its engine
+//                                           builds, so their results are
 //                                           owned by — and amortized with —
 //                                           this artifact)
 //   quantify:<compile key fp>:<at fp>    → QuantifyOutcome
@@ -26,24 +26,25 @@
 // one document share every artifact; any semantic change invalidates from
 // `compile` down while `parse` of the identical raw text still hits.
 //
-// Concurrency: a CompiledArtifact's study is single-threaded by contract
-// (lazy engines, mutable tape caches), so each artifact carries a mutex and
-// requests serialize per artifact while different documents run in
-// parallel. Per-request deadline/cancellation flows through the artifact's
-// RequestControlSlot: the study is built once against the slot's stable
-// ExecutionControl, and each request swaps its own control in for the
-// duration of its (mutex-held) turn.
+// Concurrency: a CompiledArtifact's study is immutable once compiled (core::
+// Study builds its leaf tapes and engines eagerly, and its const members are
+// thread-safe), so any number of requests quantify and optimize one
+// artifact at the same time, with no per-artifact lock. Deadlines and
+// cancellation are per call: the compile pass builds the engines under the
+// control of the request that missed the cache, and every later pass passes
+// its own request's control to Study::quantify / Study::run. A compiled
+// artifact built under a control that fired (its engine may have degraded
+// to a fallback) is neither stored nor shared, like every other pass's
+// control-tainted outcome.
 #ifndef SAFEOPT_SERVE_ANALYSIS_GRAPH_H
 #define SAFEOPT_SERVE_ANALYSIS_GRAPH_H
 
-#include <atomic>
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "safeopt/core/study.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/serve/artifact_cache.h"
 #include "safeopt/serve/response_json.h"
@@ -52,46 +53,14 @@
 namespace safeopt::serve {
 
 /// Per-request analysis options — the HTTP mirror of the CLI's
-/// --solver/--engine/--extra/--engine-opt/--seed/--at surface, layered on
-/// top of the document's own selections with identical semantics.
-struct AnalysisOptions {
+/// --solver/--engine/--extra/--engine-opt/--seed/--at surface. The
+/// inherited overrides layer on top of the document's own selections
+/// through core::Study::from_document, the CLI's path.
+struct AnalysisOptions : core::StudyOverrides {
   /// Reported as the response's "model" field (the CLI prints the file
   /// path here); not part of any cache key.
   std::string model;
-  std::optional<std::string> engine;
-  std::vector<std::string> engine_options;  // KEY=VALUE
-  std::optional<std::string> solver;
-  std::vector<std::string> extras;  // KEY=VALUE solver extras
-  std::optional<std::uint64_t> seed;
   std::vector<std::pair<std::string, double>> at;
-};
-
-/// A stable ExecutionControl that forwards to the *current request's*
-/// control. Engines capture `config.control` when the compiled study is
-/// built — once, at artifact creation — while requests come and go; the
-/// slot is the indirection that keeps the captured pointer valid forever
-/// and still lets every request bring its own deadline and disconnect
-/// probe. set()/clear() happen under the owning artifact's mutex, so at
-/// most one request occupies the slot at a time.
-class RequestControlSlot {
- public:
-  RequestControlSlot();
-  RequestControlSlot(const RequestControlSlot&) = delete;
-  RequestControlSlot& operator=(const RequestControlSlot&) = delete;
-
-  /// The stable control to bake into engine/solver configs.
-  [[nodiscard]] const ExecutionControl* control() const noexcept {
-    return &control_;
-  }
-
-  void set(const ExecutionControl* request) noexcept {
-    request_.store(request, std::memory_order_release);
-  }
-  void clear() noexcept { set(nullptr); }
-
- private:
-  ExecutionControl control_;
-  std::atomic<const ExecutionControl*> request_{nullptr};
 };
 
 /// One row of the pass-graph description (introspection, /v1/stats, docs).
@@ -153,7 +122,8 @@ class AnalysisGraph {
       const std::string& document_text);
   std::shared_ptr<const CompiledArtifact> compile_pass(
       const std::shared_ptr<const ParsedArtifact>& parsed,
-      const AnalysisOptions& options, std::string* key_fingerprint);
+      const AnalysisOptions& options, const ExecutionControl* control,
+      std::string* key_fingerprint);
 
   ArtifactCache cache_;
 };

@@ -273,7 +273,8 @@ TEST(EngineRegistryTest, RegistrarRegistersACustomEngine) {
       return tree_;
     }
     [[nodiscard]] QuantificationResult quantify(
-        const fta::QuantificationInput&) override {
+        const fta::QuantificationInput&,
+        const ExecutionControl* = nullptr) const override {
       QuantificationResult result;
       result.probability = 1.0;
       return result;
@@ -284,7 +285,8 @@ TEST(EngineRegistryTest, RegistrarRegistersACustomEngine) {
   };
   const EngineRegistrar registrar(
       "test_pessimist",
-      [](const fta::FaultTree& tree, const EngineConfig&) {
+      [](const fta::FaultTree& tree, const EngineConfig&,
+         const ExecutionControl*) {
         return std::make_unique<PessimistEngine>(tree);
       });
   ASSERT_TRUE(EngineRegistry::contains("test_pessimist"));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,10 @@ struct GradientCase {
   std::function<Expr()> build;
   std::vector<double> at;  // (x, y)
 };
+
+// gtest otherwise prints the raw object bytes, which hold heap and code
+// addresses, into the listed (and ctest-discovered) test names.
+void PrintTo(const GradientCase& c, std::ostream* os) { *os << c.name; }
 
 class AutodiffVsFiniteDifference
     : public ::testing::TestWithParam<GradientCase> {};

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,9 @@ struct RoundTripCase {
   std::string name;
   Expr expression;
 };
+
+// Keeps heap addresses out of the listed test names.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class ParsePrintRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
@@ -153,6 +157,9 @@ struct ErrorCase {
   std::string input;
   std::string fragment;
 };
+
+// Keeps heap addresses out of the listed test names.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ParseErrors : public ::testing::TestWithParam<ErrorCase> {};
 

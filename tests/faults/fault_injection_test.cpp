@@ -243,11 +243,10 @@ TEST(McFaultTest, EngineDeadlineYieldsPartialAbortedResult) {
   const fta::FaultTree tree = voting_tree();
   const ExecutionControl control = FaultInjector::cancelled();
   core::EngineConfig config;
-  config.control = &control;
   config.mc_trials = 1 << 16;
   const auto engine = core::EngineRegistry::create("mc_adaptive", tree, config);
   const core::QuantificationResult result =
-      engine->quantify(uniform_input(tree, 0.2));
+      engine->quantify(uniform_input(tree, 0.2), &control);
   ASSERT_TRUE(result.aborted.has_value());
   EXPECT_TRUE(*result.aborted);
   ASSERT_TRUE(result.converged.has_value());
@@ -349,10 +348,10 @@ TEST(DegradationTest, CancellationIsNotRecoveredByFallback) {
   const fta::FaultTree tree = voting_tree();
   const ExecutionControl control = FaultInjector::cancelled();
   core::EngineConfig config;
-  config.control = &control;
   config.fallback = "mc_adaptive";
   try {
-    (void)core::create_engine_with_fallback("bdd", tree, config, nullptr);
+    (void)core::create_engine_with_fallback("bdd", tree, config, nullptr,
+                                            &control);
     FAIL() << "cancellation must not degrade to another engine";
   } catch (const Error& error) {
     EXPECT_EQ(error.category(), ErrorCategory::kCancelled);

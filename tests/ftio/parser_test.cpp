@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "../testutil/random_tree.h"
@@ -82,6 +83,9 @@ struct ErrorCase {
   std::string message_fragment;
   std::size_t line;
 };
+
+// Keeps heap addresses out of the listed test names.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 

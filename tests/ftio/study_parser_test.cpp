@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "safeopt/expr/parse.h"
@@ -162,6 +163,9 @@ struct ErrorCase {
   std::string fragment;
   std::size_t line;
 };
+
+// Keeps heap addresses out of the listed test names.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class StudyParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 

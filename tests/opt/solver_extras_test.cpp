@@ -3,6 +3,7 @@
 // (negative / NaN / fractional) with messages naming the key.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -64,6 +65,9 @@ struct BadCountCase {
   const char* argument;
   const char* key;
 };
+
+// Keeps code addresses out of the listed test names.
+void PrintTo(const BadCountCase& c, std::ostream* os) { *os << c.argument; }
 
 class SolverExtrasBadCounts : public ::testing::TestWithParam<BadCountCase> {};
 

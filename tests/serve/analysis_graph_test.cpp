@@ -7,9 +7,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "safeopt/serve/analysis_graph.h"
 #include "safeopt/support/error.h"
+#include "safeopt/support/execution.h"
 #include "serve/serve_client.h"
 
 namespace safeopt::serve {
@@ -96,6 +99,72 @@ TEST(AnalysisGraphTest, EngineOverrideForksTheCompileArtifact) {
       << "the parse artifact is engine-independent";
   EXPECT_EQ(stats.passes.at("compile").misses, 2u)
       << "an engine override is a different compile key";
+}
+
+TEST(AnalysisGraphTest,
+     ExpiredDeadlineDuringCompileDoesNotPoisonLaterRequests) {
+  // The first request's deadline has fired before the BDD build starts, so
+  // its study degrades to the fallback engine. That study is the first
+  // request's alone: a later request without a deadline must get the
+  // exact BDD answer a fresh graph gives, not the degraded estimate.
+  const std::string doc = R"(
+param p in [0.05, 0.4];
+
+tree T;
+toplevel top;
+top or ab c;
+ab and a b;
+a prob = p;
+b prob = p;
+c prob = 0.05;
+
+hazard T cost = 10;
+engine bdd fallback = mc_adaptive trials = 65536 target_halfwidth = 0.2;
+)";
+  AnalysisGraph graph(1 << 20);
+  const ExecutionControl expired(Deadline::already_expired());
+  (void)graph.quantify(doc, options_named("m"), &expired);
+  const std::string after = graph.quantify(doc, options_named("m"), nullptr);
+
+  AnalysisGraph fresh(1 << 20);
+  EXPECT_EQ(after, fresh.quantify(doc, options_named("m"), nullptr));
+  EXPECT_EQ(after.find("degraded"), std::string::npos) << after;
+}
+
+TEST(AnalysisGraphTest, QuantifyAndOptimizeRunConcurrentlyOnOneArtifact) {
+  std::vector<AnalysisOptions> points;
+  for (int i = 0; i < 16; ++i) {
+    AnalysisOptions options = options_named("m");
+    options.at = {{"X", 0.1 + 0.05 * i}};
+    points.push_back(options);
+  }
+  AnalysisGraph serial(1 << 20);
+  const std::string optimized =
+      serial.optimize(kDoc, options_named("m"), nullptr);
+  std::vector<std::string> quantified;
+  for (const AnalysisOptions& options : points) {
+    quantified.push_back(serial.quantify(kDoc, options, nullptr));
+  }
+
+  // Both threads share one compiled artifact: compile it first.
+  AnalysisGraph graph(1 << 20);
+  (void)graph.quantify(kDoc, options_named("m"), nullptr);
+  std::string parallel_optimized;
+  std::vector<std::string> parallel_quantified(points.size());
+  std::thread optimizer([&] {
+    parallel_optimized = graph.optimize(kDoc, options_named("m"), nullptr);
+  });
+  std::thread quantifier([&] {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      parallel_quantified[i] = graph.quantify(kDoc, points[i], nullptr);
+    }
+  });
+  optimizer.join();
+  quantifier.join();
+
+  EXPECT_EQ(parallel_optimized, optimized);
+  EXPECT_EQ(parallel_quantified, quantified);
+  EXPECT_EQ(graph.cache_stats().passes.at("compile").misses, 1u);
 }
 
 TEST(AnalysisGraphTest, UnknownAtParameterIsInvalidInput) {

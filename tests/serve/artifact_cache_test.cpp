@@ -5,9 +5,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -115,22 +114,30 @@ TEST(ArtifactCacheTest, StoreFalseEntriesAreNotCached) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+/// Spins inside a factory until `waiters` other requests have joined the
+/// flight (so the single-flight wait path is actually taken), bounded at
+/// 5 s. Gating on the cache's own counter, not on a count the threads bump
+/// before calling get_as, means a thread that has not joined yet cannot be
+/// mistaken for a waiter.
+void await_waiters(const ArtifactCache& cache, std::uint64_t waiters = 1) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cache.stats().single_flight_waits < waiters &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ArtifactCacheTest, SingleFlightRunsOneFactoryForConcurrentRequests) {
   ArtifactCache cache(1 << 20);
   constexpr int kThreads = 8;
-
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  int arrived = 0;
   std::atomic<int> factory_runs{0};
 
-  // The factory blocks until every thread has called get_or_compute, so all
-  // non-leaders must take the single-flight wait path.
+  // The factory holds the flight open until every other thread has joined
+  // it, so all non-leaders take the single-flight wait path.
   const auto make = [&] {
     factory_runs.fetch_add(1);
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait_for(lock, std::chrono::seconds(5),
-                     [&] { return arrived == kThreads; });
+    await_waiters(cache, kThreads - 1);
     return int_entry(123, 64);
   };
 
@@ -139,11 +146,6 @@ TEST(ArtifactCacheTest, SingleFlightRunsOneFactoryForConcurrentRequests) {
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      {
-        std::unique_lock<std::mutex> lock(gate_mutex);
-        ++arrived;
-      }
-      gate_cv.notify_all();
       results[i] = *cache.get_as<int>("compile:shared", make);
     });
   }
@@ -156,17 +158,6 @@ TEST(ArtifactCacheTest, SingleFlightRunsOneFactoryForConcurrentRequests) {
   EXPECT_EQ(stats.single_flight_waits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
-/// Spins inside a factory until another request has joined the flight (so
-/// the single-flight wait path is actually taken), bounded at 5 s.
-void await_a_waiter(const ArtifactCache& cache) {
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (cache.stats().single_flight_waits == 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 TEST(ArtifactCacheTest, WaitersDoNotInheritTheLeadersDeadlineFailure) {
   ArtifactCache cache(1024);
   std::atomic<int> runs{0};
@@ -175,7 +166,7 @@ TEST(ArtifactCacheTest, WaitersDoNotInheritTheLeadersDeadlineFailure) {
     try {
       (void)cache.get_or_compute("quantify:k", [&]() -> CacheEntry {
         runs.fetch_add(1);
-        await_a_waiter(cache);
+        await_waiters(cache);
         throw Error(ErrorCategory::kDeadlineExceeded,
                     "the leader's own deadline fired");
       });
@@ -210,7 +201,7 @@ TEST(ArtifactCacheTest, WaitersDoNotAdoptShareFalseOutcomes) {
   std::thread leader([&] {
     const auto value = cache.get_as<int>("optimize:k", [&] {
       runs.fetch_add(1);
-      await_a_waiter(cache);
+      await_waiters(cache);
       // An aborted best-so-far outcome: valid for the leader, nobody else.
       CacheEntry entry = int_entry(1, 8, /*store=*/false);
       entry.share = false;

@@ -55,7 +55,6 @@
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/ftio/parser.h"
 #include "safeopt/ftio/study_document.h"
-#include "safeopt/opt/solver.h"
 #include "safeopt/serve/analysis_graph.h"
 #include "safeopt/serve/response_json.h"
 #include "safeopt/serve/server.h"
@@ -68,15 +67,12 @@ namespace {
 
 using namespace safeopt;
 
-struct Options {
+/// The inherited --solver/--extra/--seed/--engine/--engine-opt overrides
+/// layer on the document's selections inside core::Study::from_document.
+struct Options : core::StudyOverrides {
   std::string command;
   std::string model;
-  std::optional<std::string> solver;
-  std::optional<std::string> engine;
   std::optional<std::string> backend;
-  std::vector<std::string> extras;          // key=value
-  std::vector<std::string> engine_options;  // key=value
-  std::optional<std::uint64_t> seed;
   std::vector<std::pair<std::string, double>> at;
   bool json = false;
 };
@@ -184,55 +180,6 @@ std::optional<Options> parse_arguments(int argc, char** argv) {
   return options;
 }
 
-/// Applies --solver/--extra/--seed on top of the document's selections.
-core::Study configure_study(const ftio::StudyDocument& doc,
-                            const Options& options) {
-  core::Study study = core::Study::from_document(doc);
-  if (options.solver.has_value() || !options.extras.empty() ||
-      options.seed.has_value()) {
-    std::string name;
-    opt::SolverConfig config;
-    if (options.solver.has_value()) {
-      // A fresh solver choice starts from that solver's legacy-equivalent
-      // defaults, not from another solver's document options.
-      const auto resolved = core::resolve_solver(*options.solver);
-      if (!resolved.has_value()) {
-        throw std::invalid_argument(
-            concat("unknown solver \"", *options.solver, "\"; available: ",
-                   join(opt::SolverRegistry::available(), ", ")));
-      }
-      name = resolved->name;
-      config = resolved->config;
-    } else {
-      // Only extras/seed given: layer them on the document's selection.
-      name = study.solver_name();
-      config = study.solver_config();
-    }
-    for (const std::string& extra : options.extras) {
-      config.set_extra_argument(extra);
-    }
-    if (options.seed.has_value()) config.seed = *options.seed;
-    study.solver(std::move(name), std::move(config));
-  }
-  if (options.engine.has_value() || !options.engine_options.empty()) {
-    if (options.engine.has_value() &&
-        !core::EngineRegistry::contains(*options.engine)) {
-      throw std::invalid_argument(
-          concat("unknown engine \"", *options.engine, "\"; available: ",
-                 join(core::EngineRegistry::available(), ", ")));
-    }
-    // Keep the document's engine options (trials, seed, formula-derived
-    // method); --engine only changes the backend, --engine-opt layers on
-    // individual options.
-    core::EngineConfig config = study.engine_config();
-    for (const std::string& option : options.engine_options) {
-      core::set_engine_argument(config, option);
-    }
-    study.engine(options.engine.value_or(study.engine_name()), config);
-  }
-  return study;
-}
-
 expr::ParameterAssignment evaluation_point(const core::Study& study,
                                            const Options& options) {
   // Default: the box center; --at components override per axis.
@@ -324,18 +271,8 @@ int quantify_constant_model(const ftio::StudyDocument& doc,
         "--solver/--extra/--seed have no effect when quantifying a "
         "constant model (no free parameters, nothing to optimize)");
   }
-  auto [engine_name, engine_config] = core::document_engine_selection(doc);
-  if (options.engine.has_value()) {
-    if (!core::EngineRegistry::contains(*options.engine)) {
-      throw std::invalid_argument(
-          concat("unknown engine \"", *options.engine, "\"; available: ",
-                 join(core::EngineRegistry::available(), ", ")));
-    }
-    engine_name = *options.engine;
-  }
-  for (const std::string& option : options.engine_options) {
-    core::set_engine_argument(engine_config, option);
-  }
+  const auto [engine_name, engine_config] =
+      core::document_engine_selection(doc, options);
   HazardResults results;
   double cost = 0.0;
   for (const ftio::HazardDecl& hazard : doc.hazards) {
@@ -436,7 +373,7 @@ int run_quantify(const ftio::StudyDocument& doc, const Options& options) {
         "document declares no hazards; nothing to quantify");
   }
   if (doc.parameters.empty()) return quantify_constant_model(doc, options);
-  const core::Study study = configure_study(doc, options);
+  const core::Study study = core::Study::from_document(doc, options);
   const expr::ParameterAssignment at = evaluation_point(study, options);
   const auto evaluation = study.evaluate_at(at);
   const HazardResults results = quantify_hazards(study, doc, at);
@@ -459,7 +396,7 @@ int run_quantify(const ftio::StudyDocument& doc, const Options& options) {
 }
 
 int run_optimize(const ftio::StudyDocument& doc, const Options& options) {
-  const core::Study study = configure_study(doc, options);
+  const core::Study study = core::Study::from_document(doc, options);
   const auto result = study.run();
   const expr::ParameterAssignment& optimum = result.optimal_parameters;
   if (options.json) {
