@@ -66,9 +66,8 @@ int main() {
   std::printf("surface band: %.7f .. %.7f  (paper: ~0.0046 .. 0.0047)\n\n",
               lo, hi);
 
-  const auto zoomed = optimizer.optimize(core::Algorithm::kGridSearch);
-  const auto simplex =
-      optimizer.optimize(core::Algorithm::kMultiStartNelderMead);
+  const auto zoomed = optimizer.optimize("grid_search");
+  const auto simplex = optimizer.optimize("multi_start");
   std::printf("full-box grid zoom:   T1=%.2f T2=%.2f cost=%.7f\n",
               zoomed.optimization.argmin[0], zoomed.optimization.argmin[1],
               zoomed.cost);

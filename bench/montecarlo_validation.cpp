@@ -10,8 +10,10 @@
 #include <cstdio>
 
 #include "safeopt/bdd/bdd.h"
-#include "safeopt/core/compiled_quantification.h"
+#include "safeopt/core/leaf_tapes.h"
 #include "safeopt/elbtunnel/elbtunnel_model.h"
+#include "safeopt/fta/cut_sets.h"
+#include "safeopt/fta/probability.h"
 #include "safeopt/mc/monte_carlo.h"
 #include "safeopt/sim/traffic.h"
 #include "safeopt/stats/distribution.h"
@@ -29,12 +31,12 @@ int main() {
   const auto quantification = model.false_alarm_quantification(alarm_tree);
   // Leaf probabilities come off compiled tapes (bitwise-identical to the
   // symbolic walk) and the MC trials run on the deterministic parallel
-  // estimator — the compiled quantification seam end to end.
-  const core::CompiledQuantification compiled_q(quantification);
+  // estimator — the leaf-tape seam every engine consumes, end to end.
+  const core::LeafTapes leaves(quantification);
   const fta::CutSetCollection alarm_mcs = fta::minimal_cut_sets(alarm_tree);
   for (const double t2 : {5.0, 10.0, 15.6, 20.0, 30.0}) {
     fta::QuantificationInput input =
-        compiled_q.input_at({{"T1", 30.0}, {"T2", t2}});
+        leaves.input_at({{"T1", 30.0}, {"T2", t2}});
     input.condition_probability[0] = 1.0;  // OHV present
     const double rare = fta::top_event_probability(alarm_mcs, input);
     bdd::CompiledFaultTree compiled = bdd::compile(alarm_tree);

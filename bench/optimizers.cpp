@@ -115,7 +115,7 @@ void BM_RosenbrockSolve(benchmark::State& state, const std::string& solver) {
 /// Direct (enum-era) construction equivalent to each registry name under a
 /// default SolverConfig — the baseline the registry path is timed against.
 std::unique_ptr<opt::Optimizer> make_direct(const std::string& name) {
-  if (name == "grid_search") return std::make_unique<opt::GridSearch>(21, 4);
+  if (name == "grid_search") return std::make_unique<opt::GridSearch>(33, 5);
   if (name == "golden_section") return std::make_unique<opt::GoldenSection>();
   if (name == "multi_start") {
     return std::make_unique<opt::MultiStart>(

@@ -7,9 +7,9 @@
 //   * timer 1 more conservative than timer 2 (flat cost along T1)
 //
 // Usage: bench_optimum_results [SOLVER]
-//   SOLVER is a registry name or legacy display name for the headline
-//   optimization (default multi_start); the agreement table below always
-//   sweeps every registered solver.
+//   SOLVER is a registry name for the headline optimization (default
+//   multi_start); the agreement table below always sweeps every registered
+//   solver.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -23,26 +23,21 @@ int main(int argc, char** argv) {
   using namespace safeopt;
   const elbtunnel::ElbtunnelModel model;
 
-  core::SolverSelection selection =
-      *core::resolve_solver("MultiStart(NelderMead)");
-  if (argc > 1) {
-    const auto chosen = core::resolve_solver(argv[1]);
-    if (!chosen.has_value()) {
-      std::fprintf(stderr, "unknown solver \"%s\"; available:", argv[1]);
-      for (const std::string& known : opt::SolverRegistry::available()) {
-        std::fprintf(stderr, " %s", known.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      return 1;
+  const std::string solver_name = argc > 1 ? argv[1] : "multi_start";
+  if (!opt::SolverRegistry::contains(solver_name)) {
+    std::fprintf(stderr, "unknown solver \"%s\"; available:",
+                 solver_name.c_str());
+    for (const std::string& known : opt::SolverRegistry::available()) {
+      std::fprintf(stderr, " %s", known.c_str());
     }
-    selection = *chosen;
+    std::fprintf(stderr, "\n");
+    return 1;
   }
-  const std::string& solver_name = selection.name;
 
   core::Study study(model.cost_model(), model.parameter_space());
   core::SafetyOptimizationResult optimal;
   try {
-    optimal = study.solver(selection.name, selection.config).run();
+    optimal = study.solver(solver_name).run();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "cannot optimize with %s: %s\n", solver_name.c_str(),
                  error.what());
@@ -101,12 +96,8 @@ int main(int argc, char** argv) {
   std::printf("%-26s %8s %8s %12s %12s\n", "solver", "T1*", "T2*", "cost",
               "evaluations");
   for (const std::string& name : opt::SolverRegistry::available()) {
-    opt::SolverConfig config;
-    if (const auto algorithm = core::parse_algorithm(name)) {
-      config = core::algorithm_solver_config(*algorithm);
-    }
     try {
-      const auto result = study.solver(name, config).run();
+      const auto result = study.solver(name).run();
       std::printf("%-26s %8.2f %8.2f %12.7f %12zu\n", name.c_str(),
                   result.optimization.argmin[0],
                   result.optimization.argmin[1], result.cost,

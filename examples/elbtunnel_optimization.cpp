@@ -9,9 +9,9 @@
 //      flaw and evaluate both fixes (Fig. 6 methodology).
 //
 // Usage: example_elbtunnel_optimization [SOLVER]
-//   SOLVER is a registry name (nelder_mead, multi_start, grid_search, ...)
-//   or a legacy display name ("MultiStart(NelderMead)"). Default:
-//   multi_start. Run with an unknown name to list what is available.
+//   SOLVER is a registry name (nelder_mead, multi_start, grid_search, ...).
+//   Default: multi_start. Run with an unknown name to list what is
+//   available.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -25,27 +25,20 @@ int main(int argc, char** argv) {
   using namespace safeopt;
   const elbtunnel::ElbtunnelModel model;
 
-  // argv -> (registry name, config): registry names and legacy display
-  // names both resolve; enum-equivalent names keep their legacy knobs.
-  core::SolverSelection selection =
-      *core::resolve_solver("MultiStart(NelderMead)");
-  if (argc > 1) {
-    const auto chosen = core::resolve_solver(argv[1]);
-    if (!chosen.has_value()) {
-      std::fprintf(stderr, "unknown solver \"%s\"; available:", argv[1]);
-      for (const std::string& known : opt::SolverRegistry::available()) {
-        std::fprintf(stderr, " %s", known.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      return 1;
+  const std::string solver_name = argc > 1 ? argv[1] : "multi_start";
+  if (!opt::SolverRegistry::contains(solver_name)) {
+    std::fprintf(stderr, "unknown solver \"%s\"; available:",
+                 solver_name.c_str());
+    for (const std::string& known : opt::SolverRegistry::available()) {
+      std::fprintf(stderr, " %s", known.c_str());
     }
-    selection = *chosen;
+    std::fprintf(stderr, "\n");
+    return 1;
   }
-  const std::string& solver_name = selection.name;
 
   // The study: one compiled problem, solver and engine chosen by name.
   core::Study study(model.cost_model(), model.parameter_space());
-  study.solver(selection.name, selection.config);
+  study.solver(solver_name);
 
   // 1. The engineers' guess.
   const auto baseline = study.evaluate_at(model.engineers_guess());

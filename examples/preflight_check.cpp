@@ -46,13 +46,11 @@ int main() {
   core::ParameterSpace space{
       {"tolerance", 0.5, 20.0, "kt", "accepted air-speed aberration"}};
 
-  // A single free parameter: golden-section search — reachable only by
-  // registry name, the legacy Algorithm enum never exposed it — brackets
-  // the optimum on the interval. grid_search cross-checks it below.
+  // A single free parameter: golden-section search brackets the optimum on
+  // the interval. grid_search cross-checks it below.
   core::Study study(model, space);
   const auto result = study.solver("golden_section").run();
-  const auto on_grid =
-      study.algorithm(core::Algorithm::kGridSearch).run();
+  const auto on_grid = study.solver("grid_search").run();
   std::printf("optimal tolerance: %.2f kt (expected cost %.2f $/flight; "
               "grid_search agrees at %.2f kt)\n",
               result.optimization.argmin[0], result.cost,

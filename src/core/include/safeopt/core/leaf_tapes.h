@@ -41,7 +41,8 @@ class LeafTapes {
   }
 
   /// Evaluates every leaf tape at `parameters` (one value per
-  /// parameter_order() slot), clamped to [0, 1].
+  /// parameter_order() slot), clamped to [0, 1]. Throws safeopt::Error
+  /// (kInvalidInput) naming the leaf when a tape yields NaN.
   [[nodiscard]] fta::QuantificationInput input_at(
       std::span<const double> parameters) const;
 
@@ -50,9 +51,18 @@ class LeafTapes {
       const expr::ParameterAssignment& at) const;
 
  private:
+  struct Leaf {
+    std::string name;
+    expr::CompiledExpr tape;
+
+    /// The tape's value clamped to [0, 1]; throws on NaN.
+    [[nodiscard]] double probability(
+        std::span<const double> parameters) const;
+  };
+
   std::vector<std::string> parameter_order_;
-  std::vector<expr::CompiledExpr> events_;      // by BasicEventOrdinal
-  std::vector<expr::CompiledExpr> conditions_;  // by ConditionOrdinal
+  std::vector<Leaf> events_;      // by BasicEventOrdinal
+  std::vector<Leaf> conditions_;  // by ConditionOrdinal
 };
 
 }  // namespace safeopt::core

@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "safeopt/expr/expr.h"
@@ -53,6 +54,13 @@ class ParameterSpace {
   /// Extracts this space's values from an assignment, in parameter order.
   [[nodiscard]] std::vector<double> values(
       const expr::ParameterAssignment& assignment) const;
+
+  /// The point `safeopt quantify` and POST /v1/quantify evaluate at: the box
+  /// centre, with each (name, value) of `overrides` replacing one axis.
+  /// Throws std::invalid_argument when a name is not a parameter of this
+  /// space or a value is not finite.
+  [[nodiscard]] expr::ParameterAssignment evaluation_point(
+      std::span<const std::pair<std::string, double>> overrides) const;
 
  private:
   std::vector<Parameter> parameters_;

@@ -76,26 +76,18 @@ class RobustSafetyOptimizer {
   /// loop is a registry consumer, so every solver (and every future
   /// registration) can drive it.
   [[nodiscard]] RobustOptimizationResult optimize(
-      RobustCriterion criterion, std::string_view solver,
-      const opt::SolverConfig& config = {}) const;
-
-  /// Deprecated-enum shim; bit-identical to the historic dispatch.
-  [[nodiscard]] RobustOptimizationResult optimize(
       RobustCriterion criterion = RobustCriterion::kExpectedValue,
-      Algorithm algorithm = Algorithm::kMultiStartNelderMead) const;
+      std::string_view solver = "multi_start",
+      const opt::SolverConfig& config = {}) const;
 
   /// The price of robustness at a configuration chosen for some other
   /// criterion: max over scenarios of (cost − that scenario's own optimal
   /// cost), the standard regret measure. The named registry solver drives
   /// the per-scenario optimizations.
   [[nodiscard]] double max_regret(
-      const expr::ParameterAssignment& configuration, std::string_view solver,
-      const opt::SolverConfig& config = {}) const;
-
-  /// Deprecated-enum shim; bit-identical to the historic dispatch.
-  [[nodiscard]] double max_regret(
       const expr::ParameterAssignment& configuration,
-      Algorithm algorithm = Algorithm::kNelderMead) const;
+      std::string_view solver = "nelder_mead",
+      const opt::SolverConfig& config = {}) const;
 
   [[nodiscard]] const ScenarioSet& scenarios() const noexcept {
     return scenarios_;

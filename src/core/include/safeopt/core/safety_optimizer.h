@@ -3,16 +3,13 @@
 // to the numeric solvers of src/opt; the exact autodiff gradient of the cost
 // expression is handed to gradient-based methods.
 //
-// Solvers are selected by registry name (opt::SolverRegistry) — prefer the
-// fluent core::Study front door (study.h) for new code. The `Algorithm`
-// enum below survives as a deprecated shim: each value maps onto a registry
-// name + SolverConfig and produces bit-identical results to the historic
-// enum-switch dispatch.
+// Solvers are selected by registry name (opt::SolverRegistry), and each
+// solver's defaults live in its own registry factory — prefer the fluent
+// core::Study front door (study.h) for new code.
 #ifndef SAFEOPT_CORE_SAFETY_OPTIMIZER_H
 #define SAFEOPT_CORE_SAFETY_OPTIMIZER_H
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,56 +20,6 @@
 #include "safeopt/opt/solver.h"
 
 namespace safeopt::core {
-
-/// Deprecated: solver selection by closed enum. Prefer registry names
-/// ("nelder_mead", "multi_start", ... — opt::SolverRegistry::available());
-/// the enum cannot reach registered extensions (or even golden_section).
-/// Kept as a shim so existing call sites compile unchanged.
-enum class Algorithm {
-  kGridSearch,
-  kNelderMead,
-  kMultiStartNelderMead,
-  kGradientDescent,
-  kHookeJeeves,
-  kCoordinateDescent,
-  kSimulatedAnnealing,
-  kDifferentialEvolution,
-};
-
-[[nodiscard]] std::string_view to_string(Algorithm algorithm) noexcept;
-
-/// Parses either a to_string(Algorithm) display name ("MultiStart(
-/// NelderMead)") or the equivalent registry name ("multi_start") back into
-/// the enum; nullopt for anything else. Lets examples and benches take the
-/// solver from argv. Registry names without an enum equivalent (e.g.
-/// "golden_section") parse as nullopt — pass those to Study::solver /
-/// SafetyOptimizer::optimize(name) directly.
-[[nodiscard]] std::optional<Algorithm> parse_algorithm(
-    std::string_view name) noexcept;
-
-/// The registry name each enum value dispatches to.
-[[nodiscard]] std::string_view algorithm_registry_name(
-    Algorithm algorithm) noexcept;
-
-/// The SolverConfig reproducing the historic enum-switch construction for
-/// `algorithm` (e.g. grid_search with 33 points x 5 rounds). Solving with
-/// algorithm_registry_name(a) under this config is bit-identical to the
-/// legacy enum path.
-[[nodiscard]] opt::SolverConfig algorithm_solver_config(Algorithm algorithm);
-
-/// A solver choice resolved from user input (argv, config files).
-struct SolverSelection {
-  std::string name;          // registry name
-  opt::SolverConfig config;  // legacy-equivalent knobs where applicable
-};
-
-/// Resolves a user-facing solver argument — a legacy display name
-/// ("MultiStart(NelderMead)") or any registry name — to the registry name
-/// plus the config reproducing the legacy defaults for enum-equivalent
-/// names. nullopt when the argument matches neither; callers print
-/// opt::SolverRegistry::available() in their error message.
-[[nodiscard]] std::optional<SolverSelection> resolve_solver(
-    std::string_view argument);
 
 /// Result of a safety optimization run: the solver outcome plus the
 /// safety-level interpretation (per-hazard probabilities at the optimum).
@@ -107,17 +54,13 @@ class SafetyOptimizer {
   /// The cost model's expressions may only mention parameters of `space`.
   SafetyOptimizer(CostModel model, ParameterSpace space);
 
-  /// Minimizes f_cost over the parameter box with the named registry solver.
-  /// Throws std::invalid_argument for unknown names or solver/problem
-  /// mismatches (e.g. golden_section on a multi-dimensional box).
+  /// Minimizes f_cost over the parameter box with the named registry solver
+  /// (default: multi-start Nelder–Mead). Throws std::invalid_argument for
+  /// unknown names or solver/problem mismatches (e.g. golden_section on a
+  /// multi-dimensional box).
   [[nodiscard]] SafetyOptimizationResult optimize(
-      std::string_view solver, const opt::SolverConfig& config = {}) const;
-
-  /// Deprecated: enum shim over the registry path. Equivalent to
-  /// optimize(algorithm_registry_name(a), algorithm_solver_config(a)) and
-  /// bit-identical to the historic enum-switch dispatch.
-  [[nodiscard]] SafetyOptimizationResult optimize(
-      Algorithm algorithm = Algorithm::kMultiStartNelderMead) const;
+      std::string_view solver = "multi_start",
+      const opt::SolverConfig& config = {}) const;
 
   /// Evaluates cost and hazard probabilities at a given configuration
   /// (e.g. the engineers' initial guess).

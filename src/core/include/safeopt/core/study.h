@@ -18,10 +18,10 @@
 //        .engine("bdd");
 //   const auto exact = study.quantify("HCol", result.optimal_parameters);
 //
-// Study subsumes SafetyOptimizer::optimize/evaluate_at/compare (it wraps a
+// Study subsumes SafetyOptimizer::optimize/evaluate_at/compare: it wraps a
 // SafetyOptimizer and shares its once-compiled problem, so repeated run()
-// calls reuse one tape) and produces bit-identical results to the legacy
-// enum path for equivalent solver selections.
+// calls reuse one tape, and a solver named the same way gives the same
+// result bit for bit whichever front door named it.
 //
 // Thread safety: a Study is fully built once configured. Attaching a tree
 // compiles its leaf tapes and builds its engine; engine() rebuilds every
@@ -111,13 +111,9 @@ class Study {
   // ---- fluent configuration (each returns *this) ---------------------------
 
   /// Selects the numeric solver by registry name. Unknown names surface as
-  /// std::invalid_argument from run(). Default: "multi_start" (the legacy
-  /// default, multi-start Nelder–Mead).
+  /// std::invalid_argument from run(). Default: "multi_start" (multi-start
+  /// Nelder–Mead).
   Study& solver(std::string name, opt::SolverConfig config = {});
-
-  /// Deprecated-enum convenience: equivalent to solver() with the shim
-  /// mapping of safety_optimizer.h.
-  Study& algorithm(Algorithm algorithm);
 
   /// Progress observer for run(); overridden by an observer already present
   /// in the solver config.
@@ -225,8 +221,7 @@ class Study {
   std::shared_ptr<const OwnedModel> owned_;
   SafetyOptimizer optimizer_;
   std::string solver_name_ = "multi_start";
-  opt::SolverConfig solver_config_ =
-      algorithm_solver_config(Algorithm::kMultiStartNelderMead);
+  opt::SolverConfig solver_config_;
   std::string engine_name_ = "fta";
   EngineConfig engine_config_;
   // The evaluation backend `engine_config_.backend` resolves to, stamped on
@@ -238,10 +233,16 @@ class Study {
   std::vector<TreeHazard> tree_hazards_;
 };
 
-/// The solver selection a document's `solver` section requests: the name
-/// resolved through resolve_solver (legacy-equivalent defaults preserved),
-/// reserved option keys mapped onto the typed SolverConfig fields, the rest
-/// stored as typed extras. nullopt when the document has no solver section.
+/// A solver choice read from user input (a document's `solver` section).
+struct SolverSelection {
+  std::string name;  // registry name
+  opt::SolverConfig config;
+};
+
+/// The solver selection a document's `solver` section requests: the
+/// registry name, reserved option keys mapped onto the typed SolverConfig
+/// fields, the rest stored as typed extras. nullopt when the document has
+/// no solver section.
 /// Throws std::invalid_argument on unknown names or malformed options —
 /// `safeopt validate` surfaces these without building a Study.
 [[nodiscard]] std::optional<SolverSelection> document_solver_selection(

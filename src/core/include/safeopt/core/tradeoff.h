@@ -24,20 +24,14 @@ struct TradeoffPoint {
 
 /// Sweeps Cost_{H_a}/Cost_{H_b} over `steps` logarithmically spaced ratios
 /// in [ratio_lo, ratio_hi] and optimizes each weighted model with the named
-/// registry solver. Preconditions: both hazards exist in `model`,
-/// 0 < ratio_lo < ratio_hi, steps >= 2.
-[[nodiscard]] std::vector<TradeoffPoint> tradeoff_curve(
-    const CostModel& model, const ParameterSpace& space,
-    std::string_view hazard_a, std::string_view hazard_b, double ratio_lo,
-    double ratio_hi, std::size_t steps, std::string_view solver,
-    const opt::SolverConfig& config = {});
-
-/// Deprecated-enum shim; bit-identical to the historic dispatch.
+/// registry solver (default: Nelder–Mead). Preconditions: both hazards
+/// exist in `model`, 0 < ratio_lo < ratio_hi, steps >= 2.
 [[nodiscard]] std::vector<TradeoffPoint> tradeoff_curve(
     const CostModel& model, const ParameterSpace& space,
     std::string_view hazard_a, std::string_view hazard_b, double ratio_lo,
     double ratio_hi, std::size_t steps,
-    Algorithm algorithm = Algorithm::kNelderMead);
+    std::string_view solver = "nelder_mead",
+    const opt::SolverConfig& config = {});
 
 }  // namespace safeopt::core
 

@@ -1,8 +1,12 @@
 #include "safeopt/core/leaf_tapes.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <utility>
+
+#include "safeopt/support/error.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 
@@ -32,35 +36,50 @@ LeafTapes::LeafTapes(const ParameterizedQuantification& quantification,
   const fta::FaultTree& tree = quantification.tree();
   events_.reserve(tree.basic_event_count());
   for (std::size_t e = 0; e < tree.basic_event_count(); ++e) {
-    events_.push_back(expr::CompiledExpr::compile(
-        quantification.event_probability(
-            static_cast<fta::BasicEventOrdinal>(e)),
-        parameter_order_));
+    events_.push_back(
+        {tree.node_name(tree.basic_events()[e]),
+         expr::CompiledExpr::compile(
+             quantification.event_probability(
+                 static_cast<fta::BasicEventOrdinal>(e)),
+             parameter_order_)});
   }
   conditions_.reserve(tree.condition_count());
   for (std::size_t c = 0; c < tree.condition_count(); ++c) {
-    conditions_.push_back(expr::CompiledExpr::compile(
-        quantification.condition_probability(
-            static_cast<fta::ConditionOrdinal>(c)),
-        parameter_order_));
+    conditions_.push_back(
+        {tree.node_name(tree.conditions()[c]),
+         expr::CompiledExpr::compile(
+             quantification.condition_probability(
+                 static_cast<fta::ConditionOrdinal>(c)),
+             parameter_order_)});
   }
 }
 
 LeafTapes::LeafTapes(const ParameterizedQuantification& quantification)
     : LeafTapes(quantification, default_parameter_order(quantification)) {}
 
+double LeafTapes::Leaf::probability(
+    std::span<const double> parameters) const {
+  const double p = tape.evaluate(parameters);
+  // std::clamp maps ±inf into [0, 1] but passes NaN (e.g. from inf − inf)
+  // straight through to the engines, whose preconditions reject it.
+  if (std::isnan(p)) {
+    throw Error(ErrorCategory::kInvalidInput,
+                concat("the probability of leaf \"", name,
+                       "\" is not a number at this parameter point"));
+  }
+  return std::clamp(p, 0.0, 1.0);
+}
+
 fta::QuantificationInput LeafTapes::input_at(
     std::span<const double> parameters) const {
   fta::QuantificationInput input;
   input.basic_event_probability.reserve(events_.size());
-  for (const expr::CompiledExpr& tape : events_) {
-    input.basic_event_probability.push_back(
-        std::clamp(tape.evaluate(parameters), 0.0, 1.0));
+  for (const Leaf& leaf : events_) {
+    input.basic_event_probability.push_back(leaf.probability(parameters));
   }
   input.condition_probability.reserve(conditions_.size());
-  for (const expr::CompiledExpr& tape : conditions_) {
-    input.condition_probability.push_back(
-        std::clamp(tape.evaluate(parameters), 0.0, 1.0));
+  for (const Leaf& leaf : conditions_) {
+    input.condition_probability.push_back(leaf.probability(parameters));
   }
   return input;
 }

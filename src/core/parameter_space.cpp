@@ -1,6 +1,10 @@
 #include "safeopt/core/parameter_space.h"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "safeopt/support/contracts.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 
@@ -64,6 +68,28 @@ std::vector<double> ParameterSpace::values(
   out.reserve(parameters_.size());
   for (const Parameter& p : parameters_) out.push_back(assignment.get(p.name));
   return out;
+}
+
+expr::ParameterAssignment ParameterSpace::evaluation_point(
+    std::span<const std::pair<std::string, double>> overrides) const {
+  expr::ParameterAssignment at;
+  for (const Parameter& p : parameters_) {
+    at.set(p.name, 0.5 * (p.lower + p.upper));
+  }
+  for (const auto& [name, value] : overrides) {
+    if (!index_of(name).has_value()) {
+      throw std::invalid_argument(
+          concat("evaluation point names unknown parameter \"", name,
+                 "\" (declared: ", join(names(), ", "), ")"));
+    }
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(
+          concat("evaluation point sets parameter \"", name,
+                 "\" to a non-finite value"));
+    }
+    at.set(name, value);
+  }
+  return at;
 }
 
 }  // namespace safeopt::core

@@ -54,12 +54,6 @@ RobustSafetyOptimizer::RobustSafetyOptimizer(ScenarioSet scenarios,
 }
 
 RobustOptimizationResult RobustSafetyOptimizer::optimize(
-    RobustCriterion criterion, Algorithm algorithm) const {
-  return optimize(criterion, algorithm_registry_name(algorithm),
-                  algorithm_solver_config(algorithm));
-}
-
-RobustOptimizationResult RobustSafetyOptimizer::optimize(
     RobustCriterion criterion, std::string_view solver,
     const opt::SolverConfig& config) const {
   // Reuse the deterministic machinery: wrap the scenario objective as a
@@ -91,13 +85,6 @@ RobustOptimizationResult RobustSafetyOptimizer::optimize(
   result.expected_cost = sum / static_cast<double>(scenarios_.size());
   result.worst_case_cost = worst;
   return result;
-}
-
-double RobustSafetyOptimizer::max_regret(
-    const expr::ParameterAssignment& configuration,
-    Algorithm algorithm) const {
-  return max_regret(configuration, algorithm_registry_name(algorithm),
-                    algorithm_solver_config(algorithm));
 }
 
 double RobustSafetyOptimizer::max_regret(

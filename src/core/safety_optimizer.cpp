@@ -10,78 +10,6 @@
 
 namespace safeopt::core {
 
-std::string_view to_string(Algorithm algorithm) noexcept {
-  switch (algorithm) {
-    case Algorithm::kGridSearch: return "GridSearch";
-    case Algorithm::kNelderMead: return "NelderMead";
-    case Algorithm::kMultiStartNelderMead: return "MultiStart(NelderMead)";
-    case Algorithm::kGradientDescent: return "ProjectedGradientDescent";
-    case Algorithm::kHookeJeeves: return "HookeJeeves";
-    case Algorithm::kCoordinateDescent: return "CoordinateDescent";
-    case Algorithm::kSimulatedAnnealing: return "SimulatedAnnealing";
-    case Algorithm::kDifferentialEvolution: return "DifferentialEvolution";
-  }
-  return "?";
-}
-
-std::string_view algorithm_registry_name(Algorithm algorithm) noexcept {
-  switch (algorithm) {
-    case Algorithm::kGridSearch: return "grid_search";
-    case Algorithm::kNelderMead: return "nelder_mead";
-    case Algorithm::kMultiStartNelderMead: return "multi_start";
-    case Algorithm::kGradientDescent: return "gradient_descent";
-    case Algorithm::kHookeJeeves: return "hooke_jeeves";
-    case Algorithm::kCoordinateDescent: return "coordinate_descent";
-    case Algorithm::kSimulatedAnnealing: return "simulated_annealing";
-    case Algorithm::kDifferentialEvolution: return "differential_evolution";
-  }
-  return "?";
-}
-
-opt::SolverConfig algorithm_solver_config(Algorithm algorithm) {
-  opt::SolverConfig config;
-  switch (algorithm) {
-    case Algorithm::kGridSearch:
-      // The historic enum switch ran a finer grid than the class default.
-      config.set("points_per_dimension", 33).set("refinement_rounds", 5);
-      break;
-    case Algorithm::kMultiStartNelderMead:
-      config.set("inner", "nelder_mead").set("starts", 8);
-      break;
-    default:
-      break;  // class defaults already match the enum path
-  }
-  return config;
-}
-
-std::optional<Algorithm> parse_algorithm(std::string_view name) noexcept {
-  constexpr Algorithm kAll[] = {
-      Algorithm::kGridSearch,       Algorithm::kNelderMead,
-      Algorithm::kMultiStartNelderMead, Algorithm::kGradientDescent,
-      Algorithm::kHookeJeeves,      Algorithm::kCoordinateDescent,
-      Algorithm::kSimulatedAnnealing,
-      Algorithm::kDifferentialEvolution,
-  };
-  for (const Algorithm algorithm : kAll) {
-    if (name == to_string(algorithm) ||
-        name == algorithm_registry_name(algorithm)) {
-      return algorithm;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<SolverSelection> resolve_solver(std::string_view argument) {
-  if (const auto algorithm = parse_algorithm(argument)) {
-    return SolverSelection{std::string(algorithm_registry_name(*algorithm)),
-                           algorithm_solver_config(*algorithm)};
-  }
-  if (opt::SolverRegistry::contains(argument)) {
-    return SolverSelection{std::string(argument), opt::SolverConfig{}};
-  }
-  return std::nullopt;
-}
-
 struct SafetyOptimizer::ProblemCache {
   std::once_flag once;
   opt::Problem problem;
@@ -173,11 +101,6 @@ SafetyOptimizationResult SafetyOptimizer::optimize(
       model_.hazard_probabilities(result.optimal_parameters);
   result.cost = result.optimization.value;
   return result;
-}
-
-SafetyOptimizationResult SafetyOptimizer::optimize(Algorithm algorithm) const {
-  return optimize(algorithm_registry_name(algorithm),
-                  algorithm_solver_config(algorithm));
 }
 
 SafetyOptimizationResult SafetyOptimizer::evaluate_at(

@@ -365,28 +365,28 @@ std::optional<SolverSelection> document_solver_selection(
     const ftio::StudyDocument& document) {
   if (!document.solver.has_value()) return std::nullopt;
   const ftio::SelectionDecl& selection = *document.solver;
-  auto resolved = resolve_solver(selection.name);
-  if (!resolved.has_value()) {
+  if (!opt::SolverRegistry::contains(selection.name)) {
     throw std::invalid_argument(
         concat("document selects unknown solver \"", selection.name,
                "\"; available: ",
                join(opt::SolverRegistry::available(), ", ")));
   }
+  SolverSelection resolved{selection.name, opt::SolverConfig{}};
   for (const auto& [key, value] : selection.options) {
     if (key == "max_iterations") {
-      resolved->config.max_iterations = require_count(key, value, "solver");
+      resolved.config.max_iterations = require_count(key, value, "solver");
     } else if (key == "tolerance") {
-      resolved->config.tolerance = require_number(key, value, "solver");
+      resolved.config.tolerance = require_number(key, value, "solver");
     } else if (key == "max_evaluations") {
-      resolved->config.max_evaluations = require_count(key, value, "solver");
+      resolved.config.max_evaluations = require_count(key, value, "solver");
     } else if (key == "seed") {
-      resolved->config.seed =
+      resolved.config.seed =
           static_cast<std::uint64_t>(require_count(key, value, "solver"));
     } else if (value.kind == ftio::OptionValue::Kind::kNumber) {
-      resolved->config.set(key, value.number);
+      resolved.config.set(key, value.number);
     } else {
       reject_numeric_looking_text(key, value, "solver");
-      resolved->config.set(key, value.text);
+      resolved.config.set(key, value.text);
     }
   }
   return resolved;
@@ -531,16 +531,15 @@ Study Study::from_document(const ftio::StudyDocument& document,
   if (overrides.solver.has_value() || !overrides.extras.empty() ||
       overrides.seed.has_value()) {
     if (overrides.solver.has_value()) {
-      // A fresh solver choice starts from that solver's legacy-equivalent
-      // defaults, not from another solver's document options.
-      auto resolved = resolve_solver(*overrides.solver);
-      if (!resolved.has_value()) {
+      // A fresh solver choice starts from that solver's own defaults, not
+      // from another solver's document options.
+      if (!opt::SolverRegistry::contains(*overrides.solver)) {
         throw std::invalid_argument(
             concat("unknown solver \"", *overrides.solver, "\"; available: ",
                    join(opt::SolverRegistry::available(), ", ")));
       }
-      study.solver_name_ = std::move(resolved->name);
-      study.solver_config_ = std::move(resolved->config);
+      study.solver_name_ = *overrides.solver;
+      study.solver_config_ = opt::SolverConfig{};
     }
     for (const std::string& extra : overrides.extras) {
       study.solver_config_.set_extra_argument(extra);
@@ -569,11 +568,6 @@ Study& Study::solver(std::string name, opt::SolverConfig config) {
   solver_name_ = std::move(name);
   solver_config_ = std::move(config);
   return *this;
-}
-
-Study& Study::algorithm(Algorithm algorithm) {
-  return solver(std::string(algorithm_registry_name(algorithm)),
-                algorithm_solver_config(algorithm));
 }
 
 Study& Study::observe(opt::ProgressObserver observer) {

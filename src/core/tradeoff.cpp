@@ -6,18 +6,6 @@
 
 namespace safeopt::core {
 
-std::vector<TradeoffPoint> tradeoff_curve(const CostModel& model,
-                                          const ParameterSpace& space,
-                                          std::string_view hazard_a,
-                                          std::string_view hazard_b,
-                                          double ratio_lo, double ratio_hi,
-                                          std::size_t steps,
-                                          Algorithm algorithm) {
-  return tradeoff_curve(model, space, hazard_a, hazard_b, ratio_lo, ratio_hi,
-                        steps, algorithm_registry_name(algorithm),
-                        algorithm_solver_config(algorithm));
-}
-
 std::vector<TradeoffPoint> tradeoff_curve(
     const CostModel& model, const ParameterSpace& space,
     std::string_view hazard_a, std::string_view hazard_b, double ratio_lo,

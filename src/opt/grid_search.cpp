@@ -145,7 +145,7 @@ GridTable tabulate_2d(const Objective& objective, const Box& bounds,
 
 namespace {
 
-/// Extras: "points_per_dimension" (default 21), "refinement_rounds" (4).
+/// Extras: "points_per_dimension" (default 33), "refinement_rounds" (5).
 /// Deterministic and start-point-free; config.initial is ignored.
 class GridSearchSolver final : public Solver {
  public:
@@ -156,8 +156,10 @@ class GridSearchSolver final : public Solver {
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
-    const std::size_t points = config.count_or("points_per_dimension", 21);
-    const std::size_t rounds = config.count_or("refinement_rounds", 4);
+    const std::size_t points = config.count_or(
+        "points_per_dimension", GridSearch::kDefaultPointsPerDimension);
+    const std::size_t rounds = config.count_or(
+        "refinement_rounds", GridSearch::kDefaultRefinementRounds);
     return GridSearch(points, rounds).minimize(problem);
   }
 };

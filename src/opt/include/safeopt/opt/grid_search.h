@@ -13,11 +13,16 @@ namespace safeopt::opt {
 
 class GridSearch final : public Optimizer {
  public:
+  /// The defaults, shared with the "grid_search" registry entry.
+  static constexpr std::size_t kDefaultPointsPerDimension = 33;
+  static constexpr std::size_t kDefaultRefinementRounds = 5;
+
   /// `points_per_dimension` grid lines per axis per round (>= 2);
   /// `refinement_rounds` zoom-ins (1 = plain single grid). Each refinement
   /// re-grids a box of one grid-cell half-width around the incumbent.
-  explicit GridSearch(std::size_t points_per_dimension = 21,
-                      std::size_t refinement_rounds = 4);
+  explicit GridSearch(
+      std::size_t points_per_dimension = kDefaultPointsPerDimension,
+      std::size_t refinement_rounds = kDefaultRefinementRounds);
 
   [[nodiscard]] OptimizationResult minimize(
       const Problem& problem) const override;

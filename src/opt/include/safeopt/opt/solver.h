@@ -63,8 +63,8 @@ using ProgressObserver = std::function<void(const ProgressEvent&)>;
 /// The shared configuration every registered solver consumes. Common knobs
 /// are public fields; per-solver settings travel as name-keyed typed extras
 /// (unknown keys are ignored, so one config can parameterize a whole sweep
-/// of solvers). Default-constructed, it reproduces each solver's legacy
-/// defaults bit for bit.
+/// of solvers). Default-constructed, it selects each solver's own defaults,
+/// which live in that solver's registry factory and nowhere else.
 struct SolverConfig {
   /// Outer-iteration cap (maps onto StoppingCriteria::max_iterations).
   std::size_t max_iterations = 1000;
@@ -76,8 +76,7 @@ struct SolverConfig {
   /// the budget, and an exhausted run returns the best point seen with
   /// converged = false.
   std::size_t max_evaluations = 0;
-  /// Seed for stochastic solvers; nullopt keeps the solver's default seed
-  /// (which is what the legacy enum path used).
+  /// Seed for stochastic solvers; nullopt keeps the solver's default seed.
   std::optional<std::uint64_t> seed;
   /// Optional worker pool for solvers that parallelize (multi_start). Not
   /// owned; must outlive the solve call.

@@ -261,21 +261,8 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
   const auto compiled = compile_pass(parsed, options, control, &fingerprint);
   const core::Study& study = compiled->study;
 
-  // Evaluation point: box center, request components override per axis
-  // (the CLI's default for quantify).
-  expr::ParameterAssignment at;
-  for (std::size_t i = 0; i < study.space().size(); ++i) {
-    const auto& parameter = study.space()[i];
-    at.set(parameter.name, 0.5 * (parameter.lower + parameter.upper));
-  }
-  for (const auto& [name, value] : options.at) {
-    if (!study.space().index_of(name).has_value()) {
-      throw std::invalid_argument(
-          concat("evaluation point names unknown parameter \"", name,
-                 "\" (declared: ", join(study.space().names(), ", "), ")"));
-    }
-    at.set(name, value);
-  }
+  const expr::ParameterAssignment at =
+      study.space().evaluation_point(options.at);
   std::string at_fingerprint;
   for (const auto& [name, value] : at.entries()) {
     char number[48];

@@ -1,19 +1,24 @@
-// CompiledQuantification vs the symbolic ParameterizedQuantification walk
-// on the paper's Fig. 2 collision-tree shape: hazard and Birnbaum tapes
-// must reproduce the hazard_expression / birnbaum_expression tree walks bit
-// for bit under both HazardFormula variants, and input_at must match
+// Compiled tapes vs the symbolic ParameterizedQuantification walk on the
+// paper's Fig. 2 collision-tree shape: hazard and Birnbaum expressions
+// compiled with CompiledExpr must reproduce their tree walks bit for bit
+// under both HazardFormula variants, and LeafTapes::input_at must match
 // evaluate().
-#include "safeopt/core/compiled_quantification.h"
+#include "safeopt/core/leaf_tapes.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "safeopt/core/parameterized_fta.h"
+#include "safeopt/expr/compiled.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/stats/distribution.h"
+#include "safeopt/support/error.h"
 #include "safeopt/support/thread_pool.h"
 
 namespace safeopt::core {
@@ -50,6 +55,11 @@ struct Fig2Fixture {
     return tree;
   }
 
+  [[nodiscard]] expr::CompiledExpr hazard_tape() const {
+    return expr::CompiledExpr::compile(quantification.hazard_expression(),
+                                       {"T1", "T2"});
+  }
+
   fta::FaultTree tree;
   ParameterizedQuantification quantification;
 };
@@ -57,55 +67,52 @@ struct Fig2Fixture {
 const std::vector<std::pair<double, double>> kProbePoints = {
     {15.0, 15.0}, {17.3, 16.1}, {19.0, 15.6}, {20.0, 18.0}, {30.0, 30.0}};
 
-TEST(CompiledQuantificationTest, HazardTapeMatchesSymbolicWalkBothFormulas) {
+TEST(LeafTapesTest, HazardTapeMatchesSymbolicWalkBothFormulas) {
   const Fig2Fixture f;
   const fta::CutSetCollection mcs = fta::minimal_cut_sets(f.tree);
   for (const HazardFormula formula :
        {HazardFormula::kRareEvent, HazardFormula::kMinCutUpperBound}) {
-    const CompiledQuantification compiled(f.quantification, mcs,
-                                          {"T1", "T2"}, formula);
     const expr::Expr symbolic =
         f.quantification.hazard_expression(mcs, formula);
+    const auto compiled = expr::CompiledExpr::compile(symbolic, {"T1", "T2"});
     for (const auto& [t1, t2] : kProbePoints) {
       const double tree_walk =
           symbolic.evaluate(ParameterAssignment{{"T1", t1}, {"T2", t2}});
-      EXPECT_EQ(tree_walk, compiled.hazard(std::vector<double>{t1, t2}))
+      EXPECT_EQ(tree_walk, compiled.evaluate(std::vector<double>{t1, t2}))
           << "T1=" << t1 << " T2=" << t2;
     }
   }
 }
 
-TEST(CompiledQuantificationTest, BirnbaumTapesMatchSymbolicWalkBothFormulas) {
+TEST(LeafTapesTest, BirnbaumTapesMatchSymbolicWalkBothFormulas) {
   const Fig2Fixture f;
   const fta::CutSetCollection mcs = fta::minimal_cut_sets(f.tree);
   for (const HazardFormula formula :
        {HazardFormula::kRareEvent, HazardFormula::kMinCutUpperBound}) {
-    const CompiledQuantification compiled(f.quantification, mcs,
-                                          {"T1", "T2"}, formula);
     for (std::size_t e = 0; e < f.tree.basic_event_count(); ++e) {
       const auto ordinal = static_cast<fta::BasicEventOrdinal>(e);
       const expr::Expr symbolic =
           f.quantification.birnbaum_expression(mcs, ordinal, formula);
+      const auto compiled =
+          expr::CompiledExpr::compile(symbolic, {"T1", "T2"});
       for (const auto& [t1, t2] : kProbePoints) {
         const double tree_walk =
             symbolic.evaluate(ParameterAssignment{{"T1", t1}, {"T2", t2}});
-        EXPECT_EQ(tree_walk,
-                  compiled.birnbaum(ordinal, std::vector<double>{t1, t2}))
+        EXPECT_EQ(tree_walk, compiled.evaluate(std::vector<double>{t1, t2}))
             << "event " << e << " T1=" << t1 << " T2=" << t2;
       }
     }
   }
 }
 
-TEST(CompiledQuantificationTest, InputAtMatchesSymbolicEvaluate) {
+TEST(LeafTapesTest, InputAtMatchesSymbolicEvaluate) {
   const Fig2Fixture f;
-  const CompiledQuantification compiled(f.quantification);
-  ASSERT_EQ(compiled.parameter_order(),
-            (std::vector<std::string>{"T1", "T2"}));
+  const LeafTapes leaves(f.quantification);
+  ASSERT_EQ(leaves.parameter_order(), (std::vector<std::string>{"T1", "T2"}));
   for (const auto& [t1, t2] : kProbePoints) {
     const ParameterAssignment env{{"T1", t1}, {"T2", t2}};
     const fta::QuantificationInput symbolic = f.quantification.evaluate(env);
-    const fta::QuantificationInput tape = compiled.input_at(env);
+    const fta::QuantificationInput tape = leaves.input_at(env);
     EXPECT_EQ(symbolic.basic_event_probability,
               tape.basic_event_probability);
     EXPECT_EQ(symbolic.condition_probability, tape.condition_probability);
@@ -113,9 +120,35 @@ TEST(CompiledQuantificationTest, InputAtMatchesSymbolicEvaluate) {
   }
 }
 
-TEST(CompiledQuantificationTest, HazardBatchIsLaneAndThreadInvariant) {
+TEST(LeafTapesTest, InputAtRejectsANaNLeafByName) {
+  fta::FaultTree tree("Gap");
+  tree.set_top(tree.add_or("top", {tree.add_basic_event("steady"),
+                                   tree.add_basic_event("clearance")}));
+  ParameterizedQuantification quantification(tree);
+  quantification.set_event_probability("steady", constant(0.5));
+  quantification.set_event_probability(
+      "clearance", parameter("W") - parameter("B"));
+  const LeafTapes leaves(quantification);
+  // ±inf clamps into [0, 1] ...
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(leaves.input_at({{"B", 0.0}, {"W", inf}})
+                .basic_event_probability[1],
+            1.0);
+  // ... but inf − inf is NaN, which no engine accepts.
+  try {
+    (void)leaves.input_at({{"B", inf}, {"W", inf}});
+    ADD_FAILURE() << "a NaN leaf probability was accepted";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kInvalidInput);
+    EXPECT_NE(std::string(error.what()).find("\"clearance\""),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(LeafTapesTest, HazardBatchIsLaneAndThreadInvariant) {
   const Fig2Fixture f;
-  const CompiledQuantification compiled(f.quantification);
+  const expr::CompiledExpr compiled = f.hazard_tape();
   const std::size_t nx = 23;
   const std::size_t ny = 9;
   std::vector<double> points(nx * ny * 2);
@@ -126,20 +159,21 @@ TEST(CompiledQuantificationTest, HazardBatchIsLaneAndThreadInvariant) {
     }
   }
   std::vector<double> batch(nx * ny);
-  compiled.hazard_batch(points, batch);
+  compiled.evaluate_batch({.points = points, .values = batch});
   for (std::size_t r = 0; r < batch.size(); ++r) {
-    EXPECT_EQ(batch[r], compiled.hazard(std::span<const double>(
+    EXPECT_EQ(batch[r], compiled.evaluate(std::span<const double>(
                             &points[2 * r], 2)));
   }
   ThreadPool pool(3);
   std::vector<double> parallel(nx * ny);
-  compiled.hazard_batch(points, parallel, pool);
+  compiled.evaluate_batch(
+      {.points = points, .values = parallel, .pool = &pool});
   EXPECT_EQ(batch, parallel);
 }
 
-TEST(CompiledQuantificationTest, HazardGradientsMatchSymbolicDual) {
+TEST(LeafTapesTest, HazardGradientsMatchSymbolicDual) {
   const Fig2Fixture f;
-  const CompiledQuantification compiled(f.quantification);
+  const expr::CompiledExpr compiled = f.hazard_tape();
   const expr::Expr symbolic = f.quantification.hazard_expression();
   const std::vector<std::string> order = {"T1", "T2"};
   std::vector<double> points;
@@ -150,7 +184,8 @@ TEST(CompiledQuantificationTest, HazardGradientsMatchSymbolicDual) {
   const std::size_t rows = kProbePoints.size();
   std::vector<double> values(rows);
   std::vector<double> gradients(rows * 2);
-  compiled.hazard_batch_with_gradients(points, values, gradients);
+  compiled.evaluate_batch(
+      {.points = points, .values = values, .gradients = gradients});
   for (std::size_t r = 0; r < rows; ++r) {
     const ParameterAssignment env{{"T1", points[2 * r]},
                                   {"T2", points[2 * r + 1]}};

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace safeopt::core {
 namespace {
 
@@ -62,6 +68,32 @@ TEST(ParameterSpaceDeathTest, RejectsDuplicates) {
 TEST(ParameterSpaceDeathTest, RejectsInvertedBounds) {
   ParameterSpace space;
   EXPECT_DEATH(space.add({"bad", 2.0, 1.0, "", ""}), "precondition");
+}
+
+TEST(ParameterSpaceTest, EvaluationPointIsTheCentreWithOverrides) {
+  const ParameterSpace space = timers();
+  const auto centre = space.evaluation_point({});
+  EXPECT_EQ(centre.get("T1"), 22.5);
+  EXPECT_EQ(centre.get("T2"), 22.5);
+  const std::vector<std::pair<std::string, double>> overrides = {
+      {"T2", 15.6}};
+  const auto shifted = space.evaluation_point(overrides);
+  EXPECT_EQ(shifted.get("T1"), 22.5);
+  EXPECT_EQ(shifted.get("T2"), 15.6);
+}
+
+TEST(ParameterSpaceTest, EvaluationPointRejectsUnknownAndNonFiniteValues) {
+  const ParameterSpace space = timers();
+  using Overrides = std::vector<std::pair<std::string, double>>;
+  EXPECT_THROW((void)space.evaluation_point(Overrides{{"T3", 1.0}}),
+               std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)space.evaluation_point(Overrides{{"T1", bad}}),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 }  // namespace

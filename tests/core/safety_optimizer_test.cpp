@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <string>
 
@@ -33,14 +32,14 @@ struct SyntheticSystem {
   }
 };
 
-class EveryAlgorithm : public ::testing::TestWithParam<Algorithm> {};
+class EveryAlgorithm : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EveryAlgorithm, FindsTheAnalyticOptimum) {
   const SyntheticSystem system;
   const SafetyOptimizer optimizer = system.make();
   const SafetyOptimizationResult result = optimizer.optimize(GetParam());
   EXPECT_NEAR(result.optimization.argmin[0], system.analytic_optimum(), 0.05)
-      << to_string(GetParam());
+      << GetParam();
   EXPECT_EQ(result.hazard_probabilities.size(), 2u);
   EXPECT_NEAR(result.cost, result.optimization.value, 1e-15);
   EXPECT_NEAR(result.optimal_parameters.get("x"),
@@ -49,20 +48,11 @@ TEST_P(EveryAlgorithm, FindsTheAnalyticOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EveryAlgorithm,
-    ::testing::Values(Algorithm::kGridSearch, Algorithm::kNelderMead,
-                      Algorithm::kMultiStartNelderMead,
-                      Algorithm::kGradientDescent, Algorithm::kHookeJeeves,
-                      Algorithm::kCoordinateDescent,
-                      Algorithm::kSimulatedAnnealing,
-                      Algorithm::kDifferentialEvolution),
-    [](const auto& param_info) {
-      // Gtest test names must be alphanumeric: strip "()" etc.
-      std::string name(to_string(param_info.param));
-      std::erase_if(name, [](char c) {
-        return (std::isalnum(static_cast<unsigned char>(c)) == 0);
-      });
-      return name;
-    });
+    ::testing::Values("grid_search", "nelder_mead", "multi_start",
+                      "gradient_descent", "hooke_jeeves",
+                      "coordinate_descent", "simulated_annealing",
+                      "differential_evolution", "golden_section"),
+    [](const auto& param_info) { return param_info.param; });
 
 TEST(SafetyOptimizerTest, EvaluateAtReportsConfiguration) {
   const SyntheticSystem system;
@@ -76,7 +66,7 @@ TEST(SafetyOptimizerTest, EvaluateAtReportsConfiguration) {
 TEST(SafetyOptimizerTest, CompareReportsRelativeChanges) {
   const SyntheticSystem system;
   const SafetyOptimizer optimizer = system.make();
-  const auto optimal = optimizer.optimize(Algorithm::kNelderMead);
+  const auto optimal = optimizer.optimize("nelder_mead");
   const expr::ParameterAssignment baseline{{"x", 2.0}};
   const ComparisonReport report = optimizer.compare(baseline, optimal);
   EXPECT_GT(report.baseline_cost, report.optimal_cost);
@@ -109,7 +99,7 @@ TEST(SafetyOptimizerTest, TwoParameterSeparableSystem) {
   model.add_hazard({"B_nuisance", 0.1 * parameter("y"), 1.0});
   ParameterSpace space{{"x", 0.1, 20.0, "", ""}, {"y", 0.1, 20.0, "", ""}};
   const SafetyOptimizer optimizer(std::move(model), std::move(space));
-  const auto result = optimizer.optimize(Algorithm::kMultiStartNelderMead);
+  const auto result = optimizer.optimize("multi_start");
   EXPECT_NEAR(result.optimization.argmin[0], std::log(1000.0), 0.05);
   EXPECT_NEAR(result.optimization.argmin[1], 0.5 * std::log(2000.0), 0.05);
 }
@@ -120,14 +110,6 @@ TEST(SafetyOptimizerDeathTest, RejectsUnknownParameters) {
   ParameterSpace space{{"x", 0.0, 1.0, "", ""}};
   EXPECT_DEATH(SafetyOptimizer(std::move(model), std::move(space)),
                "precondition");
-}
-
-TEST(AlgorithmTest, ToStringNames) {
-  EXPECT_EQ(to_string(Algorithm::kGridSearch), "GridSearch");
-  EXPECT_EQ(to_string(Algorithm::kMultiStartNelderMead),
-            "MultiStart(NelderMead)");
-  EXPECT_EQ(to_string(Algorithm::kDifferentialEvolution),
-            "DifferentialEvolution");
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/fta/probability.h"
+#include "safeopt/ftio/study_document.h"
+#include "safeopt/support/error.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 namespace {
@@ -43,19 +47,13 @@ TEST(StudyTest, DefaultRunMatchesTheLegacyDefaultBitwise) {
   EXPECT_EQ(study.solver_name(), "multi_start");
 }
 
-TEST(StudyTest, SolverByNameMatchesTheEnumPathBitwise) {
-  const SafetyOptimizer legacy(synthetic_model(), synthetic_space());
-  for (const Algorithm algorithm :
-       {Algorithm::kGridSearch, Algorithm::kNelderMead,
-        Algorithm::kHookeJeeves, Algorithm::kDifferentialEvolution}) {
-    Study by_enum(synthetic_model(), synthetic_space());
-    by_enum.algorithm(algorithm);
-    Study by_name(synthetic_model(), synthetic_space());
-    by_name.solver(std::string(algorithm_registry_name(algorithm)),
-                   algorithm_solver_config(algorithm));
-    const auto expected = legacy.optimize(algorithm);
-    expect_identical(by_enum.run(), expected);
-    expect_identical(by_name.run(), expected);
+TEST(StudyTest, SolverByNameMatchesSafetyOptimizerBitwise) {
+  const SafetyOptimizer optimizer(synthetic_model(), synthetic_space());
+  for (const char* name : {"grid_search", "nelder_mead", "hooke_jeeves",
+                           "differential_evolution"}) {
+    Study study(synthetic_model(), synthetic_space());
+    study.solver(name);
+    expect_identical(study.run(), optimizer.optimize(name));
   }
 }
 
@@ -122,7 +120,7 @@ TEST(StudyTest, EvaluateAtAndCompareMatchSafetyOptimizer) {
   const auto optimal = study.solver("nelder_mead").run();
   const auto report = study.compare(baseline, optimal);
   const auto legacy_report =
-      legacy.compare(baseline, legacy.optimize(Algorithm::kNelderMead));
+      legacy.compare(baseline, legacy.optimize("nelder_mead"));
   EXPECT_EQ(report.baseline_cost, legacy_report.baseline_cost);
   EXPECT_EQ(report.optimal_cost, legacy_report.optimal_cost);
 }
@@ -171,40 +169,87 @@ TEST(StudyTest, QuantifyRunsEveryEngineOnTheCompiledLeafTapes) {
                std::invalid_argument);
 }
 
-TEST(ParseAlgorithmTest, RoundTripsDisplayAndRegistryNames) {
-  constexpr Algorithm kAll[] = {
-      Algorithm::kGridSearch,       Algorithm::kNelderMead,
-      Algorithm::kMultiStartNelderMead, Algorithm::kGradientDescent,
-      Algorithm::kHookeJeeves,      Algorithm::kCoordinateDescent,
-      Algorithm::kSimulatedAnnealing,
-      Algorithm::kDifferentialEvolution,
-  };
-  for (const Algorithm algorithm : kAll) {
-    EXPECT_EQ(parse_algorithm(to_string(algorithm)), algorithm);
-    EXPECT_EQ(parse_algorithm(algorithm_registry_name(algorithm)), algorithm);
-  }
-  EXPECT_EQ(parse_algorithm("golden_section"), std::nullopt);
-  EXPECT_EQ(parse_algorithm("rubbish"), std::nullopt);
-  EXPECT_EQ(parse_algorithm(""), std::nullopt);
+TEST(StudyTest, SolverDefaultsLiveInTheRegistryFactories) {
+  // An empty config selects each solver's one set of defaults: grid_search
+  // 33 points x 5 rounds, multi_start 8 Nelder–Mead starts.
+  Study study(synthetic_model(), synthetic_space());
+  const auto grid = study.solver("grid_search").run();
+  EXPECT_EQ(grid.optimization.evaluations, 33u * 5u);
+  opt::SolverConfig grid_config;
+  grid_config.set("points_per_dimension", 33).set("refinement_rounds", 5);
+  expect_identical(study.solver("grid_search", grid_config).run(), grid);
+
+  const auto multi = study.solver("multi_start").run();
+  EXPECT_EQ(multi.optimization.message.rfind("best of 8 starts", 0), 0u)
+      << multi.optimization.message;
+  opt::SolverConfig multi_config;
+  multi_config.set("inner", "nelder_mead").set("starts", 8);
+  expect_identical(study.solver("multi_start", multi_config).run(), multi);
 }
 
-TEST(ParseAlgorithmTest, ResolveSolverCoversDisplayRegistryAndUnknownNames) {
-  // Legacy display name -> registry name + the legacy knobs.
-  const auto legacy = resolve_solver("GridSearch");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->name, "grid_search");
-  EXPECT_EQ(legacy->config.number_or("points_per_dimension", 0.0), 33.0);
-  // Enum-equivalent registry names keep the legacy knobs too.
-  const auto by_registry_name = resolve_solver("multi_start");
-  ASSERT_TRUE(by_registry_name.has_value());
-  EXPECT_EQ(by_registry_name->name, "multi_start");
-  EXPECT_EQ(by_registry_name->config.number_or("starts", 0.0), 8.0);
-  // Registry-only names resolve with a default config.
-  const auto registry_only = resolve_solver("golden_section");
-  ASSERT_TRUE(registry_only.has_value());
-  EXPECT_EQ(registry_only->name, "golden_section");
-  EXPECT_FALSE(registry_only->config.has("starts"));
-  EXPECT_EQ(resolve_solver("rubbish"), std::nullopt);
+TEST(StudyTest, NaNLeafProbabilityIsInvalidInput) {
+  // W − B at W = B = +inf is NaN: quantify must refuse it as invalid input
+  // (naming the leaf) rather than hand it to an engine, whose precondition
+  // would abort the process.
+  fta::FaultTree tree("Gap");
+  tree.set_top(tree.add_or("top", {tree.add_basic_event("Clearance"),
+                                   tree.add_basic_event("Steady")}));
+  ParameterizedQuantification quant(tree);
+  quant.set_event_probability("Clearance", parameter("W") - parameter("B"));
+  quant.set_event_probability("Steady", expr::constant(0.01));
+  CostModel model;
+  model.add_hazard({"Gap", quant.hazard_expression(), 1.0});
+  Study study(std::move(model), ParameterSpace{{"W", 1.0, 2.0, "", ""},
+                                               {"B", 0.0, 1.0, "", ""}});
+  study.hazard_tree("Gap", tree, quant);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* engine : {"fta", "bdd", "mc"}) {
+    study.engine(engine);
+    try {
+      (void)study.quantify("Gap", {{"W", inf}, {"B", inf}});
+      ADD_FAILURE() << engine << " accepted a NaN leaf probability";
+    } catch (const Error& error) {
+      EXPECT_EQ(error.category(), ErrorCategory::kInvalidInput) << engine;
+      EXPECT_NE(std::string(error.what()).find("\"Clearance\""),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+/// from_document's diagnostic for `document` under `overrides`.
+std::string from_document_error(const ftio::StudyDocument& document,
+                                const StudyOverrides& overrides = {}) {
+  try {
+    (void)Study::from_document(document, overrides);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(accepted)";
+}
+
+TEST(StudyTest, DisplayNamesAreNotSolverNames) {
+  // Only registry names select a solver: class display names are rejected
+  // with the list of available names, from a document's solver section and
+  // from an override alike.
+  ftio::StudyDocument document = ftio::parse_study(
+      "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.1 * X;\n"
+      "hazard fault-tree cost = 1;\n");
+  for (const char* display : {"GridSearch", "MultiStart(NelderMead)"}) {
+    document.solver = ftio::SelectionDecl{display, {}};
+    EXPECT_NE(from_document_error(document).find(
+                  concat("unknown solver \"", display, "\"; available: ")),
+              std::string::npos)
+        << from_document_error(document);
+    document.solver.reset();
+    StudyOverrides overrides;
+    overrides.solver = display;
+    EXPECT_NE(from_document_error(document, overrides)
+                  .find(concat("unknown solver \"", display,
+                               "\"; available: ")),
+              std::string::npos)
+        << from_document_error(document, overrides);
+  }
 }
 
 }  // namespace

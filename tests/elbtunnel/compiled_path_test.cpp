@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "safeopt/core/compiled_quantification.h"
+#include "safeopt/core/leaf_tapes.h"
 #include "safeopt/core/safety_optimizer.h"
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/expr/compiled.h"
@@ -72,10 +72,10 @@ TEST(CompiledPathTest, DifferentialEvolutionOptimumIsBitwiseIdentical) {
   EXPECT_EQ(tree.argmin, compiled.argmin);
 }
 
-/// Both Elbtunnel fault trees, both hazard-assembly formulas: the compiled
-/// quantification's hazard and Birnbaum tapes must reproduce the symbolic
-/// expression walks bit for bit across the timer box.
-TEST(CompiledPathTest, CompiledQuantificationMatchesSymbolicWalk) {
+/// Both Elbtunnel fault trees, both hazard-assembly formulas: hazard and
+/// Birnbaum tapes compiled from the assembled expressions must reproduce the
+/// symbolic expression walks bit for bit across the timer box.
+TEST(CompiledPathTest, HazardAndBirnbaumTapesMatchSymbolicWalk) {
   const ElbtunnelModel model;
   const fta::FaultTree collision = model.collision_tree();
   const fta::FaultTree alarm = model.false_alarm_tree();
@@ -89,15 +89,15 @@ TEST(CompiledPathTest, CompiledQuantificationMatchesSymbolicWalk) {
     for (const core::HazardFormula formula :
          {core::HazardFormula::kRareEvent,
           core::HazardFormula::kMinCutUpperBound}) {
-      const core::CompiledQuantification compiled(quantification, mcs,
-                                                  {"T1", "T2"}, formula);
       const expr::Expr hazard =
           quantification.hazard_expression(mcs, formula);
+      const auto hazard_tape =
+          expr::CompiledExpr::compile(hazard, {"T1", "T2"});
       for (double t1 = 15.0; t1 <= 30.0; t1 += 3.7) {
         for (double t2 = 15.0; t2 <= 30.0; t2 += 4.3) {
           const expr::ParameterAssignment env{{"T1", t1}, {"T2", t2}};
           EXPECT_EQ(hazard.evaluate(env),
-                    compiled.hazard(std::vector<double>{t1, t2}))
+                    hazard_tape.evaluate(std::vector<double>{t1, t2}))
               << tree->name() << " T1=" << t1 << " T2=" << t2;
         }
       }
@@ -105,9 +105,11 @@ TEST(CompiledPathTest, CompiledQuantificationMatchesSymbolicWalk) {
         const auto ordinal = static_cast<fta::BasicEventOrdinal>(e);
         const expr::Expr birnbaum =
             quantification.birnbaum_expression(mcs, ordinal, formula);
+        const auto birnbaum_tape =
+            expr::CompiledExpr::compile(birnbaum, {"T1", "T2"});
         const expr::ParameterAssignment env{{"T1", 19.0}, {"T2", 15.6}};
         EXPECT_EQ(birnbaum.evaluate(env),
-                  compiled.birnbaum(ordinal, std::vector<double>{19.0, 15.6}))
+                  birnbaum_tape.evaluate(std::vector<double>{19.0, 15.6}))
             << tree->name() << " event " << e;
       }
     }
@@ -122,11 +124,11 @@ TEST(CompiledPathTest, CompiledInputMatchesSymbolicEvaluate) {
   const fta::FaultTree alarm = model.false_alarm_tree();
   const core::ParameterizedQuantification quantification =
       model.false_alarm_quantification(alarm);
-  const core::CompiledQuantification compiled(quantification);
+  const core::LeafTapes leaves(quantification);
   for (double t2 = 5.0; t2 <= 30.0; t2 += 4.9) {
     const expr::ParameterAssignment env{{"T1", 30.0}, {"T2", t2}};
     const fta::QuantificationInput symbolic = quantification.evaluate(env);
-    const fta::QuantificationInput tape = compiled.input_at(env);
+    const fta::QuantificationInput tape = leaves.input_at(env);
     EXPECT_EQ(symbolic.basic_event_probability, tape.basic_event_probability);
     EXPECT_EQ(symbolic.condition_probability, tape.condition_probability);
   }

@@ -1,51 +1,96 @@
 // Registry-completeness acceptance test on the paper's own problem (Fig. 5
-// Elbtunnel cost surface): every solver reachable through the registry, the
-// deprecated Algorithm enum shim bit-identical to the registry path, and the
-// quantification engines agreeing at the optimum.
+// Elbtunnel cost surface): every solver reachable through the registry,
+// every front door that names a solver giving the same result bit for bit,
+// and the quantification engines agreeing at the optimum.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "safeopt/core/study.h"
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/fta/probability.h"
+#include "safeopt/ftio/study_document.h"
 #include "safeopt/opt/solver.h"
 
 namespace safeopt::elbtunnel {
 namespace {
 
-constexpr core::Algorithm kAllAlgorithms[] = {
-    core::Algorithm::kGridSearch,
-    core::Algorithm::kNelderMead,
-    core::Algorithm::kMultiStartNelderMead,
-    core::Algorithm::kGradientDescent,
-    core::Algorithm::kHookeJeeves,
-    core::Algorithm::kCoordinateDescent,
-    core::Algorithm::kSimulatedAnnealing,
-    core::Algorithm::kDifferentialEvolution,
-};
+std::string read_model() {
+  std::ifstream in(std::string(SAFEOPT_SOURCE_DIR) +
+                   "/examples/models/elbtunnel.ft");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
-TEST(RegistryParityTest, EnumShimIsBitIdenticalToTheRegistryPath) {
+/// elbtunnel.ft with its solver line replaced by `solver NAME;`.
+ftio::StudyDocument document_with_solver(const std::string& text,
+                                         const std::string& name) {
+  const std::string line = "solver multi_start starts = 8 inner = nelder_mead;";
+  const std::size_t at = text.find(line);
+  if (at == std::string::npos) {
+    throw std::logic_error("elbtunnel.ft lost its solver line");
+  }
+  std::string edited = text;
+  edited.replace(at, line.size(), "solver " + name + ";");
+  return ftio::parse_study(edited);
+}
+
+void expect_identical(const core::SafetyOptimizationResult& expected,
+                      const core::SafetyOptimizationResult& actual,
+                      const std::string& label) {
+  EXPECT_EQ(expected.optimization.argmin, actual.optimization.argmin)
+      << label;
+  EXPECT_EQ(expected.optimization.value, actual.optimization.value) << label;
+  EXPECT_EQ(expected.optimization.evaluations,
+            actual.optimization.evaluations)
+      << label;
+  EXPECT_EQ(expected.hazard_probabilities, actual.hazard_probabilities)
+      << label;
+}
+
+TEST(RegistryParityTest, EveryFrontDoorRunsTheSameSolve) {
+  // The fault-tree derivation of both hazards — the cost model
+  // from_document assembles from elbtunnel.ft (see document_parity_test).
   const ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
-  core::Study study(model.cost_model(), model.parameter_space());
-  for (const core::Algorithm algorithm : kAllAlgorithms) {
-    const auto via_enum = optimizer.optimize(algorithm);
-    const auto via_name =
-        optimizer.optimize(core::algorithm_registry_name(algorithm),
-                           core::algorithm_solver_config(algorithm));
-    const auto via_study = study.algorithm(algorithm).run();
-    for (const auto* result : {&via_name, &via_study}) {
-      EXPECT_EQ(via_enum.optimization.argmin, result->optimization.argmin)
-          << to_string(algorithm);
-      EXPECT_EQ(via_enum.optimization.value, result->optimization.value)
-          << to_string(algorithm);
-      EXPECT_EQ(via_enum.optimization.evaluations,
-                result->optimization.evaluations)
-          << to_string(algorithm);
-      EXPECT_EQ(via_enum.hazard_probabilities, result->hazard_probabilities)
-          << to_string(algorithm);
+  const fta::FaultTree collision = model.collision_tree();
+  const fta::FaultTree alarm = model.false_alarm_tree();
+  core::CostModel cost;
+  cost.add_hazard({"HCol",
+                   model.collision_quantification(collision)
+                       .hazard_expression(),
+                   model.parameters().cost_collision});
+  cost.add_hazard({"HAlr",
+                   model.false_alarm_quantification(alarm).hazard_expression(),
+                   model.parameters().cost_false_alarm});
+  const core::SafetyOptimizer optimizer(cost, model.parameter_space());
+  const std::string text = read_model();
+  const ftio::StudyDocument document = ftio::parse_study(text);
+
+  for (const std::string& name : opt::SolverRegistry::available()) {
+    if (opt::SolverRegistry::create(name)->traits().max_dimension == 1) {
+      continue;  // the 2-D timer box is out of reach
+    }
+    const auto expected = optimizer.optimize(name);
+    expect_identical(
+        expected,
+        core::Study(cost, model.parameter_space()).solver(name).run(),
+        name + " via Study::solver");
+    expect_identical(
+        expected,
+        core::Study::from_document(document_with_solver(text, name)).run(),
+        name + " via the document's solver line");
+    core::StudyOverrides overrides;
+    overrides.solver = name;
+    expect_identical(expected,
+                     core::Study::from_document(document, overrides).run(),
+                     name + " via a solver override");
+    if (name == "grid_search") {
+      // 33 points x 5 rounds on both axes.
+      EXPECT_EQ(expected.optimization.evaluations, 5445u);
     }
   }
 }
@@ -54,18 +99,13 @@ TEST(RegistryParityTest, EveryRegisteredSolverRunsOnTheElbtunnelProblem) {
   const ElbtunnelModel model;
   core::Study study(model.cost_model(), model.parameter_space());
   for (const std::string& name : opt::SolverRegistry::available()) {
-    opt::SolverConfig config;
-    if (const auto algorithm = core::parse_algorithm(name)) {
-      config = core::algorithm_solver_config(*algorithm);
-    }
     if (opt::SolverRegistry::create(name)->traits().max_dimension == 1) {
       // 1-D-only solvers must refuse the 2-D timer box with a clear error.
-      EXPECT_THROW((void)study.solver(name, config).run(),
-                   std::invalid_argument)
+      EXPECT_THROW((void)study.solver(name).run(), std::invalid_argument)
           << name;
       continue;
     }
-    const auto result = study.solver(name, config).run();
+    const auto result = study.solver(name).run();
     ASSERT_EQ(result.optimization.argmin.size(), 2u) << name;
     // Every solver must improve on the engineers' guess (cost 0.0046615).
     EXPECT_LT(result.cost, 0.004650) << name;
@@ -74,7 +114,7 @@ TEST(RegistryParityTest, EveryRegisteredSolverRunsOnTheElbtunnelProblem) {
     // basin (T2* ~ 15.6; the surface is flat along T1, so only the cost is
     // pinned tightly). Projected gradient descent is exempt: it stalls on
     // the plateau partway down — the documented weakness that motivates the
-    // other methods (and it behaves identically through the enum path).
+    // other methods.
     EXPECT_NEAR(result.cost, 0.00462, 5e-5) << name;
     EXPECT_NEAR(result.optimization.argmin[1], 15.76, 0.5) << name;
   }

@@ -190,6 +190,39 @@ TEST(ServerTest, ErrorSurface) {
   server.stop();
 }
 
+TEST(ServerTest, NonFiniteEvaluationPointIsBadRequest) {
+  // The JSON decoder reads 1e999 as +inf; W - B at W = B = inf would be a
+  // NaN leaf probability. The request is refused with 400 instead of
+  // reaching an engine (whose precondition would abort the process).
+  constexpr std::string_view kGapDoc = R"(
+param W in [1, 2];
+param B in [0, 1];
+tree Gap;
+toplevel T;
+T or Clearance Steady;
+Clearance prob = W - B;
+Steady prob = 0.01;
+hazard Gap cost = 1;
+)";
+  Server server(small_server_options());
+  server.start();
+  const auto reply = http_request(
+      server.port(), "POST", "/v1/quantify",
+      "{\"document\": " + json_document(kGapDoc) +
+          ", \"at\": {\"W\": 1e999, \"B\": 1e999}}");
+  EXPECT_EQ(reply.status, 400) << reply.raw;
+  EXPECT_NE(reply.body.find("\"category\": \"invalid_input\""),
+            std::string::npos)
+      << reply.body;
+  // The worker survived: a finite point on the same document still works.
+  EXPECT_EQ(http_request(server.port(), "POST", "/v1/quantify",
+                         "{\"document\": " + json_document(kGapDoc) +
+                             ", \"at\": {\"W\": 1.5, \"B\": 0.5}}")
+                .status,
+            200);
+  server.stop();
+}
+
 TEST(ServerTest, StalledClientDoesNotBlockOtherConnections) {
   // Request reading happens on the worker pool, not the accept thread: a
   // client that connects and sends nothing (slowloris) must not head-of-

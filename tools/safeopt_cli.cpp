@@ -180,25 +180,6 @@ std::optional<Options> parse_arguments(int argc, char** argv) {
   return options;
 }
 
-expr::ParameterAssignment evaluation_point(const core::Study& study,
-                                           const Options& options) {
-  // Default: the box center; --at components override per axis.
-  expr::ParameterAssignment at;
-  for (std::size_t i = 0; i < study.space().size(); ++i) {
-    const auto& parameter = study.space()[i];
-    at.set(parameter.name, 0.5 * (parameter.lower + parameter.upper));
-  }
-  for (const auto& [name, value] : options.at) {
-    if (!study.space().index_of(name).has_value()) {
-      throw std::invalid_argument(
-          concat("--at names unknown parameter \"", name, "\" (declared: ",
-                 join(study.space().names(), ", "), ")"));
-    }
-    at.set(name, value);
-  }
-  return at;
-}
-
 // JSON output comes from the shared serve renderers (byte-identical to the
 // HTTP service); this prints the human-readable form only.
 using HazardResults = serve::HazardResults;
@@ -374,7 +355,8 @@ int run_quantify(const ftio::StudyDocument& doc, const Options& options) {
   }
   if (doc.parameters.empty()) return quantify_constant_model(doc, options);
   const core::Study study = core::Study::from_document(doc, options);
-  const expr::ParameterAssignment at = evaluation_point(study, options);
+  const expr::ParameterAssignment at =
+      study.space().evaluation_point(options.at);
   const auto evaluation = study.evaluate_at(at);
   const HazardResults results = quantify_hazards(study, doc, at);
   if (options.json) {
