@@ -49,6 +49,9 @@ struct ComparisonReport {
 /// The classic optimization entry point. New code should prefer core::Study,
 /// which wraps this machinery behind a fluent builder and adds engine-backed
 /// quantification; SafetyOptimizer remains the shared implementation.
+/// Immutable once constructed (the cost tape is compiled eagerly), so the
+/// const members — optimize, evaluate_at, compare, problem — are
+/// thread-safe.
 class SafetyOptimizer {
  public:
   /// The cost model's expressions may only mention parameters of `space`.
@@ -74,11 +77,11 @@ class SafetyOptimizer {
       const SafetyOptimizationResult& optimal) const;
 
   /// The underlying numeric problem (objective + box + exact gradient);
-  /// exposed for benches and custom solvers. Compiled lazily exactly once
-  /// per optimizer — every optimize()/run() call reuses the same tape —
-  /// and shared by copies. Thread-safe. The reference is valid while this
-  /// optimizer (or a copy) is alive; take a copy of the Problem (cheap, it
-  /// shares the tape) to outlive it. On temporaries
+  /// exposed for benches and custom solvers. Compiled once, by the
+  /// constructor — every optimize()/run() call reuses the same tape — and
+  /// shared by copies. The reference is valid while this optimizer (or a
+  /// copy) is alive; take a copy of the Problem (cheap, it shares the tape)
+  /// to outlive it. On temporaries
   /// (model.optimizer().problem()) the rvalue overload hands out that copy
   /// directly, so the reference-binding pattern cannot dangle.
   [[nodiscard]] const opt::Problem& problem() const&;
@@ -88,13 +91,9 @@ class SafetyOptimizer {
   [[nodiscard]] const ParameterSpace& space() const noexcept { return space_; }
 
  private:
-  /// Lazily-built compiled problem, shared across copies (the tape is
-  /// immutable once built).
-  struct ProblemCache;
-
   CostModel model_;
   ParameterSpace space_;
-  std::shared_ptr<ProblemCache> cache_;
+  std::shared_ptr<const opt::Problem> problem_;  // shared by copies
 };
 
 }  // namespace safeopt::core

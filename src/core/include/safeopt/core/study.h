@@ -19,16 +19,16 @@
 //   const auto exact = study.quantify("HCol", result.optimal_parameters);
 //
 // Study subsumes SafetyOptimizer::optimize/evaluate_at/compare: it wraps a
-// SafetyOptimizer and shares its once-compiled problem, so repeated run()
-// calls reuse one tape, and a solver named the same way gives the same
-// result bit for bit whichever front door named it.
+// SafetyOptimizer and shares its compiled problem, so repeated run() calls
+// reuse one tape, and a solver named the same way gives the same result bit
+// for bit whichever front door named it.
 //
-// Thread safety: a Study is fully built once configured. Attaching a tree
-// compiles its leaf tapes and builds its engine; engine() rebuilds every
-// engine. Nothing is built lazily afterwards (the cost tape behind
-// problem() compiles once under std::call_once), so the const members —
-// run, quantify, evaluate_at, compare and the accessors — may be called
-// concurrently on one Study. The non-const setters may not run
+// Thread safety: a Study is fully built once configured. Constructing it
+// compiles the cost tape behind problem(); attaching a tree compiles its
+// leaf tapes and builds its engine; engine() rebuilds every engine. Nothing
+// is built lazily afterwards, so the const members — run, quantify,
+// evaluate_at, compare and the accessors — may be called concurrently on
+// one Study. The non-const setters may not run
 // concurrently with anything else. Deadlines and cancellation are per call:
 // run() and quantify() take the caller's ExecutionControl, and
 // from_document() builds the engines under one. Copies share the immutable

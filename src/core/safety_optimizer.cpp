@@ -1,7 +1,6 @@
 #include "safeopt/core/safety_optimizer.h"
 
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "safeopt/expr/compiled.h"
@@ -10,84 +9,78 @@
 
 namespace safeopt::core {
 
-struct SafetyOptimizer::ProblemCache {
-  std::once_flag once;
+namespace {
+
+/// The numeric problem over `space`, with the objective on the compiled
+/// tape of `cost`.
+opt::Problem make_problem(const expr::Expr& cost, const ParameterSpace& space) {
+  const std::vector<std::string> names = space.names();
   opt::Problem problem;
-};
+  problem.bounds = space.box();
+  // The scalar objective runs on the compiled tape — bitwise-identical to
+  // cost.evaluate() (see compiled.h) and ~3× faster, so every solver in
+  // src/opt gets the compiled path without knowing it exists. The exact
+  // forward-mode dual gradient is kept as-is: reverse-over-tape gradients
+  // are equal only up to rounding, and gradient descent trajectories should
+  // not move under a performance change.
+  const auto compiled = std::make_shared<const expr::CompiledExpr>(
+      expr::CompiledExpr::compile(cost, names));
+  problem.objective = [compiled](std::span<const double> x) {
+    return compiled->evaluate(x);
+  };
+  // Capture the space by value: callers may *copy* the returned Problem and
+  // keep using it after the SafetyOptimizer is gone (benches do).
+  problem.gradient = [space, cost, names](std::span<const double> x) {
+    return cost.evaluate_dual(space.assignment(x), names).grad();
+  };
+  // Large batches (grid rounds, synchronous DE generations) fan out over
+  // the shared pool; each row writes only its own output slot, so results
+  // do not depend on the thread count.
+  problem.batch_objective = [compiled](std::span<const double> points,
+                                       std::span<double> out) {
+    constexpr std::size_t kParallelThreshold = 256;
+    expr::BatchRequest request{.points = points, .values = out};
+    if (out.size() >= kParallelThreshold) {
+      request.pool = &ThreadPool::shared();
+    }
+    compiled->evaluate_batch(request);
+  };
+  // Population-shaped gradient consumers get lane-batched reverse-mode
+  // sweeps (values bitwise-equal to the objective; gradients exact, equal
+  // to the dual gradient up to reassociation of the chain rule).
+  problem.batch_gradient = [compiled](std::span<const double> points,
+                                      std::span<double> values_out,
+                                      std::span<double> gradients_out) {
+    constexpr std::size_t kParallelThreshold = 128;
+    expr::BatchRequest request{.points = points, .values = values_out,
+                               .gradients = gradients_out};
+    if (values_out.size() >= kParallelThreshold) {
+      request.pool = &ThreadPool::shared();
+    }
+    compiled->evaluate_batch(request);
+  };
+  return problem;
+}
+
+}  // namespace
 
 SafetyOptimizer::SafetyOptimizer(CostModel model, ParameterSpace space)
-    : model_(std::move(model)),
-      space_(std::move(space)),
-      cache_(std::make_shared<ProblemCache>()) {
+    : model_(std::move(model)), space_(std::move(space)) {
   SAFEOPT_EXPECTS(model_.hazard_count() >= 1);
   SAFEOPT_EXPECTS(space_.size() >= 1);
   // Every parameter the cost expression mentions must be optimizable.
-  for (const std::string& name : model_.cost_expression().parameters()) {
+  const expr::Expr cost = model_.cost_expression();
+  for (const std::string& name : cost.parameters()) {
     SAFEOPT_EXPECTS(space_.index_of(name).has_value());
   }
+  // Compiled here, once, and shared by copies: every optimize()/run() call
+  // reuses this tape and nothing is built later.
+  problem_ = std::make_shared<const opt::Problem>(make_problem(cost, space_));
 }
 
-opt::Problem SafetyOptimizer::problem() const&& {
-  return problem();  // *this is an lvalue here: builds, then copies out
-}
+opt::Problem SafetyOptimizer::problem() const&& { return *problem_; }
 
-const opt::Problem& SafetyOptimizer::problem() const& {
-  std::call_once(cache_->once, [this] {
-    const expr::Expr cost = model_.cost_expression();
-    const std::vector<std::string> names = space_.names();
-    opt::Problem problem;
-    problem.bounds = space_.box();
-    // The scalar objective runs on the compiled tape — bitwise-identical to
-    // cost.evaluate() (see compiled.h) and ~3× faster, so every solver in
-    // src/opt gets the compiled path without knowing it exists. The tape is
-    // compiled exactly once per SafetyOptimizer (and shared by copies):
-    // repeated optimize()/run() calls reuse it. The exact forward-mode dual
-    // gradient is kept as-is: reverse-over-tape gradients are equal only up
-    // to rounding, and gradient descent trajectories should not move under
-    // a performance change.
-    const auto compiled = std::make_shared<const expr::CompiledExpr>(
-        expr::CompiledExpr::compile(cost, names));
-    problem.objective = [compiled](std::span<const double> x) {
-      return compiled->evaluate(x);
-    };
-    // Capture the space by value: callers may *copy* the returned Problem
-    // and keep using it after this SafetyOptimizer is gone (benches do).
-    // The reference problem() hands out is only valid while an optimizer
-    // sharing this cache lives — copy before the optimizer dies.
-    const ParameterSpace space = space_;
-    problem.gradient = [space, cost, names](std::span<const double> x) {
-      return cost.evaluate_dual(space.assignment(x), names).grad();
-    };
-    // Large batches (grid rounds, synchronous DE generations) fan out over
-    // the shared pool; each row writes only its own output slot, so results
-    // do not depend on the thread count.
-    problem.batch_objective = [compiled](std::span<const double> points,
-                                         std::span<double> out) {
-      constexpr std::size_t kParallelThreshold = 256;
-      expr::BatchRequest request{.points = points, .values = out};
-      if (out.size() >= kParallelThreshold) {
-        request.pool = &ThreadPool::shared();
-      }
-      compiled->evaluate_batch(request);
-    };
-    // Population-shaped gradient consumers get lane-batched reverse-mode
-    // sweeps (values bitwise-equal to the objective; gradients exact, equal
-    // to the dual gradient up to reassociation of the chain rule).
-    problem.batch_gradient = [compiled](std::span<const double> points,
-                                        std::span<double> values_out,
-                                        std::span<double> gradients_out) {
-      constexpr std::size_t kParallelThreshold = 128;
-      expr::BatchRequest request{.points = points, .values = values_out,
-                                 .gradients = gradients_out};
-      if (values_out.size() >= kParallelThreshold) {
-        request.pool = &ThreadPool::shared();
-      }
-      compiled->evaluate_batch(request);
-    };
-    cache_->problem = std::move(problem);
-  });
-  return cache_->problem;
-}
+const opt::Problem& SafetyOptimizer::problem() const& { return *problem_; }
 
 SafetyOptimizationResult SafetyOptimizer::optimize(
     std::string_view solver, const opt::SolverConfig& config) const {

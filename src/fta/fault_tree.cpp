@@ -1,7 +1,5 @@
 #include "safeopt/fta/fault_tree.h"
 
-#include <algorithm>
-
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/strings.h"
 
@@ -32,6 +30,7 @@ NodeId FaultTree::add_node(Node node) {
 NodeId FaultTree::add_basic_event(std::string name, std::string description) {
   Node node;
   node.node_kind = NodeKind::kBasicEvent;
+  node.ordinal = static_cast<BasicEventOrdinal>(basic_events_.size());
   node.name = std::move(name);
   node.description = std::move(description);
   const NodeId id = add_node(std::move(node));
@@ -42,6 +41,7 @@ NodeId FaultTree::add_basic_event(std::string name, std::string description) {
 NodeId FaultTree::add_condition(std::string name, std::string description) {
   Node node;
   node.node_kind = NodeKind::kCondition;
+  node.ordinal = static_cast<ConditionOrdinal>(conditions_.size());
   node.name = std::move(name);
   node.description = std::move(description);
   const NodeId id = add_node(std::move(node));
@@ -148,17 +148,16 @@ std::optional<NodeId> FaultTree::find(std::string_view name) const {
 
 BasicEventOrdinal FaultTree::basic_event_ordinal(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kBasicEvent);
-  const auto it =
-      std::find(basic_events_.begin(), basic_events_.end(), id);
-  SAFEOPT_ASSERT(it != basic_events_.end());
-  return static_cast<BasicEventOrdinal>(it - basic_events_.begin());
+  const BasicEventOrdinal ordinal = nodes_[id].ordinal;
+  SAFEOPT_ASSERT(basic_events_[ordinal] == id);
+  return ordinal;
 }
 
 ConditionOrdinal FaultTree::condition_ordinal(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kCondition);
-  const auto it = std::find(conditions_.begin(), conditions_.end(), id);
-  SAFEOPT_ASSERT(it != conditions_.end());
-  return static_cast<ConditionOrdinal>(it - conditions_.begin());
+  const ConditionOrdinal ordinal = nodes_[id].ordinal;
+  SAFEOPT_ASSERT(conditions_[ordinal] == id);
+  return ordinal;
 }
 
 bool FaultTree::evaluate_node(NodeId id, const std::vector<bool>& basic_state,
@@ -169,10 +168,10 @@ bool FaultTree::evaluate_node(NodeId id, const std::vector<bool>& basic_state,
   bool result = false;
   switch (node.node_kind) {
     case NodeKind::kBasicEvent:
-      result = basic_state[basic_event_ordinal(id)];
+      result = basic_state[node.ordinal];
       break;
     case NodeKind::kCondition:
-      result = condition_state[condition_ordinal(id)];
+      result = condition_state[node.ordinal];
       break;
     case NodeKind::kGate: {
       switch (node.gate) {

@@ -124,9 +124,10 @@ class FaultTree {
   [[nodiscard]] std::span<const NodeId> conditions() const noexcept {
     return conditions_;
   }
+  /// O(1): the ordinal is stored on the leaf when it is added.
   /// Precondition: kind(id) == kBasicEvent.
   [[nodiscard]] BasicEventOrdinal basic_event_ordinal(NodeId id) const;
-  /// Precondition: kind(id) == kCondition.
+  /// O(1). Precondition: kind(id) == kCondition.
   [[nodiscard]] ConditionOrdinal condition_ordinal(NodeId id) const;
 
   // ---- semantics -----------------------------------------------------------
@@ -151,7 +152,8 @@ class FaultTree {
   struct Node {
     NodeKind node_kind = NodeKind::kBasicEvent;
     GateType gate = GateType::kAnd;
-    std::uint32_t k = 0;  // vote threshold for kKofN
+    std::uint32_t k = 0;        // vote threshold for kKofN
+    std::uint32_t ordinal = 0;  // leaf ordinal for basic events/conditions
     std::string name;
     std::string description;
     std::vector<NodeId> children;

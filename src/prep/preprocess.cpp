@@ -143,8 +143,8 @@ std::uint32_t constant(Ir& ir, bool value) {
 // opaque (its condition leaf must stay under it — a validate() invariant).
 // Every rewrite keeps the first DFS visit of every remaining leaf in place,
 // which is what makes the pass bitwise probability-preserving.
-PassStats run_propagate(Ir& ir) {
-  PassStats stats{.name = "propagate", .nodes_before = ir.reachable_count()};
+PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
+  PassStats stats{.name = "propagate", .nodes_before = nodes_before};
   for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
     Item& item = ir.items[id];
     if (item.kind != ItemKind::kGate ||
@@ -262,8 +262,8 @@ PassStats run_propagate(Ir& ir) {
 // O(n·k) shared gates — never the C(n,k) sum-of-products blow-up — and the
 // leaves keep their DFS first-visit order (child i is always reached before
 // any gate that first touches child i+1).
-PassStats run_normalize(Ir& ir) {
-  PassStats stats{.name = "normalize", .nodes_before = ir.reachable_count()};
+PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
+  PassStats stats{.name = "normalize", .nodes_before = nodes_before};
   const auto gate_count = static_cast<std::uint32_t>(ir.items.size());
   for (std::uint32_t id = 0; id < gate_count; ++id) {
     if (ir.items[id].kind != ItemKind::kGate ||
@@ -331,8 +331,8 @@ PassStats run_normalize(Ir& ir) {
 // parents by normalization, which a second sweep in a later propagate/merge
 // round would catch; in practice normalization emits alternating AND/OR
 // levels, so there is nothing to flatten there anyway.
-PassStats run_flatten(Ir& ir) {
-  PassStats stats{.name = "flatten", .nodes_before = ir.reachable_count()};
+PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
+  PassStats stats{.name = "flatten", .nodes_before = nodes_before};
   // Reference counts over the resolved, reachable graph only.
   std::vector<std::uint32_t> refs(ir.items.size(), 0);
   {
@@ -384,8 +384,8 @@ PassStats run_flatten(Ir& ir) {
 // child *list* become one node. Equal-as-sets-but-differently-ordered
 // gates are deliberately NOT merged — reordering children would permute
 // the DFS leaf first-visit order and break the bitwise-parity guarantee.
-PassStats run_merge(Ir& ir) {
-  PassStats stats{.name = "merge", .nodes_before = ir.reachable_count()};
+PassStats run_merge(Ir& ir, std::size_t nodes_before) {
+  PassStats stats{.name = "merge", .nodes_before = nodes_before};
   std::map<std::tuple<fta::GateType, std::uint32_t,
                       std::vector<std::uint32_t>>,
            std::uint32_t>
@@ -586,21 +586,24 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
       options.control->check("fault-tree preprocessing");
     }
   };
-  checkpoint();
-  if (options.propagate) result.statistics.passes.push_back(run_propagate(ir));
-  checkpoint();
-  if (options.normalize) result.statistics.passes.push_back(run_normalize(ir));
-  checkpoint();
-  if (options.flatten) result.statistics.passes.push_back(run_flatten(ir));
-  checkpoint();
-  if (options.merge) result.statistics.passes.push_back(run_merge(ir));
-  checkpoint();
+  // Nothing touches the IR between passes, so each pass's nodes_before is
+  // the previous pass's nodes_after: one reachability walk per boundary.
+  std::size_t reachable = ir.reachable_count();
+  const auto run = [&](bool enabled, PassStats (*pass)(Ir&, std::size_t)) {
+    checkpoint();
+    if (!enabled) return;
+    result.statistics.passes.push_back(pass(ir, reachable));
+    reachable = result.statistics.passes.back().nodes_after;
+  };
+  run(options.propagate, run_propagate);
+  run(options.normalize, run_normalize);
+  run(options.flatten, run_flatten);
+  run(options.merge, run_merge);
   // Normalization/flattening/merging expose fresh redundancy (e.g. a merged
   // gate appearing twice under one AND); one more propagation folds it.
-  if (options.propagate &&
-      (options.normalize || options.flatten || options.merge)) {
-    result.statistics.passes.push_back(run_propagate(ir));
-  }
+  run(options.propagate &&
+          (options.normalize || options.flatten || options.merge),
+      run_propagate);
   checkpoint();
 
   // Pick modules bottom-up (postorder puts inner modules first), excluding

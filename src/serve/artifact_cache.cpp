@@ -1,7 +1,10 @@
 #include "safeopt/serve/artifact_cache.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "safeopt/ftio/parser.h"
 #include "safeopt/support/error.h"
 
 namespace safeopt::serve {
@@ -19,6 +22,36 @@ bool control_tainted(const std::exception_ptr& error) {
            e.category() == ErrorCategory::kCancelled;
   } catch (...) {
     return false;
+  }
+}
+
+/// A fresh copy of the exception behind `error`, of the same type for every
+/// type the passes throw and the server tells apart. The leader and each
+/// waiter rethrow their own object: a shared exception object, and the
+/// message buffer libstdc++'s std::runtime_error shares between copies, are
+/// freed by whichever thread drops the last reference, through refcounts in
+/// the (uninstrumented) C++ runtime. ThreadSanitizer cannot order such a
+/// free against another thread still reading the message, so every copy
+/// below gets a message buffer of its own.
+std::exception_ptr copy_error(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const ftio::ParseError& e) {
+    ftio::ParseError copy(e);
+    static_cast<std::runtime_error&>(copy) =
+        std::runtime_error(std::string(e.what()));
+    return std::make_exception_ptr(std::move(copy));
+  } catch (const Error& e) {
+    return std::make_exception_ptr(
+        Error(e.category(), std::string(e.what())));
+  } catch (const std::invalid_argument& e) {
+    return std::make_exception_ptr(
+        std::invalid_argument(std::string(e.what())));
+  } catch (const std::exception& e) {
+    return std::make_exception_ptr(std::runtime_error(std::string(e.what())));
+  } catch (...) {
+    return std::make_exception_ptr(
+        std::runtime_error("unknown exception in a shared computation"));
   }
 }
 
@@ -98,7 +131,7 @@ std::shared_ptr<const void> ArtifactCache::get_or_compute(
           rerun = true;
         } else {
           value = flight->value;
-          error = flight->error;
+          if (flight->error) error = copy_error(flight->error);
         }
       }
       if (rerun) {
@@ -142,7 +175,10 @@ std::shared_ptr<const void> ArtifactCache::get_or_compute(
       flight->done = true;
       flight->shared = shareable;
       flight->value = entry.value;
-      flight->error = error;
+      // An unshareable error stays with the leader; a shared one is
+      // published as a copy, so no waiter touches the object the leader
+      // is about to rethrow.
+      if (error && shareable) flight->error = copy_error(error);
     }
     flight->done_cv.notify_all();
     if (error) std::rethrow_exception(error);

@@ -117,6 +117,9 @@ class ArtifactCache {
     /// own request control; waiters then retry instead of adopting it.
     bool shared SAFEOPT_GUARDED_BY(mutex) = true;
     std::shared_ptr<const void> value SAFEOPT_GUARDED_BY(mutex);
+    /// A copy of the leader's shareable error, never the object the leader
+    /// rethrows; each waiter rethrows a copy of its own. Null when the
+    /// error is control-tainted (waiters rerun instead).
     std::exception_ptr error SAFEOPT_GUARDED_BY(mutex);
   };
 

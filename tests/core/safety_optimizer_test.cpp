@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include "safeopt/core/study.h"
+#include "safeopt/elbtunnel/elbtunnel_model.h"
+#include "safeopt/ftio/study_document.h"
+#include "safeopt/support/rng.h"
 
 namespace safeopt::core {
 namespace {
@@ -102,6 +111,124 @@ TEST(SafetyOptimizerTest, TwoParameterSeparableSystem) {
   const auto result = optimizer.optimize("multi_start");
   EXPECT_NEAR(result.optimization.argmin[0], std::log(1000.0), 0.05);
   EXPECT_NEAR(result.optimization.argmin[1], 0.5 * std::log(2000.0), 0.05);
+}
+
+// ---- evaluate_at / compare / optimize vs the CostModel walk (the oracle) --
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// `count` seeded uniform points in the space's box.
+std::vector<expr::ParameterAssignment> random_points(
+    const ParameterSpace& space, std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<expr::ParameterAssignment> points;
+  for (int i = 0; i < count; ++i) {
+    expr::ParameterAssignment at;
+    for (std::size_t d = 0; d < space.size(); ++d) {
+      at.set(space[d].name, uniform(rng, space[d].lower, space[d].upper));
+    }
+    points.push_back(std::move(at));
+  }
+  return points;
+}
+
+/// Every number evaluate_at, compare and optimize report must carry the bits
+/// of CostModel's Expr walk, whatever evaluator computes it.
+void expect_bits_of_the_expr_walk(const SafetyOptimizer& optimizer,
+                                      std::uint64_t seed) {
+  const CostModel& model = optimizer.model();
+  const auto points = random_points(optimizer.space(), seed, 25);
+  for (const expr::ParameterAssignment& at : points) {
+    const SafetyOptimizationResult result = optimizer.evaluate_at(at);
+    EXPECT_EQ(bits(result.cost), bits(model.cost(at)));
+    EXPECT_EQ(bits(result.optimization.value), bits(model.cost(at)));
+    const std::vector<double> expected = model.hazard_probabilities(at);
+    ASSERT_EQ(result.hazard_probabilities.size(), expected.size());
+    for (std::size_t h = 0; h < expected.size(); ++h) {
+      EXPECT_EQ(bits(result.hazard_probabilities[h]), bits(expected[h]))
+          << model.hazard(h).name;
+    }
+  }
+  // compare(): baseline numbers evaluated, optimum passed through.
+  const SafetyOptimizationResult optimal = optimizer.evaluate_at(points[0]);
+  for (const expr::ParameterAssignment& baseline : points) {
+    const ComparisonReport report = optimizer.compare(baseline, optimal);
+    EXPECT_EQ(bits(report.baseline_cost), bits(model.cost(baseline)));
+    const std::vector<double> expected = model.hazard_probabilities(baseline);
+    ASSERT_EQ(report.hazards.size(), expected.size());
+    for (std::size_t h = 0; h < expected.size(); ++h) {
+      EXPECT_EQ(bits(report.hazards[h].baseline_probability),
+                bits(expected[h]));
+    }
+  }
+  // optimize(): the hazard probabilities reported at the optimum.
+  opt::SolverConfig config;
+  config.max_evaluations = 200;
+  const SafetyOptimizationResult solved =
+      optimizer.optimize("nelder_mead", config);
+  const std::vector<double> expected =
+      model.hazard_probabilities(solved.optimal_parameters);
+  ASSERT_EQ(solved.hazard_probabilities.size(), expected.size());
+  for (std::size_t h = 0; h < expected.size(); ++h) {
+    EXPECT_EQ(bits(solved.hazard_probabilities[h]), bits(expected[h]));
+  }
+  EXPECT_EQ(bits(solved.cost), bits(model.cost(solved.optimal_parameters)));
+}
+
+class ExampleStudyEvaluation : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ExampleStudyEvaluation, ReportsTheBitsOfTheExprWalk) {
+  const Study study = Study::from_document(ftio::load_study(
+      std::string(SAFEOPT_SOURCE_DIR) + "/examples/models/" + GetParam() +
+      ".ft"));
+  const SafetyOptimizer optimizer(study.model(), study.space());
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_bits_of_the_expr_walk(optimizer, seed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ExampleStudyEvaluation,
+                         ::testing::Values("cooling_system", "elbtunnel",
+                                           "pressure_vessel",
+                                           "railroad_crossing"));
+
+TEST(SafetyOptimizerTest, ElbtunnelReportsTheBitsOfTheExprWalk) {
+  const elbtunnel::ElbtunnelModel model;
+  const SafetyOptimizer optimizer(model.cost_model(), model.parameter_space());
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_bits_of_the_expr_walk(optimizer, seed);
+  }
+  const auto report = optimizer.compare(model.engineers_guess(),
+                                        optimizer.evaluate_at(
+                                            model.engineers_guess()));
+  EXPECT_EQ(bits(report.baseline_cost),
+            bits(model.cost_model().cost(model.engineers_guess())));
+}
+
+TEST(SafetyOptimizerTest, EvaluateAtIsThreadSafe) {
+  const elbtunnel::ElbtunnelModel model;
+  const SafetyOptimizer optimizer(model.cost_model(), model.parameter_space());
+  const auto points = random_points(optimizer.space(), 9, 64);
+  std::vector<double> serial;
+  for (const auto& at : points) serial.push_back(optimizer.evaluate_at(at).cost);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> costs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const auto& at : points) {
+        costs[t].push_back(optimizer.evaluate_at(at).cost);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& per_thread : costs) {
+    ASSERT_EQ(per_thread.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(bits(per_thread[i]), bits(serial[i]));
+    }
+  }
 }
 
 TEST(SafetyOptimizerDeathTest, RejectsUnknownParameters) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "../testutil/random_tree.h"
+
 namespace safeopt::fta {
 namespace {
 
@@ -44,6 +48,58 @@ TEST(FaultTreeTest, OrdinalsFollowCreationOrder) {
   EXPECT_EQ(tree.basic_event_ordinal(*tree.find("OHVIgnoresSignal")), 0u);
   EXPECT_EQ(tree.basic_event_ordinal(*tree.find("SignalOutOfOrder")), 1u);
   EXPECT_EQ(tree.basic_event_ordinal(*tree.find("SignalNotActivated")), 2u);
+}
+
+/// basic_events()[basic_event_ordinal(id)] == id for every leaf, and the
+/// same for conditions: the stored ordinal round-trips through the lists.
+void expect_ordinals_round_trip(const FaultTree& tree) {
+  for (BasicEventOrdinal i = 0; i < tree.basic_event_count(); ++i) {
+    EXPECT_EQ(tree.basic_event_ordinal(tree.basic_events()[i]), i);
+  }
+  for (ConditionOrdinal i = 0; i < tree.condition_count(); ++i) {
+    EXPECT_EQ(tree.condition_ordinal(tree.conditions()[i]), i);
+  }
+}
+
+TEST(FaultTreeTest, OrdinalsRoundTripOnRandomTreesAndTheirCopies) {
+  // Random trees interleave condition leaves with gates, so leaf ordinals
+  // and NodeIds diverge. Copy-constructed and copy-assigned trees must keep
+  // the same mapping.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    testutil::RandomTreeOptions options;
+    options.basic_events = 3 + seed % 9;
+    options.conditions = seed % 3;
+    options.gates = 2 + seed % 7;
+    const FaultTree tree = testutil::random_tree(seed, options);
+    expect_ordinals_round_trip(tree);
+
+    const FaultTree copy(tree);
+    expect_ordinals_round_trip(copy);
+    FaultTree assigned("other");
+    assigned.add_basic_event("x");
+    assigned = copy;
+    expect_ordinals_round_trip(assigned);
+    for (const NodeId id : tree.basic_events()) {
+      EXPECT_EQ(assigned.basic_event_ordinal(id), tree.basic_event_ordinal(id));
+    }
+  }
+}
+
+TEST(FaultTreeTest, OrdinalsCountLeavesOfEachKindSeparately) {
+  FaultTree tree("mixed");
+  const NodeId e0 = tree.add_basic_event("e0");
+  const NodeId c0 = tree.add_condition("c0");
+  const NodeId e1 = tree.add_basic_event("e1");
+  const NodeId gate = tree.add_inhibit("g", e1, c0);
+  const NodeId c1 = tree.add_condition("c1");
+  tree.set_top(tree.add_or("top", {e0, gate, tree.add_inhibit("h", e0, c1)}));
+  EXPECT_EQ(tree.basic_event_ordinal(e0), 0u);
+  EXPECT_EQ(tree.basic_event_ordinal(e1), 1u);
+  EXPECT_EQ(tree.condition_ordinal(c0), 0u);
+  EXPECT_EQ(tree.condition_ordinal(c1), 1u);
+  EXPECT_TRUE(tree.evaluate({false, true}, {true, false}));
+  EXPECT_FALSE(tree.evaluate({false, true}, {false, true}));
+  EXPECT_TRUE(tree.evaluate({true, false}, {false, true}));
 }
 
 TEST(FaultTreeEvaluateTest, OrGate) {
@@ -158,6 +214,14 @@ TEST(GateTypeTest, ToString) {
   EXPECT_EQ(to_string(GateType::kKofN), "KOFN");
   EXPECT_EQ(to_string(GateType::kXor), "XOR");
   EXPECT_EQ(to_string(GateType::kInhibit), "INHIBIT");
+}
+
+TEST(FaultTreeDeathTest, OrdinalOfTheWrongLeafKindIsRejected) {
+  FaultTree tree("kinds");
+  const NodeId event = tree.add_basic_event("e");
+  const NodeId condition = tree.add_condition("c");
+  EXPECT_DEATH((void)tree.condition_ordinal(event), "precondition");
+  EXPECT_DEATH((void)tree.basic_event_ordinal(condition), "precondition");
 }
 
 TEST(FaultTreeDeathTest, DuplicateNamesAreRejected) {

@@ -246,6 +246,60 @@ TEST(PreprocessPassTest, PassSequenceEndsWithCleanupPropagate) {
                        "propagate"}));
 }
 
+TEST(PreprocessPassTest, CorpusTierPassNodeCountsArePinned) {
+  // preprocess() counts reachable nodes once per pass boundary (each pass's
+  // nodes_before is the previous pass's nodes_after); the rows must equal
+  // the figures of counting before and after every pass separately.
+  struct Row {
+    const char* name;
+    std::size_t before, after, rewrites;
+  };
+  const std::vector<Row> expected_1k = {
+      {"propagate", 1419, 1403, 16}, {"normalize", 1403, 2858, 15},
+      {"flatten", 2858, 2653, 205},  {"merge", 2653, 2653, 0},
+      {"propagate", 2653, 2653, 27},
+  };
+  const std::vector<Row> expected_10k = {
+      {"propagate", 13480, 13454, 26}, {"normalize", 13454, 20228, 20},
+      {"flatten", 20228, 18257, 1971}, {"merge", 18257, 18257, 0},
+      {"propagate", 18257, 18257, 160},
+  };
+  for (const auto& [tier, expected] :
+       {std::pair{"1k", expected_1k}, std::pair{"10k", expected_10k}}) {
+    const corpus::CorpusModel model =
+        corpus::make_corpus(corpus::tier_by_name(tier));
+    const PreprocessedTree preprocessed = preprocess(model.tree, {});
+    const std::vector<PassStats>& passes = preprocessed.statistics.passes;
+    ASSERT_EQ(passes.size(), expected.size()) << tier;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+      EXPECT_EQ(passes[i].name, expected[i].name) << tier << " pass " << i;
+      EXPECT_EQ(passes[i].nodes_before, expected[i].before)
+          << tier << " pass " << i;
+      EXPECT_EQ(passes[i].nodes_after, expected[i].after)
+          << tier << " pass " << i;
+      EXPECT_EQ(passes[i].rewrites, expected[i].rewrites)
+          << tier << " pass " << i;
+    }
+  }
+}
+
+TEST(PreprocessPassTest, DisabledPassesKeepTheBoundaryCountsChained) {
+  // With passes switched off, the next enabled pass still starts from the
+  // count the last enabled one left.
+  const fta::FaultTree tree = testutil::random_tree(11);
+  PreprocessOptions options;
+  options.normalize = false;
+  options.merge = false;
+  const PreprocessedTree preprocessed = preprocess(tree, options);
+  const std::vector<PassStats>& passes = preprocessed.statistics.passes;
+  ASSERT_EQ(passes.size(), 3u);
+  EXPECT_EQ(passes[0].name, "propagate");
+  EXPECT_EQ(passes[1].name, "flatten");
+  EXPECT_EQ(passes[2].name, "propagate");
+  EXPECT_EQ(passes[1].nodes_before, passes[0].nodes_after);
+  EXPECT_EQ(passes[2].nodes_before, passes[1].nodes_after);
+}
+
 TEST(PreprocessPassTest, ModulePseudoLeafReusesGateName) {
   // An AND over four private leaves under an OR top is a textbook module:
   // it must be extracted, and its pseudo-leaf in the parent must carry the

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "safeopt/ftio/parser.h"
 #include "safeopt/serve/artifact_cache.h"
 #include "safeopt/support/error.h"
 
@@ -235,6 +236,79 @@ TEST(ArtifactCacheTest, FactoryFailurePropagatesToWaitersAndCachesNothing) {
   // The key is not poisoned: a later, working factory runs fine.
   EXPECT_EQ(*cache.get_as<int>("compile:boom", [] { return int_entry(5, 8); }),
             5);
+}
+
+TEST(ArtifactCacheTest, WaitersOfASharedErrorEachGetTheSameError) {
+  // A deterministic failure reaches every waiter with its type and details
+  // intact: a parse error stays a ParseError (the server answers 400 for
+  // it, not 500), and each thread rethrows its own copy of it.
+  ArtifactCache cache(1024);
+  constexpr int kThreads = 4;
+  std::atomic<int> runs{0};
+  const auto make = [&]() -> CacheEntry {
+    runs.fetch_add(1);
+    await_waiters(cache, kThreads - 1);
+    throw ftio::ParseError(3, 7, "unexpected token");
+  };
+
+  std::vector<std::thread> threads;
+  std::vector<std::string> messages(kThreads);
+  std::vector<std::size_t> lines(kThreads, 0);
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        (void)cache.get_or_compute("parse:bad", make);
+      } catch (const ftio::ParseError& error) {
+        messages[i] = error.what();
+        lines[i] = error.line();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(runs.load(), 1);
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(lines[i], 3u) << "thread " << i;
+    EXPECT_EQ(messages[i], messages[0]) << "thread " << i;
+  }
+  EXPECT_NE(messages[0].find("unexpected token"), std::string::npos);
+  EXPECT_EQ(cache.stats().single_flight_waits,
+            static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(ArtifactCacheTest, SharedErrorKeepsItsCategory) {
+  ArtifactCache cache(1024);
+  std::atomic<int> runs{0};
+  std::thread leader([&] {
+    EXPECT_THROW((void)cache.get_or_compute("compile:big",
+                                            [&]() -> CacheEntry {
+                                              runs.fetch_add(1);
+                                              await_waiters(cache);
+                                              throw Error(
+                                                  ErrorCategory::
+                                                      kResourceExhausted,
+                                                  "node budget");
+                                            }),
+                 Error);
+  });
+  while (runs.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  try {
+    (void)cache.get_or_compute("compile:big", [&]() -> CacheEntry {
+      runs.fetch_add(1);
+      return int_entry(1, 8);
+    });
+    ADD_FAILURE() << "a budget failure is shared with waiters";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kResourceExhausted);
+    EXPECT_STREQ(error.what(), "node budget");
+  }
+  leader.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(cache.stats().single_flight_reruns, 0u);
 }
 
 TEST(ArtifactCacheTest, TracksHitsAndMissesPerPassPrefix) {
