@@ -14,7 +14,7 @@
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/probability.h"
-#include "safeopt/mc/monte_carlo.h"
+#include "safeopt/mc/adaptive_monte_carlo.h"
 #include "safeopt/sim/traffic.h"
 #include "safeopt/stats/distribution.h"
 #include "safeopt/support/thread_pool.h"
@@ -30,10 +30,16 @@ int main() {
   const fta::FaultTree alarm_tree = model.false_alarm_tree();
   const auto quantification = model.false_alarm_quantification(alarm_tree);
   // Leaf probabilities come off compiled tapes (bitwise-identical to the
-  // symbolic walk) and the MC trials run on the deterministic parallel
-  // estimator — the leaf-tape seam every engine consumes, end to end.
+  // symbolic walk) and the MC trials run on the pooled, thread-count-
+  // invariant sampler with no stopping target — the leaf-tape seam every
+  // engine consumes, end to end.
   const core::LeafTapes leaves(quantification);
   const fta::CutSetCollection alarm_mcs = fta::minimal_cut_sets(alarm_tree);
+  mc::AdaptiveOptions fixed;
+  fixed.target_halfwidth = 0.0;
+  fixed.max_trials = 1000000;
+  fixed.pool = &ThreadPool::shared();
+  const mc::AdaptiveMonteCarlo sampler(fixed);
   for (const double t2 : {5.0, 10.0, 15.6, 20.0, 30.0}) {
     fta::QuantificationInput input =
         leaves.input_at({{"T1", 30.0}, {"T2", t2}});
@@ -41,8 +47,7 @@ int main() {
     const double rare = fta::top_event_probability(alarm_mcs, input);
     bdd::CompiledFaultTree compiled = bdd::compile(alarm_tree);
     const double exact = compiled.probability(input);
-    const auto sampled = mc::estimate_hazard_probability(
-        alarm_tree, input, 1000000, ThreadPool::shared());
+    const auto sampled = sampler.estimate(alarm_tree, input);
     std::printf("%6.1f %14.6e %14.6e %14.6e %10s\n", t2, rare, exact,
                 sampled.estimate,
                 sampled.consistent_with(exact) ? "yes" : "NO");

@@ -9,7 +9,7 @@
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/probability.h"
 #include "safeopt/ftio/parser.h"
-#include "safeopt/mc/monte_carlo.h"
+#include "safeopt/mc/adaptive_monte_carlo.h"
 
 namespace {
 
@@ -64,9 +64,13 @@ int main() {
                 fta::top_event_probability(mcs, input));
   }
 
-  // Monte Carlo cross-check of the analytic number.
+  // Monte Carlo cross-check of the analytic number: a fixed budget, no
+  // stopping target.
+  mc::AdaptiveOptions fixed;
+  fixed.target_halfwidth = 0.0;
+  fixed.max_trials = 2'000'000;
   const auto estimate =
-      mc::estimate_hazard_probability(tree, model.probabilities, 2'000'000);
+      mc::AdaptiveMonteCarlo(fixed).estimate(tree, model.probabilities);
   std::printf(
       "\nMonte Carlo (%llu trials): %.6e, 95%% CI [%.6e, %.6e]\n",
       static_cast<unsigned long long>(estimate.trials), estimate.estimate,

@@ -15,10 +15,12 @@
 //   "fta"         cut-set engine (rare-event / min-cut upper bound /
 //                 inclusion-exclusion; importance measures supported)
 //   "bdd"         exact Shannon decomposition over the compiled ROBDD
-//   "mc"          fixed-budget Monte Carlo estimation with Wilson intervals
-//   "mc_adaptive" adaptive Monte Carlo: sequential batched sampling to a
-//                 target CI half-width, with optional importance sampling
-//                 (per-leaf proposal tilting) for rare events
+//   "mc"          fixed-budget Monte Carlo estimation with Wilson intervals:
+//                 the mc::AdaptiveMonteCarlo sampler with crude sampling and
+//                 no stopping target (runs to `trials`)
+//   "mc_adaptive" the same sampler run to a target CI half-width, with
+//                 optional importance sampling (per-leaf proposal tilting)
+//                 for rare events
 //
 // `EngineRegistry` is the name -> factory table behind
 // `Study::engine("bdd")`; `EngineRegistrar` self-registers user engines
@@ -92,15 +94,15 @@ struct QuantificationResult {
   /// Effective sample size: `trials` for unweighted sampling, (Σw)²/Σw²
   /// for importance-sampled estimates. Sampled engines only.
   std::optional<double> ess;
-  /// Adaptive engines only: whether the target precision was reached
-  /// within the trial budget.
+  /// Engines with a stopping target only (mc_adaptive): whether the target
+  /// precision was reached within the trial budget.
   std::optional<bool> converged;
   /// Engines running the preprocessing pipeline only (fta/bdd with
   /// EngineConfig::preprocess): what the pass pipeline did.
   std::optional<PreprocessSummary> preprocess;
-  /// Engines honoring a deadline/cancellation control (mc_adaptive): true
-  /// when the run was cut short at a round boundary — the estimate then
-  /// describes the last completed round, with converged = false.
+  /// Sampling engines (mc, mc_adaptive), which honour a deadline/
+  /// cancellation control: true when the run was cut short — the estimate
+  /// then describes the last completed round, with converged = false.
   std::optional<bool> aborted;
   /// Human-readable robustness notes, e.g. the degradation chain's
   /// "engine \"bdd\" degraded to \"mc_adaptive\" ..." record. Empty in the
@@ -140,8 +142,8 @@ struct EngineConfig {
   /// to the running estimate when `relative` is set.
   double target_halfwidth = 0.05;
   bool relative = true;
-  /// Adaptive MC engine: trials per adaptive round (the stopping rule runs
-  /// between rounds).
+  /// Monte Carlo engines: trials per round (the "mc_adaptive" stopping rule
+  /// runs between rounds; a deadline is polled more finely, between chunks).
   std::uint64_t batch = 1 << 16;
   /// Adaptive MC engine: importance-sampling proposal tilt — every leaf
   /// with p < 1/2 is sampled at q = min(1/2, tilt·p) and reweighted by the
@@ -172,8 +174,8 @@ struct EngineConfig {
   std::size_t bdd_node_budget = 0;
   /// Wall-clock budget in milliseconds for each expensive engine operation:
   /// compilation at engine construction (fta/bdd, including the prep
-  /// pipeline) and each quantify() call (mc_adaptive, which aborts at a
-  /// round boundary with a partial result instead of throwing). 0 = none
+  /// pipeline) and each quantify() call (mc/mc_adaptive, which abort with
+  /// the last completed round's partial result instead of throwing). 0 = none
   /// (document/CLI option `deadline_ms`). Chained under the caller's
   /// control, which is an argument of the factory and of each quantify().
   std::uint64_t deadline_ms = 0;
@@ -239,8 +241,8 @@ class QuantificationEngine {
 };
 
 /// Process-wide name -> factory table for quantification engines. "fta",
-/// "bdd" and "mc" are pre-registered; add() extends it at runtime (last
-/// registration wins). All methods are thread-safe. A factory's `control`
+/// "bdd", "mc" and "mc_adaptive" are pre-registered; add() extends it at
+/// runtime (last registration wins). All methods are thread-safe. A factory's `control`
 /// (nullptr = unbounded) bounds construction only.
 class EngineRegistry {
  public:

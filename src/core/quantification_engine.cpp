@@ -5,7 +5,6 @@
 #include "safeopt/bdd/bdd.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/mc/adaptive_monte_carlo.h"
-#include "safeopt/mc/monte_carlo.h"
 #include "safeopt/prep/preprocess.h"
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/error.h"
@@ -188,66 +187,24 @@ class BddEngine final : public QuantificationEngine {
   std::optional<PreprocessSummary> summary_;
 };
 
-/// "mc": Monte Carlo estimation straight off the structure function —
-/// the model-free cross-check. Deterministic for a fixed config seed; with
-/// a pool, trials run as per-chunk jump() streams whose result is
-/// independent of the thread count.
-class MonteCarloEngine final : public QuantificationEngine {
- public:
-  MonteCarloEngine(const fta::FaultTree& tree, const EngineConfig& config)
-      : tree_(tree), config_(config) {
-    SAFEOPT_EXPECTS(config_.mc_trials >= 1);
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "mc";
-  }
-  [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
-    EngineCapabilities caps;
-    caps.sampled = true;
-    return caps;
-  }
-  [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
-    return tree_;
-  }
-
-  [[nodiscard]] QuantificationResult quantify(
-      const fta::QuantificationInput& input,
-      const ExecutionControl* /*control*/ = nullptr) const override {
-    SAFEOPT_EXPECTS(input.is_valid_for(tree_));
-    const mc::MonteCarloResult estimate =
-        config_.pool != nullptr
-            ? mc::estimate_hazard_probability(tree_, input, config_.mc_trials,
-                                              *config_.pool, config_.seed)
-            : mc::estimate_hazard_probability(tree_, input, config_.mc_trials,
-                                              config_.seed);
-    QuantificationResult result;
-    result.probability = estimate.estimate;
-    result.ci95 = estimate.ci95;
-    result.trials = estimate.trials;
-    result.ess = static_cast<double>(estimate.trials);
-    return result;
-  }
-
- private:
-  const fta::FaultTree& tree_;
-  EngineConfig config_;
-};
-
-/// "mc_adaptive": sequential batched sampling to a target CI half-width
-/// (Wilson stopping rule), with an importance-sampling mode (tilt > 1) for
-/// the rare events crude sampling cannot resolve. Deterministic and
-/// thread-count-invariant for a fixed config seed, like "mc".
+/// The one Monte Carlo engine class, registered twice. "mc_adaptive":
+/// sequential batched sampling to a target CI half-width (Wilson stopping
+/// rule), with an importance-sampling mode (tilt > 1) for the rare events
+/// crude sampling cannot resolve. "mc": the same sampler with no stopping
+/// target and crude sampling — the fixed-budget model-free cross-check.
+/// Deterministic and thread-count-invariant for a fixed config seed.
 class AdaptiveMonteCarloEngine final : public QuantificationEngine {
  public:
-  AdaptiveMonteCarloEngine(const fta::FaultTree& tree,
-                           const EngineConfig& config)
-      : tree_(tree),
-        sampler_(to_options(config)),
-        deadline_ms_(config.deadline_ms) {}
+  AdaptiveMonteCarloEngine(std::string_view name, const fta::FaultTree& tree,
+                           const mc::AdaptiveOptions& options,
+                           std::uint64_t deadline_ms)
+      : name_(name),
+        tree_(tree),
+        sampler_(options),
+        deadline_ms_(deadline_ms) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "mc_adaptive";
+    return name_;
   }
   [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
     EngineCapabilities caps;
@@ -283,46 +240,43 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
     ExecutionControl storage;
     const ExecutionControl* active =
         activate_control(deadline_ms_, control, storage);
+    const bool has_target = sampler_.options().target_halfwidth > 0.0;
     std::vector<QuantificationResult> results;
     results.reserve(inputs.size());
     for (const mc::AdaptiveResult& estimate :
          sampler_.estimate_batch(tree_, inputs, active)) {
-      results.push_back(to_result(estimate));
+      QuantificationResult result;
+      result.probability = estimate.estimate;
+      result.ci95 = estimate.ci95;
+      result.trials = estimate.trials;
+      result.ess = estimate.ess;
+      if (has_target) result.converged = estimate.converged;
+      result.aborted = estimate.aborted;
+      results.push_back(std::move(result));
     }
     return results;
   }
 
  private:
-  [[nodiscard]] static mc::AdaptiveOptions to_options(
-      const EngineConfig& config) {
-    SAFEOPT_EXPECTS(config.mc_trials >= 1);
-    mc::AdaptiveOptions options;
-    options.target_halfwidth = config.target_halfwidth;
-    options.relative = config.relative;
-    options.batch = config.batch;
-    options.max_trials = config.mc_trials;
-    options.tilt = config.tilt;
-    options.seed = config.seed;
-    options.pool = config.pool;
-    return options;
-  }
-
-  [[nodiscard]] static QuantificationResult to_result(
-      const mc::AdaptiveResult& estimate) {
-    QuantificationResult result;
-    result.probability = estimate.estimate;
-    result.ci95 = estimate.ci95;
-    result.trials = estimate.trials;
-    result.ess = estimate.ess;
-    result.converged = estimate.converged;
-    result.aborted = estimate.aborted;
-    return result;
-  }
-
+  std::string_view name_;  // a registry literal
   const fta::FaultTree& tree_;
   mc::AdaptiveMonteCarlo sampler_;
   std::uint64_t deadline_ms_ = 0;
 };
+
+/// The sampler slice of an EngineConfig.
+mc::AdaptiveOptions sampler_options(const EngineConfig& config) {
+  SAFEOPT_EXPECTS(config.mc_trials >= 1);
+  mc::AdaptiveOptions options;
+  options.target_halfwidth = config.target_halfwidth;
+  options.relative = config.relative;
+  options.batch = config.batch;
+  options.max_trials = config.mc_trials;
+  options.tilt = config.tilt;
+  options.seed = config.seed;
+  options.pool = config.pool;
+  return options;
+}
 
 /// The shared registry scaffolding (support/registry.h), seeded with the
 /// built-in engines on first use.
@@ -342,12 +296,18 @@ NameRegistry<EngineRegistry::Factory>& registry() {
        {"mc",
         [](const fta::FaultTree& tree, const EngineConfig& config,
            const ExecutionControl*) {
-          return std::make_unique<MonteCarloEngine>(tree, config);
+          mc::AdaptiveOptions options = sampler_options(config);
+          options.target_halfwidth = 0.0;  // no stopping target: run to trials
+          options.tilt = 0.0;              // crude sampling
+          return std::make_unique<AdaptiveMonteCarloEngine>(
+              "mc", tree, options, config.deadline_ms);
         }},
        {"mc_adaptive",
         [](const fta::FaultTree& tree, const EngineConfig& config,
            const ExecutionControl*) {
-          return std::make_unique<AdaptiveMonteCarloEngine>(tree, config);
+          return std::make_unique<AdaptiveMonteCarloEngine>(
+              "mc_adaptive", tree, sampler_options(config),
+              config.deadline_ms);
         }}});
   return instance;
 }

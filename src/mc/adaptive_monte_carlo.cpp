@@ -122,6 +122,7 @@ struct AdaptiveState {
   const fta::QuantificationInput* input = nullptr;
   Proposal proposal;
   Rng stream{0};  // the next chunk's generator; jump()ed per handout
+  std::uint64_t round_left = 0;  // trials of the current round not handed out
   std::uint64_t done = 0;
   std::uint64_t hits = 0;
   stats::ProportionEstimator crude;
@@ -172,8 +173,10 @@ void finish_round(AdaptiveState& s, const AdaptiveOptions& options,
   // half-width is 0, which says nothing at all.
   const bool trustworthy =
       (!importance && !options.relative) || s.hits >= kMinHits;
-  const bool converged =
-      trustworthy && halfwidth <= target && (!options.relative || estimate > 0.0);
+  // target_halfwidth = 0 is "no stopping target": run to the budget.
+  const bool converged = options.target_halfwidth > 0.0 && trustworthy &&
+                         halfwidth <= target &&
+                         (!options.relative || estimate > 0.0);
 
   s.result.estimate = estimate;
   s.result.ci95 = ci;
@@ -194,7 +197,7 @@ void finish_round(AdaptiveState& s, const AdaptiveOptions& options,
 
 AdaptiveMonteCarlo::AdaptiveMonteCarlo(AdaptiveOptions options)
     : options_(options) {
-  SAFEOPT_EXPECTS(options_.target_halfwidth > 0.0);
+  SAFEOPT_EXPECTS(options_.target_halfwidth >= 0.0);
   SAFEOPT_EXPECTS(!options_.relative || options_.target_halfwidth < 1.0);
   SAFEOPT_EXPECTS(options_.batch >= 1);
   SAFEOPT_EXPECTS(options_.max_trials >= 1);
@@ -202,14 +205,9 @@ AdaptiveMonteCarlo::AdaptiveMonteCarlo(AdaptiveOptions options)
 }
 
 AdaptiveResult AdaptiveMonteCarlo::estimate(
-    const fta::FaultTree& tree, const fta::QuantificationInput& input) const {
-  return estimate_batch(tree, {input}).front();
-}
-
-std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
-    const fta::FaultTree& tree,
-    const std::vector<fta::QuantificationInput>& inputs) const {
-  return estimate_batch(tree, inputs, options_.control);
+    const fta::FaultTree& tree, const fta::QuantificationInput& input,
+    const ExecutionControl* control) const {
+  return estimate_batch(tree, {input}, control).front();
 }
 
 std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
@@ -219,6 +217,12 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
   SAFEOPT_EXPECTS(tree.has_top());
   const bool importance = options_.tilt > 1.0;
   const double z = stats::normal_quantile(0.975);
+  // Chunks per slab: enough to keep every worker busy, and the most chunk
+  // jobs that ever exist at once however large `batch` is.
+  const std::size_t slab =
+      options_.pool != nullptr
+          ? std::max<std::size_t>(1, options_.pool->thread_count())
+          : 1;
 
   std::vector<AdaptiveState> states(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -229,82 +233,99 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
   }
 
   std::vector<ChunkJob> jobs;
-  for (;;) {
-    // Round-boundary abort poll — the only place the control is consulted,
-    // so completed-round totals (which are thread-count-invariant) are the
-    // only thing an abort can expose. Unfinished inputs keep their last
-    // finish_round() result; an abort before the first round reports zero
-    // trials. Aborted estimates are flagged, never thrown: a partial
-    // estimate with an honest interval is still a result.
-    if (control != nullptr && control->should_abort()) {
-      for (AdaptiveState& state : states) {
-        if (state.finished) continue;
-        state.result.trials = state.done;
-        state.result.occurrences = state.hits;
-        state.result.converged = false;
-        state.result.aborted = true;
-        state.result.importance = importance;
-        state.finished = true;
-      }
-      break;
+  jobs.reserve(slab);
+  const auto run_jobs = [&](std::size_t begin, std::size_t end) {
+    std::vector<bool> basic(tree.basic_event_count());
+    std::vector<bool> condition(tree.condition_count());
+    for (std::size_t j = begin; j < end; ++j) {
+      ChunkJob& job = jobs[j];
+      job.sums = importance
+                     ? run_importance_chunk(tree, job.state->proposal, job.rng,
+                                            job.trials, basic, condition)
+                     : run_crude_chunk(tree, *job.state->input, job.rng,
+                                       job.trials, basic, condition);
     }
-    // Hand out the next round of every unfinished input: per input, a run
-    // of kChunkTrials-sized chunks covering min(batch, budget left) trials,
-    // each chunk on its own jump() stream. The layout depends only on the
-    // options, never on the pool.
-    jobs.clear();
+  };
+
+  bool aborted = false;
+  for (;;) {
+    // Plan the next round of every unfinished input: min(batch, budget
+    // left) trials, handed out below as kChunkTrials-sized chunks, each on
+    // its own jump() stream. The layout depends only on the options, never
+    // on the pool.
+    bool any = false;
     for (AdaptiveState& state : states) {
       if (state.finished) continue;
-      std::uint64_t round =
+      state.round_left =
           std::min(options_.batch, options_.max_trials - state.done);
-      while (round > 0) {
+      any = true;
+    }
+    if (!any) break;
+
+    // Run the round slab by slab, in input order and chunk order.
+    std::size_t cursor = 0;
+    for (;;) {
+      jobs.clear();
+      while (jobs.size() < slab && cursor < states.size()) {
+        AdaptiveState& state = states[cursor];
+        if (state.finished || state.round_left == 0) {
+          ++cursor;
+          continue;
+        }
         ChunkJob job;
         job.state = &state;
         job.rng = state.stream;
         state.stream.jump();
-        job.trials = std::min(kChunkTrials, round);
-        round -= job.trials;
+        job.trials = std::min(kChunkTrials, state.round_left);
+        state.round_left -= job.trials;
         jobs.push_back(job);
       }
-    }
-    if (jobs.empty()) break;
+      if (jobs.empty()) break;
 
-    const auto run_jobs = [&](std::size_t begin, std::size_t end) {
-      std::vector<bool> basic(tree.basic_event_count());
-      std::vector<bool> condition(tree.condition_count());
-      for (std::size_t j = begin; j < end; ++j) {
-        ChunkJob& job = jobs[j];
-        job.sums = importance
-                       ? run_importance_chunk(tree, job.state->proposal,
-                                              job.rng, job.trials, basic,
-                                              condition)
-                       : run_crude_chunk(tree, *job.state->input, job.rng,
-                                         job.trials, basic, condition);
+      // The abort poll, once per slab; the round's first slab polls at the
+      // round boundary. Unfinished inputs keep their last finish_round()
+      // result and the torn round's partial totals are never published, so
+      // only completed-round totals (thread-count-invariant) can surface;
+      // an abort during the first round reports zero trials. Aborted
+      // estimates are flagged, never thrown: a partial estimate with an
+      // honest interval is still a result.
+      if (control != nullptr && control->should_abort()) {
+        aborted = true;
+        break;
       }
-    };
-    if (options_.pool != nullptr && jobs.size() > 1) {
-      options_.pool->parallel_for(jobs.size(), run_jobs);
-    } else {
-      run_jobs(0, jobs.size());
-    }
 
-    // Reduce in job order — each input's jobs are contiguous and in chunk
-    // order, so its floating-point totals accumulate deterministically.
-    for (const ChunkJob& job : jobs) {
-      AdaptiveState& state = *job.state;
-      state.done += job.sums.trials;
-      state.hits += job.sums.hits;
-      state.crude.add_batch(job.sums.trials, job.sums.hits);
-      state.sum_w += job.sums.sum_w;
-      state.sum_w2 += job.sums.sum_w2;
-      state.sum_wi += job.sums.sum_wi;
-      state.sum_wi2 += job.sums.sum_wi2;
+      if (options_.pool != nullptr && jobs.size() > 1) {
+        options_.pool->parallel_for(jobs.size(), run_jobs);
+      } else {
+        run_jobs(0, jobs.size());
+      }
+
+      // Reduce in job order — each input's chunks arrive in chunk order
+      // across slabs, so its floating-point totals accumulate in exactly
+      // the order of a single whole-round reduction.
+      for (const ChunkJob& job : jobs) {
+        AdaptiveState& state = *job.state;
+        state.done += job.sums.trials;
+        state.hits += job.sums.hits;
+        state.crude.add_batch(job.sums.trials, job.sums.hits);
+        state.sum_w += job.sums.sum_w;
+        state.sum_w2 += job.sums.sum_w2;
+        state.sum_wi += job.sums.sum_wi;
+        state.sum_wi2 += job.sums.sum_wi2;
+      }
     }
+    if (aborted) break;
     for (AdaptiveState& state : states) {
       if (!state.finished && state.done > 0) {
         finish_round(state, options_, importance, z);
       }
     }
+  }
+
+  for (AdaptiveState& state : states) {
+    if (state.finished) continue;  // unfinished now means aborted
+    state.result.aborted = true;
+    state.result.importance = importance;
   }
 
   std::vector<AdaptiveResult> results;

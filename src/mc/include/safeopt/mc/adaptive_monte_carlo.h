@@ -1,14 +1,19 @@
-// Adaptive + rare-event Monte Carlo estimation of hazard probabilities.
+// Monte Carlo estimation of hazard probabilities straight off the fault
+// tree's structure function — the library's one sampler. It is the model-free
+// cross-check for the analytic pipeline: the paper's Eq. 1/2 rest on
+// independence assumptions and a rare-event approximation, and sampling
+// validates both (the `montecarlo_validation` bench and the property tests
+// use it as an oracle against exact BDD probabilities).
 //
-// The fixed-budget estimator in monte_carlo.h spends the same number of
-// trials on every point; this facility spends only as many as the requested
-// precision needs, and — for the rare events real safety cases live in
-// (p ≪ 1e-6, where crude sampling would need ~1/p trials per digit) — tilts
-// the per-leaf sampling distributions so the top event is no longer rare
-// *under the proposal*, with exact likelihood-ratio reweighting keeping the
-// estimate unbiased.
+// With a stopping target it spends only as many trials as the requested
+// precision needs; with `target_halfwidth = 0` it is the fixed-budget
+// estimator behind the "mc" engine and runs to `max_trials`. For the rare
+// events real safety cases live in (p ≪ 1e-6, where crude sampling would
+// need ~1/p trials per digit) it can tilt the per-leaf sampling
+// distributions so the top event is no longer rare *under the proposal*,
+// with exact likelihood-ratio reweighting keeping the estimate unbiased.
 //
-// Two modes behind one stopping loop:
+// Two modes behind one loop:
 //
 //   crude      (tilt <= 1)  Bernoulli sampling at the input probabilities;
 //                           estimate and stopping rule from the Wilson score
@@ -50,7 +55,9 @@ namespace safeopt::mc {
 struct AdaptiveOptions {
   /// Target 95% CI half-width. With `relative` set, the target is
   /// `target_halfwidth · estimate` (5% default ≈ two significant digits);
-  /// otherwise it is absolute. Must be > 0 (and < 1 when relative).
+  /// otherwise it is absolute. 0 means no stopping target: the loop runs
+  /// to `max_trials` and never reports `converged`. Must be >= 0 (and < 1
+  /// when relative).
   double target_halfwidth = 0.05;
   bool relative = true;
 
@@ -73,12 +80,6 @@ struct AdaptiveOptions {
   /// Optional worker pool for the per-round chunk fan-out. Not owned.
   /// Results are bitwise-identical with any pool, or none.
   ThreadPool* pool = nullptr;
-
-  /// Cooperative deadline/cancellation, polled only at round boundaries so
-  /// the thread-invariance contract is untouched: an aborted run returns the
-  /// last completed round's totals (converged = false, aborted = true) — it
-  /// never throws, and never tears a round. Not owned; nullptr = unbounded.
-  const ExecutionControl* control = nullptr;
 };
 
 /// Outcome of one adaptive estimation.
@@ -90,11 +91,12 @@ struct AdaptiveResult {
   /// Raw top-event hits under the sampling distribution (the proposal when
   /// importance sampling — not an estimate of p on its own in that mode).
   std::uint64_t occurrences = 0;
-  /// True when the target half-width was reached within the budget.
+  /// True when the target half-width was reached within the budget; always
+  /// false without a stopping target (target_halfwidth = 0).
   bool converged = false;
-  /// True when a deadline/cancellation cut the run short at a round
-  /// boundary; the totals above then describe the last completed round
-  /// (zero rounds when the control had already fired at entry).
+  /// True when a deadline/cancellation cut the run short; the totals above
+  /// then describe the last completed round (zero rounds when the control
+  /// fired before the first round finished).
   bool aborted = false;
   /// True when the estimate came from the tilted (importance) sampler.
   bool importance = false;
@@ -116,13 +118,22 @@ struct AdaptiveResult {
   }
 };
 
-/// Sequential-batched adaptive estimator over one option set; estimate() can
-/// be called for any number of (tree, input) pairs. The class itself holds
-/// no mutable state — it is safe to share across threads as long as the
+/// Sequential-batched estimator over one option set; estimate() can be
+/// called for any number of (tree, input) pairs. The class itself holds no
+/// mutable state — it is safe to share across threads as long as the
 /// configured pool is used from one call at a time.
+///
+/// Every call takes an optional cooperative deadline/cancellation `control`
+/// (not owned; nullptr = unbounded). It is polled before every slab of at
+/// most max(1, pool threads) chunks — the first slab's poll is the round
+/// boundary — so a round of any size is interruptible and only one slab of
+/// chunk jobs is ever materialized. An aborted run returns the last
+/// completed round's totals (converged = false, aborted = true): a torn
+/// round is thrown away, so the thread-invariance contract is untouched and
+/// the call never throws.
 class AdaptiveMonteCarlo {
  public:
-  /// Precondition: target_halfwidth > 0 (< 1 when relative), batch >= 1,
+  /// Precondition: target_halfwidth >= 0 (< 1 when relative), batch >= 1,
   /// max_trials >= 1, tilt is not NaN.
   explicit AdaptiveMonteCarlo(AdaptiveOptions options = {});
 
@@ -130,26 +141,20 @@ class AdaptiveMonteCarlo {
     return options_;
   }
 
-  /// Runs the adaptive loop for one input.
+  /// Runs the loop for one input.
   /// Precondition: tree.has_top(), input.is_valid_for(tree).
   [[nodiscard]] AdaptiveResult estimate(
-      const fta::FaultTree& tree, const fta::QuantificationInput& input) const;
+      const fta::FaultTree& tree, const fta::QuantificationInput& input,
+      const ExecutionControl* control = nullptr) const;
 
   /// Estimates many inputs in one call: every input's chunk work for a
-  /// super-round is submitted to the pool together, so inputs that need
+  /// super-round goes through the same slabs, so inputs that need
   /// more rounds keep the workers busy after the easy ones converge. Each
   /// entry is bitwise-identical to the corresponding estimate() call.
   [[nodiscard]] std::vector<AdaptiveResult> estimate_batch(
       const fta::FaultTree& tree,
-      const std::vector<fta::QuantificationInput>& inputs) const;
-
-  /// estimate_batch with a per-call control that overrides (not chains)
-  /// options().control — the engine layer derives a fresh deadline per
-  /// quantification from one long-lived sampler.
-  [[nodiscard]] std::vector<AdaptiveResult> estimate_batch(
-      const fta::FaultTree& tree,
       const std::vector<fta::QuantificationInput>& inputs,
-      const ExecutionControl* control) const;
+      const ExecutionControl* control = nullptr) const;
 
  private:
   AdaptiveOptions options_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +78,7 @@ TEST(EngineRegistryTest, CapabilityFlagsDescribeTheBackends) {
 
   const auto mc_engine = EngineRegistry::create("mc", system.tree);
   EXPECT_TRUE(mc_engine->capabilities().sampled);
+  EXPECT_TRUE(mc_engine->capabilities().batch);
   EXPECT_FALSE(mc_engine->capabilities().exact);
 
   const auto adaptive = EngineRegistry::create("mc_adaptive", system.tree);
@@ -241,6 +243,78 @@ TEST(EngineConformanceTest, McIsDeterministicUnderAFixedSeed) {
   const auto again = EngineRegistry::create("mc", system.tree, config)
                          ->quantify(system.input);
   EXPECT_EQ(first.probability, again.probability);
+}
+
+TEST(EngineConformanceTest, McMatchesPinnedValuesWithinOneChunk) {
+  // "mc" draws its first 4096 trials from the unjumped Rng(seed) stream,
+  // trial-major and leaf-ordered, so up to one chunk it reproduces the
+  // sequential fixed-budget estimator it replaced bit for bit. These values
+  // were captured from that estimator (probability, Wilson bounds, trials).
+  PumpSystem system;
+  system.input.set(system.tree, "PumpA", 0.3);
+  system.input.set(system.tree, "PumpB", 0.3);
+  system.input.set(system.tree, "Valve", 0.05);
+  system.input.set(system.tree, "Trip", 0.2);
+  system.input.set(system.tree, "Maintenance", 0.5);
+  struct Pinned {
+    std::uint64_t seed;
+    std::uint64_t trials;
+    double probability, lo, hi;
+  };
+  const Pinned pinned[] = {
+      {0x5a4e0, 2000, 0x1.c28f5c28f5c29p-3, 0x1.9e7f660ec14a3p-3,
+       0x1.e8d22b3b41ff7p-3},
+      {0x5a4e0, 4096, 0x1.c1p-3, 0x1.a798bcd8eceeep-3, 0x1.db7b1bc4470cap-3},
+      {7, 2000, 0x1.ae147ae147ae1p-3, 0x1.8aad751d03c58p-3,
+       0x1.d3c273a67fa22p-3},
+      {7, 4096, 0x1.c28p-3, 0x1.a9106cf81a0ccp-3, 0x1.dd02b36d7bf7cp-3},
+      {0xbeef, 2000, 0x1.d3f7ced916873p-3, 0x1.af5e980a83dc7p-3,
+       0x1.fab2c87e9f53bp-3},
+      {0xbeef, 4096, 0x1.c2p-3, 0x1.a893316688993p-3, 0x1.dc802c66ecbdbp-3},
+  };
+  for (const Pinned& pin : pinned) {
+    EngineConfig config;
+    config.seed = pin.seed;
+    config.mc_trials = pin.trials;
+    const auto result = EngineRegistry::create("mc", system.tree, config)
+                            ->quantify(system.input);
+    EXPECT_EQ(result.trials, pin.trials) << "seed " << pin.seed;
+    EXPECT_EQ(result.probability, pin.probability) << "seed " << pin.seed;
+    ASSERT_TRUE(result.ci95.has_value());
+    EXPECT_EQ(result.ci95->lo, pin.lo) << "seed " << pin.seed;
+    EXPECT_EQ(result.ci95->hi, pin.hi) << "seed " << pin.seed;
+    EXPECT_EQ(*result.ess, static_cast<double>(pin.trials));
+    EXPECT_FALSE(*result.aborted);
+  }
+}
+
+TEST(EngineConformanceTest, McAndMcAdaptiveShareOneSampler) {
+  // "mc" is the adaptive sampler with no stopping target: at the same
+  // budget, batch and seed it is bitwise-equal to an "mc_adaptive" run
+  // whose target is out of reach, and each engine reports its own name.
+  const PumpSystem system;
+  EngineConfig config;
+  config.mc_trials = 50000;
+  config.batch = 1u << 14;
+  config.seed = 9;
+  const auto fixed = EngineRegistry::create("mc", system.tree, config);
+  config.target_halfwidth = 1e-12;
+  config.relative = false;
+  const auto adaptive =
+      EngineRegistry::create("mc_adaptive", system.tree, config);
+  EXPECT_EQ(fixed->name(), "mc");
+  EXPECT_EQ(adaptive->name(), "mc_adaptive");
+
+  const auto a = fixed->quantify(system.input);
+  const auto b = adaptive->quantify(system.input);
+  EXPECT_EQ(a.trials, 50000u);
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.probability, b.probability);
+  EXPECT_EQ(a.ci95->lo, b.ci95->lo);
+  EXPECT_EQ(a.ci95->hi, b.ci95->hi);
+  EXPECT_FALSE(a.converged.has_value());
+  ASSERT_TRUE(b.converged.has_value());
+  EXPECT_FALSE(*b.converged);
 }
 
 TEST(EngineConformanceTest, QuantifyBatchMatchesPerPointQuantify) {

@@ -10,7 +10,7 @@
 #include "safeopt/bdd/bdd.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/importance.h"
-#include "safeopt/mc/monte_carlo.h"
+#include "safeopt/mc/adaptive_monte_carlo.h"
 
 namespace safeopt::elbtunnel {
 namespace {
@@ -135,7 +135,10 @@ TEST(ElbtunnelMonteCarloTest, SamplingConfirmsFalseAlarmProbability) {
   numeric.condition_probability[0] = 1.0;
   bdd::CompiledFaultTree compiled = bdd::compile(tree);
   const double exact = compiled.probability(numeric);
-  const auto result = mc::estimate_hazard_probability(tree, numeric, 200000);
+  mc::AdaptiveOptions fixed;
+  fixed.target_halfwidth = 0.0;
+  fixed.max_trials = 200000;
+  const auto result = mc::AdaptiveMonteCarlo(fixed).estimate(tree, numeric);
   const double sigma = std::sqrt(exact * (1.0 - exact) / 200000.0);
   EXPECT_NEAR(result.estimate, exact, 5.0 * sigma);
 }

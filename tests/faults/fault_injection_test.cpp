@@ -1,13 +1,16 @@
 // Deterministic fault-injection coverage for the resilient-execution layer:
-// every cooperative abort path (BDD node budget, BDD/prep deadline, adaptive
-// Monte Carlo round-boundary abort, solver cancellation) must hand back a
+// every cooperative abort path (BDD node budget, BDD/prep deadline, Monte
+// Carlo per-slab abort, solver cancellation) must hand back a
 // well-formed partial result or a categorized safeopt::Error — never a torn
 // structure, a crash, or a hang. Faults fire through the FaultInjector's
 // scripted controls (tests/testutil/fault_injector.h), so each test pins the
 // abort to an exact checkpoint without wall-clock sleeps.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "safeopt/bdd/bdd.h"
@@ -21,6 +24,7 @@
 #include "safeopt/support/error.h"
 #include "safeopt/support/execution.h"
 #include "safeopt/support/strings.h"
+#include "safeopt/support/thread_pool.h"
 #include "testutil/fault_injector.h"
 
 namespace safeopt {
@@ -180,7 +184,7 @@ TEST(PrepFaultTest, DeadlineAbortsBetweenPassesLeavingInputUntouched) {
   EXPECT_TRUE(tree.validate().empty());
 }
 
-// ------------------------------------------- adaptive MC round-boundary abort
+// ------------------------------------------------------ Monte Carlo abort
 
 mc::AdaptiveOptions small_round_options() {
   mc::AdaptiveOptions options;
@@ -194,11 +198,9 @@ mc::AdaptiveOptions small_round_options() {
 TEST(McFaultTest, AbortBeforeFirstRoundReportsZeroTrials) {
   const fta::FaultTree tree = voting_tree();
   const ExecutionControl control = FaultInjector::expired_deadline();
-  mc::AdaptiveOptions options = small_round_options();
-  options.control = &control;
-  const mc::AdaptiveMonteCarlo sampler(options);
+  const mc::AdaptiveMonteCarlo sampler(small_round_options());
   const mc::AdaptiveResult result =
-      sampler.estimate(tree, uniform_input(tree, 0.2));
+      sampler.estimate(tree, uniform_input(tree, 0.2), &control);
   EXPECT_TRUE(result.aborted);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.trials, 0u);
@@ -214,10 +216,9 @@ TEST(McFaultTest, AbortedRunEqualsLastCompletedRoundBitwise) {
   FaultInjector injector;
   const ExecutionControl control =
       injector.fire_after_polls(2, ExecutionStatus::kDeadlineExceeded);
-  mc::AdaptiveOptions options = small_round_options();
-  options.control = &control;
+  const mc::AdaptiveOptions options = small_round_options();
   const mc::AdaptiveResult aborted =
-      mc::AdaptiveMonteCarlo(options).estimate(tree, input);
+      mc::AdaptiveMonteCarlo(options).estimate(tree, input, &control);
 
   // Run B: no control, but a trial budget of exactly two rounds. The abort
   // contract says A must be bitwise identical to B in every estimate field —
@@ -252,6 +253,81 @@ TEST(McFaultTest, EngineDeadlineYieldsPartialAbortedResult) {
   ASSERT_TRUE(result.converged.has_value());
   EXPECT_FALSE(*result.converged);
   EXPECT_EQ(result.trials, 0u);
+}
+
+TEST(McFaultTest, FixedBudgetMcEngineAbortsAtTheLastCompletedRound) {
+  const fta::FaultTree tree = voting_tree();
+  const fta::QuantificationInput input = uniform_input(tree, 0.2);
+
+  // Reference: a "mc" run whose budget is exactly one default round
+  // (65536 trials = 16 chunks of 4096), with no control.
+  core::EngineConfig capped;
+  capped.mc_trials = capped.batch;
+  const core::QuantificationResult reference =
+      core::EngineRegistry::create("mc", tree, capped)->quantify(input);
+
+  // A large budget under a control that fires during the second round:
+  // without a pool every chunk is its own slab (16 polls per round), with
+  // three workers slabs hold three chunks (6 polls per round). Either way
+  // the torn second round is thrown away and the result is the first
+  // round's, bit for bit.
+  ThreadPool pool(3);
+  for (const auto& [workers, polls] :
+       {std::pair<ThreadPool*, std::size_t>{nullptr, 20},
+        std::pair<ThreadPool*, std::size_t>{&pool, 8}}) {
+    core::EngineConfig config;
+    config.mc_trials = std::uint64_t{1} << 40;
+    config.pool = workers;
+    FaultInjector injector;
+    const ExecutionControl control =
+        injector.fire_after_polls(polls, ExecutionStatus::kDeadlineExceeded);
+    const core::QuantificationResult aborted =
+        core::EngineRegistry::create("mc", tree, config)
+            ->quantify(input, &control);
+    EXPECT_EQ(injector.polls(), polls + 1);
+    ASSERT_TRUE(aborted.aborted.has_value());
+    EXPECT_TRUE(*aborted.aborted);
+    EXPECT_FALSE(*reference.aborted);
+    // "mc" has no stopping target, so no convergence notion either way.
+    EXPECT_FALSE(aborted.converged.has_value());
+    EXPECT_FALSE(reference.converged.has_value());
+    EXPECT_EQ(aborted.trials, reference.trials);
+    EXPECT_EQ(aborted.trials, capped.batch);
+    EXPECT_EQ(aborted.probability, reference.probability);
+    EXPECT_EQ(aborted.ci95->lo, reference.ci95->lo);
+    EXPECT_EQ(aborted.ci95->hi, reference.ci95->hi);
+    EXPECT_EQ(*aborted.ess, *reference.ess);
+  }
+}
+
+TEST(McFaultTest, HugeRoundIsPolledPerSlabWithoutMaterializingIt) {
+  // batch = budget = 2^40 trials is one round of 2^28 chunks. The loop
+  // must hand chunks out one slab at a time — never the whole round's job
+  // list up front — and poll before every slab, so the second poll (after
+  // one 4096-trial chunk) stops it. The torn first round is discarded.
+  const fta::FaultTree tree = voting_tree();
+  mc::AdaptiveOptions options = small_round_options();
+  options.batch = std::uint64_t{1} << 40;
+  options.max_trials = options.batch;
+  FaultInjector injector;
+  const ExecutionControl control =
+      injector.fire_after_polls(1, ExecutionStatus::kDeadlineExceeded);
+
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  const mc::AdaptiveResult result = mc::AdaptiveMonteCarlo(options).estimate(
+      tree, uniform_input(tree, 0.2), &control);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+
+  EXPECT_TRUE(result.aborted);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.trials, 0u);
+  EXPECT_EQ(result.occurrences, 0u);
+  EXPECT_EQ(injector.polls(), 2u);
+  // Peak RSS (KiB on Linux) grew by far less than the ~24 GiB a whole-round
+  // job list would need.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
 
 // ------------------------------------------------------- solver cancellation

@@ -224,6 +224,25 @@ TEST(AnalysisGraphTest, ExpiredDeadlineAbortsAndIsNeverCached) {
   EXPECT_EQ(stats.passes.at("quantify").hits, 0u);
 }
 
+TEST(AnalysisGraphTest, McDeadlineAbortsTheSamplerAndIsNeverCached) {
+  // The "mc" engine polls the request control between chunks: a budget of
+  // 10^12 trials under a 50 ms deadline comes back flagged aborted instead
+  // of holding the worker for hours, and that request-specific outcome is
+  // never cached — the identical second request recomputes.
+  AnalysisGraph graph(1 << 20);
+  AnalysisOptions options = options_named("const.ft");
+  options.engine = "mc";
+  options.engine_options = {"trials=1000000000000"};
+  for (int request = 0; request < 2; ++request) {
+    ExecutionControl control(Deadline::after_ms(50));
+    const std::string body = graph.quantify(kConst, options, &control);
+    EXPECT_NE(body.find("\"aborted\": true"), std::string::npos) << body;
+  }
+  const CacheStats stats = graph.cache_stats();
+  EXPECT_EQ(stats.passes.at("quantify").misses, 2u);
+  EXPECT_EQ(stats.passes.at("quantify").hits, 0u);
+}
+
 TEST(AnalysisGraphTest, OptionFingerprintIsInjective) {
   // One delimiter-containing value must not alias the split variant — the
   // two configure engines differently and cannot share a compile artifact.
