@@ -9,9 +9,9 @@
 //   lane L  — CompiledExpr::evaluate_batch at lane width L ∈ {1, 4, 8} on
 //             the "generic" backend. L = 1 is the single-lane reference
 //             loop (the PR 1 batch path); L = 4/8 run the SoA lane kernel;
-//   backend B — evaluate_batch pinned to each registered hardware backend
-//             (generic / avx2 / avx512 where the CPU supports them) at the
-//             common lane width 8, same grid;
+//   backend B — evaluate_batch pinned to each registered backend
+//             (generic, and avx2 where the CPU supports it) at its default
+//             lane width, same grid;
 //   batch N — the lane kernel fanned out over a ThreadPool;
 //   grad    — per-point evaluate_with_gradient vs the lane-batched
 //             gradient request (values + gradients per row).
@@ -21,6 +21,13 @@
 // thread-count invariance), batched gradients must equal the per-point
 // reverse sweep bitwise, and GridSearch / DifferentialEvolution must return
 // bitwise-identical optima on the tree and compiled paths.
+//
+// The backends are also ranked on a real study tape: the --model document's
+// cost tape evaluated at scattered points in its parameter box, where the
+// per-site memo and the uniform-lane broadcast rarely hit (the Fig. 5 grid
+// is a smooth sweep where they often do). The row is report-only
+// (backend_<name>_study_ns_per_eval) and each backend must match the
+// scalar tape bitwise there too.
 //
 // Besides the evaluation strategies, the run times the declarative
 // pipeline's load-to-first-eval latency: ftio::load_study on the shipped
@@ -34,7 +41,8 @@
 //   --repeats  timing repetitions per strategy (default 5; CI smoke uses 1)
 //   --grid     points per grid axis (default 301)
 //   --json     write machine-readable results to PATH
-//   --model    study document for the load benchmark
+//   --model    study document for the load benchmark and the study-tape
+//              backend row
 //              (default examples/models/elbtunnel.ft, as in CI's repo-root
 //              working directory)
 #include <algorithm>
@@ -42,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -167,13 +176,14 @@ int main(int argc, char** argv) {
   // --- hardware backends, each at its own default lane width -------------
   // Each registered backend runs the same surface exactly as runtime
   // dispatch would run it (lane_width 0 = the backend's default: generic
-  // blocks 8 rows, the SIMD backends 16), and every one must reproduce the
+  // blocks 8 rows, avx2 16), and every one must reproduce the
   // tree walk bit for bit (the backend contract). Unavailable backends
-  // (e.g. avx512 on an avx2-only host) are reported and skipped.
+  // (e.g. avx2 on a host without AVX2) are reported and skipped.
   struct BackendRun {
     std::string name;
     bool available = false;
     double ns_per_eval = 0.0;
+    double study_ns_per_eval = 0.0;  // 0 = no study tape (model not found)
     bool identical = true;
   };
   std::vector<BackendRun> backend_runs;
@@ -254,14 +264,12 @@ int main(int argc, char** argv) {
               tree_ns / lane4_ns);
   std::printf("  batch, 8 lanes     : %8.1f ns/eval   %.2fx\n", lane8_ns,
               tree_ns / lane8_ns);
-  bool backends_identical = true;
   for (const BackendRun& run : backend_runs) {
     if (!run.available) {
       std::printf("  backend %-10s : not available on this cpu\n",
                   run.name.c_str());
       continue;
     }
-    backends_identical = backends_identical && run.identical;
     std::printf("  backend %-10s : %8.1f ns/eval   %.2fx%s%s\n",
                 run.name.c_str(), run.ns_per_eval,
                 tree_ns / run.ns_per_eval,
@@ -341,10 +349,60 @@ int main(int argc, char** argv) {
     std::printf("\nload-to-first-eval (%s): %.1f us  (parse + Study compile "
                 "+ 1 eval, cost %.6g)\n",
                 model_path.c_str(), load_ns / 1e3, first_eval_value);
+
+    // --- study tape: every backend on the document's cost tape ----------
+    // Uniform points in the document's box from a fixed-seed generator
+    // (the raw 64-bit draws are specified by the standard, so every host
+    // times the same points). The reference is the scalar tape.
+    const core::Study study = core::Study::from_document(
+        ftio::load_study(model_path));
+    const core::ParameterSpace study_space = study.space();
+    const auto study_tape = expr::CompiledExpr::compile(
+        study.model().cost_expression(), study_space.names());
+    const opt::Box study_box = study_space.box();
+    const std::size_t dim = study_box.dimension();
+    constexpr std::size_t kStudyPoints = 16384;
+    std::vector<double> study_points(kStudyPoints * dim);
+    std::mt19937_64 rng(20040628);
+    for (std::size_t k = 0; k < study_points.size(); ++k) {
+      const std::size_t i = k % dim;
+      const double u = static_cast<double>(rng() >> 11) * 0x1p-53;
+      study_points[k] =
+          study_box.lower[i] + u * (study_box.upper[i] - study_box.lower[i]);
+    }
+    std::vector<double> study_reference(kStudyPoints);
+    for (std::size_t r = 0; r < kStudyPoints; ++r) {
+      study_reference[r] = study_tape.evaluate(
+          std::span<const double>(&study_points[r * dim], dim));
+    }
+    std::printf("\nstudy tape (%s, %zu instructions): %zu scattered "
+                "points, best of %d\n",
+                model_path.c_str(), study_tape.tape_size(), kStudyPoints,
+                repeats);
+    for (BackendRun& run : backend_runs) {
+      if (!run.available) continue;
+      const expr::EvalBackend* backend = expr::BackendRegistry::find(run.name);
+      std::vector<double> values(kStudyPoints);
+      const double s = best_time(repeats, [&] {
+        study_tape.evaluate_batch(
+            {.points = study_points, .values = values, .backend = backend});
+      });
+      run.study_ns_per_eval = 1e9 * s / static_cast<double>(kStudyPoints);
+      const bool identical = values == study_reference;
+      run.identical = run.identical && identical;
+      std::printf("  backend %-10s : %8.1f ns/eval%s%s\n", run.name.c_str(),
+                  run.study_ns_per_eval,
+                  run.name == active_backend ? "   (active)" : "",
+                  identical ? "" : "   NOT BITWISE-IDENTICAL — BUG");
+    }
   } else {
-    std::printf("\nload-to-first-eval skipped: %s not found "
+    std::printf("\nload-to-first-eval and study tape skipped: %s not found "
                 "(pass --model PATH)\n",
                 model_path.c_str());
+  }
+  bool backends_identical = true;
+  for (const BackendRun& run : backend_runs) {
+    backends_identical = backends_identical && run.identical;
   }
 
   if (!json_path.empty()) {
@@ -353,16 +411,19 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    // Per-backend entries: 0 ns means "not available on this host"
-    // (compare_bench.py ignores non-positive raw metrics).
+    // Per-backend entries: 0 ns means "not available on this host" (or,
+    // for the study rows, "model not found"); compare_bench.py ignores
+    // non-positive raw metrics.
     double avx2_ns = 0.0;
     double generic_ns = 0.0;
     std::string backend_json;
     for (const BackendRun& run : backend_runs) {
-      char line[128];
+      char line[256];
       std::snprintf(line, sizeof line,
-                    "  \"backend_%s_ns_per_eval\": %.3f,\n",
-                    run.name.c_str(), run.ns_per_eval);
+                    "  \"backend_%s_ns_per_eval\": %.3f,\n"
+                    "  \"backend_%s_study_ns_per_eval\": %.3f,\n",
+                    run.name.c_str(), run.ns_per_eval, run.name.c_str(),
+                    run.study_ns_per_eval);
       backend_json += line;
       if (run.name == "avx2") avx2_ns = run.ns_per_eval;
       if (run.name == "generic") generic_ns = run.ns_per_eval;

@@ -411,7 +411,7 @@ def main(argv):
 
     base_tree = baseline["tree_ns_per_eval"]
     fresh_tree = fresh["tree_ns_per_eval"]
-    print(f"{'metric':<28}{'baseline':>12}{'fresh':>12}{'norm Δ':>10}  gate")
+    print(f"{'metric':<34}{'baseline':>12}{'fresh':>12}{'norm Δ':>10}  gate")
     summary_lines.append("#### Compiled-evaluation kernel\n")
     summary_lines.append("| metric | baseline ns/eval | fresh ns/eval | norm Δ | gate |")
     summary_lines.append("|---|---:|---:|---:|---|")
@@ -430,7 +430,7 @@ def main(argv):
         elif not gated:
             verdict = "info"
         print(
-            f"{metric:<28}{baseline[metric]:>12.1f}{fresh[metric]:>12.1f}"
+            f"{metric:<34}{baseline[metric]:>12.1f}{fresh[metric]:>12.1f}"
             f"{delta:>+9.1%}  {verdict}"
         )
         summary_lines.append(
@@ -444,7 +444,7 @@ def main(argv):
             continue  # absent (older JSON) or 0 (skipped: model not found)
         delta = fresh_value / base_value - 1.0
         print(
-            f"{metric:<28}{base_value:>12.1f}{fresh_value:>12.1f}"
+            f"{metric:<34}{base_value:>12.1f}{fresh_value:>12.1f}"
             f"{delta:>+9.1%}  info"
         )
         summary_lines.append(
@@ -452,10 +452,12 @@ def main(argv):
             f"| {delta:+.1%} | info |"
         )
 
-    # Per-backend 8-lane timings (backend_<name>_ns_per_eval). Report-only:
-    # backend availability depends on the runner CPU, so a cross-machine
-    # delta is not a regression signal — the gated quantities are the
-    # bitwise contract and the avx2-vs-generic speedup measured in-process.
+    # Per-backend timings at each backend's default lane width, on the
+    # Fig. 5 surface (backend_<name>_ns_per_eval) and on the study tape
+    # (backend_<name>_study_ns_per_eval). Report-only: backend availability
+    # depends on the runner CPU, so a cross-machine delta is not a
+    # regression signal — the gated quantities are the bitwise contract and
+    # the avx2-vs-generic speedup measured in-process.
     for metric in sorted(fresh):
         if not (metric.startswith("backend_") and metric.endswith("_ns_per_eval")):
             continue
@@ -468,7 +470,7 @@ def main(argv):
             f"{fresh_value / base_value - 1.0:>+9.1%}" if base_value
             else f"{'-':>9}"
         )
-        print(f"{metric:<28}{base_text}{fresh_value:>12.1f}{delta_text}  info")
+        print(f"{metric:<34}{base_text}{fresh_value:>12.1f}{delta_text}  info")
         summary_lines.append(
             f"| {metric} | {base_value:.1f} | {fresh_value:.1f} "
             f"| - | info |"

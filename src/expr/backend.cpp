@@ -24,8 +24,8 @@ struct RegistryState {
   std::string env_name;
 
   RegistryState() {
-    for (auto* make : {detail::make_generic_backend, detail::make_avx2_backend,
-                       detail::make_avx512_backend}) {
+    for (auto* make :
+         {detail::make_generic_backend, detail::make_avx2_backend}) {
       if (std::unique_ptr<EvalBackend> backend = make()) {
         backends.push_back(std::move(backend));
       }

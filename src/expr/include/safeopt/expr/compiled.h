@@ -29,8 +29,8 @@
 //               instruction together, so interpreter dispatch amortizes
 //               L-fold. *Which* kernel runs is an expr::EvalBackend picked
 //               from the BackendRegistry ("generic" is the portable
-//               interpreter; "avx2"/"avx512" are explicit intrinsic
-//               kernels), selected at runtime by CPUID dispatch unless the
+//               interpreter; "avx2" is an explicit intrinsic kernel),
+//               selected at runtime by CPUID dispatch unless the
 //               request, the SAFEOPT_BACKEND env var, or the --backend CLI
 //               override pins one. The scalar loop remains the tail
 //               handler, the lane_width == 1 path, and the bitwise-identity

@@ -11,7 +11,8 @@
 namespace safeopt::expr {
 
 /// The instruction-set extensions the built-in backends care about, probed
-/// once per process. All false on non-x86-64 targets.
+/// once per process. All false on non-x86-64 targets. The AVX-512 fields
+/// back no backend; they describe the host in benchmark reports.
 struct CpuFeatures {
   bool avx2 = false;
   bool avx512f = false;

@@ -6,12 +6,15 @@
 // seam those requests cross: an `EvalBackend` is one implementation of the
 // lane-block kernels (the per-instruction loops over L points), and the
 // `BackendRegistry` is the name -> backend table that runtime dispatch
-// picks from. Three backends are built in:
+// picks from. Two backends are built in:
 //
 //   "generic"  the portable lane-blocked interpreter (compiled.cpp) — the
 //              bitwise oracle every other backend is tested against
 //   "avx2"     explicit 256-bit intrinsic kernels (backend_avx2.cpp)
-//   "avx512"   explicit 512-bit intrinsic kernels (backend_avx512.cpp)
+//
+// Any backend besides the "generic" oracle is kept only while it is the
+// fastest on at least one of bench_compiled_eval's two tapes: the Fig. 5
+// surface and a study document's cost tape at scattered points.
 //
 // Dispatch picks the highest-priority backend whose `available()` CPUID
 // probe passes; `SAFEOPT_BACKEND`, the `--backend` CLI flag (a process-wide
@@ -86,9 +89,9 @@ class EvalBackend {
 };
 
 /// Process-wide name -> backend table plus the runtime dispatch policy.
-/// "generic" is always registered; "avx2" / "avx512" are registered
-/// whenever their kernel TUs were compiled in (their `available()` probes
-/// still gate dispatch at runtime). All methods are thread-safe.
+/// "generic" is always registered; "avx2" is registered whenever its kernel
+/// TU was compiled in (its `available()` probe still gates dispatch at
+/// runtime). All methods are thread-safe.
 class BackendRegistry {
  public:
   /// The outcome of resolving a backend request.

@@ -326,6 +326,9 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
     if (state.finished) continue;  // unfinished now means aborted
     state.result.aborted = true;
     state.result.importance = importance;
+    // No completed round: nothing is known about p, and the interval says
+    // so instead of claiming a certain zero.
+    if (state.result.trials == 0) state.result.ci95 = {0.0, 1.0};
   }
 
   std::vector<AdaptiveResult> results;

@@ -95,8 +95,9 @@ struct AdaptiveResult {
   /// false without a stopping target (target_halfwidth = 0).
   bool converged = false;
   /// True when a deadline/cancellation cut the run short; the totals above
-  /// then describe the last completed round (zero rounds when the control
-  /// fired before the first round finished).
+  /// then describe the last completed round. With zero completed rounds
+  /// (the control fired before the first round finished) `trials` is 0 and
+  /// `ci95` is the uninformative [0, 1].
   bool aborted = false;
   /// True when the estimate came from the tilted (importance) sampler.
   bool importance = false;

@@ -192,6 +192,44 @@ AnalysisGraph::compile_pass(
 
 // ------------------------------------------------------------------ quantify
 
+void check_constant_model_options(const AnalysisOptions& options) {
+  if (!options.at.empty()) {
+    throw std::invalid_argument(
+        "evaluation point given, but the model declares no free parameters");
+  }
+  if (options.solver.has_value() || !options.extras.empty() ||
+      options.seed.has_value()) {
+    throw std::invalid_argument(
+        "solver options have no effect when quantifying a constant model "
+        "(no free parameters, nothing to optimize)");
+  }
+}
+
+ConstantQuantification quantify_constant_model(
+    const ftio::StudyDocument& doc, const core::StudyOverrides& overrides,
+    const ExecutionControl* control) {
+  ConstantQuantification out;
+  const auto [engine_name, engine_config] =
+      core::document_engine_selection(doc, overrides);
+  out.engine_name = engine_name;
+  for (const ftio::HazardDecl& hazard : doc.hazards) {
+    const ftio::TreeModel* model = doc.find_tree(hazard.tree);
+    fta::QuantificationInput input =
+        fta::QuantificationInput::for_tree(model->tree, 0.0);
+    for (const ftio::LeafProbability& leaf : model->leaves) {
+      input.set(model->tree, leaf.name, leaf.probability.evaluate({}));
+    }
+    std::string degradation;
+    const auto engine = core::create_engine_with_fallback(
+        engine_name, model->tree, engine_config, &degradation, control);
+    core::QuantificationResult result = engine->quantify(input, control);
+    if (!degradation.empty()) result.diagnostics.push_back(degradation);
+    out.results.emplace_back(hazard.tree, std::move(result));
+    out.cost += hazard.cost * out.results.back().second.probability;
+  }
+  return out;
+}
+
 std::string AnalysisGraph::quantify(const std::string& document_text,
                                     const AnalysisOptions& options,
                                     const ExecutionControl* control) {
@@ -203,46 +241,15 @@ std::string AnalysisGraph::quantify(const std::string& document_text,
   }
 
   if (doc.parameters.empty()) {
-    // Constant (parameter-less) model: no study, engines straight on the
-    // numeric leaves — the CLI's quantify_constant_model path. Engines are
-    // per-computation here, so the request control wires in directly.
-    if (!options.at.empty()) {
-      throw std::invalid_argument(
-          "evaluation point given, but the model declares no free "
-          "parameters");
-    }
-    if (options.solver.has_value() || !options.extras.empty() ||
-        options.seed.has_value()) {
-      throw std::invalid_argument(
-          "solver options have no effect when quantifying a constant model "
-          "(no free parameters, nothing to optimize)");
-    }
+    // Constant (parameter-less) model: no compile pass; the engines are
+    // built per computation, under this request's control.
+    check_constant_model_options(options);
     const std::string key =
         concat("quantify:const:", parsed->canonical_hex, ":",
                hex64(fnv1a(option_fingerprint(options))));
-    const auto outcome = cache_.get_as<QuantifyOutcome>(key, [&] {
-      const auto [engine_name, engine_config] =
-          core::document_engine_selection(doc, options);
-      auto computed = std::make_shared<QuantifyOutcome>();
-      computed->engine_name = engine_name;
-      for (const ftio::HazardDecl& hazard : doc.hazards) {
-        const ftio::TreeModel* model = doc.find_tree(hazard.tree);
-        fta::QuantificationInput input =
-            fta::QuantificationInput::for_tree(model->tree, 0.0);
-        for (const ftio::LeafProbability& leaf : model->leaves) {
-          input.set(model->tree, leaf.name, leaf.probability.evaluate({}));
-        }
-        std::string degradation;
-        const auto engine = core::create_engine_with_fallback(
-            engine_name, model->tree, engine_config, &degradation, control);
-        core::QuantificationResult result = engine->quantify(input, control);
-        if (!degradation.empty()) {
-          result.diagnostics.push_back(degradation);
-        }
-        computed->results.emplace_back(hazard.tree, std::move(result));
-        computed->cost +=
-            hazard.cost * computed->results.back().second.probability;
-      }
+    const auto outcome = cache_.get_as<ConstantQuantification>(key, [&] {
+      auto computed = std::make_shared<ConstantQuantification>(
+          quantify_constant_model(doc, options, control));
       CacheEntry entry;
       entry.value = computed;
       entry.bytes = 512 + computed->results.size() * 512;

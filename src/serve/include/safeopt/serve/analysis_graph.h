@@ -86,6 +86,29 @@ struct PassDesc {
 [[nodiscard]] std::vector<std::string> validate_problems(
     const ftio::StudyDocument& doc);
 
+/// A constant (parameter-less) model's quantification: each hazard's
+/// engine runs straight on the document's numeric leaf probabilities, with
+/// no Study.
+struct ConstantQuantification {
+  std::string engine_name;
+  HazardResults results;
+  double cost = 0.0;
+};
+
+/// Throws std::invalid_argument when `options` asks a constant model for
+/// what it cannot give: an evaluation point, or solver options (there is
+/// nothing to optimize).
+void check_constant_model_options(const AnalysisOptions& options);
+
+/// Quantifies every hazard of a constant model with the document's engine
+/// selection and the engine overrides of `overrides` on top, each engine
+/// built and run under `control` (nullptr = unbounded). The one path
+/// behind `safeopt quantify` and POST /v1/quantify on constant models;
+/// callers check the options with check_constant_model_options first.
+[[nodiscard]] ConstantQuantification quantify_constant_model(
+    const ftio::StudyDocument& doc, const core::StudyOverrides& overrides,
+    const ExecutionControl* control = nullptr);
+
 class AnalysisGraph {
  public:
   explicit AnalysisGraph(std::size_t cache_bytes);

@@ -7,7 +7,9 @@
 #include <string>
 
 #include "safeopt/core/study.h"
+#include "safeopt/expr/eval_backend.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 namespace {
@@ -230,6 +232,31 @@ TEST(StudyDocumentTest, RejectsUnknownSolverAndEngine) {
   EXPECT_THROW((void)Study::from_document(ftio::parse_study(
                    base + "solver multi_start starts = 8x;\n")),
                std::invalid_argument);
+}
+
+// "avx512" is no longer a backend (it never beat avx2 in
+// bench_compiled_eval); in a document it is an unknown name like any typo,
+// rejected with the registered list.
+TEST(StudyDocumentTest, RejectsAnUnregisteredBackendWithTheRegisteredList) {
+  const std::string registered =
+      join(expr::BackendRegistry::registered(), ", ");
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  EXPECT_EQ(registered, "generic, avx2");
+#endif
+  const std::string text =
+      "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.1 * X;\n"
+      "hazard fault-tree cost = 1;\nengine fta backend = avx512;\n";
+  try {
+    (void)Study::from_document(ftio::parse_study(text));
+    FAIL() << "backend = avx512 was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("unknown backend \"avx512\""), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(concat("registered: ", registered, ", or auto")),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(StudyDocumentTest, SelectionHelpersMirrorFromDocument) {

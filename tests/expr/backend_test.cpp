@@ -216,9 +216,10 @@ TEST(BackendRegistryTest, UnknownRequestDegradesWithDiagnostic) {
 
 // The graceful-degradation contract: a registered backend whose hardware
 // probe says "no" is never selected — not even when it outranks everything
-// — and the resolution says why. This is the SAFEOPT_BACKEND=avx512-on-an-
-// avx2-host scenario, simulated with a backend that is unavailable
-// everywhere so the test runs on any machine.
+// — and the resolution says why. This is the scenario of SAFEOPT_BACKEND
+// naming a registered backend the host CPU lacks (avx2 on a pre-AVX2
+// machine), simulated with a backend that is unavailable everywhere so the
+// test runs on any machine.
 class UnavailableBackend final : public EvalBackend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -278,6 +279,38 @@ TEST(BackendRegistryTest, UnavailableBackendIsNeverSelected) {
   std::vector<double> out(3);
   compiled.evaluate_batch({.points = points, .values = out});
   EXPECT_EQ(out, (std::vector<double>{4.0, 10.0, 16.0}));
+}
+
+// "avx512" is no longer a backend (it never beat avx2 in
+// bench_compiled_eval). A process-wide request for it — the --backend
+// override layer or SAFEOPT_BACKEND — degrades to the dispatch pick with a
+// "not registered" diagnostic, like any unknown name.
+TEST(BackendRegistryTest, RemovedAvx512NameDegradesFromEveryProcessLayer) {
+  const DispatchStateGuard guard;
+  BackendRegistry::set_override("");
+  ::unsetenv("SAFEOPT_BACKEND");
+  BackendRegistry::refresh_environment();
+  EXPECT_EQ(BackendRegistry::find("avx512"), nullptr);
+  const EvalBackend* best = &BackendRegistry::active();
+
+  BackendRegistry::set_override("avx512");
+  const BackendRegistry::Selection via_override = BackendRegistry::resolve({});
+  EXPECT_EQ(via_override.backend, best);
+  EXPECT_EQ(via_override.requested, "avx512");
+  EXPECT_NE(via_override.diagnostic.find(
+                "backend override \"avx512\" is not registered"),
+            std::string::npos)
+      << via_override.diagnostic;
+
+  BackendRegistry::set_override("");
+  ::setenv("SAFEOPT_BACKEND", "avx512", 1);
+  BackendRegistry::refresh_environment();
+  const BackendRegistry::Selection via_env = BackendRegistry::resolve({});
+  EXPECT_EQ(via_env.backend, best);
+  EXPECT_NE(
+      via_env.diagnostic.find("SAFEOPT_BACKEND \"avx512\" is not registered"),
+      std::string::npos)
+      << via_env.diagnostic;
 }
 
 TEST(BackendRegistryTest, OverrideLayerBeatsEnvironmentLayer) {

@@ -207,6 +207,29 @@ TEST(McFaultTest, AbortBeforeFirstRoundReportsZeroTrials) {
   EXPECT_EQ(result.occurrences, 0u);
 }
 
+// With no completed round nothing is known about p: both Monte Carlo
+// engines report zero trials with the uninformative [0, 1] interval next
+// to the abort flag, not a certain zero.
+TEST(McFaultTest, AbortBeforeFirstRoundReportsTheUninformativeInterval) {
+  fta::FaultTree tree("or2");
+  const fta::NodeId a = tree.add_basic_event("a");
+  const fta::NodeId b = tree.add_basic_event("b");
+  tree.set_top(tree.add_or("top", {a, b}));
+  const ExecutionControl control = FaultInjector::expired_deadline();
+  for (const char* engine : {"mc", "mc_adaptive"}) {
+    SCOPED_TRACE(engine);
+    const core::QuantificationResult result =
+        core::EngineRegistry::create(engine, tree, {})
+            ->quantify(uniform_input(tree, 0.1), &control);
+    ASSERT_TRUE(result.aborted.has_value());
+    EXPECT_TRUE(*result.aborted);
+    EXPECT_EQ(result.trials, 0u);
+    ASSERT_TRUE(result.ci95.has_value());
+    EXPECT_EQ(result.ci95->lo, 0.0);
+    EXPECT_EQ(result.ci95->hi, 1.0);
+  }
+}
+
 TEST(McFaultTest, AbortedRunEqualsLastCompletedRoundBitwise) {
   const fta::FaultTree tree = voting_tree();
   const fta::QuantificationInput input = uniform_input(tree, 0.2);

@@ -52,7 +52,6 @@
 #include "safeopt/core/quantification_engine.h"
 #include "safeopt/core/study.h"
 #include "safeopt/expr/eval_backend.h"
-#include "safeopt/fta/cut_sets.h"
 #include "safeopt/ftio/parser.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/serve/analysis_graph.h"
@@ -68,12 +67,12 @@ namespace {
 using namespace safeopt;
 
 /// The inherited --solver/--extra/--seed/--engine/--engine-opt overrides
-/// layer on the document's selections inside core::Study::from_document.
-struct Options : core::StudyOverrides {
+/// layer on the document's selections inside core::Study::from_document;
+/// `model` is the document path and `at` the --at point, as in an HTTP
+/// request's options.
+struct Options : serve::AnalysisOptions {
   std::string command;
-  std::string model;
   std::optional<std::string> backend;
-  std::vector<std::pair<std::string, double>> at;
   bool json = false;
 };
 
@@ -242,45 +241,20 @@ HazardResults quantify_hazards(const core::Study& study,
 /// Study, just the engines on the numeric leaf probabilities.
 int quantify_constant_model(const ftio::StudyDocument& doc,
                             const Options& options) {
-  if (!options.at.empty()) {
-    throw std::invalid_argument(
-        "--at given, but the model declares no free parameters");
-  }
-  if (options.solver.has_value() || !options.extras.empty() ||
-      options.seed.has_value()) {
-    throw std::invalid_argument(
-        "--solver/--extra/--seed have no effect when quantifying a "
-        "constant model (no free parameters, nothing to optimize)");
-  }
-  const auto [engine_name, engine_config] =
-      core::document_engine_selection(doc, options);
-  HazardResults results;
-  double cost = 0.0;
-  for (const ftio::HazardDecl& hazard : doc.hazards) {
-    const ftio::TreeModel* model = doc.find_tree(hazard.tree);
-    fta::QuantificationInput input =
-        fta::QuantificationInput::for_tree(model->tree, 0.0);
-    for (const ftio::LeafProbability& leaf : model->leaves) {
-      input.set(model->tree, leaf.name, leaf.probability.evaluate({}));
-    }
-    std::string degradation;
-    const auto engine = core::create_engine_with_fallback(
-        engine_name, model->tree, engine_config, &degradation);
-    core::QuantificationResult result = engine->quantify(input);
-    if (!degradation.empty()) result.diagnostics.push_back(degradation);
-    results.emplace_back(hazard.tree, std::move(result));
-    cost += hazard.cost * results.back().second.probability;
-  }
+  serve::check_constant_model_options(options);
+  const serve::ConstantQuantification outcome =
+      serve::quantify_constant_model(doc, options);
   if (options.json) {
     std::fputs(serve::render_constant_quantify_response(
-                   doc.source, engine_name, results, cost)
+                   doc.source, outcome.engine_name, outcome.results,
+                   outcome.cost)
                    .c_str(),
                stdout);
   } else {
     std::printf("%s (constant model):\n",
                 doc.source.empty() ? "<memory>" : doc.source.c_str());
-    print_hazard_results_text(results, engine_name);
-    std::printf("  expected cost = %.6e\n", cost);
+    print_hazard_results_text(outcome.results, outcome.engine_name);
+    std::printf("  expected cost = %.6e\n", outcome.cost);
   }
   return 0;
 }
@@ -322,10 +296,8 @@ int run_validate(const ftio::StudyDocument& doc, const Options& options) {
                   parameter.unit.c_str());
     }
     for (const ftio::TreeModel& model : doc.trees) {
-      const auto mcs = fta::minimal_cut_sets(model.tree);
-      std::printf("  tree %s: %zu nodes, %zu minimal cut sets\n",
-                  model.tree.name().c_str(), model.tree.node_count(),
-                  mcs.size());
+      std::printf("  tree %s: %zu nodes\n", model.tree.name().c_str(),
+                  model.tree.node_count());
     }
     for (const ftio::HazardDecl& hazard : doc.hazards) {
       std::printf("  hazard %s cost = %g\n", hazard.tree.c_str(),
