@@ -24,6 +24,10 @@
 //                           scripts/compare_bench.py gates them for exact
 //                           equality against BENCH_large_trees.json.
 //
+// Report-only: `parse_ms` times ftio::parse_study on the tier's document
+// (write_fault_tree of the tier), the layer in front of the pipeline on the
+// exact-quantify path.
+//
 // Usage: bench_large_trees [--json PATH] [--plain-limit EVENTS]
 #include <chrono>
 #include <cmath>
@@ -34,6 +38,8 @@
 #include <vector>
 
 #include "safeopt/bdd/bdd.h"
+#include "safeopt/ftio/study_document.h"
+#include "safeopt/ftio/writer.h"
 #include "safeopt/prep/preprocess.h"
 #include "tools/corpus.h"
 
@@ -50,6 +56,7 @@ struct TierReport {
   std::size_t events = 0;
   std::size_t modules = 0;
   double probability = 0.0;
+  double parse_ms = 0.0;
   double pipeline_ms = 0.0;
   double prep_compile_eval_ms = 0.0;
   std::size_t prep_decision_nodes = 0;
@@ -89,9 +96,9 @@ int main(int argc, char** argv) {
   options.cache_size = std::size_t{1} << 20;
 
   std::printf("=== preprocessing pipeline vs monolithic BDD ===\n\n");
-  std::printf("%-6s %8s %8s %12s %12s %9s %9s  %s\n", "tier", "events",
+  std::printf("%-6s %8s %8s %12s %12s %9s %9s %9s  %s\n", "tier", "events",
               "modules", "plain nodes", "prep nodes", "nodes", "time",
-              "P(top)");
+              "parse ms", "P(top)");
 
   std::vector<TierReport> reports;
   double max_node_reduction = 0.0;
@@ -103,6 +110,18 @@ int main(int argc, char** argv) {
     TierReport report;
     report.name = spec.name;
     report.events = spec.events();
+
+    const std::string document =
+        ftio::write_fault_tree(model.tree, model.input);
+    const auto p0 = Clock::now();
+    const ftio::StudyDocument parsed = ftio::parse_study(document);
+    report.parse_ms = ms_between(p0, Clock::now());
+    if (parsed.trees.size() != 1 ||
+        parsed.trees.front().tree.node_count() != model.tree.node_count()) {
+      std::fprintf(stderr, "tier %s: the written document did not parse "
+                           "back to the tier's tree\n", spec.name.c_str());
+      return 1;
+    }
 
     const auto t0 = Clock::now();
     const prep::PreprocessedTree preprocessed =
@@ -159,16 +178,16 @@ int main(int argc, char** argv) {
     all_invariant = all_invariant && report.cache_geometry_invariant;
 
     if (report.plain_measured) {
-      std::printf("%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx  %.6e\n",
+      std::printf("%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx %9.1f  %.6e\n",
                   report.name.c_str(), report.events, report.modules,
                   report.plain_decision_nodes, report.prep_decision_nodes,
-                  report.node_reduction, report.time_ratio,
+                  report.node_reduction, report.time_ratio, report.parse_ms,
                   report.probability);
     } else {
-      std::printf("%-6s %8zu %8zu %12s %12zu %9s %9s  %.6e\n",
+      std::printf("%-6s %8zu %8zu %12s %12zu %9s %9s %9.1f  %.6e\n",
                   report.name.c_str(), report.events, report.modules,
                   "(skipped)", report.prep_decision_nodes, "-", "-",
-                  report.probability);
+                  report.parse_ms, report.probability);
     }
     reports.push_back(report);
   }
@@ -187,7 +206,8 @@ int main(int argc, char** argv) {
       char buffer[64];
       std::snprintf(buffer, sizeof buffer, "%.17g", r.probability);
       out << "     \"probability\": " << buffer << ",\n";
-      out << "     \"pipeline_ms\": " << r.pipeline_ms
+      out << "     \"parse_ms\": " << r.parse_ms
+          << ", \"pipeline_ms\": " << r.pipeline_ms
           << ", \"prep_compile_eval_ms\": " << r.prep_compile_eval_ms
           << ",\n     \"prep_decision_nodes\": " << r.prep_decision_nodes
           << ", \"prep_ite_calls\": " << r.prep_ite_calls << ",\n";

@@ -186,17 +186,18 @@ double BddManager::probability(
     BddRef f, const std::vector<double>& probabilities) const {
   SAFEOPT_EXPECTS(probabilities.size() == variable_count_);
   // Shannon decomposition, memoized per call (probabilities vary per call).
-  std::unordered_map<BddRef, double> memo;
+  std::vector<double> memo(nodes_.size());
+  std::vector<bool> done(nodes_.size(), false);
   const auto recurse = [&](auto&& self, BddRef r) -> double {
     if (r == kFalse) return 0.0;
     if (r == kTrue) return 1.0;
-    const auto it = memo.find(r);
-    if (it != memo.end()) return it->second;
+    if (done[r]) return memo[r];
     const Node& node = nodes_[r];
     const double p = probabilities[node.var];
     const double result =
         p * self(self, node.high) + (1.0 - p) * self(self, node.low);
-    memo.emplace(r, result);
+    memo[r] = result;
+    done[r] = true;
     return result;
   };
   return recurse(recurse, f);
@@ -365,10 +366,12 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
                              order.var_of_basic, order.var_of_condition};
   BddManager& manager = compiled.manager;
 
-  std::unordered_map<fta::NodeId, BddRef> memo;
+  // memo[id] is the compiled function of tree node `id`; no BddRef is
+  // UINT32_MAX, so that marks "not compiled yet".
+  constexpr BddRef kUncompiled = UINT32_MAX;
+  std::vector<BddRef> memo(tree.node_count(), kUncompiled);
   const auto build = [&](auto&& self, fta::NodeId id) -> BddRef {
-    const auto it = memo.find(id);
-    if (it != memo.end()) return it->second;
+    if (memo[id] != kUncompiled) return memo[id];
     BddRef result = kFalse;
     switch (tree.kind(id)) {
       case fta::NodeKind::kBasicEvent:
@@ -423,7 +426,7 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
         break;
       }
     }
-    memo.emplace(id, result);
+    memo[id] = result;
     return result;
   };
   compiled.root = build(build, tree.top());

@@ -20,9 +20,12 @@ FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
 NodeId FaultTree::add_node(Node node) {
   SAFEOPT_EXPECTS(!node.name.empty());
-  SAFEOPT_EXPECTS(by_name_.find(node.name) == by_name_.end());
   const auto id = static_cast<NodeId>(nodes_.size());
-  by_name_.emplace(node.name, id);
+  const NodeId holder = by_name_.insert(
+      node.name, id, [this](NodeId other) -> std::string_view {
+        return nodes_[other].name;
+      });
+  SAFEOPT_EXPECTS(holder == id);  // names are unique within the tree
   nodes_.push_back(std::move(node));
   return id;
 }
@@ -141,9 +144,12 @@ std::uint32_t FaultTree::vote_threshold(NodeId id) const {
 }
 
 std::optional<NodeId> FaultTree::find(std::string_view name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  const NodeId id = by_name_.find(
+      name, [this](NodeId other) -> std::string_view {
+        return nodes_[other].name;
+      });
+  if (id == NameIndex::kNone) return std::nullopt;
+  return id;
 }
 
 BasicEventOrdinal FaultTree::basic_event_ordinal(NodeId id) const {

@@ -22,12 +22,13 @@
 #define SAFEOPT_FTA_FAULT_TREE_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "safeopt/support/name_index.h"
 
 namespace safeopt::fta {
 
@@ -172,7 +173,7 @@ class FaultTree {
   std::vector<Node> nodes_;
   std::vector<NodeId> basic_events_;
   std::vector<NodeId> conditions_;
-  std::map<std::string, NodeId, std::less<>> by_name_;
+  NameIndex by_name_;  // node name -> NodeId; names live in nodes_
   std::optional<NodeId> top_;
 };
 

@@ -8,9 +8,8 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "safeopt/ftio/parser.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/support/error.h"
+#include "safeopt/support/name_index.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::ftio {
@@ -39,17 +39,42 @@ struct Token {
     kEnd,
   };
   Kind kind = Kind::kEnd;
-  std::string text;
+  /// A view into the document. For kString it is the text between the
+  /// quotes with its escapes still in place (see unescape()).
+  std::string_view text;
   double number = 0.0;
   std::size_t line = 1;
   std::size_t column = 1;
 };
 
+/// Resolves the lexer's \" and \\ escapes; any other backslash is literal.
+std::string unescape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i] == '\\' && i + 1 < raw.size() &&
+        (raw[i + 1] == '"' || raw[i + 1] == '\\')) {
+      ++i;
+    }
+    out += raw[i];
+  }
+  return out;
+}
+
+/// How a token reads in a diagnostic: a string's contents, escapes
+/// resolved; any other token as written.
+std::string spelling(const Token& token) {
+  return token.kind == Token::Kind::kString ? unescape(token.text)
+                                            : std::string(token.text);
+}
+
 /// A captured raw expression slice: everything between '=' and ';', with
 /// comments blanked to spaces so expr::ParseError offsets still map onto
-/// document positions.
+/// document positions. `text` views the document, or `blanked` when the
+/// slice held a comment (heap-held, so the view survives moves).
 struct RawExpression {
-  std::string text;
+  std::string_view text;
+  std::unique_ptr<std::string> blanked;
   std::size_t line = 1;
   std::size_t column = 1;
 };
@@ -70,11 +95,9 @@ class Lexer {
     }
     const char c = text_[pos_];
     const auto single = [&](Token::Kind kind) {
-      advance();
       token.kind = kind;
-      // Char assignment sidesteps gcc 12's -Wrestrict false positive on
-      // basic_string::operator=(const char*) (PR105651 family).
-      token.text = c;
+      token.text = text_.substr(pos_, 1);
+      advance();
       return token;
     };
     switch (c) {
@@ -85,7 +108,7 @@ class Lexer {
       case ',': return single(Token::Kind::kComma);
       case '"': {
         advance();
-        std::string contents;
+        const std::size_t start = pos_;
         while (pos_ < text_.size() && text_[pos_] != '"' &&
                text_[pos_] != '\n') {
           // \" and \\ escapes, so the writer can round-trip arbitrary
@@ -94,7 +117,6 @@ class Lexer {
               (text_[pos_ + 1] == '"' || text_[pos_ + 1] == '\\')) {
             advance();
           }
-          contents += text_[pos_];
           advance();
         }
         if (pos_ >= text_.size() || text_[pos_] != '"') {
@@ -102,7 +124,7 @@ class Lexer {
                            "unterminated string literal");
         }
         token.kind = Token::Kind::kString;
-        token.text = std::move(contents);
+        token.text = text_.substr(start, pos_ - start);
         advance();  // closing quote
         return token;
       }
@@ -114,8 +136,8 @@ class Lexer {
       // number while "2of3" (vote gates) and "timer-1" stay identifiers.
       const std::size_t start = pos_;
       while (pos_ < text_.size() && is_word_char(text_[pos_])) advance();
-      const std::string_view slice = text_.substr(start, pos_ - start);
-      token.text = std::string(slice);
+      token.text = text_.substr(start, pos_ - start);
+      const std::string_view slice = token.text;
       const auto [end, ec] = std::from_chars(
           slice.data(), slice.data() + slice.size(), token.number);
       if (ec == std::errc{} && end == slice.data() + slice.size()) {
@@ -143,17 +165,27 @@ class Lexer {
     RawExpression raw;
     raw.line = line_;
     raw.column = column_;
+    const std::size_t start = pos_;
+    bool commented = false;
     while (pos_ < text_.size() && text_[pos_] != ';') {
-      char c = text_[pos_];
-      if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') {
-          raw.text += ' ';
-          advance();
-        }
+      if (text_[pos_] == '#') {
+        commented = true;
+        while (pos_ < text_.size() && text_[pos_] != '\n') advance();
         continue;
       }
-      raw.text += c;
       advance();
+    }
+    raw.text = text_.substr(start, pos_ - start);
+    if (commented) {
+      raw.blanked = std::make_unique<std::string>(raw.text);
+      std::string& blanked = *raw.blanked;
+      bool in_comment = false;
+      for (char& c : blanked) {
+        if (c == '#') in_comment = true;
+        if (c == '\n') in_comment = false;
+        if (in_comment) c = ' ';
+      }
+      raw.text = blanked;
     }
     return raw;
   }
@@ -219,34 +251,69 @@ std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_vote(
   return std::pair{k, n};
 }
 
+// Declarations hold views into the document text, which outlives the parse.
+
 struct GateDecl {
+  std::string_view name;
   fta::GateType type = fta::GateType::kOr;
   std::uint32_t k = 0;
-  std::vector<std::string> children;
+  std::vector<std::string_view> children;
   std::size_t line = 0;
   std::size_t column = 0;
 };
 
 struct LeafDecl {
+  std::string_view name;
   bool is_condition = false;
   RawExpression probability;
   std::size_t line = 0;
   std::size_t column = 0;
 };
 
-/// One tree section's statement-level state.
+/// One tree section's statement-level state. Gates and leaves are kept in
+/// document order, each table indexed by name; a name may be declared both
+/// as a gate and as a leaf (the gate wins when the tree is built).
 struct SectionDecl {
   std::string name = "fault-tree";
   bool explicit_stmt = false;  // introduced by a `tree` statement
   std::size_t line = 1;
   std::size_t column = 1;
-  std::string toplevel;
+  std::string_view toplevel;
   std::size_t toplevel_line = 0;
-  std::map<std::string, GateDecl> gates;
-  std::map<std::string, LeafDecl> leaves;
+  std::vector<GateDecl> gates;
+  std::vector<LeafDecl> leaves;
+  NameIndex gate_index;
+  NameIndex leaf_index;
 
   [[nodiscard]] bool has_declarations() const noexcept {
     return !toplevel.empty() || !gates.empty() || !leaves.empty();
+  }
+  [[nodiscard]] auto gate_name() const {
+    return [this](std::uint32_t id) { return gates[id].name; };
+  }
+  [[nodiscard]] auto leaf_name() const {
+    return [this](std::uint32_t id) { return leaves[id].name; };
+  }
+  /// Index into `gates` / `leaves`, or NameIndex::kNone.
+  [[nodiscard]] std::uint32_t find_gate(std::string_view gate) const {
+    return gate_index.find(gate, gate_name());
+  }
+  [[nodiscard]] std::uint32_t find_leaf(std::string_view leaf) const {
+    return leaf_index.find(leaf, leaf_name());
+  }
+  /// Files the declaration; false when the name is already declared as
+  /// the same kind.
+  bool add_gate(GateDecl gate) {
+    const auto id = static_cast<std::uint32_t>(gates.size());
+    if (gate_index.insert(gate.name, id, gate_name()) != id) return false;
+    gates.push_back(std::move(gate));
+    return true;
+  }
+  bool add_leaf(LeafDecl leaf) {
+    const auto id = static_cast<std::uint32_t>(leaves.size());
+    if (leaf_index.insert(leaf.name, id, leaf_name()) != id) return false;
+    leaves.push_back(std::move(leaf));
+    return true;
   }
 };
 
@@ -304,48 +371,32 @@ class DocumentParser {
 
   void consume() { current_ = lexer_.next(); }
 
+  Token expect_kind(Token::Kind kind, const char* what) {
+    if (current_.kind != kind) {
+      fail(current_.line, current_.column,
+           concat("expected ", what, ", got '", spelling(current_), "'"));
+    }
+    const Token token = current_;
+    consume();
+    return token;
+  }
   Token expect_identifier(const char* what) {
-    if (current_.kind != Token::Kind::kIdentifier) {
-      fail(current_.line, current_.column,
-           concat("expected ", what, ", got '", current_.text, "'"));
-    }
-    Token token = current_;
-    consume();
-    return token;
+    return expect_kind(Token::Kind::kIdentifier, what);
   }
-
   Token expect_number(const char* what) {
-    if (current_.kind != Token::Kind::kNumber) {
-      fail(current_.line, current_.column,
-           concat("expected ", what, ", got '", current_.text, "'"));
-    }
-    Token token = current_;
-    consume();
-    return token;
+    return expect_kind(Token::Kind::kNumber, what);
   }
-
   Token expect_string(const char* what) {
-    if (current_.kind != Token::Kind::kString) {
-      fail(current_.line, current_.column,
-           concat("expected ", what, ", got '", current_.text, "'"));
-    }
-    Token token = current_;
-    consume();
-    return token;
+    return expect_kind(Token::Kind::kString, what);
+  }
+  void expect_token(Token::Kind kind, const char* what) {
+    (void)expect_kind(kind, what);
   }
 
   void expect_semicolon() {
     if (current_.kind != Token::Kind::kSemicolon) {
       fail(current_.line, current_.column,
-           concat("expected ';' before '", current_.text, "'"));
-    }
-    consume();
-  }
-
-  void expect_token(Token::Kind kind, const char* what) {
-    if (current_.kind != kind) {
-      fail(current_.line, current_.column,
-           concat("expected ", what, ", got '", current_.text, "'"));
+           concat("expected ';' before '", spelling(current_), "'"));
     }
     consume();
   }
@@ -360,7 +411,7 @@ class DocumentParser {
       if (section().has_declarations() || section().explicit_stmt) {
         decls_.sections.emplace_back();  // a new tree section begins
       }
-      section().name = name.text;
+      section().name = std::string(name.text);
       section().explicit_stmt = true;
       section().line = head.line;
       section().column = head.column;
@@ -398,7 +449,7 @@ class DocumentParser {
              concat("unknown formula '", name.text,
                     "' (expected rare_event or min_cut_upper_bound)"));
       }
-      decls_.formula = name.text;
+      decls_.formula = std::string(name.text);
       expect_semicolon();
       return;
     }
@@ -420,6 +471,7 @@ class DocumentParser {
     }
 
     GateDecl gate;
+    gate.name = head.text;
     gate.line = head.line;
     gate.column = head.column;
     if (kind.text == "or") {
@@ -460,7 +512,7 @@ class DocumentParser {
            concat("vote gate '", head.text,
                   "' has fewer children than its threshold"));
     }
-    if (!section().gates.emplace(head.text, std::move(gate)).second) {
+    if (!section().add_gate(std::move(gate))) {
       fail(head.line, head.column,
            concat("duplicate definition of gate '", head.text, "'"));
     }
@@ -468,6 +520,7 @@ class DocumentParser {
 
   void declare_leaf(const Token& name, bool is_condition) {
     LeafDecl leaf;
+    leaf.name = name.text;
     leaf.is_condition = is_condition;
     leaf.line = name.line;
     leaf.column = name.column;
@@ -479,7 +532,7 @@ class DocumentParser {
     leaf.probability = lexer_.capture_expression();
     consume();
     expect_semicolon();
-    if (!section().leaves.emplace(name.text, std::move(leaf)).second) {
+    if (!section().add_leaf(std::move(leaf))) {
       fail(name.line, name.column,
            concat("duplicate declaration of leaf '", name.text, "'"));
     }
@@ -488,7 +541,7 @@ class DocumentParser {
   void parse_param() {
     ParamRaw param;
     const Token name = expect_identifier("the parameter name");
-    param.decl.name = name.text;
+    param.decl.name = std::string(name.text);
     param.line = name.line;
     param.column = name.column;
     const Token in = expect_identifier("'in' after the parameter name");
@@ -512,9 +565,10 @@ class DocumentParser {
       const Token clause = current_;
       consume();
       if (clause.text == "unit") {
-        param.decl.unit = expect_string("a quoted unit").text;
+        param.decl.unit = unescape(expect_string("a quoted unit").text);
       } else if (clause.text == "desc") {
-        param.decl.description = expect_string("a quoted description").text;
+        param.decl.description =
+            unescape(expect_string("a quoted description").text);
       } else {
         fail(clause.line, clause.column,
              concat("unknown parameter clause '", clause.text,
@@ -534,7 +588,7 @@ class DocumentParser {
   void parse_hazard() {
     HazardRaw hazard;
     const Token tree = expect_identifier("the hazard's tree name");
-    hazard.decl.tree = tree.text;
+    hazard.decl.tree = std::string(tree.text);
     hazard.line = tree.line;
     hazard.column = tree.column;
     const Token cost = expect_identifier("'cost' after the tree name");
@@ -569,7 +623,7 @@ class DocumentParser {
            concat("duplicate '", head.text, "' declaration"));
     }
     SelectionDecl selection;
-    selection.name = expect_identifier("a registry name").text;
+    selection.name = std::string(expect_identifier("a registry name").text);
     while (current_.kind == Token::Kind::kIdentifier) {
       const Token key = current_;
       consume();
@@ -582,9 +636,9 @@ class DocumentParser {
       if (current_.kind == Token::Kind::kNumber) {
         value = OptionValue::of(current_.number);
       } else if (current_.kind == Token::Kind::kIdentifier) {
-        value = OptionValue::of(current_.text);
+        value = OptionValue::of(std::string(current_.text));
       } else if (current_.kind == Token::Kind::kString) {
-        value = OptionValue::of(current_.text, /*quoted=*/true);
+        value = OptionValue::of(unescape(current_.text), /*quoted=*/true);
       } else {
         fail(current_.line, current_.column,
              concat("expected a value for option '", key.text, "', got '",
@@ -595,7 +649,7 @@ class DocumentParser {
         fail(key.line, key.column,
              concat("duplicate option '", key.text, "'"));
       }
-      selection.options.emplace_back(key.text, std::move(value));
+      selection.options.emplace_back(std::string(key.text), std::move(value));
     }
     expect_semicolon();
     slot = std::move(selection);
@@ -609,26 +663,44 @@ class DocumentParser {
 
 // ------------------------------------------------------------ tree builder
 
+/// A section's built tree, plus the declaration behind each leaf: the
+/// index into SectionDecl::leaves of every basic event and condition, in
+/// ordinal order.
+struct BuiltTree {
+  fta::FaultTree tree;
+  std::vector<std::uint32_t> basic_decl;
+  std::vector<std::uint32_t> condition_decl;
+};
+
 /// Second pass: build the FaultTree bottom-up from one section's
 /// declarations, detecting cycles and undefined references.
 class TreeBuilder {
  public:
   TreeBuilder(const SectionDecl& section, std::string_view source)
-      : section_(section), source_(source), tree_(section.name) {}
+      : section_(section),
+        source_(source),
+        built_{fta::FaultTree(section.name), {}, {}},
+        gate_node_(section.gates.size(), kUnbuilt),
+        leaf_node_(section.leaves.size(), kUnbuilt) {}
 
-  fta::FaultTree build() {
-    const fta::NodeId top =
-        build_node(section_.toplevel, section_.toplevel_line);
-    tree_.set_top(top);
-    for (const auto& [name, leaf] : section_.leaves) {
-      if (!tree_.find(name).has_value()) {
-        throw ParseError(source_, leaf.line, leaf.column,
-                         concat("leaf '", name,
-                                "' is declared but not reachable from "
-                                "toplevel"));
+  BuiltTree build() {
+    fta::FaultTree& tree = built_.tree;
+    tree.set_top(build_node(section_.toplevel, section_.toplevel_line));
+    // Of several unreachable leaves, the first by name is reported.
+    const LeafDecl* unreachable = nullptr;
+    for (const LeafDecl& leaf : section_.leaves) {
+      if (!tree.find(leaf.name).has_value() &&
+          (unreachable == nullptr || leaf.name < unreachable->name)) {
+        unreachable = &leaf;
       }
     }
-    return std::move(tree_);
+    if (unreachable != nullptr) {
+      throw ParseError(source_, unreachable->line, unreachable->column,
+                       concat("leaf '", unreachable->name,
+                              "' is declared but not reachable from "
+                              "toplevel"));
+    }
+    return std::move(built_);
   }
 
  private:
@@ -638,65 +710,88 @@ class TreeBuilder {
   /// anything past this bound is an adversarial or corrupted document.
   static constexpr std::size_t kMaxGateDepth = 512;
 
-  fta::NodeId build_node(const std::string& name, std::size_t ref_line) {
-    if (const auto existing = tree_.find(name)) return *existing;
-    if (in_progress_.contains(name)) {
-      throw ParseError(source_, ref_line, 1,
-                       concat("cycle through node '", name, "'"));
-    }
+  /// gate_node_/leaf_node_ states besides a built NodeId.
+  static constexpr fta::NodeId kUnbuilt = UINT32_MAX;
+  static constexpr fta::NodeId kInProgress = UINT32_MAX - 1;
 
-    const auto gate_it = section_.gates.find(name);
-    if (gate_it != section_.gates.end()) {
-      const GateDecl& gate = gate_it->second;
-      if (in_progress_.size() >= kMaxGateDepth) {
+  fta::NodeId build_node(std::string_view name, std::size_t ref_line) {
+    fta::FaultTree& tree = built_.tree;
+    const std::uint32_t gate_index = section_.find_gate(name);
+    if (gate_index != NameIndex::kNone) {
+      if (gate_node_[gate_index] == kInProgress) {
+        throw ParseError(source_, ref_line, 1,
+                         concat("cycle through node '", name, "'"));
+      }
+      if (gate_node_[gate_index] != kUnbuilt) return gate_node_[gate_index];
+      const GateDecl& gate = section_.gates[gate_index];
+      if (depth_ >= kMaxGateDepth) {
         throw ParseError(source_, gate.line, gate.column,
                          concat("gate nesting exceeds the supported depth (",
                                 std::to_string(kMaxGateDepth),
                                 ") at gate '", name, "'"));
       }
-      in_progress_.insert(name);
+      gate_node_[gate_index] = kInProgress;
+      ++depth_;
       std::vector<fta::NodeId> children;
       children.reserve(gate.children.size());
-      for (const std::string& child : gate.children) {
+      for (const std::string_view child : gate.children) {
         children.push_back(build_node(child, gate.line));
       }
-      in_progress_.erase(name);
-      switch (gate.type) {
-        case fta::GateType::kOr:
-          return tree_.add_or(name, std::move(children));
-        case fta::GateType::kAnd:
-          return tree_.add_and(name, std::move(children));
-        case fta::GateType::kXor:
-          return tree_.add_xor(name, std::move(children));
-        case fta::GateType::kKofN:
-          return tree_.add_k_of_n(name, gate.k, std::move(children));
-        case fta::GateType::kInhibit: {
-          const fta::NodeId cause = children[0];
-          const fta::NodeId condition = children[1];
-          if (tree_.kind(condition) != fta::NodeKind::kCondition) {
-            throw ParseError(source_, gate.line, gate.column,
-                             concat("second operand of inhibit gate '", name,
-                                    "' must be a condition leaf"));
-          }
-          return tree_.add_inhibit(name, cause, condition);
-        }
-      }
-      throw ParseError(source_, gate.line, gate.column,
-                       "unreachable gate kind");
+      --depth_;
+      gate_node_[gate_index] = add_gate(gate, std::move(children));
+      return gate_node_[gate_index];
     }
 
-    const auto leaf_it = section_.leaves.find(name);
-    if (leaf_it != section_.leaves.end()) {
-      return leaf_it->second.is_condition ? tree_.add_condition(name)
-                                          : tree_.add_basic_event(name);
+    const std::uint32_t leaf_index = section_.find_leaf(name);
+    if (leaf_index != NameIndex::kNone) {
+      fta::NodeId& node = leaf_node_[leaf_index];
+      if (node == kUnbuilt) {
+        if (section_.leaves[leaf_index].is_condition) {
+          node = tree.add_condition(std::string(name));
+          built_.condition_decl.push_back(leaf_index);
+        } else {
+          node = tree.add_basic_event(std::string(name));
+          built_.basic_decl.push_back(leaf_index);
+        }
+      }
+      return node;
     }
     throw ParseError(source_, ref_line, 1, concat("undefined node '", name, "'"));
   }
 
+  fta::NodeId add_gate(const GateDecl& gate,
+                       std::vector<fta::NodeId> children) {
+    fta::FaultTree& tree = built_.tree;
+    std::string name(gate.name);
+    switch (gate.type) {
+      case fta::GateType::kOr:
+        return tree.add_or(std::move(name), std::move(children));
+      case fta::GateType::kAnd:
+        return tree.add_and(std::move(name), std::move(children));
+      case fta::GateType::kXor:
+        return tree.add_xor(std::move(name), std::move(children));
+      case fta::GateType::kKofN:
+        return tree.add_k_of_n(std::move(name), gate.k, std::move(children));
+      case fta::GateType::kInhibit: {
+        const fta::NodeId cause = children[0];
+        const fta::NodeId condition = children[1];
+        if (tree.kind(condition) != fta::NodeKind::kCondition) {
+          throw ParseError(source_, gate.line, gate.column,
+                           concat("second operand of inhibit gate '", name,
+                                  "' must be a condition leaf"));
+        }
+        return tree.add_inhibit(std::move(name), cause, condition);
+      }
+    }
+    throw ParseError(source_, gate.line, gate.column, "unreachable gate kind");
+  }
+
   const SectionDecl& section_;
   std::string_view source_;
-  fta::FaultTree tree_;
-  std::set<std::string> in_progress_;
+  BuiltTree built_;
+  std::vector<fta::NodeId> gate_node_;  // by gate index
+  std::vector<fta::NodeId> leaf_node_;  // by leaf index
+  std::size_t depth_ = 0;               // gates under construction
 };
 
 // --------------------------------------------------------- semantic pass
@@ -735,36 +830,64 @@ expr::Expr parse_leaf_expression(const RawExpression& raw,
   }
 }
 
-/// Leaf-expression parsing, the constant [0, 1] range check, and the
-/// ordinal-ordered LeafProbability list for one built tree.
+/// Leaf-expression parsing plus the constant [0, 1] range check.
+expr::Expr checked_leaf_expression(const LeafDecl& leaf,
+                                   const expr::SymbolTable& symbols,
+                                   std::string_view source) {
+  expr::Expr probability =
+      parse_leaf_expression(leaf.probability, symbols, source);
+  if (probability.is_constant()) {
+    const double p = probability.evaluate({});
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw ParseError(
+          source, leaf.probability.line, leaf.probability.column,
+          concat("probability must lie in [0, 1], got ",
+                 trim(leaf.probability.text)));
+    }
+  }
+  return probability;
+}
+
+/// Every leaf expression of the section, checked, then the ordinal-ordered
+/// LeafProbability list of its built tree.
 std::vector<LeafProbability> resolve_leaves(const SectionDecl& section,
-                                            const fta::FaultTree& tree,
+                                            BuiltTree& built,
                                             const expr::SymbolTable& symbols,
                                             std::string_view source) {
-  std::map<std::string, expr::Expr> parsed;
-  for (const auto& [name, leaf] : section.leaves) {
-    expr::Expr probability =
-        parse_leaf_expression(leaf.probability, symbols, source);
-    if (probability.is_constant()) {
-      const double p = probability.evaluate({});
-      if (!(p >= 0.0 && p <= 1.0)) {
-        throw ParseError(
-            source, leaf.probability.line, leaf.probability.column,
-            concat("probability must lie in [0, 1], got ",
-                   trim(leaf.probability.text)));
-      }
+  std::vector<expr::Expr> parsed;
+  parsed.reserve(section.leaves.size());
+  try {
+    for (const LeafDecl& leaf : section.leaves) {
+      parsed.push_back(checked_leaf_expression(leaf, symbols, source));
     }
-    parsed.emplace(name, std::move(probability));
+  } catch (...) {
+    // Of several faulty leaves, the first by name is reported: re-check in
+    // name order, which throws at that leaf.
+    std::vector<const LeafDecl*> by_name;
+    by_name.reserve(section.leaves.size());
+    for (const LeafDecl& leaf : section.leaves) by_name.push_back(&leaf);
+    std::sort(by_name.begin(), by_name.end(),
+              [](const LeafDecl* a, const LeafDecl* b) {
+                return a->name < b->name;
+              });
+    for (const LeafDecl* leaf : by_name) {
+      (void)checked_leaf_expression(*leaf, symbols, source);
+    }
+    throw;
   }
   std::vector<LeafProbability> leaves;
-  leaves.reserve(parsed.size());
-  const auto append = [&](fta::NodeId id, bool is_condition) {
-    const std::string& name = tree.node_name(id);
+  leaves.reserve(built.basic_decl.size() + built.condition_decl.size());
+  const fta::FaultTree& tree = built.tree;
+  for (std::size_t i = 0; i < built.basic_decl.size(); ++i) {
+    leaves.push_back(LeafProbability{tree.node_name(tree.basic_events()[i]),
+                                     false,
+                                     std::move(parsed[built.basic_decl[i]])});
+  }
+  for (std::size_t i = 0; i < built.condition_decl.size(); ++i) {
     leaves.push_back(
-        LeafProbability{name, is_condition, parsed.at(name)});
-  };
-  for (const fta::NodeId id : tree.basic_events()) append(id, false);
-  for (const fta::NodeId id : tree.conditions()) append(id, true);
+        LeafProbability{tree.node_name(tree.conditions()[i]), true,
+                        std::move(parsed[built.condition_decl[i]])});
+  }
   return leaves;
 }
 
@@ -795,9 +918,10 @@ StudyDocument build_document(Declarations decls, std::string_view source) {
                          concat("duplicate tree '", section.name, "'"));
       }
     }
-    TreeModel model{TreeBuilder(section, source).build(), {}};
-    model.leaves = resolve_leaves(section, model.tree, symbols, source);
-    doc.trees.push_back(std::move(model));
+    BuiltTree built = TreeBuilder(section, source).build();
+    std::vector<LeafProbability> leaves =
+        resolve_leaves(section, built, symbols, source);
+    doc.trees.push_back(TreeModel{std::move(built.tree), std::move(leaves)});
   }
 
   for (HazardRaw& hazard : decls.hazards) {

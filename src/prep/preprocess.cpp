@@ -1,14 +1,15 @@
 #include "safeopt/prep/preprocess.h"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
-#include <map>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/execution.h"
+#include "safeopt/support/name_index.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::prep {
@@ -22,7 +23,9 @@ namespace {
 // erasing it, so ids stay stable and every pass resolves through the alias
 // chain. TRUE/FALSE constant items exist so constant propagation has
 // something to propagate (no source tree contains them, but a pass — or a
-// future pass, see docs/extending.md — may introduce them).
+// future pass, see docs/extending.md — may introduce them). Items refer to
+// names instead of copying them: a source node's name lives in the source
+// tree, a synthesized item's in Ir::synthesized_names.
 
 enum class ItemKind : std::uint8_t {
   kBasic,
@@ -38,19 +41,24 @@ struct Item {
   std::uint32_t k = 0;        // vote threshold for kKofN
   std::uint32_t ordinal = 0;  // original leaf ordinal (leaves only)
   std::vector<std::uint32_t> children;
-  std::string name;
-  std::string description;  // leaves only; gates are rebuilt bare
+  std::string_view name;
+  std::string_view description;  // leaves only; gates are rebuilt bare
 };
 
 struct Ir {
+  explicit Ir(const fta::FaultTree& tree) : source(&tree) {}
+
+  const fta::FaultTree* source;  // not owned; outlives the IR
   std::vector<Item> items;
   std::vector<std::uint32_t> alias;  // alias[i] == i when canonical
   std::uint32_t root = 0;
-  std::unordered_set<std::string> names;
+  /// Names the passes made up, indexed by `synthesized`. A deque, so the
+  /// views items hold stay valid as it grows.
+  std::deque<std::string> synthesized_names;
+  NameIndex synthesized;
 
   std::uint32_t add(Item item) {
     const auto id = static_cast<std::uint32_t>(items.size());
-    names.insert(item.name);
     items.push_back(std::move(item));
     alias.push_back(id);
     return id;
@@ -66,12 +74,25 @@ struct Ir {
 
   /// A name not used by any existing node; `base` itself when free,
   /// otherwise base.2, base.3, ... (dots are legal ftio identifier chars).
-  [[nodiscard]] std::string fresh_name(const std::string& base) {
-    if (!names.contains(base)) return base;
-    for (std::uint32_t suffix = 2;; ++suffix) {
-      std::string candidate = concat(base, ".", std::to_string(suffix));
-      if (!names.contains(candidate)) return candidate;
+  /// Every name is a source-tree name or a synthesized one, so a candidate
+  /// is free when neither index knows it.
+  [[nodiscard]] std::string_view fresh_name(const std::string& base) {
+    const auto name_of = [this](std::uint32_t i) -> std::string_view {
+      return synthesized_names[i];
+    };
+    const auto taken = [&](std::string_view name) {
+      return synthesized.find(name, name_of) != NameIndex::kNone ||
+             source->find(name).has_value();
+    };
+    std::string name = base;
+    for (std::uint32_t suffix = 2; taken(name); ++suffix) {
+      name = concat(base, ".", std::to_string(suffix));
     }
+    const auto id = static_cast<std::uint32_t>(synthesized_names.size());
+    const std::string_view view =
+        synthesized_names.emplace_back(std::move(name));
+    synthesized.insert(view, id, name_of);
+    return view;
   }
 
   /// Number of items reachable from the root through resolved edges.
@@ -94,8 +115,9 @@ struct Ir {
 };
 
 Ir build_ir(const fta::FaultTree& tree) {
-  Ir ir;
+  Ir ir(tree);
   ir.items.reserve(tree.node_count());
+  ir.alias.reserve(tree.node_count());
   for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
     Item item;
     item.name = tree.node_name(id);
@@ -277,16 +299,18 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
     const std::uint32_t n = static_cast<std::uint32_t>(children.size());
     const std::uint32_t k = ir.items[id].k;
     SAFEOPT_ASSERT(k >= 1 && k <= n);
-    const std::string base = ir.items[id].name;
+    const std::string base(ir.items[id].name);
 
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> memo;
+    // memo[i * (k + 1) + j] is the gate for ge(i, j), or kNone. The memo
+    // never grows, so a reference to a slot survives the recursion.
+    constexpr std::uint32_t kNone = UINT32_MAX;
+    std::vector<std::uint32_t> memo(std::size_t{n} * (k + 1), kNone);
     const auto ge = [&](auto&& self, std::uint32_t i,
                         std::uint32_t j) -> std::uint32_t {
       SAFEOPT_ASSERT(j >= 1 && j <= n - i);
       if (j == 1 && n - i == 1) return children[i];
-      const auto key = std::make_pair(i, j);
-      const auto it = memo.find(key);
-      if (it != memo.end()) return it->second;
+      std::uint32_t& slot = memo[std::size_t{i} * (k + 1) + j];
+      if (slot != kNone) return slot;
       Item gate;
       gate.kind = ItemKind::kGate;
       gate.name = ir.fresh_name(
@@ -308,9 +332,8 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
         gate.gate = fta::GateType::kOr;
         gate.children = {take_id, self(self, i + 1, j)};
       }
-      const std::uint32_t gate_id = ir.add(std::move(gate));
-      memo.emplace(key, gate_id);
-      return gate_id;
+      slot = ir.add(std::move(gate));
+      return slot;
     };
     ir.alias[id] = ge(ge, 0, k);
     ++stats.rewrites;
@@ -386,18 +409,32 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
 // the DFS leaf first-visit order and break the bitwise-parity guarantee.
 PassStats run_merge(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "merge", .nodes_before = nodes_before};
-  std::map<std::tuple<fta::GateType, std::uint32_t,
-                      std::vector<std::uint32_t>>,
-           std::uint32_t>
-      canonical;
+  // The set holds item ids keyed by (type, threshold, child list) as the
+  // item stands when it is inserted. The sweep never revisits an inserted
+  // item, so the key read back later is the key that was inserted. The set
+  // is only probed: the first gate of each key wins, in id order.
+  const auto key_hash = [&ir](std::uint32_t id) {
+    const Item& item = ir.items[id];
+    std::size_t h = (static_cast<std::size_t>(item.gate) << 32) ^ item.k;
+    for (const std::uint32_t child : item.children) {
+      h ^= child + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return h;
+  };
+  const auto key_equal = [&ir](std::uint32_t a, std::uint32_t b) {
+    const Item& x = ir.items[a];
+    const Item& y = ir.items[b];
+    return x.gate == y.gate && x.k == y.k && x.children == y.children;
+  };
+  std::unordered_set<std::uint32_t, decltype(key_hash), decltype(key_equal)>
+      canonical(ir.items.size(), key_hash, key_equal);
   for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
     Item& item = ir.items[id];
     if (item.kind != ItemKind::kGate) continue;
     for (std::uint32_t& child : item.children) child = ir.resolve(child);
-    const auto [it, inserted] = canonical.try_emplace(
-        std::make_tuple(item.gate, item.k, item.children), id);
+    const auto [it, inserted] = canonical.insert(id);
     if (!inserted) {
-      ir.alias[id] = it->second;
+      ir.alias[id] = *it;
       ++stats.rewrites;
     }
   }
@@ -490,36 +527,50 @@ ModuleScan scan_modules(Ir& ir) {
 
 // ------------------------------------------------------------- rebuild
 
+/// Which item became which node of the subtree being built: node_of[id] is
+/// valid only where stamp[id] is the current subtree's stamp, so one pair of
+/// vectors serves every subtree without clearing.
+struct BuildScratch {
+  explicit BuildScratch(std::size_t items) : node_of(items), stamp(items, 0) {}
+
+  std::vector<fta::NodeId> node_of;
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t current = 0;
+};
+
 /// Builds the FaultTree for the subtree rooted at `start`, stopping at
 /// chosen module boundaries (they become pseudo-leaf basic events named
 /// after the module gate). Leaves are created at their DFS first visit, so
 /// subtree ordinal order *is* DFS order — the BDD variable order.
 Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
-                      const std::vector<std::int64_t>& module_of) {
+                      const std::vector<std::int64_t>& module_of,
+                      BuildScratch& scratch) {
   Subtree subtree{.tree = fta::FaultTree(std::move(tree_name)),
-                  .name = ir.items[start].name,
+                  .name = std::string(ir.items[start].name),
                   .basic_origin = {},
                   .condition_origin = {}};
-  std::unordered_map<std::uint32_t, fta::NodeId> built;
+  const std::uint32_t stamp = ++scratch.current;
   const auto build = [&](auto&& self, std::uint32_t id) -> fta::NodeId {
-    const auto it = built.find(id);
-    if (it != built.end()) return it->second;
+    if (scratch.stamp[id] == stamp) return scratch.node_of[id];
     const Item& item = ir.items[id];
+    std::string name(item.name);
     fta::NodeId node = 0;
     if (id != start && module_of[id] >= 0) {
-      node = subtree.tree.add_basic_event(item.name);
+      node = subtree.tree.add_basic_event(std::move(name));
       subtree.basic_origin.push_back(
           {LeafOrigin::Kind::kModule,
            static_cast<std::uint32_t>(module_of[id])});
     } else {
       switch (item.kind) {
         case ItemKind::kBasic:
-          node = subtree.tree.add_basic_event(item.name, item.description);
+          node = subtree.tree.add_basic_event(std::move(name),
+                                              std::string(item.description));
           subtree.basic_origin.push_back(
               {LeafOrigin::Kind::kBasicEvent, item.ordinal});
           break;
         case ItemKind::kCondition:
-          node = subtree.tree.add_condition(item.name, item.description);
+          node = subtree.tree.add_condition(std::move(name),
+                                            std::string(item.description));
           subtree.condition_origin.push_back(item.ordinal);
           break;
         case ItemKind::kTrue:
@@ -537,21 +588,21 @@ Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
           }
           switch (item.gate) {
             case fta::GateType::kAnd:
-              node = subtree.tree.add_and(item.name, std::move(children));
+              node = subtree.tree.add_and(std::move(name), std::move(children));
               break;
             case fta::GateType::kOr:
-              node = subtree.tree.add_or(item.name, std::move(children));
+              node = subtree.tree.add_or(std::move(name), std::move(children));
               break;
             case fta::GateType::kKofN:
-              node = subtree.tree.add_k_of_n(item.name, item.k,
+              node = subtree.tree.add_k_of_n(std::move(name), item.k,
                                              std::move(children));
               break;
             case fta::GateType::kXor:
-              node = subtree.tree.add_xor(item.name, std::move(children));
+              node = subtree.tree.add_xor(std::move(name), std::move(children));
               break;
             case fta::GateType::kInhibit:
               SAFEOPT_ASSERT(children.size() == 2);
-              node = subtree.tree.add_inhibit(item.name, children[0],
+              node = subtree.tree.add_inhibit(std::move(name), children[0],
                                               children[1]);
               break;
           }
@@ -559,7 +610,8 @@ Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
         }
       }
     }
-    built.emplace(id, node);
+    scratch.stamp[id] = stamp;
+    scratch.node_of[id] = node;
     return node;
   };
   subtree.tree.set_top(build(build, start));
@@ -609,6 +661,7 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
   // Pick modules bottom-up (postorder puts inner modules first), excluding
   // the root — the top subtree is built last and is "the" tree.
   std::vector<std::int64_t> module_of(ir.items.size(), -1);
+  BuildScratch scratch(ir.items.size());
   const std::uint32_t root = ir.resolve(ir.root);
   if (options.modularize) {
     const ModuleScan scan = scan_modules(ir);
@@ -616,12 +669,13 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
       if (id == root || !scan.is_module[id]) continue;
       if (scan.leaf_refs[id] < options.module_min_leaves) continue;
       module_of[id] = static_cast<std::int64_t>(result.subtrees.size());
-      result.subtrees.push_back(
-          build_subtree(ir, id, ir.items[id].name, module_of));
+      result.subtrees.push_back(build_subtree(
+          ir, id, std::string(ir.items[id].name), module_of, scratch));
     }
   }
   result.statistics.modules = result.subtrees.size();
-  result.subtrees.push_back(build_subtree(ir, root, tree.name(), module_of));
+  result.subtrees.push_back(
+      build_subtree(ir, root, tree.name(), module_of, scratch));
 
   const Subtree& top = result.subtrees.back();
   result.statistics.events_after =
@@ -673,9 +727,13 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
     // hundreds of modules that would dwarf the quantification itself). Each
     // module gets geometry proportional to its own size, capped by the
     // caller's options. Results are unaffected — the cache only memoizes.
+    // Four slots per tree node, picked by measurement on the corpus tiers
+    // (bench_large_trees, factors 2 to 64): larger caches spend the build
+    // zero-filling slots no ITE call reaches, and half as many starve the
+    // cache (about 0.8% more ITE calls than 64 slots per node at 4).
     bdd::BddOptions scaled = options;
     std::size_t hint = 16;
-    while (hint < 64 * subtree.tree.node_count()) hint <<= 1;
+    while (hint < 4 * subtree.tree.node_count()) hint <<= 1;
     scaled.cache_size = std::min(scaled.cache_size, hint);
     scaled.initial_table_size = std::min(scaled.initial_table_size, hint);
     compiled_.push_back(bdd::compile(subtree.tree, scaled));

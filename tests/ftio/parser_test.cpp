@@ -142,6 +142,48 @@ INSTANTIATE_TEST_SUITE_P(
                   "not reachable", 4}),
     [](const auto& info) { return info.param.name; });
 
+// Documents with several faults at once: which fault is reported first is
+// part of the diagnostic contract, so the whole message and its
+// line:column are pinned. Names are chosen so that declaration order and
+// name order disagree; the unreachable-leaf and bad-expression checks
+// report the leaf that comes first by name.
+struct FirstFaultCase {
+  const char* name;
+  const char* input;
+  const char* what;
+  std::size_t line;
+  std::size_t column;
+};
+
+TEST(ParserTest, SeveralFaultsReportTheSameFirstOne) {
+  const FirstFaultCase cases[] = {
+      {"two_unreachable_leaves",
+       "toplevel t;\nt or a;\na prob = 0.1;\nzeta prob = 0.5;\n"
+       "alpha prob = 0.5;\n",
+       "5:1: leaf 'alpha' is declared but not reachable from toplevel", 5, 1},
+      {"two_undefined_children",
+       "toplevel t;\nt or g1 g2;\ng1 or a zz;\ng2 or a aa;\na prob = 0.1;\n",
+       "3:1: undefined node 'zz'", 3, 1},
+      {"two_bad_leaf_expressions",
+       "toplevel t;\nt or zb ab;\nzb prob = 0.1 + ;\nab prob = 1.5;\n",
+       "4:11: probability must lie in [0, 1], got 1.5", 4, 11},
+      {"duplicate_gate_after_duplicate_leaf",
+       "toplevel t;\na prob = 0.1;\na prob = 0.2;\nt or a;\nt or a;\n",
+       "3:1: duplicate declaration of leaf 'a'", 3, 1},
+  };
+  for (const FirstFaultCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    try {
+      (void)parse_fault_tree(c.input);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& error) {
+      EXPECT_STREQ(error.what(), c.what);
+      EXPECT_EQ(error.line(), c.line);
+      EXPECT_EQ(error.column(), c.column);
+    }
+  }
+}
+
 TEST(ParserTest, CommentsAndWhitespaceAreIgnored) {
   const ParsedFaultTree parsed = parse_fault_tree(
       "# leading comment\n  toplevel   t ; # trailing\n\tt or a b;# x\n"

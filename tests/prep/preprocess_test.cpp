@@ -11,14 +11,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "../../tools/corpus.h"
 #include "../testutil/random_tree.h"
 #include "safeopt/bdd/bdd.h"
+#include "safeopt/core/quantification_engine.h"
+#include "safeopt/core/study.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/ftio/writer.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::prep {
@@ -138,6 +142,61 @@ TEST(PreprocessPropertyTest, CorpusTierQuantifiesLikePlainBdd) {
   // The ablation the bench gates: an order of magnitude fewer nodes.
   EXPECT_LT(result.decision_nodes * 10,
             plain.manager.statistics().decision_node_count());
+}
+
+TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
+  // The exact-quantify front door on the 1k and 10k tiers: the tree goes
+  // through its document text (write, parse_study, `engine bdd preprocess =
+  // true`), so parser, name index, passes, module order and per-module BDD
+  // geometry all sit under one pin. The figures are bit patterns, not
+  // tolerances: any change to the variable order, the module order or the
+  // summation order moves them.
+  struct Row {
+    const char* tier;
+    const char* probability;  // "%a"
+    std::size_t modules;
+    std::size_t decision_nodes;
+  };
+  for (const Row& row : {Row{"1k", "0x1.0cdfa47f33e7cp-16", 108, 4013},
+                         Row{"10k", "0x1.8d0d3716bb54ep-25", 510, 32590}}) {
+    const corpus::CorpusModel model =
+        corpus::make_corpus(corpus::tier_by_name(row.tier));
+    const ftio::StudyDocument document = ftio::parse_study(
+        ftio::write_fault_tree(model.tree, model.input) +
+        "engine bdd preprocess = true;\n");
+    ASSERT_EQ(document.trees.size(), 1u) << row.tier;
+    const ftio::TreeModel& tree_model = document.trees.front();
+    fta::QuantificationInput input =
+        fta::QuantificationInput::for_tree(tree_model.tree, 0.0);
+    for (const ftio::LeafProbability& leaf : tree_model.leaves) {
+      input.set(tree_model.tree, leaf.name, leaf.probability.evaluate({}));
+    }
+    const auto [engine_name, config] =
+        core::document_engine_selection(document);
+    ASSERT_EQ(engine_name, "bdd") << row.tier;
+    ASSERT_TRUE(config.preprocess) << row.tier;
+    const core::QuantificationResult result =
+        core::EngineRegistry::create(engine_name, tree_model.tree, config)
+            ->quantify(input);
+    ASSERT_TRUE(result.preprocess.has_value()) << row.tier;
+
+    PreprocessOptions options;
+    options.modularize = config.modularize;
+    options.module_min_leaves = config.module_min_leaves;
+    const PreprocessedTree preprocessed =
+        preprocess(tree_model.tree, options);
+    const CompiledPreprocessedTree compiled(preprocessed,
+                                            config.bdd_options());
+
+    char bits[64];
+    std::snprintf(bits, sizeof bits, "%a", result.probability);
+    EXPECT_STREQ(bits, row.probability) << row.tier;
+    EXPECT_EQ(compiled.probability(input), result.probability) << row.tier;
+    EXPECT_EQ(result.preprocess->modules, row.modules) << row.tier;
+    EXPECT_EQ(compiled.compile_statistics().decision_nodes,
+              row.decision_nodes)
+        << row.tier;
+  }
 }
 
 // --- Per-pass unit tests on hand-built trees. ----------------------------
