@@ -19,7 +19,7 @@
 // Besides timing, the run *verifies* the architectural contracts: every
 // strategy must produce bitwise-identical surfaces (lane-count and
 // thread-count invariance), batched gradients must equal the per-point
-// reverse sweep bitwise, and GridSearch / DifferentialEvolution must return
+// reverse sweep bitwise, and grid_search / differential_evolution must return
 // bitwise-identical optima on the tree and compiled paths.
 //
 // The backends are also ranked on a real study tape: the --model document's
@@ -60,8 +60,7 @@
 #include "safeopt/expr/compiled.h"
 #include "safeopt/expr/eval_backend.h"
 #include "safeopt/ftio/study_document.h"
-#include "safeopt/opt/differential_evolution.h"
-#include "safeopt/opt/grid_search.h"
+#include "safeopt/opt/solver.h"
 #include "safeopt/support/thread_pool.h"
 
 namespace {
@@ -294,23 +293,23 @@ int main(int argc, char** argv) {
   };
   const opt::Problem compiled_problem = optimizer.problem();
 
-  const opt::GridSearch grid_search(33, 5);
-  const auto grid_tree = grid_search.minimize(tree_problem);
-  const auto grid_compiled = grid_search.minimize(compiled_problem);
+  const auto grid_search = opt::SolverRegistry::create("grid_search");
+  const auto grid_tree = grid_search->solve(tree_problem);
+  const auto grid_compiled = grid_search->solve(compiled_problem);
   const bool grid_identical = grid_tree.value == grid_compiled.value &&
                               grid_tree.argmin == grid_compiled.argmin;
 
-  opt::DifferentialEvolution::Settings de_settings;
-  de_settings.generations = 100;
-  const opt::DifferentialEvolution de(de_settings);
-  const auto de_tree = de.minimize(tree_problem);
-  const auto de_compiled = de.minimize(compiled_problem);
+  const auto de = opt::SolverRegistry::create("differential_evolution");
+  opt::SolverConfig de_config;
+  de_config.set("generations", 100.0);
+  const auto de_tree = de->solve(tree_problem, de_config);
+  const auto de_compiled = de->solve(compiled_problem, de_config);
   const bool de_identical = de_tree.value == de_compiled.value &&
                             de_tree.argmin == de_compiled.argmin;
 
-  std::printf("GridSearch optimum  (tree)     T1=%.6f T2=%.6f cost=%.10g\n",
+  std::printf("grid_search optimum (tree)     T1=%.6f T2=%.6f cost=%.10g\n",
               grid_tree.argmin[0], grid_tree.argmin[1], grid_tree.value);
-  std::printf("GridSearch optimum  (compiled) T1=%.6f T2=%.6f cost=%.10g\n",
+  std::printf("grid_search optimum (compiled) T1=%.6f T2=%.6f cost=%.10g\n",
               grid_compiled.argmin[0], grid_compiled.argmin[1],
               grid_compiled.value);
   std::printf("  bitwise-identical: %s\n", grid_identical ? "yes" : "NO");

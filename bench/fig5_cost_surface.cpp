@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "safeopt/elbtunnel/elbtunnel_model.h"
-#include "safeopt/opt/grid_search.h"
+#include "safeopt/opt/problem.h"
 
 int main() {
   using namespace safeopt;

@@ -1,103 +1,49 @@
 // Ablation C: solver shoot-out on the paper's actual optimization problem —
 // the Elbtunnel cost function over the timer box — plus the Rosenbrock
 // valley as a hard reference. Reports both solution quality (cost gap to
-// the best known optimum, argmin error) and runtime per solve.
+// the best known optimum, argmin error) and runtime per solve. Every solver
+// is selected by registry name with its default SolverConfig.
 //
-// Second mode, the registry-overhead gate consumed by CI:
-//   bench_optimizers --overhead-json OUT.json
-// times every registered solver through SolverRegistry::create(...)->solve()
-// against the equivalent direct construction + minimize() on the same
-// problem, verifies the two paths produce bit-identical results, and writes
-// a JSON report scripts/compare_bench.py checks (< 5% overhead).
+// Second mode, the exact-results gate consumed by CI:
+//   bench_optimizers --results-json OUT.json
+// runs every registered solver on both problems (golden_section, which is
+// 1-D, on the T2 axis of the Elbtunnel cost instead), plus synchronous DE
+// and multi-start Hooke–Jeeves, and writes each result's argmin and value
+// as exact hexadecimal floats with its evaluation and iteration counts,
+// convergence flag and message. scripts/compare_bench.py --optimizers
+// compares it for exact equality with the committed BENCH_optimizers.json.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "safeopt/elbtunnel/elbtunnel_model.h"
-#include "safeopt/opt/coordinate_descent.h"
-#include "safeopt/opt/differential_evolution.h"
-#include "safeopt/opt/golden_section.h"
-#include "safeopt/opt/gradient_descent.h"
-#include "safeopt/opt/grid_search.h"
-#include "safeopt/opt/hooke_jeeves.h"
-#include "safeopt/opt/multi_start.h"
-#include "safeopt/opt/nelder_mead.h"
-#include "safeopt/opt/simulated_annealing.h"
 #include "safeopt/opt/solver.h"
 
 namespace {
 
 using namespace safeopt;
 
-std::unique_ptr<opt::Optimizer> make(const std::string& name) {
-  if (name == "GridSearch") return std::make_unique<opt::GridSearch>(33, 5);
-  if (name == "NelderMead") return std::make_unique<opt::NelderMead>();
-  if (name == "MultiStartNM") {
-    return std::make_unique<opt::MultiStart>(
-        [](std::vector<double> start) -> std::unique_ptr<opt::Optimizer> {
-          return std::make_unique<opt::NelderMead>(opt::StoppingCriteria{},
-                                                   std::move(start));
-        },
-        8);
-  }
-  if (name == "GradientDescent") {
-    return std::make_unique<opt::ProjectedGradientDescent>();
-  }
-  if (name == "HookeJeeves") return std::make_unique<opt::HookeJeeves>();
-  if (name == "CoordinateDescent") {
-    return std::make_unique<opt::CoordinateDescent>();
-  }
-  if (name == "SimulatedAnnealing") {
-    return std::make_unique<opt::SimulatedAnnealing>();
-  }
-  if (name == "DifferentialEvolution") {
-    return std::make_unique<opt::DifferentialEvolution>();
-  }
-  return nullptr;
+opt::OptimizationResult solve(const std::string& solver,
+                              const opt::Problem& problem,
+                              const opt::SolverConfig& config = {}) {
+  return opt::SolverRegistry::create(solver)->solve(problem, config);
 }
 
-const char* kSolvers[] = {"GridSearch",         "NelderMead",
-                          "MultiStartNM",       "GradientDescent",
-                          "HookeJeeves",        "CoordinateDescent",
-                          "SimulatedAnnealing", "DifferentialEvolution"};
-
-void quality_table() {
-  const elbtunnel::ElbtunnelModel model;
-  const opt::Problem problem = model.optimizer().problem();
-
-  // Best-known optimum from a fine multi-start run.
-  const auto reference = make("MultiStartNM")->minimize(problem);
-
-  std::printf(
-      "\n=== solution quality on the Elbtunnel cost function ===\n"
-      "%-22s %9s %9s %13s %12s %12s\n",
-      "solver", "T1*", "T2*", "cost", "cost gap", "evaluations");
-  for (const char* name : kSolvers) {
-    const auto result = make(name)->minimize(problem);
-    std::printf("%-22s %9.3f %9.3f %13.8f %12.2e %12zu\n", name,
-                result.argmin[0], result.argmin[1], result.value,
-                result.value - reference.value, result.evaluations);
+/// Registered solvers that run on a 2-D box.
+std::vector<std::string> box_solvers() {
+  std::vector<std::string> names;
+  for (std::string& name : opt::SolverRegistry::available()) {
+    if (opt::SolverRegistry::create(name)->traits().max_dimension != 1) {
+      names.push_back(std::move(name));
+    }
   }
-  std::printf("(paper optimum: T1 ~ 19, T2 ~ 15.6)\n\n");
+  return names;
 }
 
-void BM_ElbtunnelSolve(benchmark::State& state, const std::string& solver) {
-  const elbtunnel::ElbtunnelModel model;
-  const opt::Problem problem = model.optimizer().problem();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make(solver)->minimize(problem));
-  }
-}
-
-void BM_RosenbrockSolve(benchmark::State& state, const std::string& solver) {
+opt::Problem rosenbrock() {
   opt::Problem problem;
   problem.bounds = opt::Box({-2.0, -1.0}, {2.0, 3.0});
   problem.objective = [](std::span<const double> x) {
@@ -105,148 +51,114 @@ void BM_RosenbrockSolve(benchmark::State& state, const std::string& solver) {
     const double b = x[1] - x[0] * x[0];
     return a * a + 100.0 * b * b;
   };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make(solver)->minimize(problem));
-  }
+  return problem;
 }
 
-// ---- registry overhead gate -------------------------------------------------
-
-/// Direct (enum-era) construction equivalent to each registry name under a
-/// default SolverConfig — the baseline the registry path is timed against.
-std::unique_ptr<opt::Optimizer> make_direct(const std::string& name) {
-  if (name == "grid_search") return std::make_unique<opt::GridSearch>(33, 5);
-  if (name == "golden_section") return std::make_unique<opt::GoldenSection>();
-  if (name == "multi_start") {
-    return std::make_unique<opt::MultiStart>(
-        [](std::vector<double> start) -> std::unique_ptr<opt::Optimizer> {
-          return std::make_unique<opt::NelderMead>(opt::StoppingCriteria{},
-                                                   std::move(start));
-        },
-        8);
-  }
-  if (name == "nelder_mead") return std::make_unique<opt::NelderMead>();
-  if (name == "gradient_descent") {
-    return std::make_unique<opt::ProjectedGradientDescent>();
-  }
-  if (name == "hooke_jeeves") return std::make_unique<opt::HookeJeeves>();
-  if (name == "coordinate_descent") {
-    return std::make_unique<opt::CoordinateDescent>();
-  }
-  if (name == "simulated_annealing") {
-    return std::make_unique<opt::SimulatedAnnealing>();
-  }
-  if (name == "differential_evolution") {
-    return std::make_unique<opt::DifferentialEvolution>();
-  }
-  return nullptr;
-}
-
-/// Wall-clock ns per run() call for one batch of `runs`.
-template <typename Run>
-double time_batch_ns(const Run& run, std::size_t runs) {
-  using clock = std::chrono::steady_clock;
-  const auto start = clock::now();
-  for (std::size_t i = 0; i < runs; ++i) run();
-  const auto stop = clock::now();
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                 .count()) /
-         static_cast<double>(runs);
-}
-
-/// Times two equivalent workloads by alternating their batches — a machine
-/// transient (frequency step, cache eviction, scheduler blip) then hits
-/// both paths instead of skewing one — and reports each path's minimum.
-template <typename RunA, typename RunB>
-std::pair<double, double> time_interleaved_ns(const RunA& a, const RunB& b,
-                                              std::size_t runs,
-                                              std::size_t repeats) {
-  double best_a = std::numeric_limits<double>::infinity();
-  double best_b = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    best_a = std::min(best_a, time_batch_ns(a, runs));
-    best_b = std::min(best_b, time_batch_ns(b, runs));
-  }
-  return {best_a, best_b};
-}
-
-int overhead_report(const char* path) {
+void quality_table() {
   const elbtunnel::ElbtunnelModel model;
-  const opt::Problem problem = model.optimizer().problem();
+  const opt::Problem& problem = model.optimizer().problem();
+
+  // Best-known optimum from a multi-start run.
+  const auto reference = solve("multi_start", problem);
+
+  std::printf(
+      "\n=== solution quality on the Elbtunnel cost function ===\n"
+      "%-24s %9s %9s %13s %12s %12s\n",
+      "solver", "T1*", "T2*", "cost", "cost gap", "evaluations");
+  for (const std::string& name : box_solvers()) {
+    const auto result = solve(name, problem);
+    std::printf("%-24s %9.3f %9.3f %13.8f %12.2e %12zu\n", name.c_str(),
+                result.argmin[0], result.argmin[1], result.value,
+                result.value - reference.value, result.evaluations);
+  }
+  std::printf("(paper optimum: T1 ~ 19, T2 ~ 15.6)\n\n");
+}
+
+void BM_Solve(benchmark::State& state, const std::string& solver,
+              const opt::Problem& problem) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve(solver, problem));
+  }
+}
+
+// ---- exact-results gate -----------------------------------------------------
+
+std::string hex(double value) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
+}
+
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+int results_report(const char* path) {
+  const elbtunnel::ElbtunnelModel model;
+  const opt::Problem& tunnel = model.optimizer().problem();
   // golden_section is 1-D only: give it the T2 axis of the same cost
   // surface with T1 pinned at the paper's optimum.
   opt::Problem line;
-  line.bounds = opt::Box({problem.bounds.lower[1]}, {problem.bounds.upper[1]});
-  line.objective = [&problem](std::span<const double> x) {
+  line.bounds = opt::Box({tunnel.bounds.lower[1]}, {tunnel.bounds.upper[1]});
+  line.objective = [&tunnel](std::span<const double> x) {
     const double point[2] = {19.0, x[0]};
-    return problem.objective(point);
+    return tunnel.objective(point);
   };
+  const opt::Problem valley = rosenbrock();
 
-  struct Row {
-    std::string name;
-    double direct_ns = 0.0;
-    double registry_ns = 0.0;
-    bool identical = false;
+  struct Case {
+    std::string problem;
+    std::string solver;
+    std::string extra;  // one "key=value" solver extra, or empty
   };
-  std::vector<Row> rows;
-  for (const std::string& name : opt::SolverRegistry::available()) {
-    const opt::Problem& target =
-        name == "golden_section" ? line : problem;
-    const auto direct = make_direct(name);
-    if (direct == nullptr) continue;  // external registration; no baseline
-    const auto solver = opt::SolverRegistry::create(name);
-    const opt::SolverConfig config;  // defaults == direct construction
-
-    const auto direct_result = direct->minimize(target);
-    const auto registry_result = solver->solve(target, config);
-
-    Row row;
-    row.name = name;
-    row.identical =
-        direct_result.argmin == registry_result.argmin &&
-        direct_result.value == registry_result.value &&
-        direct_result.evaluations == registry_result.evaluations;
-    // Calibrate the run count so each timed batch is long enough to swamp
-    // timer noise, then interleave the two paths over 7 batches each and
-    // keep the per-path minimum. Both paths construct their solver per
-    // run — the registry path necessarily does, and that is how the direct
-    // path is used at real call sites too.
-    const double once = time_batch_ns(
-        [&] { benchmark::DoNotOptimize(direct->minimize(target)); }, 1);
-    const std::size_t runs = std::max<std::size_t>(
-        1, static_cast<std::size_t>(2e7 / std::max(once, 1.0)));
-    std::tie(row.direct_ns, row.registry_ns) = time_interleaved_ns(
-        [&] { benchmark::DoNotOptimize(make_direct(name)->minimize(target)); },
-        [&] {
-          benchmark::DoNotOptimize(
-              opt::SolverRegistry::create(name)->solve(target, config));
-        },
-        runs, 7);
-    rows.push_back(std::move(row));
+  std::vector<Case> cases;
+  for (const char* problem : {"elbtunnel", "rosenbrock"}) {
+    for (const std::string& name : opt::SolverRegistry::available()) {
+      if (name == "golden_section") continue;
+      cases.push_back({problem, name, ""});
+    }
+    cases.push_back({problem, "differential_evolution", "synchronous_batch=1"});
+    cases.push_back({problem, "multi_start", "inner=hooke_jeeves"});
   }
+  cases.push_back({"elbtunnel_t2", "golden_section", ""});
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
-  std::fprintf(out, "{\n  \"solvers\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
+  std::fprintf(out, "{\n  \"results\": [\n");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const opt::Problem& problem = c.problem == "elbtunnel"    ? tunnel
+                                  : c.problem == "rosenbrock" ? valley
+                                                              : line;
+    opt::SolverConfig config;
+    if (!c.extra.empty()) config.set_extra_argument(c.extra);
+    const opt::OptimizationResult result = solve(c.solver, problem, config);
+    std::string argmin;
+    for (const double x : result.argmin) {
+      argmin += (argmin.empty() ? "" : ", ") + json_string(hex(x));
+    }
     std::fprintf(out,
-                 "    {\"name\": \"%s\", \"direct_ns_per_solve\": %.1f, "
-                 "\"registry_ns_per_solve\": %.1f, \"overhead\": %.4f, "
-                 "\"identical\": %s}%s\n",
-                 row.name.c_str(), row.direct_ns, row.registry_ns,
-                 row.registry_ns / row.direct_ns - 1.0,
-                 row.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-    std::printf("%-24s direct %12.0f ns/solve   registry %12.0f ns/solve "
-                "(%+.2f%%)%s\n",
-                row.name.c_str(), row.direct_ns, row.registry_ns,
-                100.0 * (row.registry_ns / row.direct_ns - 1.0),
-                row.identical ? "" : "  RESULTS DIFFER");
+                 "    {\"problem\": \"%s\", \"solver\": \"%s\", "
+                 "\"extra\": \"%s\", \"argmin\": [%s], \"value\": \"%s\", "
+                 "\"evaluations\": %zu, \"iterations\": %zu, "
+                 "\"converged\": %s, \"message\": %s}%s\n",
+                 c.problem.c_str(), c.solver.c_str(), c.extra.c_str(),
+                 argmin.c_str(), hex(result.value).c_str(),
+                 result.evaluations, result.iterations,
+                 result.converged ? "true" : "false",
+                 json_string(result.message).c_str(),
+                 i + 1 < cases.size() ? "," : "");
+    std::printf("%-13s %-24s %-22s %-24s %8zu evaluations\n",
+                c.problem.c_str(), c.solver.c_str(), c.extra.c_str(),
+                hex(result.value).c_str(), result.evaluations);
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -256,20 +168,23 @@ int overhead_report(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[1]) == "--overhead-json") {
-    return overhead_report(argv[2]);
+  if (argc == 3 && std::string(argv[1]) == "--results-json") {
+    return results_report(argv[2]);
   }
   quality_table();
-  for (const char* solver : kSolvers) {
+  static const opt::Problem tunnel =
+      elbtunnel::ElbtunnelModel().optimizer().problem();
+  static const opt::Problem valley = rosenbrock();
+  for (const std::string& solver : box_solvers()) {
     benchmark::RegisterBenchmark(
-        (std::string("BM_Elbtunnel/") + solver).c_str(),
+        ("BM_Elbtunnel/" + solver).c_str(),
         [solver](benchmark::State& state) {
-          BM_ElbtunnelSolve(state, solver);
+          BM_Solve(state, solver, tunnel);
         });
     benchmark::RegisterBenchmark(
-        (std::string("BM_Rosenbrock/") + solver).c_str(),
+        ("BM_Rosenbrock/" + solver).c_str(),
         [solver](benchmark::State& state) {
-          BM_RosenbrockSolve(state, solver);
+          BM_Solve(state, solver, valley);
         });
   }
   benchmark::Initialize(&argc, argv);

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """CI gate for bench_compiled_eval: fail on performance or contract regressions.
 
-Usage: compare_bench.py BASELINE.json FRESH.json [--overhead OVERHEAD.json]
+Usage: compare_bench.py BASELINE.json FRESH.json
+                        [--optimizers OPT_BASELINE.json OPT_FRESH.json]
                         [--mc MC_BASELINE.json MC_FRESH.json]
                         [--large-trees LT_BASELINE.json LT_FRESH.json]
                         [--serve SV_BASELINE.json SV_FRESH.json]
@@ -24,11 +25,13 @@ Compares the fresh benchmark JSON against the committed baseline
     the baseline host and the CI runner, so the gate measures the compiled
     engine's speedup, not the runner's clock.
 
-With --overhead, additionally gates the solver-registry report written by
-`bench_optimizers --overhead-json`: every solver's registry-dispatched solve
-must produce bit-identical results to the direct construction and add less
-than OVERHEAD_LIMIT wall-clock overhead. Both paths are timed in the same
-process on the same problem, so no normalization is needed.
+With --optimizers, additionally gates the solver results written by
+`bench_optimizers --results-json` against the committed
+BENCH_optimizers.json: every baseline row (problem, solver, extra) must be
+present in the fresh run with exactly the same argmin and value bits,
+evaluation and iteration counts, convergence flag and message. The solvers
+are deterministic and seeded, so any difference is a behaviour change, on
+any machine; regenerate the baseline only for an intended one.
 
 With --mc, additionally gates the adaptive Monte Carlo report written by
 `bench_mc_adaptive --json` against the committed BENCH_mc_adaptive.json:
@@ -69,7 +72,6 @@ import json
 import sys
 
 REGRESSION_LIMIT = 0.25  # fail when normalized ns/eval grows by more than 25%
-OVERHEAD_LIMIT = 0.05  # registry dispatch may cost at most 5% per solve
 
 CONTRACT_FLAGS = [
     "surfaces_identical",
@@ -141,35 +143,44 @@ FAIRNESS_BAND = (2.5, 3.5)
 summary_lines = []
 
 
-def check_overhead(path, failures):
-    with open(path) as f:
-        report = json.load(f)
-    print(f"\n{'solver':<26}{'direct ns':>14}{'registry ns':>14}{'overhead':>10}  gate")
-    summary_lines.append("\n#### Solver-registry dispatch overhead\n")
-    summary_lines.append("| solver | direct ns | registry ns | overhead | gate |")
-    summary_lines.append("|---|---:|---:|---:|---|")
-    for row in report["solvers"]:
-        overhead = row["registry_ns_per_solve"] / row["direct_ns_per_solve"] - 1.0
+OPTIMIZER_RESULT_FIELDS = [
+    "argmin", "value", "evaluations", "iterations", "converged", "message",
+]
+
+
+def check_optimizers(baseline_path, fresh_path, failures):
+    with open(baseline_path) as f:
+        baseline = json.load(f)
+    with open(fresh_path) as f:
+        fresh = json.load(f)
+
+    def key(row):
+        return (row["problem"], row["solver"], row["extra"])
+
+    fresh_rows = {key(row): row for row in fresh["results"]}
+    print(f"\n{'problem':<14}{'solver':<24}{'extra':<22}{'evaluations':>12}  gate")
+    summary_lines.append("\n#### Solver results (exact)\n")
+    summary_lines.append("| problem | solver | extra | evaluations | gate |")
+    summary_lines.append("|---|---|---|---:|---|")
+    for row in baseline["results"]:
+        problem, solver, extra = key(row)
+        got = fresh_rows.get(key(row))
         verdict = "ok"
-        if not row["identical"]:
+        if got is None:
             verdict = "FAIL"
-            failures.append(
-                f"{row['name']}: registry path result differs from direct call"
-            )
-        if overhead > OVERHEAD_LIMIT:
-            verdict = "FAIL"
-            failures.append(
-                f"{row['name']}: registry dispatch adds {overhead:+.1%} "
-                f"(limit {OVERHEAD_LIMIT:+.0%})"
-            )
-        print(
-            f"{row['name']:<26}{row['direct_ns_per_solve']:>14.0f}"
-            f"{row['registry_ns_per_solve']:>14.0f}{overhead:>+9.1%}  {verdict}"
-        )
+            failures.append(f"{problem}/{solver} {extra}: missing from the fresh run")
+        else:
+            for field in OPTIMIZER_RESULT_FIELDS:
+                if got.get(field) != row[field]:
+                    verdict = "FAIL"
+                    failures.append(
+                        f"{problem}/{solver} {extra}: {field} changed "
+                        f"{row[field]!r} -> {got.get(field)!r} (must match "
+                        f"BENCH_optimizers.json exactly)"
+                    )
+        print(f"{problem:<14}{solver:<24}{extra:<22}{row['evaluations']:>12}  {verdict}")
         summary_lines.append(
-            f"| {row['name']} | {row['direct_ns_per_solve']:.0f} "
-            f"| {row['registry_ns_per_solve']:.0f} | {overhead:+.1%} "
-            f"| {verdict} |"
+            f"| {problem} | {solver} | {extra} | {row['evaluations']} | {verdict} |"
         )
 
 
@@ -351,7 +362,7 @@ def check_serve(baseline_path, fresh_path, failures):
 
 
 def main(argv):
-    overhead_path = None
+    optimizers_paths = None
     mc_paths = None
     large_trees_paths = None
     serve_paths = None
@@ -360,9 +371,9 @@ def main(argv):
     positional = []
     i = 0
     while i < len(args):
-        if args[i] == "--overhead" and i + 1 < len(args):
-            overhead_path = args[i + 1]
-            i += 2
+        if args[i] == "--optimizers" and i + 2 < len(args):
+            optimizers_paths = (args[i + 1], args[i + 2])
+            i += 3
         elif args[i] == "--mc" and i + 2 < len(args):
             mc_paths = (args[i + 1], args[i + 2])
             i += 3
@@ -489,8 +500,8 @@ def main(argv):
             f"avx2 vs generic lane8: {avx2_text}"
         )
 
-    if overhead_path is not None:
-        check_overhead(overhead_path, failures)
+    if optimizers_paths is not None:
+        check_optimizers(optimizers_paths[0], optimizers_paths[1], failures)
     if mc_paths is not None:
         check_mc(mc_paths[0], mc_paths[1], failures)
     if large_trees_paths is not None:

@@ -1,10 +1,9 @@
 // Safety optimization (paper §III): "choose the free parameters X_1..X_l
 // such that the cost function is minimized". Glues the symbolic cost model
-// to the numeric solvers of src/opt; the exact autodiff gradient of the cost
-// expression is handed to gradient-based methods.
+// to the numeric solvers of src/opt through the compiled cost tape.
 //
 // Solvers are selected by registry name (opt::SolverRegistry), and each
-// solver's defaults live in its own registry factory — prefer the fluent
+// solver's defaults live in its own implementation — prefer the fluent
 // core::Study front door (study.h) for new code.
 #ifndef SAFEOPT_CORE_SAFETY_OPTIMIZER_H
 #define SAFEOPT_CORE_SAFETY_OPTIMIZER_H
@@ -76,7 +75,7 @@ class SafetyOptimizer {
       const expr::ParameterAssignment& baseline,
       const SafetyOptimizationResult& optimal) const;
 
-  /// The underlying numeric problem (objective + box + exact gradient);
+  /// The underlying numeric problem (objective + batch path + box);
   /// exposed for benches and custom solvers. Compiled once, by the
   /// constructor — every optimize()/run() call reuses the same tape — and
   /// shared by copies. The reference is valid while this optimizer (or a

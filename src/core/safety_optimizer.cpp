@@ -14,24 +14,15 @@ namespace {
 /// The numeric problem over `space`, with the objective on the compiled
 /// tape of `cost`.
 opt::Problem make_problem(const expr::Expr& cost, const ParameterSpace& space) {
-  const std::vector<std::string> names = space.names();
   opt::Problem problem;
   problem.bounds = space.box();
   // The scalar objective runs on the compiled tape — bitwise-identical to
   // cost.evaluate() (see compiled.h) and ~3× faster, so every solver in
-  // src/opt gets the compiled path without knowing it exists. The exact
-  // forward-mode dual gradient is kept as-is: reverse-over-tape gradients
-  // are equal only up to rounding, and gradient descent trajectories should
-  // not move under a performance change.
+  // src/opt gets the compiled path without knowing it exists.
   const auto compiled = std::make_shared<const expr::CompiledExpr>(
-      expr::CompiledExpr::compile(cost, names));
+      expr::CompiledExpr::compile(cost, space.names()));
   problem.objective = [compiled](std::span<const double> x) {
     return compiled->evaluate(x);
-  };
-  // Capture the space by value: callers may *copy* the returned Problem and
-  // keep using it after the SafetyOptimizer is gone (benches do).
-  problem.gradient = [space, cost, names](std::span<const double> x) {
-    return cost.evaluate_dual(space.assignment(x), names).grad();
   };
   // Large batches (grid rounds, synchronous DE generations) fan out over
   // the shared pool; each row writes only its own output slot, so results
@@ -41,20 +32,6 @@ opt::Problem make_problem(const expr::Expr& cost, const ParameterSpace& space) {
     constexpr std::size_t kParallelThreshold = 256;
     expr::BatchRequest request{.points = points, .values = out};
     if (out.size() >= kParallelThreshold) {
-      request.pool = &ThreadPool::shared();
-    }
-    compiled->evaluate_batch(request);
-  };
-  // Population-shaped gradient consumers get lane-batched reverse-mode
-  // sweeps (values bitwise-equal to the objective; gradients exact, equal
-  // to the dual gradient up to reassociation of the chain rule).
-  problem.batch_gradient = [compiled](std::span<const double> points,
-                                      std::span<double> values_out,
-                                      std::span<double> gradients_out) {
-    constexpr std::size_t kParallelThreshold = 128;
-    expr::BatchRequest request{.points = points, .values = values_out,
-                               .gradients = gradients_out};
-    if (values_out.size() >= kParallelThreshold) {
       request.pool = &ThreadPool::shared();
     }
     compiled->evaluate_batch(request);

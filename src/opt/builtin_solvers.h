@@ -1,8 +1,8 @@
-// Private bridge between the registry (solver.cpp) and the nine solver
-// translation units. Each solver .cpp defines its make_*_solver() factory
-// next to the numeric method it adapts; solver.cpp references them all when
-// seeding the registry. Routing the references through named functions (not
-// static registrar objects) keeps registration reliable under static-archive
+// Private bridge between the registry (solver.cpp) and the seven solver
+// translation units. Each solver .cpp defines its Solver class and the
+// factory below next to it; solver.cpp references them all when seeding the
+// registry. Routing the references through named functions (not static
+// registrar objects) keeps registration reliable under static-archive
 // linking, where an object file whose only content is a self-registering
 // global would be dropped.
 #ifndef SAFEOPT_OPT_BUILTIN_SOLVERS_H
@@ -12,18 +12,16 @@
 
 #include "safeopt/opt/solver.h"
 
-namespace safeopt::opt::detail {
+namespace safeopt::opt::builtin {
 
-std::unique_ptr<Solver> make_coordinate_descent_solver();
-std::unique_ptr<Solver> make_differential_evolution_solver();
-std::unique_ptr<Solver> make_golden_section_solver();
-std::unique_ptr<Solver> make_gradient_descent_solver();
-std::unique_ptr<Solver> make_grid_search_solver();
-std::unique_ptr<Solver> make_hooke_jeeves_solver();
-std::unique_ptr<Solver> make_multi_start_solver();
-std::unique_ptr<Solver> make_nelder_mead_solver();
-std::unique_ptr<Solver> make_simulated_annealing_solver();
+std::unique_ptr<Solver> coordinate_descent();
+std::unique_ptr<Solver> differential_evolution();
+std::unique_ptr<Solver> golden_section();
+std::unique_ptr<Solver> grid_search();
+std::unique_ptr<Solver> hooke_jeeves();
+std::unique_ptr<Solver> multi_start();
+std::unique_ptr<Solver> nelder_mead();
 
-}  // namespace safeopt::opt::detail
+}  // namespace safeopt::opt::builtin
 
 #endif  // SAFEOPT_OPT_BUILTIN_SOLVERS_H

@@ -1,190 +1,171 @@
-#include "safeopt/opt/differential_evolution.h"
-
-#include "builtin_solvers.h"
-
+// Differential evolution (rand/1/bin): population-based global optimizer.
+// The strongest general-purpose choice here when the cost surface has
+// plateaus or multiple basins and dimensions beyond what grid search covers.
+// Deterministic under a fixed seed.
 #include <algorithm>
 #include <cmath>
 
+#include "builtin_solvers.h"
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/rng.h"
 
 namespace safeopt::opt {
-
-DifferentialEvolution::DifferentialEvolution(Settings settings,
-                                             std::uint64_t seed)
-    : settings_(settings), seed_(seed) {
-  SAFEOPT_EXPECTS(settings.differential_weight > 0.0 &&
-                  settings.differential_weight <= 2.0);
-  SAFEOPT_EXPECTS(settings.crossover_rate >= 0.0 &&
-                  settings.crossover_rate <= 1.0);
-  SAFEOPT_EXPECTS(settings.generations >= 1);
-}
-
-OptimizationResult DifferentialEvolution::minimize(
-    const Problem& problem) const {
-  const std::size_t dim = problem.bounds.dimension();
-  SAFEOPT_EXPECTS(dim >= 1);
-  const std::size_t population_size =
-      settings_.population != 0 ? settings_.population
-                                : std::max<std::size_t>(15, 10 * dim);
-  SAFEOPT_EXPECTS(population_size >= 4);
-
-  OptimizationResult result;
-  Rng rng(seed_);
-
-  std::vector<std::vector<double>> population(population_size,
-                                              std::vector<double>(dim));
-  std::vector<double> fitness(population_size);
-  if (settings_.synchronous_batch) {
-    // Same RNG draw order as the scalar loop (draws happen point by point,
-    // evaluation consumes no randomness), one batched evaluation.
-    std::vector<double> flat(population_size * dim);
-    for (std::size_t p = 0; p < population_size; ++p) {
-      for (std::size_t i = 0; i < dim; ++i) {
-        population[p][i] =
-            uniform(rng, problem.bounds.lower[i], problem.bounds.upper[i]);
-        flat[p * dim + i] = population[p][i];
-      }
-    }
-    problem.evaluate_batch(flat, fitness);
-    result.evaluations += population_size;
-  } else {
-    for (std::size_t p = 0; p < population_size; ++p) {
-      for (std::size_t i = 0; i < dim; ++i) {
-        population[p][i] =
-            uniform(rng, problem.bounds.lower[i], problem.bounds.upper[i]);
-      }
-      fitness[p] = problem.objective(population[p]);
-      ++result.evaluations;
-    }
-  }
-
-  const auto spread = [&] {
-    const auto [lo, hi] = std::minmax_element(fitness.begin(), fitness.end());
-    return std::abs(*hi - *lo);
-  };
-
-  std::vector<double> trial(dim);
-  std::vector<double> trials_flat(settings_.synchronous_batch
-                                      ? population_size * dim
-                                      : 0);
-  std::vector<double> trial_fitness(
-      settings_.synchronous_batch ? population_size : 0);
-  for (std::size_t generation = 0; generation < settings_.generations;
-       ++generation) {
-    ++result.iterations;
-    if (spread() < settings_.spread_tolerance) {
-      result.converged = true;
-      result.message = "population collapsed";
-      break;
-    }
-    for (std::size_t p = 0; p < population_size; ++p) {
-      // Pick three distinct agents a, b, c, all different from p.
-      std::size_t a = 0;
-      std::size_t b = 0;
-      std::size_t c = 0;
-      do {
-        a = static_cast<std::size_t>(uniform_index(rng, population_size));
-      } while (a == p);
-      do {
-        b = static_cast<std::size_t>(uniform_index(rng, population_size));
-      } while (b == p || b == a);
-      do {
-        c = static_cast<std::size_t>(uniform_index(rng, population_size));
-      } while (c == p || c == a || c == b);
-
-      const std::size_t forced_axis =
-          static_cast<std::size_t>(uniform_index(rng, dim));
-      for (std::size_t i = 0; i < dim; ++i) {
-        if (i == forced_axis || uniform01(rng) < settings_.crossover_rate) {
-          trial[i] = population[a][i] +
-                     settings_.differential_weight *
-                         (population[b][i] - population[c][i]);
-        } else {
-          trial[i] = population[p][i];
-        }
-        trial[i] =
-            std::clamp(trial[i], problem.bounds.lower[i],
-                       problem.bounds.upper[i]);
-      }
-      if (settings_.synchronous_batch) {
-        // Stash the trial; the whole generation evaluates at once below.
-        std::copy(trial.begin(), trial.end(),
-                  trials_flat.begin() + static_cast<std::ptrdiff_t>(p * dim));
-        continue;
-      }
-      const double f_trial = problem.objective(trial);
-      ++result.evaluations;
-      if (f_trial <= fitness[p]) {
-        population[p] = trial;
-        fitness[p] = f_trial;
-      }
-    }
-    if (settings_.synchronous_batch) {
-      problem.evaluate_batch(trials_flat, trial_fitness);
-      result.evaluations += population_size;
-      for (std::size_t p = 0; p < population_size; ++p) {
-        if (trial_fitness[p] <= fitness[p]) {
-          const auto* begin = trials_flat.data() + p * dim;
-          population[p].assign(begin, begin + dim);
-          fitness[p] = trial_fitness[p];
-        }
-      }
-    }
-  }
-
-  const auto best =
-      std::min_element(fitness.begin(), fitness.end()) - fitness.begin();
-  result.argmin = population[static_cast<std::size_t>(best)];
-  result.value = fitness[static_cast<std::size_t>(best)];
-  if (!result.converged) {
-    result.converged = true;  // DE always returns its incumbent
-    result.message = "generation budget exhausted";
-  }
-  return result;
-}
-
-// ---- registry adapter -------------------------------------------------------
-
 namespace {
 
-/// Extras: "population" (0 = auto), "differential_weight", "crossover_rate",
-/// "generations", "spread_tolerance", "synchronous_batch" (0/1; nonzero
-/// selects the generation-synchronous batched variant — see Settings).
-/// Honors config.seed.
-class DifferentialEvolutionSolver final : public Solver {
+/// Extras: "population" (0 = max(15, 10·dimension)), "differential_weight"
+/// (F, default 0.7), "crossover_rate" (CR, 0.9), "generations" (200),
+/// "spread_tolerance" (stop once the population's best-to-worst value
+/// spread falls below it, 1e-12) and "synchronous_batch" (0/1, see below).
+/// Honors config.seed (default 0xd1ffe).
+///
+/// synchronous_batch=1 selects generation-synchronous evaluation: every
+/// generation's trials are produced first and then evaluated in one
+/// Problem::evaluate_batch call (the compiled-tape / thread-pool fast path),
+/// with selection against the *previous* generation — textbook synchronous
+/// DE. The default keeps the steady-state variant, where an accepted trial
+/// can serve as a donor later in the same generation; the two trajectories
+/// differ, so this is an explicit opt-in. For a fixed seed the synchronous
+/// result is bitwise-independent of how the batch is parallelized.
+class DifferentialEvolution final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "differential_evolution";
-  }
-  [[nodiscard]] SolverTraits traits() const noexcept override {
-    return SolverTraits{.max_dimension = 0, .stochastic = true};
   }
 
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
-    DifferentialEvolution::Settings settings;
-    settings.population = config.count_or("population", settings.population);
-    settings.differential_weight =
-        config.number_or("differential_weight", settings.differential_weight);
-    settings.crossover_rate =
-        config.number_or("crossover_rate", settings.crossover_rate);
-    settings.generations =
-        config.count_or("generations", settings.generations);
-    settings.spread_tolerance =
-        config.number_or("spread_tolerance", settings.spread_tolerance);
-    settings.synchronous_batch =
-        config.number_or("synchronous_batch", 0.0) != 0.0;
-    return DifferentialEvolution(settings, config.seed.value_or(0xd1ffe))
-        .minimize(problem);
+    const std::size_t population = config.count_or("population", 0);
+    const double weight = config.number_or("differential_weight", 0.7);
+    const double crossover_rate = config.number_or("crossover_rate", 0.9);
+    const std::size_t generations = config.count_or("generations", 200);
+    const double spread_tolerance =
+        config.number_or("spread_tolerance", 1e-12);
+    const bool synchronous = config.number_or("synchronous_batch", 0.0) != 0.0;
+    SAFEOPT_EXPECTS(weight > 0.0 && weight <= 2.0);
+    SAFEOPT_EXPECTS(crossover_rate >= 0.0 && crossover_rate <= 1.0);
+    SAFEOPT_EXPECTS(generations >= 1);
+
+    const std::size_t dim = problem.bounds.dimension();
+    const std::size_t population_size =
+        population != 0 ? population : std::max<std::size_t>(15, 10 * dim);
+    SAFEOPT_EXPECTS(population_size >= 4);
+
+    OptimizationResult result;
+    Rng rng(config.seed.value_or(0xd1ffe));
+
+    std::vector<std::vector<double>> members(population_size,
+                                             std::vector<double>(dim));
+    std::vector<double> fitness(population_size);
+    if (synchronous) {
+      // Same RNG draw order as the scalar loop (draws happen point by
+      // point, evaluation consumes no randomness), one batched evaluation.
+      std::vector<double> flat(population_size * dim);
+      for (std::size_t p = 0; p < population_size; ++p) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          members[p][i] =
+              uniform(rng, problem.bounds.lower[i], problem.bounds.upper[i]);
+          flat[p * dim + i] = members[p][i];
+        }
+      }
+      problem.evaluate_batch(flat, fitness);
+      result.evaluations += population_size;
+    } else {
+      for (std::size_t p = 0; p < population_size; ++p) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          members[p][i] =
+              uniform(rng, problem.bounds.lower[i], problem.bounds.upper[i]);
+        }
+        fitness[p] = problem.objective(members[p]);
+        ++result.evaluations;
+      }
+    }
+
+    const auto spread = [&] {
+      const auto [lo, hi] =
+          std::minmax_element(fitness.begin(), fitness.end());
+      return std::abs(*hi - *lo);
+    };
+
+    std::vector<double> trial(dim);
+    std::vector<double> trials_flat(synchronous ? population_size * dim : 0);
+    std::vector<double> trial_fitness(synchronous ? population_size : 0);
+    for (std::size_t generation = 0; generation < generations; ++generation) {
+      ++result.iterations;
+      if (spread() < spread_tolerance) {
+        result.converged = true;
+        result.message = "population collapsed";
+        break;
+      }
+      for (std::size_t p = 0; p < population_size; ++p) {
+        // Pick three distinct agents a, b, c, all different from p.
+        std::size_t a = 0;
+        std::size_t b = 0;
+        std::size_t c = 0;
+        do {
+          a = static_cast<std::size_t>(uniform_index(rng, population_size));
+        } while (a == p);
+        do {
+          b = static_cast<std::size_t>(uniform_index(rng, population_size));
+        } while (b == p || b == a);
+        do {
+          c = static_cast<std::size_t>(uniform_index(rng, population_size));
+        } while (c == p || c == a || c == b);
+
+        const std::size_t forced_axis =
+            static_cast<std::size_t>(uniform_index(rng, dim));
+        for (std::size_t i = 0; i < dim; ++i) {
+          if (i == forced_axis || uniform01(rng) < crossover_rate) {
+            trial[i] = members[a][i] +
+                       weight * (members[b][i] - members[c][i]);
+          } else {
+            trial[i] = members[p][i];
+          }
+          trial[i] = std::clamp(trial[i], problem.bounds.lower[i],
+                                problem.bounds.upper[i]);
+        }
+        if (synchronous) {
+          // Stash the trial; the whole generation evaluates at once below.
+          std::copy(trial.begin(), trial.end(),
+                    trials_flat.begin() + static_cast<std::ptrdiff_t>(p * dim));
+          continue;
+        }
+        const double f_trial = problem.objective(trial);
+        ++result.evaluations;
+        if (f_trial <= fitness[p]) {
+          members[p] = trial;
+          fitness[p] = f_trial;
+        }
+      }
+      if (synchronous) {
+        problem.evaluate_batch(trials_flat, trial_fitness);
+        result.evaluations += population_size;
+        for (std::size_t p = 0; p < population_size; ++p) {
+          if (trial_fitness[p] <= fitness[p]) {
+            const auto* begin = trials_flat.data() + p * dim;
+            members[p].assign(begin, begin + dim);
+            fitness[p] = trial_fitness[p];
+          }
+        }
+      }
+    }
+
+    const auto best =
+        std::min_element(fitness.begin(), fitness.end()) - fitness.begin();
+    result.argmin = members[static_cast<std::size_t>(best)];
+    result.value = fitness[static_cast<std::size_t>(best)];
+    if (!result.converged) {
+      result.converged = true;  // DE always returns its incumbent
+      result.message = "generation budget exhausted";
+    }
+    return result;
   }
 };
 
 }  // namespace
 
-std::unique_ptr<Solver> detail::make_differential_evolution_solver() {
-  return std::make_unique<DifferentialEvolutionSolver>();
+std::unique_ptr<Solver> builtin::differential_evolution() {
+  return std::make_unique<DifferentialEvolution>();
 }
 
 }  // namespace safeopt::opt

@@ -2,7 +2,7 @@
 //
 // The paper restricts free parameters to compact intervals "to guarantee the
 // existence of the minimum"; `Box` is exactly that product of intervals.
-// Every algorithm in src/opt consumes a `Problem` and produces an
+// Every solver in src/opt consumes a `Problem` and produces an
 // `OptimizationResult`, so the safety-optimization layer can swap methods
 // (the paper: "This problem can then be solved with different methods").
 #ifndef SAFEOPT_OPT_PROBLEM_H
@@ -11,6 +11,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace safeopt::opt {
@@ -39,52 +40,25 @@ struct Box {
 /// Objective value at a point inside the box.
 using Objective = std::function<double(std::span<const double>)>;
 
-/// Exact gradient at a point (same dimension as the box). Optional: solvers
-/// fall back to central finite differences when absent.
-using Gradient = std::function<std::vector<double>(std::span<const double>)>;
-
 /// Evaluates many points in one call: `points` holds out.size() parameter
 /// vectors row-major (points.size() == out.size() * dimension) and the
 /// objective value of row i is written to out[i]. Contract: produces exactly
 /// the values `objective` produces (bitwise), each out[i] depending only on
 /// row i — implementations may evaluate rows concurrently, and callers may
 /// rely on the result being independent of that choice. The batched
-/// call sites (GridSearch rounds, DE generations, sweeps) are where the
+/// call sites (grid_search rounds, DE generations, sweeps) are where the
 /// compiled-expression engine and the thread pool plug into the solvers.
 using BatchObjective =
     std::function<void(std::span<const double> points, std::span<double> out)>;
-
-/// Evaluates values *and* gradients at many points in one call: `points` is
-/// row-major as in BatchObjective, `values_out[i]` receives the objective at
-/// row i and `gradients_out` (row-major, values_out.size() × dimension) the
-/// gradient there. The compiled-expression engine implements this as one
-/// forward + one adjoint lane sweep per block of rows, which is what feeds
-/// population-based gradient consumers without per-point tape traversals.
-/// Values must agree bitwise with `objective`; gradients must agree with
-/// `gradient` up to floating-point reassociation (both are exact
-/// derivatives — forward-mode duals and reverse-mode adjoints associate the
-/// chain rule differently).
-using BatchGradient =
-    std::function<void(std::span<const double> points,
-                       std::span<double> values_out,
-                       std::span<double> gradients_out)>;
 
 /// A minimization problem: minimize `objective` over `bounds`.
 struct Problem {
   Objective objective;
   Box bounds;
-  Gradient gradient;                // may be empty
   BatchObjective batch_objective;   // may be empty; must agree with objective
-  BatchGradient batch_gradient;     // may be empty; see BatchGradient
 
-  [[nodiscard]] bool has_gradient() const noexcept {
-    return static_cast<bool>(gradient);
-  }
   [[nodiscard]] bool has_batch_objective() const noexcept {
     return static_cast<bool>(batch_objective);
-  }
-  [[nodiscard]] bool has_batch_gradient() const noexcept {
-    return static_cast<bool>(batch_gradient);
   }
 
   /// Batch evaluation through `batch_objective` when present, else a serial
@@ -92,14 +66,6 @@ struct Problem {
   /// bounds.dimension() and objective is callable.
   void evaluate_batch(std::span<const double> points,
                       std::span<double> out) const;
-
-  /// Batched values + gradients through `batch_gradient` when present, else
-  /// a serial loop over `objective` + `gradient` (finite differences when
-  /// no gradient is available either). Preconditions as above plus
-  /// gradients_out.size() == values_out.size() * bounds.dimension().
-  void evaluate_batch_with_gradients(std::span<const double> points,
-                                     std::span<double> values_out,
-                                     std::span<double> gradients_out) const;
 };
 
 /// Outcome of one solver run.
@@ -112,45 +78,30 @@ struct OptimizationResult {
   std::string message;
 };
 
-/// Common stopping-rule knobs honoured by all iterative solvers.
-struct StoppingCriteria {
-  std::size_t max_iterations = 1000;
-  /// Declare convergence when the algorithm-specific scale measure (simplex
-  /// spread, step length, temperature step, ...) falls below this.
-  double tolerance = 1e-10;
+/// A full tabulation of an objective over a 2-D grid — the exact artifact
+/// behind the paper's Fig. 5 3-D plot. Row-major: value(i, j) is at
+/// x = xs[i], y = ys[j].
+struct GridTable {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<double> values;  // xs.size() * ys.size(), row-major
+
+  [[nodiscard]] double value(std::size_t i, std::size_t j) const;
+  /// Grid argmin as (i, j).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> argmin() const;
 };
 
-/// Interface every solver implements.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Minimizes the problem. Precondition: problem.objective is callable and
-  /// problem.bounds.dimension() >= 1.
-  [[nodiscard]] virtual OptimizationResult minimize(
-      const Problem& problem) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
+/// Tabulates a 2-D objective over an nx × ny grid spanning `bounds`.
+/// Precondition: bounds.dimension() == 2, nx, ny >= 2.
+[[nodiscard]] GridTable tabulate_2d(const Objective& objective,
+                                    const Box& bounds, std::size_t nx,
+                                    std::size_t ny);
 
- protected:
-  Optimizer() = default;
-  Optimizer(const Optimizer&) = default;
-  Optimizer& operator=(const Optimizer&) = default;
-};
-
-/// Central-difference gradient estimate with per-axis step h_i scaled to the
-/// box width; evaluation points are projected into the box (one-sided at the
-/// boundary). Adds 2·dim evaluations to `evaluations` if non-null.
-[[nodiscard]] std::vector<double> finite_difference_gradient(
-    const Objective& objective, const Box& bounds, std::span<const double> x,
-    std::size_t* evaluations = nullptr);
-
-/// Same estimate — identical perturbation points, identical values — but the
-/// 2·dim probes are evaluated in one Problem::evaluate_batch call, so a
-/// problem with a batched (compiled, lane-parallel) objective computes the
-/// whole stencil per sweep instead of per point. Bitwise-equal to the
-/// Objective overload by the BatchObjective contract.
-[[nodiscard]] std::vector<double> finite_difference_gradient(
-    const Problem& problem, std::span<const double> x,
-    std::size_t* evaluations = nullptr);
+/// Same surface through the problem's batch path (compiled tapes, thread
+/// pool) — use this for large figure-quality grids. Values are identical to
+/// the Objective overload over problem.bounds.
+[[nodiscard]] GridTable tabulate_2d(const Problem& problem, std::size_t nx,
+                                    std::size_t ny);
 
 }  // namespace safeopt::opt
 

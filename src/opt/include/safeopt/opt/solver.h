@@ -1,9 +1,8 @@
 // The pluggable solver seam (paper §III-B: "This problem can then be solved
 // with different methods").
 //
-// `Solver` is the name-keyed, configuration-driven interface over the
-// numeric methods of src/opt. Where `Optimizer` (problem.h) is the minimal
-// "minimize this problem" vtable each method implements, `Solver` adds the
+// `Solver` is the one interface every numeric method of src/opt implements:
+// a name-keyed, configuration-driven "minimize this problem" that adds the
 // pieces a composable optimization *service* needs:
 //
 //   * one shared `SolverConfig` (budget / tolerance / seed / threads /
@@ -14,9 +13,9 @@
 //     numeric trajectory is bitwise-unchanged whether or not anyone listens;
 //   * an evaluation budget enforced uniformly (at batch granularity), with
 //     the best-so-far point returned when the budget runs out;
-//   * capability traits (dimension limits, seed consumption) validated
-//     before the run, failing fast with std::invalid_argument — e.g.
-//     golden_section on a multi-dimensional box;
+//   * capability traits (dimension limits) validated before the run,
+//     failing fast with std::invalid_argument — e.g. golden_section on a
+//     multi-dimensional box;
 //   * `SolverRegistry`, the name -> factory table behind
 //     `core::Study::solver("nelder_mead")`, extensible at runtime via
 //     `SolverRegistrar` (see docs/extending.md).
@@ -64,11 +63,13 @@ using ProgressObserver = std::function<void(const ProgressEvent&)>;
 /// are public fields; per-solver settings travel as name-keyed typed extras
 /// (unknown keys are ignored, so one config can parameterize a whole sweep
 /// of solvers). Default-constructed, it selects each solver's own defaults,
-/// which live in that solver's registry factory and nowhere else.
+/// which live in that solver's run() and nowhere else.
 struct SolverConfig {
-  /// Outer-iteration cap (maps onto StoppingCriteria::max_iterations).
+  /// Outer-iteration cap of the iterative solvers.
   std::size_t max_iterations = 1000;
-  /// Convergence tolerance (maps onto StoppingCriteria::tolerance).
+  /// Convergence tolerance: each solver declares convergence when its own
+  /// scale measure (simplex spread, step length, interval width, ...)
+  /// falls below it.
   double tolerance = 1e-10;
   /// Objective-evaluation budget; 0 = unlimited. Enforced uniformly by the
   /// instrumentation layer at batch granularity: a batch that begins under
@@ -133,11 +134,6 @@ struct SolverConfig {
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string_view fallback) const;
 
-  /// The classic stopping rule this config describes.
-  [[nodiscard]] StoppingCriteria stopping() const noexcept {
-    return StoppingCriteria{max_iterations, tolerance};
-  }
-
  private:
   std::map<std::string, double, std::less<>> numbers_;
   std::map<std::string, std::string, std::less<>> strings_;
@@ -148,8 +144,6 @@ struct SolverTraits {
   /// Largest supported problem dimension; 0 = unlimited. golden_section
   /// sets 1: its bracketing argument only exists on an interval.
   std::size_t max_dimension = 0;
-  /// True when the solver draws random numbers (honors SolverConfig::seed).
-  bool stochastic = false;
 };
 
 /// The polymorphic solver interface. Instances are cheap, stateless
@@ -167,9 +161,8 @@ class Solver {
   /// std::invalid_argument with an actionable message on mismatch — e.g.
   /// golden_section on a multi-dimensional box), instruments the problem
   /// when an observer or evaluation budget is configured, and runs the
-  /// numeric method. Without observer/budget the problem is passed through
-  /// untouched, so results are bit-identical to calling the underlying
-  /// Optimizer directly with the same settings.
+  /// numeric method. Without observer/budget/control the problem is passed
+  /// through untouched.
   [[nodiscard]] OptimizationResult solve(const Problem& problem,
                                          const SolverConfig& config = {}) const;
 
@@ -190,7 +183,7 @@ class Solver {
       const Problem& problem, const SolverConfig& config) const = 0;
 };
 
-/// Process-wide name -> factory table. The nine solvers of src/opt are
+/// Process-wide name -> factory table. The seven solvers of src/opt are
 /// pre-registered; add() extends it at runtime (last registration wins, so
 /// applications can override a built-in). All methods are thread-safe.
 class SolverRegistry {
@@ -221,26 +214,6 @@ struct SolverRegistrar {
   SolverRegistrar(std::string name, SolverRegistry::Factory factory) {
     SolverRegistry::add(std::move(name), std::move(factory));
   }
-};
-
-/// Bridges a Solver + config back onto the classic Optimizer vtable, e.g.
-/// for MultiStart's per-start local-solver factory.
-class SolverAdapter final : public Optimizer {
- public:
-  SolverAdapter(std::unique_ptr<Solver> solver, SolverConfig config)
-      : solver_(std::move(solver)), config_(std::move(config)) {}
-
-  [[nodiscard]] OptimizationResult minimize(
-      const Problem& problem) const override {
-    return solver_->solve(problem, config_);
-  }
-  [[nodiscard]] std::string name() const override {
-    return std::string(solver_->name());
-  }
-
- private:
-  std::unique_ptr<Solver> solver_;
-  SolverConfig config_;
 };
 
 }  // namespace safeopt::opt

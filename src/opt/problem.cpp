@@ -1,7 +1,6 @@
 #include "safeopt/opt/problem.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "safeopt/support/contracts.h"
 
@@ -62,86 +61,55 @@ void Problem::evaluate_batch(std::span<const double> points,
   }
 }
 
-void Problem::evaluate_batch_with_gradients(
-    std::span<const double> points, std::span<double> values_out,
-    std::span<double> gradients_out) const {
-  const std::size_t dim = bounds.dimension();
-  const std::size_t rows = values_out.size();
-  SAFEOPT_EXPECTS(points.size() == rows * dim);
-  SAFEOPT_EXPECTS(gradients_out.size() == rows * dim);
-  if (batch_gradient) {
-    batch_gradient(points, values_out, gradients_out);
-    return;
-  }
-  SAFEOPT_EXPECTS(static_cast<bool>(objective));
-  for (std::size_t row = 0; row < rows; ++row) {
-    const auto x = points.subspan(row * dim, dim);
-    values_out[row] = objective(x);
-    const std::vector<double> g = gradient
-                                      ? gradient(x)
-                                      : finite_difference_gradient(
-                                            objective, bounds, x);
-    SAFEOPT_ASSERT(g.size() == dim);
-    std::copy(g.begin(), g.end(), gradients_out.begin() + row * dim);
-  }
+double GridTable::value(std::size_t i, std::size_t j) const {
+  SAFEOPT_EXPECTS(i < xs.size() && j < ys.size());
+  return values[i * ys.size() + j];
 }
 
-std::vector<double> finite_difference_gradient(const Objective& objective,
-                                               const Box& bounds,
-                                               std::span<const double> x,
-                                               std::size_t* evaluations) {
-  SAFEOPT_EXPECTS(x.size() == bounds.dimension());
-  std::vector<double> grad(x.size(), 0.0);
-  std::vector<double> point(x.begin(), x.end());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double width = std::max(bounds.width(i), 1e-12);
-    const double h = std::max(1e-7 * width, 1e-9 * std::abs(x[i]) + 1e-12);
-    const double hi = std::min(x[i] + h, bounds.upper[i]);
-    const double lo = std::max(x[i] - h, bounds.lower[i]);
-    SAFEOPT_ASSERT(hi > lo);
-    point[i] = hi;
-    const double f_hi = objective(point);
-    point[i] = lo;
-    const double f_lo = objective(point);
-    point[i] = x[i];
-    grad[i] = (f_hi - f_lo) / (hi - lo);
-    if (evaluations != nullptr) *evaluations += 2;
-  }
-  return grad;
+std::pair<std::size_t, std::size_t> GridTable::argmin() const {
+  SAFEOPT_EXPECTS(!values.empty());
+  const auto it = std::min_element(values.begin(), values.end());
+  const auto flat = static_cast<std::size_t>(it - values.begin());
+  return {flat / ys.size(), flat % ys.size()};
 }
 
-std::vector<double> finite_difference_gradient(const Problem& problem,
-                                               std::span<const double> x,
-                                               std::size_t* evaluations) {
+GridTable tabulate_2d(const Problem& problem, std::size_t nx,
+                      std::size_t ny) {
+  SAFEOPT_EXPECTS(problem.bounds.dimension() == 2);
+  SAFEOPT_EXPECTS(nx >= 2 && ny >= 2);
   const Box& bounds = problem.bounds;
-  const std::size_t dim = bounds.dimension();
-  SAFEOPT_EXPECTS(x.size() == dim);
-  // The same stencil as the Objective overload — axis i perturbed to hi/lo
-  // with everything else at x — laid out as 2·dim rows for one batch call.
-  std::vector<double> points(2 * dim * dim);
-  std::vector<double> spacing(dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double width = std::max(bounds.width(i), 1e-12);
-    const double h = std::max(1e-7 * width, 1e-9 * std::abs(x[i]) + 1e-12);
-    const double hi = std::min(x[i] + h, bounds.upper[i]);
-    const double lo = std::max(x[i] - h, bounds.lower[i]);
-    SAFEOPT_ASSERT(hi > lo);
-    spacing[i] = hi - lo;
-    double* const row_hi = points.data() + (2 * i) * dim;
-    double* const row_lo = points.data() + (2 * i + 1) * dim;
-    std::copy(x.begin(), x.end(), row_hi);
-    std::copy(x.begin(), x.end(), row_lo);
-    row_hi[i] = hi;
-    row_lo[i] = lo;
+  GridTable table;
+  table.xs.resize(nx);
+  table.ys.resize(ny);
+  table.values.resize(nx * ny);
+  for (std::size_t i = 0; i < nx; ++i) {
+    const double t = static_cast<double>(i) / static_cast<double>(nx - 1);
+    table.xs[i] = bounds.lower[0] + t * (bounds.upper[0] - bounds.lower[0]);
   }
-  std::vector<double> values(2 * dim);
-  problem.evaluate_batch(points, values);
-  std::vector<double> grad(dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) {
-    grad[i] = (values[2 * i] - values[2 * i + 1]) / spacing[i];
+  for (std::size_t j = 0; j < ny; ++j) {
+    const double t = static_cast<double>(j) / static_cast<double>(ny - 1);
+    table.ys[j] = bounds.lower[1] + t * (bounds.upper[1] - bounds.lower[1]);
   }
-  if (evaluations != nullptr) *evaluations += 2 * dim;
-  return grad;
+  std::vector<double> points;
+  points.reserve(nx * ny * 2);
+  for (std::size_t i = 0; i < nx; ++i) {
+    for (std::size_t j = 0; j < ny; ++j) {
+      points.push_back(table.xs[i]);
+      points.push_back(table.ys[j]);
+    }
+  }
+  problem.evaluate_batch(points, table.values);
+  return table;
+}
+
+GridTable tabulate_2d(const Objective& objective, const Box& bounds,
+                      std::size_t nx, std::size_t ny) {
+  // Same layout, serial evaluation: Problem::evaluate_batch without a
+  // batch_objective loops over the objective in row order.
+  Problem problem;
+  problem.objective = objective;
+  problem.bounds = bounds;
+  return tabulate_2d(problem, nx, ny);
 }
 
 }  // namespace safeopt::opt

@@ -119,7 +119,6 @@ class Instrument {
   [[nodiscard]] Problem wrap(const Problem& original) {
     Problem wrapped;
     wrapped.bounds = original.bounds;
-    wrapped.gradient = original.gradient;  // exact gradients are not billed
     wrapped.objective = [this, &original](std::span<const double> x) {
       if (!reserve(1)) return std::numeric_limits<double>::infinity();
       const double value = original.objective(x);
@@ -129,8 +128,8 @@ class Instrument {
     // Batch paths are decided at batch granularity: a batch that starts
     // under budget runs to completion (values identical to the unwrapped
     // problem for any thread count), and only the in-budget prefix is
-    // counted. Capability flags must not change — solvers pick code paths
-    // by has_batch_objective()/has_batch_gradient().
+    // counted. A problem without a batch path stays without one, so its
+    // batches keep being evaluated (and billed) point by point.
     if (original.has_batch_objective()) {
       wrapped.batch_objective = [this, &original](
                                     std::span<const double> points,
@@ -142,22 +141,6 @@ class Instrument {
         }
         original.evaluate_batch(points, out);
         record_batch(points, out);
-      };
-    }
-    if (original.has_batch_gradient()) {
-      wrapped.batch_gradient = [this, &original](
-                                   std::span<const double> points,
-                                   std::span<double> values_out,
-                                   std::span<double> gradients_out) {
-        if (!reserve(values_out.size())) {
-          std::fill(values_out.begin(), values_out.end(),
-                    std::numeric_limits<double>::infinity());
-          std::fill(gradients_out.begin(), gradients_out.end(), 0.0);
-          return;
-        }
-        original.evaluate_batch_with_gradients(points, values_out,
-                                               gradients_out);
-        record_batch(points, values_out);
       };
     }
     return wrapped;
@@ -318,21 +301,18 @@ OptimizationResult Solver::solve(const Problem& problem,
 
 namespace {
 
-/// The shared registry scaffolding, seeded with the nine built-in solvers
+/// The shared registry scaffolding, seeded with the seven built-in solvers
 /// on first use (via named factory functions the linker cannot drop — see
 /// builtin_solvers.h).
 NameRegistry<SolverRegistry::Factory>& registry() {
   static NameRegistry<SolverRegistry::Factory> instance(
-      "solver",
-      {{"coordinate_descent", &detail::make_coordinate_descent_solver},
-       {"differential_evolution", &detail::make_differential_evolution_solver},
-       {"golden_section", &detail::make_golden_section_solver},
-       {"gradient_descent", &detail::make_gradient_descent_solver},
-       {"grid_search", &detail::make_grid_search_solver},
-       {"hooke_jeeves", &detail::make_hooke_jeeves_solver},
-       {"multi_start", &detail::make_multi_start_solver},
-       {"nelder_mead", &detail::make_nelder_mead_solver},
-       {"simulated_annealing", &detail::make_simulated_annealing_solver}});
+      "solver", {{"coordinate_descent", &builtin::coordinate_descent},
+                 {"differential_evolution", &builtin::differential_evolution},
+                 {"golden_section", &builtin::golden_section},
+                 {"grid_search", &builtin::grid_search},
+                 {"hooke_jeeves", &builtin::hooke_jeeves},
+                 {"multi_start", &builtin::multi_start},
+                 {"nelder_mead", &builtin::nelder_mead}});
   return instance;
 }
 

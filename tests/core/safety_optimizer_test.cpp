@@ -58,8 +58,7 @@ TEST_P(EveryAlgorithm, FindsTheAnalyticOptimum) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EveryAlgorithm,
     ::testing::Values("grid_search", "nelder_mead", "multi_start",
-                      "gradient_descent", "hooke_jeeves",
-                      "coordinate_descent", "simulated_annealing",
+                      "hooke_jeeves", "coordinate_descent",
                       "differential_evolution", "golden_section"),
     [](const auto& param_info) { return param_info.param; });
 
@@ -85,18 +84,6 @@ TEST(SafetyOptimizerTest, CompareReportsRelativeChanges) {
   EXPECT_LT(report.hazards[0].relative_change, 0.0);
   EXPECT_GT(report.hazards[1].relative_change, 0.0);
   EXPECT_NEAR(report.hazards[0].baseline_probability, std::exp(-2.0), 1e-12);
-}
-
-TEST(SafetyOptimizerTest, ProblemExposesExactGradient) {
-  const SyntheticSystem system;
-  const SafetyOptimizer optimizer = system.make();
-  const opt::Problem problem = optimizer.problem();
-  ASSERT_TRUE(problem.has_gradient());
-  const std::vector<double> at{3.0};
-  const auto grad = problem.gradient(at);
-  // d/dx [50 e^{-x} + 0.01x] = −50 e^{-x} + 0.01.
-  EXPECT_NEAR(grad[0], -50.0 * std::exp(-3.0) + 0.01, 1e-10);
-  EXPECT_NEAR(problem.objective(at), 50.0 * std::exp(-3.0) + 0.03, 1e-12);
 }
 
 TEST(SafetyOptimizerTest, TwoParameterSeparableSystem) {

@@ -9,6 +9,7 @@
 #include "safeopt/core/study.h"
 #include "safeopt/expr/eval_backend.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/opt/solver.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::core {
@@ -256,6 +257,33 @@ TEST(StudyDocumentTest, RejectsAnUnregisteredBackendWithTheRegisteredList) {
     EXPECT_NE(message.find(concat("registered: ", registered, ", or auto")),
               std::string::npos)
         << message;
+  }
+}
+
+// "gradient_descent" and "simulated_annealing" are no longer solvers (each
+// lost to another solver on quality and time in bench_optimizers); in a
+// document they are unknown names like any typo, rejected with the
+// registered list.
+TEST(StudyDocumentTest, RejectsARemovedSolverWithTheRegisteredList) {
+  const std::string available = join(opt::SolverRegistry::available(), ", ");
+  EXPECT_EQ(available,
+            "coordinate_descent, differential_evolution, golden_section, "
+            "grid_search, hooke_jeeves, multi_start, nelder_mead");
+  for (const char* removed : {"simulated_annealing", "gradient_descent"}) {
+    const std::string text = concat(
+        "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.1 * X;\n"
+        "hazard fault-tree cost = 1;\nsolver ",
+        removed, ";\n");
+    try {
+      (void)Study::from_document(ftio::parse_study(text));
+      FAIL() << "solver " << removed << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(concat("unknown solver \"", removed,
+                                    "\"; available: ", available)),
+                std::string::npos)
+          << message;
+    }
   }
 }
 

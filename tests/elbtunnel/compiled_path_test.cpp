@@ -10,8 +10,7 @@
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/expr/compiled.h"
 #include "safeopt/fta/cut_sets.h"
-#include "safeopt/opt/differential_evolution.h"
-#include "safeopt/opt/grid_search.h"
+#include "safeopt/opt/solver.h"
 
 namespace safeopt::elbtunnel {
 namespace {
@@ -43,13 +42,12 @@ TEST(CompiledPathTest, CompiledCostMatchesTreeWalkAcrossTheBox) {
 TEST(CompiledPathTest, GridSearchOptimumIsBitwiseIdentical) {
   const ElbtunnelModel model;
   const core::SafetyOptimizer optimizer = model.optimizer();
-  const opt::GridSearch search(33, 5);
+  const auto search = opt::SolverRegistry::create("grid_search");
 
   const opt::OptimizationResult tree =
-      search.minimize(tree_walk_problem(optimizer));
+      search->solve(tree_walk_problem(optimizer));
   // optimizer.problem() carries the compiled scalar + batch objectives.
-  const opt::OptimizationResult compiled =
-      search.minimize(optimizer.problem());
+  const opt::OptimizationResult compiled = search->solve(optimizer.problem());
 
   EXPECT_EQ(tree.value, compiled.value);
   EXPECT_EQ(tree.argmin, compiled.argmin);
@@ -59,14 +57,15 @@ TEST(CompiledPathTest, GridSearchOptimumIsBitwiseIdentical) {
 TEST(CompiledPathTest, DifferentialEvolutionOptimumIsBitwiseIdentical) {
   const ElbtunnelModel model;
   const core::SafetyOptimizer optimizer = model.optimizer();
-  opt::DifferentialEvolution::Settings settings;
-  settings.generations = 60;
-  const opt::DifferentialEvolution solver(settings, 0xd1ffe);
+  const auto solver = opt::SolverRegistry::create("differential_evolution");
+  opt::SolverConfig config;
+  config.set("generations", 60.0);
+  config.seed = 0xd1ffe;
 
   const opt::OptimizationResult tree =
-      solver.minimize(tree_walk_problem(optimizer));
+      solver->solve(tree_walk_problem(optimizer), config);
   const opt::OptimizationResult compiled =
-      solver.minimize(optimizer.problem());
+      solver->solve(optimizer.problem(), config);
 
   EXPECT_EQ(tree.value, compiled.value);
   EXPECT_EQ(tree.argmin, compiled.argmin);

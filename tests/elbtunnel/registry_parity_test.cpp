@@ -109,12 +109,8 @@ TEST(RegistryParityTest, EveryRegisteredSolverRunsOnTheElbtunnelProblem) {
     ASSERT_EQ(result.optimization.argmin.size(), 2u) << name;
     // Every solver must improve on the engineers' guess (cost 0.0046615).
     EXPECT_LT(result.cost, 0.004650) << name;
-    if (name == "gradient_descent") continue;
-    // The derivative-free and global methods all land on the paper's cost
-    // basin (T2* ~ 15.6; the surface is flat along T1, so only the cost is
-    // pinned tightly). Projected gradient descent is exempt: it stalls on
-    // the plateau partway down — the documented weakness that motivates the
-    // other methods.
+    // Every solver lands on the paper's cost basin (T2* ~ 15.6; the
+    // surface is flat along T1, so only the cost is pinned tightly).
     EXPECT_NEAR(result.cost, 0.00462, 5e-5) << name;
     EXPECT_NEAR(result.optimization.argmin[1], 15.76, 0.5) << name;
   }

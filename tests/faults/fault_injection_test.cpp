@@ -9,6 +9,7 @@
 #include <sys/resource.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -410,6 +411,70 @@ TEST(SolverFaultTest, ArmedButSilentControlDoesNotChangeTheResult) {
   EXPECT_EQ(guarded.converged, plain.converged);
   EXPECT_EQ(guarded.value, plain.value);
   EXPECT_EQ(guarded.argmin, plain.argmin);
+}
+
+// multi_start passes the control on to every start's inner solve, so both
+// its own instrumentation and the running start's poll it: each granted
+// evaluation costs two polls, and whichever layer sees the control fire
+// first writes the abort message.
+
+opt::OptimizationResult multi_start_under(const ExecutionControl& control,
+                                          ThreadPool* pool) {
+  opt::SolverConfig config;
+  config.control = &control;
+  config.pool = pool;
+  return opt::SolverRegistry::create("multi_start")
+      ->solve(quadratic_problem(), config);
+}
+
+TEST(SolverFaultTest, MultiStartPreCancelledReturnsWithoutEvaluating) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "sequential" : "pool");
+    const opt::OptimizationResult result =
+        multi_start_under(FaultInjector::cancelled(), p);
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.evaluations, 0u);
+    EXPECT_EQ(result.iterations, 0u);
+    // Nothing was evaluated: the box center (start 0) comes back at +inf.
+    EXPECT_EQ(result.argmin, (std::vector<double>{0.0, 0.0}));
+    EXPECT_EQ(result.value, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(result.message,
+              "best of 8 starts: cancelled after 0 evaluations");
+  }
+}
+
+TEST(SolverFaultTest, MultiStartMidRunDeadlineReturnsThePinnedPartialResult) {
+  FaultInjector injector;
+  const opt::OptimizationResult result = multi_start_under(
+      injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded),
+      nullptr);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.evaluations, 12u);
+  EXPECT_EQ(result.iterations, 1000u);
+  EXPECT_EQ(result.message, "deadline exceeded after 12 evaluations");
+  EXPECT_EQ(result.argmin,
+            (std::vector<double>{0x1.4cccccccccccep+0, -0x1p+1}));
+  EXPECT_EQ(result.value, 0x1.70a3d70a3d716p-4);
+  EXPECT_EQ(result.value, quadratic_problem().objective(result.argmin));
+}
+
+TEST(SolverFaultTest, MultiStartMidRunDeadlineOnAPoolReturnsAPartialResult) {
+  // Concurrent starts race for the 25 polls, so which points get evaluated
+  // depends on scheduling; the partial-result contract does not.
+  ThreadPool pool(4);
+  FaultInjector injector;
+  const opt::OptimizationResult result = multi_start_under(
+      injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded),
+      &pool);
+  EXPECT_FALSE(result.converged);
+  EXPECT_GT(result.evaluations, 0u);
+  EXPECT_LE(result.evaluations, 12u);
+  EXPECT_NE(result.message.find("deadline exceeded after"), std::string::npos)
+      << result.message;
+  ASSERT_EQ(result.argmin.size(), 2u);
+  EXPECT_TRUE(opt::Box({-4.0, -4.0}, {4.0, 4.0}).contains(result.argmin));
+  EXPECT_EQ(result.value, quadratic_problem().objective(result.argmin));
 }
 
 // ---------------------------------------------------- graceful degradation

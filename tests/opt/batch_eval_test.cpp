@@ -1,19 +1,14 @@
-// Batched evaluation through opt::Problem: the fallback loop, the GridSearch
+// Batched evaluation through opt::Problem: the fallback loop, the grid_search
 // block path, synchronous differential evolution, and parallel multi-start
 // must all produce results that are bitwise-independent of how (and whether)
 // evaluation is batched or threaded.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <memory>
 #include <vector>
 
-#include "safeopt/opt/differential_evolution.h"
-#include "safeopt/opt/grid_search.h"
-#include "safeopt/opt/multi_start.h"
-#include "safeopt/opt/nelder_mead.h"
 #include "safeopt/opt/problem.h"
+#include "safeopt/opt/solver.h"
 #include "safeopt/support/thread_pool.h"
 
 namespace safeopt::opt {
@@ -73,9 +68,11 @@ TEST(GridSearchBatchTest, BatchedProblemGivesIdenticalResult) {
     });
   };
 
-  const GridSearch search(41, 4);
-  const OptimizationResult a = search.minimize(scalar);
-  const OptimizationResult b = search.minimize(batched);
+  const auto search = SolverRegistry::create("grid_search");
+  SolverConfig config;
+  config.set("points_per_dimension", 41.0).set("refinement_rounds", 4.0);
+  const OptimizationResult a = search->solve(scalar, config);
+  const OptimizationResult b = search->solve(batched, config);
   EXPECT_EQ(a.value, b.value);
   EXPECT_EQ(a.argmin, b.argmin);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -88,18 +85,21 @@ TEST(GridSearchBatchTest, BlockedScanKeepsFirstOfTiedMinima) {
   Problem problem;
   problem.objective = [](std::span<const double>) { return 1.0; };
   problem.bounds = Box({0.0, 0.0}, {1.0, 1.0});
-  const OptimizationResult result = GridSearch(5, 1).minimize(problem);
+  SolverConfig config;
+  config.set("points_per_dimension", 5.0).set("refinement_rounds", 1.0);
+  const OptimizationResult result =
+      SolverRegistry::create("grid_search")->solve(problem, config);
   EXPECT_EQ(result.argmin, (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(DifferentialEvolutionBatchTest, SynchronousModeIsDeterministic) {
-  DifferentialEvolution::Settings settings;
-  settings.generations = 40;
-  settings.synchronous_batch = true;
-  const DifferentialEvolution solver(settings, 0xfeed);
+  const auto solver = SolverRegistry::create("differential_evolution");
+  SolverConfig config;
+  config.set("generations", 40.0).set("synchronous_batch", 1.0);
+  config.seed = 0xfeed;
 
   const Problem scalar = himmelblau_problem();
-  const OptimizationResult reference = solver.minimize(scalar);
+  const OptimizationResult reference = solver->solve(scalar, config);
 
   for (const std::size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -112,103 +112,32 @@ TEST(DifferentialEvolutionBatchTest, SynchronousModeIsDeterministic) {
         }
       });
     };
-    const OptimizationResult result = solver.minimize(batched);
+    const OptimizationResult result = solver->solve(batched, config);
     EXPECT_EQ(result.value, reference.value) << threads << " threads";
     EXPECT_EQ(result.argmin, reference.argmin) << threads << " threads";
   }
 }
 
 TEST(DifferentialEvolutionBatchTest, SynchronousModeFindsTheMinimum) {
-  DifferentialEvolution::Settings settings;
-  settings.synchronous_batch = true;
+  SolverConfig config;
+  config.set("synchronous_batch", 1.0);
   const OptimizationResult result =
-      DifferentialEvolution(settings).minimize(himmelblau_problem());
+      SolverRegistry::create("differential_evolution")
+          ->solve(himmelblau_problem(), config);
   EXPECT_NEAR(result.value, 0.0, 1e-8);
-}
-
-double himmelblau_dx(std::span<const double> x) {
-  const double a = x[0] * x[0] + x[1] - 11.0;
-  const double b = x[0] + x[1] * x[1] - 7.0;
-  return 4.0 * a * x[0] + 2.0 * b;
-}
-
-double himmelblau_dy(std::span<const double> x) {
-  const double a = x[0] * x[0] + x[1] - 11.0;
-  const double b = x[0] + x[1] * x[1] - 7.0;
-  return 2.0 * a + 4.0 * b * x[1];
-}
-
-TEST(ProblemBatchGradientTest, FallbackUsesObjectiveAndGradient) {
-  Problem problem = himmelblau_problem();
-  problem.gradient = [](std::span<const double> x) {
-    return std::vector<double>{himmelblau_dx(x), himmelblau_dy(x)};
-  };
-  ASSERT_FALSE(problem.has_batch_gradient());
-  const std::vector<double> points{1.0, 2.0, -3.0, 0.5, 4.0, -4.0};
-  std::vector<double> values(3);
-  std::vector<double> gradients(6);
-  problem.evaluate_batch_with_gradients(points, values, gradients);
-  for (std::size_t r = 0; r < 3; ++r) {
-    const auto x = std::span<const double>(&points[r * 2], 2);
-    EXPECT_EQ(values[r], himmelblau(x));
-    EXPECT_EQ(gradients[r * 2], himmelblau_dx(x));
-    EXPECT_EQ(gradients[r * 2 + 1], himmelblau_dy(x));
-  }
-}
-
-TEST(ProblemBatchGradientTest, BatchGradientIsPreferred) {
-  Problem problem = himmelblau_problem();
-  std::atomic<int> calls{0};
-  problem.batch_gradient = [&calls](std::span<const double> points,
-                                    std::span<double> values,
-                                    std::span<double> gradients) {
-    ++calls;
-    for (std::size_t r = 0; r < values.size(); ++r) {
-      const auto x = points.subspan(r * 2, 2);
-      values[r] = himmelblau(x);
-      gradients[r * 2] = himmelblau_dx(x);
-      gradients[r * 2 + 1] = himmelblau_dy(x);
-    }
-  };
-  const std::vector<double> points{0.5, -1.5, 3.0, 2.0};
-  std::vector<double> values(2);
-  std::vector<double> gradients(4);
-  problem.evaluate_batch_with_gradients(points, values, gradients);
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(values[1], 0.0);
-  EXPECT_EQ(gradients[2], 0.0);  // (3, 2) is a stationary minimum
-  EXPECT_EQ(gradients[3], 0.0);
-}
-
-TEST(ProblemBatchGradientTest, BatchedFiniteDifferencesMatchScalarStencil) {
-  // The Problem overload evaluates its whole 2·dim stencil through
-  // evaluate_batch; values and hence the gradient must be bitwise-equal to
-  // the per-point Objective overload.
-  const Problem problem = himmelblau_problem();
-  const std::vector<double> x{1.3, -2.1};
-  std::size_t scalar_evals = 0;
-  std::size_t batch_evals = 0;
-  const std::vector<double> scalar = finite_difference_gradient(
-      problem.objective, problem.bounds, x, &scalar_evals);
-  const std::vector<double> batched =
-      finite_difference_gradient(problem, x, &batch_evals);
-  EXPECT_EQ(scalar, batched);
-  EXPECT_EQ(scalar_evals, batch_evals);
 }
 
 TEST(MultiStartParallelTest, PoolGivesIdenticalResultToSequential) {
   const Problem problem = himmelblau_problem();
-  const auto factory = [](std::vector<double> start) {
-    return std::make_unique<NelderMead>(StoppingCriteria{}, std::move(start));
-  };
-
-  const MultiStart sequential(factory, 8, 0xabc);
-  const OptimizationResult reference = sequential.minimize(problem);
+  const auto solver = SolverRegistry::create("multi_start");
+  SolverConfig config;
+  config.seed = 0xabc;
+  const OptimizationResult reference = solver->solve(problem, config);
 
   for (const std::size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
-    const MultiStart parallel(factory, 8, 0xabc, &pool);
-    const OptimizationResult result = parallel.minimize(problem);
+    config.pool = &pool;
+    const OptimizationResult result = solver->solve(problem, config);
     EXPECT_EQ(result.value, reference.value) << threads << " threads";
     EXPECT_EQ(result.argmin, reference.argmin) << threads << " threads";
     EXPECT_EQ(result.evaluations, reference.evaluations)

@@ -1,60 +1,43 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
-#include <memory>
 #include <string>
 
-#include "safeopt/opt/coordinate_descent.h"
-#include "safeopt/opt/differential_evolution.h"
-#include "safeopt/opt/golden_section.h"
-#include "safeopt/opt/gradient_descent.h"
-#include "safeopt/opt/grid_search.h"
-#include "safeopt/opt/hooke_jeeves.h"
-#include "safeopt/opt/multi_start.h"
-#include "safeopt/opt/nelder_mead.h"
-#include "safeopt/opt/simulated_annealing.h"
+#include "safeopt/opt/solver.h"
 
 namespace safeopt::opt {
 namespace {
 
-/// All solvers applicable to >= 2 dimensions, constructed fresh per test.
-std::unique_ptr<Optimizer> make_solver(const std::string& name) {
-  if (name == "GridSearch") return std::make_unique<GridSearch>(17, 5);
-  if (name == "NelderMead") return std::make_unique<NelderMead>();
-  if (name == "GradientDescent") {
-    return std::make_unique<ProjectedGradientDescent>(
-        StoppingCriteria{5000, 1e-12});
+OptimizationResult solve(const std::string& name, const Problem& problem,
+                         const SolverConfig& config = {}) {
+  return SolverRegistry::create(name)->solve(problem, config);
+}
+
+/// Every solver applicable to >= 2 dimensions, by display name: the
+/// registry solver it runs and the extras it runs with.
+OptimizationResult solve_as(const std::string& display,
+                            const Problem& problem) {
+  SolverConfig config;
+  if (display == "GridSearch") {
+    return solve("grid_search", problem,
+                 config.set("points_per_dimension", 17.0));
   }
-  if (name == "HookeJeeves") return std::make_unique<HookeJeeves>();
-  if (name == "CoordinateDescent") return std::make_unique<CoordinateDescent>();
-  if (name == "SimulatedAnnealing") {
-    SimulatedAnnealing::Schedule schedule;
-    schedule.initial_temperature = 2.0;
-    schedule.cooling_factor = 0.92;
-    schedule.steps_per_epoch = 120;
-    return std::make_unique<SimulatedAnnealing>(schedule);
+  if (display == "NelderMead") return solve("nelder_mead", problem);
+  if (display == "HookeJeeves") return solve("hooke_jeeves", problem);
+  if (display == "CoordinateDescent") {
+    return solve("coordinate_descent", problem);
   }
-  if (name == "DifferentialEvolution") {
-    DifferentialEvolution::Settings settings;
-    settings.generations = 400;
-    return std::make_unique<DifferentialEvolution>(settings);
+  if (display == "DifferentialEvolution") {
+    return solve("differential_evolution", problem,
+                 config.set("generations", 400.0));
   }
-  if (name == "MultiStartNelderMead") {
-    return std::make_unique<MultiStart>(
-        [](std::vector<double> start) -> std::unique_ptr<Optimizer> {
-          return std::make_unique<NelderMead>(StoppingCriteria{},
-                                              std::move(start));
-        },
-        6);
-  }
-  return nullptr;
+  // "MultiStartNelderMead": six Nelder–Mead starts.
+  return solve("multi_start", problem, config.set("starts", 6.0));
 }
 
 const std::string kAllSolvers[] = {
-    "GridSearch",         "NelderMead",         "GradientDescent",
-    "HookeJeeves",        "CoordinateDescent",  "SimulatedAnnealing",
-    "DifferentialEvolution", "MultiStartNelderMead"};
+    "GridSearch",        "NelderMead",            "HookeJeeves",
+    "CoordinateDescent", "DifferentialEvolution", "MultiStartNelderMead"};
 
 class EverySolver : public ::testing::TestWithParam<std::string> {};
 
@@ -65,12 +48,10 @@ TEST_P(EverySolver, SolvesShiftedQuadratic) {
   problem.objective = [](std::span<const double> x) {
     return (x[0] - 0.7) * (x[0] - 0.7) + 2.0 * (x[1] + 1.2) * (x[1] + 1.2);
   };
-  const auto solver = make_solver(GetParam());
-  ASSERT_NE(solver, nullptr);
-  const OptimizationResult result = solver->minimize(problem);
-  EXPECT_NEAR(result.argmin[0], 0.7, 2e-2) << solver->name();
-  EXPECT_NEAR(result.argmin[1], -1.2, 2e-2) << solver->name();
-  EXPECT_LT(result.value, 1e-3) << solver->name();
+  const OptimizationResult result = solve_as(GetParam(), problem);
+  EXPECT_NEAR(result.argmin[0], 0.7, 2e-2) << GetParam();
+  EXPECT_NEAR(result.argmin[1], -1.2, 2e-2) << GetParam();
+  EXPECT_LT(result.value, 1e-3) << GetParam();
   EXPECT_GT(result.evaluations, 0u);
 }
 
@@ -82,11 +63,10 @@ TEST_P(EverySolver, RespectsBoxWhenMinimumIsOutside) {
   problem.objective = [](std::span<const double> x) {
     return (x[0] - 5.0) * (x[0] - 5.0) + (x[1] - 5.0) * (x[1] - 5.0);
   };
-  const auto solver = make_solver(GetParam());
-  const OptimizationResult result = solver->minimize(problem);
-  EXPECT_TRUE(problem.bounds.contains(result.argmin)) << solver->name();
-  EXPECT_NEAR(result.argmin[0], 1.0, 5e-2) << solver->name();
-  EXPECT_NEAR(result.argmin[1], 1.0, 5e-2) << solver->name();
+  const OptimizationResult result = solve_as(GetParam(), problem);
+  EXPECT_TRUE(problem.bounds.contains(result.argmin)) << GetParam();
+  EXPECT_NEAR(result.argmin[0], 1.0, 5e-2) << GetParam();
+  EXPECT_NEAR(result.argmin[1], 1.0, 5e-2) << GetParam();
 }
 
 TEST_P(EverySolver, HandlesRosenbrockValley) {
@@ -98,12 +78,10 @@ TEST_P(EverySolver, HandlesRosenbrockValley) {
     const double b = x[1] - x[0] * x[0];
     return a * a + 100.0 * b * b;
   };
-  const auto solver = make_solver(GetParam());
-  const OptimizationResult result = solver->minimize(problem);
-  // The curved valley is hard for coarse/annealing methods; accept any
-  // point well inside the valley (f < 0.1 is far below typical plateaus),
-  // and tight accuracy from the strong local methods.
-  EXPECT_LT(result.value, 0.1) << solver->name() << ": " << result.message;
+  const OptimizationResult result = solve_as(GetParam(), problem);
+  // The curved valley is hard for coarse methods; accept any point well
+  // inside the valley (f < 0.1 is far below typical plateaus).
+  EXPECT_LT(result.value, 0.1) << GetParam() << ": " << result.message;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EverySolver, ::testing::ValuesIn(kAllSolvers),
@@ -117,8 +95,7 @@ TEST(GoldenSectionTest, FindsUnimodalMinimum) {
   problem.objective = [](std::span<const double> x) {
     return (x[0] - 3.3) * (x[0] - 3.3) + 1.5;
   };
-  const GoldenSection solver;
-  const auto result = solver.minimize(problem);
+  const auto result = solve("golden_section", problem);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.argmin[0], 3.3, 1e-7);
   EXPECT_NEAR(result.value, 1.5, 1e-10);
@@ -134,8 +111,7 @@ TEST(GoldenSectionTest, AsymmetricCostLikeAviationExample) {
     const double cancel = 2.0 / x[0];
     return crash + cancel;
   };
-  const GoldenSection solver;
-  const auto result = solver.minimize(problem);
+  const auto result = solve("golden_section", problem);
   EXPECT_TRUE(result.converged);
   EXPECT_GT(result.argmin[0], 0.02);
   EXPECT_LT(result.argmin[0], 4.9);
@@ -168,33 +144,16 @@ TEST(GridSearchTest, RefinementSharpensTheMinimum) {
   problem.objective = [](std::span<const double> x) {
     return std::abs(x[0] - 0.337);
   };
-  const GridSearch coarse(11, 1);
-  const GridSearch refined(11, 5);
+  SolverConfig coarse;
+  coarse.set("points_per_dimension", 11.0).set("refinement_rounds", 1.0);
+  SolverConfig refined;
+  refined.set("points_per_dimension", 11.0).set("refinement_rounds", 5.0);
   const double coarse_error =
-      std::abs(coarse.minimize(problem).argmin[0] - 0.337);
+      std::abs(solve("grid_search", problem, coarse).argmin[0] - 0.337);
   const double refined_error =
-      std::abs(refined.minimize(problem).argmin[0] - 0.337);
+      std::abs(solve("grid_search", problem, refined).argmin[0] - 0.337);
   EXPECT_LT(refined_error, coarse_error);
   EXPECT_LT(refined_error, 1e-4);
-}
-
-TEST(GradientDescentTest, UsesProvidedExactGradient) {
-  Problem problem;
-  problem.bounds = Box({-5.0, -5.0}, {5.0, 5.0});
-  problem.objective = [](std::span<const double> x) {
-    return x[0] * x[0] + 4.0 * x[1] * x[1];
-  };
-  std::size_t gradient_calls = 0;
-  problem.gradient = [&gradient_calls](std::span<const double> x) {
-    ++gradient_calls;
-    return std::vector<double>{2.0 * x[0], 8.0 * x[1]};
-  };
-  const ProjectedGradientDescent solver(StoppingCriteria{2000, 1e-12},
-                                        {4.0, 4.0});
-  const auto result = solver.minimize(problem);
-  EXPECT_GT(gradient_calls, 0u);
-  EXPECT_NEAR(result.argmin[0], 0.0, 1e-5);
-  EXPECT_NEAR(result.argmin[1], 0.0, 1e-5);
 }
 
 TEST(StochasticSolversTest, AreDeterministicPerSeed) {
@@ -204,16 +163,14 @@ TEST(StochasticSolversTest, AreDeterministicPerSeed) {
     return std::cos(3.0 * x[0]) + x[0] * x[0] + std::sin(2.0 * x[1]) +
            x[1] * x[1];
   };
-  const SimulatedAnnealing sa1(SimulatedAnnealing::Schedule{}, 1234);
-  const SimulatedAnnealing sa2(SimulatedAnnealing::Schedule{}, 1234);
-  const auto r1 = sa1.minimize(problem);
-  const auto r2 = sa2.minimize(problem);
-  EXPECT_EQ(r1.argmin, r2.argmin);
-  EXPECT_EQ(r1.evaluations, r2.evaluations);
-
-  const DifferentialEvolution de1(DifferentialEvolution::Settings{}, 99);
-  const DifferentialEvolution de2(DifferentialEvolution::Settings{}, 99);
-  EXPECT_EQ(de1.minimize(problem).argmin, de2.minimize(problem).argmin);
+  SolverConfig config;
+  config.seed = 99;
+  for (const char* name : {"differential_evolution", "multi_start"}) {
+    const auto r1 = solve(name, problem, config);
+    const auto r2 = solve(name, problem, config);
+    EXPECT_EQ(r1.argmin, r2.argmin) << name;
+    EXPECT_EQ(r1.evaluations, r2.evaluations) << name;
+  }
 }
 
 TEST(MultiStartTest, EscapesLocalMinimumThatTrapsSingleStart) {
@@ -226,16 +183,13 @@ TEST(MultiStartTest, EscapesLocalMinimumThatTrapsSingleStart) {
     return std::min(left, right);
   };
   // A single Nelder-Mead from −1.8 falls into the left well.
-  const NelderMead single(StoppingCriteria{}, {-1.8});
-  EXPECT_GT(single.minimize(problem).value, 0.4);
+  SolverConfig single;
+  single.initial = {-1.8};
+  EXPECT_GT(solve("nelder_mead", problem, single).value, 0.4);
   // Multi-start finds the global one.
-  const MultiStart multi(
-      [](std::vector<double> start) -> std::unique_ptr<Optimizer> {
-        return std::make_unique<NelderMead>(StoppingCriteria{},
-                                            std::move(start));
-      },
-      12);
-  EXPECT_LT(multi.minimize(problem).value, 1e-4);
+  SolverConfig multi;
+  multi.set("starts", 12.0);
+  EXPECT_LT(solve("multi_start", problem, multi).value, 1e-4);
 }
 
 TEST(EvaluationCountingTest, EvaluationsAreReported) {
@@ -246,8 +200,9 @@ TEST(EvaluationCountingTest, EvaluationsAreReported) {
     ++actual_calls;
     return x[0];
   };
-  const GridSearch solver(11, 2);
-  const auto result = solver.minimize(problem);
+  SolverConfig config;
+  config.set("points_per_dimension", 11.0).set("refinement_rounds", 2.0);
+  const auto result = solve("grid_search", problem, config);
   EXPECT_EQ(result.evaluations, actual_calls);
   EXPECT_EQ(result.evaluations, 22u);
 }

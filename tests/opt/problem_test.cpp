@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 namespace safeopt::opt {
 namespace {
@@ -44,39 +43,6 @@ TEST(BoxTest, DegenerateIntervalAllowed) {
   const Box box({1.0}, {1.0});
   EXPECT_TRUE(box.contains(std::vector<double>{1.0}));
   EXPECT_DOUBLE_EQ(box.width(0), 0.0);
-}
-
-TEST(FiniteDifferenceGradientTest, MatchesAnalyticOnQuadratic) {
-  const Box box({-10.0, -10.0}, {10.0, 10.0});
-  const Objective f = [](std::span<const double> x) {
-    return 2.0 * x[0] * x[0] + 3.0 * x[1] * x[1] + x[0] * x[1];
-  };
-  const std::vector<double> at{1.5, -2.0};
-  std::size_t evals = 0;
-  const auto grad = finite_difference_gradient(f, box, at, &evals);
-  EXPECT_NEAR(grad[0], 4.0 * 1.5 + (-2.0), 1e-4);
-  EXPECT_NEAR(grad[1], 6.0 * (-2.0) + 1.5, 1e-4);
-  EXPECT_EQ(evals, 4u);
-}
-
-TEST(FiniteDifferenceGradientTest, OneSidedAtTheBoundary) {
-  const Box box({0.0}, {1.0});
-  const Objective f = [](std::span<const double> x) { return x[0] * x[0]; };
-  // At the boundary the scheme must not step outside the box.
-  const auto grad = finite_difference_gradient(f, box, std::vector<double>{0.0});
-  EXPECT_NEAR(grad[0], 0.0, 1e-4);
-  const auto grad_hi =
-      finite_difference_gradient(f, box, std::vector<double>{1.0});
-  EXPECT_NEAR(grad_hi[0], 2.0, 1e-4);
-}
-
-TEST(ProblemTest, HasGradientReflectsAssignment) {
-  Problem p;
-  EXPECT_FALSE(p.has_gradient());
-  p.gradient = [](std::span<const double> x) {
-    return std::vector<double>(x.size(), 0.0);
-  };
-  EXPECT_TRUE(p.has_gradient());
 }
 
 }  // namespace

@@ -9,9 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "safeopt/opt/golden_section.h"
-#include "safeopt/opt/nelder_mead.h"
-
 namespace safeopt::opt {
 namespace {
 
@@ -40,8 +37,8 @@ Problem bowl_1d() {
 
 constexpr const char* kBuiltins[] = {
     "coordinate_descent", "differential_evolution", "golden_section",
-    "gradient_descent",   "grid_search",            "hooke_jeeves",
-    "multi_start",        "nelder_mead",            "simulated_annealing",
+    "grid_search",        "hooke_jeeves",           "multi_start",
+    "nelder_mead",
 };
 
 TEST(SolverRegistryTest, ListsEveryBuiltinSolver) {
@@ -95,14 +92,16 @@ TEST(SolverRegistryTest, GoldenSectionRejectsMultiDimensionalBoxes) {
   }
 }
 
-TEST(SolverRegistryTest, GoldenSectionMatchesTheDirectClassBitwise) {
-  const Problem problem = bowl_1d();
-  const OptimizationResult direct = GoldenSection().minimize(problem);
-  const OptimizationResult registry =
-      SolverRegistry::create("golden_section")->solve(problem);
-  EXPECT_EQ(direct.argmin, registry.argmin);
-  EXPECT_EQ(direct.value, registry.value);
-  EXPECT_EQ(direct.evaluations, registry.evaluations);
+TEST(SolverRegistryTest, GoldenSectionReproducesItsPinnedResultBitwise) {
+  // Pinned bits of the golden-section run on the 1-D bowl: a refactor of
+  // the solver must leave every one of them unchanged.
+  const OptimizationResult result =
+      SolverRegistry::create("golden_section")->solve(bowl_1d());
+  EXPECT_EQ(result.argmin, (std::vector<double>{0x1.33333333088bep-2}));
+  EXPECT_EQ(result.value, 0x1.c6d4e65e4p-74);
+  EXPECT_EQ(result.evaluations, 53u);
+  EXPECT_EQ(result.iterations, 50u);
+  EXPECT_EQ(result.message, "interval collapsed below tolerance");
 }
 
 TEST(SolverRegistryTest, RegistrarRegistersACustomSolver) {
@@ -138,8 +137,8 @@ TEST(SolverConfigTest, TypedExtrasRoundTrip) {
   EXPECT_TRUE(config.has("inner"));
   EXPECT_EQ(config.number_or("starts", 8.0), 4.0);
   EXPECT_EQ(config.string_or("inner", "nelder_mead"), "hooke_jeeves");
-  EXPECT_EQ(config.stopping().max_iterations, 1000u);
-  EXPECT_EQ(config.stopping().tolerance, 1e-10);
+  EXPECT_EQ(config.max_iterations, 1000u);
+  EXPECT_EQ(config.tolerance, 1e-10);
 }
 
 TEST(SolverConfigTest, CountExtrasRejectNonsenseValues) {
@@ -167,7 +166,7 @@ TEST(SolverConfigTest, SeedIsHonoredByStochasticSolvers) {
   const auto solve_with_seed = [&](std::uint64_t seed) {
     SolverConfig config;
     config.seed = seed;
-    return SolverRegistry::create("simulated_annealing")
+    return SolverRegistry::create("differential_evolution")
         ->solve(problem, config);
   };
   const auto first = solve_with_seed(1);

@@ -190,6 +190,26 @@ TEST(ServerTest, ErrorSurface) {
   server.stop();
 }
 
+// "gradient_descent" is no longer a solver (it lost to other solvers on
+// quality and time in bench_optimizers): a request naming it is refused
+// with the "unknown solver" diagnostic like any unknown name.
+TEST(ServerTest, RemovedSolverIsAnUnknownSolver) {
+  Server server(small_server_options());
+  server.start();
+  const auto reply = http_request(
+      server.port(), "POST", "/v1/optimize",
+      "{\"document\": " + json_document(kDoc) +
+          ", \"model\": \"m\", \"solver\": \"gradient_descent\"}");
+  EXPECT_EQ(reply.status, 400) << reply.raw;
+  EXPECT_NE(reply.body.find("\"category\": \"invalid_input\""),
+            std::string::npos)
+      << reply.body;
+  EXPECT_NE(reply.body.find("unknown solver \\\"gradient_descent\\\""),
+            std::string::npos)
+      << reply.body;
+  server.stop();
+}
+
 TEST(ServerTest, NonFiniteEvaluationPointIsBadRequest) {
   // The JSON decoder reads 1e999 as +inf; W - B at W = B = inf would be a
   // NaN leaf probability. The request is refused with 400 instead of
