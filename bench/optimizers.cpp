@@ -7,20 +7,24 @@
 // Second mode, the exact-results gate consumed by CI:
 //   bench_optimizers --results-json OUT.json
 // runs every registered solver on both problems (golden_section, which is
-// 1-D, on the T2 axis of the Elbtunnel cost instead), plus synchronous DE
-// and multi-start Hooke–Jeeves, and writes each result's argmin and value
+// 1-D, on the T2 axis of the Elbtunnel cost instead), plus synchronous DE,
+// multi-start Hooke–Jeeves and, on the Elbtunnel cost, multi_start with a
+// four-thread config.pool (extra "pool=4"; its row must equal the
+// sequential one in every field). It writes each result's argmin and value
 // as exact hexadecimal floats with its evaluation and iteration counts,
 // convergence flag and message. scripts/compare_bench.py --optimizers
 // compares it for exact equality with the committed BENCH_optimizers.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/opt/solver.h"
+#include "safeopt/support/thread_pool.h"
 
 namespace {
 
@@ -114,7 +118,9 @@ int results_report(const char* path) {
   struct Case {
     std::string problem;
     std::string solver;
-    std::string extra;  // one "key=value" solver extra, or empty
+    // One "key=value" solver extra, "pool=4" for a four-thread
+    // config.pool, or empty.
+    std::string extra;
   };
   std::vector<Case> cases;
   for (const char* problem : {"elbtunnel", "rosenbrock"}) {
@@ -125,6 +131,7 @@ int results_report(const char* path) {
     cases.push_back({problem, "differential_evolution", "synchronous_batch=1"});
     cases.push_back({problem, "multi_start", "inner=hooke_jeeves"});
   }
+  cases.push_back({"elbtunnel", "multi_start", "pool=4"});
   cases.push_back({"elbtunnel_t2", "golden_section", ""});
 
   std::FILE* out = std::fopen(path, "w");
@@ -139,7 +146,13 @@ int results_report(const char* path) {
                                   : c.problem == "rosenbrock" ? valley
                                                               : line;
     opt::SolverConfig config;
-    if (!c.extra.empty()) config.set_extra_argument(c.extra);
+    std::optional<ThreadPool> pool;
+    if (c.extra == "pool=4") {
+      pool.emplace(4);
+      config.pool = &*pool;
+    } else if (!c.extra.empty()) {
+      config.set_extra_argument(c.extra);
+    }
     const opt::OptimizationResult result = solve(c.solver, problem, config);
     std::string argmin;
     for (const double x : result.argmin) {

@@ -63,9 +63,19 @@ SafetyOptimizationResult SafetyOptimizer::optimize(
     std::string_view solver, const opt::SolverConfig& config) const {
   const opt::Problem& numeric = problem();
 
+  // An uninstrumented solve runs on the shared pool (multi_start spreads its
+  // starts over it): the compiled tape is thread-safe and the result does
+  // not depend on the thread count. Budgeted, observed and controlled
+  // solves stay sequential, because with concurrent starts which start a
+  // shared budget or an abort cuts short would depend on scheduling.
+  opt::SolverConfig effective = config;
+  if (effective.pool == nullptr && !effective.instrumented()) {
+    effective.pool = &ThreadPool::shared();
+  }
+
   SafetyOptimizationResult result;
   result.optimization =
-      opt::SolverRegistry::create(solver)->solve(numeric, config);
+      opt::SolverRegistry::create(solver)->solve(numeric, effective);
   result.optimal_parameters = space_.assignment(result.optimization.argmin);
   result.hazard_probabilities =
       model_.hazard_probabilities(result.optimal_parameters);

@@ -79,7 +79,11 @@ struct SolverConfig {
   std::size_t max_evaluations = 0;
   /// Seed for stochastic solvers; nullopt keeps the solver's default seed.
   std::optional<std::uint64_t> seed;
-  /// Optional worker pool for solvers that parallelize (multi_start). Not
+  /// Optional worker pool for solvers that parallelize (multi_start runs
+  /// its starts on it). Results do not depend on the thread count when the
+  /// solve is uninstrumented; with a budget or a control, which start gets
+  /// cut short depends on scheduling. core::SafetyOptimizer attaches
+  /// ThreadPool::shared() to uninstrumented solves that name no pool. Not
   /// owned; must outlive the solve call.
   ThreadPool* pool = nullptr;
   /// Starting point; empty = solver default (the box center). When set, it
@@ -99,6 +103,14 @@ struct SolverConfig {
   /// owned; must outlive the solve call. nullptr (the default) keeps the
   /// uninstrumented fast path bit-identical and overhead-free.
   const ExecutionControl* control = nullptr;
+
+  /// True when solve() wraps the problem to observe, budget or poll it:
+  /// an observer, an evaluation budget or a control is set. Otherwise the
+  /// solver runs on the problem untouched.
+  [[nodiscard]] bool instrumented() const noexcept {
+    return static_cast<bool>(observer) || max_evaluations != 0 ||
+           control != nullptr;
+  }
 
   /// Sets a numeric per-solver extra (e.g. "points_per_dimension" for
   /// grid_search). Returns *this for chaining.
@@ -169,7 +181,7 @@ class Solver {
   /// The validation half of solve(): throws std::invalid_argument when this
   /// solver cannot run on `problem`. Meta-solvers call it on their inner
   /// solver before fanning out.
-  void check(const Problem& problem) const;
+  void validate(const Problem& problem) const;
 
  protected:
   Solver() = default;

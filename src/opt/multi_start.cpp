@@ -4,14 +4,25 @@
 // global one on the compact boxes safety optimization works with.
 //
 // Starts are independent solves, so they parallelize embarrassingly: with
-// config.pool they run concurrently. Start points are drawn before any
-// solve runs and the reduction is by (value, start index), so the result is
-// identical to the sequential run for any thread count — provided the
-// problem's objective is thread-safe (expression evaluation and compiled
-// tapes both are).
+// config.pool, min(starts, threads) workers each claim the next start index
+// until none is left (per-start work is uneven, so claiming one at a time
+// balances better than a static split). Start points are drawn before any
+// solve runs, each start writes only its own result slot, and the reduction
+// runs afterwards in index order, so the result is bit-identical to the
+// sequential run for any thread count — provided the problem's objective is
+// thread-safe (expression evaluation and compiled tapes both are).
+//
+// With config.control, multi_start polls it once before claiming each
+// start and claims no start after it fires. The starts themselves run
+// without a control: they evaluate the problem solve() already wrapped, and
+// that wrapper polls once per evaluation.
+#include <algorithm>
+#include <atomic>
+#include <limits>
 #include <stdexcept>
 
 #include "builtin_solvers.h"
+#include "safeopt/support/execution.h"
 #include "safeopt/support/rng.h"
 #include "safeopt/support/strings.h"
 #include "safeopt/support/thread_pool.h"
@@ -21,10 +32,11 @@ namespace {
 
 /// Extras: "inner" (registry name of the local solver, default
 /// "nelder_mead") and "starts" (default 8). Honors config.seed (start-point
-/// stream, default 0x5eedbed) and config.pool (concurrent starts). The inner
-/// solver inherits the stopping rule and the remaining extras;
-/// observer/budget instrumentation stays at the outer level, where it
-/// already wraps the problem every start evaluates.
+/// stream, default 0x5eedbed), config.pool (concurrent starts) and
+/// config.control (checked between starts). The inner solver inherits the
+/// stopping rule and the remaining extras; observer, budget and control
+/// instrumentation stays at the outer level, where it already wraps the
+/// problem every start evaluates.
 class MultiStart final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -48,11 +60,12 @@ class MultiStart final : public Solver {
     // Validate the inner solver against this problem up front: a clear
     // error here beats one thrown later from inside a pool worker.
     const std::unique_ptr<Solver> inner = SolverRegistry::create(inner_name);
-    inner->check(problem);
+    inner->validate(problem);
     SolverConfig inner_config = config;
     inner_config.observer = nullptr;
     inner_config.max_evaluations = 0;
     inner_config.pool = nullptr;
+    inner_config.control = nullptr;
 
     // Draw every start before any solve runs, so the start list (and with
     // it the whole result) does not depend on scheduling. Start 0 is the
@@ -69,38 +82,63 @@ class MultiStart final : public Solver {
       }
     }
 
+    // Every claimed start runs, and claims are handed out in index order,
+    // so the starts that ran are always the prefix [0, min(next, starts)).
     std::vector<OptimizationResult> results(starts);
-    const auto run_range = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
+    std::atomic<std::size_t> next{0};
+    std::atomic<ExecutionStatus> abort_status{ExecutionStatus::kRunning};
+    const auto claim_starts = [&](std::size_t, std::size_t) {
+      while (next.load(std::memory_order_relaxed) < starts) {
+        if (config.control != nullptr) {
+          const ExecutionStatus status = config.control->status();
+          if (status != ExecutionStatus::kRunning) {
+            abort_status.store(status);
+            return;
+          }
+        }
+        const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+        if (s >= starts) return;
         SolverConfig start_config = inner_config;
         start_config.initial = std::move(points[s]);
         results[s] = inner->solve(problem, start_config);
       }
     };
     if (config.pool != nullptr) {
-      config.pool->parallel_for(starts, run_range);
+      config.pool->parallel_for(
+          std::min(starts, config.pool->thread_count()), claim_starts);
     } else {
-      run_range(0, starts);
+      claim_starts(0, 1);
     }
 
-    // Sequential reduction with a strict '<' — same winner (first best) as
-    // a one-at-a-time loop.
+    // Sequential reduction in index order with a strict '<' — same winner
+    // (first best) as a one-at-a-time loop.
+    const std::size_t ran = std::min(next.load(), starts);
     OptimizationResult best;
     std::size_t total_evaluations = 0;
     std::size_t total_iterations = 0;
-    bool first = true;
-    for (OptimizationResult& result : results) {
-      total_evaluations += result.evaluations;
-      total_iterations += result.iterations;
-      if (first || result.value < best.value) {
-        best = std::move(result);
-        first = false;
+    for (std::size_t s = 0; s < ran; ++s) {
+      total_evaluations += results[s].evaluations;
+      total_iterations += results[s].iterations;
+      if (s == 0 || results[s].value < best.value) {
+        best = std::move(results[s]);
       }
+    }
+    if (ran == 0) {  // aborted before the first start: nothing evaluated
+      best.argmin = problem.bounds.center();
+      best.value = std::numeric_limits<double>::infinity();
     }
     best.evaluations = total_evaluations;
     best.iterations = total_iterations;
-    best.message = concat("best of ", std::to_string(starts), " starts: ",
-                          best.message);
+    const ExecutionStatus status = abort_status.load();
+    if (status != ExecutionStatus::kRunning) {
+      // The same report solve() writes when its own poll sees the abort.
+      best.converged = false;
+      best.message = concat(status_reason(status), " after ",
+                            std::to_string(total_evaluations), " evaluations");
+    } else {
+      best.message = concat("best of ", std::to_string(starts), " starts: ",
+                            best.message);
+    }
     return best;
   }
 };

@@ -259,7 +259,7 @@ class Instrument {
 
 // ----------------------------------------------------------------- Solver
 
-void Solver::check(const Problem& problem) const {
+void Solver::validate(const Problem& problem) const {
   if (!problem.objective) {
     throw std::invalid_argument(
         concat(name(), ": the problem has no objective"));
@@ -280,7 +280,7 @@ void Solver::check(const Problem& problem) const {
 
 OptimizationResult Solver::solve(const Problem& problem,
                                  const SolverConfig& config) const {
-  check(problem);
+  validate(problem);
   if (!config.initial.empty() &&
       config.initial.size() != problem.bounds.dimension()) {
     throw std::invalid_argument(concat(
@@ -288,8 +288,7 @@ OptimizationResult Solver::solve(const Problem& problem,
         " coordinates for a ", std::to_string(problem.bounds.dimension()),
         "-dimensional box"));
   }
-  if (!config.observer && config.max_evaluations == 0 &&
-      config.control == nullptr) {
+  if (!config.instrumented()) {
     return run(problem, config);  // untouched fast path, bit-identical
   }
   Instrument instrument(config);

@@ -413,10 +413,11 @@ TEST(SolverFaultTest, ArmedButSilentControlDoesNotChangeTheResult) {
   EXPECT_EQ(guarded.argmin, plain.argmin);
 }
 
-// multi_start passes the control on to every start's inner solve, so both
-// its own instrumentation and the running start's poll it: each granted
-// evaluation costs two polls, and whichever layer sees the control fire
-// first writes the abort message.
+// multi_start polls the control once before it claims each start, and the
+// instrumentation solve() wraps around it polls once per evaluation; the
+// starts themselves run without a control. So a run that is never aborted
+// costs exactly one poll per evaluation plus one per start, and an abort is
+// reported in the same words whichever of the two polls sees it.
 
 opt::OptimizationResult multi_start_under(const ExecutionControl& control,
                                           ThreadPool* pool) {
@@ -425,6 +426,31 @@ opt::OptimizationResult multi_start_under(const ExecutionControl& control,
   config.pool = pool;
   return opt::SolverRegistry::create("multi_start")
       ->solve(quadratic_problem(), config);
+}
+
+TEST(SolverFaultTest, MultiStartPollsOncePerEvaluationAndOncePerStart) {
+  const opt::OptimizationResult plain =
+      opt::SolverRegistry::create("multi_start")
+          ->solve(quadratic_problem(), {});
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "sequential" : "pool");
+    FaultInjector injector;
+    const opt::OptimizationResult guarded =
+        multi_start_under(injector.never_fires(), p);
+    EXPECT_EQ(guarded.evaluations, plain.evaluations);
+    EXPECT_EQ(guarded.argmin, plain.argmin);
+    EXPECT_EQ(guarded.value, plain.value);
+    EXPECT_EQ(guarded.message, plain.message);
+    if (p == nullptr) {
+      EXPECT_EQ(injector.polls(), plain.evaluations + 8);
+    } else {
+      // A worker that saw an unclaimed start may lose the race for it after
+      // polling: at most one such extra poll per worker.
+      EXPECT_GE(injector.polls(), plain.evaluations + 8);
+      EXPECT_LE(injector.polls(), plain.evaluations + 8 + 4);
+    }
+  }
 }
 
 TEST(SolverFaultTest, MultiStartPreCancelledReturnsWithoutEvaluating) {
@@ -439,29 +465,59 @@ TEST(SolverFaultTest, MultiStartPreCancelledReturnsWithoutEvaluating) {
     // Nothing was evaluated: the box center (start 0) comes back at +inf.
     EXPECT_EQ(result.argmin, (std::vector<double>{0.0, 0.0}));
     EXPECT_EQ(result.value, std::numeric_limits<double>::infinity());
-    EXPECT_EQ(result.message,
-              "best of 8 starts: cancelled after 0 evaluations");
+    EXPECT_EQ(result.message, "cancelled after 0 evaluations");
   }
 }
 
 TEST(SolverFaultTest, MultiStartMidRunDeadlineReturnsThePinnedPartialResult) {
+  // Poll 1 lets start 0 begin, polls 2-25 grant its first 24 evaluations,
+  // poll 26 refuses the 25th, and poll 27 stops start 1 from being claimed.
   FaultInjector injector;
   const opt::OptimizationResult result = multi_start_under(
       injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded),
       nullptr);
   EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.evaluations, 12u);
+  EXPECT_EQ(result.evaluations, 24u);
   EXPECT_EQ(result.iterations, 1000u);
-  EXPECT_EQ(result.message, "deadline exceeded after 12 evaluations");
+  EXPECT_EQ(result.message, "deadline exceeded after 24 evaluations");
   EXPECT_EQ(result.argmin,
-            (std::vector<double>{0x1.4cccccccccccep+0, -0x1p+1}));
-  EXPECT_EQ(result.value, 0x1.70a3d70a3d716p-4);
+            (std::vector<double>{0x1.cccccccccccdp-1, -0x1p+1}));
+  EXPECT_EQ(result.value, 0x1.47ae147ae1452p-7);
   EXPECT_EQ(result.value, quadratic_problem().objective(result.argmin));
+  EXPECT_EQ(injector.polls(), result.evaluations + 1 + 2);
+}
+
+TEST(SolverFaultTest, MultiStartDeadlineBetweenStartsKeepsTheFinishedStart) {
+  // Start 0 run alone, as multi_start runs it: from the box center.
+  opt::SolverConfig alone;
+  alone.initial = quadratic_problem().bounds.center();
+  const opt::OptimizationResult start0 =
+      opt::SolverRegistry::create("nelder_mead")
+          ->solve(quadratic_problem(), alone);
+  ASSERT_TRUE(start0.converged);
+
+  // One poll to claim start 0 and one per evaluation of it pass; the poll
+  // before start 1 fires, so only multi_start sees the deadline.
+  FaultInjector injector;
+  const opt::OptimizationResult result = multi_start_under(
+      injector.fire_after_polls(1 + start0.evaluations,
+                                ExecutionStatus::kDeadlineExceeded),
+      nullptr);
+  EXPECT_EQ(injector.polls(), start0.evaluations + 2);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.evaluations, start0.evaluations);
+  EXPECT_EQ(result.iterations, start0.iterations);
+  EXPECT_EQ(result.argmin, start0.argmin);
+  EXPECT_EQ(result.value, start0.value);
+  EXPECT_EQ(result.message,
+            concat("deadline exceeded after ",
+                   std::to_string(start0.evaluations), " evaluations"));
 }
 
 TEST(SolverFaultTest, MultiStartMidRunDeadlineOnAPoolReturnsAPartialResult) {
   // Concurrent starts race for the 25 polls, so which points get evaluated
-  // depends on scheduling; the partial-result contract does not.
+  // depends on scheduling; the partial-result contract does not. At least
+  // one poll claims a start before any evaluation is granted.
   ThreadPool pool(4);
   FaultInjector injector;
   const opt::OptimizationResult result = multi_start_under(
@@ -469,7 +525,8 @@ TEST(SolverFaultTest, MultiStartMidRunDeadlineOnAPoolReturnsAPartialResult) {
       &pool);
   EXPECT_FALSE(result.converged);
   EXPECT_GT(result.evaluations, 0u);
-  EXPECT_LE(result.evaluations, 12u);
+  EXPECT_LE(result.evaluations, 24u);
+  EXPECT_GT(injector.polls(), result.evaluations);
   EXPECT_NE(result.message.find("deadline exceeded after"), std::string::npos)
       << result.message;
   ASSERT_EQ(result.argmin.size(), 2u);
