@@ -49,8 +49,9 @@ plain and preprocessed probabilities must agree (1e-9 relative), the
 preprocessed result must be bitwise invariant under ITE-cache shrinking,
 the best tier must keep at least a MIN_NODE_REDUCTION x decision-node
 reduction, and — the corpus being seeded and the algorithms deterministic —
-every tier's decision-node counts must match the baseline *exactly* on any
-machine. Wall-clock columns are reported but never gated.
+every tier's decision-node, module and ITE-call counts (where both files
+have them) must match the baseline *exactly* on any machine. Wall-clock
+columns are reported but never gated.
 
 With --serve, additionally gates the service report written by
 `bench_serve --json` against the committed BENCH_serve.json: the
@@ -124,6 +125,15 @@ MC_CONTRACT_FLAGS = [
 # corpus tier must shrink the BDD by at least this factor vs the monolithic
 # compile (decision nodes, machine-independent).
 MIN_NODE_REDUCTION = 10.0
+# Seeded, deterministic work counts of the scaling-corpus ablation, gated for
+# exact equality with BENCH_large_trees.json wherever both files have them.
+EXACT_LARGE_TREE_COUNTS = [
+    "modules",
+    "prep_decision_nodes",
+    "prep_ite_calls",
+    "plain_decision_nodes",
+    "plain_ite_calls",
+]
 
 SERVE_CONTRACT_FLAGS = [
     "parity_with_cli",
@@ -266,9 +276,11 @@ def check_large_trees(baseline_path, fresh_path, failures):
         name = tier["name"]
         base = base_tiers.get(name)
         verdict = "ok"
-        # Seeded corpus + deterministic algorithms: node counts must match
-        # the committed baseline exactly, on any machine.
-        for metric in ["prep_decision_nodes", "plain_decision_nodes"]:
+        # Seeded corpus + deterministic algorithms: node counts, module
+        # counts and ITE-call counts must match the committed baseline
+        # exactly, on any machine. Equal module and ITE counts show the
+        # module trees themselves did not change.
+        for metric in EXACT_LARGE_TREE_COUNTS:
             if base is None or metric not in base or metric not in tier:
                 continue
             if tier[metric] != base[metric]:

@@ -262,9 +262,11 @@ struct SolverSelection {
 /// document `engine` section's key mapping — the CLI's `--engine-opt`
 /// surface. Both resolve through one typed option schema (see
 /// engine_option_docs()), so unknown or mistyped keys fail with a uniform
-/// "did you mean" diagnostic. Numeric-looking values are typed numeric
-/// (typos like "8x" rejected); words pass through as text. Throws
-/// std::invalid_argument on unknown keys or malformed values.
+/// "did you mean" diagnostic. The value is typed by
+/// parse_key_value_argument (support/strings.h), the same rule as
+/// SolverConfig::set_extra_argument: numbers are numeric, numeric-looking
+/// typos ("8x", "+5", "0x10") are rejected, words pass through as text.
+/// Throws std::invalid_argument on unknown keys or malformed values.
 void set_engine_argument(EngineConfig& config,
                          const std::string& key_equals_value);
 

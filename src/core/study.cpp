@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -40,13 +39,13 @@ std::size_t require_count(const std::string& key,
 
 /// An unquoted text value that *looks* numeric ("8x", "1_000") is a typo,
 /// not a string extra — storing it would make count_or/number_or silently
-/// fall back to their defaults (same rule as SolverConfig::
-/// set_extra_argument; quoted strings are explicitly text and exempt).
+/// fall back to their defaults (same rule as parse_key_value_argument;
+/// quoted strings are explicitly text and exempt).
 void reject_numeric_looking_text(const std::string& key,
                                  const ftio::OptionValue& value,
                                  const char* where) {
   if (value.kind == ftio::OptionValue::Kind::kText && !value.quoted &&
-      opt::SolverConfig::numeric_looking(value.text)) {
+      numeric_looking(value.text)) {
     throw std::invalid_argument(
         concat(where, " option \"", key, "\" has a malformed numeric value \"",
                value.text, "\""));
@@ -430,29 +429,13 @@ std::pair<std::string, EngineConfig> document_engine_selection(
 
 void set_engine_argument(EngineConfig& config,
                          const std::string& key_equals_value) {
-  const std::size_t equals = key_equals_value.find('=');
-  if (equals == std::string::npos || equals == 0 ||
-      equals + 1 == key_equals_value.size()) {
-    throw std::invalid_argument(concat(
-        "engine option must be KEY=VALUE, got \"", key_equals_value, "\""));
-  }
-  const std::string key = key_equals_value.substr(0, equals);
-  const std::string text = key_equals_value.substr(equals + 1);
-  // Same typing rule as SolverConfig::set_extra_argument: parse a numeric
-  // value when it reads as one, reject numeric-looking typos ("8x"), and
-  // pass words (method names, true/false) through as text.
-  char* end = nullptr;
-  const double number = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() + text.size() && end != text.c_str()) {
-    apply_engine_option(config, key, ftio::OptionValue::of(number));
-    return;
-  }
-  if (opt::SolverConfig::numeric_looking(text)) {
-    throw std::invalid_argument(concat("engine option \"", key,
-                                       "\" has a malformed numeric value \"",
-                                       text, "\""));
-  }
-  apply_engine_option(config, key, ftio::OptionValue::of(text));
+  const KeyValueArgument argument =
+      parse_key_value_argument(key_equals_value, "engine option");
+  const std::string key(argument.key);
+  apply_engine_option(config, key,
+                      argument.number.has_value()
+                          ? ftio::OptionValue::of(*argument.number)
+                          : ftio::OptionValue::of(std::string(argument.text)));
 }
 
 /// Backing storage for document-loaded studies. The trees are pointer-stable:

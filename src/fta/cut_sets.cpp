@@ -4,7 +4,6 @@
 #include <set>
 
 #include "safeopt/support/contracts.h"
-#include "safeopt/support/strings.h"
 
 namespace safeopt::fta {
 namespace {
@@ -287,13 +286,14 @@ CutSetCollection minimal_path_sets(const FaultTree& tree) {
   SAFEOPT_EXPECTS(tree.has_top());
   // Build the dual tree: same leaves, AND <-> OR, k-of-n -> (n−k+1)-of-n.
   // De Morgan: the dual's cut sets are the original's path sets. INHIBIT is
-  // an AND of cause and condition, so it dualizes to an OR of the two.
-  FaultTree dual(concat(tree.name(), ".dual"));
+  // an AND of cause and condition, so it dualizes to an OR of the two. The
+  // dual is anonymous: only ordinals map its cut sets back.
+  FaultTree dual{std::string()};
   std::vector<NodeId> mapped(tree.node_count());
   for (NodeId id = 0; id < tree.node_count(); ++id) {
     switch (tree.kind(id)) {
       case NodeKind::kBasicEvent:
-        mapped[id] = dual.add_basic_event(tree.node_name(id));
+        mapped[id] = dual.add_basic_event({});
         break;
       case NodeKind::kCondition:
         // A condition is an element of the cut sets it constrains, so
@@ -301,7 +301,7 @@ CutSetCollection minimal_path_sets(const FaultTree& tree) {
         // the process down and the cooling failure is harmless). In the
         // dual it participates like any leaf; the ordinal mapping below
         // routes it back into CutSet::conditions.
-        mapped[id] = dual.add_basic_event(tree.node_name(id));
+        mapped[id] = dual.add_basic_event({});
         break;
       case NodeKind::kGate: {
         SAFEOPT_EXPECTS(tree.gate_type(id) != GateType::kXor);
@@ -309,20 +309,18 @@ CutSetCollection minimal_path_sets(const FaultTree& tree) {
         for (const NodeId child : tree.children(id)) {
           children.push_back(mapped[child]);
         }
-        const std::string& name = tree.node_name(id);
         switch (tree.gate_type(id)) {
           case GateType::kAnd:
           case GateType::kInhibit:
-            mapped[id] = dual.add_or(name, std::move(children));
+            mapped[id] = dual.add_or({}, std::move(children));
             break;
           case GateType::kOr:
-            mapped[id] = dual.add_and(name, std::move(children));
+            mapped[id] = dual.add_and({}, std::move(children));
             break;
           case GateType::kKofN: {
             const auto n = static_cast<std::uint32_t>(children.size());
             const std::uint32_t k = tree.vote_threshold(id);
-            mapped[id] =
-                dual.add_k_of_n(name, n - k + 1, std::move(children));
+            mapped[id] = dual.add_k_of_n({}, n - k + 1, std::move(children));
             break;
           }
           case GateType::kXor:

@@ -19,13 +19,14 @@ std::string_view to_string(GateType type) noexcept {
 FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
 NodeId FaultTree::add_node(Node node) {
-  SAFEOPT_EXPECTS(!node.name.empty());
   const auto id = static_cast<NodeId>(nodes_.size());
-  const NodeId holder = by_name_.insert(
-      node.name, id, [this](NodeId other) -> std::string_view {
-        return nodes_[other].name;
-      });
-  SAFEOPT_EXPECTS(holder == id);  // names are unique within the tree
+  if (!node.name.empty()) {
+    const NodeId holder = by_name_.insert(
+        node.name, id, [this](NodeId other) -> std::string_view {
+          return nodes_[other].name;
+        });
+    SAFEOPT_EXPECTS(holder == id);  // names are unique within the tree
+  }
   nodes_.push_back(std::move(node));
   return id;
 }
@@ -247,6 +248,12 @@ bool FaultTree::evaluate(const std::vector<bool>& basic_state) const {
   return evaluate(basic_state, {});
 }
 
+std::string FaultTree::label(NodeId id) const {
+  const std::string& name = nodes_[id].name;
+  return name.empty() ? concat("#", std::to_string(id))
+                      : concat("'", name, "'");
+}
+
 std::vector<std::string> FaultTree::validate() const {
   std::vector<std::string> problems;
   if (!top_.has_value()) {
@@ -267,8 +274,8 @@ std::vector<std::string> FaultTree::validate() const {
   }
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     if (!reachable[id]) {
-      problems.push_back(concat("node '", nodes_[id].name,
-                                "' is not reachable from the top event"));
+      problems.push_back(
+          concat("node ", label(id), " is not reachable from the top event"));
     }
   }
   // Conditions may only appear as the second child of INHIBIT gates.
@@ -279,16 +286,15 @@ std::vector<std::string> FaultTree::validate() const {
       const Node& child = nodes_[node.children[c]];
       if (child.node_kind == NodeKind::kCondition &&
           !(node.gate == GateType::kInhibit && c == 1)) {
-        problems.push_back(
-            concat("condition '", child.name,
-                   "' used outside an INHIBIT gate (in gate '", node.name,
-                   "')"));
+        problems.push_back(concat("condition ", label(node.children[c]),
+                                  " used outside an INHIBIT gate (in gate ",
+                                  label(id), ")"));
       }
     }
     if (node.gate == GateType::kInhibit) {
       if (nodes_[node.children[0]].node_kind == NodeKind::kCondition) {
-        problems.push_back(concat("INHIBIT gate '", node.name,
-                                  "' has a condition as its cause"));
+        problems.push_back(concat("INHIBIT gate ", label(id),
+                                  " has a condition as its cause"));
       }
     }
   }

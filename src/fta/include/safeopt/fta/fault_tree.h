@@ -18,6 +18,13 @@
 // which makes the structure acyclic by construction while still allowing
 // shared subtrees (repeated events), the case where minimal-cut-set
 // *minimization* actually matters.
+//
+// Names live only where a user wrote them. A node added with a non-empty
+// name is found by find() and its name is unique in the tree. A node added
+// with an empty name is anonymous: find() never returns it and node_name()
+// is empty. Analyses read kinds, children, thresholds and ordinals, never
+// names, so library-built trees (prep's module trees, the dual tree of
+// minimal_path_sets) are anonymous; ftio documents are always fully named.
 #ifndef SAFEOPT_FTA_FAULT_TREE_H
 #define SAFEOPT_FTA_FAULT_TREE_H
 
@@ -57,7 +64,8 @@ class FaultTree {
 
   // ---- construction (bottom-up) -------------------------------------------
 
-  /// Adds a primary failure leaf. Names must be unique within the tree.
+  /// Adds a primary failure leaf. A non-empty name must be unique within the
+  /// tree; an empty one makes the node anonymous (see the file comment).
   NodeId add_basic_event(std::string name, std::string description = {});
 
   /// Adds an environmental-condition leaf for use under INHIBIT gates.
@@ -104,6 +112,7 @@ class FaultTree {
   [[nodiscard]] std::size_t gate_count() const noexcept;
 
   [[nodiscard]] NodeKind kind(NodeId id) const;
+  /// The node's name; empty for an anonymous node.
   [[nodiscard]] const std::string& node_name(NodeId id) const;
   [[nodiscard]] const std::string& description(NodeId id) const;
   /// Precondition: kind(id) == kGate.
@@ -114,7 +123,8 @@ class FaultTree {
   /// Precondition: gate_type(id) == kKofN.
   [[nodiscard]] std::uint32_t vote_threshold(NodeId id) const;
 
-  /// NodeId for `name`, or nullopt if no node has that name.
+  /// NodeId for `name`, or nullopt if no node has that name. Anonymous
+  /// nodes are never found, so find("") is always nullopt.
   [[nodiscard]] std::optional<NodeId> find(std::string_view name) const;
 
   /// Basic-event NodeIds in ordinal (creation) order.
@@ -146,7 +156,8 @@ class FaultTree {
   /// Checks well-formedness beyond what construction enforces: a top event is
   /// set, every node is reachable from it, INHIBIT conditions are condition
   /// leaves and conditions appear only under INHIBIT gates. Returns a list of
-  /// human-readable problems; empty means valid.
+  /// human-readable problems; empty means valid. A problem names a node as
+  /// 'name', or as #id when the node is anonymous.
   [[nodiscard]] std::vector<std::string> validate() const;
 
  private:
@@ -164,6 +175,8 @@ class FaultTree {
   NodeId add_gate(std::string name, GateType type, std::uint32_t k,
                   std::vector<NodeId> children);
   void check_child_ids(std::span<const NodeId> children) const;
+  /// 'name', or #id for an anonymous node (validate() messages).
+  [[nodiscard]] std::string label(NodeId id) const;
   [[nodiscard]] bool evaluate_node(NodeId id,
                                    const std::vector<bool>& basic_state,
                                    const std::vector<bool>& condition_state,
@@ -173,7 +186,7 @@ class FaultTree {
   std::vector<Node> nodes_;
   std::vector<NodeId> basic_events_;
   std::vector<NodeId> conditions_;
-  NameIndex by_name_;  // node name -> NodeId; names live in nodes_
+  NameIndex by_name_;  // named nodes only; names live in nodes_
   std::optional<NodeId> top_;
 };
 

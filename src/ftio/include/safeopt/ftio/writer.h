@@ -14,7 +14,8 @@ namespace safeopt::ftio {
 
 /// Writes the parser.h dialect. parse_fault_tree(write_fault_tree(t, q))
 /// reproduces the same structure and probabilities.
-/// Precondition: tree.has_top().
+/// Precondition: tree.has_top() and every node is named (an anonymous node
+/// has no identifier the dialect could reference).
 [[nodiscard]] std::string write_fault_tree(
     const fta::FaultTree& tree, const fta::QuantificationInput& probabilities);
 

@@ -40,6 +40,9 @@ std::string write_fault_tree(const fta::FaultTree& tree,
                              const fta::QuantificationInput& probabilities) {
   SAFEOPT_EXPECTS(tree.has_top());
   SAFEOPT_EXPECTS(probabilities.is_valid_for(tree));
+  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
+    SAFEOPT_EXPECTS(!tree.node_name(id).empty());
+  }
   std::string out;
   out += concat("tree ", tree.name(), ";\n");
   out += concat("toplevel ", tree.node_name(tree.top()), ";\n");

@@ -31,6 +31,9 @@ class DifferentialEvolution final : public Solver {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "differential_evolution";
   }
+  [[nodiscard]] SolverTraits traits() const noexcept override {
+    return SolverTraits{.min_dimension = 2};
+  }
 
  private:
   [[nodiscard]] OptimizationResult run(

@@ -118,19 +118,14 @@ struct SolverConfig {
   /// Sets a string per-solver extra (e.g. "inner" for multi_start).
   SolverConfig& set(std::string_view key, std::string value);
   /// Parses a command-line extra of the form "key=value" (the safeopt CLI's
-  /// `--extra starts=16`). A value that parses entirely as a double becomes
-  /// a numeric extra, anything else a string extra — matching the two set()
-  /// overloads, so count_or/number_or validation applies at consumption
-  /// ("starts=-3" stores -3 and count_or("starts") then rejects it with a
-  /// message naming the key). Throws std::invalid_argument when the
-  /// argument has no '=', an empty key, or an empty value.
+  /// `--extra starts=16`), typed by parse_key_value_argument (support/
+  /// strings.h), the rule `--engine-opt` shares: a number becomes a numeric
+  /// extra, text a string extra — matching the two set() overloads, so
+  /// count_or/number_or validation applies at consumption ("starts=-3"
+  /// stores -3 and count_or("starts") then rejects it with a message naming
+  /// the key). Throws std::invalid_argument when the argument has no '=',
+  /// an empty key or value, or a numeric-looking typo ("starts=8x").
   SolverConfig& set_extra_argument(std::string_view key_equals_value);
-
-  /// True when `value` *starts* like a number ([0-9.+-]) — used by
-  /// set_extra_argument and the document-option mapping to reject typos
-  /// such as "8x"/"1_000" instead of silently storing them as string
-  /// extras that count_or/number_or would ignore.
-  [[nodiscard]] static bool numeric_looking(std::string_view value) noexcept;
 
   [[nodiscard]] bool has(std::string_view key) const noexcept;
   /// The numeric extra under `key`, or `fallback` when absent.
@@ -153,6 +148,10 @@ struct SolverConfig {
 
 /// Static capabilities of one solver, validated before every run.
 struct SolverTraits {
+  /// Smallest supported problem dimension. differential_evolution sets 2:
+  /// on an interval its mutant is the forced axis of a + F(b - c), clamped
+  /// into the box, and the population collapses onto a bound.
+  std::size_t min_dimension = 1;
   /// Largest supported problem dimension; 0 = unlimited. golden_section
   /// sets 1: its bracketing argument only exists on an interval.
   std::size_t max_dimension = 0;
@@ -171,9 +170,9 @@ class Solver {
 
   /// Validates the problem against traits() and the config (throws
   /// std::invalid_argument with an actionable message on mismatch — e.g.
-  /// golden_section on a multi-dimensional box), instruments the problem
-  /// when an observer or evaluation budget is configured, and runs the
-  /// numeric method. Without observer/budget/control the problem is passed
+  /// golden_section on a multi-dimensional box or differential_evolution
+  /// on an interval), instruments the problem when an observer or
+  /// evaluation budget is configured, and runs the numeric method. Without observer/budget/control the problem is passed
   /// through untouched.
   [[nodiscard]] OptimizationResult solve(const Problem& problem,
                                          const SolverConfig& config = {}) const;

@@ -1,7 +1,6 @@
 #include "safeopt/opt/solver.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -31,39 +30,10 @@ SolverConfig& SolverConfig::set(std::string_view key, std::string value) {
 
 SolverConfig& SolverConfig::set_extra_argument(
     std::string_view key_equals_value) {
-  const std::size_t equals = key_equals_value.find('=');
-  if (equals == std::string_view::npos) {
-    throw std::invalid_argument(concat("solver extra must be key=value, got \"",
-                                       key_equals_value, "\""));
-  }
-  const std::string_view key = key_equals_value.substr(0, equals);
-  const std::string_view value = key_equals_value.substr(equals + 1);
-  if (key.empty() || value.empty()) {
-    throw std::invalid_argument(concat("solver extra must be key=value, got \"",
-                                       key_equals_value, "\""));
-  }
-  double number = 0.0;
-  const auto [end, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), number);
-  if (ec == std::errc{} && end == value.data() + value.size()) {
-    return set(key, number);
-  }
-  // "starts=4x" / "starts=1_000": a value that *starts* numeric but fails
-  // the full parse is a typo, not a string extra — storing it as a string
-  // would make count_or/number_or silently fall back to their defaults.
-  if (numeric_looking(value)) {
-    throw std::invalid_argument(
-        concat("solver extra \"", key, "\" has a malformed numeric value \"",
-               value, "\""));
-  }
-  return set(key, std::string(value));
-}
-
-bool SolverConfig::numeric_looking(std::string_view value) noexcept {
-  if (value.empty()) return false;
-  const char first = value.front();
-  return (first >= '0' && first <= '9') || first == '-' || first == '+' ||
-         first == '.';
+  const KeyValueArgument argument =
+      parse_key_value_argument(key_equals_value, "solver extra");
+  if (argument.number.has_value()) return set(argument.key, *argument.number);
+  return set(argument.key, std::string(argument.text));
 }
 
 bool SolverConfig::has(std::string_view key) const noexcept {
@@ -270,6 +240,12 @@ void Solver::validate(const Problem& problem) const {
         concat(name(), ": the problem's bounds are empty (dimension 0)"));
   }
   const SolverTraits t = traits();
+  if (dim < t.min_dimension) {
+    throw std::invalid_argument(concat(
+        name(), " needs at least ", std::to_string(t.min_dimension),
+        "-dimensional problems, but the box is ", std::to_string(dim),
+        "-dimensional; use golden_section (1-D only) or nelder_mead"));
+  }
   if (t.max_dimension != 0 && dim > t.max_dimension) {
     throw std::invalid_argument(concat(
         name(), " handles at most ", std::to_string(t.max_dimension),

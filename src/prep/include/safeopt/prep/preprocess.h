@@ -34,6 +34,10 @@
 // The result of preprocess() is a PreprocessedTree: a list of Subtrees in
 // dependency order (innermost modules first, top last) with per-leaf origin
 // maps back to the original tree's ordinals, plus per-pass statistics. The
+// subtrees are anonymous fault trees — no pass makes up a name and the
+// rebuild copies none, since BDD compilation and MOCUS read only kinds,
+// children, thresholds and ordinals (a module's pseudo-leaf is tied to its
+// module by LeafOrigin, not by name). The
 // "fta"/"bdd" engines consume it via quantify_bdd() / minimal_cut_sets();
 // Study/CLI users opt in with the `preprocess` engine option.
 #ifndef SAFEOPT_PREP_PREPROCESS_H
@@ -86,11 +90,10 @@ struct LeafOrigin {
 /// subtree is last in PreprocessedTree::subtrees(); every pseudo-leaf
 /// refers to an earlier subtree (dependency order).
 struct Subtree {
+  /// Every node is anonymous (see fault_tree.h): the origin maps below, not
+  /// names, tie the tree back to the original. Module trees have an empty
+  /// tree name; the top subtree keeps the original tree's name.
   fta::FaultTree tree;
-  /// Name of the gate this module was extracted from; the module's
-  /// pseudo-leaf in its parent subtree reuses this name (the gate itself is
-  /// gone, so the name is free — and the ftio round-trip stays natural).
-  std::string name;
   /// Origin of each basic event of `tree`, by its BasicEventOrdinal. Module
   /// pseudo-leaves appear here with Kind::kModule.
   std::vector<LeafOrigin> basic_origin;

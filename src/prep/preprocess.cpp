@@ -1,16 +1,12 @@
 #include "safeopt/prep/preprocess.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/execution.h"
-#include "safeopt/support/name_index.h"
-#include "safeopt/support/strings.h"
 
 namespace safeopt::prep {
 namespace {
@@ -23,9 +19,9 @@ namespace {
 // erasing it, so ids stay stable and every pass resolves through the alias
 // chain. TRUE/FALSE constant items exist so constant propagation has
 // something to propagate (no source tree contains them, but a pass — or a
-// future pass, see docs/extending.md — may introduce them). Items refer to
-// names instead of copying them: a source node's name lives in the source
-// tree, a synthesized item's in Ir::synthesized_names.
+// future pass, see docs/extending.md — may introduce them). Items carry no
+// names: the passes, the module trees and everything downstream read kinds,
+// children, thresholds and ordinals only.
 
 enum class ItemKind : std::uint8_t {
   kBasic,
@@ -41,21 +37,12 @@ struct Item {
   std::uint32_t k = 0;        // vote threshold for kKofN
   std::uint32_t ordinal = 0;  // original leaf ordinal (leaves only)
   std::vector<std::uint32_t> children;
-  std::string_view name;
-  std::string_view description;  // leaves only; gates are rebuilt bare
 };
 
 struct Ir {
-  explicit Ir(const fta::FaultTree& tree) : source(&tree) {}
-
-  const fta::FaultTree* source;  // not owned; outlives the IR
   std::vector<Item> items;
   std::vector<std::uint32_t> alias;  // alias[i] == i when canonical
   std::uint32_t root = 0;
-  /// Names the passes made up, indexed by `synthesized`. A deque, so the
-  /// views items hold stay valid as it grows.
-  std::deque<std::string> synthesized_names;
-  NameIndex synthesized;
 
   std::uint32_t add(Item item) {
     const auto id = static_cast<std::uint32_t>(items.size());
@@ -70,29 +57,6 @@ struct Ir {
       id = alias[id];
     }
     return id;
-  }
-
-  /// A name not used by any existing node; `base` itself when free,
-  /// otherwise base.2, base.3, ... (dots are legal ftio identifier chars).
-  /// Every name is a source-tree name or a synthesized one, so a candidate
-  /// is free when neither index knows it.
-  [[nodiscard]] std::string_view fresh_name(const std::string& base) {
-    const auto name_of = [this](std::uint32_t i) -> std::string_view {
-      return synthesized_names[i];
-    };
-    const auto taken = [&](std::string_view name) {
-      return synthesized.find(name, name_of) != NameIndex::kNone ||
-             source->find(name).has_value();
-    };
-    std::string name = base;
-    for (std::uint32_t suffix = 2; taken(name); ++suffix) {
-      name = concat(base, ".", std::to_string(suffix));
-    }
-    const auto id = static_cast<std::uint32_t>(synthesized_names.size());
-    const std::string_view view =
-        synthesized_names.emplace_back(std::move(name));
-    synthesized.insert(view, id, name_of);
-    return view;
   }
 
   /// Number of items reachable from the root through resolved edges.
@@ -115,22 +79,19 @@ struct Ir {
 };
 
 Ir build_ir(const fta::FaultTree& tree) {
-  Ir ir(tree);
+  Ir ir;
   ir.items.reserve(tree.node_count());
   ir.alias.reserve(tree.node_count());
   for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
     Item item;
-    item.name = tree.node_name(id);
     switch (tree.kind(id)) {
       case fta::NodeKind::kBasicEvent:
         item.kind = ItemKind::kBasic;
         item.ordinal = tree.basic_event_ordinal(id);
-        item.description = tree.description(id);
         break;
       case fta::NodeKind::kCondition:
         item.kind = ItemKind::kCondition;
         item.ordinal = tree.condition_ordinal(id);
-        item.description = tree.description(id);
         break;
       case fta::NodeKind::kGate:
         item.kind = ItemKind::kGate;
@@ -153,7 +114,6 @@ Ir build_ir(const fta::FaultTree& tree) {
 std::uint32_t constant(Ir& ir, bool value) {
   Item item;
   item.kind = value ? ItemKind::kTrue : ItemKind::kFalse;
-  item.name = ir.fresh_name(value ? "const.true" : "const.false");
   return ir.add(std::move(item));
 }
 
@@ -299,7 +259,6 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
     const std::uint32_t n = static_cast<std::uint32_t>(children.size());
     const std::uint32_t k = ir.items[id].k;
     SAFEOPT_ASSERT(k >= 1 && k <= n);
-    const std::string base(ir.items[id].name);
 
     // memo[i * (k + 1) + j] is the gate for ge(i, j), or kNone. The memo
     // never grows, so a reference to a slot survives the recursion.
@@ -313,8 +272,6 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
       if (slot != kNone) return slot;
       Item gate;
       gate.kind = ItemKind::kGate;
-      gate.name = ir.fresh_name(
-          concat(base, ".ge", std::to_string(j), ".", std::to_string(i)));
       if (j == 1) {
         gate.gate = fta::GateType::kOr;
         gate.children.assign(children.begin() + i, children.end());
@@ -325,8 +282,6 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
         Item take;
         take.kind = ItemKind::kGate;
         take.gate = fta::GateType::kAnd;
-        take.name = ir.fresh_name(
-            concat(base, ".take", std::to_string(j), ".", std::to_string(i)));
         take.children = {children[i], self(self, i + 1, j - 1)};
         const std::uint32_t take_id = ir.add(std::move(take));
         gate.gate = fta::GateType::kOr;
@@ -538,39 +493,36 @@ struct BuildScratch {
   std::uint32_t current = 0;
 };
 
-/// Builds the FaultTree for the subtree rooted at `start`, stopping at
-/// chosen module boundaries (they become pseudo-leaf basic events named
-/// after the module gate). Leaves are created at their DFS first visit, so
-/// subtree ordinal order *is* DFS order — the BDD variable order.
+/// Builds the anonymous FaultTree for the subtree rooted at `start`,
+/// stopping at chosen module boundaries (they become pseudo-leaf basic
+/// events). Leaves are created at their DFS first visit, so subtree ordinal
+/// order *is* DFS order — the BDD variable order.
 Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
                       const std::vector<std::int64_t>& module_of,
                       BuildScratch& scratch) {
   Subtree subtree{.tree = fta::FaultTree(std::move(tree_name)),
-                  .name = std::string(ir.items[start].name),
                   .basic_origin = {},
                   .condition_origin = {}};
+  fta::FaultTree& tree = subtree.tree;
   const std::uint32_t stamp = ++scratch.current;
   const auto build = [&](auto&& self, std::uint32_t id) -> fta::NodeId {
     if (scratch.stamp[id] == stamp) return scratch.node_of[id];
     const Item& item = ir.items[id];
-    std::string name(item.name);
     fta::NodeId node = 0;
     if (id != start && module_of[id] >= 0) {
-      node = subtree.tree.add_basic_event(std::move(name));
+      node = tree.add_basic_event({});
       subtree.basic_origin.push_back(
           {LeafOrigin::Kind::kModule,
            static_cast<std::uint32_t>(module_of[id])});
     } else {
       switch (item.kind) {
         case ItemKind::kBasic:
-          node = subtree.tree.add_basic_event(std::move(name),
-                                              std::string(item.description));
+          node = tree.add_basic_event({});
           subtree.basic_origin.push_back(
               {LeafOrigin::Kind::kBasicEvent, item.ordinal});
           break;
         case ItemKind::kCondition:
-          node = subtree.tree.add_condition(std::move(name),
-                                            std::string(item.description));
+          node = tree.add_condition({});
           subtree.condition_origin.push_back(item.ordinal);
           break;
         case ItemKind::kTrue:
@@ -588,22 +540,20 @@ Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
           }
           switch (item.gate) {
             case fta::GateType::kAnd:
-              node = subtree.tree.add_and(std::move(name), std::move(children));
+              node = tree.add_and({}, std::move(children));
               break;
             case fta::GateType::kOr:
-              node = subtree.tree.add_or(std::move(name), std::move(children));
+              node = tree.add_or({}, std::move(children));
               break;
             case fta::GateType::kKofN:
-              node = subtree.tree.add_k_of_n(std::move(name), item.k,
-                                             std::move(children));
+              node = tree.add_k_of_n({}, item.k, std::move(children));
               break;
             case fta::GateType::kXor:
-              node = subtree.tree.add_xor(std::move(name), std::move(children));
+              node = tree.add_xor({}, std::move(children));
               break;
             case fta::GateType::kInhibit:
               SAFEOPT_ASSERT(children.size() == 2);
-              node = subtree.tree.add_inhibit(std::move(name), children[0],
-                                              children[1]);
+              node = tree.add_inhibit({}, children[0], children[1]);
               break;
           }
           break;
@@ -614,7 +564,7 @@ Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
     scratch.node_of[id] = node;
     return node;
   };
-  subtree.tree.set_top(build(build, start));
+  tree.set_top(build(build, start));
   return subtree;
 }
 
@@ -669,8 +619,7 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
       if (id == root || !scan.is_module[id]) continue;
       if (scan.leaf_refs[id] < options.module_min_leaves) continue;
       module_of[id] = static_cast<std::int64_t>(result.subtrees.size());
-      result.subtrees.push_back(build_subtree(
-          ir, id, std::string(ir.items[id].name), module_of, scratch));
+      result.subtrees.push_back(build_subtree(ir, id, {}, module_of, scratch));
     }
   }
   result.statistics.modules = result.subtrees.size();

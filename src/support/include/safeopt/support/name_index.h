@@ -1,5 +1,5 @@
 // NameIndex: a hashed name -> dense id index for tables that already own
-// their names (fault-tree nodes, parser declarations, synthesized names).
+// their names (named fault-tree nodes, parser declarations).
 //
 // Open addressing with linear probing, at most half full. A slot holds an
 // id and a 32-bit hash of its name, never the name itself: lookups read the

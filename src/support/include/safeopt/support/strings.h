@@ -4,6 +4,7 @@
 #ifndef SAFEOPT_SUPPORT_STRINGS_H
 #define SAFEOPT_SUPPORT_STRINGS_H
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,29 @@ template <typename... Parts>
 /// Formats a double with enough digits to round-trip, trimming trailing zeros
 /// ("0.25", "1e-06", "19.2").
 [[nodiscard]] std::string format_double(double value);
+
+/// True when `value` *starts* like a number ([0-9.+-]). Unquoted option text
+/// that looks numeric but is not a number ("8x", "1_000") is a typo, not a
+/// word: storing it as text would make numeric lookups silently fall back to
+/// their defaults.
+[[nodiscard]] bool numeric_looking(std::string_view value) noexcept;
+
+/// One command-line `KEY=VALUE` argument (`--extra`, `--engine-opt`), typed
+/// by one rule: `number` is set when the whole value parses as a double with
+/// std::from_chars (locale-independent: no leading '+' or whitespace, no hex
+/// prefix; "inf" and "nan" are numbers), otherwise the value is text.
+struct KeyValueArgument {
+  std::string_view key;
+  std::string_view text;
+  std::optional<double> number;
+};
+
+/// Splits and types `argument`; the views point into it. Throws
+/// std::invalid_argument, naming `what` ("solver extra", "engine option"),
+/// when there is no '=', the key or the value is empty, or the value is
+/// numeric_looking() but not a number ("8x", "+5", "0x10").
+[[nodiscard]] KeyValueArgument parse_key_value_argument(
+    std::string_view argument, std::string_view what);
 
 }  // namespace safeopt
 

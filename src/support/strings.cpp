@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 
 namespace safeopt {
 
@@ -54,6 +55,38 @@ std::string format_double(double value) {
     return buffer;
   }
   return std::string(buffer, end);
+}
+
+bool numeric_looking(std::string_view value) noexcept {
+  if (value.empty()) return false;
+  const char first = value.front();
+  return (first >= '0' && first <= '9') || first == '-' || first == '+' ||
+         first == '.';
+}
+
+KeyValueArgument parse_key_value_argument(std::string_view argument,
+                                          std::string_view what) {
+  const std::size_t equals = argument.find('=');
+  if (equals == std::string_view::npos || equals == 0 ||
+      equals + 1 == argument.size()) {
+    throw std::invalid_argument(
+        concat(what, " must be key=value, got \"", argument, "\""));
+  }
+  KeyValueArgument parsed{.key = argument.substr(0, equals),
+                          .text = argument.substr(equals + 1),
+                          .number = std::nullopt};
+  const char* const first = parsed.text.data();
+  const char* const last = first + parsed.text.size();
+  double number = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, number);
+  if (ec == std::errc{} && end == last) {
+    parsed.number = number;
+  } else if (numeric_looking(parsed.text)) {
+    throw std::invalid_argument(
+        concat(what, " \"", parsed.key, "\" has a malformed numeric value \"",
+               parsed.text, "\""));
+  }
+  return parsed;
 }
 
 }  // namespace safeopt

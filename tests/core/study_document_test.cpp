@@ -365,6 +365,58 @@ TEST(StudyDocumentTest, SetEngineArgumentMirrorsTheDocumentMapping) {
                std::invalid_argument);
 }
 
+TEST(StudyDocumentTest, ExtraAndEngineOptionShareOneTypingRule) {
+  // `--extra` and `--engine-opt` type a KEY=VALUE value by one rule
+  // (parse_key_value_argument): a whole std::from_chars double is a number,
+  // a numeric-looking rest is a typo, anything else is text. The solver side
+  // shows the verdict directly; the engine side through "trials", a count:
+  // text fails as "must be numeric", a number is taken (or fails its range).
+  enum class Verdict { kNumber, kText, kRejected };
+  const auto solver_verdict = [](const std::string& value) {
+    opt::SolverConfig config;
+    try {
+      config.set_extra_argument("key=" + value);
+    } catch (const std::invalid_argument&) {
+      return Verdict::kRejected;
+    }
+    return config.string_or("key", "").empty() ? Verdict::kNumber
+                                                : Verdict::kText;
+  };
+  const auto engine_verdict = [](const std::string& value) {
+    EngineConfig config;
+    try {
+      set_engine_argument(config, "trials=" + value);
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      if (what.find("malformed numeric value") != std::string::npos) {
+        return Verdict::kRejected;
+      }
+      if (what.find("must be numeric") != std::string::npos) {
+        return Verdict::kText;
+      }
+    }
+    return Verdict::kNumber;
+  };
+  struct Row {
+    const char* value;
+    Verdict verdict;
+  };
+  for (const Row& row : {Row{"1e3", Verdict::kNumber},
+                         Row{"+5", Verdict::kRejected},
+                         Row{" 5", Verdict::kText},
+                         Row{"0x10", Verdict::kRejected},
+                         Row{"8x", Verdict::kRejected},
+                         Row{"inf", Verdict::kNumber},
+                         Row{"true", Verdict::kText},
+                         Row{"rare_event", Verdict::kText}}) {
+    EXPECT_EQ(solver_verdict(row.value), row.verdict) << row.value;
+    EXPECT_EQ(engine_verdict(row.value), row.verdict) << row.value;
+  }
+  EngineConfig config;
+  set_engine_argument(config, "trials=1e3");
+  EXPECT_EQ(config.mc_trials, 1000u);
+}
+
 TEST(StudyDocumentTest, PreprocessOptionsMapOntoTypedConfigFields) {
   EngineConfig config;
   set_engine_argument(config, "preprocess=true");
@@ -433,10 +485,11 @@ TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
 
 TEST(StudyDocumentTest, SolverOptionsMapOntoTypedConfigFields) {
   // Reserved keys land in the typed fields (seed consumed by DE), extras
-  // in the typed extras (starts consumed by multi_start).
+  // in the typed extras (starts consumed by multi_start). Two parameters:
+  // differential_evolution rejects 1-D boxes.
   const std::string base =
-      "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.2 * X;\n"
-      "hazard fault-tree cost = 1;\n";
+      "param X in [0, 1];\nparam Y in [0, 1];\ntoplevel t;\nt or a;\n"
+      "a prob = 0.1 * X + 0.1 * Y;\nhazard fault-tree cost = 1;\n";
   const Study a = Study::from_document(
       ftio::parse_study(base + "solver differential_evolution seed = 3;\n"));
   const Study b = Study::from_document(

@@ -49,8 +49,7 @@ TEST(StudyTest, DefaultRunMatchesTheLegacyDefaultBitwise) {
 
 TEST(StudyTest, SolverByNameMatchesSafetyOptimizerBitwise) {
   const SafetyOptimizer optimizer(synthetic_model(), synthetic_space());
-  for (const char* name : {"grid_search", "nelder_mead", "hooke_jeeves",
-                           "differential_evolution"}) {
+  for (const char* name : {"grid_search", "nelder_mead", "hooke_jeeves"}) {
     Study study(synthetic_model(), synthetic_space());
     study.solver(name);
     expect_identical(study.run(), optimizer.optimize(name));

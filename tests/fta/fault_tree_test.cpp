@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "../testutil/random_tree.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::fta {
 namespace {
@@ -208,6 +210,56 @@ TEST(FaultTreeValidateTest, CleanTreeHasNoProblems) {
   EXPECT_TRUE(tree.validate().empty());
 }
 
+TEST(FaultTreeValidateTest, NamesAnonymousNodesByTheirId) {
+  FaultTree tree("anonymous");
+  const NodeId a = tree.add_basic_event({});
+  const NodeId orphan = tree.add_basic_event({});
+  const NodeId c = tree.add_condition({});
+  const NodeId gate = tree.add_or({}, {a, c});
+  tree.set_top(gate);
+  const auto problems = tree.validate();
+  ASSERT_EQ(problems.size(), 2u);
+  EXPECT_EQ(problems[0], concat("node #", std::to_string(orphan),
+                                " is not reachable from the top event"));
+  EXPECT_EQ(problems[1],
+            concat("condition #", std::to_string(c),
+                   " used outside an INHIBIT gate (in gate #",
+                   std::to_string(gate), ")"));
+}
+
+TEST(FaultTreeValidateTest, NamedNodesKeepTheirQuotedNames) {
+  FaultTree tree("named");
+  const NodeId a = tree.add_basic_event("a");
+  const NodeId c = tree.add_condition("c");
+  tree.add_basic_event("orphan");
+  tree.set_top(tree.add_or("top", {a, c}));
+  const auto problems = tree.validate();
+  ASSERT_EQ(problems.size(), 2u);
+  EXPECT_EQ(problems[0], "node 'orphan' is not reachable from the top event");
+  EXPECT_EQ(problems[1],
+            "condition 'c' used outside an INHIBIT gate (in gate 'top')");
+}
+
+TEST(FaultTreeAnonymousTest, AnonymousNodesAreNeverFound) {
+  FaultTree tree("mixed");
+  const NodeId a = tree.add_basic_event({});
+  const NodeId b = tree.add_basic_event("b");
+  const NodeId c = tree.add_condition({});
+  const NodeId gate = tree.add_inhibit({}, tree.add_or({}, {a, b}), c);
+  tree.set_top(gate);
+  EXPECT_TRUE(tree.node_name(a).empty());
+  EXPECT_TRUE(tree.node_name(gate).empty());
+  EXPECT_FALSE(tree.find("").has_value());
+  EXPECT_EQ(tree.find("b"), b);
+  EXPECT_EQ(tree.basic_event_ordinal(a), 0u);
+  EXPECT_EQ(tree.basic_event_ordinal(b), 1u);
+  EXPECT_EQ(tree.condition_ordinal(c), 0u);
+  EXPECT_TRUE(tree.validate().empty());
+  // Anonymous nodes take part in the semantics like named ones.
+  EXPECT_TRUE(tree.evaluate({true, false}, {true}));
+  EXPECT_FALSE(tree.evaluate({true, false}, {false}));
+}
+
 TEST(GateTypeTest, ToString) {
   EXPECT_EQ(to_string(GateType::kAnd), "AND");
   EXPECT_EQ(to_string(GateType::kOr), "OR");
@@ -228,6 +280,14 @@ TEST(FaultTreeDeathTest, DuplicateNamesAreRejected) {
   FaultTree tree("dup");
   tree.add_basic_event("a");
   EXPECT_DEATH(tree.add_basic_event("a"), "precondition");
+}
+
+TEST(FaultTreeDeathTest, DuplicateNamesAreRejectedBesideAnonymousNodes) {
+  FaultTree tree("dup-anonymous");
+  tree.add_basic_event({});
+  tree.add_basic_event({});
+  tree.add_or("g", {0, 1});
+  EXPECT_DEATH(tree.add_basic_event("g"), "precondition");
 }
 
 TEST(FaultTreeDeathTest, TopMustNotBeCondition) {

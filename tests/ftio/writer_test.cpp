@@ -43,6 +43,16 @@ c prob = 0.1;
   EXPECT_EQ(again.tree.vote_threshold(*again.tree.find("v")), 2u);
 }
 
+TEST(WriterDeathTest, AnonymousNodesCannotBeWritten) {
+  // The dialect references nodes by name; an anonymous node has none.
+  fta::FaultTree tree("anonymous");
+  const fta::NodeId a = tree.add_basic_event("a");
+  tree.set_top(tree.add_or({}, {a}));
+  const fta::QuantificationInput input =
+      fta::QuantificationInput::for_tree(tree, 0.5);
+  EXPECT_DEATH((void)write_fault_tree(tree, input), "precondition");
+}
+
 TEST(DotExportTest, UsesPaperSymbolShapes) {
   const ParsedFaultTree model = sample();
   const std::string dot = to_dot(model.tree, &model.probabilities);

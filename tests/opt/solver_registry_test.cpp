@@ -92,6 +92,34 @@ TEST(SolverRegistryTest, GoldenSectionRejectsMultiDimensionalBoxes) {
   }
 }
 
+TEST(SolverRegistryTest, DifferentialEvolutionRejectsOneDimensionalBoxes) {
+  // On an interval every DE mutant is the forced axis of a + F(b - c),
+  // clamped into the box: the population collapses onto a bound and used to
+  // report convergence there. The solver, and multi_start around it, now
+  // refuse the box and name the 1-D solvers instead.
+  const auto solver = SolverRegistry::create("differential_evolution");
+  EXPECT_EQ(solver->traits().min_dimension, 2u);
+  SolverConfig wrapped;
+  wrapped.set("inner", std::string("differential_evolution"));
+  for (const SolverConfig& config : {SolverConfig{}, wrapped}) {
+    const auto runner = SolverRegistry::create(
+        config.has("inner") ? "multi_start" : "differential_evolution");
+    try {
+      (void)runner->solve(bowl_1d(), config);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("differential_evolution needs at least "
+                             "2-dimensional problems"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("golden_section"), std::string::npos);
+      EXPECT_NE(message.find("nelder_mead"), std::string::npos);
+    }
+  }
+  EXPECT_NO_THROW((void)solver->solve(bowl_2d()));
+}
+
 TEST(SolverRegistryTest, GoldenSectionReproducesItsPinnedResultBitwise) {
   // Pinned bits of the golden-section run on the 1-D bowl: a refactor of
   // the solver must leave every one of them unchanged.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,9 +157,12 @@ TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
     const char* probability;  // "%a"
     std::size_t modules;
     std::size_t decision_nodes;
+    std::size_t gates_after;
+    std::size_t events_after;
   };
-  for (const Row& row : {Row{"1k", "0x1.0cdfa47f33e7cp-16", 108, 4013},
-                         Row{"10k", "0x1.8d0d3716bb54ep-25", 510, 32590}}) {
+  for (const Row& row :
+       {Row{"1k", "0x1.0cdfa47f33e7cp-16", 108, 4013, 1645, 50},
+        Row{"10k", "0x1.8d0d3716bb54ep-25", 510, 32590, 8246, 100}}) {
     const corpus::CorpusModel model =
         corpus::make_corpus(corpus::tier_by_name(row.tier));
     const ftio::StudyDocument document = ftio::parse_study(
@@ -196,6 +200,8 @@ TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
     EXPECT_EQ(compiled.compile_statistics().decision_nodes,
               row.decision_nodes)
         << row.tier;
+    EXPECT_EQ(result.preprocess->gates_after, row.gates_after) << row.tier;
+    EXPECT_EQ(result.preprocess->events_after, row.events_after) << row.tier;
   }
 }
 
@@ -216,7 +222,7 @@ TEST(PreprocessPassTest, NormalizeExpandsEveryKofN) {
   for (fta::NodeId id = 0; id < out.node_count(); ++id) {
     if (out.kind(id) == fta::NodeKind::kGate) {
       EXPECT_NE(out.gate_type(id), fta::GateType::kKofN)
-          << "k-of-n gate survived normalization: " << out.node_name(id);
+          << "k-of-n gate survived normalization: node " << id;
     }
   }
 }
@@ -266,7 +272,7 @@ TEST(PreprocessPassTest, FlattenSplicesSameOpChains) {
   const PreprocessedTree preprocessed = preprocess(tree, options);
   const fta::FaultTree& out = preprocessed.top().tree;
   ASSERT_EQ(out.gate_count(), 1u);
-  const fta::NodeId top = *out.find("top");
+  const fta::NodeId top = out.top();
   EXPECT_EQ(out.gate_type(top), fta::GateType::kOr);
   EXPECT_EQ(out.children(top).size(), 4u);
 }
@@ -359,10 +365,10 @@ TEST(PreprocessPassTest, DisabledPassesKeepTheBoundaryCountsChained) {
   EXPECT_EQ(passes[2].nodes_before, passes[1].nodes_after);
 }
 
-TEST(PreprocessPassTest, ModulePseudoLeafReusesGateName) {
+TEST(PreprocessPassTest, ModuleBecomesAnOriginTaggedPseudoLeaf) {
   // An AND over four private leaves under an OR top is a textbook module:
-  // it must be extracted, and its pseudo-leaf in the parent must carry the
-  // gate's name with LeafOrigin::Kind::kModule.
+  // it must be extracted into its own subtree, and its place in the parent
+  // must be a basic event whose LeafOrigin points at that subtree.
   fta::FaultTree tree("mod");
   std::vector<fta::NodeId> module_leaves;
   for (int i = 0; i < 4; ++i) {
@@ -374,18 +380,59 @@ TEST(PreprocessPassTest, ModulePseudoLeafReusesGateName) {
 
   const PreprocessedTree preprocessed = preprocess(tree, {});
   ASSERT_EQ(preprocessed.subtrees.size(), 2u);
-  EXPECT_EQ(preprocessed.subtrees.front().name, "engine_room");
 
-  const Subtree& top = preprocessed.top();
-  const auto pseudo = top.tree.find("engine_room");
-  ASSERT_TRUE(pseudo.has_value());
-  EXPECT_EQ(top.tree.kind(*pseudo), fta::NodeKind::kBasicEvent);
-  bool found_module_origin = false;
-  for (const LeafOrigin& origin : top.basic_origin) {
-    found_module_origin =
-        found_module_origin || origin.kind == LeafOrigin::Kind::kModule;
+  // The module: the AND gate over the four original leaves, in order.
+  const Subtree& extracted = preprocessed.subtrees.front();
+  const fta::NodeId gate = extracted.tree.top();
+  ASSERT_EQ(extracted.tree.kind(gate), fta::NodeKind::kGate);
+  EXPECT_EQ(extracted.tree.gate_type(gate), fta::GateType::kAnd);
+  EXPECT_EQ(extracted.tree.children(gate).size(), 4u);
+  ASSERT_EQ(extracted.basic_origin.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(extracted.basic_origin[i].kind, LeafOrigin::Kind::kBasicEvent);
+    EXPECT_EQ(extracted.basic_origin[i].index, i);
   }
-  EXPECT_TRUE(found_module_origin);
+
+  // The parent: OR(pseudo-leaf for subtree 0, "other").
+  const Subtree& top = preprocessed.top();
+  ASSERT_EQ(top.tree.kind(top.tree.top()), fta::NodeKind::kGate);
+  EXPECT_EQ(top.tree.gate_type(top.tree.top()), fta::GateType::kOr);
+  const std::span<const fta::NodeId> children =
+      top.tree.children(top.tree.top());
+  ASSERT_EQ(children.size(), 2u);
+  ASSERT_EQ(top.tree.kind(children[0]), fta::NodeKind::kBasicEvent);
+  const LeafOrigin& pseudo =
+      top.basic_origin[top.tree.basic_event_ordinal(children[0])];
+  EXPECT_EQ(pseudo.kind, LeafOrigin::Kind::kModule);
+  EXPECT_EQ(pseudo.index, 0u);
+  ASSERT_EQ(top.tree.kind(children[1]), fta::NodeKind::kBasicEvent);
+  const LeafOrigin& leaf =
+      top.basic_origin[top.tree.basic_event_ordinal(children[1])];
+  EXPECT_EQ(leaf.kind, LeafOrigin::Kind::kBasicEvent);
+  EXPECT_EQ(leaf.index, tree.basic_event_ordinal(other));
+}
+
+TEST(PreprocessPassTest, CorpusTierModuleTreesAreAnonymous) {
+  // No pass makes up a name and the rebuild copies none: every node of every
+  // subtree is anonymous, so find() knows none of the original names.
+  const corpus::CorpusModel model =
+      corpus::make_corpus(corpus::tier_by_name("1k"));
+  const PreprocessedTree preprocessed = preprocess(model.tree, {});
+  ASSERT_GT(preprocessed.subtrees.size(), 1u);
+  const std::string& top_name = model.tree.node_name(model.tree.top());
+  for (std::size_t i = 0; i < preprocessed.subtrees.size(); ++i) {
+    const fta::FaultTree& tree = preprocessed.subtrees[i].tree;
+    for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
+      ASSERT_TRUE(tree.node_name(id).empty())
+          << "subtree " << i << " node " << id;
+      ASSERT_TRUE(tree.description(id).empty())
+          << "subtree " << i << " node " << id;
+    }
+    EXPECT_FALSE(tree.find(top_name).has_value()) << "subtree " << i;
+    EXPECT_TRUE(tree.validate().empty()) << "subtree " << i;
+  }
+  EXPECT_EQ(preprocessed.top().tree.name(), model.tree.name());
+  EXPECT_TRUE(preprocessed.subtrees.front().tree.name().empty());
 }
 
 TEST(PreprocessPassTest, InhibitConditionsSurviveExtraction) {
