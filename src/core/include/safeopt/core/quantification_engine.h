@@ -14,7 +14,8 @@
 //
 //   "fta"         cut-set engine (rare-event / min-cut upper bound /
 //                 inclusion-exclusion; importance measures supported)
-//   "bdd"         exact Shannon decomposition over the compiled ROBDD
+//   "bdd"         exact Shannon decomposition over the preprocessed tree's
+//                 per-module ROBDDs
 //   "mc"          fixed-budget Monte Carlo estimation with Wilson intervals:
 //                 the mc::AdaptiveMonteCarlo sampler with crude sampling and
 //                 no stopping target (runs to `trials`)
@@ -39,6 +40,7 @@
 #include "safeopt/bdd/bdd.h"
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/fta/probability.h"
+#include "safeopt/prep/preprocess.h"
 #include "safeopt/stats/estimators.h"
 
 namespace safeopt {
@@ -68,8 +70,8 @@ struct EngineCapabilities {
 };
 
 /// What preprocessing did to the tree an engine quantifies — filled by the
-/// "fta"/"bdd" engines when EngineConfig::preprocess is set, surfaced by
-/// `safeopt quantify --json` next to the sampling diagnostics.
+/// "bdd" engine, surfaced by `safeopt quantify --json` next to the sampling
+/// diagnostics.
 struct PreprocessSummary {
   /// Independent modules extracted (each quantified once per input and
   /// substituted as a pseudo-leaf).
@@ -97,8 +99,8 @@ struct QuantificationResult {
   /// Engines with a stopping target only (mc_adaptive): whether the target
   /// precision was reached within the trial budget.
   std::optional<bool> converged;
-  /// Engines running the preprocessing pipeline only (fta/bdd with
-  /// EngineConfig::preprocess): what the pass pipeline did.
+  /// Engines running the preprocessing pipeline only (bdd): what the pass
+  /// pipeline did.
   std::optional<PreprocessSummary> preprocess;
   /// Sampling engines (mc, mc_adaptive), which honour a deadline/
   /// cancellation control: true when the run was cut short — the estimate
@@ -149,34 +151,29 @@ struct EngineConfig {
   /// with p < 1/2 is sampled at q = min(1/2, tilt·p) and reweighted by the
   /// exact likelihood ratio. Values <= 1 disable importance sampling.
   double tilt = 0.0;
-  /// fta/bdd engines: run the preprocessing pass pipeline (normalize /
-  /// flatten / merge / propagate / modularize) before compilation. Off by
-  /// default: results are then bit-identical to the historical engines;
-  /// turn it on for large trees (document option `preprocess = true` or
-  /// `--engine-opt preprocess=true`).
-  bool preprocess = false;
-  /// With `preprocess`: extract independent modules (quantified once each
-  /// and substituted as pseudo-leaves), the big lever on industrial trees.
-  bool modularize = true;
-  /// With `modularize`: minimum leaf span for a detected module to be
-  /// worth extracting.
-  std::size_t module_min_leaves = 4;
+  /// bdd engine: the module extraction of the preprocessing pass pipeline
+  /// it always runs (prep::PreprocessOptions's defaults, not settable).
+  static constexpr bool modularize = prep::PreprocessOptions{}.modularize;
+  static constexpr std::size_t module_min_leaves =
+      prep::PreprocessOptions{}.module_min_leaves;
   /// bdd engine: structural variable-ordering heuristic for compilation.
   bdd::VariableOrdering ordering = bdd::VariableOrdering::kDfs;
-  /// bdd engine: unique-table buckets reserved up front and direct-mapped
-  /// ITE cache entries (rounded up to a power of two).
+  /// bdd engine: per-module caps on the unique-table buckets reserved up
+  /// front and the direct-mapped ITE cache entries (rounded up to a power of
+  /// two); each module's manager is sized to its own tree within them.
   std::size_t bdd_table_size = 1u << 12;
   std::size_t bdd_cache_size = 1u << 16;
-  /// bdd engine: maximum unique decision nodes before compilation aborts
-  /// with Error(kResourceExhausted) — the admission control that keeps a
-  /// pathological tree from eating the process. 0 = unlimited (document/CLI
-  /// option `bdd_node_budget`).
+  /// bdd engine: maximum unique decision nodes, summed over every module's
+  /// diagram, before compilation aborts with Error(kResourceExhausted) — the
+  /// admission control that keeps a pathological tree from eating the
+  /// process. 0 = unlimited (document/CLI option `bdd_node_budget`).
   std::size_t bdd_node_budget = 0;
   /// Wall-clock budget in milliseconds for each expensive engine operation:
-  /// compilation at engine construction (fta/bdd, including the prep
-  /// pipeline) and each quantify() call (mc/mc_adaptive, which abort with
-  /// the last completed round's partial result instead of throwing). 0 = none
-  /// (document/CLI option `deadline_ms`). Chained under the caller's
+  /// compilation at engine construction (bdd: the prep pipeline and the
+  /// diagrams; fta's MOCUS is not polled) and each quantify() call
+  /// (mc/mc_adaptive, which abort with the last completed round's partial
+  /// result instead of throwing). 0 = none (document/CLI option
+  /// `deadline_ms`). Chained under the caller's
   /// control, which is an argument of the factory and of each quantify().
   std::uint64_t deadline_ms = 0;
   /// Degradation chain: when engine construction fails with a *recoverable*
@@ -194,8 +191,8 @@ struct EngineConfig {
   /// diagnostic (never an error): the same document runs on any host.
   std::string backend;
 
-  /// The BddOptions slice of this config (the bdd engine's constructor
-  /// argument for both the plain and the per-module compilation paths).
+  /// The BddOptions slice of this config (the bdd engine's per-module
+  /// compilation argument).
   /// BddOptions::control is wired separately by the engine: it points at a
   /// per-construction control derived from `deadline_ms` and the caller's
   /// construction control.

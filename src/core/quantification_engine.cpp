@@ -27,17 +27,6 @@ std::vector<QuantificationResult> QuantificationEngine::quantify_batch(
 
 namespace {
 
-/// The PreprocessOptions slice of an EngineConfig, with the engine's
-/// per-construction control threaded into the pass pipeline.
-prep::PreprocessOptions to_prep_options(const EngineConfig& config,
-                                        const ExecutionControl* control) {
-  prep::PreprocessOptions options;
-  options.modularize = config.modularize;
-  options.module_min_leaves = config.module_min_leaves;
-  options.control = control;
-  return options;
-}
-
 /// Fills `storage` with a per-operation control — a fresh deadline derived
 /// from `deadline_ms` (0 = none), chained to the caller's `control` as
 /// parent — and returns it; nullptr when neither applies (so the unbounded
@@ -73,23 +62,17 @@ PreprocessSummary to_summary(const prep::PreprocessStatistics& statistics) {
 /// overestimate (Eq. 1/2 is the first Bonferroni bound).
 class CutSetEngine final : public QuantificationEngine {
  public:
-  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config,
-               const ExecutionControl* control)
-      : tree_(tree), config_(config) {
-    // MOCUS/preprocessing happen here; quantify() is per-point arithmetic.
-    ExecutionControl storage;
-    const ExecutionControl* active =
-        activate_control(config.deadline_ms, control, storage);
-    if (config.preprocess) {
-      // Composed modular cut sets are mapped back to the original ordinals
-      // and minimize()d, so quantification below is bit-identical to the
-      // direct MOCUS path — the pipeline only changes how mcs_ is found.
-      const prep::PreprocessedTree preprocessed =
-          prep::preprocess(tree, to_prep_options(config, active));
-      mcs_ = prep::minimal_cut_sets(preprocessed);
-      summary_ = to_summary(preprocessed.statistics);
-    } else {
-      mcs_ = fta::minimal_cut_sets(tree);
+  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config)
+      : tree_(tree), config_(config), mcs_(fta::minimal_cut_sets(tree)) {
+    // MOCUS happens here; quantify() is per-point arithmetic. Checked here
+    // rather than at the first quantify, so `fallback` can take over.
+    if (config.method == fta::ProbabilityMethod::kInclusionExclusion &&
+        mcs_.size() > fta::kInclusionExclusionMaxCutSets) {
+      throw Error(ErrorCategory::kResourceExhausted,
+                  concat("inclusion_exclusion handles at most ",
+                         std::to_string(fta::kInclusionExclusionMaxCutSets),
+                         " minimal cut sets, but the tree has ",
+                         std::to_string(mcs_.size())));
     }
   }
 
@@ -114,44 +97,40 @@ class CutSetEngine final : public QuantificationEngine {
     QuantificationResult result;
     result.probability = fta::top_event_probability(
         mcs_, input, config_.method, config_.combination);
-    result.preprocess = summary_;
     return result;
-  }
-
-  [[nodiscard]] const fta::CutSetCollection& cut_sets() const noexcept {
-    return mcs_;
   }
 
  private:
   const fta::FaultTree& tree_;
   EngineConfig config_;
   fta::CutSetCollection mcs_;
-  std::optional<PreprocessSummary> summary_;
 };
 
-/// "bdd": exact Shannon decomposition over the ROBDD compiled once at
-/// construction. No approximation and no cut-set blow-up — the
-/// linear-in-nodes oracle the other engines are validated against.
+/// `options` with its cooperative control replaced by `control`.
+template <typename Options>
+Options with_control(Options options, const ExecutionControl* control) {
+  options.control = control;
+  return options;
+}
+
+/// "bdd": exact Shannon decomposition, compiled once at construction: the
+/// prep pipeline splits the tree into independent modules and each module
+/// gets its own ROBDD. No approximation and no cut-set blow-up — the oracle
+/// the other engines are validated against.
 class BddEngine final : public QuantificationEngine {
  public:
+  /// `control` bounds construction only (the factory derives it from
+  /// `deadline_ms` and the caller's control); bdd::compile detaches it from
+  /// the managers it returns. The module knobs are PreprocessOptions's
+  /// defaults (EngineConfig::modularize/module_min_leaves).
   BddEngine(const fta::FaultTree& tree, const EngineConfig& config,
             const ExecutionControl* control)
-      : tree_(tree) {
-    // Construction is the expensive phase (the whole compilation), so the
-    // per-construction deadline starts here; bdd::compile detaches it from
-    // the managers it returns.
-    ExecutionControl storage;
-    bdd::BddOptions options = config.bdd_options();
-    options.control = activate_control(config.deadline_ms, control, storage);
-    if (config.preprocess) {
-      preprocessed_ =
-          prep::preprocess(tree, to_prep_options(config, options.control));
-      modules_.emplace(*preprocessed_, options);
-      summary_ = to_summary(preprocessed_->statistics);
-    } else {
-      compiled_.emplace(bdd::compile(tree, options));
-    }
-  }
+      : tree_(tree),
+        preprocessed_(
+            prep::preprocess(tree, with_control(prep::PreprocessOptions{},
+                                                control))),
+        modules_(preprocessed_, with_control(config.bdd_options(), control)),
+        summary_(to_summary(preprocessed_.statistics)) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "bdd";
@@ -170,21 +149,18 @@ class BddEngine final : public QuantificationEngine {
       const ExecutionControl* /*control*/ = nullptr) const override {
     SAFEOPT_EXPECTS(input.is_valid_for(tree_));
     QuantificationResult result;
-    result.probability = modules_.has_value()
-                             ? modules_->probability(input)
-                             : compiled_->probability(input);
+    result.probability = modules_.probability(input);
     result.preprocess = summary_;
     return result;
   }
 
  private:
   const fta::FaultTree& tree_;
-  std::optional<bdd::CompiledFaultTree> compiled_;
-  // `modules_` keeps a pointer into `preprocessed_`; both live and die with
-  // this engine (declaration order matters: preprocessed_ first).
-  std::optional<prep::PreprocessedTree> preprocessed_;
-  std::optional<prep::CompiledPreprocessedTree> modules_;
-  std::optional<PreprocessSummary> summary_;
+  // `modules_` keeps a pointer into `preprocessed_` (declaration order
+  // matters: preprocessed_ first).
+  prep::PreprocessedTree preprocessed_;
+  prep::CompiledPreprocessedTree modules_;
+  PreprocessSummary summary_;
 };
 
 /// The one Monte Carlo engine class, registered twice. "mc_adaptive":
@@ -285,13 +261,18 @@ NameRegistry<EngineRegistry::Factory>& registry() {
       "quantification engine",
       {{"fta",
         [](const fta::FaultTree& tree, const EngineConfig& config,
-           const ExecutionControl* control) {
-          return std::make_unique<CutSetEngine>(tree, config, control);
+           const ExecutionControl*) {
+          return std::make_unique<CutSetEngine>(tree, config);
         }},
        {"bdd",
         [](const fta::FaultTree& tree, const EngineConfig& config,
            const ExecutionControl* control) {
-          return std::make_unique<BddEngine>(tree, config, control);
+          // Construction is the expensive phase (the whole compilation),
+          // so the per-construction deadline starts here.
+          ExecutionControl storage;
+          return std::make_unique<BddEngine>(
+              tree, config,
+              activate_control(config.deadline_ms, control, storage));
         }},
        {"mc",
         [](const fta::FaultTree& tree, const EngineConfig& config,

@@ -157,14 +157,14 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
     {"trials", "count", "Monte Carlo trials (\"mc\") / trial cap",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
-       config.mc_trials =
-           static_cast<std::uint64_t>(require_count(key, value, "engine"));
+       config.mc_trials = static_cast<std::uint64_t>(
+           require_count_at_least(key, value, 1));
      }},
     {"budget", "count", "alias of trials for \"mc_adaptive\"",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
-       config.mc_trials =
-           static_cast<std::uint64_t>(require_count(key, value, "engine"));
+       config.mc_trials = static_cast<std::uint64_t>(
+           require_count_at_least(key, value, 1));
      }},
     {"seed", "count", "Monte Carlo base seed",
      [](EngineConfig& config, const std::string& key,
@@ -202,23 +202,17 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
        }
        config.tilt = tilt;
      }},
-    {"preprocess", "flag",
-     "fta/bdd: run the preprocessing pass pipeline before compilation",
-     [](EngineConfig& config, const std::string& key,
+    // Kept so documents written when preprocessing was optional still
+    // parse: the bdd engine always preprocesses and fta never does.
+    {"preprocess", "flag", "no-op, kept for old documents (false is rejected)",
+     [](EngineConfig&, const std::string& key,
         const ftio::OptionValue& value) {
-       config.preprocess = require_flag(key, value, "engine");
-     }},
-    {"modularize", "flag",
-     "with preprocess: extract independent modules as pseudo-leaves",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.modularize = require_flag(key, value, "engine");
-     }},
-    {"module_min_leaves", "count",
-     "with modularize: minimum leaf span worth extracting",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.module_min_leaves = require_count_at_least(key, value, 1);
+       if (!require_flag(key, value, "engine")) {
+         throw std::invalid_argument(
+             "engine option \"preprocess = false\" is no longer supported: "
+             "the unpreprocessed bdd path was removed (bdd always "
+             "preprocesses, fta never does)");
+       }
      }},
     {"ordering", "enum",
      "bdd: structural variable-ordering heuristic: dfs | weight",
@@ -228,28 +222,29 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
                              ? bdd::VariableOrdering::kDfs
                              : bdd::VariableOrdering::kWeight;
      }},
-    {"table_size", "count", "bdd: unique-table buckets reserved up front",
+    {"table_size", "count",
+     "bdd: per-module cap on the unique-table buckets reserved up front",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
        config.bdd_table_size = require_count_at_least(key, value, 1);
      }},
     {"cache_size", "count",
-     "bdd: ITE cache entries (rounded up to a power of two)",
+     "bdd: per-module cap on the ITE cache entries (power of two)",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
        config.bdd_cache_size = require_count_at_least(key, value, 1);
      }},
     {"deadline_ms", "count",
-     "wall-clock deadline in milliseconds (0 = none): bounds fta/bdd "
-     "construction and each mc_adaptive quantify call",
+     "wall-clock deadline in milliseconds (0 = none): bounds bdd "
+     "construction and each mc/mc_adaptive quantify call",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
        config.deadline_ms =
            static_cast<std::uint64_t>(require_count(key, value, "engine"));
      }},
     {"bdd_node_budget", "count",
-     "bdd: decision-node cap (0 = unlimited); exceeding it aborts "
-     "compilation with a resource_exhausted error",
+     "bdd: decision-node cap over all modules (0 = unlimited); exceeding "
+     "it aborts compilation with a resource_exhausted error",
      [](EngineConfig& config, const std::string& key,
         const ftio::OptionValue& value) {
        config.bdd_node_budget = require_count(key, value, "engine");

@@ -75,9 +75,14 @@ enum class ConstraintCombination {
     ConstraintCombination combination =
         ConstraintCombination::kIndependentProduct);
 
+/// kInclusionExclusion sums over every non-empty subset of the cut sets
+/// (2^m − 1 terms), so it is capped at this many minimal cut sets.
+inline constexpr std::size_t kInclusionExclusionMaxCutSets = 25;
+
 /// Top-event probability from minimal cut sets by the chosen method.
 /// Results are clamped into [0, 1].
-/// Precondition for kInclusionExclusion: mcs.size() <= 25.
+/// Precondition for kInclusionExclusion:
+/// mcs.size() <= kInclusionExclusionMaxCutSets.
 /// (kInclusionExclusion always combines constraints as independent; the
 /// dependent bound is only meaningful for the two bounding methods.)
 [[nodiscard]] double top_event_probability(

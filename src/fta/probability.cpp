@@ -94,7 +94,7 @@ double top_event_probability(const CutSetCollection& mcs,
       return clamp01(1.0 - survive);
     }
     case ProbabilityMethod::kInclusionExclusion: {
-      SAFEOPT_EXPECTS(mcs.size() <= 25);
+      SAFEOPT_EXPECTS(mcs.size() <= kInclusionExclusionMaxCutSets);
       // P(∪ CS_i) = Σ_{∅≠S⊆MCS} (−1)^{|S|+1} · P(∩_{i∈S} CS_i); for
       // independent leaves the intersection probability is the product over
       // the union of the involved events/conditions.

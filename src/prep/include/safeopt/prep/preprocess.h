@@ -27,9 +27,9 @@
 // same decision diagram as the unpreprocessed one — top-event probabilities
 // agree bitwise (the property tests assert exactly that). Modularization is
 // exact under leaf independence but re-associates the floating-point
-// product, so it agrees to rounding, not bitwise — except through the
-// cut-set path, where composed modular MCS are canonicalized by
-// CutSetCollection::minimize() and Eq. 1/2 sums are again bitwise equal.
+// product, so it agrees to rounding, not bitwise. It keeps the cut sets:
+// composing each module's MOCUS output reproduces MOCUS on the whole tree
+// (the property tests check exactly that).
 //
 // The result of preprocess() is a PreprocessedTree: a list of Subtrees in
 // dependency order (innermost modules first, top last) with per-leaf origin
@@ -37,9 +37,9 @@
 // subtrees are anonymous fault trees — no pass makes up a name and the
 // rebuild copies none, since BDD compilation and MOCUS read only kinds,
 // children, thresholds and ordinals (a module's pseudo-leaf is tied to its
-// module by LeafOrigin, not by name). The
-// "fta"/"bdd" engines consume it via quantify_bdd() / minimal_cut_sets();
-// Study/CLI users opt in with the `preprocess` engine option.
+// module by LeafOrigin, not by name). The "bdd" engine always runs it and
+// quantifies through CompiledPreprocessedTree; the "fta" engine runs MOCUS
+// on the original tree instead.
 #ifndef SAFEOPT_PREP_PREPROCESS_H
 #define SAFEOPT_PREP_PREPROCESS_H
 
@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "safeopt/bdd/bdd.h"
-#include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/fta/probability.h"
 
@@ -163,6 +162,9 @@ struct ModularBddResult {
 /// variables in their parent); probability() is then a per-input bottom-up
 /// Shannon evaluation over the precompiled diagrams — the optimization-loop
 /// hot path, where the same tree is re-quantified at every design point.
+/// `options.node_budget` caps the decision nodes summed over every subtree
+/// (exceeding it throws Error(kResourceExhausted)); the table and cache
+/// sizes cap each subtree's manager, which is sized to its own tree.
 /// The PreprocessedTree must outlive this object.
 class CompiledPreprocessedTree {
  public:
@@ -193,14 +195,6 @@ class CompiledPreprocessedTree {
     const PreprocessedTree& preprocessed,
     const fta::QuantificationInput& input,
     const bdd::BddOptions& options = {});
-
-/// Minimal cut sets in the *original* tree's ordinals: per-subtree MOCUS,
-/// then bottom-up substitution of every module pseudo-leaf by its module's
-/// cut sets (cartesian composition), then minimize(). Equal to MOCUS on the
-/// unpreprocessed tree for every coherent tree (and to its XOR-as-OR
-/// coherent hull otherwise).
-[[nodiscard]] fta::CutSetCollection minimal_cut_sets(
-    const PreprocessedTree& preprocessed);
 
 }  // namespace safeopt::prep
 

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "safeopt/support/contracts.h"
+#include "safeopt/support/error.h"
 #include "safeopt/support/execution.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::prep {
 namespace {
@@ -669,8 +672,18 @@ fta::QuantificationInput PreprocessedTree::input_for(
 CompiledPreprocessedTree::CompiledPreprocessedTree(
     const PreprocessedTree& preprocessed, const bdd::BddOptions& options)
     : preprocessed_(&preprocessed) {
-  compiled_.reserve(preprocessed.subtrees.size());
-  for (const Subtree& subtree : preprocessed.subtrees) {
+  const std::size_t count = preprocessed.subtrees.size();
+  const std::size_t budget = options.node_budget;
+  const auto budget_exceeded = [&](std::size_t compiled) {
+    return Error(ErrorCategory::kResourceExhausted,
+                 concat("BDD node budget exceeded: more than ",
+                        std::to_string(budget), " decision nodes in the first ",
+                        std::to_string(compiled), " of ", std::to_string(count),
+                        " module diagrams"));
+  };
+  compiled_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Subtree& subtree = preprocessed.subtrees[i];
     // `options` is a per-manager ceiling, not a per-manager grant: a module
     // a few dozen nodes wide must not zero a multi-megabyte ITE cache (with
     // hundreds of modules that would dwarf the quantification itself). Each
@@ -685,13 +698,28 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
     while (hint < 4 * subtree.tree.node_count()) hint <<= 1;
     scaled.cache_size = std::min(scaled.cache_size, hint);
     scaled.initial_table_size = std::min(scaled.initial_table_size, hint);
-    compiled_.push_back(bdd::compile(subtree.tree, scaled));
+    // The node budget is charged against the sum over all modules: each
+    // manager gets what the earlier ones left. 0 would mean unlimited, so a
+    // spent budget still hands out 1 and the sum check below throws.
+    if (budget != 0) {
+      scaled.node_budget =
+          std::max<std::size_t>(budget - statistics_.decision_nodes, 1);
+    }
+    try {
+      compiled_.push_back(bdd::compile(subtree.tree, scaled));
+    } catch (const Error& error) {
+      if (error.category() != ErrorCategory::kResourceExhausted) throw;
+      throw budget_exceeded(i + 1);
+    }
     const bdd::BddStatistics& stats =
         compiled_.back().manager.statistics();
     statistics_.decision_nodes += stats.decision_node_count();
     statistics_.ite_calls += stats.ite_calls;
     statistics_.cache_hits += stats.cache_hits;
     statistics_.cache_evictions += stats.cache_evictions;
+    if (budget != 0 && statistics_.decision_nodes > budget) {
+      throw budget_exceeded(i + 1);
+    }
   }
 }
 
@@ -715,72 +743,6 @@ ModularBddResult quantify_bdd(const PreprocessedTree& preprocessed,
   ModularBddResult result = compiled.compile_statistics();
   result.probability = compiled.probability(input);
   return result;
-}
-
-namespace {
-
-/// a ∪ b with sorted duplicate-free invariant maintained.
-fta::CutSet merge_cut_sets(const fta::CutSet& a, const fta::CutSet& b) {
-  fta::CutSet merged;
-  std::set_union(a.events.begin(), a.events.end(), b.events.begin(),
-                 b.events.end(), std::back_inserter(merged.events));
-  std::set_union(a.conditions.begin(), a.conditions.end(),
-                 b.conditions.begin(), b.conditions.end(),
-                 std::back_inserter(merged.conditions));
-  return merged;
-}
-
-}  // namespace
-
-fta::CutSetCollection minimal_cut_sets(const PreprocessedTree& preprocessed) {
-  // Bottom-up: composed[i] holds subtree i's cut sets already expressed in
-  // the original tree's ordinals, so substituting a module pseudo-leaf is a
-  // cartesian product with an earlier entry.
-  std::vector<fta::CutSetCollection> composed;
-  composed.reserve(preprocessed.subtrees.size());
-  for (std::size_t i = 0; i < preprocessed.subtrees.size(); ++i) {
-    const Subtree& subtree = preprocessed.subtrees[i];
-    const fta::CutSetCollection local =
-        fta::minimal_cut_sets(subtree.tree);
-    std::vector<fta::CutSet> expanded;
-    for (const fta::CutSet& cut : local) {
-      // Split the local cut set into its direct (original-ordinal) part and
-      // the modules to substitute.
-      fta::CutSet direct;
-      std::vector<std::uint32_t> modules;
-      for (const fta::BasicEventOrdinal event : cut.events) {
-        const LeafOrigin& origin = subtree.basic_origin[event];
-        if (origin.kind == LeafOrigin::Kind::kModule) {
-          modules.push_back(origin.index);
-        } else {
-          direct.events.push_back(origin.index);
-        }
-      }
-      for (const fta::ConditionOrdinal condition : cut.conditions) {
-        direct.conditions.push_back(subtree.condition_origin[condition]);
-      }
-      std::sort(direct.events.begin(), direct.events.end());
-      std::sort(direct.conditions.begin(), direct.conditions.end());
-      std::vector<fta::CutSet> partial{std::move(direct)};
-      for (const std::uint32_t module : modules) {
-        std::vector<fta::CutSet> next;
-        next.reserve(partial.size() * composed[module].size());
-        for (const fta::CutSet& p : partial) {
-          for (const fta::CutSet& m : composed[module]) {
-            next.push_back(merge_cut_sets(p, m));
-          }
-        }
-        partial = std::move(next);
-      }
-      expanded.insert(expanded.end(),
-                      std::make_move_iterator(partial.begin()),
-                      std::make_move_iterator(partial.end()));
-    }
-    fta::CutSetCollection collection(std::move(expanded));
-    collection.minimize();
-    composed.push_back(std::move(collection));
-  }
-  return std::move(composed.back());
 }
 
 }  // namespace safeopt::prep

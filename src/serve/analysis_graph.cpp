@@ -7,6 +7,7 @@
 #include "safeopt/core/quantification_engine.h"
 #include "safeopt/core/study.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/opt/solver.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/strings.h"
 
@@ -359,7 +360,11 @@ std::vector<std::string> validate_problems(const ftio::StudyDocument& doc) {
     (void)core::document_solver_selection(doc);
     (void)core::document_engine_selection(doc);
     if (!doc.parameters.empty() && !doc.hazards.empty()) {
-      (void)core::Study::from_document(doc);
+      // The solver's capability check on the document's box: what `run`
+      // would reject before its first evaluation.
+      const core::Study study = core::Study::from_document(doc);
+      opt::SolverRegistry::create(study.solver_name())
+          ->validate(study.problem());
     }
   } catch (const std::invalid_argument& error) {
     problems.emplace_back(error.what());

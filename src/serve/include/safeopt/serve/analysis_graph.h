@@ -82,7 +82,8 @@ struct PassDesc {
 /// Structural validation beyond the parser's checks — the single problems
 /// list behind both `safeopt validate` and POST /v1/validate: per-tree
 /// structural issues, a missing-hazards check, and a dry assembly of the
-/// document's selections (and, for parameterized documents, the Study).
+/// document's selections (and, for parameterized documents, the Study and
+/// the solver's capability check on its box).
 [[nodiscard]] std::vector<std::string> validate_problems(
     const ftio::StudyDocument& doc);
 

@@ -8,9 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "safeopt/bdd/bdd.h"
 #include "safeopt/fta/cut_sets.h"
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/fta/probability.h"
+#include "safeopt/prep/preprocess.h"
+#include "safeopt/support/error.h"
+#include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 namespace {
@@ -137,47 +141,89 @@ TEST(EngineConformanceTest, PreprocessedEnginesMatchAndReportDiagnostics) {
   const double oracle =
       fta::exact_probability_bruteforce(system.tree, system.input);
 
-  EngineConfig config;
-  config.preprocess = true;
-  config.module_min_leaves = 2;
-
-  // Without preprocessing the result carries no summary...
-  const QuantificationResult plain =
+  // The bdd engine always quantifies through the pass pipeline, agrees with
+  // the oracle, and reports what the passes did...
+  const QuantificationResult result =
       EngineRegistry::create("bdd", system.tree)->quantify(system.input);
-  EXPECT_FALSE(plain.preprocess.has_value());
+  EXPECT_NEAR(result.probability, oracle, 1e-15);
+  ASSERT_TRUE(result.preprocess.has_value());
+  const PreprocessSummary& summary = *result.preprocess;
+  EXPECT_EQ(summary.events_before,
+            system.tree.basic_event_count() + system.tree.condition_count());
+  EXPECT_GT(summary.gates_before, 0u);
+  ASSERT_FALSE(summary.passes.empty());
+  EXPECT_EQ(summary.passes.front(), "propagate");
 
-  // ...with it, both tree engines quantify through the pass pipeline,
-  // agree with the oracle, and report what the passes did.
-  for (const char* name : {"fta", "bdd"}) {
-    EngineConfig engine_config = config;
-    if (std::string(name) == "fta") {
-      engine_config.method = fta::ProbabilityMethod::kInclusionExclusion;
-    }
-    const QuantificationResult result =
-        EngineRegistry::create(name, system.tree, engine_config)
-            ->quantify(system.input);
-    EXPECT_NEAR(result.probability, oracle, 1e-15) << name;
-    ASSERT_TRUE(result.preprocess.has_value()) << name;
-    const PreprocessSummary& summary = *result.preprocess;
-    EXPECT_EQ(summary.events_before,
-              system.tree.basic_event_count() + system.tree.condition_count())
-        << name;
-    EXPECT_GT(summary.gates_before, 0u) << name;
-    ASSERT_FALSE(summary.passes.empty()) << name;
-    EXPECT_EQ(summary.passes.front(), "propagate") << name;
-  }
+  // ...bit for bit what prep's per-module diagrams give with the engine's
+  // options (the module knobs are PreprocessOptions's defaults)...
+  const EngineConfig config;
+  const prep::PreprocessedTree preprocessed = prep::preprocess(system.tree);
+  EXPECT_EQ(result.probability,
+            prep::CompiledPreprocessedTree(preprocessed, config.bdd_options())
+                .probability(system.input));
 
-  // The bdd engine's preprocessed path is *bitwise* equal to the plain
-  // path when modularization is off (structure passes preserve the DFS
-  // leaf order, and the ROBDD is canonical).
-  EngineConfig no_modules = config;
-  no_modules.modularize = false;
-  const QuantificationResult structured =
-      EngineRegistry::create("bdd", system.tree, no_modules)
+  // ...while the fta engine runs MOCUS on the original tree and reports no
+  // pass pipeline.
+  EngineConfig exact_config;
+  exact_config.method = fta::ProbabilityMethod::kInclusionExclusion;
+  const QuantificationResult cut_sets =
+      EngineRegistry::create("fta", system.tree, exact_config)
           ->quantify(system.input);
-  EXPECT_EQ(structured.probability, plain.probability);
-  ASSERT_TRUE(structured.preprocess.has_value());
-  EXPECT_EQ(structured.preprocess->modules, 0u);
+  EXPECT_NEAR(cut_sets.probability, oracle, 1e-15);
+  EXPECT_FALSE(cut_sets.preprocess.has_value());
+
+  // prep's diagrams are *bitwise* equal to the plain ROBDD when
+  // modularization is off (structure passes preserve the DFS leaf order,
+  // and the ROBDD is canonical), and still agree with the oracle when
+  // modules are extracted aggressively.
+  prep::PreprocessOptions no_modules;
+  no_modules.modularize = false;
+  const prep::PreprocessedTree structured =
+      prep::preprocess(system.tree, no_modules);
+  EXPECT_EQ(structured.statistics.modules, 0u);
+  EXPECT_EQ(prep::quantify_bdd(structured, system.input).probability,
+            bdd::compile(system.tree).probability(system.input));
+  prep::PreprocessOptions small_modules;
+  small_modules.module_min_leaves = 2;
+  const prep::PreprocessedTree modular =
+      prep::preprocess(system.tree, small_modules);
+  EXPECT_GT(modular.statistics.modules, 0u);
+  EXPECT_NEAR(prep::quantify_bdd(modular, system.input).probability, oracle,
+              1e-15);
+}
+
+TEST(EngineConformanceTest, InclusionExclusionOverTheCapRefusesToBuild) {
+  // 3-of-8 voting has C(8,3) = 56 minimal cut sets: more than
+  // inclusion-exclusion can sum over. Construction raises a recoverable
+  // error (so `fallback` can take over) instead of tripping the
+  // precondition at the first quantify.
+  fta::FaultTree tree("vote");
+  std::vector<fta::NodeId> leaves;
+  for (int i = 0; i < 8; ++i) {
+    leaves.push_back(tree.add_basic_event(concat("e", std::to_string(i))));
+  }
+  tree.set_top(tree.add_k_of_n("top", 3, std::move(leaves)));
+  EngineConfig config;
+  config.method = fta::ProbabilityMethod::kInclusionExclusion;
+  try {
+    (void)EngineRegistry::create("fta", tree, config);
+    FAIL() << "expected Error(kResourceExhausted)";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kResourceExhausted);
+    EXPECT_NE(std::string(error.what()).find("at most 25 minimal cut sets"),
+              std::string::npos)
+        << error.what();
+  }
+  // The bounding methods have no cap.
+  EXPECT_NO_THROW((void)EngineRegistry::create("fta", tree));
+
+  config.fallback = "bdd";
+  std::string diagnostic;
+  const auto engine =
+      create_engine_with_fallback("fta", tree, config, &diagnostic);
+  EXPECT_EQ(engine->name(), "bdd");
+  EXPECT_NE(diagnostic.find("resource_exhausted"), std::string::npos)
+      << diagnostic;
 }
 
 TEST(EngineConformanceTest, AdaptiveEngineReportsUniformDiagnostics) {

@@ -340,6 +340,22 @@ TEST(StudyDocumentTest, AdaptiveEngineOptionsMapOntoEngineConfig) {
   EXPECT_THROW((void)document_engine_selection(ftio::parse_study(
                    base + "engine mc_adaptive batch = 0;\n")),
                std::invalid_argument);
+  // Zero trials would reach the sampler's precondition (a SIGABRT); the
+  // schema stops it at load, and one trial is the smallest valid budget.
+  for (const char* key : {"trials", "budget"}) {
+    for (const char* engine : {"mc", "mc_adaptive"}) {
+      EXPECT_THROW((void)document_engine_selection(ftio::parse_study(
+                       concat(base, "engine ", engine, " ", key, " = 0;\n"))),
+                   std::invalid_argument)
+          << engine << " " << key;
+      EXPECT_EQ(document_engine_selection(
+                    ftio::parse_study(concat(base, "engine ", engine, " ",
+                                             key, " = 1;\n")))
+                    .second.mc_trials,
+                1u)
+          << engine << " " << key;
+    }
+  }
   EXPECT_THROW((void)document_engine_selection(ftio::parse_study(
                    base + "engine mc_adaptive tilt = -2;\n")),
                std::invalid_argument);
@@ -419,15 +435,33 @@ TEST(StudyDocumentTest, ExtraAndEngineOptionShareOneTypingRule) {
 
 TEST(StudyDocumentTest, PreprocessOptionsMapOntoTypedConfigFields) {
   EngineConfig config;
+  // `preprocess = true` still parses (old documents) and changes nothing:
+  // the bdd engine always preprocesses. `false` asked for the removed
+  // unpreprocessed path and is refused.
   set_engine_argument(config, "preprocess=true");
-  set_engine_argument(config, "modularize=false");
-  set_engine_argument(config, "module_min_leaves=8");
+  try {
+    set_engine_argument(config, "preprocess=false");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("unpreprocessed bdd path was "
+                                             "removed"),
+              std::string::npos)
+        << error.what();
+  }
+  // The module knobs are fixed at prep's defaults, not options.
+  for (const char* removed : {"modularize=false", "module_min_leaves=8"}) {
+    try {
+      set_engine_argument(config, removed);
+      FAIL() << "expected std::invalid_argument for " << removed;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown engine option"),
+                std::string::npos)
+          << error.what();
+    }
+  }
   set_engine_argument(config, "ordering=weight");
   set_engine_argument(config, "table_size=65536");
   set_engine_argument(config, "cache_size=262144");
-  EXPECT_TRUE(config.preprocess);
-  EXPECT_FALSE(config.modularize);
-  EXPECT_EQ(config.module_min_leaves, 8u);
   EXPECT_EQ(config.ordering, bdd::VariableOrdering::kWeight);
   EXPECT_EQ(config.bdd_table_size, 65536u);
   EXPECT_EQ(config.bdd_cache_size, 262144u);
@@ -439,7 +473,7 @@ TEST(StudyDocumentTest, PreprocessOptionsMapOntoTypedConfigFields) {
 
   EXPECT_THROW(set_engine_argument(config, "ordering=random"),
                std::invalid_argument);
-  EXPECT_THROW(set_engine_argument(config, "module_min_leaves=0"),
+  EXPECT_THROW(set_engine_argument(config, "table_size=0"),
                std::invalid_argument);
 }
 
@@ -456,10 +490,10 @@ TEST(StudyDocumentTest, UnknownOptionsSuggestTheNearestSchemaKey) {
         << error.what();
   }
   try {
-    set_engine_argument(config, "modularise=true");
+    set_engine_argument(config, "table_sise=64");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("did you mean \"modularize\""),
+    EXPECT_NE(std::string(error.what()).find("did you mean \"table_size\""),
               std::string::npos)
         << error.what();
   }
@@ -467,7 +501,8 @@ TEST(StudyDocumentTest, UnknownOptionsSuggestTheNearestSchemaKey) {
 
 TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
   // engine_option_docs() is the single source of truth the CLI help prints;
-  // every preprocessing/BDD key must be listed with its type.
+  // every preprocessing/BDD key must be listed with its type, and the
+  // removed module knobs must not be.
   const std::vector<EngineOptionDoc> docs = engine_option_docs();
   const auto type_of = [&](std::string_view name) -> std::string_view {
     for (const EngineOptionDoc& doc : docs) {
@@ -476,8 +511,8 @@ TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
     return "";
   };
   EXPECT_EQ(type_of("preprocess"), "flag");
-  EXPECT_EQ(type_of("modularize"), "flag");
-  EXPECT_EQ(type_of("module_min_leaves"), "count");
+  EXPECT_EQ(type_of("modularize"), "");
+  EXPECT_EQ(type_of("module_min_leaves"), "");
   EXPECT_EQ(type_of("ordering"), "enum");
   EXPECT_EQ(type_of("table_size"), "count");
   EXPECT_EQ(type_of("cache_size"), "count");

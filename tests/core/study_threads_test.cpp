@@ -16,7 +16,7 @@
 namespace safeopt::core {
 namespace {
 
-/// Two independent 4-leaf subsystems (modules for `preprocess = true`) and
+/// Two independent 4-leaf subsystems (modules for the bdd engine) and
 /// one shared constant leaf, under the given `engine` statement.
 std::string document(const std::string& engine) {
   return R"(
@@ -80,7 +80,7 @@ TEST(StudyThreadsTest, ConstStudyQuantifiesFromFourThreadsLikeASerialRun) {
   constexpr std::size_t kThreads = 4;
   const std::vector<expr::ParameterAssignment> at = points();
   for (const std::string engine :
-       {"engine fta", "engine bdd preprocess = true",
+       {"engine fta", "engine bdd",
         "engine mc trials = 20000",
         "engine mc_adaptive trials = 20000 batch = 4096"}) {
     SCOPED_TRACE(engine);

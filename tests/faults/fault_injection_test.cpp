@@ -579,6 +579,40 @@ TEST(DegradationTest, CancellationIsNotRecoveredByFallback) {
   }
 }
 
+TEST(DegradationTest, NodeBudgetCountsEveryModuleDiagram) {
+  // The committed 1k corpus tier compiles to 4013 decision nodes summed
+  // over its 109 module diagrams, none of which is larger than 1300 on its
+  // own: the budget is charged against the sum, so 4012 is exhausted
+  // (recoverably, so `fallback` degrades it) and 4013 suffices.
+  const ftio::StudyDocument doc = ftio::load_study(
+      concat(SAFEOPT_SOURCE_DIR, "/examples/corpus/corpus_1k.ft"));
+  const fta::FaultTree& tree = doc.trees.front().tree;
+  core::EngineConfig config;
+  config.bdd_node_budget = 4012;
+  try {
+    (void)core::EngineRegistry::create("bdd", tree, config);
+    FAIL() << "a budget of 4012 must be exhausted";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kResourceExhausted);
+    EXPECT_NE(std::string(error.what()).find("more than 4012 decision nodes"),
+              std::string::npos)
+        << error.what();
+  }
+  config.fallback = "mc";
+  std::string diagnostic;
+  EXPECT_EQ(core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
+                ->name(),
+            "mc");
+  EXPECT_NE(diagnostic.find("resource_exhausted"), std::string::npos);
+
+  config.bdd_node_budget = 4013;
+  diagnostic.clear();
+  EXPECT_EQ(core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
+                ->name(),
+            "bdd");
+  EXPECT_TRUE(diagnostic.empty()) << diagnostic;
+}
+
 TEST(DegradationTest, StudyQuantifyRecordsTheDowngradeInDiagnostics) {
   const ftio::StudyDocument doc = ftio::parse_study(R"(
 param p in [0.05, 0.4];

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,6 +44,67 @@ testutil::RandomTreeOptions big_tree_options() {
 std::vector<fta::CutSet> canonical_mcs(fta::CutSetCollection collection) {
   collection.minimize();  // idempotent: sorts canonically
   return collection.sets();
+}
+
+/// a ∪ b with sorted duplicate-free invariant maintained.
+fta::CutSet merge_cut_sets(const fta::CutSet& a, const fta::CutSet& b) {
+  fta::CutSet merged;
+  std::set_union(a.events.begin(), a.events.end(), b.events.begin(),
+                 b.events.end(), std::back_inserter(merged.events));
+  std::set_union(a.conditions.begin(), a.conditions.end(),
+                 b.conditions.begin(), b.conditions.end(),
+                 std::back_inserter(merged.conditions));
+  return merged;
+}
+
+/// The oracle that modularization keeps the cut sets: minimal cut sets in
+/// the *original* tree's ordinals from per-subtree MOCUS, then bottom-up
+/// substitution of every module pseudo-leaf by its module's cut sets
+/// (cartesian composition), then minimize(). Must equal MOCUS on the
+/// unpreprocessed tree for every coherent tree.
+fta::CutSetCollection modular_cut_sets(const PreprocessedTree& preprocessed) {
+  // composed[i] holds subtree i's cut sets already expressed in the
+  // original tree's ordinals, so substituting a module pseudo-leaf is a
+  // cartesian product with an earlier entry.
+  std::vector<fta::CutSetCollection> composed;
+  composed.reserve(preprocessed.subtrees.size());
+  for (const Subtree& subtree : preprocessed.subtrees) {
+    std::vector<fta::CutSet> expanded;
+    for (const fta::CutSet& cut : fta::minimal_cut_sets(subtree.tree)) {
+      // Split the local cut set into its direct (original-ordinal) part and
+      // the modules to substitute.
+      fta::CutSet direct;
+      std::vector<std::uint32_t> modules;
+      for (const fta::BasicEventOrdinal event : cut.events) {
+        const LeafOrigin& origin = subtree.basic_origin[event];
+        if (origin.kind == LeafOrigin::Kind::kModule) {
+          modules.push_back(origin.index);
+        } else {
+          direct.events.push_back(origin.index);
+        }
+      }
+      for (const fta::ConditionOrdinal condition : cut.conditions) {
+        direct.conditions.push_back(subtree.condition_origin[condition]);
+      }
+      std::sort(direct.events.begin(), direct.events.end());
+      std::sort(direct.conditions.begin(), direct.conditions.end());
+      std::vector<fta::CutSet> partial{std::move(direct)};
+      for (const std::uint32_t module : modules) {
+        std::vector<fta::CutSet> next;
+        for (const fta::CutSet& p : partial) {
+          for (const fta::CutSet& m : composed[module]) {
+            next.push_back(merge_cut_sets(p, m));
+          }
+        }
+        partial = std::move(next);
+      }
+      expanded.insert(expanded.end(), partial.begin(), partial.end());
+    }
+    fta::CutSetCollection collection(std::move(expanded));
+    collection.minimize();
+    composed.push_back(std::move(collection));
+  }
+  return std::move(composed.back());
 }
 
 // --- The headline property: structure passes are bitwise lossless. -------
@@ -98,7 +161,7 @@ TEST(PreprocessPropertyTest, ModularizedCutSetsEqualMocus) {
     PreprocessOptions options;
     options.module_min_leaves = 2;
     const std::vector<fta::CutSet> modular =
-        canonical_mcs(minimal_cut_sets(preprocess(tree, options)));
+        canonical_mcs(modular_cut_sets(preprocess(tree, options)));
     const std::vector<fta::CutSet> mocus =
         canonical_mcs(fta::minimal_cut_sets(tree));
     EXPECT_EQ(modular, mocus) << "seed " << seed;
@@ -114,7 +177,7 @@ TEST(PreprocessPropertyTest, ExampleModelsCutSetsEqualMocus) {
       PreprocessOptions options;
       options.module_min_leaves = 2;
       const std::vector<fta::CutSet> modular =
-          canonical_mcs(minimal_cut_sets(preprocess(model.tree, options)));
+          canonical_mcs(modular_cut_sets(preprocess(model.tree, options)));
       const std::vector<fta::CutSet> mocus =
           canonical_mcs(fta::minimal_cut_sets(model.tree));
       EXPECT_EQ(modular, mocus)
@@ -147,9 +210,9 @@ TEST(PreprocessPropertyTest, CorpusTierQuantifiesLikePlainBdd) {
 
 TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
   // The exact-quantify front door on the 1k and 10k tiers: the tree goes
-  // through its document text (write, parse_study, `engine bdd preprocess =
-  // true`), so parser, name index, passes, module order and per-module BDD
-  // geometry all sit under one pin. The figures are bit patterns, not
+  // through its document text (write, parse_study, `engine bdd`), so
+  // parser, name index, passes, module order and per-module BDD geometry
+  // all sit under one pin. The figures are bit patterns, not
   // tolerances: any change to the variable order, the module order or the
   // summation order moves them.
   struct Row {
@@ -166,8 +229,7 @@ TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
     const corpus::CorpusModel model =
         corpus::make_corpus(corpus::tier_by_name(row.tier));
     const ftio::StudyDocument document = ftio::parse_study(
-        ftio::write_fault_tree(model.tree, model.input) +
-        "engine bdd preprocess = true;\n");
+        ftio::write_fault_tree(model.tree, model.input) + "engine bdd;\n");
     ASSERT_EQ(document.trees.size(), 1u) << row.tier;
     const ftio::TreeModel& tree_model = document.trees.front();
     fta::QuantificationInput input =
@@ -178,17 +240,12 @@ TEST(PreprocessPropertyTest, CorpusTierDocumentProbabilityBitsArePinned) {
     const auto [engine_name, config] =
         core::document_engine_selection(document);
     ASSERT_EQ(engine_name, "bdd") << row.tier;
-    ASSERT_TRUE(config.preprocess) << row.tier;
     const core::QuantificationResult result =
         core::EngineRegistry::create(engine_name, tree_model.tree, config)
             ->quantify(input);
     ASSERT_TRUE(result.preprocess.has_value()) << row.tier;
 
-    PreprocessOptions options;
-    options.modularize = config.modularize;
-    options.module_min_leaves = config.module_min_leaves;
-    const PreprocessedTree preprocessed =
-        preprocess(tree_model.tree, options);
+    const PreprocessedTree preprocessed = preprocess(tree_model.tree);
     const CompiledPreprocessedTree compiled(preprocessed,
                                             config.bdd_options());
 

@@ -5,6 +5,8 @@
 // deterministic byte strings (the same renderers the CLI prints).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "safeopt/serve/analysis_graph.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/execution.h"
+#include "safeopt/support/strings.h"
 #include "serve/serve_client.h"
 
 namespace safeopt::serve {
@@ -189,6 +192,54 @@ TEST(AnalysisGraphTest, ConstantDocumentQuantifiesWithoutASolver) {
   EXPECT_EQ(stats.passes.count("compile"), 0u)
       << "constant documents skip the study compile pass";
   EXPECT_EQ(stats.passes.at("quantify").misses, 1u);
+}
+
+TEST(AnalysisGraphTest, InclusionExclusionOverTheCapIsAnErrorNotAnAbort) {
+  // 56 minimal cut sets under `method = inclusion_exclusion`: the engine
+  // build fails with a recoverable error, which `fallback` degrades.
+  std::ifstream file(concat(SAFEOPT_SOURCE_DIR, "/tests/cli/vote_3_of_8.ft"));
+  const std::string vote((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(vote.empty());
+  AnalysisGraph graph(1 << 20);
+  try {
+    (void)graph.quantify(vote, options_named("vote"), nullptr);
+    FAIL() << "expected Error(kResourceExhausted)";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kResourceExhausted);
+  }
+  AnalysisOptions options = options_named("vote");
+  options.engine_options = {"fallback=bdd"};
+  const std::string body = graph.quantify(vote, options, nullptr);
+  EXPECT_NE(body.find("degraded to \\\"bdd\\\""), std::string::npos)
+      << body;
+}
+
+TEST(AnalysisGraphTest, ZeroTrialsIsInvalidInputNotAnAbort) {
+  AnalysisGraph graph(1 << 20);
+  for (const char* engine : {"mc", "mc_adaptive"}) {
+    for (const char* option : {"trials=0", "budget=0"}) {
+      AnalysisOptions options = options_named("m");
+      options.engine = engine;
+      options.engine_options = {option};
+      EXPECT_THROW((void)graph.quantify(kDoc, options, nullptr),
+                   std::invalid_argument)
+          << engine << " " << option;
+    }
+  }
+}
+
+TEST(AnalysisGraphTest, ValidateRunsTheSolverCapabilityCheck) {
+  // What `run` would refuse before its first evaluation: DE on a 1-D box.
+  AnalysisGraph graph(1 << 20);
+  const std::string body = graph.validate(
+      "param T in [1, 365];\ntree B;\ntoplevel b;\nb prob = 1 / T;\n"
+      "hazard B cost = 1;\nsolver differential_evolution;\n",
+      options_named("m"));
+  EXPECT_NE(body.find("differential_evolution needs at least 2-dimensional "
+                      "problems"),
+            std::string::npos)
+      << body;
 }
 
 TEST(AnalysisGraphTest, ValidateReportsProblemsAndCachesByCanonicalHash) {

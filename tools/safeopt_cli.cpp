@@ -74,7 +74,23 @@ struct Options : serve::AnalysisOptions {
   std::string command;
   std::optional<std::string> backend;
   bool json = false;
+  /// The raw --at arguments, typed into `at` by type_evaluation_point.
+  std::vector<std::string> at_arguments;
 };
+
+/// Types the --at NAME=VALUE arguments into `options.at` with the one
+/// KEY=VALUE rule of --extra and --engine-opt (parse_key_value_argument),
+/// requiring a number. Like those, a bad value is a validation error.
+void type_evaluation_point(Options& options) {
+  for (const std::string& argument : options.at_arguments) {
+    const KeyValueArgument at = parse_key_value_argument(argument, "--at");
+    if (!at.number.has_value()) {
+      throw std::invalid_argument(concat(
+          "--at \"", at.key, "\" must be numeric, got \"", at.text, "\""));
+    }
+    options.at.emplace_back(std::string(at.key), *at.number);
+  }
+}
 
 int usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "safeopt: %s\n\n", error);
@@ -155,21 +171,7 @@ std::optional<Options> parse_arguments(int argc, char** argv) {
       }
       options.seed = seed;
     } else if (arg == "--at") {
-      const std::string_view pair = value();
-      const std::size_t equals = pair.find('=');
-      if (equals == std::string_view::npos || equals == 0 ||
-          equals + 1 == pair.size()) {
-        throw std::invalid_argument(
-            concat("--at expects NAME=VALUE, got \"", pair, "\""));
-      }
-      char* end = nullptr;
-      const std::string value_text(pair.substr(equals + 1));
-      const double v = std::strtod(value_text.c_str(), &end);
-      if (end == value_text.c_str() || *end != '\0') {
-        throw std::invalid_argument(
-            concat("--at expects a numeric value, got \"", pair, "\""));
-      }
-      options.at.emplace_back(std::string(pair.substr(0, equals)), v);
+      options.at_arguments.emplace_back(value());
     } else if (arg == "--json") {
       options.json = true;
     } else {
@@ -619,6 +621,7 @@ int main(int argc, char** argv) {
       // the results rather than failing the run.
       expr::BackendRegistry::set_override(*options->backend);
     }
+    type_evaluation_point(*options);
     const ftio::StudyDocument doc = ftio::load_study(options->model);
     if (options->command == "validate") {
       return run_validate(doc, *options);

@@ -6,7 +6,8 @@
 //   treegen --tier 1k [--out PATH]      write one tier (default: stdout)
 //
 // The emitted document carries the full tree, every leaf probability, a
-// unit-cost hazard and an `engine bdd preprocess = true;` selection, so
+// unit-cost hazard and an `engine bdd;` selection (the bdd engine always
+// preprocesses and quantifies module by module), so
 //   safeopt quantify examples/corpus/corpus_1k.ft
 // works out of the box. Output is bit-identical across machines for a
 // given tier (seeded xoshiro256++, format_double round-trip) — CI diffs
@@ -48,7 +49,7 @@ std::string render(const safeopt::corpus::CorpusSpec& spec) {
   out += "hazard " + model.tree.name() + " cost = 1;\n";
   // The only engine that survives this scale; MOCUS on a wide vote gate
   // would enumerate C(n, k) cut sets.
-  out += "engine bdd preprocess = true;\n";
+  out += "engine bdd;\n";
   return out;
 }
 
