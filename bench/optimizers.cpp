@@ -151,7 +151,7 @@ int results_report(const char* path) {
       pool.emplace(4);
       config.pool = &*pool;
     } else if (!c.extra.empty()) {
-      config.set_extra_argument(c.extra);
+      opt::apply_solver_argument(config, c.extra);
     }
     const opt::OptimizationResult result = solve(c.solver, problem, config);
     std::string argmin;

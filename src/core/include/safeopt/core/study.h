@@ -83,11 +83,12 @@ class Study {
   /// probability derived from the tree's minimal cut sets (the document's
   /// `formula`, rare-event by default), and hazard_tree registrations so
   /// quantify() works out of the box. The document's `solver`/`engine`
-  /// selections are applied when present (reserved solver options
-  /// max_iterations / tolerance / max_evaluations / seed map onto the typed
-  /// SolverConfig fields, everything else becomes a typed extra; engine
-  /// options resolve through the typed option schema — engine_option_docs()
-  /// lists every key — onto EngineConfig), then `overrides` layer on top.
+  /// selections are applied when present (solver options resolve through
+  /// opt::apply_solver_option — reserved keys onto the typed SolverConfig
+  /// fields, the rest as extras checked against the solver's declared
+  /// table; engine options resolve through the typed option schema —
+  /// engine_option_docs() lists every key — onto EngineConfig), then
+  /// `overrides` layer on top, through the same resolvers.
   /// The engines are built once, with the final selection, under `control`
   /// (not owned; nullptr = unbounded).
   /// The returned Study owns copies of the document's trees — it does not
@@ -240,11 +241,12 @@ struct SolverSelection {
 };
 
 /// The solver selection a document's `solver` section requests: the
-/// registry name, reserved option keys mapped onto the typed SolverConfig
-/// fields, the rest stored as typed extras. nullopt when the document has
-/// no solver section.
-/// Throws std::invalid_argument on unknown names or malformed options —
-/// `safeopt validate` surfaces these without building a Study.
+/// registry name and its options through opt::apply_solver_option, checked
+/// against the solver's declared table (Solver::check_options). nullopt
+/// when the document has no solver section.
+/// Throws std::invalid_argument on unknown names, unknown keys or values
+/// out of range — `safeopt validate` surfaces these without building a
+/// Study.
 [[nodiscard]] std::optional<SolverSelection> document_solver_selection(
     const ftio::StudyDocument& document);
 
@@ -252,7 +254,8 @@ struct SolverSelection {
 /// present, otherwise the default cut-set engine — either way with the
 /// `formula`-derived probability method (overridable by an explicit method
 /// option) — with the engine and engine options of `overrides` layered on
-/// top. Throws std::invalid_argument on unknown names or malformed options.
+/// top. Throws std::invalid_argument on unknown names or malformed options,
+/// and on a relative adaptive target half-width of 1 or more.
 /// Lets engine-only callers (quantifying a constant model) share
 /// from_document's mapping.
 [[nodiscard]] std::pair<std::string, EngineConfig> document_engine_selection(
@@ -264,23 +267,17 @@ struct SolverSelection {
 /// engine_option_docs()), so unknown or mistyped keys fail with a uniform
 /// "did you mean" diagnostic. The value is typed by
 /// parse_key_value_argument (support/strings.h), the same rule as
-/// SolverConfig::set_extra_argument: numbers are numeric, numeric-looking
-/// typos ("8x", "+5", "0x10") are rejected, words pass through as text.
+/// opt::apply_solver_argument: numbers are numeric, numeric-looking typos
+/// ("8x", "+5", "0x10") are rejected, words pass through as text.
 /// Throws std::invalid_argument on unknown keys or malformed values.
 void set_engine_argument(EngineConfig& config,
                          const std::string& key_equals_value);
 
-/// One row of the engine option schema, for help text and tooling.
-struct EngineOptionDoc {
-  std::string_view name;
-  std::string_view type;  // "enum" | "count" | "number" | "flag"
-  std::string_view doc;
-};
-
-/// Every engine option the schema knows, in declaration order — the single
-/// source of truth behind apply_engine_option / set_engine_argument /
-/// `safeopt --engine-opt` diagnostics.
-[[nodiscard]] std::vector<EngineOptionDoc> engine_option_docs();
+/// Every engine option row the schema declares (name, kind, range, doc),
+/// in declaration order — the single source of truth behind
+/// apply_engine_option / set_engine_argument / `safeopt --engine-opt`
+/// diagnostics.
+[[nodiscard]] std::vector<OptionSpec> engine_option_docs();
 
 }  // namespace safeopt::core
 

@@ -1,72 +1,19 @@
 #include "safeopt/core/study.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "safeopt/expr/eval_backend.h"
+#include "safeopt/support/options.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::core {
 namespace {
-
-/// A document option that must be numeric (counts, seeds, tolerances).
-double require_number(const std::string& key, const ftio::OptionValue& value,
-                      const char* where) {
-  if (value.kind != ftio::OptionValue::Kind::kNumber) {
-    throw std::invalid_argument(concat(where, " option \"", key,
-                                       "\" must be numeric, got \"",
-                                       value.text, "\""));
-  }
-  return value.number;
-}
-
-/// A numeric option that must be a non-negative integer (count_or-grade).
-std::size_t require_count(const std::string& key,
-                          const ftio::OptionValue& value, const char* where) {
-  const double number = require_number(key, value, where);
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  if (!(number >= 0.0) || number > kMaxExact || number != std::floor(number)) {
-    throw std::invalid_argument(concat(where, " option \"", key,
-                                       "\" must be a non-negative integer"));
-  }
-  return static_cast<std::size_t>(number);
-}
-
-/// An unquoted text value that *looks* numeric ("8x", "1_000") is a typo,
-/// not a string extra — storing it would make count_or/number_or silently
-/// fall back to their defaults (same rule as parse_key_value_argument;
-/// quoted strings are explicitly text and exempt).
-void reject_numeric_looking_text(const std::string& key,
-                                 const ftio::OptionValue& value,
-                                 const char* where) {
-  if (value.kind == ftio::OptionValue::Kind::kText && !value.quoted &&
-      numeric_looking(value.text)) {
-    throw std::invalid_argument(
-        concat(where, " option \"", key, "\" has a malformed numeric value \"",
-               value.text, "\""));
-  }
-}
-
-/// A flag option: numeric 0/1 or the words true/false.
-bool require_flag(const std::string& key, const ftio::OptionValue& value,
-                  const char* where) {
-  if (value.kind == ftio::OptionValue::Kind::kNumber) {
-    if (value.number == 0.0 || value.number == 1.0) return value.number != 0.0;
-  } else if (value.text == "true" || value.text == "false") {
-    return value.text == "true";
-  }
-  throw std::invalid_argument(concat(where, " option \"", key,
-                                     "\" must be 0/1 or true/false, got \"",
-                                     value.kind == ftio::OptionValue::Kind::kText
-                                         ? value.text
-                                         : format_double(value.number),
-                                     "\""));
-}
 
 /// The HazardFormula a document's `formula` statement selects.
 HazardFormula document_formula(const ftio::StudyDocument& document) {
@@ -75,78 +22,64 @@ HazardFormula document_formula(const ftio::StudyDocument& document) {
              : HazardFormula::kRareEvent;
 }
 
-/// An enumerated text option; returns the matching index into `values` or
-/// throws listing the accepted spellings.
-std::size_t require_choice(const std::string& key,
+/// An enumerated option (a name, as check_option ensured); returns the
+/// matching index into `values` or throws listing the accepted spellings.
+std::size_t require_choice(std::string_view key,
                            const ftio::OptionValue& value,
                            std::initializer_list<std::string_view> values) {
-  const std::string& text =
-      value.kind == ftio::OptionValue::Kind::kText ? value.text : "";
   std::size_t index = 0;
   std::string listed;
   for (const std::string_view candidate : values) {
-    if (text == candidate) return index;
+    if (value.text == candidate) return index;
     if (index > 0) {
       listed += index + 1 == values.size() ? " or " : ", ";
     }
     listed += candidate;
     ++index;
   }
-  throw std::invalid_argument(
-      concat("engine option \"", key, "\" must be ", listed, ", got \"",
-             value.kind == ftio::OptionValue::Kind::kText
-                 ? value.text
-                 : format_double(value.number),
-             "\""));
-}
-
-/// A count option with a lower bound (batch sizes, cache geometries).
-std::size_t require_count_at_least(const std::string& key,
-                                   const ftio::OptionValue& value,
-                                   std::size_t minimum) {
-  const std::size_t count = require_count(key, value, "engine");
-  if (count < minimum) {
-    throw std::invalid_argument(concat("engine option \"", key,
-                                       "\" must be >= ",
-                                       std::to_string(minimum)));
-  }
-  return count;
+  throw std::invalid_argument(concat("engine option \"", key, "\" must be ",
+                                     listed, ", got \"", value.text, "\""));
 }
 
 /// One row of the engine option schema: the single source of truth shared
 /// by document `engine` sections (apply_engine_option), CLI overrides
 /// (set_engine_argument -> apply_engine_option) and the diagnostics both
-/// emit. `type` and `doc` feed the uniform error/help text; `set`
-/// validates and writes the typed EngineConfig field.
+/// emit. `option` declares the key, its kind, range and doc, and
+/// check_option checks every numeric row against it; `set` writes the
+/// checked `number` (or, for an enum row, checks and writes the word) into
+/// the typed EngineConfig field.
 struct EngineOptionSpec {
-  std::string_view name;
-  std::string_view type;  // "enum" | "count" | "number" | "flag"
-  std::string_view doc;
-  void (*set)(EngineConfig&, const std::string& key,
-              const ftio::OptionValue& value);
+  OptionSpec option;
+  void (*set)(EngineConfig&, const ftio::OptionValue& value, double number);
 };
 
+/// The setter of a plain numeric row: the checked number, converted to the
+/// field's type (a flag's 0/1 to false/true).
+template <auto Field>
+void set_field(EngineConfig& config, const ftio::OptionValue&, double number) {
+  using Type = std::remove_reference_t<decltype(config.*Field)>;
+  config.*Field = static_cast<Type>(number);
+}
+
 constexpr EngineOptionSpec kEngineOptionSchema[] = {
-    {"method", "enum",
-     "cut-set probability method: rare_event | min_cut_upper_bound | "
-     "inclusion_exclusion",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
+    {{.name = "method", .kind = OptionKind::kEnum,
+      .doc = "cut-set probability method: rare_event | min_cut_upper_bound | "
+             "inclusion_exclusion"},
+     [](EngineConfig& config, const ftio::OptionValue& value, double) {
        constexpr fta::ProbabilityMethod kMethods[] = {
            fta::ProbabilityMethod::kRareEvent,
            fta::ProbabilityMethod::kMinCutUpperBound,
            fta::ProbabilityMethod::kInclusionExclusion};
        config.method = kMethods[require_choice(
-           key, value,
+           "method", value,
            {"rare_event", "min_cut_upper_bound", "inclusion_exclusion"})];
      }},
-    {"combination", "enum",
-     "INHIBIT constraint combination: independent_product | "
-     "dependent_upper_bound",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
+    {{.name = "combination", .kind = OptionKind::kEnum,
+      .doc = "INHIBIT constraint combination: independent_product | "
+             "dependent_upper_bound"},
+     [](EngineConfig& config, const ftio::OptionValue& value, double) {
        config.combination =
-           require_choice(key, value,
+           require_choice("combination", value,
                           {"independent_product", "dependent_upper_bound"}) ==
                    0
                ? fta::ConstraintCombination::kIndependentProduct
@@ -154,131 +87,85 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
      }},
     // `trials` is the fixed-N count for "mc"; for "mc_adaptive" the same
     // field caps the adaptive loop, aliased as `budget` for readability.
-    {"trials", "count", "Monte Carlo trials (\"mc\") / trial cap",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.mc_trials = static_cast<std::uint64_t>(
-           require_count_at_least(key, value, 1));
-     }},
-    {"budget", "count", "alias of trials for \"mc_adaptive\"",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.mc_trials = static_cast<std::uint64_t>(
-           require_count_at_least(key, value, 1));
-     }},
-    {"seed", "count", "Monte Carlo base seed",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.seed =
-           static_cast<std::uint64_t>(require_count(key, value, "engine"));
-     }},
-    {"target_halfwidth", "number", "adaptive MC target 95% CI half-width",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       const double target = require_number(key, value, "engine");
-       if (!(target > 0.0)) {
-         throw std::invalid_argument(
-             "engine option \"target_halfwidth\" must be > 0");
-       }
-       config.target_halfwidth = target;
-     }},
-    {"relative", "flag", "target half-width is relative to the estimate",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.relative = require_flag(key, value, "engine");
-     }},
-    {"batch", "count", "adaptive MC trials per round",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.batch = static_cast<std::uint64_t>(
-           require_count_at_least(key, value, 1));
-     }},
-    {"tilt", "number", "importance-sampling proposal tilt (<= 1 disables)",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       const double tilt = require_number(key, value, "engine");
-       if (!(tilt >= 0.0)) {
-         throw std::invalid_argument("engine option \"tilt\" must be >= 0");
-       }
-       config.tilt = tilt;
-     }},
+    {{.name = "trials", .kind = OptionKind::kCount, .min = 1,
+      .doc = "Monte Carlo trials (\"mc\") / trial cap"},
+     &set_field<&EngineConfig::mc_trials>},
+    {{.name = "budget", .kind = OptionKind::kCount, .min = 1,
+      .doc = "alias of trials for \"mc_adaptive\""},
+     &set_field<&EngineConfig::mc_trials>},
+    {{.name = "seed", .kind = OptionKind::kCount, .min = 0,
+      .doc = "Monte Carlo base seed"},
+     &set_field<&EngineConfig::seed>},
+    {{.name = "target_halfwidth", .kind = OptionKind::kNumber, .min = 0,
+      .min_exclusive = true,
+      .doc = "adaptive MC target 95% CI half-width (< 1 when relative)"},
+     &set_field<&EngineConfig::target_halfwidth>},
+    {{.name = "relative", .kind = OptionKind::kFlag,
+      .doc = "target half-width is relative to the estimate"},
+     &set_field<&EngineConfig::relative>},
+    {{.name = "batch", .kind = OptionKind::kCount, .min = 1,
+      .doc = "adaptive MC trials per round"},
+     &set_field<&EngineConfig::batch>},
+    {{.name = "tilt", .kind = OptionKind::kNumber, .min = 0,
+      .doc = "importance-sampling proposal tilt (<= 1 disables)"},
+     &set_field<&EngineConfig::tilt>},
     // Kept so documents written when preprocessing was optional still
     // parse: the bdd engine always preprocesses and fta never does.
-    {"preprocess", "flag", "no-op, kept for old documents (false is rejected)",
-     [](EngineConfig&, const std::string& key,
-        const ftio::OptionValue& value) {
-       if (!require_flag(key, value, "engine")) {
+    {{.name = "preprocess", .kind = OptionKind::kFlag,
+      .doc = "no-op, kept for old documents (false is rejected)"},
+     [](EngineConfig&, const ftio::OptionValue&, double number) {
+       if (number == 0.0) {
          throw std::invalid_argument(
              "engine option \"preprocess = false\" is no longer supported: "
              "the unpreprocessed bdd path was removed (bdd always "
              "preprocesses, fta never does)");
        }
      }},
-    {"ordering", "enum",
-     "bdd: structural variable-ordering heuristic: dfs | weight",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.ordering = require_choice(key, value, {"dfs", "weight"}) == 0
-                             ? bdd::VariableOrdering::kDfs
-                             : bdd::VariableOrdering::kWeight;
+    {{.name = "ordering", .kind = OptionKind::kEnum,
+      .doc = "bdd: structural variable-ordering heuristic: dfs | weight"},
+     [](EngineConfig& config, const ftio::OptionValue& value, double) {
+       config.ordering =
+           require_choice("ordering", value, {"dfs", "weight"}) == 0
+               ? bdd::VariableOrdering::kDfs
+               : bdd::VariableOrdering::kWeight;
      }},
-    {"table_size", "count",
-     "bdd: per-module cap on the unique-table buckets reserved up front",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.bdd_table_size = require_count_at_least(key, value, 1);
-     }},
-    {"cache_size", "count",
-     "bdd: per-module cap on the ITE cache entries (power of two)",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.bdd_cache_size = require_count_at_least(key, value, 1);
-     }},
-    {"deadline_ms", "count",
-     "wall-clock deadline in milliseconds (0 = none): bounds bdd "
-     "construction and each mc/mc_adaptive quantify call",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.deadline_ms =
-           static_cast<std::uint64_t>(require_count(key, value, "engine"));
-     }},
-    {"bdd_node_budget", "count",
-     "bdd: decision-node cap over all modules (0 = unlimited); exceeding "
-     "it aborts compilation with a resource_exhausted error",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       config.bdd_node_budget = require_count(key, value, "engine");
-     }},
-    {"fallback", "enum",
-     "engine to degrade to when construction exhausts a budget or deadline "
-     "(an engine name, or none)",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       if (value.kind != ftio::OptionValue::Kind::kText) {
-         throw std::invalid_argument(concat(
-             "engine option \"", key, "\" must be an engine name or none"));
-       }
+    {{.name = "table_size", .kind = OptionKind::kCount, .min = 1,
+      .doc = "bdd: per-module cap on the unique-table buckets reserved up "
+             "front"},
+     &set_field<&EngineConfig::bdd_table_size>},
+    {{.name = "cache_size", .kind = OptionKind::kCount, .min = 1,
+      .doc = "bdd: per-module cap on the ITE cache entries (power of two)"},
+     &set_field<&EngineConfig::bdd_cache_size>},
+    {{.name = "deadline_ms", .kind = OptionKind::kCount, .min = 0,
+      .doc = "wall-clock deadline in milliseconds (0 = none): bounds bdd "
+             "construction and each mc/mc_adaptive quantify call"},
+     &set_field<&EngineConfig::deadline_ms>},
+    {{.name = "bdd_node_budget", .kind = OptionKind::kCount, .min = 0,
+      .doc = "bdd: decision-node cap over all modules (0 = unlimited); "
+             "exceeding it aborts compilation with a resource_exhausted "
+             "error"},
+     &set_field<&EngineConfig::bdd_node_budget>},
+    {{.name = "fallback", .kind = OptionKind::kEnum,
+      .doc = "engine to degrade to when construction exhausts a budget or "
+             "deadline (an engine name, or none)"},
+     [](EngineConfig& config, const ftio::OptionValue& value, double) {
        if (value.text == "none") {
          config.fallback.clear();
          return;
        }
        if (!EngineRegistry::contains(value.text)) {
          throw std::invalid_argument(concat(
-             "engine option \"", key, "\" names unknown engine \"", value.text,
-             "\"; available: ", join(EngineRegistry::available(), ", "),
-             ", or none"));
+             "engine option \"fallback\" names unknown engine \"",
+             value.text, "\"; available: ",
+             join(EngineRegistry::available(), ", "), ", or none"));
        }
        config.fallback = value.text;
      }},
-    {"backend", "enum",
-     "compiled-tape evaluation backend (a registered backend name, or auto "
-     "for runtime dispatch); unavailable backends degrade with a diagnostic",
-     [](EngineConfig& config, const std::string& key,
-        const ftio::OptionValue& value) {
-       if (value.kind != ftio::OptionValue::Kind::kText) {
-         throw std::invalid_argument(concat(
-             "engine option \"", key, "\" must be a backend name or auto"));
-       }
+    {{.name = "backend", .kind = OptionKind::kEnum,
+      .doc = "compiled-tape evaluation backend (a registered backend name, "
+             "or auto for runtime dispatch); unavailable backends degrade "
+             "with a diagnostic"},
+     [](EngineConfig& config, const ftio::OptionValue& value, double) {
        if (value.text == "auto") {
          config.backend.clear();
          return;
@@ -287,7 +174,7 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
        // degrades at resolve time so one document runs on every host.
        if (expr::BackendRegistry::find(value.text) == nullptr) {
          throw std::invalid_argument(concat(
-             "engine option \"", key, "\" names unknown backend \"",
+             "engine option \"backend\" names unknown backend \"",
              value.text, "\"; registered: ",
              join(expr::BackendRegistry::registered(), ", "), ", or auto"));
        }
@@ -295,62 +182,27 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
      }},
 };
 
-/// Levenshtein distance, the "did you mean" metric (option names are short,
-/// so the quadratic DP is fine).
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
-    }
-  }
-  return row[b.size()];
-}
-
 /// One `key = value` engine option, the mapping shared by document `engine`
 /// sections and the CLI's --engine-opt overrides — a schema lookup, with a
 /// uniform "did you mean" diagnostic for unknown names.
-void apply_engine_option(EngineConfig& config, const std::string& key,
+void apply_engine_option(EngineConfig& config, std::string_view key,
                          const ftio::OptionValue& value) {
   for (const EngineOptionSpec& spec : kEngineOptionSchema) {
-    if (key == spec.name) {
-      spec.set(config, key, value);
+    if (key == spec.option.name) {
+      spec.set(config, value, check_option(spec.option, value, "engine"));
       return;
     }
   }
-  std::string_view nearest;
-  std::size_t nearest_distance = key.size();
-  std::string supported;
-  for (const EngineOptionSpec& spec : kEngineOptionSchema) {
-    if (!supported.empty()) supported += ", ";
-    supported += spec.name;
-    const std::size_t distance = edit_distance(key, spec.name);
-    if (distance < nearest_distance) {
-      nearest = spec.name;
-      nearest_distance = distance;
-    }
-  }
-  throw std::invalid_argument(concat(
-      "unknown engine option \"", key, "\"",
-      nearest.empty() || nearest_distance > 3
-          ? ""
-          : concat(" (did you mean \"", nearest, "\"?)"),
-      "; supported: ", supported));
+  throw_unknown_option("engine", key, engine_option_docs());
 }
 
 }  // namespace
 
-std::vector<EngineOptionDoc> engine_option_docs() {
-  std::vector<EngineOptionDoc> docs;
+std::vector<OptionSpec> engine_option_docs() {
+  std::vector<OptionSpec> docs;
   docs.reserve(std::size(kEngineOptionSchema));
   for (const EngineOptionSpec& spec : kEngineOptionSchema) {
-    docs.push_back({spec.name, spec.type, spec.doc});
+    docs.push_back(spec.option);
   }
   return docs;
 }
@@ -367,22 +219,9 @@ std::optional<SolverSelection> document_solver_selection(
   }
   SolverSelection resolved{selection.name, opt::SolverConfig{}};
   for (const auto& [key, value] : selection.options) {
-    if (key == "max_iterations") {
-      resolved.config.max_iterations = require_count(key, value, "solver");
-    } else if (key == "tolerance") {
-      resolved.config.tolerance = require_number(key, value, "solver");
-    } else if (key == "max_evaluations") {
-      resolved.config.max_evaluations = require_count(key, value, "solver");
-    } else if (key == "seed") {
-      resolved.config.seed =
-          static_cast<std::uint64_t>(require_count(key, value, "solver"));
-    } else if (value.kind == ftio::OptionValue::Kind::kNumber) {
-      resolved.config.set(key, value.number);
-    } else {
-      reject_numeric_looking_text(key, value, "solver");
-      resolved.config.set(key, value.text);
-    }
+    opt::apply_solver_option(resolved.config, key, value);
   }
+  opt::SolverRegistry::create(selection.name)->check_options(resolved.config);
   return resolved;
 }
 
@@ -419,6 +258,15 @@ std::pair<std::string, EngineConfig> document_engine_selection(
   for (const std::string& option : overrides.engine_options) {
     set_engine_argument(config, option);
   }
+  // A pair no single row can refuse: the adaptive sampler's stopping rule
+  // needs a relative half-width below 100%. Checked whatever the engine
+  // name, since a bdd engine may fall back to mc_adaptive.
+  if (config.relative && !(config.target_halfwidth < 1.0)) {
+    throw std::invalid_argument(concat(
+        "engine options \"relative\" and \"target_halfwidth\": a relative "
+        "target half-width must be < 1, got ",
+        format_double(config.target_halfwidth)));
+  }
   return {std::move(name), config};
 }
 
@@ -426,11 +274,7 @@ void set_engine_argument(EngineConfig& config,
                          const std::string& key_equals_value) {
   const KeyValueArgument argument =
       parse_key_value_argument(key_equals_value, "engine option");
-  const std::string key(argument.key);
-  apply_engine_option(config, key,
-                      argument.number.has_value()
-                          ? ftio::OptionValue::of(*argument.number)
-                          : ftio::OptionValue::of(std::string(argument.text)));
+  apply_engine_option(config, argument.key, option_value(argument));
 }
 
 /// Backing storage for document-loaded studies. The trees are pointer-stable:
@@ -511,18 +355,16 @@ Study Study::from_document(const ftio::StudyDocument& document,
     if (overrides.solver.has_value()) {
       // A fresh solver choice starts from that solver's own defaults, not
       // from another solver's document options.
-      if (!opt::SolverRegistry::contains(*overrides.solver)) {
-        throw std::invalid_argument(
-            concat("unknown solver \"", *overrides.solver, "\"; available: ",
-                   join(opt::SolverRegistry::available(), ", ")));
-      }
       study.solver_name_ = *overrides.solver;
       study.solver_config_ = opt::SolverConfig{};
     }
+    const std::unique_ptr<opt::Solver> solver =
+        opt::SolverRegistry::create(study.solver_name_);
     for (const std::string& extra : overrides.extras) {
-      study.solver_config_.set_extra_argument(extra);
+      opt::apply_solver_argument(study.solver_config_, extra);
     }
     if (overrides.seed.has_value()) study.solver_config_.seed = *overrides.seed;
+    solver->check_options(study.solver_config_);
   }
   std::tie(study.engine_name_, study.engine_config_) =
       document_engine_selection(document, overrides);

@@ -53,6 +53,7 @@
 
 #include "safeopt/expr/expr.h"
 #include "safeopt/fta/fault_tree.h"
+#include "safeopt/support/options.h"
 
 namespace safeopt::ftio {
 
@@ -88,29 +89,9 @@ struct HazardDecl {
   double cost = 1.0;
 };
 
-/// One `key = value` option of a solver/engine selection.
-struct OptionValue {
-  enum class Kind { kNumber, kText };
-  Kind kind = Kind::kNumber;
-  double number = 0.0;
-  std::string text;
-  bool quoted = false;  // writer detail: re-emit text values with quotes
-
-  [[nodiscard]] static OptionValue of(double value) {
-    OptionValue v;
-    v.kind = Kind::kNumber;
-    v.number = value;
-    return v;
-  }
-  [[nodiscard]] static OptionValue of(std::string value, bool quoted = false) {
-    OptionValue v;
-    v.kind = Kind::kText;
-    v.text = std::move(value);
-    v.quoted = quoted;
-    return v;
-  }
-  friend bool operator==(const OptionValue&, const OptionValue&) = default;
-};
+/// One `key = value` option of a solver/engine selection (checked against
+/// the declared option tables by safeopt::check_option).
+using OptionValue = safeopt::OptionValue;
 
 /// `solver <name> [key = value ...];` (and identically `engine ...;`).
 struct SelectionDecl {

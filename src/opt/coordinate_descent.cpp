@@ -5,25 +5,30 @@
 #include <cmath>
 
 #include "builtin_solvers.h"
-#include "safeopt/support/contracts.h"
 
 namespace safeopt::opt {
 namespace {
 
-/// Extras: "line_search_iterations" (default 60, >= 8) per golden-section
-/// sweep. Starts at config.initial (projected into the box) or the center.
+constexpr OptionSpec kOptions[] = {
+    {.name = "line_search_iterations", .kind = OptionKind::kCount, .min = 8,
+     .fallback = 60, .doc = "golden-section steps per axis line search"},
+};
+
+/// Starts at config.initial (projected into the box) or the center.
 class CoordinateDescent final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "coordinate_descent";
+  }
+  [[nodiscard]] SolverTraits traits() const noexcept override {
+    return SolverTraits{.options = kOptions};
   }
 
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
     const std::size_t line_search_iterations =
-        config.count_or("line_search_iterations", 60);
-    SAFEOPT_EXPECTS(line_search_iterations >= 8);
+        count(config, "line_search_iterations");
     const std::size_t dim = problem.bounds.dimension();
     constexpr double kInvPhi = 0.6180339887498948482;
 

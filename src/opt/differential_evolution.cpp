@@ -6,16 +6,29 @@
 #include <cmath>
 
 #include "builtin_solvers.h"
-#include "safeopt/support/contracts.h"
 #include "safeopt/support/rng.h"
 
 namespace safeopt::opt {
 namespace {
 
-/// Extras: "population" (0 = max(15, 10·dimension)), "differential_weight"
-/// (F, default 0.7), "crossover_rate" (CR, 0.9), "generations" (200),
-/// "spread_tolerance" (stop once the population's best-to-worst value
-/// spread falls below it, 1e-12) and "synchronous_batch" (0/1, see below).
+constexpr OptionSpec kOptions[] = {
+    {.name = "population", .kind = OptionKind::kCount, .min = 4,
+     .zero_means = "auto", .fallback = 0,
+     .doc = "population size (auto: max(15, 10 x dimension))"},
+    {.name = "differential_weight", .kind = OptionKind::kNumber, .min = 0,
+     .max = 2, .min_exclusive = true, .fallback = 0.7,
+     .doc = "differential weight F of a + F(b - c)"},
+    {.name = "crossover_rate", .kind = OptionKind::kNumber, .min = 0,
+     .max = 1, .fallback = 0.9, .doc = "binomial crossover rate CR"},
+    {.name = "generations", .kind = OptionKind::kCount, .min = 1,
+     .fallback = 200, .doc = "generation cap"},
+    {.name = "spread_tolerance", .kind = OptionKind::kNumber,
+     .fallback = 1e-12,
+     .doc = "stop once the best-to-worst value spread falls below it"},
+    {.name = "synchronous_batch", .kind = OptionKind::kFlag, .fallback = 0,
+     .doc = "evaluate each generation as one batch (synchronous DE)"},
+};
+
 /// Honors config.seed (default 0xd1ffe).
 ///
 /// synchronous_batch=1 selects generation-synchronous evaluation: every
@@ -32,27 +45,22 @@ class DifferentialEvolution final : public Solver {
     return "differential_evolution";
   }
   [[nodiscard]] SolverTraits traits() const noexcept override {
-    return SolverTraits{.min_dimension = 2};
+    return SolverTraits{.min_dimension = 2, .options = kOptions};
   }
 
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
-    const std::size_t population = config.count_or("population", 0);
-    const double weight = config.number_or("differential_weight", 0.7);
-    const double crossover_rate = config.number_or("crossover_rate", 0.9);
-    const std::size_t generations = config.count_or("generations", 200);
-    const double spread_tolerance =
-        config.number_or("spread_tolerance", 1e-12);
-    const bool synchronous = config.number_or("synchronous_batch", 0.0) != 0.0;
-    SAFEOPT_EXPECTS(weight > 0.0 && weight <= 2.0);
-    SAFEOPT_EXPECTS(crossover_rate >= 0.0 && crossover_rate <= 1.0);
-    SAFEOPT_EXPECTS(generations >= 1);
+    const std::size_t population = count(config, "population");
+    const double weight = number(config, "differential_weight");
+    const double crossover_rate = number(config, "crossover_rate");
+    const std::size_t generations = count(config, "generations");
+    const double spread_tolerance = number(config, "spread_tolerance");
+    const bool synchronous = number(config, "synchronous_batch") != 0.0;
 
     const std::size_t dim = problem.bounds.dimension();
     const std::size_t population_size =
         population != 0 ? population : std::max<std::size_t>(15, 10 * dim);
-    SAFEOPT_EXPECTS(population_size >= 4);
 
     OptimizationResult result;
     Rng rng(config.seed.value_or(0xd1ffe));

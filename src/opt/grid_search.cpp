@@ -8,29 +8,34 @@
 #include <limits>
 
 #include "builtin_solvers.h"
-#include "safeopt/support/contracts.h"
 
 namespace safeopt::opt {
 namespace {
 
-/// Extras: "points_per_dimension" grid lines per axis per round (default
-/// 33, >= 2) and "refinement_rounds" zoom-ins (default 5, >= 1; 1 = plain
-/// single grid). Each refinement re-grids a box of one grid-cell half-width
-/// around the incumbent. Deterministic and start-point-free;
-/// config.initial is ignored.
+constexpr OptionSpec kOptions[] = {
+    {.name = "points_per_dimension", .kind = OptionKind::kCount, .min = 2,
+     .fallback = 33, .doc = "grid lines per axis per round"},
+    {.name = "refinement_rounds", .kind = OptionKind::kCount, .min = 1,
+     .fallback = 5, .doc = "zoom-in rounds (1 = one plain grid)"},
+};
+
+/// Each refinement re-grids a box of one grid-cell half-width around the
+/// incumbent. Deterministic and start-point-free; config.initial is
+/// ignored.
 class GridSearch final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "grid_search";
   }
+  [[nodiscard]] SolverTraits traits() const noexcept override {
+    return SolverTraits{.options = kOptions};
+  }
 
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
-    const std::size_t points = config.count_or("points_per_dimension", 33);
-    const std::size_t rounds = config.count_or("refinement_rounds", 5);
-    SAFEOPT_EXPECTS(points >= 2);
-    SAFEOPT_EXPECTS(rounds >= 1);
+    const std::size_t points = count(config, "points_per_dimension");
+    const std::size_t rounds = count(config, "refinement_rounds");
     const std::size_t dim = problem.bounds.dimension();
     Box box = problem.bounds;
     OptimizationResult result;

@@ -6,25 +6,30 @@
 #include <cmath>
 
 #include "builtin_solvers.h"
-#include "safeopt/support/contracts.h"
 
 namespace safeopt::opt {
 namespace {
 
-/// Extras: "initial_step" (default 0.25, in (0, 1], relative to each axis'
-/// box width). Starts at config.initial (projected into the box) or the
-/// center.
+constexpr OptionSpec kOptions[] = {
+    {.name = "initial_step", .kind = OptionKind::kNumber, .min = 0, .max = 1,
+     .min_exclusive = true, .fallback = 0.25,
+     .doc = "first pattern step, relative to each axis' box width"},
+};
+
+/// Starts at config.initial (projected into the box) or the center.
 class HookeJeeves final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "hooke_jeeves";
   }
+  [[nodiscard]] SolverTraits traits() const noexcept override {
+    return SolverTraits{.options = kOptions};
+  }
 
  private:
   [[nodiscard]] OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const override {
-    const double initial_step = config.number_or("initial_step", 0.25);
-    SAFEOPT_EXPECTS(initial_step > 0.0 && initial_step <= 1.0);
+    const double initial_step = number(config, "initial_step");
     const std::size_t dim = problem.bounds.dimension();
 
     OptimizationResult result;

@@ -6,8 +6,11 @@
 // pieces a composable optimization *service* needs:
 //
 //   * one shared `SolverConfig` (budget / tolerance / seed / threads /
-//     starting point) plus name-keyed typed extras for per-solver knobs, so
+//     starting point) plus name-keyed extras for per-solver knobs, so
 //     callers can select and tune any method without naming its type;
+//   * one declared option table per solver (SolverTraits::options): every
+//     extra a config carries is typed and range-checked against it by
+//     validate() before the run, so no user value reaches a contract;
 //   * a progress observer (iteration, evaluations used, best-so-far) honored
 //     uniformly by every solver — instrumentation wraps the problem, so the
 //     numeric trajectory is bitwise-unchanged whether or not anyone listens;
@@ -16,6 +19,9 @@
 //   * capability traits (dimension limits) validated before the run,
 //     failing fast with std::invalid_argument — e.g. golden_section on a
 //     multi-dimensional box;
+//   * apply_solver_option / apply_solver_argument, the one resolver every
+//     front door (document `solver` sections, `--extra`, request `extras`)
+//     feeds, so reserved keys reach the typed fields from every door;
 //   * `SolverRegistry`, the name -> factory table behind
 //     `core::Study::solver("nelder_mead")`, extensible at runtime via
 //     `SolverRegistrar` (see docs/extending.md).
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "safeopt/opt/problem.h"
+#include "safeopt/support/options.h"
 
 namespace safeopt {
 class ThreadPool;
@@ -60,10 +67,11 @@ struct ProgressEvent {
 using ProgressObserver = std::function<void(const ProgressEvent&)>;
 
 /// The shared configuration every registered solver consumes. Common knobs
-/// are public fields; per-solver settings travel as name-keyed typed extras
-/// (unknown keys are ignored, so one config can parameterize a whole sweep
-/// of solvers). Default-constructed, it selects each solver's own defaults,
-/// which live in that solver's run() and nowhere else.
+/// are public fields; per-solver settings travel as name-keyed extras, each
+/// of which must match a row of the solver's declared option table
+/// (Solver::validate refuses unknown keys and out-of-range values).
+/// Default-constructed, it selects each solver's own defaults, which live in
+/// that table.
 struct SolverConfig {
   /// Outer-iteration cap of the iterative solvers.
   std::size_t max_iterations = 1000;
@@ -112,39 +120,51 @@ struct SolverConfig {
            control != nullptr;
   }
 
-  /// Sets a numeric per-solver extra (e.g. "points_per_dimension" for
-  /// grid_search). Returns *this for chaining.
+  /// Sets a per-solver extra (e.g. "points_per_dimension" for
+  /// grid_search). Returns *this for chaining. Checked against the solver's
+  /// option table by Solver::validate, not here.
   SolverConfig& set(std::string_view key, double value);
-  /// Sets a string per-solver extra (e.g. "inner" for multi_start).
+  /// Sets a word-valued extra (e.g. "inner" for multi_start).
   SolverConfig& set(std::string_view key, std::string value);
-  /// Parses a command-line extra of the form "key=value" (the safeopt CLI's
-  /// `--extra starts=16`), typed by parse_key_value_argument (support/
-  /// strings.h), the rule `--engine-opt` shares: a number becomes a numeric
-  /// extra, text a string extra — matching the two set() overloads, so
-  /// count_or/number_or validation applies at consumption ("starts=-3"
-  /// stores -3 and count_or("starts") then rejects it with a message naming
-  /// the key). Throws std::invalid_argument when the argument has no '=',
-  /// an empty key or value, or a numeric-looking typo ("starts=8x").
-  SolverConfig& set_extra_argument(std::string_view key_equals_value);
+  SolverConfig& set(std::string_view key, OptionValue value);
 
   [[nodiscard]] bool has(std::string_view key) const noexcept;
-  /// The numeric extra under `key`, or `fallback` when absent.
+  /// The numeric extra under `key`, or `fallback` when absent or a word.
   [[nodiscard]] double number_or(std::string_view key,
                                  double fallback) const noexcept;
-  /// The numeric extra under `key` as a count (sizes, iterations, starts).
-  /// Throws std::invalid_argument — naming the key — when the stored value
-  /// is not a finite non-negative integer, so a config-file typo surfaces
-  /// as a clear error instead of a double→unsigned cast gone wrong.
-  [[nodiscard]] std::size_t count_or(std::string_view key,
-                                     std::size_t fallback) const;
-  /// The string extra under `key`, or `fallback` when absent.
+  /// The word extra under `key`, or `fallback` when absent or a number.
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string_view fallback) const;
+  /// Every extra, by key.
+  [[nodiscard]] const std::map<std::string, OptionValue, std::less<>>&
+  extras() const noexcept {
+    return extras_;
+  }
 
  private:
-  std::map<std::string, double, std::less<>> numbers_;
-  std::map<std::string, std::string, std::less<>> strings_;
+  std::map<std::string, OptionValue, std::less<>> extras_;
 };
+
+/// The option rows every solver takes besides its own, each mapped onto a
+/// typed SolverConfig field: max_iterations, tolerance, max_evaluations and
+/// seed.
+[[nodiscard]] std::span<const OptionSpec> reserved_solver_options() noexcept;
+
+/// The one resolver behind every front door: applies one user-supplied
+/// `key = value` onto `config`. A reserved key is checked against its row
+/// and written to its typed field; any other key is stored as an extra,
+/// which the selected solver's validate()/check_options() then checks
+/// against its table. Throws std::invalid_argument on a bad reserved value.
+void apply_solver_option(SolverConfig& config, std::string_view key,
+                         const OptionValue& value);
+
+/// A command-line `key=value` (`--extra starts=16`, a request's `extras`),
+/// typed by parse_key_value_argument (support/strings.h), the rule
+/// `--engine-opt` shares, then applied by apply_solver_option. Throws
+/// std::invalid_argument when the argument has no '=', an empty key or
+/// value, or a numeric-looking typo ("starts=8x").
+void apply_solver_argument(SolverConfig& config,
+                           std::string_view key_equals_value);
 
 /// Static capabilities of one solver, validated before every run.
 struct SolverTraits {
@@ -155,6 +175,10 @@ struct SolverTraits {
   /// Largest supported problem dimension; 0 = unlimited. golden_section
   /// sets 1: its bracketing argument only exists on an interval.
   std::size_t max_dimension = 0;
+  /// The solver's declared options: every extra of a config must match one
+  /// row (kind, range), and run() reads each through the Solver accessors,
+  /// which fall back to the row's default.
+  std::span<const OptionSpec> options{};
 };
 
 /// The polymorphic solver interface. Instances are cheap, stateless
@@ -168,24 +192,45 @@ class Solver {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] virtual SolverTraits traits() const noexcept { return {}; }
 
-  /// Validates the problem against traits() and the config (throws
-  /// std::invalid_argument with an actionable message on mismatch — e.g.
-  /// golden_section on a multi-dimensional box or differential_evolution
-  /// on an interval), instruments the problem when an observer or
-  /// evaluation budget is configured, and runs the numeric method. Without observer/budget/control the problem is passed
-  /// through untouched.
+  /// Runs validate(), instruments the problem when an observer, an
+  /// evaluation budget or a control is configured, and runs the numeric
+  /// method. Without observer/budget/control the problem is passed through
+  /// untouched.
   [[nodiscard]] OptimizationResult solve(const Problem& problem,
                                          const SolverConfig& config = {}) const;
 
-  /// The validation half of solve(): throws std::invalid_argument when this
-  /// solver cannot run on `problem`. Meta-solvers call it on their inner
-  /// solver before fanning out.
-  void validate(const Problem& problem) const;
+  /// The option half of validate(), which needs no problem: every extra of
+  /// `config` must name a row of traits().options and pass check_option.
+  /// Throws std::invalid_argument naming the key and its range, or, for an
+  /// unknown key, the nearest declared name and the solver's list.
+  /// Meta-solvers also check what they wrap (multi_start: its `inner`).
+  virtual void check_options(const SolverConfig& config) const;
+
+  /// Everything solve() checks before the first evaluation: the problem
+  /// against traits() (e.g. golden_section on a multi-dimensional box or
+  /// differential_evolution on an interval), the size of config.initial,
+  /// and check_options(). Throws std::invalid_argument with an actionable
+  /// message. `safeopt validate` runs it on the document's box and config.
+  virtual void validate(const Problem& problem,
+                        const SolverConfig& config) const;
 
  protected:
   Solver() = default;
   Solver(const Solver&) = default;
   Solver& operator=(const Solver&) = default;
+
+  /// Checks every extra of `config` against `rows`; errors name `owner`.
+  static void check_extras(std::string_view owner,
+                           std::span<const OptionSpec> rows,
+                           const SolverConfig& config);
+
+  /// The declared option `key` as run() reads it: the config's value (a
+  /// flag as 0 or 1), or the row's default. Values were checked by
+  /// validate(); `key` must be a row of traits().options.
+  [[nodiscard]] double number(const SolverConfig& config,
+                              std::string_view key) const;
+  [[nodiscard]] std::size_t count(const SolverConfig& config,
+                                  std::string_view key) const;
 
  private:
   /// The numeric method. `problem` is pre-validated (and instrumented when

@@ -18,8 +18,10 @@
 // that wrapper polls once per evaluation.
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "builtin_solvers.h"
 #include "safeopt/support/execution.h"
@@ -30,42 +32,86 @@
 namespace safeopt::opt {
 namespace {
 
-/// Extras: "inner" (registry name of the local solver, default
-/// "nelder_mead") and "starts" (default 8). Honors config.seed (start-point
-/// stream, default 0x5eedbed), config.pool (concurrent starts) and
-/// config.control (checked between starts). The inner solver inherits the
-/// stopping rule and the remaining extras; observer, budget and control
-/// instrumentation stays at the outer level, where it already wraps the
-/// problem every start evaluates.
+constexpr OptionSpec kOptions[] = {
+    {.name = "inner", .kind = OptionKind::kEnum,
+     .fallback_text = "nelder_mead",
+     .doc = "registry name of the local solver each start runs; its own "
+            "options pass through"},
+    {.name = "starts", .kind = OptionKind::kCount, .min = 1, .fallback = 8,
+     .doc = "number of starts"},
+};
+
+/// Honors config.seed (start-point stream, default 0x5eedbed), config.pool
+/// (concurrent starts) and config.control (checked between starts). The
+/// inner solver inherits the stopping rule, the seed and the extras its
+/// own table declares; observer, budget and control instrumentation stays
+/// at the outer level, where it already wraps the problem every start
+/// evaluates.
 class MultiStart final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "multi_start";
   }
+  [[nodiscard]] SolverTraits traits() const noexcept override {
+    return SolverTraits{.options = kOptions};
+  }
+
+  /// Checks `inner` by name, then every extra against this table and the
+  /// inner solver's together.
+  void check_options(const SolverConfig& config) const override {
+    const std::unique_ptr<Solver> inner = inner_solver(config);
+    std::vector<OptionSpec> rows(std::begin(kOptions), std::end(kOptions));
+    const std::span<const OptionSpec> inner_rows = inner->traits().options;
+    rows.insert(rows.end(), inner_rows.begin(), inner_rows.end());
+    check_extras(concat(name(), " (inner ", inner->name(), ")"), rows, config);
+  }
+
+  /// Also runs the inner solver's own validate() on the problem (its
+  /// capability check), so a start never fails inside a pool worker.
+  void validate(const Problem& problem,
+                const SolverConfig& config) const override {
+    Solver::validate(problem, config);
+    const std::unique_ptr<Solver> inner = inner_solver(config);
+    inner->validate(problem, inner_config(*inner, config));
+  }
 
  private:
-  [[nodiscard]] OptimizationResult run(
-      const Problem& problem, const SolverConfig& config) const override {
-    const std::string inner_name = config.string_or("inner", "nelder_mead");
-    const std::size_t starts = config.count_or("starts", 8);
-    if (starts == 0) {
-      throw std::invalid_argument("multi_start: \"starts\" must be >= 1");
+  /// The solver `inner` names: registered, and not multi_start itself.
+  [[nodiscard]] std::unique_ptr<Solver> inner_solver(
+      const SolverConfig& config) const {
+    if (const auto it = config.extras().find("inner");
+        it != config.extras().end()) {
+      (void)check_option(kOptions[0], it->second, name());  // a name
     }
+    const std::string inner_name =
+        config.string_or("inner", kOptions[0].fallback_text);
     if (inner_name == name()) {
-      // The inner config inherits this config's extras — including "inner"
-      // — so self-nesting would recurse with 8^depth fan-out.
       throw std::invalid_argument(
           "multi_start cannot wrap itself as the \"inner\" solver");
     }
-    // Validate the inner solver against this problem up front: a clear
-    // error here beats one thrown later from inside a pool worker.
-    const std::unique_ptr<Solver> inner = SolverRegistry::create(inner_name);
-    inner->validate(problem);
-    SolverConfig inner_config = config;
-    inner_config.observer = nullptr;
-    inner_config.max_evaluations = 0;
-    inner_config.pool = nullptr;
-    inner_config.control = nullptr;
+    return SolverRegistry::create(inner_name);
+  }
+
+  /// What every start runs with: the stopping rule, the seed and the
+  /// extras `inner` declares, without instrumentation or a pool.
+  [[nodiscard]] static SolverConfig inner_config(const Solver& inner,
+                                                 const SolverConfig& config) {
+    SolverConfig out;
+    out.max_iterations = config.max_iterations;
+    out.tolerance = config.tolerance;
+    out.seed = config.seed;
+    for (const OptionSpec& row : inner.traits().options) {
+      const auto it = config.extras().find(row.name);
+      if (it != config.extras().end()) out.set(row.name, it->second);
+    }
+    return out;
+  }
+
+  [[nodiscard]] OptimizationResult run(
+      const Problem& problem, const SolverConfig& config) const override {
+    const std::size_t starts = count(config, "starts");
+    const std::unique_ptr<Solver> inner = inner_solver(config);
+    const SolverConfig start_base = inner_config(*inner, config);
 
     // Draw every start before any solve runs, so the start list (and with
     // it the whole result) does not depend on scheduling. Start 0 is the
@@ -98,7 +144,7 @@ class MultiStart final : public Solver {
         }
         const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
         if (s >= starts) return;
-        SolverConfig start_config = inner_config;
+        SolverConfig start_config = start_base;
         start_config.initial = std::move(points[s]);
         results[s] = inner->solve(problem, start_config);
       }

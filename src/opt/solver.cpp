@@ -1,7 +1,6 @@
 #include "safeopt/opt/solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -19,52 +18,84 @@ namespace safeopt::opt {
 // ------------------------------------------------------------ SolverConfig
 
 SolverConfig& SolverConfig::set(std::string_view key, double value) {
-  numbers_.insert_or_assign(std::string(key), value);
-  return *this;
+  return set(key, OptionValue::of(value));
 }
 
 SolverConfig& SolverConfig::set(std::string_view key, std::string value) {
-  strings_.insert_or_assign(std::string(key), std::move(value));
+  return set(key, OptionValue::of(std::move(value)));
+}
+
+SolverConfig& SolverConfig::set(std::string_view key, OptionValue value) {
+  extras_.insert_or_assign(std::string(key), std::move(value));
   return *this;
 }
 
-SolverConfig& SolverConfig::set_extra_argument(
-    std::string_view key_equals_value) {
-  const KeyValueArgument argument =
-      parse_key_value_argument(key_equals_value, "solver extra");
-  if (argument.number.has_value()) return set(argument.key, *argument.number);
-  return set(argument.key, std::string(argument.text));
-}
-
 bool SolverConfig::has(std::string_view key) const noexcept {
-  return numbers_.find(key) != numbers_.end() ||
-         strings_.find(key) != strings_.end();
+  return extras_.find(key) != extras_.end();
 }
 
 double SolverConfig::number_or(std::string_view key,
                                double fallback) const noexcept {
-  const auto it = numbers_.find(key);
-  return it != numbers_.end() ? it->second : fallback;
-}
-
-std::size_t SolverConfig::count_or(std::string_view key,
-                                   std::size_t fallback) const {
-  const auto it = numbers_.find(key);
-  if (it == numbers_.end()) return fallback;
-  const double value = it->second;
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  if (!(value >= 0.0) || value > kMaxExact ||
-      value != std::floor(value)) {  // rejects NaN, negatives, fractions
-    throw std::invalid_argument(concat("extra \"", key,
-                                       "\" must be a non-negative integer"));
-  }
-  return static_cast<std::size_t>(value);
+  const auto it = extras_.find(key);
+  return it != extras_.end() && it->second.kind == OptionValue::Kind::kNumber
+             ? it->second.number
+             : fallback;
 }
 
 std::string SolverConfig::string_or(std::string_view key,
                                     std::string_view fallback) const {
-  const auto it = strings_.find(key);
-  return it != strings_.end() ? it->second : std::string(fallback);
+  const auto it = extras_.find(key);
+  return it != extras_.end() && it->second.kind == OptionValue::Kind::kText
+             ? it->second.text
+             : std::string(fallback);
+}
+
+// ------------------------------------------------------- the option resolver
+
+namespace {
+
+constexpr OptionSpec kReservedOptions[] = {
+    {.name = "max_iterations", .kind = OptionKind::kCount, .min = 0,
+     .fallback = 1000, .doc = "outer-iteration cap of the iterative solvers"},
+    {.name = "tolerance", .kind = OptionKind::kNumber, .fallback = 1e-10,
+     .doc = "convergence tolerance on the solver's own scale measure"},
+    {.name = "max_evaluations", .kind = OptionKind::kCount, .min = 0,
+     .fallback = 0, .doc = "objective-evaluation budget (0 = unlimited)"},
+    {.name = "seed", .kind = OptionKind::kCount, .min = 0,
+     .fallback_text = "the solver's own",
+     .doc = "seed of the stochastic solvers"},
+};
+
+}  // namespace
+
+std::span<const OptionSpec> reserved_solver_options() noexcept {
+  return kReservedOptions;
+}
+
+void apply_solver_option(SolverConfig& config, std::string_view key,
+                         const OptionValue& value) {
+  const OptionSpec* reserved = find_option(kReservedOptions, key);
+  if (reserved == nullptr) {
+    config.set(key, value);
+    return;
+  }
+  const double number = check_option(*reserved, value, "solver");
+  if (key == "max_iterations") {
+    config.max_iterations = static_cast<std::size_t>(number);
+  } else if (key == "tolerance") {
+    config.tolerance = number;
+  } else if (key == "max_evaluations") {
+    config.max_evaluations = static_cast<std::size_t>(number);
+  } else {
+    config.seed = static_cast<std::uint64_t>(number);
+  }
+}
+
+void apply_solver_argument(SolverConfig& config,
+                           std::string_view key_equals_value) {
+  const KeyValueArgument argument =
+      parse_key_value_argument(key_equals_value, "solver extra");
+  apply_solver_option(config, argument.key, option_value(argument));
 }
 
 // ---------------------------------------------------------- instrumentation
@@ -229,7 +260,31 @@ class Instrument {
 
 // ----------------------------------------------------------------- Solver
 
-void Solver::validate(const Problem& problem) const {
+void Solver::check_extras(std::string_view owner,
+                          std::span<const OptionSpec> rows,
+                          const SolverConfig& config) {
+  for (const auto& [key, value] : config.extras()) {
+    const OptionSpec* row = find_option(rows, key);
+    if (row == nullptr) {
+      // A reserved key here came from a programmatic set(): the resolver
+      // routes reserved keys to their fields.
+      if (find_option(kReservedOptions, key) != nullptr) {
+        throw std::invalid_argument(
+            concat(owner, ": \"", key,
+                   "\" is a typed SolverConfig field, not an extra"));
+      }
+      throw_unknown_option(owner, key, rows, kReservedOptions);
+    }
+    (void)check_option(*row, value, owner);
+  }
+}
+
+void Solver::check_options(const SolverConfig& config) const {
+  check_extras(name(), traits().options, config);
+}
+
+void Solver::validate(const Problem& problem,
+                      const SolverConfig& config) const {
   if (!problem.objective) {
     throw std::invalid_argument(
         concat(name(), ": the problem has no objective"));
@@ -252,18 +307,33 @@ void Solver::validate(const Problem& problem) const {
         "-dimensional problems, but the box has ", std::to_string(dim),
         " dimensions; pick another solver from SolverRegistry::available()"));
   }
+  if (!config.initial.empty() && config.initial.size() != dim) {
+    throw std::invalid_argument(concat(
+        name(), ": initial point has ", std::to_string(config.initial.size()),
+        " coordinates for a ", std::to_string(dim), "-dimensional box"));
+  }
+  check_options(config);
+}
+
+double Solver::number(const SolverConfig& config, std::string_view key) const {
+  const OptionSpec* row = find_option(traits().options, key);
+  SAFEOPT_EXPECTS(row != nullptr);
+  const auto it = config.extras().find(key);
+  if (it == config.extras().end()) return row->fallback;
+  if (it->second.kind == OptionValue::Kind::kText) {
+    return it->second.text == "true" ? 1.0 : 0.0;  // a flag's word
+  }
+  return it->second.number;
+}
+
+std::size_t Solver::count(const SolverConfig& config,
+                          std::string_view key) const {
+  return static_cast<std::size_t>(number(config, key));
 }
 
 OptimizationResult Solver::solve(const Problem& problem,
                                  const SolverConfig& config) const {
-  validate(problem);
-  if (!config.initial.empty() &&
-      config.initial.size() != problem.bounds.dimension()) {
-    throw std::invalid_argument(concat(
-        name(), ": initial point has ", std::to_string(config.initial.size()),
-        " coordinates for a ", std::to_string(problem.bounds.dimension()),
-        "-dimensional box"));
-  }
+  validate(problem, config);
   if (!config.instrumented()) {
     return run(problem, config);  // untouched fast path, bit-identical
   }

@@ -344,7 +344,8 @@ std::string AnalysisGraph::optimize(const std::string& document_text,
 
 // ------------------------------------------------------------------ validate
 
-std::vector<std::string> validate_problems(const ftio::StudyDocument& doc) {
+std::vector<std::string> validate_problems(
+    const ftio::StudyDocument& doc, const core::StudyOverrides& overrides) {
   std::vector<std::string> problems;
   for (const ftio::TreeModel& model : doc.trees) {
     for (const std::string& problem : model.tree.validate()) {
@@ -358,13 +359,17 @@ std::vector<std::string> validate_problems(const ftio::StudyDocument& doc) {
   }
   try {
     (void)core::document_solver_selection(doc);
-    (void)core::document_engine_selection(doc);
+    (void)core::document_engine_selection(doc, overrides);
     if (!doc.parameters.empty() && !doc.hazards.empty()) {
-      // The solver's capability check on the document's box: what `run`
-      // would reject before its first evaluation.
-      const core::Study study = core::Study::from_document(doc);
+      // Solver::validate on the document's box and solver config: what
+      // `run` would reject before its first evaluation.
+      const core::Study study = core::Study::from_document(doc, overrides);
       opt::SolverRegistry::create(study.solver_name())
-          ->validate(study.problem());
+          ->validate(study.problem(), study.solver_config());
+    } else if (doc.parameters.empty()) {
+      AnalysisOptions options;
+      static_cast<core::StudyOverrides&>(options) = overrides;
+      check_constant_model_options(options);
     }
   } catch (const std::invalid_argument& error) {
     problems.emplace_back(error.what());
@@ -378,13 +383,15 @@ std::vector<std::string> validate_problems(const ftio::StudyDocument& doc) {
 std::string AnalysisGraph::validate(const std::string& document_text,
                                     const AnalysisOptions& options) {
   const auto parsed = parse_pass(document_text);
-  const std::string key = concat("validate:", parsed->canonical_hex);
+  const std::string key =
+      concat("validate:", parsed->canonical_hex, ":",
+             hex64(fnv1a(option_fingerprint(options))));
   const auto outcome = cache_.get_as<ValidateOutcome>(key, [&] {
     auto computed = std::make_shared<ValidateOutcome>();
     computed->parameters = parsed->doc.parameters.size();
     computed->trees = parsed->doc.trees.size();
     computed->hazards = parsed->doc.hazards.size();
-    computed->problems = validate_problems(parsed->doc);
+    computed->problems = validate_problems(parsed->doc, options);
     CacheEntry entry;
     entry.value = computed;
     entry.bytes = 256;

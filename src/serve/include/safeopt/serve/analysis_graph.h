@@ -20,7 +20,7 @@
 //                                           this artifact)
 //   quantify:<compile key fp>:<at fp>    → QuantifyOutcome
 //   optimize:<compile key fp>            → OptimizeOutcome
-//   validate:<canonical>                 → ValidateOutcome
+//   validate:<canonical>:<option fp>     → ValidateOutcome
 //
 // Keying on ftio::canonical_hash means whitespace/comment/path variants of
 // one document share every artifact; any semantic change invalidates from
@@ -82,10 +82,13 @@ struct PassDesc {
 /// Structural validation beyond the parser's checks — the single problems
 /// list behind both `safeopt validate` and POST /v1/validate: per-tree
 /// structural issues, a missing-hazards check, and a dry assembly of the
-/// document's selections (and, for parameterized documents, the Study and
-/// the solver's capability check on its box).
+/// document's selections with `overrides` layered on top, as `run` and
+/// `quantify` assemble them (and, for parameterized documents, the Study
+/// and Solver::validate on its box and solver config). So `validate`
+/// refuses what `run` would refuse before its first evaluation.
 [[nodiscard]] std::vector<std::string> validate_problems(
-    const ftio::StudyDocument& doc);
+    const ftio::StudyDocument& doc,
+    const core::StudyOverrides& overrides = {});
 
 /// A constant (parameter-less) model's quantification: each hazard's
 /// engine runs straight on the document's numeric leaf probabilities, with

@@ -391,7 +391,7 @@ TEST(StudyDocumentTest, ExtraAndEngineOptionShareOneTypingRule) {
   const auto solver_verdict = [](const std::string& value) {
     opt::SolverConfig config;
     try {
-      config.set_extra_argument("key=" + value);
+      opt::apply_solver_argument(config, "key=" + value);
     } catch (const std::invalid_argument&) {
       return Verdict::kRejected;
     }
@@ -503,10 +503,10 @@ TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
   // engine_option_docs() is the single source of truth the CLI help prints;
   // every preprocessing/BDD key must be listed with its type, and the
   // removed module knobs must not be.
-  const std::vector<EngineOptionDoc> docs = engine_option_docs();
+  const std::vector<OptionSpec> docs = engine_option_docs();
   const auto type_of = [&](std::string_view name) -> std::string_view {
-    for (const EngineOptionDoc& doc : docs) {
-      if (doc.name == name) return doc.type;
+    for (const OptionSpec& doc : docs) {
+      if (doc.name == name) return kind_name(doc.kind);
     }
     return "";
   };

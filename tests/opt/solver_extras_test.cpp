@@ -1,6 +1,8 @@
-// CLI-style extras parsing: `--extra starts=16` maps onto the typed
-// SolverConfig extras, and count_or-grade validation rejects bad values
-// (negative / NaN / fractional) with messages naming the key.
+// The solver option resolver: `--extra starts=16` (and a request's
+// `extras`) goes through apply_solver_argument, which types the value by the
+// shared KEY=VALUE rule and sends reserved keys to their typed fields; the
+// solver's declared option table then rejects bad values (negative / NaN /
+// fractional counts, unknown keys) with messages naming the key.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -14,29 +16,48 @@ namespace {
 
 TEST(SolverExtrasTest, NumericValuesBecomeNumericExtras) {
   SolverConfig config;
-  config.set_extra_argument("starts=16")
-      .set_extra_argument("tolerance_scale=1e-3")
-      .set_extra_argument("offset=-4");
-  EXPECT_EQ(config.count_or("starts", 0), 16u);
-  EXPECT_DOUBLE_EQ(config.number_or("tolerance_scale", 0.0), 1e-3);
-  EXPECT_DOUBLE_EQ(config.number_or("offset", 0.0), -4.0);
+  apply_solver_argument(config, "inner=hooke_jeeves");
+  apply_solver_argument(config, "starts=16");
+  apply_solver_argument(config, "initial_step=1e-3");
+  EXPECT_EQ(config.number_or("starts", 0.0), 16.0);
+  EXPECT_DOUBLE_EQ(config.number_or("initial_step", 0.0), 1e-3);
+  EXPECT_NO_THROW(SolverRegistry::create("multi_start")->check_options(config));
+}
+
+TEST(SolverExtrasTest, ReservedKeysReachTheTypedFields) {
+  // The same mapping as a document's solver section: no extra is stored.
+  SolverConfig config;
+  apply_solver_argument(config, "max_iterations=3");
+  apply_solver_argument(config, "tolerance=-4");
+  apply_solver_argument(config, "max_evaluations=100");
+  apply_solver_argument(config, "seed=42");
+  EXPECT_EQ(config.max_iterations, 3u);
+  EXPECT_EQ(config.tolerance, -4.0);
+  EXPECT_EQ(config.max_evaluations, 100u);
+  EXPECT_EQ(config.seed.value_or(0), 42u);
+  EXPECT_TRUE(config.extras().empty());
+  for (const char* bad : {"max_iterations=-1", "seed=0.5", "tolerance=nan",
+                          "max_evaluations=true"}) {
+    EXPECT_THROW(apply_solver_argument(config, bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(SolverExtrasTest, NonNumericValuesBecomeStringExtras) {
   SolverConfig config;
-  config.set_extra_argument("inner=nelder_mead");
+  apply_solver_argument(config, "inner=nelder_mead");
   EXPECT_EQ(config.string_or("inner", ""), "nelder_mead");
   // And the key is visible through has() like any set() extra.
   EXPECT_TRUE(config.has("inner"));
 }
 
 TEST(SolverExtrasTest, NumericLookingTyposAreRejectedNotStored) {
-  // "4x" must not silently become a string extra that count_or ignores.
+  // "4x" must not silently become a string extra no solver reads.
   SolverConfig config;
   for (const char* bad : {"starts=4x", "starts=1_000", "starts=1O",
                           "offset=-4q", "scale=.5.5"}) {
     try {
-      config.set_extra_argument(bad);
+      apply_solver_argument(config, bad);
       FAIL() << "expected rejection of \"" << bad << "\"";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what()).find("malformed numeric value"),
@@ -51,7 +72,7 @@ TEST(SolverExtrasTest, MalformedArgumentsAreRejected) {
   SolverConfig config;
   for (const char* bad : {"starts", "=16", "starts=", ""}) {
     try {
-      config.set_extra_argument(bad);
+      apply_solver_argument(config, bad);
       FAIL() << "expected rejection of \"" << bad << "\"";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what()).find("key=value"),
@@ -61,9 +82,31 @@ TEST(SolverExtrasTest, MalformedArgumentsAreRejected) {
   }
 }
 
+TEST(SolverExtrasTest, UnknownKeysAreRefusedWithTheSolversList) {
+  SolverConfig config;
+  apply_solver_argument(config, "points_per_dimensoin=9");
+  try {
+    SolverRegistry::create("grid_search")->check_options(config);
+    FAIL() << "an undeclared key was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown grid_search option \"points_per_dimensoin\""),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("did you mean \"points_per_dimension\""),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("supported: points_per_dimension, refinement_rounds, "
+                        "max_iterations"),
+              std::string::npos)
+        << what;
+  }
+}
+
 struct BadCountCase {
   const char* argument;
   const char* key;
+  const char* solver;
 };
 
 // Keeps code addresses out of the listed test names.
@@ -72,36 +115,39 @@ void PrintTo(const BadCountCase& c, std::ostream* os) { *os << c.argument; }
 class SolverExtrasBadCounts : public ::testing::TestWithParam<BadCountCase> {};
 
 TEST_P(SolverExtrasBadCounts, CountConsumptionRejectsWithTheKeyName) {
-  // The value parses as a double, so it is *stored*; the count_or
-  // consumption contract rejects it where a solver would read it.
+  // The value parses as a double, so it is *stored*; the solver's option
+  // table rejects it before any run would read it.
   SolverConfig config;
-  config.set_extra_argument(GetParam().argument);
+  apply_solver_argument(config, GetParam().argument);
   try {
-    (void)config.count_or(GetParam().key, 1);
+    SolverRegistry::create(GetParam().solver)->check_options(config);
     FAIL() << GetParam().argument;
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find(GetParam().key), std::string::npos) << what;
-    EXPECT_NE(what.find("non-negative integer"), std::string::npos) << what;
+    EXPECT_NE(what.find("must be an integer >= 1"), std::string::npos)
+        << what;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SolverExtrasBadCounts,
-    ::testing::Values(BadCountCase{"starts=-3", "starts"},
-                      BadCountCase{"starts=2.5", "starts"},
-                      BadCountCase{"starts=nan", "starts"},
-                      BadCountCase{"starts=inf", "starts"},
-                      BadCountCase{"generations=1e300", "generations"}));
+    ::testing::Values(
+        BadCountCase{"starts=-3", "starts", "multi_start"},
+        BadCountCase{"starts=2.5", "starts", "multi_start"},
+        BadCountCase{"starts=nan", "starts", "multi_start"},
+        BadCountCase{"starts=inf", "starts", "multi_start"},
+        BadCountCase{"generations=1e300", "generations",
+                     "differential_evolution"}));
 
 TEST(SolverExtrasTest, RejectedCountsFailTheSolveWithAClearMessage) {
-  // End to end: multi_start consumes "starts" via count_or, so a bad CLI
-  // flag surfaces from solve() with the key in the message.
+  // End to end: solve() runs the same table check, so a bad CLI flag
+  // surfaces from solve() with the key in the message.
   Problem problem;
   problem.bounds = Box::interval(0.0, 1.0);
   problem.objective = [](std::span<const double> x) { return x[0] * x[0]; };
   SolverConfig config;
-  config.set_extra_argument("starts=-3");
+  apply_solver_argument(config, "starts=-3");
   const auto solver = SolverRegistry::create("multi_start");
   try {
     (void)solver->solve(problem, config);

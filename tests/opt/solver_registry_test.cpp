@@ -171,22 +171,26 @@ TEST(SolverConfigTest, TypedExtrasRoundTrip) {
 
 TEST(SolverConfigTest, CountExtrasRejectNonsenseValues) {
   // Size-typed extras come from user input; a negative/NaN/fractional
-  // value must surface as a clear error, never as a double→unsigned cast.
-  for (const double bad :
-       {-1.0, 0.5, std::nan(""), std::numeric_limits<double>::infinity()}) {
+  // value must surface as a clear error from the declared option table,
+  // never as a double→unsigned cast or a contract abort.
+  const auto multi_start = SolverRegistry::create("multi_start");
+  for (const double bad : {-1.0, 0.5, 0.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
     SolverConfig config;
     config.set("starts", bad);
-    EXPECT_THROW((void)config.count_or("starts", 8), std::invalid_argument)
+    EXPECT_THROW(multi_start->check_options(config), std::invalid_argument)
         << bad;
-    EXPECT_THROW((void)SolverRegistry::create("multi_start")
-                     ->solve(bowl_2d(), config),
+    EXPECT_THROW((void)multi_start->validate(bowl_2d(), config),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)multi_start->solve(bowl_2d(), config),
                  std::invalid_argument)
         << bad;
   }
   SolverConfig fine;
   fine.set("starts", 3.0);
-  EXPECT_EQ(fine.count_or("starts", 8), 3u);
-  EXPECT_EQ(fine.count_or("absent", 8), 8u);
+  EXPECT_NO_THROW(multi_start->check_options(fine));
+  EXPECT_NO_THROW(multi_start->check_options(SolverConfig{}));
 }
 
 TEST(SolverConfigTest, SeedIsHonoredByStochasticSolvers) {

@@ -242,6 +242,43 @@ TEST(AnalysisGraphTest, ValidateRunsTheSolverCapabilityCheck) {
       << body;
 }
 
+TEST(AnalysisGraphTest, ValidateChecksTheInnerSolverOfMultiStart) {
+  // multi_start runs its inner solver's capability check on the box too.
+  AnalysisGraph graph(1 << 20);
+  const std::string body = graph.validate(
+      "param T in [1, 365];\ntree B;\ntoplevel b;\nb prob = 1 / T;\n"
+      "hazard B cost = 1;\n"
+      "solver multi_start inner = differential_evolution;\n",
+      options_named("m"));
+  EXPECT_NE(body.find("differential_evolution needs at least 2-dimensional "
+                      "problems"),
+            std::string::npos)
+      << body;
+}
+
+TEST(AnalysisGraphTest, ValidateTakesTheRequestOverrides) {
+  // The request's solver/engine options are checked as `run` would check
+  // them, and they are part of the validate cache key: the same document
+  // with and without a bad extra gets two answers.
+  AnalysisGraph graph(1 << 20);
+  AnalysisOptions bad = options_named("m");
+  bad.extras = {"starts=0"};
+  const std::string refused = graph.validate(kDoc, bad);
+  EXPECT_NE(refused.find("\"valid\": false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("multi_start (inner nelder_mead) option "
+                         "\\\"starts\\\" must be an integer >= 1, got 0"),
+            std::string::npos)
+      << refused;
+  const std::string ok = graph.validate(kDoc, options_named("m"));
+  EXPECT_NE(ok.find("\"valid\": true"), std::string::npos) << ok;
+
+  AnalysisOptions engine = options_named("m");
+  engine.engine = "mc";
+  engine.engine_options = {"trials=0"};
+  EXPECT_NE(graph.validate(kDoc, engine).find("\"valid\": false"),
+            std::string::npos);
+}
+
 TEST(AnalysisGraphTest, ValidateReportsProblemsAndCachesByCanonicalHash) {
   AnalysisGraph graph(1 << 20);
   const std::string ok = graph.validate(kDoc, options_named("m"));

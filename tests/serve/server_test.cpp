@@ -210,6 +210,48 @@ TEST(ServerTest, RemovedSolverIsAnUnknownSolver) {
   server.stop();
 }
 
+// Solver and engine option values are checked against their declared
+// tables before any work: a value that used to reach a contract (and abort
+// the whole process, for every tenant) is a 400, and the server goes on.
+TEST(ServerTest, OutOfRangeOptionsAreBadRequestsAndTheServerGoesOn) {
+  Server server(small_server_options());
+  server.start();
+  const auto port = server.port();
+  std::string grid_doc = kDoc;
+  const std::string solver_line =
+      "solver multi_start starts = 2 inner = nelder_mead;";
+  grid_doc.replace(grid_doc.find(solver_line), solver_line.size(),
+                   "solver grid_search points_per_dimension = 1;");
+  const auto grid = http_request(
+      port, "POST", "/v1/optimize",
+      "{\"document\": " + json_document(grid_doc) + ", \"model\": \"m\"}");
+  EXPECT_EQ(grid.status, 400) << grid.raw;
+  EXPECT_NE(grid.body.find("points_per_dimension"), std::string::npos)
+      << grid.body;
+
+  const auto unknown = http_request(
+      port, "POST", "/v1/optimize",
+      "{\"document\": " + json_document(kDoc) +
+          ", \"extras\": [\"bogus_key=1\"]}");
+  EXPECT_EQ(unknown.status, 400) << unknown.raw;
+  EXPECT_NE(unknown.body.find("bogus_key"), std::string::npos)
+      << unknown.body;
+
+  const auto relative = http_request(
+      port, "POST", "/v1/quantify",
+      "{\"document\": " + json_document(kDoc) +
+          ", \"engine\": \"mc_adaptive\", \"engine_options\": "
+          "[\"relative=true\", \"target_halfwidth=2\"]}");
+  EXPECT_EQ(relative.status, 400) << relative.raw;
+  EXPECT_NE(relative.body.find("target_halfwidth"), std::string::npos)
+      << relative.body;
+
+  const auto healthy =
+      http_request(port, "POST", "/v1/quantify", quantify_body("m"));
+  EXPECT_EQ(healthy.status, 200) << healthy.raw;
+  server.stop();
+}
+
 TEST(ServerTest, NonFiniteEvaluationPointIsBadRequest) {
   // The JSON decoder reads 1e999 as +inf; W - B at W = B = inf would be a
   // NaN leaf probability. The request is refused with 400 instead of

@@ -1,6 +1,6 @@
 // safeopt — drive the whole optimization pipeline from the shell.
 //
-//   safeopt validate <model.ft>               parse + semantic summary
+//   safeopt validate <model.ft> [options]     parse + semantic summary
 //   safeopt quantify <model.ft> [options]     quantify hazards at a point
 //   safeopt run      <model.ft> [options]     optimize, report the optimum
 //   safeopt serve    [options]                multi-tenant HTTP service
@@ -11,7 +11,7 @@
 // renderer the HTTP service uses, so `safeopt quantify --json` and
 // POST /v1/quantify produce byte-identical documents.
 //
-// Options (run/quantify):
+// Options (validate/run/quantify; validate checks them as run would):
 //   --solver NAME     override the document's solver (registry name)
 //   --engine NAME     override the document's engine (fta | bdd | mc | ...)
 //   --extra K=V       solver extra (repeatable; e.g. --extra starts=16)
@@ -45,6 +45,7 @@
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "safeopt/support/build_info.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/json.h"
+#include "safeopt/support/options.h"
 #include "safeopt/support/strings.h"
 
 namespace {
@@ -99,7 +101,7 @@ int usage(const char* error = nullptr) {
       "usage: safeopt <command> <model.ft> [options]\n"
       "\n"
       "commands:\n"
-      "  validate   parse the model and report its structure\n"
+      "  validate   check the model and the options as run would\n"
       "  quantify   quantify every hazard at a parameter point\n"
       "  run        minimize the cost function, report the optimum\n"
       "  serve      multi-tenant quantification service (docs/service.md)\n"
@@ -125,10 +127,30 @@ int usage(const char* error = nullptr) {
       "\n"
       "engine options (--engine-opt, one typed schema for documents and "
       "CLI):\n");
-  for (const core::EngineOptionDoc& doc : core::engine_option_docs()) {
-    std::fprintf(stderr, "  %-18s %-6s %s\n",
-                 std::string(doc.name).c_str(), std::string(doc.type).c_str(),
-                 std::string(doc.doc).c_str());
+  for (const OptionSpec& row : core::engine_option_docs()) {
+    std::fprintf(stderr, "  %-18s %-6s %s\n", std::string(row.name).c_str(),
+                 std::string(kind_name(row.kind)).c_str(),
+                 std::string(row.doc).c_str());
+  }
+  // One declared table per solver: what a document's solver section,
+  // --extra and a request's extras accept (unknown keys are refused).
+  const auto print_options = [](std::span<const OptionSpec> rows) {
+    for (const OptionSpec& row : rows) {
+      std::fprintf(stderr, "    %-22s %s; %s\n",
+                   std::string(row.name).c_str(),
+                   describe_option(row).c_str(), std::string(row.doc).c_str());
+    }
+  };
+  std::fprintf(stderr,
+               "\nsolver options (--extra, one declared table per solver):\n"
+               "  every solver:\n");
+  print_options(opt::reserved_solver_options());
+  for (const std::string& name : opt::SolverRegistry::available()) {
+    const opt::SolverTraits traits =
+        opt::SolverRegistry::create(name)->traits();
+    if (traits.options.empty()) continue;
+    std::fprintf(stderr, "  %s:\n", name.c_str());
+    print_options(traits.options);
   }
   return 2;
 }
@@ -267,12 +289,13 @@ int run_validate(const ftio::StudyDocument& doc, const Options& options) {
   // assembly checks it runs mean a validated parameterized model cannot
   // fail to load in `safeopt run`. A constant model (no params) is valid
   // for `quantify` only; that limitation is a note here, not a failure.
-  const std::vector<std::string> problems = serve::validate_problems(doc);
+  const std::vector<std::string> problems =
+      serve::validate_problems(doc, options);
   std::vector<std::string> notes;
   if (doc.parameters.empty() && !doc.hazards.empty()) {
     try {
       (void)core::document_solver_selection(doc);
-      (void)core::document_engine_selection(doc);
+      (void)core::document_engine_selection(doc, options);
       notes.emplace_back(
           "constant model (no `param` declarations): `safeopt quantify` "
           "works, `safeopt run` needs free parameters");
