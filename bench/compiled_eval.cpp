@@ -54,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "safeopt/core/safety_optimizer.h"
 #include "safeopt/core/study.h"
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/expr/compiled.h"
@@ -107,7 +106,7 @@ int main(int argc, char** argv) {
   grid = std::max<std::size_t>(grid, 2);
 
   const elbtunnel::ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
+  const core::Study tunnel = model.study();
   const expr::Expr cost = model.cost_model().cost_expression();
   const core::ParameterSpace space = model.parameter_space();
   const auto compiled = expr::CompiledExpr::compile(cost, space.names());
@@ -291,7 +290,7 @@ int main(int argc, char** argv) {
   tree_problem.objective = [&space, &cost](std::span<const double> x) {
     return cost.evaluate(space.assignment(x));
   };
-  const opt::Problem compiled_problem = optimizer.problem();
+  const opt::Problem compiled_problem = tunnel.problem();
 
   const auto grid_search = opt::SolverRegistry::create("grid_search");
   const auto grid_tree = grid_search->solve(tree_problem);

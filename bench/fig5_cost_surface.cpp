@@ -13,8 +13,8 @@
 int main() {
   using namespace safeopt;
   const elbtunnel::ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
-  const opt::Problem problem = optimizer.problem();
+  core::Study study = model.study();
+  const opt::Problem problem = study.problem();
 
   std::printf("=== Fig. 5: cost surface around the minimum ===\n\n");
 
@@ -66,8 +66,8 @@ int main() {
   std::printf("surface band: %.7f .. %.7f  (paper: ~0.0046 .. 0.0047)\n\n",
               lo, hi);
 
-  const auto zoomed = optimizer.optimize("grid_search");
-  const auto simplex = optimizer.optimize("multi_start");
+  const auto zoomed = study.solver("grid_search").run();
+  const auto simplex = study.solver("multi_start").run();
   std::printf("full-box grid zoom:   T1=%.2f T2=%.2f cost=%.7f\n",
               zoomed.optimization.argmin[0], zoomed.optimization.argmin[1],
               zoomed.cost);

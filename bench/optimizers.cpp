@@ -60,7 +60,7 @@ opt::Problem rosenbrock() {
 
 void quality_table() {
   const elbtunnel::ElbtunnelModel model;
-  const opt::Problem& problem = model.optimizer().problem();
+  const opt::Problem& problem = model.study().problem();
 
   // Best-known optimum from a multi-start run.
   const auto reference = solve("multi_start", problem);
@@ -104,7 +104,7 @@ std::string json_string(const std::string& text) {
 
 int results_report(const char* path) {
   const elbtunnel::ElbtunnelModel model;
-  const opt::Problem& tunnel = model.optimizer().problem();
+  const opt::Problem& tunnel = model.study().problem();
   // golden_section is 1-D only: give it the T2 axis of the same cost
   // surface with T1 pinned at the paper's optimum.
   opt::Problem line;
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   }
   quality_table();
   static const opt::Problem tunnel =
-      elbtunnel::ElbtunnelModel().optimizer().problem();
+      elbtunnel::ElbtunnelModel().study().problem();
   static const opt::Problem valley = rosenbrock();
   for (const std::string& solver : box_solvers()) {
     benchmark::RegisterBenchmark(

@@ -82,7 +82,7 @@ int main() {
 
   const auto expected = robust.optimize(core::RobustCriterion::kExpectedValue);
   const auto minimax = robust.optimize(core::RobustCriterion::kWorstCase);
-  const auto nominal = model.optimizer().optimize();
+  const auto nominal = model.study().run();
 
   std::printf("  %-22s T1=%6.2f T2=%6.2f  E[cost]=%.6f  worst=%.6f\n",
               "nominal-model optimum", nominal.optimization.argmin[0],

@@ -65,7 +65,6 @@ CHECKPOINTED_FILES = {
     "src/prep/preprocess.cpp",
     "src/mc/adaptive_monte_carlo.cpp",
     "src/opt/solver.cpp",
-    "src/opt/multi_start.cpp",
     "src/serve/analysis_graph.cpp",
 }
 

@@ -10,6 +10,8 @@
 #     optimize == `safeopt run --seed 7`, validate == `safeopt validate`);
 #   * sends the 1k-corpus document under deadline_ms=1 and requires the
 #     HTTP 504 / deadline_exceeded taxonomy mapping;
+#   * sends a grid_search study whose engine build outlasts deadline_ms=1
+#     to /v1/optimize and requires a 200 with "converged": false or a 504;
 #   * checks GET /v1/stats still answers afterwards and carries the build
 #     info string.
 #
@@ -110,11 +112,23 @@ STATUS=$(curl -s -o "$WORK/deadline_http.json" -w "%{http_code}" \
 grep -q '"category": "deadline_exceeded"' "$WORK/deadline_http.json" \
   || fail "504 body lacks the deadline_exceeded taxonomy category"
 
+# --- grid_search past its deadline: a partial result or a 504, no crash -----
+request_body "$SRC/tests/cli/grid_vote_6_of_16.ft" deadline_ms 1 \
+  > "$WORK/grid_deadline_req.json"
+STATUS=$(curl -s -o "$WORK/grid_deadline_http.json" -w "%{http_code}" \
+  -X POST --data-binary @"$WORK/grid_deadline_req.json" "$BASE/v1/optimize")
+case "$STATUS" in
+  200) grep -q '"converged": false' "$WORK/grid_deadline_http.json" \
+         || fail "deadline_ms=1 grid_search optimize answered 200 without \"converged\": false" ;;
+  504) ;;
+  *) fail "deadline_ms=1 grid_search optimize returned $STATUS, wanted 200 or 504" ;;
+esac
+
 # --- the server is still healthy and reports its build ---------------------
 STATUS=$(curl -s -o "$WORK/stats.json" -w "%{http_code}" "$BASE/v1/stats")
 [ "$STATUS" = "200" ] || fail "GET /v1/stats returned $STATUS"
 grep -q '"build":"safeopt' "$WORK/stats.json" \
   || fail "/v1/stats body lacks the build info string"
 
-echo "serve smoke: quantify/optimize/validate parity, 504 deadline, stats OK"
+echo "serve smoke: quantify/optimize/validate parity, 504 deadline, grid deadline, stats OK"
 exit 0

@@ -7,10 +7,9 @@
 // sampling checks the independence assumptions). `QuantificationEngine`
 // makes that exchangeability a first-class API: every engine consumes the
 // same numeric `fta::QuantificationInput` (produced on the compiled-tape hot
-// path by `LeafTapes::input_at`) and reports a
-// `QuantificationResult` plus capability flags, so callers — `core::Study`,
-// cross-validation benches, future sharded backends — can pick a backend by
-// name at runtime:
+// path by `LeafTapes::input_at`) and reports a `QuantificationResult`, so
+// callers — `core::Study`, cross-validation benches, future sharded
+// backends — can pick a backend by name at runtime:
 //
 //   "fta"         cut-set engine (rare-event / min-cut upper bound /
 //                 inclusion-exclusion; importance measures supported)
@@ -50,25 +49,6 @@ class ExecutionControl;  // support/execution.h
 
 namespace safeopt::core {
 
-/// What one engine can and cannot do; checked by callers, not enforced.
-struct EngineCapabilities {
-  /// No method error: the reported probability is the exact top-event
-  /// probability under leaf independence (bdd; fta with inclusion-exclusion).
-  bool exact = false;
-  /// The result carries sampling error (and a confidence interval).
-  bool sampled = false;
-  /// The backing method can also rank importance *measures* (the cut-set
-  /// engine: fta::importance_measures shares its mcs + method).
-  bool importance = false;
-  /// quantify_batch has a real batched implementation (not the base-class
-  /// loop); batching is where sharded/distributed engines plug in.
-  bool batch = false;
-  /// Sampling runs under a tilted proposal with likelihood-ratio
-  /// reweighting (the adaptive MC engine with tilt > 1); the result's `ess`
-  /// diagnostic is then meaningfully smaller than `trials`.
-  bool importance_sampling = false;
-};
-
 /// What preprocessing did to the tree an engine quantifies — filled by the
 /// "bdd" engine, surfaced by `safeopt quantify --json` next to the sampling
 /// diagnostics.
@@ -89,7 +69,7 @@ struct PreprocessSummary {
 /// Outcome of one quantification.
 struct QuantificationResult {
   double probability = 0.0;
-  /// 95% confidence interval; engines with capabilities().sampled only.
+  /// 95% confidence interval; sampled engines (mc, mc_adaptive) only.
   std::optional<stats::ConfidenceInterval> ci95;
   /// Trials drawn (sampled engines), 0 otherwise.
   std::uint64_t trials = 0;
@@ -215,7 +195,6 @@ class QuantificationEngine {
   virtual ~QuantificationEngine() = default;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual EngineCapabilities capabilities() const noexcept = 0;
   [[nodiscard]] virtual const fta::FaultTree& tree() const noexcept = 0;
 
   /// P(top event) under `input`. Precondition: input.is_valid_for(tree()).
@@ -226,7 +205,7 @@ class QuantificationEngine {
       const ExecutionControl* control = nullptr) const = 0;
 
   /// Quantifies many inputs. The base implementation is a serial loop;
-  /// engines with capabilities().batch override it with a real batched path.
+  /// engines with a real batched path (the Monte Carlo engines) override it.
   [[nodiscard]] virtual std::vector<QuantificationResult> quantify_batch(
       const std::vector<fta::QuantificationInput>& inputs,
       const ExecutionControl* control = nullptr) const;

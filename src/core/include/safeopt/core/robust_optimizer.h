@@ -13,11 +13,12 @@
 #define SAFEOPT_CORE_ROBUST_OPTIMIZER_H
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "safeopt/core/parameter_space.h"
-#include "safeopt/core/safety_optimizer.h"
 #include "safeopt/expr/expr.h"
+#include "safeopt/opt/solver.h"
 #include "safeopt/support/rng.h"
 
 namespace safeopt::core {

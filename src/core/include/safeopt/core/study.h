@@ -18,10 +18,10 @@
 //        .engine("bdd");
 //   const auto exact = study.quantify("HCol", result.optimal_parameters);
 //
-// Study subsumes SafetyOptimizer::optimize/evaluate_at/compare: it wraps a
-// SafetyOptimizer and shares its compiled problem, so repeated run() calls
-// reuse one tape, and a solver named the same way gives the same result bit
-// for bit whichever front door named it.
+// Study owns the cost model, the parameter box and the compiled numeric
+// problem, and calls the selected solver itself: repeated run() calls reuse
+// one tape, and a solver named the same way gives the same result bit for
+// bit whichever front door named it.
 //
 // Thread safety: a Study is fully built once configured. Constructing it
 // compiles the cost tape behind problem(); attaching a tree compiles its
@@ -44,11 +44,13 @@
 #include <string_view>
 #include <vector>
 
+#include "safeopt/core/cost_model.h"
 #include "safeopt/core/leaf_tapes.h"
+#include "safeopt/core/parameter_space.h"
 #include "safeopt/core/parameterized_fta.h"
 #include "safeopt/core/quantification_engine.h"
-#include "safeopt/core/safety_optimizer.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/opt/problem.h"
 #include "safeopt/opt/solver.h"
 
 namespace safeopt {
@@ -56,6 +58,31 @@ class ExecutionControl;  // support/execution.h
 }
 
 namespace safeopt::core {
+
+/// Result of a safety optimization run: the solver outcome plus the
+/// safety-level interpretation (per-hazard probabilities at the optimum).
+struct SafetyOptimizationResult {
+  opt::OptimizationResult optimization;
+  expr::ParameterAssignment optimal_parameters;
+  std::vector<double> hazard_probabilities;  // hazard order of the CostModel
+  double cost = 0.0;                         // == optimization.value
+};
+
+/// Per-hazard baseline-vs-optimum comparison; `relative_change` is
+/// (optimal − baseline) / baseline (e.g. −0.10 == 10% risk reduction).
+struct HazardComparison {
+  std::string hazard;
+  double baseline_probability = 0.0;
+  double optimal_probability = 0.0;
+  double relative_change = 0.0;
+};
+
+struct ComparisonReport {
+  double baseline_cost = 0.0;
+  double optimal_cost = 0.0;
+  double cost_relative_change = 0.0;
+  std::vector<HazardComparison> hazards;
+};
 
 /// Caller overrides layered on a document's own selections, with the
 /// semantics of the CLI's --solver/--extra/--seed/--engine/--engine-opt and
@@ -72,7 +99,9 @@ struct StudyOverrides {
 
 class Study {
  public:
-  /// The cost model's expressions may only mention parameters of `space`.
+  /// The cost model's expressions may only mention parameters of `space`
+  /// (a contract: violating it aborts). Compiles the cost tape behind
+  /// problem().
   Study(CostModel model, ParameterSpace space);
 
   // ---- declarative construction (ftio grammar v2) --------------------------
@@ -137,11 +166,16 @@ class Study {
 
   /// Minimizes f_cost over the parameter box with the configured solver.
   /// A non-null `control` replaces the solver config's control for this
-  /// call (deadline/cancel return the best point so far).
+  /// call (deadline/cancel return the best point so far). A solve with no
+  /// observer, budget or control and no pool of its own runs on
+  /// ThreadPool::shared(); the result does not depend on its thread count.
+  /// Throws std::invalid_argument for unknown solver names and
+  /// solver/problem mismatches (e.g. golden_section on a 2-D box).
   [[nodiscard]] SafetyOptimizationResult run(
       const ExecutionControl* control = nullptr) const;
 
-  /// Evaluates cost and hazard probabilities at a configuration.
+  /// Evaluates cost and hazard probabilities at a configuration (e.g. the
+  /// engineers' initial guess).
   [[nodiscard]] SafetyOptimizationResult evaluate_at(
       const expr::ParameterAssignment& configuration) const;
 
@@ -161,18 +195,15 @@ class Study {
 
   // ---- access --------------------------------------------------------------
 
-  /// The compiled numeric problem; one tape per Study, address-stable.
-  /// The rvalue overload returns a copy so a temporary Study cannot hand
-  /// out a dangling reference.
-  [[nodiscard]] const opt::Problem& problem() const& {
-    return optimizer_.problem();
-  }
-  [[nodiscard]] opt::Problem problem() const&& { return problem(); }
-  [[nodiscard]] const CostModel& model() const noexcept {
-    return optimizer_.model();
-  }
+  /// The compiled numeric problem (objective + batch path + box), exposed
+  /// for benches and custom solvers; one tape per Study, address-stable and
+  /// shared by copies. The rvalue overload returns a copy (cheap, it shares
+  /// the tape) so a temporary Study cannot hand out a dangling reference.
+  [[nodiscard]] const opt::Problem& problem() const& { return *problem_; }
+  [[nodiscard]] opt::Problem problem() const&& { return *problem_; }
+  [[nodiscard]] const CostModel& model() const noexcept { return model_; }
   [[nodiscard]] const ParameterSpace& space() const noexcept {
-    return optimizer_.space();
+    return space_;
   }
   [[nodiscard]] const std::string& solver_name() const noexcept {
     return solver_name_;
@@ -220,7 +251,9 @@ class Study {
   void resolve_backend();
 
   std::shared_ptr<const OwnedModel> owned_;
-  SafetyOptimizer optimizer_;
+  CostModel model_;
+  ParameterSpace space_;
+  std::shared_ptr<const opt::Problem> problem_;  // shared by copies
   std::string solver_name_ = "multi_start";
   opt::SolverConfig solver_config_;
   std::string engine_name_ = "fta";

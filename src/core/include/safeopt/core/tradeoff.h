@@ -6,10 +6,12 @@
 #ifndef SAFEOPT_CORE_TRADEOFF_H
 #define SAFEOPT_CORE_TRADEOFF_H
 
+#include <string_view>
 #include <vector>
 
+#include "safeopt/core/cost_model.h"
 #include "safeopt/core/parameter_space.h"
-#include "safeopt/core/safety_optimizer.h"
+#include "safeopt/opt/solver.h"
 
 namespace safeopt::core {
 

@@ -79,13 +79,6 @@ class CutSetEngine final : public QuantificationEngine {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "fta";
   }
-  [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
-    EngineCapabilities caps;
-    caps.exact =
-        config_.method == fta::ProbabilityMethod::kInclusionExclusion;
-    caps.importance = true;
-    return caps;
-  }
   [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
     return tree_;
   }
@@ -135,11 +128,6 @@ class BddEngine final : public QuantificationEngine {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "bdd";
   }
-  [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
-    EngineCapabilities caps;
-    caps.exact = true;
-    return caps;
-  }
   [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
     return tree_;
   }
@@ -181,13 +169,6 @@ class AdaptiveMonteCarloEngine final : public QuantificationEngine {
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
-  }
-  [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
-    EngineCapabilities caps;
-    caps.sampled = true;
-    caps.batch = true;
-    caps.importance_sampling = sampler_.options().tilt > 1.0;
-    return caps;
   }
   [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
     return tree_;

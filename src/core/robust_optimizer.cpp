@@ -1,7 +1,9 @@
 #include "safeopt/core/robust_optimizer.h"
 
 #include <algorithm>
+#include <string>
 
+#include "safeopt/core/study.h"
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/thread_pool.h"
 
@@ -64,8 +66,9 @@ RobustOptimizationResult RobustSafetyOptimizer::optimize(
                         ? scenarios_.expected_cost()
                         : scenarios_.worst_case_cost(),
                     1.0});
-  const SafetyOptimizer inner(std::move(model), space_);
-  const SafetyOptimizationResult inner_result = inner.optimize(solver, config);
+  Study inner(std::move(model), space_);
+  const SafetyOptimizationResult inner_result =
+      inner.solver(std::string(solver), config).run();
 
   RobustOptimizationResult result;
   result.optimization = inner_result.optimization;
@@ -102,8 +105,9 @@ double RobustSafetyOptimizer::max_regret(
         for (std::size_t i = begin; i < end; ++i) {
           CostModel model;
           model.add_hazard({"scenario", scenarios_[i], 1.0});
-          const SafetyOptimizer solo(std::move(model), space_);
-          const double scenario_best = solo.optimize(solver, config).cost;
+          Study solo(std::move(model), space_);
+          const double scenario_best =
+              solo.solver(std::string(solver), config).run().cost;
           const double here = scenarios_[i].evaluate(configuration);
           regrets[i] = here - scenario_best;
         }

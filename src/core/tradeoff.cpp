@@ -1,7 +1,9 @@
 #include "safeopt/core/tradeoff.h"
 
 #include <cmath>
+#include <string>
 
+#include "safeopt/core/study.h"
 #include "safeopt/support/contracts.h"
 
 namespace safeopt::core {
@@ -27,8 +29,9 @@ std::vector<TradeoffPoint> tradeoff_curve(
     CostModel weighted;
     weighted.add_hazard(Hazard{a.name, a.probability, ratio});
     weighted.add_hazard(Hazard{b.name, b.probability, 1.0});
-    const SafetyOptimizer optimizer(std::move(weighted), space);
-    const SafetyOptimizationResult result = optimizer.optimize(solver, config);
+    Study study(std::move(weighted), space);
+    const SafetyOptimizationResult result =
+        study.solver(std::string(solver), config).run();
 
     TradeoffPoint point;
     point.cost_ratio = ratio;

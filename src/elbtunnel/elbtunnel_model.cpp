@@ -124,8 +124,8 @@ core::CostModel ElbtunnelModel::cost_model() const {
   return model;
 }
 
-core::SafetyOptimizer ElbtunnelModel::optimizer() const {
-  return core::SafetyOptimizer(cost_model(), parameter_space());
+core::Study ElbtunnelModel::study() const {
+  return core::Study(cost_model(), parameter_space());
 }
 
 fta::FaultTree ElbtunnelModel::collision_tree() const {

@@ -22,7 +22,7 @@
 #include "safeopt/core/cost_model.h"
 #include "safeopt/core/parameter_space.h"
 #include "safeopt/core/parameterized_fta.h"
-#include "safeopt/core/safety_optimizer.h"
+#include "safeopt/core/study.h"
 #include "safeopt/elbtunnel/model_parameters.h"
 #include "safeopt/expr/expr.h"
 #include "safeopt/fta/fault_tree.h"
@@ -78,11 +78,13 @@ class ElbtunnelModel {
   /// controlled area").
   [[nodiscard]] expr::Expr false_alarm_given_ohv(Design design) const;
 
-  // ---- cost model and optimizer (paper §IV-C.1) ----------------------------
+  // ---- cost model and study (paper §IV-C.1) --------------------------------
 
   /// f_cost(T1,T2) = 100000·P(HCol) + 1·P(HAlr).
   [[nodiscard]] core::CostModel cost_model() const;
-  [[nodiscard]] core::SafetyOptimizer optimizer() const;
+  /// The cost model over the timer box, ready to run (multi_start by
+  /// default).
+  [[nodiscard]] core::Study study() const;
 
   // ---- fault-tree derivation (paper §IV-B.2) -------------------------------
 

@@ -13,8 +13,9 @@ namespace {
 
 constexpr OptionSpec kOptions[] = {
     {.name = "population", .kind = OptionKind::kCount, .min = 4,
-     .zero_means = "auto", .fallback = 0,
-     .doc = "population size (auto: max(15, 10 x dimension))"},
+     .max = 1000000, .zero_means = "auto", .fallback = 0,
+     .doc = "population size (auto: max(15, 10 x dimension); at most "
+            "1,000,000, since the population is allocated up front)"},
     {.name = "differential_weight", .kind = OptionKind::kNumber, .min = 0,
      .max = 2, .min_exclusive = true, .fallback = 0.7,
      .doc = "differential weight F of a + F(b - c)"},

@@ -73,7 +73,8 @@ struct OptimizationResult {
   std::vector<double> argmin;
   double value = 0.0;
   std::size_t evaluations = 0;  // objective calls
-  std::size_t iterations = 0;   // algorithm-specific outer iterations
+  std::size_t iterations = 0;   // algorithm-specific outer iterations; 0
+                                // when a refused evaluation cut it short
   bool converged = false;
   std::string message;
 };

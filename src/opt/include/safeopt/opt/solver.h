@@ -14,8 +14,9 @@
 //   * a progress observer (iteration, evaluations used, best-so-far) honored
 //     uniformly by every solver — instrumentation wraps the problem, so the
 //     numeric trajectory is bitwise-unchanged whether or not anyone listens;
-//   * an evaluation budget enforced uniformly (at batch granularity), with
-//     the best-so-far point returned when the budget runs out;
+//   * an evaluation budget and a cooperative control enforced uniformly
+//     (at batch granularity) by one stop point: a refused evaluation
+//     unwinds the solver, and solve() returns the best-so-far point;
 //   * capability traits (dimension limits) validated before the run,
 //     failing fast with std::invalid_argument — e.g. golden_section on a
 //     multi-dimensional box;
@@ -82,15 +83,15 @@ struct SolverConfig {
   /// Objective-evaluation budget; 0 = unlimited. Enforced uniformly by the
   /// instrumentation layer at batch granularity: a batch that begins under
   /// budget runs to completion, the reported evaluation count never exceeds
-  /// the budget, and an exhausted run returns the best point seen with
-  /// converged = false.
+  /// the budget, the next request unwinds the solver, and the run returns
+  /// the best point seen with converged = false.
   std::size_t max_evaluations = 0;
   /// Seed for stochastic solvers; nullopt keeps the solver's default seed.
   std::optional<std::uint64_t> seed;
   /// Optional worker pool for solvers that parallelize (multi_start runs
   /// its starts on it). Results do not depend on the thread count when the
   /// solve is uninstrumented; with a budget or a control, which start gets
-  /// cut short depends on scheduling. core::SafetyOptimizer attaches
+  /// cut short depends on scheduling. core::Study::run attaches
   /// ThreadPool::shared() to uninstrumented solves that name no pool. Not
   /// owned; must outlive the solve call.
   ThreadPool* pool = nullptr;
@@ -103,13 +104,13 @@ struct SolverConfig {
   /// Progress observer; empty = no instrumentation (zero overhead).
   ProgressObserver observer;
   /// Cooperative deadline/cancellation, checked by the instrumentation
-  /// layer at evaluation granularity: once the control fires, further
-  /// objective calls report +inf without evaluating, the solver winds down
-  /// on its own, and solve() returns the best point seen with
-  /// converged = false and a message naming the abort reason — partial
-  /// results, never an exception, exactly like budget exhaustion. Not
-  /// owned; must outlive the solve call. nullptr (the default) keeps the
-  /// uninstrumented fast path bit-identical and overhead-free.
+  /// layer at evaluation granularity: once the control fires, the next
+  /// evaluation request unwinds the solver, and solve() returns the best
+  /// point seen with converged = false and a message naming the abort
+  /// reason — partial results, never an exception, exactly like budget
+  /// exhaustion. Not owned; must outlive the solve call. nullptr (the
+  /// default) keeps the uninstrumented fast path bit-identical and
+  /// overhead-free.
   const ExecutionControl* control = nullptr;
 
   /// True when solve() wraps the problem to observe, budget or poll it:
@@ -195,7 +196,10 @@ class Solver {
   /// Runs validate(), instruments the problem when an observer, an
   /// evaluation budget or a control is configured, and runs the numeric
   /// method. Without observer/budget/control the problem is passed through
-  /// untouched.
+  /// untouched. An instrumented run that is refused an evaluation (budget
+  /// spent, control fired) is unwound here and returns the best point seen
+  /// — config.initial or the box center at +inf when nothing was evaluated
+  /// — with iterations = 0 and converged = false.
   [[nodiscard]] OptimizationResult solve(const Problem& problem,
                                          const SolverConfig& config = {}) const;
 
@@ -234,7 +238,9 @@ class Solver {
 
  private:
   /// The numeric method. `problem` is pre-validated (and instrumented when
-  /// the config asks for observation or budgeting).
+  /// the config asks for observation, budgeting or a control). An
+  /// instrumented problem stops the run by throwing from an evaluation:
+  /// run() must let that propagate, and hold nothing a throw would leak.
   [[nodiscard]] virtual OptimizationResult run(
       const Problem& problem, const SolverConfig& config) const = 0;
 };

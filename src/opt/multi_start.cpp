@@ -12,19 +12,16 @@
 // sequential run for any thread count — provided the problem's objective is
 // thread-safe (expression evaluation and compiled tapes both are).
 //
-// With config.control, multi_start polls it once before claiming each
-// start and claims no start after it fires. The starts themselves run
-// without a control: they evaluate the problem solve() already wrapped, and
-// that wrapper polls once per evaluation.
+// Budgets and controls are enforced by the instrumentation solve() wraps
+// around the problem every start evaluates: a refused evaluation unwinds
+// the start that asked for it, and through the pool every other start.
 #include <algorithm>
 #include <atomic>
 #include <iterator>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "builtin_solvers.h"
-#include "safeopt/support/execution.h"
 #include "safeopt/support/rng.h"
 #include "safeopt/support/strings.h"
 #include "safeopt/support/thread_pool.h"
@@ -37,16 +34,17 @@ constexpr OptionSpec kOptions[] = {
      .fallback_text = "nelder_mead",
      .doc = "registry name of the local solver each start runs; its own "
             "options pass through"},
-    {.name = "starts", .kind = OptionKind::kCount, .min = 1, .fallback = 8,
-     .doc = "number of starts"},
+    {.name = "starts", .kind = OptionKind::kCount, .min = 1, .max = 100000,
+     .fallback = 8,
+     .doc = "number of starts (at most 100,000: each start's point and "
+            "result are allocated up front)"},
 };
 
-/// Honors config.seed (start-point stream, default 0x5eedbed), config.pool
-/// (concurrent starts) and config.control (checked between starts). The
-/// inner solver inherits the stopping rule, the seed and the extras its
-/// own table declares; observer, budget and control instrumentation stays
-/// at the outer level, where it already wraps the problem every start
-/// evaluates.
+/// Honors config.seed (start-point stream, default 0x5eedbed) and
+/// config.pool (concurrent starts). The inner solver inherits the stopping
+/// rule, the seed and the extras its own table declares; observer, budget
+/// and control instrumentation stays at the outer level, where it already
+/// wraps the problem every start evaluates.
 class MultiStart final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -128,22 +126,12 @@ class MultiStart final : public Solver {
       }
     }
 
-    // Every claimed start runs, and claims are handed out in index order,
-    // so the starts that ran are always the prefix [0, min(next, starts)).
+    // Each worker claims the next start index until none is left.
     std::vector<OptimizationResult> results(starts);
     std::atomic<std::size_t> next{0};
-    std::atomic<ExecutionStatus> abort_status{ExecutionStatus::kRunning};
     const auto claim_starts = [&](std::size_t, std::size_t) {
-      while (next.load(std::memory_order_relaxed) < starts) {
-        if (config.control != nullptr) {
-          const ExecutionStatus status = config.control->status();
-          if (status != ExecutionStatus::kRunning) {
-            abort_status.store(status);
-            return;
-          }
-        }
-        const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
-        if (s >= starts) return;
+      for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+           s < starts; s = next.fetch_add(1, std::memory_order_relaxed)) {
         SolverConfig start_config = start_base;
         start_config.initial = std::move(points[s]);
         results[s] = inner->solve(problem, start_config);
@@ -158,33 +146,20 @@ class MultiStart final : public Solver {
 
     // Sequential reduction in index order with a strict '<' — same winner
     // (first best) as a one-at-a-time loop.
-    const std::size_t ran = std::min(next.load(), starts);
     OptimizationResult best;
     std::size_t total_evaluations = 0;
     std::size_t total_iterations = 0;
-    for (std::size_t s = 0; s < ran; ++s) {
+    for (std::size_t s = 0; s < starts; ++s) {
       total_evaluations += results[s].evaluations;
       total_iterations += results[s].iterations;
       if (s == 0 || results[s].value < best.value) {
         best = std::move(results[s]);
       }
     }
-    if (ran == 0) {  // aborted before the first start: nothing evaluated
-      best.argmin = problem.bounds.center();
-      best.value = std::numeric_limits<double>::infinity();
-    }
     best.evaluations = total_evaluations;
     best.iterations = total_iterations;
-    const ExecutionStatus status = abort_status.load();
-    if (status != ExecutionStatus::kRunning) {
-      // The same report solve() writes when its own poll sees the abort.
-      best.converged = false;
-      best.message = concat(status_reason(status), " after ",
-                            std::to_string(total_evaluations), " evaluations");
-    } else {
-      best.message = concat("best of ", std::to_string(starts), " starts: ",
-                            best.message);
-    }
+    best.message =
+        concat("best of ", std::to_string(starts), " starts: ", best.message);
     return best;
   }
 };

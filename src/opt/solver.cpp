@@ -1,6 +1,5 @@
 #include "safeopt/opt/solver.h"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -102,14 +101,23 @@ void apply_solver_argument(SolverConfig& config,
 
 namespace {
 
+class Instrument;
+
+/// What a refused evaluation throws. Only the solve() that owns `owner`
+/// catches it, so an instrumented solve nested inside another one's
+/// objective unwinds to its own solve() and no further.
+struct Refusal {
+  const Instrument* owner;
+};
+
 /// Wraps a Problem to count evaluations, track the best point, fire the
 /// progress observer, and enforce the evaluation budget. All shared state is
 /// guarded by one mutex (multi_start may evaluate from pool workers); the
 /// wrapped calls produce exactly the values the original problem produces,
-/// so instrumentation never changes a trajectory — it can only cut one short
-/// when the budget runs out, after which the objective reports +inf without
-/// evaluating (the solver then winds down on its own and the best point seen
-/// within budget is returned).
+/// so instrumentation never changes a trajectory — it can only cut one short.
+/// Once the budget is spent or the control has fired, the next evaluation
+/// request throws a Refusal instead of evaluating, which unwinds the solver
+/// (through any pool it runs on) back to solve().
 class Instrument {
  public:
   explicit Instrument(const SolverConfig& config)
@@ -121,7 +129,7 @@ class Instrument {
     Problem wrapped;
     wrapped.bounds = original.bounds;
     wrapped.objective = [this, &original](std::span<const double> x) {
-      if (!reserve(1)) return std::numeric_limits<double>::infinity();
+      reserve(1);
       const double value = original.objective(x);
       record(x, value);
       return value;
@@ -135,11 +143,7 @@ class Instrument {
       wrapped.batch_objective = [this, &original](
                                     std::span<const double> points,
                                     std::span<double> out) {
-        if (!reserve(out.size())) {
-          std::fill(out.begin(), out.end(),
-                    std::numeric_limits<double>::infinity());
-          return;
-        }
+        reserve(out.size());
         original.evaluate_batch(points, out);
         record_batch(points, out);
       };
@@ -150,49 +154,43 @@ class Instrument {
   /// Applies the instrumented accounting to the solver's raw result.
   [[nodiscard]] OptimizationResult finalize(OptimizationResult result) {
     const MutexLock lock(mutex_);
-    if (abort_status_ != ExecutionStatus::kRunning) {
-      result.evaluations = evaluations_;
-      result.converged = false;
-      result.message = concat(status_reason(abort_status_), " after ",
-                              std::to_string(evaluations_), " evaluations");
-      if (!best_point_.empty()) {
-        result.argmin = best_point_;
-        result.value = best_value_;
-      }
-    } else if (exhausted_) {
-      result.evaluations = evaluations_;
-      result.converged = false;
-      result.message = concat("evaluation budget exhausted after ",
-                              std::to_string(evaluations_), " evaluations");
-      if (!best_point_.empty()) {
-        result.argmin = best_point_;
-        result.value = best_value_;
-      }
+    if (abort_status_ == ExecutionStatus::kRunning && !exhausted_) {
+      return result;
+    }
+    result.evaluations = evaluations_;
+    result.converged = false;
+    result.message =
+        concat(abort_status_ != ExecutionStatus::kRunning
+                   ? status_reason(abort_status_)
+                   : std::string_view("evaluation budget exhausted"),
+               " after ", std::to_string(evaluations_), " evaluations");
+    if (!best_point_.empty()) {
+      result.argmin = best_point_;
+      result.value = best_value_;
     }
     return result;
   }
 
  private:
-  /// Books `n` evaluations against the budget. Returns false when the
-  /// budget was already spent (the caller must then report +inf without
-  /// evaluating). A request that straddles the boundary is granted in full
-  /// but billed only up to the budget, keeping the reported count <= budget.
-  [[nodiscard]] bool reserve(std::size_t n) {
+  /// Books `n` evaluations against the budget, or throws a Refusal when
+  /// the budget was already spent or the control has fired. A request that
+  /// straddles the budget is granted in full but billed only up to it,
+  /// keeping the reported count <= budget.
+  void reserve(std::size_t n) {
     const MutexLock lock(mutex_);
     // Abort check first: once the control fires, the refusal is sticky (no
-    // further status polls), every later evaluation reports +inf, and the
-    // run winds down exactly like a spent budget.
+    // further status polls).
     if (control_ != nullptr && abort_status_ == ExecutionStatus::kRunning) {
       abort_status_ = control_->status();
     }
-    if (abort_status_ != ExecutionStatus::kRunning) return false;
+    if (abort_status_ != ExecutionStatus::kRunning) throw Refusal{this};
     if (budget_ == 0) {
       evaluations_ += n;
-      return true;
+      return;
     }
     if (evaluations_ >= budget_) {
       exhausted_ = true;
-      return false;
+      throw Refusal{this};
     }
     if (evaluations_ + n > budget_) {
       // Granted in full, billed up to the budget. A run that finishes using
@@ -203,7 +201,6 @@ class Instrument {
     } else {
       evaluations_ += n;
     }
-    return true;
   }
 
   void record(std::span<const double> x, double value) {
@@ -339,7 +336,18 @@ OptimizationResult Solver::solve(const Problem& problem,
   }
   Instrument instrument(config);
   const Problem wrapped = instrument.wrap(problem);
-  return instrument.finalize(run(wrapped, config));
+  OptimizationResult result;
+  try {
+    result = run(wrapped, config);
+  } catch (const Refusal& refusal) {
+    if (refusal.owner != &instrument) throw;
+    // Cut short: finalize() puts in the best point seen, if any; the
+    // solver never returned, so no iteration is reported.
+    result.argmin =
+        config.initial.empty() ? problem.bounds.center() : config.initial;
+    result.value = std::numeric_limits<double>::infinity();
+  }
+  return instrument.finalize(std::move(result));
 }
 
 // --------------------------------------------------------- SolverRegistry

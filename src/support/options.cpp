@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "safeopt/support/strings.h"
@@ -14,6 +15,14 @@ namespace {
 /// survive the conversion to an integer.
 constexpr double kMaxCount = 9007199254740992.0;  // 2^53
 
+/// A finite bound as messages show it: a count's as a whole number
+/// ("1000000", not "1e+06").
+std::string bound_text(const OptionSpec& row, double bound) {
+  return row.kind == OptionKind::kCount
+             ? std::to_string(static_cast<long long>(bound))
+             : format_double(bound);
+}
+
 /// The accepted range in words: "in [0, 1]", "> 0", ">= 2", "0 (auto) or
 /// >= 4"; empty when any number but NaN fits.
 std::string range_text(const OptionSpec& row) {
@@ -22,11 +31,12 @@ std::string range_text(const OptionSpec& row) {
   std::string range;
   if (has_min && has_max) {
     range = concat("in ", row.min_exclusive ? "(" : "[",
-                   format_double(row.min), ", ", format_double(row.max), "]");
+                   bound_text(row, row.min), ", ", bound_text(row, row.max),
+                   "]");
   } else if (has_min) {
-    range = concat(row.min_exclusive ? "> " : ">= ", format_double(row.min));
+    range = concat(row.min_exclusive ? "> " : ">= ", bound_text(row, row.min));
   } else if (has_max) {
-    range = concat("<= ", format_double(row.max));
+    range = concat("<= ", bound_text(row, row.max));
   }
   if (!row.zero_means.empty()) {
     range = concat("0 (", row.zero_means, ") or ", range);

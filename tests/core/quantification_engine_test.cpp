@@ -63,41 +63,6 @@ TEST(EngineRegistryTest, UnknownEngineNamesThrow) {
   }
 }
 
-TEST(EngineRegistryTest, CapabilityFlagsDescribeTheBackends) {
-  const PumpSystem system;
-  const auto fta_engine = EngineRegistry::create("fta", system.tree);
-  EXPECT_FALSE(fta_engine->capabilities().exact);  // rare-event default
-  EXPECT_TRUE(fta_engine->capabilities().importance);
-  EXPECT_FALSE(fta_engine->capabilities().sampled);
-
-  EngineConfig exact_config;
-  exact_config.method = fta::ProbabilityMethod::kInclusionExclusion;
-  EXPECT_TRUE(EngineRegistry::create("fta", system.tree, exact_config)
-                  ->capabilities()
-                  .exact);
-
-  const auto bdd_engine = EngineRegistry::create("bdd", system.tree);
-  EXPECT_TRUE(bdd_engine->capabilities().exact);
-  EXPECT_FALSE(bdd_engine->capabilities().sampled);
-
-  const auto mc_engine = EngineRegistry::create("mc", system.tree);
-  EXPECT_TRUE(mc_engine->capabilities().sampled);
-  EXPECT_TRUE(mc_engine->capabilities().batch);
-  EXPECT_FALSE(mc_engine->capabilities().exact);
-
-  const auto adaptive = EngineRegistry::create("mc_adaptive", system.tree);
-  EXPECT_TRUE(adaptive->capabilities().sampled);
-  EXPECT_TRUE(adaptive->capabilities().batch);
-  EXPECT_FALSE(adaptive->capabilities().exact);
-  EXPECT_FALSE(adaptive->capabilities().importance_sampling);  // tilt unset
-
-  EngineConfig tilted;
-  tilted.tilt = 25.0;
-  EXPECT_TRUE(EngineRegistry::create("mc_adaptive", system.tree, tilted)
-                  ->capabilities()
-                  .importance_sampling);
-}
-
 TEST(EngineConformanceTest, EnginesAgreeOnThePumpSystem) {
   const PumpSystem system;
   // Oracle: exact integration of the structure function.
@@ -385,9 +350,6 @@ TEST(EngineRegistryTest, RegistrarRegistersACustomEngine) {
     explicit PessimistEngine(const fta::FaultTree& tree) : tree_(tree) {}
     [[nodiscard]] std::string_view name() const noexcept override {
       return "test_pessimist";
-    }
-    [[nodiscard]] EngineCapabilities capabilities() const noexcept override {
-      return {};
     }
     [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
       return tree_;

@@ -1,5 +1,7 @@
-#include "safeopt/core/safety_optimizer.h"
-
+// Safety optimization through core::Study (paper §III): every registered
+// solver on a system with a known optimum, evaluate_at and compare, and the
+// bits every reported number must carry. The suites are named after the
+// paper's safety optimizer, which Study runs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -28,12 +30,12 @@ struct SyntheticSystem {
   double a = 50.0;
   double b = 1.0;
 
-  [[nodiscard]] SafetyOptimizer make() const {
+  [[nodiscard]] Study make() const {
     CostModel model;
     model.add_hazard({"H1", expr::exp(-parameter("x")), a});
     model.add_hazard({"H2", 0.01 * parameter("x"), b});
     ParameterSpace space{{"x", 0.1, 20.0, "", "free parameter"}};
-    return SafetyOptimizer(std::move(model), std::move(space));
+    return Study(std::move(model), std::move(space));
   }
 
   [[nodiscard]] double analytic_optimum() const {
@@ -45,8 +47,8 @@ class EveryAlgorithm : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EveryAlgorithm, FindsTheAnalyticOptimum) {
   const SyntheticSystem system;
-  const SafetyOptimizer optimizer = system.make();
-  const SafetyOptimizationResult result = optimizer.optimize(GetParam());
+  Study study = system.make();
+  const SafetyOptimizationResult result = study.solver(GetParam()).run();
   EXPECT_NEAR(result.optimization.argmin[0], system.analytic_optimum(), 0.05)
       << GetParam();
   EXPECT_EQ(result.hazard_probabilities.size(), 2u);
@@ -64,8 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SafetyOptimizerTest, EvaluateAtReportsConfiguration) {
   const SyntheticSystem system;
-  const SafetyOptimizer optimizer = system.make();
-  const auto at = optimizer.evaluate_at({{"x", 2.0}});
+  const Study study = system.make();
+  const auto at = study.evaluate_at({{"x", 2.0}});
   EXPECT_NEAR(at.hazard_probabilities[0], std::exp(-2.0), 1e-12);
   EXPECT_NEAR(at.hazard_probabilities[1], 0.02, 1e-12);
   EXPECT_NEAR(at.cost, 50.0 * std::exp(-2.0) + 0.02, 1e-12);
@@ -73,10 +75,10 @@ TEST(SafetyOptimizerTest, EvaluateAtReportsConfiguration) {
 
 TEST(SafetyOptimizerTest, CompareReportsRelativeChanges) {
   const SyntheticSystem system;
-  const SafetyOptimizer optimizer = system.make();
-  const auto optimal = optimizer.optimize("nelder_mead");
+  Study study = system.make();
+  const auto optimal = study.solver("nelder_mead").run();
   const expr::ParameterAssignment baseline{{"x", 2.0}};
-  const ComparisonReport report = optimizer.compare(baseline, optimal);
+  const ComparisonReport report = study.compare(baseline, optimal);
   EXPECT_GT(report.baseline_cost, report.optimal_cost);
   EXPECT_LT(report.cost_relative_change, 0.0);
   ASSERT_EQ(report.hazards.size(), 2u);
@@ -94,8 +96,8 @@ TEST(SafetyOptimizerTest, TwoParameterSeparableSystem) {
   model.add_hazard({"B", expr::exp(-2.0 * parameter("y")), 100.0});
   model.add_hazard({"B_nuisance", 0.1 * parameter("y"), 1.0});
   ParameterSpace space{{"x", 0.1, 20.0, "", ""}, {"y", 0.1, 20.0, "", ""}};
-  const SafetyOptimizer optimizer(std::move(model), std::move(space));
-  const auto result = optimizer.optimize("multi_start");
+  const Study study(std::move(model), std::move(space));
+  const auto result = study.run();  // multi_start
   EXPECT_NEAR(result.optimization.argmin[0], std::log(1000.0), 0.05);
   EXPECT_NEAR(result.optimization.argmin[1], 0.5 * std::log(2000.0), 0.05);
 }
@@ -119,14 +121,13 @@ std::vector<expr::ParameterAssignment> random_points(
   return points;
 }
 
-/// Every number evaluate_at, compare and optimize report must carry the bits
-/// of CostModel's Expr walk, whatever evaluator computes it.
-void expect_bits_of_the_expr_walk(const SafetyOptimizer& optimizer,
-                                      std::uint64_t seed) {
-  const CostModel& model = optimizer.model();
-  const auto points = random_points(optimizer.space(), seed, 25);
+/// Every number evaluate_at, compare and run report must carry the bits of
+/// CostModel's Expr walk, whatever evaluator computes it.
+void expect_bits_of_the_expr_walk(Study study, std::uint64_t seed) {
+  const CostModel& model = study.model();
+  const auto points = random_points(study.space(), seed, 25);
   for (const expr::ParameterAssignment& at : points) {
-    const SafetyOptimizationResult result = optimizer.evaluate_at(at);
+    const SafetyOptimizationResult result = study.evaluate_at(at);
     EXPECT_EQ(bits(result.cost), bits(model.cost(at)));
     EXPECT_EQ(bits(result.optimization.value), bits(model.cost(at)));
     const std::vector<double> expected = model.hazard_probabilities(at);
@@ -137,9 +138,9 @@ void expect_bits_of_the_expr_walk(const SafetyOptimizer& optimizer,
     }
   }
   // compare(): baseline numbers evaluated, optimum passed through.
-  const SafetyOptimizationResult optimal = optimizer.evaluate_at(points[0]);
+  const SafetyOptimizationResult optimal = study.evaluate_at(points[0]);
   for (const expr::ParameterAssignment& baseline : points) {
-    const ComparisonReport report = optimizer.compare(baseline, optimal);
+    const ComparisonReport report = study.compare(baseline, optimal);
     EXPECT_EQ(bits(report.baseline_cost), bits(model.cost(baseline)));
     const std::vector<double> expected = model.hazard_probabilities(baseline);
     ASSERT_EQ(report.hazards.size(), expected.size());
@@ -148,11 +149,11 @@ void expect_bits_of_the_expr_walk(const SafetyOptimizer& optimizer,
                 bits(expected[h]));
     }
   }
-  // optimize(): the hazard probabilities reported at the optimum.
+  // run(): the hazard probabilities reported at the optimum.
   opt::SolverConfig config;
   config.max_evaluations = 200;
   const SafetyOptimizationResult solved =
-      optimizer.optimize("nelder_mead", config);
+      study.solver("nelder_mead", config).run();
   const std::vector<double> expected =
       model.hazard_probabilities(solved.optimal_parameters);
   ASSERT_EQ(solved.hazard_probabilities.size(), expected.size());
@@ -165,12 +166,12 @@ void expect_bits_of_the_expr_walk(const SafetyOptimizer& optimizer,
 class ExampleStudyEvaluation : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExampleStudyEvaluation, ReportsTheBitsOfTheExprWalk) {
-  const Study study = Study::from_document(ftio::load_study(
+  const Study loaded = Study::from_document(ftio::load_study(
       std::string(SAFEOPT_SOURCE_DIR) + "/examples/models/" + GetParam() +
       ".ft"));
-  const SafetyOptimizer optimizer(study.model(), study.space());
+  const Study study(loaded.model(), loaded.space());
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    expect_bits_of_the_expr_walk(optimizer, seed);
+    expect_bits_of_the_expr_walk(study, seed);
   }
 }
 
@@ -181,23 +182,22 @@ INSTANTIATE_TEST_SUITE_P(Models, ExampleStudyEvaluation,
 
 TEST(SafetyOptimizerTest, ElbtunnelReportsTheBitsOfTheExprWalk) {
   const elbtunnel::ElbtunnelModel model;
-  const SafetyOptimizer optimizer(model.cost_model(), model.parameter_space());
+  const Study study(model.cost_model(), model.parameter_space());
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    expect_bits_of_the_expr_walk(optimizer, seed);
+    expect_bits_of_the_expr_walk(study, seed);
   }
-  const auto report = optimizer.compare(model.engineers_guess(),
-                                        optimizer.evaluate_at(
-                                            model.engineers_guess()));
+  const auto report = study.compare(model.engineers_guess(),
+                                    study.evaluate_at(model.engineers_guess()));
   EXPECT_EQ(bits(report.baseline_cost),
             bits(model.cost_model().cost(model.engineers_guess())));
 }
 
 TEST(SafetyOptimizerTest, EvaluateAtIsThreadSafe) {
   const elbtunnel::ElbtunnelModel model;
-  const SafetyOptimizer optimizer(model.cost_model(), model.parameter_space());
-  const auto points = random_points(optimizer.space(), 9, 64);
+  const Study study(model.cost_model(), model.parameter_space());
+  const auto points = random_points(study.space(), 9, 64);
   std::vector<double> serial;
-  for (const auto& at : points) serial.push_back(optimizer.evaluate_at(at).cost);
+  for (const auto& at : points) serial.push_back(study.evaluate_at(at).cost);
 
   constexpr int kThreads = 4;
   std::vector<std::vector<double>> costs(kThreads);
@@ -205,7 +205,7 @@ TEST(SafetyOptimizerTest, EvaluateAtIsThreadSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (const auto& at : points) {
-        costs[t].push_back(optimizer.evaluate_at(at).cost);
+        costs[t].push_back(study.evaluate_at(at).cost);
       }
     });
   }
@@ -222,8 +222,7 @@ TEST(SafetyOptimizerDeathTest, RejectsUnknownParameters) {
   CostModel model;
   model.add_hazard({"H", parameter("unknown"), 1.0});
   ParameterSpace space{{"x", 0.0, 1.0, "", ""}};
-  EXPECT_DEATH(SafetyOptimizer(std::move(model), std::move(space)),
-               "precondition");
+  EXPECT_DEATH(Study(std::move(model), std::move(space)), "precondition");
 }
 
 }  // namespace

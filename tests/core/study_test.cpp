@@ -18,7 +18,7 @@ namespace {
 
 using expr::parameter;
 
-/// The synthetic two-hazard system of safety_optimizer_test:
+/// The synthetic two-hazard system of safety_optimization_test:
 ///   f_cost = 50·e^{-x} + 0.01·x, argmin x* = ln(5000).
 CostModel synthetic_model() {
   CostModel model;
@@ -38,22 +38,6 @@ void expect_identical(const SafetyOptimizationResult& a,
   EXPECT_EQ(a.optimization.evaluations, b.optimization.evaluations);
   EXPECT_EQ(a.hazard_probabilities, b.hazard_probabilities);
   EXPECT_EQ(a.cost, b.cost);
-}
-
-TEST(StudyTest, DefaultRunMatchesTheLegacyDefaultBitwise) {
-  const SafetyOptimizer legacy(synthetic_model(), synthetic_space());
-  Study study(synthetic_model(), synthetic_space());
-  expect_identical(study.run(), legacy.optimize());
-  EXPECT_EQ(study.solver_name(), "multi_start");
-}
-
-TEST(StudyTest, SolverByNameMatchesSafetyOptimizerBitwise) {
-  const SafetyOptimizer optimizer(synthetic_model(), synthetic_space());
-  for (const char* name : {"grid_search", "nelder_mead", "hooke_jeeves"}) {
-    Study study(synthetic_model(), synthetic_space());
-    study.solver(name);
-    expect_identical(study.run(), optimizer.optimize(name));
-  }
 }
 
 TEST(StudyTest, GoldenSectionIsReachableByName) {
@@ -79,22 +63,16 @@ TEST(StudyTest, CompiledProblemIsCachedPerInstance) {
   const auto run_a = study.run();
   const auto run_b = study.run();
   expect_identical(run_a, run_b);
-
-  const SafetyOptimizer optimizer(synthetic_model(), synthetic_space());
-  EXPECT_EQ(&optimizer.problem(), &optimizer.problem());
 }
 
 TEST(StudyTest, ProblemFromATemporaryIsASafeCopy) {
   // The rvalue overload returns a copy sharing the tape, so binding a
   // reference to a temporary's problem() cannot dangle.
   const auto& from_temporary =
-      SafetyOptimizer(synthetic_model(), synthetic_space()).problem();
+      Study(synthetic_model(), synthetic_space()).problem();
   const std::vector<double> at{3.0};
   EXPECT_NEAR(from_temporary.objective(at), 50.0 * std::exp(-3.0) + 0.03,
               1e-12);
-  const opt::Problem from_study =
-      Study(synthetic_model(), synthetic_space()).problem();
-  EXPECT_EQ(from_study.objective(at), from_temporary.objective(at));
 }
 
 TEST(StudyTest, ObserverReceivesMonotoneProgress) {
@@ -109,19 +87,6 @@ TEST(StudyTest, ObserverReceivesMonotoneProgress) {
   const auto result = study.run();
   EXPECT_GT(events, 0u);
   EXPECT_LE(last_best, result.cost + 1e-15);
-}
-
-TEST(StudyTest, EvaluateAtAndCompareMatchSafetyOptimizer) {
-  const SafetyOptimizer legacy(synthetic_model(), synthetic_space());
-  Study study(synthetic_model(), synthetic_space());
-  const expr::ParameterAssignment baseline{{"x", 2.0}};
-  expect_identical(study.evaluate_at(baseline), legacy.evaluate_at(baseline));
-  const auto optimal = study.solver("nelder_mead").run();
-  const auto report = study.compare(baseline, optimal);
-  const auto legacy_report =
-      legacy.compare(baseline, legacy.optimize("nelder_mead"));
-  EXPECT_EQ(report.baseline_cost, legacy_report.baseline_cost);
-  EXPECT_EQ(report.optimal_cost, legacy_report.optimal_cost);
 }
 
 TEST(StudyTest, QuantifyRequiresAnAttachedTree) {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "safeopt/core/leaf_tapes.h"
-#include "safeopt/core/safety_optimizer.h"
+#include "safeopt/core/study.h"
 #include "safeopt/elbtunnel/elbtunnel_model.h"
 #include "safeopt/expr/compiled.h"
 #include "safeopt/fta/cut_sets.h"
@@ -16,11 +16,11 @@ namespace safeopt::elbtunnel {
 namespace {
 
 /// The pre-compilation objective: assignment construction + tree walk.
-opt::Problem tree_walk_problem(const core::SafetyOptimizer& optimizer) {
+opt::Problem tree_walk_problem(const core::Study& study) {
   opt::Problem problem;
-  problem.bounds = optimizer.space().box();
-  const core::ParameterSpace space = optimizer.space();
-  const expr::Expr cost = optimizer.model().cost_expression();
+  problem.bounds = study.space().box();
+  const core::ParameterSpace space = study.space();
+  const expr::Expr cost = study.model().cost_expression();
   problem.objective = [space, cost](std::span<const double> x) {
     return cost.evaluate(space.assignment(x));
   };
@@ -41,13 +41,13 @@ TEST(CompiledPathTest, CompiledCostMatchesTreeWalkAcrossTheBox) {
 
 TEST(CompiledPathTest, GridSearchOptimumIsBitwiseIdentical) {
   const ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
+  const core::Study study = model.study();
   const auto search = opt::SolverRegistry::create("grid_search");
 
   const opt::OptimizationResult tree =
-      search->solve(tree_walk_problem(optimizer));
-  // optimizer.problem() carries the compiled scalar + batch objectives.
-  const opt::OptimizationResult compiled = search->solve(optimizer.problem());
+      search->solve(tree_walk_problem(study));
+  // study.problem() carries the compiled scalar + batch objectives.
+  const opt::OptimizationResult compiled = search->solve(study.problem());
 
   EXPECT_EQ(tree.value, compiled.value);
   EXPECT_EQ(tree.argmin, compiled.argmin);
@@ -56,16 +56,16 @@ TEST(CompiledPathTest, GridSearchOptimumIsBitwiseIdentical) {
 
 TEST(CompiledPathTest, DifferentialEvolutionOptimumIsBitwiseIdentical) {
   const ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
+  const core::Study study = model.study();
   const auto solver = opt::SolverRegistry::create("differential_evolution");
   opt::SolverConfig config;
   config.set("generations", 60.0);
   config.seed = 0xd1ffe;
 
   const opt::OptimizationResult tree =
-      solver->solve(tree_walk_problem(optimizer), config);
+      solver->solve(tree_walk_problem(study), config);
   const opt::OptimizationResult compiled =
-      solver->solve(optimizer.problem(), config);
+      solver->solve(study.problem(), config);
 
   EXPECT_EQ(tree.value, compiled.value);
   EXPECT_EQ(tree.argmin, compiled.argmin);
@@ -135,8 +135,8 @@ TEST(CompiledPathTest, CompiledInputMatchesSymbolicEvaluate) {
 
 TEST(CompiledPathTest, BatchedTabulationMatchesScalarSurface) {
   const ElbtunnelModel model;
-  const core::SafetyOptimizer optimizer = model.optimizer();
-  const opt::Problem problem = optimizer.problem();
+  const core::Study study = model.study();
+  const opt::Problem problem = study.problem();
 
   // The Fig. 5 plotting box.
   opt::Problem figure = problem;

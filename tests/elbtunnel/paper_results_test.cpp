@@ -22,8 +22,7 @@ class PaperResults : public ::testing::Test {
 TEST_F(PaperResults, OptimalTimerRuntimesAreApprox19And15_6) {
   // §IV-C.2: "optimal parameters for the timer runtimes of approximately
   // 19 resp. 15.6 minutes for timer 1 resp. 2".
-  const auto result =
-      model_.optimizer().optimize("multi_start");
+  const auto result = model_.study().run();
   EXPECT_NEAR(result.optimization.argmin[0], 19.0, 1.0);
   EXPECT_NEAR(result.optimization.argmin[1], 15.6, 0.7);
 }
@@ -33,9 +32,8 @@ TEST_F(PaperResults, GridSearchAgreesWithSimplexOnTheOptimum) {
   // located it by zooming into a 3-D plot (Fig. 5). The surface is nearly
   // flat along T1 (that is the paper's own observation about timer 1), so
   // agreement is asserted on T2 and on the cost, with a loose T1 band.
-  const auto simplex =
-      model_.optimizer().optimize("multi_start");
-  const auto grid = model_.optimizer().optimize("grid_search");
+  const auto simplex = model_.study().run();
+  const auto grid = model_.study().solver("grid_search").run();
   EXPECT_NEAR(grid.optimization.argmin[0], simplex.optimization.argmin[0],
               2.0);
   EXPECT_NEAR(grid.optimization.argmin[1], simplex.optimization.argmin[1],
@@ -58,10 +56,9 @@ TEST_F(PaperResults, CostNearOptimumLiesInFig5Band) {
 
 TEST_F(PaperResults, FalseAlarmRiskImprovesByAboutTenPercent) {
   // §IV-C.2: "results in an improvement of about 10% in false alarm risk".
-  const auto optimizer = model_.optimizer();
-  const auto optimal =
-      optimizer.optimize("multi_start");
-  const auto report = optimizer.compare(model_.engineers_guess(), optimal);
+  const core::Study study = model_.study();
+  const auto optimal = study.run();
+  const auto report = study.compare(model_.engineers_guess(), optimal);
   ASSERT_EQ(report.hazards.size(), 2u);
   const auto& alarm = report.hazards[1];
   EXPECT_EQ(alarm.hazard, "HAlr");
@@ -72,10 +69,9 @@ TEST_F(PaperResults, FalseAlarmRiskImprovesByAboutTenPercent) {
 TEST_F(PaperResults, CollisionRiskChangesByLessThanZeroPointOnePercent) {
   // §IV-C.2: "while the risk for collision does not change (less then
   // 0.1%)".
-  const auto optimizer = model_.optimizer();
-  const auto optimal =
-      optimizer.optimize("multi_start");
-  const auto report = optimizer.compare(model_.engineers_guess(), optimal);
+  const core::Study study = model_.study();
+  const auto optimal = study.run();
+  const auto report = study.compare(model_.engineers_guess(), optimal);
   const auto& collision = report.hazards[0];
   EXPECT_EQ(collision.hazard, "HCol");
   EXPECT_LT(std::abs(collision.relative_change), 0.001);
@@ -84,8 +80,7 @@ TEST_F(PaperResults, CollisionRiskChangesByLessThanZeroPointOnePercent) {
 TEST_F(PaperResults, Timer1IsLessCriticalThanTimer2AtTheOptimum) {
   // §IV-C.2: "timer 1 may be chosen more conservatively than timer 2" —
   // the cost is much flatter along T1 than along T2 near the optimum.
-  const auto result =
-      model_.optimizer().optimize("multi_start");
+  const auto result = model_.study().run();
   const auto cost = model_.cost_model().cost_expression();
   const ParameterAssignment at = result.optimal_parameters;
   const double base = cost.evaluate(at);
@@ -155,8 +150,7 @@ TEST_F(PaperResults, TenMinuteTimer2MakesCollisionRiskUnacceptable) {
 }
 
 TEST_F(PaperResults, SensitivityGradientVanishesAtTheOptimum) {
-  const auto result =
-      model_.optimizer().optimize("multi_start");
+  const auto result = model_.study().run();
   const auto report = core::sensitivity_analysis(
       model_.cost_model(), model_.parameter_space(),
       result.optimal_parameters);

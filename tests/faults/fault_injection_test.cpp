@@ -370,11 +370,15 @@ TEST(SolverFaultTest, PreCancelledSolveReturnsWithoutEvaluating) {
   const ExecutionControl control = FaultInjector::cancelled();
   opt::SolverConfig config;
   config.control = &control;
+  config.initial = {1.5, -0.5};
   const opt::OptimizationResult result =
       solver->solve(quadratic_problem(), config);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.evaluations, 0u);
   EXPECT_NE(result.message.find("cancelled"), std::string::npos);
+  // Nothing was evaluated: the start point comes back at +inf.
+  EXPECT_EQ(result.argmin, config.initial);
+  EXPECT_EQ(result.value, std::numeric_limits<double>::infinity());
 }
 
 TEST(SolverFaultTest, MidRunDeadlineReturnsBestOfCompletedEvaluations) {
@@ -413,11 +417,69 @@ TEST(SolverFaultTest, ArmedButSilentControlDoesNotChangeTheResult) {
   EXPECT_EQ(guarded.argmin, plain.argmin);
 }
 
-// multi_start polls the control once before it claims each start, and the
-// instrumentation solve() wraps around it polls once per evaluation; the
-// starts themselves run without a control. So a run that is never aborted
-// costs exactly one poll per evaluation plus one per start, and an abort is
-// reported in the same words whichever of the two polls sees it.
+// A refused evaluation unwinds the solve from the instrumentation layer, so
+// no solver polls on its own: every built-in solver, pre-cancelled or
+// stopped after 25 polls, returns the same kind of partial result. The
+// quadratic problem has no batch path, so every solver, grid_search
+// included, polls once per point; golden_section gets a 1-D problem.
+
+opt::Problem line_problem() {
+  opt::Problem problem;
+  problem.bounds = opt::Box({-4.0}, {4.0});
+  problem.objective = [](std::span<const double> x) {
+    return (x[0] - 1.0) * (x[0] - 1.0);
+  };
+  return problem;
+}
+
+class EverySolverUnderAControl : public ::testing::TestWithParam<std::string> {
+ protected:
+  [[nodiscard]] opt::Problem problem() const {
+    return GetParam() == "golden_section" ? line_problem()
+                                          : quadratic_problem();
+  }
+  [[nodiscard]] opt::OptimizationResult solve_under(
+      const ExecutionControl& control) const {
+    opt::SolverConfig config;
+    config.control = &control;
+    return opt::SolverRegistry::create(GetParam())->solve(problem(), config);
+  }
+};
+
+TEST_P(EverySolverUnderAControl, PreCancelledReturnsTheBoxCenterAtInfinity) {
+  const opt::OptimizationResult result =
+      solve_under(FaultInjector::cancelled());
+  EXPECT_EQ(result.evaluations, 0u);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.argmin, problem().bounds.center());
+  EXPECT_EQ(result.value, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(result.message, "cancelled after 0 evaluations");
+}
+
+TEST_P(EverySolverUnderAControl, FiredMidRunReturnsTheBestGrantedPoint) {
+  FaultInjector injector;
+  const opt::OptimizationResult result = solve_under(
+      injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded));
+  EXPECT_EQ(result.evaluations, 25u);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.message, "deadline exceeded after 25 evaluations");
+  EXPECT_EQ(injector.polls(), 26u);  // the 26th poll was refused
+  ASSERT_EQ(result.argmin.size(), problem().bounds.dimension());
+  EXPECT_EQ(result.value, problem().objective(result.argmin));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BuiltIn, EverySolverUnderAControl,
+    ::testing::Values("coordinate_descent", "differential_evolution",
+                      "golden_section", "grid_search", "hooke_jeeves",
+                      "multi_start", "nelder_mead"),
+    [](const auto& param_info) { return param_info.param; });
+
+// multi_start's starts run without a control and evaluate the problem
+// solve() already wrapped, so each evaluation is polled once, and a refused
+// one unwinds every start, on a pool too.
 
 opt::OptimizationResult multi_start_under(const ExecutionControl& control,
                                           ThreadPool* pool) {
@@ -428,7 +490,7 @@ opt::OptimizationResult multi_start_under(const ExecutionControl& control,
       ->solve(quadratic_problem(), config);
 }
 
-TEST(SolverFaultTest, MultiStartPollsOncePerEvaluationAndOncePerStart) {
+TEST(SolverFaultTest, MultiStartPollsOncePerEvaluation) {
   const opt::OptimizationResult plain =
       opt::SolverRegistry::create("multi_start")
           ->solve(quadratic_problem(), {});
@@ -442,14 +504,7 @@ TEST(SolverFaultTest, MultiStartPollsOncePerEvaluationAndOncePerStart) {
     EXPECT_EQ(guarded.argmin, plain.argmin);
     EXPECT_EQ(guarded.value, plain.value);
     EXPECT_EQ(guarded.message, plain.message);
-    if (p == nullptr) {
-      EXPECT_EQ(injector.polls(), plain.evaluations + 8);
-    } else {
-      // A worker that saw an unclaimed start may lose the race for it after
-      // polling: at most one such extra poll per worker.
-      EXPECT_GE(injector.polls(), plain.evaluations + 8);
-      EXPECT_LE(injector.polls(), plain.evaluations + 8 + 4);
-    }
+    EXPECT_EQ(injector.polls(), plain.evaluations);
   }
 }
 
@@ -470,21 +525,21 @@ TEST(SolverFaultTest, MultiStartPreCancelledReturnsWithoutEvaluating) {
 }
 
 TEST(SolverFaultTest, MultiStartMidRunDeadlineReturnsThePinnedPartialResult) {
-  // Poll 1 lets start 0 begin, polls 2-25 grant its first 24 evaluations,
-  // poll 26 refuses the 25th, and poll 27 stops start 1 from being claimed.
+  // Polls 1-25 grant start 0's first 25 evaluations, and poll 26 refuses
+  // the next one, which unwinds the whole solve.
   FaultInjector injector;
   const opt::OptimizationResult result = multi_start_under(
       injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded),
       nullptr);
   EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.evaluations, 24u);
-  EXPECT_EQ(result.iterations, 1000u);
-  EXPECT_EQ(result.message, "deadline exceeded after 24 evaluations");
+  EXPECT_EQ(result.evaluations, 25u);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_EQ(result.message, "deadline exceeded after 25 evaluations");
   EXPECT_EQ(result.argmin,
             (std::vector<double>{0x1.cccccccccccdp-1, -0x1p+1}));
   EXPECT_EQ(result.value, 0x1.47ae147ae1452p-7);
   EXPECT_EQ(result.value, quadratic_problem().objective(result.argmin));
-  EXPECT_EQ(injector.polls(), result.evaluations + 1 + 2);
+  EXPECT_EQ(injector.polls(), result.evaluations + 1);
 }
 
 TEST(SolverFaultTest, MultiStartDeadlineBetweenStartsKeepsTheFinishedStart) {
@@ -496,17 +551,17 @@ TEST(SolverFaultTest, MultiStartDeadlineBetweenStartsKeepsTheFinishedStart) {
           ->solve(quadratic_problem(), alone);
   ASSERT_TRUE(start0.converged);
 
-  // One poll to claim start 0 and one per evaluation of it pass; the poll
-  // before start 1 fires, so only multi_start sees the deadline.
+  // One poll per evaluation of start 0 passes; the poll for start 1's
+  // first evaluation fires.
   FaultInjector injector;
   const opt::OptimizationResult result = multi_start_under(
-      injector.fire_after_polls(1 + start0.evaluations,
+      injector.fire_after_polls(start0.evaluations,
                                 ExecutionStatus::kDeadlineExceeded),
       nullptr);
-  EXPECT_EQ(injector.polls(), start0.evaluations + 2);
+  EXPECT_EQ(injector.polls(), start0.evaluations + 1);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.evaluations, start0.evaluations);
-  EXPECT_EQ(result.iterations, start0.iterations);
+  EXPECT_EQ(result.iterations, 0u);
   EXPECT_EQ(result.argmin, start0.argmin);
   EXPECT_EQ(result.value, start0.value);
   EXPECT_EQ(result.message,
@@ -516,17 +571,16 @@ TEST(SolverFaultTest, MultiStartDeadlineBetweenStartsKeepsTheFinishedStart) {
 
 TEST(SolverFaultTest, MultiStartMidRunDeadlineOnAPoolReturnsAPartialResult) {
   // Concurrent starts race for the 25 polls, so which points get evaluated
-  // depends on scheduling; the partial-result contract does not. At least
-  // one poll claims a start before any evaluation is granted.
+  // depends on scheduling; the partial-result contract does not.
   ThreadPool pool(4);
   FaultInjector injector;
   const opt::OptimizationResult result = multi_start_under(
       injector.fire_after_polls(25, ExecutionStatus::kDeadlineExceeded),
       &pool);
   EXPECT_FALSE(result.converged);
-  EXPECT_GT(result.evaluations, 0u);
-  EXPECT_LE(result.evaluations, 24u);
-  EXPECT_GT(injector.polls(), result.evaluations);
+  EXPECT_EQ(result.evaluations, 25u);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_EQ(injector.polls(), result.evaluations + 1);
   EXPECT_NE(result.message.find("deadline exceeded after"), std::string::npos)
       << result.message;
   ASSERT_EQ(result.argmin.size(), 2u);

@@ -266,7 +266,8 @@ TEST(AnalysisGraphTest, ValidateTakesTheRequestOverrides) {
   const std::string refused = graph.validate(kDoc, bad);
   EXPECT_NE(refused.find("\"valid\": false"), std::string::npos) << refused;
   EXPECT_NE(refused.find("multi_start (inner nelder_mead) option "
-                         "\\\"starts\\\" must be an integer >= 1, got 0"),
+                         "\\\"starts\\\" must be an integer in [1, 100000], "
+                         "got 0"),
             std::string::npos)
       << refused;
   const std::string ok = graph.validate(kDoc, options_named("m"));
@@ -310,6 +311,26 @@ TEST(AnalysisGraphTest, ExpiredDeadlineAbortsAndIsNeverCached) {
   EXPECT_EQ(stats.passes.at("quantify").misses, 2u)
       << "an outcome computed under a fired control must not be cached";
   EXPECT_EQ(stats.passes.at("quantify").hits, 0u);
+}
+
+TEST(AnalysisGraphTest, CancelledGridSearchReturnsAnUnconvergedBody) {
+  // A solve whose control fired before its first evaluation is unwound by
+  // the solver's instrumentation: grid_search never reaches its zoom step
+  // with no incumbent, and the response reports the partial result.
+  std::ifstream file(
+      concat(SAFEOPT_SOURCE_DIR, "/examples/models/railroad_crossing.ft"));
+  const std::string railroad((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>());
+  ASSERT_FALSE(railroad.empty());
+  AnalysisOptions options = options_named("railroad");
+  options.solver = "grid_search";
+  options.engine = "fta";
+  ExecutionControl control;
+  control.token.request_cancel();
+  AnalysisGraph graph(1 << 20);
+  const std::string body = graph.optimize(railroad, options, &control);
+  EXPECT_NE(body.find("\"converged\": false"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"evaluations\": 0"), std::string::npos) << body;
 }
 
 TEST(AnalysisGraphTest, McDeadlineAbortsTheSamplerAndIsNeverCached) {

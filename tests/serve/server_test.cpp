@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -29,6 +31,14 @@ ServerOptions small_server_options() {
   return options;
 }
 
+std::string source_file(const std::string& relative) {
+  std::ifstream in(std::string(SAFEOPT_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(in.good()) << relative;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 std::string quantify_body(const std::string& model) {
   return "{\"document\": " + json_document(kDoc) + ", \"model\": \"" + model +
          "\"}";
@@ -47,6 +57,30 @@ TEST(ServerTest, QuantifyMatchesTheOfflineGraphByteForByte) {
   AnalysisGraph offline(1 << 20);
   EXPECT_EQ(reply.body, offline.quantify(kDoc, options, nullptr))
       << "the HTTP body and the offline render must be byte-identical";
+  server.stop();
+}
+
+TEST(ServerTest, GridSearchPastItsDeadlineLeavesTheServerAnswering) {
+  // Building the fta engine of a 6-of-16 vote outlasts a 1 ms deadline, so
+  // grid_search starts its solve with the deadline spent. The refused first
+  // evaluation unwinds the solve into a partial result (or the request
+  // into a 504), and the server answers the next request.
+  Server server(small_server_options());
+  server.start();
+  const std::string body =
+      "{\"document\": " +
+      json_document(source_file("tests/cli/grid_vote_6_of_16.ft")) +
+      ", \"deadline_ms\": 1}";
+  const auto reply = http_request(server.port(), "POST", "/v1/optimize", body);
+  if (reply.status == 200) {
+    EXPECT_NE(reply.body.find("\"converged\": false"), std::string::npos)
+        << reply.body;
+  } else {
+    EXPECT_EQ(reply.status, 504) << reply.raw;
+  }
+  const auto next =
+      http_request(server.port(), "POST", "/v1/quantify", quantify_body("m"));
+  EXPECT_EQ(next.status, 200) << next.raw;
   server.stop();
 }
 
