@@ -26,14 +26,19 @@
 //
 // Report-only: `parse_ms` times ftio::parse_study on the tier's document
 // (write_fault_tree of the tier), the layer in front of the pipeline on the
-// exact-quantify path.
+// exact-quantify path; `prep_allocations` counts the heap allocations of
+// one preprocess() plus CompiledPreprocessedTree construction, through the
+// counting global operator new below (this binary only).
 //
 // Usage: bench_large_trees [--json PATH] [--plain-limit EVENTS]
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -42,6 +47,30 @@
 #include "safeopt/ftio/writer.h"
 #include "safeopt/prep/preprocess.h"
 #include "tools/corpus.h"
+
+namespace {
+
+/// Every successful global operator new of the process, counted.
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Replacements of the global allocation functions (program-wide, so they
+// live in exactly this TU of this binary). The aligned and nothrow forms
+// keep their library definitions, which this program never reaches for
+// the counted phase's element types.
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -59,6 +88,7 @@ struct TierReport {
   double parse_ms = 0.0;
   double pipeline_ms = 0.0;
   double prep_compile_eval_ms = 0.0;
+  std::size_t prep_allocations = 0;
   std::size_t prep_decision_nodes = 0;
   std::size_t prep_ite_calls = 0;
   bool plain_measured = false;
@@ -96,9 +126,9 @@ int main(int argc, char** argv) {
   options.cache_size = std::size_t{1} << 20;
 
   std::printf("=== preprocessing pipeline vs monolithic BDD ===\n\n");
-  std::printf("%-6s %8s %8s %12s %12s %9s %9s %9s  %s\n", "tier", "events",
-              "modules", "plain nodes", "prep nodes", "nodes", "time",
-              "parse ms", "P(top)");
+  std::printf("%-6s %8s %8s %12s %12s %9s %9s %9s %9s  %s\n", "tier",
+              "events", "modules", "plain nodes", "prep nodes", "nodes",
+              "time", "parse ms", "allocs", "P(top)");
 
   std::vector<TierReport> reports;
   double max_node_reduction = 0.0;
@@ -123,11 +153,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    const std::size_t allocations_before = g_allocations.load();
     const auto t0 = Clock::now();
     const prep::PreprocessedTree preprocessed =
         prep::preprocess(model.tree, {});
     const auto t1 = Clock::now();
     prep::CompiledPreprocessedTree compiled(preprocessed, options);
+    report.prep_allocations = g_allocations.load() - allocations_before;
     report.probability = compiled.probability(model.input);
     const auto t2 = Clock::now();
 
@@ -178,16 +210,18 @@ int main(int argc, char** argv) {
     all_invariant = all_invariant && report.cache_geometry_invariant;
 
     if (report.plain_measured) {
-      std::printf("%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx %9.1f  %.6e\n",
-                  report.name.c_str(), report.events, report.modules,
-                  report.plain_decision_nodes, report.prep_decision_nodes,
-                  report.node_reduction, report.time_ratio, report.parse_ms,
-                  report.probability);
+      std::printf(
+          "%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx %9.1f %9zu  %.6e\n",
+          report.name.c_str(), report.events, report.modules,
+          report.plain_decision_nodes, report.prep_decision_nodes,
+          report.node_reduction, report.time_ratio, report.parse_ms,
+          report.prep_allocations, report.probability);
     } else {
-      std::printf("%-6s %8zu %8zu %12s %12zu %9s %9s %9.1f  %.6e\n",
+      std::printf("%-6s %8zu %8zu %12s %12zu %9s %9s %9.1f %9zu  %.6e\n",
                   report.name.c_str(), report.events, report.modules,
                   "(skipped)", report.prep_decision_nodes, "-", "-",
-                  report.parse_ms, report.probability);
+                  report.parse_ms, report.prep_allocations,
+                  report.probability);
     }
     reports.push_back(report);
   }
@@ -209,6 +243,7 @@ int main(int argc, char** argv) {
       out << "     \"parse_ms\": " << r.parse_ms
           << ", \"pipeline_ms\": " << r.pipeline_ms
           << ", \"prep_compile_eval_ms\": " << r.prep_compile_eval_ms
+          << ", \"prep_allocations\": " << r.prep_allocations
           << ",\n     \"prep_decision_nodes\": " << r.prep_decision_nodes
           << ", \"prep_ite_calls\": " << r.prep_ite_calls << ",\n";
       out << "     \"plain_measured\": " << (r.plain_measured ? "true" : "false");

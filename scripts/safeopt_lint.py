@@ -62,6 +62,7 @@ RAW_MUTEX_ALLOWED = {
 # ExecutionControl at least once or the abort paths silently rot.
 CHECKPOINTED_FILES = {
     "src/bdd/bdd.cpp",
+    "src/fta/cut_sets.cpp",
     "src/prep/preprocess.cpp",
     "src/mc/adaptive_monte_carlo.cpp",
     "src/opt/solver.cpp",

@@ -1,7 +1,7 @@
 #include "safeopt/bdd/bdd.h"
 
 #include <algorithm>
-#include <numeric>
+#include <unordered_map>
 
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/error.h"
@@ -47,11 +47,16 @@ BddManager::BddManager(std::uint32_t variable_count, const BddOptions& options)
     : variable_count_(variable_count),
       node_budget_(options.node_budget),
       control_(options.control) {
+  unique_table_.assign(
+      round_up_pow2(std::max<std::size_t>(options.initial_table_size, 16)),
+      kFalse);
+  // The table holds half its slots in nodes before it grows; the node
+  // vector gets the same room (plus the terminals) up front.
+  nodes_.reserve(unique_table_.size() / 2 + 2);
   // Terminals occupy slots 0 (false) and 1 (true); their var field is a
   // sentinel one past the last real variable so top_var comparisons work.
   nodes_.push_back({variable_count_, kFalse, kFalse});
   nodes_.push_back({variable_count_, kTrue, kTrue});
-  unique_table_.reserve(std::max<std::size_t>(options.initial_table_size, 16));
   const std::size_t slots =
       round_up_pow2(std::max<std::size_t>(options.cache_size, 16));
   ite_cache_.assign(slots, IteSlot{});
@@ -63,12 +68,19 @@ BddManager::BddManager(std::uint32_t variable_count, const BddOptions& options)
 
 BddRef BddManager::make_node(std::uint32_t var, BddRef low, BddRef high) {
   if (low == high) return low;  // reduction rule
-  const NodeKey key{var, low, high};
-  const auto it = unique_table_.find(key);
-  if (it != unique_table_.end()) return it->second;
+  const std::size_t mask = unique_table_.size() - 1;
+  std::size_t i = NodeKeyHash{}({var, low, high}) & mask;
+  for (; unique_table_[i] != kFalse; i = (i + 1) & mask) {
+    const Node& node = nodes_[unique_table_[i]];
+    if (node.var == var && node.low == low && node.high == high) {
+      return unique_table_[i];
+    }
+  }
   const auto ref = static_cast<BddRef>(nodes_.size());
   nodes_.push_back({var, low, high});
-  unique_table_.emplace(key, ref);
+  unique_table_[i] = ref;
+  // At most half full: decision nodes are nodes_.size() - 2.
+  if (2 * (nodes_.size() - 2) > unique_table_.size()) grow_unique_table();
   // No GC: nodes are only ever created, so live == peak by construction.
   stats_.node_count = nodes_.size();
   stats_.peak_node_count = nodes_.size();
@@ -84,6 +96,17 @@ BddRef BddManager::make_node(std::uint32_t var, BddRef low, BddRef high) {
                ") after ", std::to_string(stats_.ite_calls), " ITE calls"));
   }
   return ref;
+}
+
+void BddManager::grow_unique_table() {
+  unique_table_.assign(2 * unique_table_.size(), kFalse);
+  const std::size_t mask = unique_table_.size() - 1;
+  for (auto ref = static_cast<BddRef>(2); ref < nodes_.size(); ++ref) {
+    const Node& node = nodes_[ref];
+    std::size_t i = NodeKeyHash{}({node.var, node.low, node.high}) & mask;
+    while (unique_table_[i] != kFalse) i = (i + 1) & mask;
+    unique_table_[i] = ref;
+  }
 }
 
 BddRef BddManager::variable(std::uint32_t var) {
@@ -154,22 +177,24 @@ BddRef BddManager::apply_xor(BddRef f, BddRef g) {
   return ite(f, apply_not(g), g);
 }
 
-BddRef BddManager::at_least(std::vector<BddRef> items, std::uint32_t k) {
+BddRef BddManager::at_least(std::span<const BddRef> items, std::uint32_t k) {
   SAFEOPT_EXPECTS(k >= 1 && k <= items.size());
   // th(i, j): at least j of items[i..] are true.
   // th(i, 0) = 1; th(n, j>0) = 0;
   // th(i, j) = (items[i] AND th(i+1, j-1)) OR th(i+1, j).
-  const std::size_t n = items.size();
-  std::vector<std::vector<BddRef>> th(n + 1,
-                                      std::vector<BddRef>(k + 1, kFalse));
-  for (std::size_t i = 0; i <= n; ++i) th[i][0] = kTrue;
-  for (std::size_t i = n; i-- > 0;) {
+  // Row i reads only row i + 1, so two rows serve; j keeps ascending, which
+  // fixes the order of the ITE calls.
+  std::vector<BddRef> next(k + 1, kFalse);
+  std::vector<BddRef> row(k + 1, kFalse);
+  next[0] = row[0] = kTrue;
+  for (std::size_t i = items.size(); i-- > 0;) {
     for (std::uint32_t j = 1; j <= k; ++j) {
-      const BddRef with = apply_and(items[i], th[i + 1][j - 1]);
-      th[i][j] = apply_or(with, th[i + 1][j]);
+      const BddRef with = apply_and(items[i], next[j - 1]);
+      row[j] = apply_or(with, next[j]);
     }
+    std::swap(row, next);
   }
-  return th[0][k];
+  return next[k];
 }
 
 bool BddManager::evaluate(BddRef f,
@@ -238,6 +263,49 @@ BddRef BddManager::node_high(BddRef f) const {
 
 // ------------------------------------------------------------- compilation
 
+GateGraph GateGraph::from_tree(const fta::FaultTree& tree) {
+  SAFEOPT_EXPECTS(tree.has_top());
+  GateGraph graph;
+  graph.nodes.reserve(tree.node_count());
+  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
+    if (tree.kind(id) != fta::NodeKind::kGate) {
+      (void)graph.add_leaf(tree.kind(id));
+      continue;
+    }
+    const fta::GateType type = tree.gate_type(id);
+    (void)graph.add_gate(
+        type, type == fta::GateType::kKofN ? tree.vote_threshold(id) : 0,
+        tree.children(id));
+  }
+  graph.top = tree.top();
+  return graph;
+}
+
+std::uint32_t GateGraph::add_leaf(fta::NodeKind kind) {
+  SAFEOPT_EXPECTS(kind != fta::NodeKind::kGate);
+  Node node;
+  node.kind = kind;
+  node.ordinal = kind == fta::NodeKind::kBasicEvent ? basic_event_count++
+                                                    : condition_count++;
+  nodes.push_back(node);
+  return static_cast<std::uint32_t>(nodes.size() - 1);
+}
+
+std::uint32_t GateGraph::add_gate(
+    fta::GateType type, std::uint32_t k,
+    std::span<const std::uint32_t> gate_children) {
+  SAFEOPT_EXPECTS(!gate_children.empty());
+  Node node;
+  node.kind = fta::NodeKind::kGate;
+  node.gate = type;
+  node.k = k;
+  node.first_child = static_cast<std::uint32_t>(children.size());
+  node.child_count = static_cast<std::uint32_t>(gate_children.size());
+  children.insert(children.end(), gate_children.begin(), gate_children.end());
+  nodes.push_back(node);
+  return static_cast<std::uint32_t>(nodes.size() - 1);
+}
+
 namespace {
 
 /// Leaf -> BDD-variable maps. kDfs numbers leaves by DFS first-visit order
@@ -245,74 +313,85 @@ namespace {
 /// gate's children smallest-subtree-first, clustering small cones at low
 /// indices before wide subtrees spread out.
 struct VariableOrder {
-  std::vector<std::uint32_t> var_of_basic;      // by BasicEventOrdinal
-  std::vector<std::uint32_t> var_of_condition;  // by ConditionOrdinal
+  std::vector<std::uint32_t> var_of_basic;      // by basic-event ordinal
+  std::vector<std::uint32_t> var_of_condition;  // by condition ordinal
   std::uint32_t count = 0;
 };
 
 /// Subtree leaf count per node (DAG-shared subtrees weigh once per
 /// reference), the kWeight visit key.
-std::vector<std::size_t> subtree_weights(const fta::FaultTree& tree) {
-  std::vector<std::size_t> weight(tree.node_count(), 0);
-  const auto visit = [&](auto&& self, fta::NodeId id) -> std::size_t {
+std::vector<std::size_t> subtree_weights(const GateGraph& graph) {
+  std::vector<std::size_t> weight(graph.nodes.size(), 0);
+  const auto visit = [&](auto&& self, std::uint32_t id) -> std::size_t {
     if (weight[id] != 0) return weight[id];
     std::size_t w = 1;
-    if (tree.kind(id) == fta::NodeKind::kGate) {
+    if (graph.nodes[id].kind == fta::NodeKind::kGate) {
       w = 0;
-      for (const fta::NodeId child : tree.children(id)) w += self(self, child);
+      for (const std::uint32_t child : graph.children_of(id)) {
+        w += self(self, child);
+      }
       w = std::max<std::size_t>(w, 1);
     }
     weight[id] = w;
     return w;
   };
-  (void)visit(visit, tree.top());
+  (void)visit(visit, graph.top);
   return weight;
 }
 
-VariableOrder ordered_variables(const fta::FaultTree& tree,
+VariableOrder ordered_variables(const GateGraph& graph,
                                 VariableOrdering ordering) {
   VariableOrder order;
-  order.var_of_basic.assign(tree.basic_event_count(), UINT32_MAX);
-  order.var_of_condition.assign(tree.condition_count(), UINT32_MAX);
+  order.var_of_basic.assign(graph.basic_event_count, UINT32_MAX);
+  order.var_of_condition.assign(graph.condition_count, UINT32_MAX);
   std::vector<std::size_t> weight;
-  if (ordering == VariableOrdering::kWeight) weight = subtree_weights(tree);
+  if (ordering == VariableOrdering::kWeight) weight = subtree_weights(graph);
   // First-visit semantics: re-entering a gate through a second parent can
   // only reach leaves that are already numbered, so shared gates are pruned
   // after one expansion. Without this the traversal walks every *path*
   // through the DAG — combinatorial on heavily shared graphs like a
   // normalized k-of-n network.
-  std::vector<bool> expanded(tree.node_count(), false);
-  const auto visit = [&](auto&& self, fta::NodeId id) -> void {
-    switch (tree.kind(id)) {
+  std::vector<bool> expanded(graph.nodes.size(), false);
+  // kWeight's sorted visit lists, innermost gate last; read by index, since
+  // the recursion grows the vector.
+  std::vector<std::uint32_t> by_weight;
+  const auto visit = [&](auto&& self, std::uint32_t id) -> void {
+    const GateGraph::Node& node = graph.nodes[id];
+    switch (node.kind) {
       case fta::NodeKind::kBasicEvent: {
-        auto& slot = order.var_of_basic[tree.basic_event_ordinal(id)];
+        auto& slot = order.var_of_basic[node.ordinal];
         if (slot == UINT32_MAX) slot = order.count++;
         break;
       }
       case fta::NodeKind::kCondition: {
-        auto& slot = order.var_of_condition[tree.condition_ordinal(id)];
+        auto& slot = order.var_of_condition[node.ordinal];
         if (slot == UINT32_MAX) slot = order.count++;
         break;
       }
       case fta::NodeKind::kGate: {
         if (expanded[id]) break;
         expanded[id] = true;
-        const std::span<const fta::NodeId> children = tree.children(id);
+        const std::span<const std::uint32_t> children = graph.children_of(id);
         if (ordering == VariableOrdering::kWeight) {
-          std::vector<fta::NodeId> by_weight(children.begin(), children.end());
-          std::stable_sort(by_weight.begin(), by_weight.end(),
-                           [&](fta::NodeId a, fta::NodeId b) {
+          const std::size_t base = by_weight.size();
+          by_weight.insert(by_weight.end(), children.begin(), children.end());
+          std::stable_sort(by_weight.begin() + static_cast<std::ptrdiff_t>(base),
+                           by_weight.end(),
+                           [&](std::uint32_t a, std::uint32_t b) {
                              return weight[a] < weight[b];
                            });
-          for (const fta::NodeId child : by_weight) self(self, child);
+          for (std::size_t i = base; i < base + children.size(); ++i) {
+            self(self, by_weight[i]);
+          }
+          by_weight.resize(base);
         } else {
-          for (const fta::NodeId child : children) self(self, child);
+          for (const std::uint32_t child : children) self(self, child);
         }
         break;
       }
     }
   };
-  visit(visit, tree.top());
+  visit(visit, graph.top);
   // Leaves unreachable from the top still need variables (validate() flags
   // them, but compilation must not crash).
   for (auto& slot : order.var_of_basic) {
@@ -326,7 +405,7 @@ VariableOrder ordered_variables(const fta::FaultTree& tree,
 
 /// Exactly-one over already-compiled child functions (the FaultTree XOR
 /// semantics; n-ary parity would be wrong for n > 2).
-BddRef exactly_one(BddManager& manager, const std::vector<BddRef>& items) {
+BddRef exactly_one(BddManager& manager, std::span<const BddRef> items) {
   BddRef result = kFalse;
   for (std::size_t i = 0; i < items.size(); ++i) {
     BddRef only_i = items[i];
@@ -354,33 +433,32 @@ double CompiledFaultTree::probability(
   return manager.probability(root, probs);
 }
 
-CompiledFaultTree compile(const fta::FaultTree& tree,
-                          const BddOptions& options) {
-  SAFEOPT_EXPECTS(tree.has_top());
-  const VariableOrder order = ordered_variables(tree, options.ordering);
+CompiledFaultTree compile(const GateGraph& graph, const BddOptions& options) {
+  SAFEOPT_EXPECTS(graph.top < graph.nodes.size());
+  VariableOrder order = ordered_variables(graph, options.ordering);
   CompiledFaultTree compiled{BddManager(order.count, options), kFalse,
-                             static_cast<std::uint32_t>(
-                                 tree.basic_event_count()),
-                             static_cast<std::uint32_t>(
-                                 tree.condition_count()),
-                             order.var_of_basic, order.var_of_condition};
+                             graph.basic_event_count, graph.condition_count,
+                             std::move(order.var_of_basic),
+                             std::move(order.var_of_condition)};
   BddManager& manager = compiled.manager;
 
-  // memo[id] is the compiled function of tree node `id`; no BddRef is
+  // memo[id] is the compiled function of graph node `id`; no BddRef is
   // UINT32_MAX, so that marks "not compiled yet".
   constexpr BddRef kUncompiled = UINT32_MAX;
-  std::vector<BddRef> memo(tree.node_count(), kUncompiled);
-  const auto build = [&](auto&& self, fta::NodeId id) -> BddRef {
+  std::vector<BddRef> memo(graph.nodes.size(), kUncompiled);
+  // The compiled children of every gate on the recursion path, innermost
+  // gate last: a gate folds its own run off the top and pops it.
+  std::vector<BddRef> operands;
+  const auto build = [&](auto&& self, std::uint32_t id) -> BddRef {
     if (memo[id] != kUncompiled) return memo[id];
+    const GateGraph::Node& node = graph.nodes[id];
     BddRef result = kFalse;
-    switch (tree.kind(id)) {
+    switch (node.kind) {
       case fta::NodeKind::kBasicEvent:
-        result = manager.variable(
-            order.var_of_basic[tree.basic_event_ordinal(id)]);
+        result = manager.variable(compiled.var_of_basic_event[node.ordinal]);
         break;
       case fta::NodeKind::kCondition:
-        result = manager.variable(
-            order.var_of_condition[tree.condition_ordinal(id)]);
+        result = manager.variable(compiled.var_of_condition[node.ordinal]);
         break;
       case fta::NodeKind::kGate: {
         // Per-gate poll: an expired deadline aborts before the next gate's
@@ -388,11 +466,13 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
         if (options.control != nullptr) {
           options.control->check("BDD compilation");
         }
-        std::vector<BddRef> children;
-        children.reserve(tree.children(id).size());
-        for (const fta::NodeId child : tree.children(id)) {
-          children.push_back(self(self, child));
+        const std::size_t base = operands.size();
+        for (const std::uint32_t child : graph.children_of(id)) {
+          const BddRef operand = self(self, child);
+          operands.push_back(operand);
         }
+        const std::span<const BddRef> children(operands.data() + base,
+                                               node.child_count);
         // AND/OR chains fold right-to-left: children earlier in the gate
         // also come earlier in the variable order (DFS numbering), so each
         // step prepends *above* the accumulated diagram instead of
@@ -400,7 +480,7 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
         // left fold creates a quadratic trail of dead intermediates (there
         // is no GC; every node ever made stays in the manager). The final
         // diagram is the same either way — ROBDDs are canonical.
-        switch (tree.gate_type(id)) {
+        switch (node.gate) {
           case fta::GateType::kAnd:
           case fta::GateType::kInhibit: {
             result = kTrue;
@@ -417,21 +497,27 @@ CompiledFaultTree compile(const fta::FaultTree& tree,
             break;
           }
           case fta::GateType::kKofN:
-            result = manager.at_least(children, tree.vote_threshold(id));
+            result = manager.at_least(children, node.k);
             break;
           case fta::GateType::kXor:
             result = exactly_one(manager, children);
             break;
         }
+        operands.resize(base);
         break;
       }
     }
     memo[id] = result;
     return result;
   };
-  compiled.root = build(build, tree.top());
+  compiled.root = build(build, graph.top);
   manager.set_control(nullptr);  // the control bounds compilation only
   return compiled;
+}
+
+CompiledFaultTree compile(const fta::FaultTree& tree,
+                          const BddOptions& options) {
+  return compile(GateGraph::from_tree(tree), options);
 }
 
 fta::CutSetCollection minimal_cut_sets_bdd(const fta::FaultTree& tree) {

@@ -10,15 +10,22 @@
 //
 // The manager owns a unique table (hash-consing guarantees canonicity: two
 // equivalent functions share one node) and a direct-mapped ITE result cache
-// whose geometry is tunable through BddOptions. Functions are referenced by
-// index; no reference counting or garbage collection is performed — managers
-// are intended to live for one analysis, so *live* node counts equal *peak*
-// node counts (BddStatistics documents and asserts that invariant).
+// whose geometry is tunable through BddOptions. The unique table is open
+// addressing over node indices in one flat array, so creating a node
+// allocates nothing beyond the node vector's own growth. Functions are
+// referenced by index; no reference counting or garbage collection is
+// performed — managers are intended to live for one analysis, so *live*
+// node counts equal *peak* node counts (BddStatistics documents and asserts
+// that invariant).
+//
+// compile() has one input form, the flat anonymous GateGraph: prep builds
+// its module diagrams straight into it, and the fault-tree overload
+// flattens the tree first. So there is exactly one compile routine.
 #ifndef SAFEOPT_BDD_BDD_H
 #define SAFEOPT_BDD_BDD_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "safeopt/fta/cut_sets.h"
@@ -58,8 +65,10 @@ struct BddOptions {
   /// Leaf -> variable numbering used by compile(). Ignored by a raw
   /// BddManager (its callers assign variables themselves).
   VariableOrdering ordering = VariableOrdering::kDfs;
-  /// Buckets reserved in the unique (hash-consing) table up front; sized
-  /// to the expected node count it avoids rehash stalls on big trees.
+  /// Slots reserved up front in the unique (hash-consing) table, an
+  /// open-addressing table kept at most half full; rounded up to a power
+  /// of two (at least 16). Sized to the expected node count it avoids
+  /// rehash stalls on big trees; results are identical at any size.
   std::size_t initial_table_size = 1u << 12;
   /// Entries in the direct-mapped ITE result cache; rounded up to a power
   /// of two. Bigger caches trade memory for fewer recomputations — results
@@ -129,7 +138,8 @@ class BddManager {
   [[nodiscard]] BddRef apply_xor(BddRef f, BddRef g);
   [[nodiscard]] BddRef apply_not(BddRef f);
   /// At least `k` of `items` true.
-  [[nodiscard]] BddRef at_least(std::vector<BddRef> items, std::uint32_t k);
+  [[nodiscard]] BddRef at_least(std::span<const BddRef> items,
+                                std::uint32_t k);
 
   /// Evaluates f under a full variable assignment.
   [[nodiscard]] bool evaluate(BddRef f,
@@ -171,7 +181,6 @@ class BddManager {
     std::uint32_t var;
     BddRef low;
     BddRef high;
-    bool operator==(const NodeKey&) const = default;
   };
   struct NodeKeyHash {
     std::size_t operator()(const NodeKey& k) const noexcept;
@@ -188,13 +197,17 @@ class BddManager {
 
   /// Hash-consing constructor: returns the canonical node for (var,low,high).
   [[nodiscard]] BddRef make_node(std::uint32_t var, BddRef low, BddRef high);
+  /// Doubles the unique table and refiles every decision node.
+  void grow_unique_table();
   [[nodiscard]] std::uint32_t top_var(BddRef f, BddRef g, BddRef h) const;
   /// Cofactor of f with respect to var = value.
   [[nodiscard]] BddRef cofactor(BddRef f, std::uint32_t var, bool value) const;
 
   std::uint32_t variable_count_;
   std::vector<Node> nodes_;
-  std::unordered_map<NodeKey, BddRef, NodeKeyHash> unique_table_;
+  /// Open addressing with linear probing over node indices; kFalse marks
+  /// an empty slot (terminals are never filed). Size is a power of two.
+  std::vector<BddRef> unique_table_;
   std::vector<IteSlot> ite_cache_;
   std::size_t ite_mask_ = 0;
   std::size_t node_budget_ = 0;               // decision nodes; 0 = unlimited
@@ -221,9 +234,55 @@ struct CompiledFaultTree {
       const fta::QuantificationInput& input) const;
 };
 
-/// Compiles the tree bottom-up under `options` (variable ordering heuristic,
-/// table/cache geometry). XOR gates compile exactly (true XOR, not the
-/// coherent hull). Precondition: tree.has_top().
+/// The flat, anonymous gate graph compile() reads: node kinds, gate types
+/// and thresholds, leaf ordinals, and every gate's children as one
+/// contiguous run of the shared `children` array. Leaf ordinals count the
+/// graph's own basic events and conditions in creation order, as in
+/// fta::FaultTree. No names: compilation never reads one.
+struct GateGraph {
+  struct Node {
+    fta::NodeKind kind = fta::NodeKind::kBasicEvent;
+    fta::GateType gate = fta::GateType::kAnd;
+    std::uint32_t k = 0;            // vote threshold for kKofN
+    std::uint32_t ordinal = 0;      // leaf ordinal (basic events, conditions)
+    std::uint32_t first_child = 0;  // gates: offset into `children`
+    std::uint32_t child_count = 0;
+  };
+
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> children;
+  std::uint32_t top = 0;
+  std::uint32_t basic_event_count = 0;
+  std::uint32_t condition_count = 0;
+
+  /// The same graph as `tree`, node for node (ids, ordinals, child order).
+  /// Precondition: tree.has_top().
+  [[nodiscard]] static GateGraph from_tree(const fta::FaultTree& tree);
+
+  /// Appends a basic event or condition leaf and returns its id.
+  std::uint32_t add_leaf(fta::NodeKind kind);
+  /// Appends a gate over `gate_children` (ids already in the graph).
+  std::uint32_t add_gate(fta::GateType type, std::uint32_t k,
+                         std::span<const std::uint32_t> gate_children);
+
+  [[nodiscard]] std::span<const std::uint32_t> children_of(
+      std::uint32_t id) const {
+    const Node& node = nodes[id];
+    return {children.data() + node.first_child, node.child_count};
+  }
+  [[nodiscard]] std::size_t gate_count() const noexcept {
+    return nodes.size() - basic_event_count - condition_count;
+  }
+};
+
+/// Compiles the graph bottom-up from `graph.top` under `options` (variable
+/// ordering heuristic, table/cache geometry). XOR gates compile exactly
+/// (true XOR, not the coherent hull).
+[[nodiscard]] CompiledFaultTree compile(const GateGraph& graph,
+                                        const BddOptions& options = {});
+
+/// compile(GateGraph::from_tree(tree), options). Precondition:
+/// tree.has_top().
 [[nodiscard]] CompiledFaultTree compile(const fta::FaultTree& tree,
                                         const BddOptions& options = {});
 

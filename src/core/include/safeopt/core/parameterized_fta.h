@@ -60,9 +60,11 @@ class ParameterizedQuantification {
       const fta::CutSetCollection& mcs,
       HazardFormula formula = HazardFormula::kRareEvent) const;
 
-  /// Convenience: runs MOCUS on the tree, then hazard_expression.
+  /// Convenience: runs MOCUS on the tree under `control` (nullptr =
+  /// unbounded; see fta::minimal_cut_sets), then hazard_expression.
   [[nodiscard]] expr::Expr hazard_expression(
-      HazardFormula formula = HazardFormula::kRareEvent) const;
+      HazardFormula formula = HazardFormula::kRareEvent,
+      const ExecutionControl* control = nullptr) const;
 
   /// Evaluates every leaf expression at `at`, producing the numeric input
   /// for the classical fta/bdd quantification engines (cross-validation).

@@ -79,8 +79,8 @@ expr::Expr ParameterizedQuantification::hazard_expression(
 }
 
 expr::Expr ParameterizedQuantification::hazard_expression(
-    HazardFormula formula) const {
-  return hazard_expression(fta::minimal_cut_sets(tree_), formula);
+    HazardFormula formula, const ExecutionControl* control) const {
+  return hazard_expression(fta::minimal_cut_sets(tree_, control), formula);
 }
 
 expr::Expr ParameterizedQuantification::birnbaum_expression(

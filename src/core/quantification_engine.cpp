@@ -62,8 +62,13 @@ PreprocessSummary to_summary(const prep::PreprocessStatistics& statistics) {
 /// overestimate (Eq. 1/2 is the first Bonferroni bound).
 class CutSetEngine final : public QuantificationEngine {
  public:
-  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config)
-      : tree_(tree), config_(config), mcs_(fta::minimal_cut_sets(tree)) {
+  /// `control` bounds MOCUS, the construction (the factory derives it from
+  /// `deadline_ms` and the caller's control).
+  CutSetEngine(const fta::FaultTree& tree, const EngineConfig& config,
+               const ExecutionControl* control)
+      : tree_(tree),
+        config_(config),
+        mcs_(fta::minimal_cut_sets(tree, control)) {
     // MOCUS happens here; quantify() is per-point arithmetic. Checked here
     // rather than at the first quantify, so `fallback` can take over.
     if (config.method == fta::ProbabilityMethod::kInclusionExclusion &&
@@ -242,8 +247,12 @@ NameRegistry<EngineRegistry::Factory>& registry() {
       "quantification engine",
       {{"fta",
         [](const fta::FaultTree& tree, const EngineConfig& config,
-           const ExecutionControl*) {
-          return std::make_unique<CutSetEngine>(tree, config);
+           const ExecutionControl* control) {
+          // MOCUS at construction is the expensive phase, as for "bdd".
+          ExecutionControl storage;
+          return std::make_unique<CutSetEngine>(
+              tree, config,
+              activate_control(config.deadline_ms, control, storage));
         }},
        {"bdd",
         [](const fta::FaultTree& tree, const EngineConfig& config,

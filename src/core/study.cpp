@@ -386,7 +386,8 @@ Study Study::from_document(const ftio::StudyDocument& document,
         quantification.set_event_probability(leaf.name, leaf.probability);
       }
     }
-    model.add_hazard({hazard.tree, quantification.hazard_expression(formula),
+    model.add_hazard({hazard.tree,
+                      quantification.hazard_expression(formula, control),
                       hazard.cost});
   }
 

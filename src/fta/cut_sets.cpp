@@ -4,9 +4,41 @@
 #include <set>
 
 #include "safeopt/support/contracts.h"
+#include "safeopt/support/execution.h"
 
 namespace safeopt::fta {
 namespace {
+
+/// Polls an ExecutionControl on every 1024th tick: MOCUS steps are a few
+/// set operations each, so a poll (a clock read) per step would show.
+class Poller {
+ public:
+  explicit Poller(const ExecutionControl* control) noexcept
+      : control_(control) {}
+
+  void tick() {
+    if (control_ != nullptr && (++ticks_ & 1023u) == 0) {
+      control_->check("minimal cut set generation");
+    }
+  }
+
+ private:
+  const ExecutionControl* control_;
+  std::size_t ticks_ = 0;
+};
+
+/// The index of a set that subsumes another one, or sets.size() when every
+/// set is minimal. Calls `tick` once per pair compared.
+template <typename Tick>
+std::size_t first_non_minimal(const std::vector<CutSet>& sets, Tick&& tick) {
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      tick();
+      if (i != j && sets[i].subsumes(sets[j])) return i;
+    }
+  }
+  return sets.size();
+}
 
 /// Inserts `value` into the sorted vector `sorted` if not already present.
 void insert_sorted_unique(std::vector<NodeId>& sorted, NodeId value) {
@@ -93,12 +125,14 @@ std::vector<BasicEventOrdinal> CutSetCollection::single_points_of_failure()
   return out;
 }
 
-void CutSetCollection::minimize() {
+void CutSetCollection::minimize(const ExecutionControl* control) {
+  Poller poller(control);
   std::sort(sets_.begin(), sets_.end(), CutSet::less);
   sets_.erase(std::unique(sets_.begin(), sets_.end()), sets_.end());
   std::vector<CutSet> minimal;
   minimal.reserve(sets_.size());
   for (CutSet& candidate : sets_) {
+    poller.tick();
     const bool subsumed = std::any_of(
         minimal.begin(), minimal.end(),
         [&](const CutSet& kept) { return kept.subsumes(candidate); });
@@ -108,12 +142,7 @@ void CutSetCollection::minimize() {
 }
 
 bool CutSetCollection::is_minimal() const noexcept {
-  for (std::size_t i = 0; i < sets_.size(); ++i) {
-    for (std::size_t j = 0; j < sets_.size(); ++j) {
-      if (i != j && sets_[i].subsumes(sets_[j])) return false;
-    }
-  }
-  return true;
+  return first_non_minimal(sets_, [] {}) == sets_.size();
 }
 
 std::string CutSetCollection::to_string(const FaultTree& tree) const {
@@ -138,8 +167,10 @@ std::string CutSetCollection::to_string(const FaultTree& tree) const {
   return out;
 }
 
-CutSetCollection minimal_cut_sets(const FaultTree& tree) {
+CutSetCollection minimal_cut_sets(const FaultTree& tree,
+                                  const ExecutionControl* control) {
   SAFEOPT_EXPECTS(tree.has_top());
+  Poller poller(control);
   // MOCUS working state: each in-progress cut set is a sorted NodeId vector
   // that may still contain gates. The frontier is deduplicated to avoid
   // re-expanding identical intermediate sets in shared-subtree DAGs.
@@ -148,6 +179,7 @@ CutSetCollection minimal_cut_sets(const FaultTree& tree) {
   frontier.insert({tree.top()});
 
   while (!frontier.empty()) {
+    poller.tick();
     auto working = *frontier.begin();
     frontier.erase(frontier.begin());
 
@@ -188,6 +220,8 @@ CutSetCollection minimal_cut_sets(const FaultTree& tree) {
         for_each_k_subset(
             children, tree.vote_threshold(gate),
             [&](std::span<const NodeId> subset) {
+              // One vote can emit C(n, k) branches: poll per branch.
+              poller.tick();
               auto branch = working;
               for (const NodeId child : subset) {
                 insert_sorted_unique(branch, child);
@@ -217,8 +251,10 @@ CutSetCollection minimal_cut_sets(const FaultTree& tree) {
   }
 
   CutSetCollection collection(std::move(sets));
-  collection.minimize();
-  SAFEOPT_ENSURES(collection.is_minimal());
+  collection.minimize(control);
+  SAFEOPT_ENSURES(first_non_minimal(collection.sets(), [&poller] {
+                    poller.tick();
+                  }) == collection.size());
   return collection;
 }
 

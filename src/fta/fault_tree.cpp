@@ -18,6 +18,11 @@ std::string_view to_string(GateType type) noexcept {
 
 FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
+void FaultTree::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  by_name_.reserve(nodes);
+}
+
 NodeId FaultTree::add_node(Node node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (!node.name.empty()) {

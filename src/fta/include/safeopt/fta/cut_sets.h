@@ -19,6 +19,10 @@
 
 #include "safeopt/fta/fault_tree.h"
 
+namespace safeopt {
+class ExecutionControl;  // support/execution.h
+}
+
 namespace safeopt::fta {
 
 /// One cut set: sorted, duplicate-free ordinals of its basic events and of
@@ -63,8 +67,10 @@ class CutSetCollection {
       const;
 
   /// Removes non-minimal sets (any set subsuming another is dropped) and
-  /// sorts canonically. Idempotent.
-  void minimize();
+  /// sorts canonically. Idempotent. Polls `control` (nullptr = unbounded)
+  /// while it compares; an abort throws Error(kDeadlineExceeded /
+  /// kCancelled) and leaves the collection valid but unspecified.
+  void minimize(const ExecutionControl* control = nullptr);
 
   /// True if every set is minimal w.r.t. every other (the MCS invariant the
   /// property tests assert).
@@ -78,8 +84,12 @@ class CutSetCollection {
 };
 
 /// Generates the minimal cut sets of `tree` with MOCUS + absorption.
+/// Polls `control` (nullptr = unbounded) throughout the expansion, the
+/// absorption and the minimality postcondition; an abort throws
+/// Error(kDeadlineExceeded / kCancelled).
 /// Precondition: tree.has_top() and tree.validate() is clean.
-[[nodiscard]] CutSetCollection minimal_cut_sets(const FaultTree& tree);
+[[nodiscard]] CutSetCollection minimal_cut_sets(
+    const FaultTree& tree, const ExecutionControl* control = nullptr);
 
 /// Reference implementation for testing: enumerates all assignments of the
 /// basic events (conditions forced true), keeps the minimal true ones.

@@ -23,8 +23,8 @@
 // name is found by find() and its name is unique in the tree. A node added
 // with an empty name is anonymous: find() never returns it and node_name()
 // is empty. Analyses read kinds, children, thresholds and ordinals, never
-// names, so library-built trees (prep's module trees, the dual tree of
-// minimal_path_sets) are anonymous; ftio documents are always fully named.
+// names, so library-built trees (the dual tree of minimal_path_sets) are
+// anonymous; ftio documents are always fully named.
 #ifndef SAFEOPT_FTA_FAULT_TREE_H
 #define SAFEOPT_FTA_FAULT_TREE_H
 
@@ -63,6 +63,10 @@ class FaultTree {
   explicit FaultTree(std::string name);
 
   // ---- construction (bottom-up) -------------------------------------------
+
+  /// Reserves room for `nodes` nodes (and as many names), so building a tree
+  /// of known size reallocates nothing on the way.
+  void reserve(std::size_t nodes);
 
   /// Adds a primary failure leaf. A non-empty name must be unique within the
   /// tree; an empty one makes the node anonymous (see the file comment).

@@ -4,7 +4,6 @@
 // tree and constant probabilities, and its diagnostics (messages and
 // line:column positions) are pinned by tests/ftio/parser_test.cpp.
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -134,18 +133,22 @@ class Lexer {
       // One maximal word of [A-Za-z0-9_.+-]; decide number vs identifier by
       // whether the whole word parses as a double. This keeps "1e-3" a
       // number while "2of3" (vote gates) and "timer-1" stay identifiers.
+      // std::from_chars accepts only words that start with a digit, '-',
+      // '.', or the first letter of inf/infinity/nan, so no other word is
+      // handed to it.
       const std::size_t start = pos_;
       while (pos_ < text_.size() && is_word_char(text_[pos_])) advance();
       token.text = text_.substr(start, pos_ - start);
       const std::string_view slice = token.text;
-      const auto [end, ec] = std::from_chars(
-          slice.data(), slice.data() + slice.size(), token.number);
-      if (ec == std::errc{} && end == slice.data() + slice.size()) {
-        token.kind = Token::Kind::kNumber;
-        return token;
+      if (can_start_number(slice.front())) {
+        const auto [end, ec] = std::from_chars(
+            slice.data(), slice.data() + slice.size(), token.number);
+        if (ec == std::errc{} && end == slice.data() + slice.size()) {
+          token.kind = Token::Kind::kNumber;
+          return token;
+        }
       }
-      if (is_identifier_start(slice.front()) ||
-          std::isdigit(static_cast<unsigned char>(slice.front())) != 0) {
+      if (is_identifier_start(slice.front()) || is_digit(slice.front())) {
         token.kind = Token::Kind::kIdentifier;
         return token;
       }
@@ -191,12 +194,21 @@ class Lexer {
   }
 
  private:
-  static bool is_identifier_start(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+  // ASCII character classes: the grammar is ASCII, and these are the
+  // "C"-locale answers of <cctype> without its per-call locale lookup.
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+  static bool is_alpha(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
   }
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+  static bool is_identifier_start(char c) { return is_alpha(c) || c == '_'; }
   static bool is_word_char(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
-           c == '.' || c == '+' || c == '-';
+    return is_alpha(c) || is_digit(c) || c == '_' || c == '.' || c == '+' ||
+           c == '-';
+  }
+  static bool can_start_number(char c) {
+    return is_digit(c) || c == '-' || c == '.' || c == 'i' || c == 'I' ||
+           c == 'n' || c == 'N';
   }
 
   void advance() {
@@ -212,7 +224,7 @@ class Lexer {
   void skip_whitespace_and_comments() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      if (is_space(c)) {
         advance();
       } else if (c == '#') {
         while (pos_ < text_.size() && text_[pos_] != '\n') advance();
@@ -681,7 +693,11 @@ class TreeBuilder {
         source_(source),
         built_{fta::FaultTree(section.name), {}, {}},
         gate_node_(section.gates.size(), kUnbuilt),
-        leaf_node_(section.leaves.size(), kUnbuilt) {}
+        leaf_node_(section.leaves.size(), kUnbuilt) {
+    // Every declaration becomes at most one node, so the counts bound the
+    // tree: node vector and name index are sized once.
+    built_.tree.reserve(section.gates.size() + section.leaves.size());
+  }
 
   BuiltTree build() {
     fta::FaultTree& tree = built_.tree;

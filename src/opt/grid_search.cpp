@@ -85,6 +85,14 @@ class GridSearch final : public Solver {
         }
       }
       ++result.iterations;
+      // No value compared below +inf (every point NaN or +inf): there is
+      // no incumbent to zoom on, so the search ends at the box center.
+      if (result.argmin.empty()) {
+        result.argmin = box.center();
+        result.converged = false;
+        result.message = "no grid point had a value below +inf";
+        return result;
+      }
 
       // Zoom: new box is one grid-cell half-width around the incumbent,
       // clipped to the original feasible box.

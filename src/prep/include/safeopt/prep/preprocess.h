@@ -31,13 +31,18 @@
 // composing each module's MOCUS output reproduces MOCUS on the whole tree
 // (the property tests check exactly that).
 //
+// The passes rewrite a private IR in place: each pass reuses its scratch
+// vectors from gate to gate and writes a gate's new children back into the
+// gate's own list, so a pass allocates only for the gates it adds.
+//
 // The result of preprocess() is a PreprocessedTree: a list of Subtrees in
 // dependency order (innermost modules first, top last) with per-leaf origin
-// maps back to the original tree's ordinals, plus per-pass statistics. The
-// subtrees are anonymous fault trees — no pass makes up a name and the
-// rebuild copies none, since BDD compilation and MOCUS read only kinds,
+// maps back to the original tree's ordinals, plus per-pass statistics. Each
+// subtree is a flat, anonymous bdd::GateGraph built straight from the IR —
+// no fault tree, no names, since BDD compilation reads only kinds,
 // children, thresholds and ordinals (a module's pseudo-leaf is tied to its
-// module by LeafOrigin, not by name). The "bdd" engine always runs it and
+// module by LeafOrigin, not by name). bdd::compile over that graph is the
+// one BDD compile routine. The "bdd" engine always runs preprocess() and
 // quantifies through CompiledPreprocessedTree; the "fta" engine runs MOCUS
 // on the original tree instead.
 #ifndef SAFEOPT_PREP_PREPROCESS_H
@@ -89,14 +94,13 @@ struct LeafOrigin {
 /// subtree is last in PreprocessedTree::subtrees(); every pseudo-leaf
 /// refers to an earlier subtree (dependency order).
 struct Subtree {
-  /// Every node is anonymous (see fault_tree.h): the origin maps below, not
-  /// names, tie the tree back to the original. Module trees have an empty
-  /// tree name; the top subtree keeps the original tree's name.
-  fta::FaultTree tree;
-  /// Origin of each basic event of `tree`, by its BasicEventOrdinal. Module
-  /// pseudo-leaves appear here with Kind::kModule.
+  /// The unit's gates and leaves; the origin maps below, not names, tie it
+  /// back to the original tree.
+  bdd::GateGraph graph;
+  /// Origin of each basic event of `graph`, by its basic-event ordinal.
+  /// Module pseudo-leaves appear here with Kind::kModule.
   std::vector<LeafOrigin> basic_origin;
-  /// Original ConditionOrdinal of each condition of `tree`.
+  /// Original ConditionOrdinal of each condition of `graph`.
   std::vector<std::uint32_t> condition_origin;
 };
 

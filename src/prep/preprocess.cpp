@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "safeopt/support/contracts.h"
@@ -23,8 +22,10 @@ namespace {
 // chain. TRUE/FALSE constant items exist so constant propagation has
 // something to propagate (no source tree contains them, but a pass — or a
 // future pass, see docs/extending.md — may introduce them). Items carry no
-// names: the passes, the module trees and everything downstream read kinds,
-// children, thresholds and ordinals only.
+// names: the passes, the module graphs and everything downstream read
+// kinds, children, thresholds and ordinals only. A pass rewrites an item's
+// children in place, through scratch vectors it reuses from gate to gate,
+// so a sweep allocates only for the items it adds.
 
 enum class ItemKind : std::uint8_t {
   kBasic,
@@ -46,6 +47,11 @@ struct Ir {
   std::vector<Item> items;
   std::vector<std::uint32_t> alias;  // alias[i] == i when canonical
   std::uint32_t root = 0;
+  // Walk scratch shared by every reachability walk: item i is visited in
+  // the current walk iff stamp[i] == epoch, so no walk clears the array.
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<std::uint32_t> stack;
 
   std::uint32_t add(Item item) {
     const auto id = static_cast<std::uint32_t>(items.size());
@@ -62,21 +68,29 @@ struct Ir {
     return id;
   }
 
-  /// Number of items reachable from the root through resolved edges.
-  [[nodiscard]] std::size_t reachable_count() {
-    std::vector<bool> seen(items.size(), false);
-    std::vector<std::uint32_t> stack{resolve(root)};
-    std::size_t count = 0;
+  /// Depth-first walk over the items reachable from the root through
+  /// resolved edges; `visit(id)` runs once per item.
+  template <typename Visit>
+  void walk(const Visit& visit) {
+    stamp.resize(items.size(), 0);
+    ++epoch;
+    stack.assign(1, resolve(root));
     while (!stack.empty()) {
       const std::uint32_t id = stack.back();
       stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      ++count;
+      if (stamp[id] == epoch) continue;
+      stamp[id] = epoch;
+      visit(id);
       for (const std::uint32_t child : items[id].children) {
         stack.push_back(resolve(child));
       }
     }
+  }
+
+  /// Number of items reachable from the root through resolved edges.
+  [[nodiscard]] std::size_t reachable_count() {
+    std::size_t count = 0;
+    walk([&count](std::uint32_t) { ++count; });
     return count;
   }
 };
@@ -130,21 +144,25 @@ std::uint32_t constant(Ir& ir, bool value) {
 // which is what makes the pass bitwise probability-preserving.
 PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "propagate", .nodes_before = nodes_before};
+  // The gate's resolved children and the ones a rule keeps. An item's own
+  // list changes only when the gate survives, so an aliased gate keeps the
+  // list it had.
+  std::vector<std::uint32_t> children;
+  std::vector<std::uint32_t> kept;
   for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
     Item& item = ir.items[id];
     if (item.kind != ItemKind::kGate ||
         item.gate == fta::GateType::kInhibit) {
       continue;
     }
-    std::vector<std::uint32_t> children;
-    children.reserve(item.children.size());
+    children.clear();
     for (const std::uint32_t child : item.children) {
       children.push_back(ir.resolve(child));
     }
 
     if (item.gate == fta::GateType::kKofN) {
       // Fold constants into the threshold, then degrade to AND/OR.
-      std::vector<std::uint32_t> kept;
+      kept.clear();
       std::int64_t k = item.k;
       for (const std::uint32_t child : children) {
         if (ir.items[child].kind == ItemKind::kTrue) {
@@ -156,7 +174,7 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
           kept.push_back(child);
         }
       }
-      children = std::move(kept);
+      children.swap(kept);
       if (k <= 0) {
         ir.alias[id] = constant(ir, true);
         ++stats.rewrites;
@@ -177,14 +195,14 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
         ++stats.rewrites;
       } else {
         item.k = static_cast<std::uint32_t>(k);
-        item.children = std::move(children);
+        item.children.assign(children.begin(), children.end());
         continue;
       }
     }
 
     if (item.gate == fta::GateType::kAnd || item.gate == fta::GateType::kOr) {
       const bool is_and = item.gate == fta::GateType::kAnd;
-      std::vector<std::uint32_t> kept;
+      kept.clear();
       bool short_circuit = false;
       for (const std::uint32_t child : children) {
         const Item& c = ir.items[child];
@@ -209,7 +227,7 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
         ++stats.rewrites;
         continue;
       }
-      children = std::move(kept);
+      children.swap(kept);
     } else if (item.gate == fta::GateType::kXor) {
       // exactly-one: FALSE children are inert; anything stronger (a TRUE
       // child forces all siblings false) needs negation we cannot express.
@@ -230,7 +248,8 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
       ++stats.rewrites;
       continue;
     }
-    item.children = std::move(children);
+    // Never longer than the list it replaces, so it fits in place.
+    item.children.assign(children.begin(), children.end());
   }
   ir.root = ir.resolve(ir.root);
   stats.nodes_after = ir.reachable_count();
@@ -249,13 +268,16 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
 // any gate that first touches child i+1).
 PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "normalize", .nodes_before = nodes_before};
+  // Per-vote scratch: the resolved children and the ge(i, j) memo.
+  std::vector<std::uint32_t> children;
+  std::vector<std::uint32_t> memo;
   const auto gate_count = static_cast<std::uint32_t>(ir.items.size());
   for (std::uint32_t id = 0; id < gate_count; ++id) {
     if (ir.items[id].kind != ItemKind::kGate ||
         ir.items[id].gate != fta::GateType::kKofN) {
       continue;
     }
-    std::vector<std::uint32_t> children;
+    children.clear();
     for (const std::uint32_t child : ir.items[id].children) {
       children.push_back(ir.resolve(child));
     }
@@ -266,7 +288,7 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
     // memo[i * (k + 1) + j] is the gate for ge(i, j), or kNone. The memo
     // never grows, so a reference to a slot survives the recursion.
     constexpr std::uint32_t kNone = UINT32_MAX;
-    std::vector<std::uint32_t> memo(std::size_t{n} * (k + 1), kNone);
+    memo.assign(std::size_t{n} * (k + 1), kNone);
     const auto ge = [&](auto&& self, std::uint32_t i,
                         std::uint32_t j) -> std::uint32_t {
       SAFEOPT_ASSERT(j >= 1 && j <= n - i);
@@ -316,29 +338,19 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "flatten", .nodes_before = nodes_before};
   // Reference counts over the resolved, reachable graph only.
   std::vector<std::uint32_t> refs(ir.items.size(), 0);
-  {
-    std::vector<bool> seen(ir.items.size(), false);
-    std::vector<std::uint32_t> stack{ir.resolve(ir.root)};
-    while (!stack.empty()) {
-      const std::uint32_t id = stack.back();
-      stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      for (const std::uint32_t raw : ir.items[id].children) {
-        const std::uint32_t child = ir.resolve(raw);
-        ++refs[child];
-        stack.push_back(child);
-      }
+  ir.walk([&](std::uint32_t id) {
+    for (const std::uint32_t raw : ir.items[id].children) {
+      ++refs[ir.resolve(raw)];
     }
-  }
+  });
+  std::vector<std::uint32_t> flat;
   for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
     Item& item = ir.items[id];
     if (item.kind != ItemKind::kGate) continue;
     if (item.gate != fta::GateType::kAnd && item.gate != fta::GateType::kOr) {
       continue;
     }
-    std::vector<std::uint32_t> flat;
-    flat.reserve(item.children.size());
+    flat.clear();
     for (const std::uint32_t raw : item.children) {
       const std::uint32_t child = ir.resolve(raw);
       const Item& c = ir.items[child];
@@ -352,7 +364,7 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
         flat.push_back(child);
       }
     }
-    item.children = std::move(flat);
+    item.children.assign(flat.begin(), flat.end());
   }
   ir.root = ir.resolve(ir.root);
   stats.nodes_after = ir.reachable_count();
@@ -367,10 +379,11 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
 // the DFS leaf first-visit order and break the bitwise-parity guarantee.
 PassStats run_merge(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "merge", .nodes_before = nodes_before};
-  // The set holds item ids keyed by (type, threshold, child list) as the
-  // item stands when it is inserted. The sweep never revisits an inserted
-  // item, so the key read back later is the key that was inserted. The set
-  // is only probed: the first gate of each key wins, in id order.
+  // The table holds item ids keyed by (type, threshold, child list) as the
+  // item stands when it is filed. The sweep never revisits a filed item, so
+  // the key read back later is the key that was filed. The table is only
+  // probed: the first gate of each key wins, in id order. Open addressing
+  // with linear probing, at most half full (no pass adds items here).
   const auto key_hash = [&ir](std::uint32_t id) {
     const Item& item = ir.items[id];
     std::size_t h = (static_cast<std::size_t>(item.gate) << 32) ^ item.k;
@@ -384,15 +397,25 @@ PassStats run_merge(Ir& ir, std::size_t nodes_before) {
     const Item& y = ir.items[b];
     return x.gate == y.gate && x.k == y.k && x.children == y.children;
   };
-  std::unordered_set<std::uint32_t, decltype(key_hash), decltype(key_equal)>
-      canonical(ir.items.size(), key_hash, key_equal);
+  constexpr std::uint32_t kEmpty = UINT32_MAX;
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * ir.items.size()) ++bits;
+  std::vector<std::uint32_t> canonical(std::size_t{1} << bits, kEmpty);
+  const std::size_t mask = canonical.size() - 1;
   for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
     Item& item = ir.items[id];
     if (item.kind != ItemKind::kGate) continue;
     for (std::uint32_t& child : item.children) child = ir.resolve(child);
-    const auto [it, inserted] = canonical.insert(id);
-    if (!inserted) {
-      ir.alias[id] = *it;
+    // Fibonacci hashing: the top bits of the product spread the key.
+    std::size_t i = static_cast<std::size_t>(
+        (std::uint64_t{key_hash(id)} * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+    while (canonical[i] != kEmpty && !key_equal(canonical[i], id)) {
+      i = (i + 1) & mask;
+    }
+    if (canonical[i] == kEmpty) {
+      canonical[i] = id;
+    } else {
+      ir.alias[id] = canonical[i];
       ++stats.rewrites;
     }
   }
@@ -485,80 +508,78 @@ ModuleScan scan_modules(Ir& ir) {
 
 // ------------------------------------------------------------- rebuild
 
-/// Which item became which node of the subtree being built: node_of[id] is
+/// Which item became which node of the graph being built: node_of[id] is
 /// valid only where stamp[id] is the current subtree's stamp, so one pair of
-/// vectors serves every subtree without clearing.
+/// vectors serves every subtree without clearing. `operands` holds the
+/// child nodes of every gate on the build path, innermost gate last.
+/// `subtree` is the one being built: it keeps its capacity from module to
+/// module, and each finished module is copied out at its exact size.
 struct BuildScratch {
   explicit BuildScratch(std::size_t items) : node_of(items), stamp(items, 0) {}
 
-  std::vector<fta::NodeId> node_of;
+  std::vector<std::uint32_t> node_of;
   std::vector<std::uint32_t> stamp;
   std::uint32_t current = 0;
+  std::vector<std::uint32_t> operands;
+  Subtree subtree;
 };
 
-/// Builds the anonymous FaultTree for the subtree rooted at `start`,
+/// Builds the anonymous gate graph for the subtree rooted at `start`,
 /// stopping at chosen module boundaries (they become pseudo-leaf basic
-/// events). Leaves are created at their DFS first visit, so subtree ordinal
-/// order *is* DFS order — the BDD variable order.
-Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
+/// events). Leaves are created at their DFS first visit and gates after
+/// their children, so leaf ordinal order *is* DFS order — the BDD variable
+/// order.
+Subtree build_subtree(Ir& ir, std::uint32_t start,
                       const std::vector<std::int64_t>& module_of,
                       BuildScratch& scratch) {
-  Subtree subtree{.tree = fta::FaultTree(std::move(tree_name)),
-                  .basic_origin = {},
-                  .condition_origin = {}};
-  fta::FaultTree& tree = subtree.tree;
+  Subtree& subtree = scratch.subtree;
+  bdd::GateGraph& graph = subtree.graph;
+  graph.nodes.clear();
+  graph.children.clear();
+  graph.basic_event_count = 0;
+  graph.condition_count = 0;
+  subtree.basic_origin.clear();
+  subtree.condition_origin.clear();
   const std::uint32_t stamp = ++scratch.current;
-  const auto build = [&](auto&& self, std::uint32_t id) -> fta::NodeId {
+  const auto build = [&](auto&& self, std::uint32_t id) -> std::uint32_t {
     if (scratch.stamp[id] == stamp) return scratch.node_of[id];
     const Item& item = ir.items[id];
-    fta::NodeId node = 0;
+    std::uint32_t node = 0;
     if (id != start && module_of[id] >= 0) {
-      node = tree.add_basic_event({});
+      node = graph.add_leaf(fta::NodeKind::kBasicEvent);
       subtree.basic_origin.push_back(
           {LeafOrigin::Kind::kModule,
            static_cast<std::uint32_t>(module_of[id])});
     } else {
       switch (item.kind) {
         case ItemKind::kBasic:
-          node = tree.add_basic_event({});
+          node = graph.add_leaf(fta::NodeKind::kBasicEvent);
           subtree.basic_origin.push_back(
               {LeafOrigin::Kind::kBasicEvent, item.ordinal});
           break;
         case ItemKind::kCondition:
-          node = tree.add_condition({});
+          node = graph.add_leaf(fta::NodeKind::kCondition);
           subtree.condition_origin.push_back(item.ordinal);
           break;
         case ItemKind::kTrue:
         case ItemKind::kFalse:
           // Constants reaching the rebuild would need TRUE/FALSE leaves the
-          // FaultTree model does not have. Constant-free inputs never get
-          // here: propagate() folds every constant a pass introduces.
+          // gate graph does not have. Constant-free inputs never get here:
+          // propagate() folds every constant a pass introduces.
           SAFEOPT_ASSERT(false && "unfolded constant survived preprocessing");
           break;
         case ItemKind::kGate: {
-          std::vector<fta::NodeId> children;
-          children.reserve(item.children.size());
+          const std::size_t base = scratch.operands.size();
           for (const std::uint32_t raw : item.children) {
-            children.push_back(self(self, ir.resolve(raw)));
+            const std::uint32_t child = self(self, ir.resolve(raw));
+            scratch.operands.push_back(child);
           }
-          switch (item.gate) {
-            case fta::GateType::kAnd:
-              node = tree.add_and({}, std::move(children));
-              break;
-            case fta::GateType::kOr:
-              node = tree.add_or({}, std::move(children));
-              break;
-            case fta::GateType::kKofN:
-              node = tree.add_k_of_n({}, item.k, std::move(children));
-              break;
-            case fta::GateType::kXor:
-              node = tree.add_xor({}, std::move(children));
-              break;
-            case fta::GateType::kInhibit:
-              SAFEOPT_ASSERT(children.size() == 2);
-              node = tree.add_inhibit({}, children[0], children[1]);
-              break;
-          }
+          SAFEOPT_ASSERT(item.gate != fta::GateType::kInhibit ||
+                         scratch.operands.size() - base == 2);
+          node = graph.add_gate(
+              item.gate, item.gate == fta::GateType::kKofN ? item.k : 0,
+              std::span<const std::uint32_t>(scratch.operands).subspan(base));
+          scratch.operands.resize(base);
           break;
         }
       }
@@ -567,8 +588,8 @@ Subtree build_subtree(Ir& ir, std::uint32_t start, std::string tree_name,
     scratch.node_of[id] = node;
     return node;
   };
-  tree.set_top(build(build, start));
-  return subtree;
+  graph.top = build(build, start);
+  return subtree;  // a copy: each vector at its exact size
 }
 
 }  // namespace
@@ -622,18 +643,17 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
       if (id == root || !scan.is_module[id]) continue;
       if (scan.leaf_refs[id] < options.module_min_leaves) continue;
       module_of[id] = static_cast<std::int64_t>(result.subtrees.size());
-      result.subtrees.push_back(build_subtree(ir, id, {}, module_of, scratch));
+      result.subtrees.push_back(build_subtree(ir, id, module_of, scratch));
     }
   }
   result.statistics.modules = result.subtrees.size();
-  result.subtrees.push_back(
-      build_subtree(ir, root, tree.name(), module_of, scratch));
+  result.subtrees.push_back(build_subtree(ir, root, module_of, scratch));
 
-  const Subtree& top = result.subtrees.back();
+  const bdd::GateGraph& top = result.subtrees.back().graph;
   result.statistics.events_after =
-      top.tree.basic_event_count() + top.tree.condition_count();
+      top.basic_event_count + top.condition_count;
   for (const Subtree& subtree : result.subtrees) {
-    result.statistics.gates_after += subtree.tree.gate_count();
+    result.statistics.gates_after += subtree.graph.gate_count();
   }
   return result;
 }
@@ -695,7 +715,7 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
     // cache (about 0.8% more ITE calls than 64 slots per node at 4).
     bdd::BddOptions scaled = options;
     std::size_t hint = 16;
-    while (hint < 4 * subtree.tree.node_count()) hint <<= 1;
+    while (hint < 4 * subtree.graph.nodes.size()) hint <<= 1;
     scaled.cache_size = std::min(scaled.cache_size, hint);
     scaled.initial_table_size = std::min(scaled.initial_table_size, hint);
     // The node budget is charged against the sum over all modules: each
@@ -706,7 +726,7 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
           std::max<std::size_t>(budget - statistics_.decision_nodes, 1);
     }
     try {
-      compiled_.push_back(bdd::compile(subtree.tree, scaled));
+      compiled_.push_back(bdd::compile(subtree.graph, scaled));
     } catch (const Error& error) {
       if (error.category() != ErrorCategory::kResourceExhausted) throw;
       throw budget_exceeded(i + 1);

@@ -38,6 +38,13 @@ class NameIndex {
     return kNone;
   }
 
+  /// Sizes the table for `count` names, so filing that many never grows it.
+  void reserve(std::size_t count) {
+    std::size_t slots = slots_.empty() ? 16 : slots_.size();
+    while (2 * count > slots) slots *= 2;
+    if (slots != slots_.size()) rehash(slots);
+  }
+
   /// Files `id` under `name` unless the name is already filed; returns the
   /// id filed under `name` afterwards (`id` itself when it was added). One
   /// probe sequence serves both the lookup and the insert.
@@ -69,8 +76,10 @@ class NameIndex {
   }
   [[nodiscard]] std::size_t mask() const noexcept { return slots_.size() - 1; }
 
-  void grow() {
-    std::vector<Slot> slots(slots_.empty() ? 16 : 2 * slots_.size());
+  void grow() { rehash(slots_.empty() ? 16 : 2 * slots_.size()); }
+
+  void rehash(std::size_t size) {
+    std::vector<Slot> slots(size);
     const std::size_t new_mask = slots.size() - 1;
     for (const Slot& slot : slots_) {
       if (slot.id == kNone) continue;

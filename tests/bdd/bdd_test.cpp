@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "../../tools/corpus.h"
 #include "../testutil/random_tree.h"
 
 namespace safeopt::bdd {
@@ -165,6 +169,89 @@ TEST(BddOptionsTest, WeightOrderingAgreesWithDfsOnProbability) {
     EXPECT_NEAR(weighted.probability(input), p_dfs,
                 1e-12 * std::max(p_dfs, 1e-300))
         << "seed " << seed;
+  }
+}
+
+/// "%a" of a probability, for bit-for-bit comparisons with a readable diff.
+std::string bits_of(double value) {
+  char bits[64];
+  std::snprintf(bits, sizeof bits, "%a", value);
+  return bits;
+}
+
+TEST(BddOptionsTest, SmallUniqueTableGrowsToTheSameDiagram) {
+  // A unique table started at 16 slots doubles many times on the way; it
+  // must hand out the same node ids as one sized up front, so the node
+  // count, the ITE work and the probability bits are all the same.
+  std::vector<std::pair<fta::FaultTree, fta::QuantificationInput>> cases;
+  const corpus::CorpusModel corpus_1k =
+      corpus::make_corpus(corpus::tier_by_name("1k"));
+  cases.emplace_back(corpus_1k.tree, corpus_1k.input);
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    fta::FaultTree tree = testutil::random_tree(
+        seed, {.basic_events = 24, .conditions = 3, .gates = 30,
+               .allow_xor = true});
+    fta::QuantificationInput input = testutil::random_probabilities(tree, seed);
+    cases.emplace_back(std::move(tree), std::move(input));
+  }
+  for (const auto& [tree, input] : cases) {
+    BddOptions small;
+    small.initial_table_size = 16;
+    small.cache_size = 1u << 16;
+    BddOptions large = small;
+    large.initial_table_size = 1u << 20;
+    const CompiledFaultTree grown = compile(tree, small);
+    const CompiledFaultTree sized = compile(tree, large);
+    const BddStatistics& a = grown.manager.statistics();
+    const BddStatistics& b = sized.manager.statistics();
+    EXPECT_GT(a.node_count, 64u) << tree.name();
+    EXPECT_EQ(a.node_count, b.node_count) << tree.name();
+    EXPECT_EQ(a.ite_calls, b.ite_calls) << tree.name();
+    EXPECT_EQ(a.cache_hits, b.cache_hits) << tree.name();
+    EXPECT_EQ(grown.root, sized.root) << tree.name();
+    EXPECT_EQ(bits_of(grown.probability(input)),
+              bits_of(sized.probability(input)))
+        << tree.name();
+  }
+}
+
+TEST(CompileTest, PlainCountsArePinnedUnderBothOrderings) {
+  // Decision nodes and ITE calls of the unpreprocessed compile on random
+  // trees, under both variable orderings. The ITE sequence is fixed by the
+  // node order, the child order and the fold order, so any change to them
+  // moves these counts. Captured with the compile that read fta::FaultTree
+  // directly and kept its unique table in a node-based hash map.
+  struct Row {
+    std::uint64_t seed;
+    std::size_t dfs_nodes, dfs_ite, weight_nodes, weight_ite;
+  };
+  const std::vector<Row> rows = {
+      {0, 454, 1516, 408, 1146},
+      {1, 188, 609, 186, 601},
+      {2, 552, 1522, 461, 1360},
+      {3, 242, 700, 242, 682},
+      {4, 520, 1621, 378, 1047},
+      {5, 314, 950, 284, 940},
+      {6, 302, 956, 293, 816},
+      {7, 287, 858, 308, 880},
+      {8, 516, 1450, 377, 1012},
+      {9, 238, 856, 223, 886},
+  };
+  ASSERT_EQ(rows.size(), 10u);
+  for (const Row& row : rows) {
+    const fta::FaultTree tree = testutil::random_tree(
+        row.seed, {.basic_events = 24, .conditions = 3, .gates = 30,
+                   .allow_xor = true});
+    BddOptions weight;
+    weight.ordering = VariableOrdering::kWeight;
+    const CompiledFaultTree dfs = compile(tree);
+    const CompiledFaultTree weighted = compile(tree, weight);
+    const BddStatistics& d = dfs.manager.statistics();
+    const BddStatistics& w = weighted.manager.statistics();
+    EXPECT_EQ(d.decision_node_count(), row.dfs_nodes) << "seed " << row.seed;
+    EXPECT_EQ(d.ite_calls, row.dfs_ite) << "seed " << row.seed;
+    EXPECT_EQ(w.decision_node_count(), row.weight_nodes) << "seed " << row.seed;
+    EXPECT_EQ(w.ite_calls, row.weight_ite) << "seed " << row.seed;
   }
 }
 

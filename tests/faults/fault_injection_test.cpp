@@ -151,6 +151,55 @@ TEST(BddFaultTest, CompileChecksDeadlinePerGate) {
   }
 }
 
+// ------------------------------------------------------------ MOCUS polls
+
+TEST(MocusFaultTest, FtaEngineOnTheCorpusTierStopsAtAPoll) {
+  // The 1k tier's 25-of-50 top vote alone has C(50, 25) subsets, so MOCUS
+  // would expand for as long as anyone waits. It polls the engine's
+  // construction control, and the injected deadline stops it after a few
+  // polls with the deadline taxonomy.
+  const ftio::StudyDocument document = ftio::load_study(
+      std::string(SAFEOPT_SOURCE_DIR) + "/examples/corpus/corpus_1k.ft");
+  const fta::FaultTree& tree = document.trees.front().tree;
+  FaultInjector injector;
+  const ExecutionControl control =
+      injector.fire_after_polls(3, ExecutionStatus::kDeadlineExceeded);
+  try {
+    (void)core::EngineRegistry::create("fta", tree, core::EngineConfig{},
+                                       &control);
+    FAIL() << "MOCUS on the 1k tier must stop at the injected deadline";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kDeadlineExceeded);
+    EXPECT_NE(std::string(error.what()).find("minimal cut set generation"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(injector.polls(), 4u);
+}
+
+TEST(MocusFaultTest, EveryPhaseOfMocusPolls) {
+  // A control that never fires sees polls from the expansion, the
+  // absorption and the minimality postcondition alike: a tree whose run
+  // takes tens of thousands of steps is polled more than a handful of
+  // times, and the cut sets match the unpolled run.
+  const fta::FaultTree tree = []{
+    fta::FaultTree t("wide");
+    std::vector<fta::NodeId> leaves;
+    for (int i = 0; i < 14; ++i) {
+      leaves.push_back(t.add_basic_event(concat("e", std::to_string(i))));
+    }
+    t.set_top(t.add_k_of_n("top", 5, std::move(leaves)));
+    return t;
+  }();
+  FaultInjector injector;
+  const ExecutionControl control =
+      injector.fire_after_polls(1u << 30, ExecutionStatus::kDeadlineExceeded);
+  const fta::CutSetCollection polled = fta::minimal_cut_sets(tree, &control);
+  EXPECT_EQ(polled.sets(), fta::minimal_cut_sets(tree).sets());
+  EXPECT_EQ(polled.size(), 2002u);  // C(14, 5)
+  EXPECT_GT(injector.polls(), 10u);
+}
+
 TEST(BddFaultTest, CancelledCompileReportsCancellation) {
   const fta::FaultTree tree = voting_tree();
   ExecutionControl control(Deadline::already_expired());

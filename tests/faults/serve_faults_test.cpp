@@ -189,6 +189,30 @@ TEST(ServeFaultsTest, DeadlineExceededMapsTo504) {
   server.stop();
 }
 
+TEST(ServeFaultsTest, FtaEngineDeadlineMapsTo504) {
+  // MOCUS polls the request's deadline, so the fta engine on corpus_1k
+  // answers 504 soon after its 100 ms instead of expanding for seconds.
+  // The 2 s bound is far above the poll period and far below the
+  // unbounded run.
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  server.start();
+  const std::string body =
+      "{\"document\": " + json_document(corpus_1k_text()) +
+      ", \"engine\": \"fta\", \"deadline_ms\": 100}";
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = http_request(server.port(), "POST", "/v1/quantify", body);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(reply.status, 504) << reply.raw;
+  EXPECT_NE(reply.body.find("minimal cut set generation"), std::string::npos)
+      << reply.body;
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  const auto stats = http_request(server.port(), "GET", "/v1/stats", "");
+  EXPECT_EQ(stats.status, 200);
+  server.stop();
+}
+
 TEST(ServeFaultsTest, DefaultDeadlineAppliesWhenTheRequestCarriesNone) {
   ServerOptions options;
   options.threads = 1;

@@ -57,6 +57,46 @@ fta::CutSet merge_cut_sets(const fta::CutSet& a, const fta::CutSet& b) {
   return merged;
 }
 
+/// The anonymous FaultTree a module graph describes, node for node (ids,
+/// leaf ordinals and child order carry over), so MOCUS can run per module.
+fta::FaultTree tree_of(const bdd::GateGraph& graph) {
+  fta::FaultTree tree{std::string()};
+  for (std::uint32_t id = 0; id < graph.nodes.size(); ++id) {
+    const bdd::GateGraph::Node& node = graph.nodes[id];
+    const std::span<const std::uint32_t> span = graph.children_of(id);
+    std::vector<fta::NodeId> children(span.begin(), span.end());
+    switch (node.kind) {
+      case fta::NodeKind::kBasicEvent:
+        (void)tree.add_basic_event({});
+        break;
+      case fta::NodeKind::kCondition:
+        (void)tree.add_condition({});
+        break;
+      case fta::NodeKind::kGate:
+        switch (node.gate) {
+          case fta::GateType::kAnd:
+            (void)tree.add_and({}, std::move(children));
+            break;
+          case fta::GateType::kOr:
+            (void)tree.add_or({}, std::move(children));
+            break;
+          case fta::GateType::kKofN:
+            (void)tree.add_k_of_n({}, node.k, std::move(children));
+            break;
+          case fta::GateType::kXor:
+            (void)tree.add_xor({}, std::move(children));
+            break;
+          case fta::GateType::kInhibit:
+            (void)tree.add_inhibit({}, children[0], children[1]);
+            break;
+        }
+        break;
+    }
+  }
+  tree.set_top(graph.top);
+  return tree;
+}
+
 /// The oracle that modularization keeps the cut sets: minimal cut sets in
 /// the *original* tree's ordinals from per-subtree MOCUS, then bottom-up
 /// substitution of every module pseudo-leaf by its module's cut sets
@@ -70,7 +110,7 @@ fta::CutSetCollection modular_cut_sets(const PreprocessedTree& preprocessed) {
   composed.reserve(preprocessed.subtrees.size());
   for (const Subtree& subtree : preprocessed.subtrees) {
     std::vector<fta::CutSet> expanded;
-    for (const fta::CutSet& cut : fta::minimal_cut_sets(subtree.tree)) {
+    for (const fta::CutSet& cut : fta::minimal_cut_sets(tree_of(subtree.graph))) {
       // Split the local cut set into its direct (original-ordinal) part and
       // the modules to substitute.
       fta::CutSet direct;
@@ -275,10 +315,10 @@ TEST(PreprocessPassTest, NormalizeExpandsEveryKofN) {
   PreprocessOptions options;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  const fta::FaultTree& out = preprocessed.top().tree;
-  for (fta::NodeId id = 0; id < out.node_count(); ++id) {
-    if (out.kind(id) == fta::NodeKind::kGate) {
-      EXPECT_NE(out.gate_type(id), fta::GateType::kKofN)
+  const bdd::GateGraph& out = preprocessed.top().graph;
+  for (std::uint32_t id = 0; id < out.nodes.size(); ++id) {
+    if (out.nodes[id].kind == fta::NodeKind::kGate) {
+      EXPECT_NE(out.nodes[id].gate, fta::GateType::kKofN)
           << "k-of-n gate survived normalization: node " << id;
     }
   }
@@ -299,14 +339,13 @@ TEST(PreprocessPassTest, PropagateDegeneratesTrivialVotes) {
   options.normalize = false;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  const fta::FaultTree& out = preprocessed.top().tree;
   bool saw_or = false;
   bool saw_and = false;
-  for (fta::NodeId id = 0; id < out.node_count(); ++id) {
-    if (out.kind(id) != fta::NodeKind::kGate) continue;
-    EXPECT_NE(out.gate_type(id), fta::GateType::kKofN);
-    saw_or = saw_or || out.gate_type(id) == fta::GateType::kOr;
-    saw_and = saw_and || out.gate_type(id) == fta::GateType::kAnd;
+  for (const bdd::GateGraph::Node& node : preprocessed.top().graph.nodes) {
+    if (node.kind != fta::NodeKind::kGate) continue;
+    EXPECT_NE(node.gate, fta::GateType::kKofN);
+    saw_or = saw_or || node.gate == fta::GateType::kOr;
+    saw_and = saw_and || node.gate == fta::GateType::kAnd;
   }
   EXPECT_TRUE(saw_or);
   EXPECT_TRUE(saw_and);
@@ -327,11 +366,10 @@ TEST(PreprocessPassTest, FlattenSplicesSameOpChains) {
   PreprocessOptions options;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  const fta::FaultTree& out = preprocessed.top().tree;
+  const bdd::GateGraph& out = preprocessed.top().graph;
   ASSERT_EQ(out.gate_count(), 1u);
-  const fta::NodeId top = out.top();
-  EXPECT_EQ(out.gate_type(top), fta::GateType::kOr);
-  EXPECT_EQ(out.children(top).size(), 4u);
+  EXPECT_EQ(out.nodes[out.top].gate, fta::GateType::kOr);
+  EXPECT_EQ(out.children_of(out.top).size(), 4u);
 }
 
 TEST(PreprocessPassTest, MergeHashConsesIdenticalGates) {
@@ -347,7 +385,7 @@ TEST(PreprocessPassTest, MergeHashConsesIdenticalGates) {
   PreprocessOptions options;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  EXPECT_EQ(preprocessed.top().tree.gate_count(), 1u);
+  EXPECT_EQ(preprocessed.top().graph.gate_count(), 1u);
   bool merged = false;
   for (const PassStats& pass : preprocessed.statistics.passes) {
     merged = merged || (pass.name == "merge" && pass.rewrites > 0);
@@ -440,10 +478,10 @@ TEST(PreprocessPassTest, ModuleBecomesAnOriginTaggedPseudoLeaf) {
 
   // The module: the AND gate over the four original leaves, in order.
   const Subtree& extracted = preprocessed.subtrees.front();
-  const fta::NodeId gate = extracted.tree.top();
-  ASSERT_EQ(extracted.tree.kind(gate), fta::NodeKind::kGate);
-  EXPECT_EQ(extracted.tree.gate_type(gate), fta::GateType::kAnd);
-  EXPECT_EQ(extracted.tree.children(gate).size(), 4u);
+  const bdd::GateGraph::Node& gate = extracted.graph.nodes[extracted.graph.top];
+  ASSERT_EQ(gate.kind, fta::NodeKind::kGate);
+  EXPECT_EQ(gate.gate, fta::GateType::kAnd);
+  EXPECT_EQ(gate.child_count, 4u);
   ASSERT_EQ(extracted.basic_origin.size(), 4u);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(extracted.basic_origin[i].kind, LeafOrigin::Kind::kBasicEvent);
@@ -452,44 +490,71 @@ TEST(PreprocessPassTest, ModuleBecomesAnOriginTaggedPseudoLeaf) {
 
   // The parent: OR(pseudo-leaf for subtree 0, "other").
   const Subtree& top = preprocessed.top();
-  ASSERT_EQ(top.tree.kind(top.tree.top()), fta::NodeKind::kGate);
-  EXPECT_EQ(top.tree.gate_type(top.tree.top()), fta::GateType::kOr);
-  const std::span<const fta::NodeId> children =
-      top.tree.children(top.tree.top());
+  const bdd::GateGraph& graph = top.graph;
+  ASSERT_EQ(graph.nodes[graph.top].kind, fta::NodeKind::kGate);
+  EXPECT_EQ(graph.nodes[graph.top].gate, fta::GateType::kOr);
+  const std::span<const std::uint32_t> children = graph.children_of(graph.top);
   ASSERT_EQ(children.size(), 2u);
-  ASSERT_EQ(top.tree.kind(children[0]), fta::NodeKind::kBasicEvent);
-  const LeafOrigin& pseudo =
-      top.basic_origin[top.tree.basic_event_ordinal(children[0])];
+  ASSERT_EQ(graph.nodes[children[0]].kind, fta::NodeKind::kBasicEvent);
+  const LeafOrigin& pseudo = top.basic_origin[graph.nodes[children[0]].ordinal];
   EXPECT_EQ(pseudo.kind, LeafOrigin::Kind::kModule);
   EXPECT_EQ(pseudo.index, 0u);
-  ASSERT_EQ(top.tree.kind(children[1]), fta::NodeKind::kBasicEvent);
-  const LeafOrigin& leaf =
-      top.basic_origin[top.tree.basic_event_ordinal(children[1])];
+  ASSERT_EQ(graph.nodes[children[1]].kind, fta::NodeKind::kBasicEvent);
+  const LeafOrigin& leaf = top.basic_origin[graph.nodes[children[1]].ordinal];
   EXPECT_EQ(leaf.kind, LeafOrigin::Kind::kBasicEvent);
   EXPECT_EQ(leaf.index, tree.basic_event_ordinal(other));
 }
 
-TEST(PreprocessPassTest, CorpusTierModuleTreesAreAnonymous) {
-  // No pass makes up a name and the rebuild copies none: every node of every
-  // subtree is anonymous, so find() knows none of the original names.
+TEST(PreprocessPassTest, CorpusTierModuleGraphsAreWellFormed) {
+  // Every module is a flat gate graph, children first: each child id is
+  // below its gate's id, every gate's children are an in-bounds run of the
+  // shared child array, leaf ordinals count the graph's own leaves in
+  // creation order, every node is reachable from the top, and the origin
+  // maps cover exactly the graph's leaves, a pseudo-leaf naming an earlier
+  // subtree.
   const corpus::CorpusModel model =
       corpus::make_corpus(corpus::tier_by_name("1k"));
   const PreprocessedTree preprocessed = preprocess(model.tree, {});
   ASSERT_GT(preprocessed.subtrees.size(), 1u);
-  const std::string& top_name = model.tree.node_name(model.tree.top());
   for (std::size_t i = 0; i < preprocessed.subtrees.size(); ++i) {
-    const fta::FaultTree& tree = preprocessed.subtrees[i].tree;
-    for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
-      ASSERT_TRUE(tree.node_name(id).empty())
-          << "subtree " << i << " node " << id;
-      ASSERT_TRUE(tree.description(id).empty())
-          << "subtree " << i << " node " << id;
+    const Subtree& subtree = preprocessed.subtrees[i];
+    const bdd::GateGraph& graph = subtree.graph;
+    ASSERT_LT(graph.top, graph.nodes.size()) << "subtree " << i;
+    std::uint32_t basic = 0;
+    std::uint32_t conditions = 0;
+    for (std::uint32_t id = 0; id < graph.nodes.size(); ++id) {
+      const bdd::GateGraph::Node& node = graph.nodes[id];
+      switch (node.kind) {
+        case fta::NodeKind::kBasicEvent:
+          ASSERT_EQ(node.ordinal, basic++) << "subtree " << i << " node " << id;
+          break;
+        case fta::NodeKind::kCondition:
+          ASSERT_EQ(node.ordinal, conditions++)
+              << "subtree " << i << " node " << id;
+          break;
+        case fta::NodeKind::kGate:
+          ASSERT_GT(node.child_count, 0u);
+          ASSERT_LE(std::size_t{node.first_child} + node.child_count,
+                    graph.children.size());
+          for (const std::uint32_t child : graph.children_of(id)) {
+            ASSERT_LT(child, id) << "subtree " << i << " node " << id;
+          }
+          break;
+      }
     }
-    EXPECT_FALSE(tree.find(top_name).has_value()) << "subtree " << i;
-    EXPECT_TRUE(tree.validate().empty()) << "subtree " << i;
+    EXPECT_EQ(graph.basic_event_count, basic) << "subtree " << i;
+    EXPECT_EQ(graph.condition_count, conditions) << "subtree " << i;
+    ASSERT_EQ(subtree.basic_origin.size(), basic) << "subtree " << i;
+    ASSERT_EQ(subtree.condition_origin.size(), conditions) << "subtree " << i;
+    for (const LeafOrigin& origin : subtree.basic_origin) {
+      if (origin.kind == LeafOrigin::Kind::kModule) {
+        EXPECT_LT(origin.index, i) << "subtree " << i;
+      }
+    }
+    // The same graph as a FaultTree validates: every node reachable,
+    // conditions only under INHIBIT.
+    EXPECT_TRUE(tree_of(graph).validate().empty()) << "subtree " << i;
   }
-  EXPECT_EQ(preprocessed.top().tree.name(), model.tree.name());
-  EXPECT_TRUE(preprocessed.subtrees.front().tree.name().empty());
 }
 
 TEST(PreprocessPassTest, InhibitConditionsSurviveExtraction) {
@@ -524,9 +589,8 @@ TEST(PreprocessPassTest, StatisticsCountEventsAndModules) {
   EXPECT_EQ(stats.events_before, model.tree.basic_event_count() +
                                      model.tree.condition_count());
   EXPECT_EQ(stats.modules, preprocessed.subtrees.size() - 1);
-  EXPECT_EQ(stats.events_after,
-            preprocessed.top().tree.basic_event_count() +
-                preprocessed.top().tree.condition_count());
+  EXPECT_EQ(stats.events_after, preprocessed.top().graph.basic_event_count +
+                                    preprocessed.top().graph.condition_count);
   // The whole point: the top subtree sees ~50 module pseudo-leaves instead
   // of ~1000 raw events.
   EXPECT_LT(stats.events_after * 10, stats.events_before);

@@ -84,6 +84,25 @@ TEST(ServerTest, GridSearchPastItsDeadlineLeavesTheServerAnswering) {
   server.stop();
 }
 
+TEST(ServerTest, GridSearchOverANanStudyIsABadRequestAndTheServerGoesOn) {
+  // Every grid point of this study is NaN, so grid_search has no incumbent
+  // to zoom on. It stops at the box center, the request is a 400 naming
+  // the leaf, and the next request is answered.
+  Server server(small_server_options());
+  server.start();
+  const auto reply = http_request(
+      server.port(), "POST", "/v1/optimize",
+      "{\"document\": " +
+          json_document(source_file("tests/cli/grid_search_nan.ft")) + "}");
+  EXPECT_EQ(reply.status, 400) << reply.raw;
+  EXPECT_NE(reply.body.find("is not a number"), std::string::npos)
+      << reply.body;
+  const auto next =
+      http_request(server.port(), "POST", "/v1/quantify", quantify_body("m"));
+  EXPECT_EQ(next.status, 200) << next.raw;
+  server.stop();
+}
+
 TEST(ServerTest, OptimizeAndValidateSucceed) {
   Server server(small_server_options());
   server.start();
