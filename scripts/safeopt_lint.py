@@ -30,6 +30,13 @@ rediscover in review (docs/static_analysis.md has the full rationale):
                        CPUID probes drift out of sync with the backend
                        registry's availability policy; ask
                        safeopt::expr::cpu_features() instead.
+  number-parse         strtod / strtof / strto[u]l[l] / atof / atoi /
+                       atol[l] / std::sto*. They accept what a typed
+                       option must refuse (hex floats, "inf", a leading
+                       '+' or whitespace, a valid prefix with trailing
+                       junk), wrap or saturate silently and depend on the
+                       C locale. Use std::from_chars, or
+                       parse_key_value_argument for KEY=VALUE arguments.
 
 Suppression pragmas (always in a comment, rule name exact):
   // safeopt-lint: allow(<rule>)         this line or the next line
@@ -225,6 +232,10 @@ RAW_MUTEX = re.compile(
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock)\b")
 UNSEEDED_RNG = re.compile(r"(?<![\w:])(?:s?rand)\s*\(|\bstd::random_device\b")
+NUMBER_PARSE = re.compile(
+    r"(?<![\w.>])(?:std::)?(?:strto(?:d|f|ld|l|ll|ul|ull)|"
+    r"ato(?:f|i|l|ll))\s*\(|"
+    r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
 CPU_DETECT = re.compile(
     r"\b__builtin_cpu_(?:supports|init)\b|\b__get_cpuid(?:_count)?\b|"
     r"\b_may_i_use_cpu_feature\b")
@@ -278,6 +289,14 @@ def lint_file(path: Path, rel: str, rules):
                    "safeopt::expr::cpu_features() so backend availability "
                    "has one cached source of truth")
 
+        if "number-parse" in rules:
+            match = NUMBER_PARSE.search(line)
+            if match:
+                report(idx, "number-parse",
+                       f"{match.group(0).rstrip('( ')} parses numbers "
+                       "leniently (hex, inf, trailing junk, locale); use "
+                       "std::from_chars or parse_key_value_argument")
+
     if "checkpoint-poll" in rules:
         declared = rel in CHECKPOINTED_FILES or self_checkpointed
         if declared and "checkpoint-poll" not in file_allows:
@@ -291,7 +310,7 @@ def lint_file(path: Path, rel: str, rules):
 
 
 ALL_RULES = ("string-concat-plus", "error-taxonomy", "raw-mutex",
-             "unseeded-rng", "checkpoint-poll", "cpu-detect")
+             "unseeded-rng", "checkpoint-poll", "cpu-detect", "number-parse")
 
 
 def iter_sources(paths, root: Path):

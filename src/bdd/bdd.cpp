@@ -263,49 +263,6 @@ BddRef BddManager::node_high(BddRef f) const {
 
 // ------------------------------------------------------------- compilation
 
-GateGraph GateGraph::from_tree(const fta::FaultTree& tree) {
-  SAFEOPT_EXPECTS(tree.has_top());
-  GateGraph graph;
-  graph.nodes.reserve(tree.node_count());
-  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
-    if (tree.kind(id) != fta::NodeKind::kGate) {
-      (void)graph.add_leaf(tree.kind(id));
-      continue;
-    }
-    const fta::GateType type = tree.gate_type(id);
-    (void)graph.add_gate(
-        type, type == fta::GateType::kKofN ? tree.vote_threshold(id) : 0,
-        tree.children(id));
-  }
-  graph.top = tree.top();
-  return graph;
-}
-
-std::uint32_t GateGraph::add_leaf(fta::NodeKind kind) {
-  SAFEOPT_EXPECTS(kind != fta::NodeKind::kGate);
-  Node node;
-  node.kind = kind;
-  node.ordinal = kind == fta::NodeKind::kBasicEvent ? basic_event_count++
-                                                    : condition_count++;
-  nodes.push_back(node);
-  return static_cast<std::uint32_t>(nodes.size() - 1);
-}
-
-std::uint32_t GateGraph::add_gate(
-    fta::GateType type, std::uint32_t k,
-    std::span<const std::uint32_t> gate_children) {
-  SAFEOPT_EXPECTS(!gate_children.empty());
-  Node node;
-  node.kind = fta::NodeKind::kGate;
-  node.gate = type;
-  node.k = k;
-  node.first_child = static_cast<std::uint32_t>(children.size());
-  node.child_count = static_cast<std::uint32_t>(gate_children.size());
-  children.insert(children.end(), gate_children.begin(), gate_children.end());
-  nodes.push_back(node);
-  return static_cast<std::uint32_t>(nodes.size() - 1);
-}
-
 namespace {
 
 /// Leaf -> BDD-variable maps. kDfs numbers leaves by DFS first-visit order
@@ -320,7 +277,7 @@ struct VariableOrder {
 
 /// Subtree leaf count per node (DAG-shared subtrees weigh once per
 /// reference), the kWeight visit key.
-std::vector<std::size_t> subtree_weights(const GateGraph& graph) {
+std::vector<std::size_t> subtree_weights(const fta::GateGraph& graph) {
   std::vector<std::size_t> weight(graph.nodes.size(), 0);
   const auto visit = [&](auto&& self, std::uint32_t id) -> std::size_t {
     if (weight[id] != 0) return weight[id];
@@ -339,7 +296,7 @@ std::vector<std::size_t> subtree_weights(const GateGraph& graph) {
   return weight;
 }
 
-VariableOrder ordered_variables(const GateGraph& graph,
+VariableOrder ordered_variables(const fta::GateGraph& graph,
                                 VariableOrdering ordering) {
   VariableOrder order;
   order.var_of_basic.assign(graph.basic_event_count, UINT32_MAX);
@@ -356,7 +313,7 @@ VariableOrder ordered_variables(const GateGraph& graph,
   // the recursion grows the vector.
   std::vector<std::uint32_t> by_weight;
   const auto visit = [&](auto&& self, std::uint32_t id) -> void {
-    const GateGraph::Node& node = graph.nodes[id];
+    const fta::GateGraph::Node& node = graph.nodes[id];
     switch (node.kind) {
       case fta::NodeKind::kBasicEvent: {
         auto& slot = order.var_of_basic[node.ordinal];
@@ -433,7 +390,8 @@ double CompiledFaultTree::probability(
   return manager.probability(root, probs);
 }
 
-CompiledFaultTree compile(const GateGraph& graph, const BddOptions& options) {
+CompiledFaultTree compile(const fta::GateGraph& graph,
+                          const BddOptions& options) {
   SAFEOPT_EXPECTS(graph.top < graph.nodes.size());
   VariableOrder order = ordered_variables(graph, options.ordering);
   CompiledFaultTree compiled{BddManager(order.count, options), kFalse,
@@ -451,7 +409,7 @@ CompiledFaultTree compile(const GateGraph& graph, const BddOptions& options) {
   std::vector<BddRef> operands;
   const auto build = [&](auto&& self, std::uint32_t id) -> BddRef {
     if (memo[id] != kUncompiled) return memo[id];
-    const GateGraph::Node& node = graph.nodes[id];
+    const fta::GateGraph::Node& node = graph.nodes[id];
     BddRef result = kFalse;
     switch (node.kind) {
       case fta::NodeKind::kBasicEvent:
@@ -517,7 +475,8 @@ CompiledFaultTree compile(const GateGraph& graph, const BddOptions& options) {
 
 CompiledFaultTree compile(const fta::FaultTree& tree,
                           const BddOptions& options) {
-  return compile(GateGraph::from_tree(tree), options);
+  SAFEOPT_EXPECTS(tree.has_top());
+  return compile(tree.graph(), options);
 }
 
 fta::CutSetCollection minimal_cut_sets_bdd(const fta::FaultTree& tree) {

@@ -18,9 +18,10 @@
 // node counts equal *peak* node counts (BddStatistics documents and asserts
 // that invariant).
 //
-// compile() has one input form, the flat anonymous GateGraph: prep builds
-// its module diagrams straight into it, and the fault-tree overload
-// flattens the tree first. So there is exactly one compile routine.
+// compile() has one input form, fta::GateGraph, the layout every fault tree
+// stores its structure in: the fault-tree overload compiles tree.graph()
+// in place, and prep's modules are graphs of their own. So there is exactly
+// one compile routine.
 #ifndef SAFEOPT_BDD_BDD_H
 #define SAFEOPT_BDD_BDD_H
 
@@ -234,55 +235,14 @@ struct CompiledFaultTree {
       const fta::QuantificationInput& input) const;
 };
 
-/// The flat, anonymous gate graph compile() reads: node kinds, gate types
-/// and thresholds, leaf ordinals, and every gate's children as one
-/// contiguous run of the shared `children` array. Leaf ordinals count the
-/// graph's own basic events and conditions in creation order, as in
-/// fta::FaultTree. No names: compilation never reads one.
-struct GateGraph {
-  struct Node {
-    fta::NodeKind kind = fta::NodeKind::kBasicEvent;
-    fta::GateType gate = fta::GateType::kAnd;
-    std::uint32_t k = 0;            // vote threshold for kKofN
-    std::uint32_t ordinal = 0;      // leaf ordinal (basic events, conditions)
-    std::uint32_t first_child = 0;  // gates: offset into `children`
-    std::uint32_t child_count = 0;
-  };
-
-  std::vector<Node> nodes;
-  std::vector<std::uint32_t> children;
-  std::uint32_t top = 0;
-  std::uint32_t basic_event_count = 0;
-  std::uint32_t condition_count = 0;
-
-  /// The same graph as `tree`, node for node (ids, ordinals, child order).
-  /// Precondition: tree.has_top().
-  [[nodiscard]] static GateGraph from_tree(const fta::FaultTree& tree);
-
-  /// Appends a basic event or condition leaf and returns its id.
-  std::uint32_t add_leaf(fta::NodeKind kind);
-  /// Appends a gate over `gate_children` (ids already in the graph).
-  std::uint32_t add_gate(fta::GateType type, std::uint32_t k,
-                         std::span<const std::uint32_t> gate_children);
-
-  [[nodiscard]] std::span<const std::uint32_t> children_of(
-      std::uint32_t id) const {
-    const Node& node = nodes[id];
-    return {children.data() + node.first_child, node.child_count};
-  }
-  [[nodiscard]] std::size_t gate_count() const noexcept {
-    return nodes.size() - basic_event_count - condition_count;
-  }
-};
-
 /// Compiles the graph bottom-up from `graph.top` under `options` (variable
 /// ordering heuristic, table/cache geometry). XOR gates compile exactly
 /// (true XOR, not the coherent hull).
-[[nodiscard]] CompiledFaultTree compile(const GateGraph& graph,
+[[nodiscard]] CompiledFaultTree compile(const fta::GateGraph& graph,
                                         const BddOptions& options = {});
 
-/// compile(GateGraph::from_tree(tree), options). Precondition:
-/// tree.has_top().
+/// compile(tree.graph(), options): the tree's own graph, not a copy.
+/// Precondition: tree.has_top().
 [[nodiscard]] CompiledFaultTree compile(const fta::FaultTree& tree,
                                         const BddOptions& options = {});
 

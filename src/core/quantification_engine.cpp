@@ -123,12 +123,11 @@ class BddEngine final : public QuantificationEngine {
   /// defaults (EngineConfig::modularize/module_min_leaves).
   BddEngine(const fta::FaultTree& tree, const EngineConfig& config,
             const ExecutionControl* control)
-      : tree_(tree),
-        preprocessed_(
-            prep::preprocess(tree, with_control(prep::PreprocessOptions{},
-                                                control))),
-        modules_(preprocessed_, with_control(config.bdd_options(), control)),
-        summary_(to_summary(preprocessed_.statistics)) {}
+      : BddEngine(tree,
+                  prep::preprocess(tree,
+                                   with_control(prep::PreprocessOptions{},
+                                                control)),
+                  config, control) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "bdd";
@@ -148,10 +147,15 @@ class BddEngine final : public QuantificationEngine {
   }
 
  private:
+  /// The module graphs are needed only while they are compiled.
+  BddEngine(const fta::FaultTree& tree,
+            const prep::PreprocessedTree& preprocessed,
+            const EngineConfig& config, const ExecutionControl* control)
+      : tree_(tree),
+        modules_(preprocessed, with_control(config.bdd_options(), control)),
+        summary_(to_summary(preprocessed.statistics)) {}
+
   const fta::FaultTree& tree_;
-  // `modules_` keeps a pointer into `preprocessed_` (declaration order
-  // matters: preprocessed_ first).
-  prep::PreprocessedTree preprocessed_;
   prep::CompiledPreprocessedTree modules_;
   PreprocessSummary summary_;
 };

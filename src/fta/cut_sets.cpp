@@ -258,66 +258,6 @@ CutSetCollection minimal_cut_sets(const FaultTree& tree,
   return collection;
 }
 
-namespace {
-
-/// Structure-function evaluation over the *coherent hull*: XOR is treated as
-/// OR, exactly as MOCUS expands it, so the brute-force oracle and MOCUS agree
-/// by construction on non-coherent inputs.
-bool evaluate_coherent_hull(const FaultTree& tree, NodeId id,
-                            const std::vector<bool>& basic_state,
-                            const std::vector<bool>& condition_state,
-                            std::vector<signed char>& memo) {
-  if (memo[id] >= 0) return memo[id] != 0;
-  bool result = false;
-  switch (tree.kind(id)) {
-    case NodeKind::kBasicEvent:
-      result = basic_state[tree.basic_event_ordinal(id)];
-      break;
-    case NodeKind::kCondition:
-      result = condition_state[tree.condition_ordinal(id)];
-      break;
-    case NodeKind::kGate: {
-      const auto children = tree.children(id);
-      switch (tree.gate_type(id)) {
-        case GateType::kAnd:
-        case GateType::kInhibit: {
-          result = true;
-          for (const NodeId child : children) {
-            result = result && evaluate_coherent_hull(tree, child, basic_state,
-                                                      condition_state, memo);
-          }
-          break;
-        }
-        case GateType::kOr:
-        case GateType::kXor: {
-          result = false;
-          for (const NodeId child : children) {
-            result = result || evaluate_coherent_hull(tree, child, basic_state,
-                                                      condition_state, memo);
-          }
-          break;
-        }
-        case GateType::kKofN: {
-          std::uint32_t count = 0;
-          for (const NodeId child : children) {
-            if (evaluate_coherent_hull(tree, child, basic_state,
-                                       condition_state, memo)) {
-              ++count;
-            }
-          }
-          result = count >= tree.vote_threshold(id);
-          break;
-        }
-      }
-      break;
-    }
-  }
-  memo[id] = result ? 1 : 0;
-  return result;
-}
-
-}  // namespace
-
 CutSetCollection minimal_path_sets(const FaultTree& tree) {
   SAFEOPT_EXPECTS(tree.has_top());
   // Build the dual tree: same leaves, AND <-> OR, k-of-n -> (n−k+1)-of-n.
@@ -410,6 +350,14 @@ CutSetCollection minimal_cut_sets_bruteforce(const FaultTree& tree) {
   const std::size_t n_total = n_events + n_conditions;
   SAFEOPT_EXPECTS(n_total <= 24);
 
+  // The coherent hull: XOR read as OR, exactly as MOCUS expands it, so the
+  // oracle and MOCUS agree by construction on non-coherent inputs.
+  GateGraph hull = tree.graph();
+  for (GateGraph::Node& node : hull.nodes) {
+    if (node.kind == NodeKind::kGate && node.gate == GateType::kXor) {
+      node.gate = GateType::kOr;
+    }
+  }
   const auto evaluate_mask = [&](std::uint64_t mask) {
     std::vector<bool> basic(n_events, false);
     std::vector<bool> cond(n_conditions, false);
@@ -419,8 +367,7 @@ CutSetCollection minimal_cut_sets_bruteforce(const FaultTree& tree) {
     for (std::size_t i = 0; i < n_conditions; ++i) {
       cond[i] = (mask & (1ULL << (n_events + i))) != 0;
     }
-    std::vector<signed char> memo(tree.node_count(), -1);
-    return evaluate_coherent_hull(tree, tree.top(), basic, cond, memo);
+    return hull.evaluate(basic, cond);
   };
 
   std::vector<CutSet> minimal;

@@ -1,5 +1,7 @@
 #include "safeopt/fta/fault_tree.h"
 
+#include <algorithm>
+
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/strings.h"
 
@@ -16,65 +18,117 @@ std::string_view to_string(GateType type) noexcept {
   return "?";
 }
 
+NodeId GateGraph::add_leaf(NodeKind kind) {
+  SAFEOPT_EXPECTS(kind != NodeKind::kGate);
+  Node node;
+  node.kind = kind;
+  node.ordinal = kind == NodeKind::kBasicEvent ? basic_event_count++
+                                               : condition_count++;
+  nodes.push_back(node);
+  return static_cast<NodeId>(nodes.size() - 1);
+}
+
+NodeId GateGraph::add_gate(GateType type, std::uint32_t k,
+                           std::span<const NodeId> gate_children) {
+  Node node;
+  node.kind = NodeKind::kGate;
+  node.gate = type;
+  node.k = k;
+  node.first_child = static_cast<std::uint32_t>(children.size());
+  node.child_count = static_cast<std::uint32_t>(gate_children.size());
+  children.insert(children.end(), gate_children.begin(), gate_children.end());
+  nodes.push_back(node);
+  return static_cast<NodeId>(nodes.size() - 1);
+}
+
+bool GateGraph::evaluate(const std::vector<bool>& basic_state,
+                         const std::vector<bool>& condition_state) const {
+  SAFEOPT_EXPECTS(top < nodes.size());
+  std::vector<signed char> memo(nodes.size(), -1);  // -1: not evaluated yet
+  const auto value = [&](auto&& self, NodeId id) -> bool {
+    if (memo[id] >= 0) return memo[id] != 0;
+    const Node& node = nodes[id];
+    const auto holds = [&](NodeId child) { return self(self, child); };
+    bool result = false;
+    switch (node.kind) {
+      case NodeKind::kBasicEvent:
+        result = basic_state[node.ordinal];
+        break;
+      case NodeKind::kCondition:
+        result = condition_state[node.ordinal];
+        break;
+      case NodeKind::kGate: {
+        const std::span<const NodeId> run = children_of(id);
+        switch (node.gate) {
+          case GateType::kAnd:
+          case GateType::kInhibit:
+            result = std::all_of(run.begin(), run.end(), holds);
+            break;
+          case GateType::kOr:
+            result = std::any_of(run.begin(), run.end(), holds);
+            break;
+          case GateType::kKofN:
+          case GateType::kXor: {
+            const auto count = static_cast<std::uint32_t>(
+                std::count_if(run.begin(), run.end(), holds));
+            result = node.gate == GateType::kXor ? count == 1 : count >= node.k;
+            break;
+          }
+        }
+        break;
+      }
+    }
+    memo[id] = result ? 1 : 0;
+    return result;
+  };
+  return value(value, top);
+}
+
 FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
-void FaultTree::reserve(std::size_t nodes) {
-  nodes_.reserve(nodes);
+void FaultTree::reserve(std::size_t nodes, std::size_t child_references) {
+  graph_.nodes.reserve(nodes);
+  graph_.children.reserve(child_references);
+  names_.reserve(nodes);
+  descriptions_.reserve(nodes);
   by_name_.reserve(nodes);
 }
 
-NodeId FaultTree::add_node(Node node) {
-  const auto id = static_cast<NodeId>(nodes_.size());
-  if (!node.name.empty()) {
+void FaultTree::add_labels(NodeId id, std::string name,
+                           std::string description) {
+  names_.push_back(std::move(name));
+  descriptions_.push_back(std::move(description));
+  if (!names_[id].empty()) {
     const NodeId holder = by_name_.insert(
-        node.name, id, [this](NodeId other) -> std::string_view {
-          return nodes_[other].name;
-        });
+        names_[id], id,
+        [this](NodeId other) -> std::string_view { return names_[other]; });
     SAFEOPT_EXPECTS(holder == id);  // names are unique within the tree
   }
-  nodes_.push_back(std::move(node));
-  return id;
 }
 
 NodeId FaultTree::add_basic_event(std::string name, std::string description) {
-  Node node;
-  node.node_kind = NodeKind::kBasicEvent;
-  node.ordinal = static_cast<BasicEventOrdinal>(basic_events_.size());
-  node.name = std::move(name);
-  node.description = std::move(description);
-  const NodeId id = add_node(std::move(node));
+  const NodeId id = graph_.add_leaf(NodeKind::kBasicEvent);
+  add_labels(id, std::move(name), std::move(description));
   basic_events_.push_back(id);
   return id;
 }
 
 NodeId FaultTree::add_condition(std::string name, std::string description) {
-  Node node;
-  node.node_kind = NodeKind::kCondition;
-  node.ordinal = static_cast<ConditionOrdinal>(conditions_.size());
-  node.name = std::move(name);
-  node.description = std::move(description);
-  const NodeId id = add_node(std::move(node));
+  const NodeId id = graph_.add_leaf(NodeKind::kCondition);
+  add_labels(id, std::move(name), std::move(description));
   conditions_.push_back(id);
   return id;
 }
 
-void FaultTree::check_child_ids(std::span<const NodeId> children) const {
-  SAFEOPT_EXPECTS(!children.empty());
-  for (const NodeId child : children) {
-    SAFEOPT_EXPECTS(child < nodes_.size());
-  }
-}
-
 NodeId FaultTree::add_gate(std::string name, GateType type, std::uint32_t k,
                            std::vector<NodeId> children) {
-  check_child_ids(children);
-  Node node;
-  node.node_kind = NodeKind::kGate;
-  node.gate = type;
-  node.k = k;
-  node.name = std::move(name);
-  node.children = std::move(children);
-  return add_node(std::move(node));
+  SAFEOPT_EXPECTS(!children.empty());
+  for (const NodeId child : children) {
+    SAFEOPT_EXPECTS(child < node_count());
+  }
+  const NodeId id = graph_.add_gate(type, k, children);
+  add_labels(id, std::move(name), {});
+  return id;
 }
 
 NodeId FaultTree::add_and(std::string name, std::vector<NodeId> children) {
@@ -97,155 +151,81 @@ NodeId FaultTree::add_xor(std::string name, std::vector<NodeId> children) {
 
 NodeId FaultTree::add_inhibit(std::string name, NodeId cause,
                               NodeId condition) {
-  SAFEOPT_EXPECTS(cause < nodes_.size());
-  SAFEOPT_EXPECTS(condition < nodes_.size());
-  SAFEOPT_EXPECTS(nodes_[condition].node_kind == NodeKind::kCondition);
+  SAFEOPT_EXPECTS(cause < node_count());
+  SAFEOPT_EXPECTS(condition < node_count());
+  SAFEOPT_EXPECTS(graph_.nodes[condition].kind == NodeKind::kCondition);
   return add_gate(std::move(name), GateType::kInhibit, 0, {cause, condition});
 }
 
 void FaultTree::set_top(NodeId top) {
-  SAFEOPT_EXPECTS(top < nodes_.size());
-  SAFEOPT_EXPECTS(nodes_[top].node_kind != NodeKind::kCondition);
-  SAFEOPT_EXPECTS(!top_.has_value());
-  top_ = top;
+  SAFEOPT_EXPECTS(top < node_count());
+  SAFEOPT_EXPECTS(graph_.nodes[top].kind != NodeKind::kCondition);
+  SAFEOPT_EXPECTS(!has_top());
+  graph_.top = top;
 }
 
 NodeId FaultTree::top() const {
-  SAFEOPT_EXPECTS(top_.has_value());
-  return *top_;
-}
-
-std::size_t FaultTree::gate_count() const noexcept {
-  return nodes_.size() - basic_events_.size() - conditions_.size();
+  SAFEOPT_EXPECTS(has_top());
+  return graph_.top;
 }
 
 NodeKind FaultTree::kind(NodeId id) const {
-  SAFEOPT_EXPECTS(id < nodes_.size());
-  return nodes_[id].node_kind;
+  SAFEOPT_EXPECTS(id < node_count());
+  return graph_.nodes[id].kind;
 }
 
 const std::string& FaultTree::node_name(NodeId id) const {
-  SAFEOPT_EXPECTS(id < nodes_.size());
-  return nodes_[id].name;
+  SAFEOPT_EXPECTS(id < node_count());
+  return names_[id];
 }
 
 const std::string& FaultTree::description(NodeId id) const {
-  SAFEOPT_EXPECTS(id < nodes_.size());
-  return nodes_[id].description;
+  SAFEOPT_EXPECTS(id < node_count());
+  return descriptions_[id];
 }
 
 GateType FaultTree::gate_type(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kGate);
-  return nodes_[id].gate;
+  return graph_.nodes[id].gate;
 }
 
 std::span<const NodeId> FaultTree::children(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kGate);
-  return nodes_[id].children;
+  return graph_.children_of(id);
 }
 
 std::uint32_t FaultTree::vote_threshold(NodeId id) const {
   SAFEOPT_EXPECTS(gate_type(id) == GateType::kKofN);
-  return nodes_[id].k;
+  return graph_.nodes[id].k;
 }
 
 std::optional<NodeId> FaultTree::find(std::string_view name) const {
   const NodeId id = by_name_.find(
-      name, [this](NodeId other) -> std::string_view {
-        return nodes_[other].name;
-      });
+      name, [this](NodeId other) -> std::string_view { return names_[other]; });
   if (id == NameIndex::kNone) return std::nullopt;
   return id;
 }
 
 BasicEventOrdinal FaultTree::basic_event_ordinal(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kBasicEvent);
-  const BasicEventOrdinal ordinal = nodes_[id].ordinal;
+  const BasicEventOrdinal ordinal = graph_.nodes[id].ordinal;
   SAFEOPT_ASSERT(basic_events_[ordinal] == id);
   return ordinal;
 }
 
 ConditionOrdinal FaultTree::condition_ordinal(NodeId id) const {
   SAFEOPT_EXPECTS(kind(id) == NodeKind::kCondition);
-  const ConditionOrdinal ordinal = nodes_[id].ordinal;
+  const ConditionOrdinal ordinal = graph_.nodes[id].ordinal;
   SAFEOPT_ASSERT(conditions_[ordinal] == id);
   return ordinal;
 }
 
-bool FaultTree::evaluate_node(NodeId id, const std::vector<bool>& basic_state,
-                              const std::vector<bool>& condition_state,
-                              std::vector<signed char>& memo) const {
-  if (memo[id] >= 0) return memo[id] != 0;
-  const Node& node = nodes_[id];
-  bool result = false;
-  switch (node.node_kind) {
-    case NodeKind::kBasicEvent:
-      result = basic_state[node.ordinal];
-      break;
-    case NodeKind::kCondition:
-      result = condition_state[node.ordinal];
-      break;
-    case NodeKind::kGate: {
-      switch (node.gate) {
-        case GateType::kAnd: {
-          result = true;
-          for (const NodeId child : node.children) {
-            result = result && evaluate_node(child, basic_state,
-                                             condition_state, memo);
-          }
-          break;
-        }
-        case GateType::kOr: {
-          result = false;
-          for (const NodeId child : node.children) {
-            result = result || evaluate_node(child, basic_state,
-                                             condition_state, memo);
-          }
-          break;
-        }
-        case GateType::kKofN: {
-          std::uint32_t count = 0;
-          for (const NodeId child : node.children) {
-            if (evaluate_node(child, basic_state, condition_state, memo)) {
-              ++count;
-            }
-          }
-          result = count >= node.k;
-          break;
-        }
-        case GateType::kXor: {
-          std::uint32_t count = 0;
-          for (const NodeId child : node.children) {
-            if (evaluate_node(child, basic_state, condition_state, memo)) {
-              ++count;
-            }
-          }
-          result = count == 1;
-          break;
-        }
-        case GateType::kInhibit: {
-          const bool cause = evaluate_node(node.children[0], basic_state,
-                                           condition_state, memo);
-          const bool cond = evaluate_node(node.children[1], basic_state,
-                                          condition_state, memo);
-          result = cause && cond;
-          break;
-        }
-      }
-      break;
-    }
-  }
-  memo[id] = result ? 1 : 0;
-  return result;
-}
-
 bool FaultTree::evaluate(const std::vector<bool>& basic_state,
                          const std::vector<bool>& condition_state) const {
-  SAFEOPT_EXPECTS(top_.has_value());
+  SAFEOPT_EXPECTS(has_top());
   SAFEOPT_EXPECTS(basic_state.size() == basic_events_.size());
   SAFEOPT_EXPECTS(condition_state.size() == conditions_.size());
-  std::vector<signed char> memo(nodes_.size(), -1);
-  return evaluate_node(*top_, basic_state, condition_state, memo);
+  return graph_.evaluate(basic_state, condition_state);
 }
 
 bool FaultTree::evaluate(const std::vector<bool>& basic_state) const {
@@ -254,56 +234,54 @@ bool FaultTree::evaluate(const std::vector<bool>& basic_state) const {
 }
 
 std::string FaultTree::label(NodeId id) const {
-  const std::string& name = nodes_[id].name;
+  const std::string& name = names_[id];
   return name.empty() ? concat("#", std::to_string(id))
                       : concat("'", name, "'");
 }
 
 std::vector<std::string> FaultTree::validate() const {
   std::vector<std::string> problems;
-  if (!top_.has_value()) {
+  if (!has_top()) {
     problems.emplace_back("no top event set");
     return problems;
   }
+  const std::vector<GateGraph::Node>& nodes = graph_.nodes;
   // Reachability from the top event.
-  std::vector<bool> reachable(nodes_.size(), false);
-  std::vector<NodeId> stack{*top_};
+  std::vector<bool> reachable(nodes.size(), false);
+  std::vector<NodeId> stack{graph_.top};
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
     if (reachable[id]) continue;
     reachable[id] = true;
-    if (nodes_[id].node_kind == NodeKind::kGate) {
-      for (const NodeId child : nodes_[id].children) stack.push_back(child);
-    }
+    for (const NodeId child : graph_.children_of(id)) stack.push_back(child);
   }
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
+  for (NodeId id = 0; id < nodes.size(); ++id) {
     if (!reachable[id]) {
       problems.push_back(
           concat("node ", label(id), " is not reachable from the top event"));
     }
   }
   // Conditions may only appear as the second child of INHIBIT gates.
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    if (node.node_kind != NodeKind::kGate) continue;
-    for (std::size_t c = 0; c < node.children.size(); ++c) {
-      const Node& child = nodes_[node.children[c]];
-      if (child.node_kind == NodeKind::kCondition &&
+  for (NodeId id = 0; id < nodes.size(); ++id) {
+    const GateGraph::Node& node = nodes[id];
+    if (node.kind != NodeKind::kGate) continue;
+    const std::span<const NodeId> children = graph_.children_of(id);
+    for (std::size_t c = 0; c < children.size(); ++c) {
+      if (nodes[children[c]].kind == NodeKind::kCondition &&
           !(node.gate == GateType::kInhibit && c == 1)) {
-        problems.push_back(concat("condition ", label(node.children[c]),
+        problems.push_back(concat("condition ", label(children[c]),
                                   " used outside an INHIBIT gate (in gate ",
                                   label(id), ")"));
       }
     }
-    if (node.gate == GateType::kInhibit) {
-      if (nodes_[node.children[0]].node_kind == NodeKind::kCondition) {
-        problems.push_back(concat("INHIBIT gate ", label(id),
-                                  " has a condition as its cause"));
-      }
+    if (node.gate == GateType::kInhibit &&
+        nodes[children[0]].kind == NodeKind::kCondition) {
+      problems.push_back(
+          concat("INHIBIT gate ", label(id), " has a condition as its cause"));
     }
   }
-  if (nodes_[*top_].node_kind == NodeKind::kCondition) {
+  if (nodes[graph_.top].kind == NodeKind::kCondition) {
     problems.emplace_back("top event is a condition");
   }
   return problems;

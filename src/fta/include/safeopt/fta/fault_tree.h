@@ -19,12 +19,19 @@
 // shared subtrees (repeated events), the case where minimal-cut-set
 // *minimization* actually matters.
 //
+// The structure is stored once, as a GateGraph: node kinds, gate types and
+// thresholds, leaf ordinals, and every gate's children as one run of a
+// shared child array. The same layout serves the whole exact path: prep
+// copies a tree's graph and edits the copy, and bdd::compile reads a graph
+// directly. Names and descriptions sit beside the graph in FaultTree, in a
+// side table by NodeId.
+//
 // Names live only where a user wrote them. A node added with a non-empty
 // name is found by find() and its name is unique in the tree. A node added
 // with an empty name is anonymous: find() never returns it and node_name()
-// is empty. Analyses read kinds, children, thresholds and ordinals, never
-// names, so library-built trees (the dual tree of minimal_path_sets) are
-// anonymous; ftio documents are always fully named.
+// is empty. Analyses read the graph, never names, so library-built trees
+// (the dual tree of minimal_path_sets) are anonymous; ftio documents are
+// always fully named.
 #ifndef SAFEOPT_FTA_FAULT_TREE_H
 #define SAFEOPT_FTA_FAULT_TREE_H
 
@@ -56,6 +63,54 @@ enum class GateType : std::uint8_t { kAnd, kOr, kKofN, kXor, kInhibit };
 /// Returns "AND", "OR", "KOFN", "XOR" or "INHIBIT".
 [[nodiscard]] std::string_view to_string(GateType type) noexcept;
 
+/// The flat, anonymous structure of a fault tree. Node ids are indices
+/// into `nodes`; a gate's children are the run
+/// `children[first_child, first_child + child_count)`, in the order they
+/// were given. Leaf ordinals count the graph's own basic events and
+/// conditions in creation order. A gate with no children is a constant:
+/// AND() is true and OR() is false (FaultTree never makes one; prep's
+/// constant propagation does).
+struct GateGraph {
+  struct Node {
+    NodeKind kind = NodeKind::kBasicEvent;
+    GateType gate = GateType::kAnd;
+    std::uint32_t k = 0;            // vote threshold for kKofN
+    std::uint32_t ordinal = 0;      // leaf ordinal (basic events, conditions)
+    std::uint32_t first_child = 0;  // gates: offset into `children`
+    std::uint32_t child_count = 0;
+  };
+
+  /// `top` of a graph whose top event is not set yet.
+  static constexpr NodeId kNoTop = UINT32_MAX;
+
+  std::vector<Node> nodes;
+  std::vector<NodeId> children;
+  NodeId top = kNoTop;
+  std::uint32_t basic_event_count = 0;
+  std::uint32_t condition_count = 0;
+
+  /// Appends a basic event or condition leaf and returns its id.
+  NodeId add_leaf(NodeKind kind);
+  /// Appends a gate over `gate_children` (ids already in the graph) as a
+  /// new run at the end of `children`, and returns its id.
+  NodeId add_gate(GateType type, std::uint32_t k,
+                  std::span<const NodeId> gate_children);
+
+  [[nodiscard]] std::span<const NodeId> children_of(NodeId id) const {
+    const Node& node = nodes[id];
+    return {children.data() + node.first_child, node.child_count};
+  }
+  [[nodiscard]] std::size_t gate_count() const noexcept {
+    return nodes.size() - basic_event_count - condition_count;
+  }
+
+  /// The structure function at `top` under a leaf truth assignment
+  /// (`basic_state` by basic-event ordinal, `condition_state` by condition
+  /// ordinal). XOR is exactly-one. Precondition: top < nodes.size().
+  [[nodiscard]] bool evaluate(const std::vector<bool>& basic_state,
+                              const std::vector<bool>& condition_state) const;
+};
+
 class FaultTree {
  public:
   /// Creates an empty tree. `name` identifies the modelled hazard context in
@@ -64,9 +119,10 @@ class FaultTree {
 
   // ---- construction (bottom-up) -------------------------------------------
 
-  /// Reserves room for `nodes` nodes (and as many names), so building a tree
-  /// of known size reallocates nothing on the way.
-  void reserve(std::size_t nodes);
+  /// Reserves room for `nodes` nodes (and as many names) and for
+  /// `child_references` entries of the gates' child lists, so building a
+  /// tree of known size reallocates nothing on the way.
+  void reserve(std::size_t nodes, std::size_t child_references = 0);
 
   /// Adds a primary failure leaf. A non-empty name must be unique within the
   /// tree; an empty one makes the node anonymous (see the file comment).
@@ -100,12 +156,14 @@ class FaultTree {
   // ---- structural queries --------------------------------------------------
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] bool has_top() const noexcept { return top_.has_value(); }
+  [[nodiscard]] bool has_top() const noexcept {
+    return graph_.top != GateGraph::kNoTop;
+  }
   /// Precondition: has_top().
   [[nodiscard]] NodeId top() const;
 
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return graph_.nodes.size();
   }
   [[nodiscard]] std::size_t basic_event_count() const noexcept {
     return basic_events_.size();
@@ -113,7 +171,13 @@ class FaultTree {
   [[nodiscard]] std::size_t condition_count() const noexcept {
     return conditions_.size();
   }
-  [[nodiscard]] std::size_t gate_count() const noexcept;
+  [[nodiscard]] std::size_t gate_count() const noexcept {
+    return graph_.gate_count();
+  }
+
+  /// The tree's structure: node ids, kinds, gates, thresholds, leaf
+  /// ordinals and children are the ones the queries below report.
+  [[nodiscard]] const GateGraph& graph() const noexcept { return graph_; }
 
   [[nodiscard]] NodeKind kind(NodeId id) const;
   /// The node's name; empty for an anonymous node.
@@ -165,33 +229,20 @@ class FaultTree {
   [[nodiscard]] std::vector<std::string> validate() const;
 
  private:
-  struct Node {
-    NodeKind node_kind = NodeKind::kBasicEvent;
-    GateType gate = GateType::kAnd;
-    std::uint32_t k = 0;        // vote threshold for kKofN
-    std::uint32_t ordinal = 0;  // leaf ordinal for basic events/conditions
-    std::string name;
-    std::string description;
-    std::vector<NodeId> children;
-  };
-
-  NodeId add_node(Node node);
   NodeId add_gate(std::string name, GateType type, std::uint32_t k,
                   std::vector<NodeId> children);
-  void check_child_ids(std::span<const NodeId> children) const;
+  /// Files the labels of node `id`, the node just added to the graph.
+  void add_labels(NodeId id, std::string name, std::string description);
   /// 'name', or #id for an anonymous node (validate() messages).
   [[nodiscard]] std::string label(NodeId id) const;
-  [[nodiscard]] bool evaluate_node(NodeId id,
-                                   const std::vector<bool>& basic_state,
-                                   const std::vector<bool>& condition_state,
-                                   std::vector<signed char>& memo) const;
 
   std::string name_;
-  std::vector<Node> nodes_;
+  GateGraph graph_;
+  std::vector<std::string> names_;         // by NodeId; empty = anonymous
+  std::vector<std::string> descriptions_;  // by NodeId
   std::vector<NodeId> basic_events_;
   std::vector<NodeId> conditions_;
-  NameIndex by_name_;  // named nodes only; names live in nodes_
-  std::optional<NodeId> top_;
+  NameIndex by_name_;  // named nodes only; names live in names_
 };
 
 }  // namespace safeopt::fta

@@ -12,6 +12,12 @@
 
 namespace safeopt::ftio {
 
+/// Appends the structure part of the parser.h dialect to `out`: the `tree`
+/// and `toplevel` lines and one line per gate, in node order. The one gate
+/// writer behind write_fault_tree and write_study.
+/// Precondition: tree.has_top() and every node is named.
+void write_structure(const fta::FaultTree& tree, std::string& out);
+
 /// Writes the parser.h dialect. parse_fault_tree(write_fault_tree(t, q))
 /// reproduces the same structure and probabilities.
 /// Precondition: tree.has_top() and every node is named (an anonymous node

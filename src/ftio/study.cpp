@@ -16,6 +16,7 @@
 #include "safeopt/expr/parse.h"
 #include "safeopt/ftio/parser.h"
 #include "safeopt/ftio/study_document.h"
+#include "safeopt/ftio/writer.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/name_index.h"
 #include "safeopt/support/strings.h"
@@ -694,9 +695,13 @@ class TreeBuilder {
         built_{fta::FaultTree(section.name), {}, {}},
         gate_node_(section.gates.size(), kUnbuilt),
         leaf_node_(section.leaves.size(), kUnbuilt) {
-    // Every declaration becomes at most one node, so the counts bound the
-    // tree: node vector and name index are sized once.
-    built_.tree.reserve(section.gates.size() + section.leaves.size());
+    // Every declaration becomes at most one node and every gate operand at
+    // most one child reference, so the counts bound the tree: the node
+    // vector, child array and name index are sized once.
+    std::size_t operands = 0;
+    for (const GateDecl& gate : section.gates) operands += gate.children.size();
+    built_.tree.reserve(section.gates.size() + section.leaves.size(),
+                        operands);
   }
 
   BuiltTree build() {
@@ -1079,27 +1084,7 @@ std::string write_study(const StudyDocument& doc) {
   if (!doc.parameters.empty()) out += "\n";
 
   for (const TreeModel& model : doc.trees) {
-    const fta::FaultTree& tree = model.tree;
-    out += concat("tree ", tree.name(), ";\n");
-    out += concat("toplevel ", tree.node_name(tree.top()), ";\n");
-    for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
-      if (tree.kind(id) != fta::NodeKind::kGate) continue;
-      out += tree.node_name(id);
-      switch (tree.gate_type(id)) {
-        case fta::GateType::kAnd: out += " and"; break;
-        case fta::GateType::kOr: out += " or"; break;
-        case fta::GateType::kXor: out += " xor"; break;
-        case fta::GateType::kInhibit: out += " inhibit"; break;
-        case fta::GateType::kKofN:
-          out += concat(" ", std::to_string(tree.vote_threshold(id)), "of",
-                        std::to_string(tree.children(id).size()));
-          break;
-      }
-      for (const fta::NodeId child : tree.children(id)) {
-        out += concat(" ", tree.node_name(child));
-      }
-      out += ";\n";
-    }
+    write_structure(model.tree, out);
     for (const LeafProbability& leaf : model.leaves) {
       out += concat(leaf.name, leaf.is_condition ? " condition prob = "
                                                  : " prob = ",

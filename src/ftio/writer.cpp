@@ -6,20 +6,6 @@
 namespace safeopt::ftio {
 namespace {
 
-std::string gate_keyword(const fta::FaultTree& tree, fta::NodeId id) {
-  switch (tree.gate_type(id)) {
-    case fta::GateType::kAnd: return "and";
-    case fta::GateType::kOr: return "or";
-    case fta::GateType::kXor: return "xor";
-    case fta::GateType::kInhibit: return "inhibit";
-    case fta::GateType::kKofN:
-      return concat(std::to_string(tree.vote_threshold(id)), "of",
-                    std::to_string(tree.children(id).size()));
-  }
-  SAFEOPT_ASSERT(false);
-  return {};
-}
-
 std::string json_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -36,6 +22,30 @@ std::string json_escape(const std::string& text) {
 
 }  // namespace
 
+void write_structure(const fta::FaultTree& tree, std::string& out) {
+  SAFEOPT_EXPECTS(tree.has_top());
+  out += concat("tree ", tree.name(), ";\n");
+  out += concat("toplevel ", tree.node_name(tree.top()), ";\n");
+  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
+    if (tree.kind(id) != fta::NodeKind::kGate) continue;
+    out += tree.node_name(id);
+    switch (tree.gate_type(id)) {
+      case fta::GateType::kAnd: out += " and"; break;
+      case fta::GateType::kOr: out += " or"; break;
+      case fta::GateType::kXor: out += " xor"; break;
+      case fta::GateType::kInhibit: out += " inhibit"; break;
+      case fta::GateType::kKofN:
+        out += concat(" ", std::to_string(tree.vote_threshold(id)), "of",
+                      std::to_string(tree.children(id).size()));
+        break;
+    }
+    for (const fta::NodeId child : tree.children(id)) {
+      out += concat(" ", tree.node_name(child));
+    }
+    out += ";\n";
+  }
+}
+
 std::string write_fault_tree(const fta::FaultTree& tree,
                              const fta::QuantificationInput& probabilities) {
   SAFEOPT_EXPECTS(tree.has_top());
@@ -44,16 +54,7 @@ std::string write_fault_tree(const fta::FaultTree& tree,
     SAFEOPT_EXPECTS(!tree.node_name(id).empty());
   }
   std::string out;
-  out += concat("tree ", tree.name(), ";\n");
-  out += concat("toplevel ", tree.node_name(tree.top()), ";\n");
-  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
-    if (tree.kind(id) != fta::NodeKind::kGate) continue;
-    out += concat(tree.node_name(id), " ", gate_keyword(tree, id));
-    for (const fta::NodeId child : tree.children(id)) {
-      out += concat(" ", tree.node_name(child));
-    }
-    out += ";\n";
-  }
+  write_structure(tree, out);
   for (const fta::NodeId id : tree.basic_events()) {
     out += concat(
         tree.node_name(id), " prob = ",

@@ -31,15 +31,17 @@
 // composing each module's MOCUS output reproduces MOCUS on the whole tree
 // (the property tests check exactly that).
 //
-// The passes rewrite a private IR in place: each pass reuses its scratch
-// vectors from gate to gate and writes a gate's new children back into the
-// gate's own list, so a pass allocates only for the gates it adds.
+// The passes edit a copy of the tree's own fta::GateGraph (plus an alias
+// array) in place: a pass writes a gate's new children into the gate's own
+// run of the child array when they fit and appends a new run when they do
+// not, and it reuses its scratch vectors from gate to gate, so a pass
+// allocates only for the nodes and runs it adds.
 //
 // The result of preprocess() is a PreprocessedTree: a list of Subtrees in
 // dependency order (innermost modules first, top last) with per-leaf origin
 // maps back to the original tree's ordinals, plus per-pass statistics. Each
-// subtree is a flat, anonymous bdd::GateGraph built straight from the IR —
-// no fault tree, no names, since BDD compilation reads only kinds,
+// subtree is an anonymous fta::GateGraph built straight from the edited
+// graph — no fault tree, no names, since BDD compilation reads only kinds,
 // children, thresholds and ordinals (a module's pseudo-leaf is tied to its
 // module by LeafOrigin, not by name). bdd::compile over that graph is the
 // one BDD compile routine. The "bdd" engine always runs preprocess() and
@@ -76,7 +78,8 @@ struct PreprocessOptions {
   std::size_t module_min_leaves = 4;
   /// Cooperative deadline/cancellation, polled at pass boundaries; an abort
   /// throws Error(kDeadlineExceeded / kCancelled) and the input tree is
-  /// untouched (passes rewrite a private IR). Not owned; nullptr = unbounded.
+  /// untouched (passes edit a copy of its graph). Not owned; nullptr =
+  /// unbounded.
   const ExecutionControl* control = nullptr;
 };
 
@@ -96,7 +99,7 @@ struct LeafOrigin {
 struct Subtree {
   /// The unit's gates and leaves; the origin maps below, not names, tie it
   /// back to the original tree.
-  bdd::GateGraph graph;
+  fta::GateGraph graph;
   /// Origin of each basic event of `graph`, by its basic-event ordinal.
   /// Module pseudo-leaves appear here with Kind::kModule.
   std::vector<LeafOrigin> basic_origin;
@@ -135,14 +138,6 @@ struct PreprocessedTree {
   PreprocessStatistics statistics;
 
   [[nodiscard]] const Subtree& top() const { return subtrees.back(); }
-
-  /// Assembles the QuantificationInput of subtree `index` from the original
-  /// tree's input and the already-computed probabilities of earlier
-  /// subtrees (`module_probability[i]` for pseudo-leaves of subtree i;
-  /// only indices < `index` are read).
-  [[nodiscard]] fta::QuantificationInput input_for(
-      std::size_t index, const fta::QuantificationInput& original,
-      const std::vector<double>& module_probability) const;
 };
 
 /// Runs the configured passes over `tree`. Precondition: tree.has_top() and
@@ -166,10 +161,12 @@ struct ModularBddResult {
 /// variables in their parent); probability() is then a per-input bottom-up
 /// Shannon evaluation over the precompiled diagrams — the optimization-loop
 /// hot path, where the same tree is re-quantified at every design point.
+/// Construction also composes each module's leaf origins with its BDD
+/// variable numbering, so a call fills each module's variable
+/// probabilities straight from the input and the earlier modules' results.
 /// `options.node_budget` caps the decision nodes summed over every subtree
 /// (exceeding it throws Error(kResourceExhausted)); the table and cache
 /// sizes cap each subtree's manager, which is sized to its own tree.
-/// The PreprocessedTree must outlive this object.
 class CompiledPreprocessedTree {
  public:
   explicit CompiledPreprocessedTree(const PreprocessedTree& preprocessed,
@@ -188,8 +185,16 @@ class CompiledPreprocessedTree {
   }
 
  private:
-  const PreprocessedTree* preprocessed_;
-  std::vector<bdd::CompiledFaultTree> compiled_;
+  /// One compiled subtree, in PreprocessedTree::subtrees order.
+  struct Module {
+    bdd::BddManager manager;
+    bdd::BddRef root = bdd::kFalse;
+    /// Where each BDD variable's probability comes from, by variable.
+    std::vector<LeafOrigin> source_of_var;
+  };
+
+  std::vector<Module> modules_;
+  std::size_t widest_ = 0;  // the most variables of any module
   ModularBddResult statistics_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -15,49 +17,64 @@ namespace {
 
 // ---------------------------------------------------------------- the IR
 //
-// Passes rewrite a small mutable mirror of the FaultTree rather than the
-// tree itself (FaultTree is append-only by design). Items are created
-// children-first; rewrites alias an item to its replacement instead of
+// Passes rewrite a copy of the tree's own GateGraph (FaultTree is
+// append-only by design) plus an alias array. Nodes are created
+// children-first; rewrites alias a node to its replacement instead of
 // erasing it, so ids stay stable and every pass resolves through the alias
-// chain. TRUE/FALSE constant items exist so constant propagation has
-// something to propagate (no source tree contains them, but a pass — or a
-// future pass, see docs/extending.md — may introduce them). Items carry no
-// names: the passes, the module graphs and everything downstream read
-// kinds, children, thresholds and ordinals only. A pass rewrites an item's
-// children in place, through scratch vectors it reuses from gate to gate,
-// so a sweep allocates only for the items it adds.
+// chain. Constants are childless gates, AND() = TRUE and OR() = FALSE, so
+// constant propagation has something to propagate (no source tree contains
+// them, but a pass — or a future pass, see docs/extending.md — may
+// introduce them). The graph carries no names: the passes, the module
+// graphs and everything downstream read kinds, children, thresholds and
+// ordinals only. A pass builds a gate's new children in a scratch vector it
+// reuses from gate to gate and writes them back with set_children(), so a
+// sweep allocates only for the nodes and runs it adds.
 
-enum class ItemKind : std::uint8_t {
-  kBasic,
-  kCondition,
-  kGate,
-  kTrue,
-  kFalse,
-};
+using Node = fta::GateGraph::Node;
 
-struct Item {
-  ItemKind kind = ItemKind::kBasic;
-  fta::GateType gate = fta::GateType::kAnd;
-  std::uint32_t k = 0;        // vote threshold for kKofN
-  std::uint32_t ordinal = 0;  // original leaf ordinal (leaves only)
-  std::vector<std::uint32_t> children;
-};
+[[nodiscard]] bool is_constant(const Node& node) {
+  return node.kind == fta::NodeKind::kGate && node.child_count == 0;
+}
+/// A gate that is not a constant.
+[[nodiscard]] bool is_gate(const Node& node) {
+  return node.kind == fta::NodeKind::kGate && node.child_count != 0;
+}
+[[nodiscard]] bool is_true(const Node& node) {
+  return is_constant(node) && node.gate == fta::GateType::kAnd;
+}
+[[nodiscard]] bool is_false(const Node& node) {
+  return is_constant(node) && node.gate == fta::GateType::kOr;
+}
 
 struct Ir {
-  std::vector<Item> items;
+  fta::GateGraph graph;              // graph.top is the root
   std::vector<std::uint32_t> alias;  // alias[i] == i when canonical
-  std::uint32_t root = 0;
-  // Walk scratch shared by every reachability walk: item i is visited in
+  // Walk scratch shared by every reachability walk: node i is visited in
   // the current walk iff stamp[i] == epoch, so no walk clears the array.
   std::vector<std::uint32_t> stamp;
   std::uint32_t epoch = 0;
   std::vector<std::uint32_t> stack;
 
-  std::uint32_t add(Item item) {
-    const auto id = static_cast<std::uint32_t>(items.size());
-    items.push_back(std::move(item));
+  std::uint32_t add_gate(fta::GateType type, std::uint32_t k,
+                         std::span<const std::uint32_t> children) {
+    const std::uint32_t id = graph.add_gate(type, k, children);
     alias.push_back(id);
     return id;
+  }
+
+  /// Replaces the children of gate `id` by `run` (never a view into the
+  /// graph): in the gate's own run when they fit, else in a new run at the
+  /// end of the child array.
+  void set_children(std::uint32_t id, std::span<const std::uint32_t> run) {
+    Node& node = graph.nodes[id];
+    if (run.size() > node.child_count) {
+      node.first_child = static_cast<std::uint32_t>(graph.children.size());
+      graph.children.insert(graph.children.end(), run.begin(), run.end());
+    } else {
+      std::copy(run.begin(), run.end(),
+                graph.children.begin() + node.first_child);
+    }
+    node.child_count = static_cast<std::uint32_t>(run.size());
   }
 
   [[nodiscard]] std::uint32_t resolve(std::uint32_t id) {
@@ -68,26 +85,26 @@ struct Ir {
     return id;
   }
 
-  /// Depth-first walk over the items reachable from the root through
-  /// resolved edges; `visit(id)` runs once per item.
+  /// Depth-first walk over the nodes reachable from the root through
+  /// resolved edges; `visit(id)` runs once per node.
   template <typename Visit>
   void walk(const Visit& visit) {
-    stamp.resize(items.size(), 0);
+    stamp.resize(graph.nodes.size(), 0);
     ++epoch;
-    stack.assign(1, resolve(root));
+    stack.assign(1, resolve(graph.top));
     while (!stack.empty()) {
       const std::uint32_t id = stack.back();
       stack.pop_back();
       if (stamp[id] == epoch) continue;
       stamp[id] = epoch;
       visit(id);
-      for (const std::uint32_t child : items[id].children) {
+      for (const std::uint32_t child : graph.children_of(id)) {
         stack.push_back(resolve(child));
       }
     }
   }
 
-  /// Number of items reachable from the root through resolved edges.
+  /// Number of nodes reachable from the root through resolved edges.
   [[nodiscard]] std::size_t reachable_count() {
     std::size_t count = 0;
     walk([&count](std::uint32_t) { ++count; });
@@ -95,43 +112,17 @@ struct Ir {
   }
 };
 
+/// The IR starts as a copy of the tree's graph, every node canonical.
 Ir build_ir(const fta::FaultTree& tree) {
   Ir ir;
-  ir.items.reserve(tree.node_count());
-  ir.alias.reserve(tree.node_count());
-  for (fta::NodeId id = 0; id < tree.node_count(); ++id) {
-    Item item;
-    switch (tree.kind(id)) {
-      case fta::NodeKind::kBasicEvent:
-        item.kind = ItemKind::kBasic;
-        item.ordinal = tree.basic_event_ordinal(id);
-        break;
-      case fta::NodeKind::kCondition:
-        item.kind = ItemKind::kCondition;
-        item.ordinal = tree.condition_ordinal(id);
-        break;
-      case fta::NodeKind::kGate:
-        item.kind = ItemKind::kGate;
-        item.gate = tree.gate_type(id);
-        if (item.gate == fta::GateType::kKofN) item.k = tree.vote_threshold(id);
-        item.children.assign(tree.children(id).begin(),
-                             tree.children(id).end());
-        break;
-    }
-    ir.add(std::move(item));
-  }
-  ir.root = tree.top();
+  ir.graph = tree.graph();
+  ir.alias.resize(ir.graph.nodes.size());
+  std::iota(ir.alias.begin(), ir.alias.end(), 0u);
   return ir;
 }
 
-[[nodiscard]] bool is_constant(const Item& item) {
-  return item.kind == ItemKind::kTrue || item.kind == ItemKind::kFalse;
-}
-
 std::uint32_t constant(Ir& ir, bool value) {
-  Item item;
-  item.kind = value ? ItemKind::kTrue : ItemKind::kFalse;
-  return ir.add(std::move(item));
+  return ir.add_gate(value ? fta::GateType::kAnd : fta::GateType::kOr, 0, {});
 }
 
 // ------------------------------------------------ redundancy/constants
@@ -144,31 +135,30 @@ std::uint32_t constant(Ir& ir, bool value) {
 // which is what makes the pass bitwise probability-preserving.
 PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "propagate", .nodes_before = nodes_before};
-  // The gate's resolved children and the ones a rule keeps. An item's own
-  // list changes only when the gate survives, so an aliased gate keeps the
-  // list it had.
+  // The gate's resolved children and the ones a rule keeps. A node's own
+  // children change only when the gate survives, so an aliased gate keeps
+  // the children it had.
   std::vector<std::uint32_t> children;
   std::vector<std::uint32_t> kept;
-  for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
-    Item& item = ir.items[id];
-    if (item.kind != ItemKind::kGate ||
-        item.gate == fta::GateType::kInhibit) {
-      continue;
-    }
+  for (std::uint32_t id = 0; id < ir.graph.nodes.size(); ++id) {
+    // By value: constant() below may grow the node vector.
+    const Node node = ir.graph.nodes[id];
+    if (!is_gate(node) || node.gate == fta::GateType::kInhibit) continue;
+    fta::GateType gate = node.gate;
     children.clear();
-    for (const std::uint32_t child : item.children) {
+    for (const std::uint32_t child : ir.graph.children_of(id)) {
       children.push_back(ir.resolve(child));
     }
 
-    if (item.gate == fta::GateType::kKofN) {
+    if (gate == fta::GateType::kKofN) {
       // Fold constants into the threshold, then degrade to AND/OR.
       kept.clear();
-      std::int64_t k = item.k;
+      std::int64_t k = node.k;
       for (const std::uint32_t child : children) {
-        if (ir.items[child].kind == ItemKind::kTrue) {
+        if (is_true(ir.graph.nodes[child])) {
           --k;
           ++stats.rewrites;
-        } else if (ir.items[child].kind == ItemKind::kFalse) {
+        } else if (is_false(ir.graph.nodes[child])) {
           ++stats.rewrites;
         } else {
           kept.push_back(child);
@@ -186,29 +176,29 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
         continue;
       }
       if (std::cmp_equal(k, children.size())) {
-        item.gate = fta::GateType::kAnd;
-        item.k = 0;
+        gate = fta::GateType::kAnd;
         ++stats.rewrites;
       } else if (k == 1) {
-        item.gate = fta::GateType::kOr;
-        item.k = 0;
+        gate = fta::GateType::kOr;
         ++stats.rewrites;
       } else {
-        item.k = static_cast<std::uint32_t>(k);
-        item.children.assign(children.begin(), children.end());
+        ir.graph.nodes[id].k = static_cast<std::uint32_t>(k);
+        ir.set_children(id, children);
         continue;
       }
+      ir.graph.nodes[id].gate = gate;
+      ir.graph.nodes[id].k = 0;
     }
 
-    if (item.gate == fta::GateType::kAnd || item.gate == fta::GateType::kOr) {
-      const bool is_and = item.gate == fta::GateType::kAnd;
+    if (gate == fta::GateType::kAnd || gate == fta::GateType::kOr) {
+      const bool is_and = gate == fta::GateType::kAnd;
       kept.clear();
       bool short_circuit = false;
       for (const std::uint32_t child : children) {
-        const Item& c = ir.items[child];
+        const Node& c = ir.graph.nodes[child];
         if (is_constant(c)) {
           // AND absorbs TRUE / dies on FALSE; OR dually.
-          if ((c.kind == ItemKind::kFalse) == is_and) short_circuit = true;
+          if (is_false(c) == is_and) short_circuit = true;
           ++stats.rewrites;
           continue;
         }
@@ -228,11 +218,11 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
         continue;
       }
       children.swap(kept);
-    } else if (item.gate == fta::GateType::kXor) {
+    } else if (gate == fta::GateType::kXor) {
       // exactly-one: FALSE children are inert; anything stronger (a TRUE
       // child forces all siblings false) needs negation we cannot express.
       std::erase_if(children, [&](std::uint32_t child) {
-        const bool drop = ir.items[child].kind == ItemKind::kFalse;
+        const bool drop = is_false(ir.graph.nodes[child]);
         if (drop) ++stats.rewrites;
         return drop;
       });
@@ -243,15 +233,15 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
       }
     }
 
-    if (children.size() == 1 && item.gate != fta::GateType::kKofN) {
+    if (children.size() == 1 && gate != fta::GateType::kKofN) {
       ir.alias[id] = children.front();
       ++stats.rewrites;
       continue;
     }
-    // Never longer than the list it replaces, so it fits in place.
-    item.children.assign(children.begin(), children.end());
+    // Never longer than the children it replaces, so it fits in place.
+    ir.set_children(id, children);
   }
-  ir.root = ir.resolve(ir.root);
+  ir.graph.top = ir.resolve(ir.graph.top);
   stats.nodes_after = ir.reachable_count();
   return stats;
 }
@@ -271,18 +261,18 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
   // Per-vote scratch: the resolved children and the ge(i, j) memo.
   std::vector<std::uint32_t> children;
   std::vector<std::uint32_t> memo;
-  const auto gate_count = static_cast<std::uint32_t>(ir.items.size());
+  const auto gate_count = static_cast<std::uint32_t>(ir.graph.nodes.size());
   for (std::uint32_t id = 0; id < gate_count; ++id) {
-    if (ir.items[id].kind != ItemKind::kGate ||
-        ir.items[id].gate != fta::GateType::kKofN) {
+    if (!is_gate(ir.graph.nodes[id]) ||
+        ir.graph.nodes[id].gate != fta::GateType::kKofN) {
       continue;
     }
     children.clear();
-    for (const std::uint32_t child : ir.items[id].children) {
+    for (const std::uint32_t child : ir.graph.children_of(id)) {
       children.push_back(ir.resolve(child));
     }
     const std::uint32_t n = static_cast<std::uint32_t>(children.size());
-    const std::uint32_t k = ir.items[id].k;
+    const std::uint32_t k = ir.graph.nodes[id].k;
     SAFEOPT_ASSERT(k >= 1 && k <= n);
 
     // memo[i * (k + 1) + j] is the gate for ge(i, j), or kNone. The memo
@@ -295,30 +285,24 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
       if (j == 1 && n - i == 1) return children[i];
       std::uint32_t& slot = memo[std::size_t{i} * (k + 1) + j];
       if (slot != kNone) return slot;
-      Item gate;
-      gate.kind = ItemKind::kGate;
+      const std::span<const std::uint32_t> suffix =
+          std::span<const std::uint32_t>(children).subspan(i);
       if (j == 1) {
-        gate.gate = fta::GateType::kOr;
-        gate.children.assign(children.begin() + i, children.end());
+        slot = ir.add_gate(fta::GateType::kOr, 0, suffix);
       } else if (j == n - i) {
-        gate.gate = fta::GateType::kAnd;
-        gate.children.assign(children.begin() + i, children.end());
+        slot = ir.add_gate(fta::GateType::kAnd, 0, suffix);
       } else {
-        Item take;
-        take.kind = ItemKind::kGate;
-        take.gate = fta::GateType::kAnd;
-        take.children = {children[i], self(self, i + 1, j - 1)};
-        const std::uint32_t take_id = ir.add(std::move(take));
-        gate.gate = fta::GateType::kOr;
-        gate.children = {take_id, self(self, i + 1, j)};
+        const std::uint32_t take[] = {children[i], self(self, i + 1, j - 1)};
+        const std::uint32_t either[] = {
+            ir.add_gate(fta::GateType::kAnd, 0, take), self(self, i + 1, j)};
+        slot = ir.add_gate(fta::GateType::kOr, 0, either);
       }
-      slot = ir.add(std::move(gate));
       return slot;
     };
     ir.alias[id] = ge(ge, 0, k);
     ++stats.rewrites;
   }
-  ir.root = ir.resolve(ir.root);
+  ir.graph.top = ir.resolve(ir.graph.top);
   stats.nodes_after = ir.reachable_count();
   return stats;
 }
@@ -336,27 +320,27 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
 // levels, so there is nothing to flatten there anyway.
 PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "flatten", .nodes_before = nodes_before};
+  std::vector<Node>& nodes = ir.graph.nodes;  // the pass adds no node
   // Reference counts over the resolved, reachable graph only.
-  std::vector<std::uint32_t> refs(ir.items.size(), 0);
+  std::vector<std::uint32_t> refs(nodes.size(), 0);
   ir.walk([&](std::uint32_t id) {
-    for (const std::uint32_t raw : ir.items[id].children) {
+    for (const std::uint32_t raw : ir.graph.children_of(id)) {
       ++refs[ir.resolve(raw)];
     }
   });
   std::vector<std::uint32_t> flat;
-  for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
-    Item& item = ir.items[id];
-    if (item.kind != ItemKind::kGate) continue;
-    if (item.gate != fta::GateType::kAnd && item.gate != fta::GateType::kOr) {
+  for (std::uint32_t id = 0; id < nodes.size(); ++id) {
+    const Node& node = nodes[id];
+    if (!is_gate(node)) continue;
+    if (node.gate != fta::GateType::kAnd && node.gate != fta::GateType::kOr) {
       continue;
     }
     flat.clear();
-    for (const std::uint32_t raw : item.children) {
+    for (const std::uint32_t raw : ir.graph.children_of(id)) {
       const std::uint32_t child = ir.resolve(raw);
-      const Item& c = ir.items[child];
-      if (c.kind == ItemKind::kGate && c.gate == item.gate &&
-          refs[child] == 1) {
-        for (const std::uint32_t grand : c.children) {
+      const Node& c = nodes[child];
+      if (is_gate(c) && c.gate == node.gate && refs[child] == 1) {
+        for (const std::uint32_t grand : ir.graph.children_of(child)) {
           flat.push_back(ir.resolve(grand));
         }
         ++stats.rewrites;
@@ -364,9 +348,10 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
         flat.push_back(child);
       }
     }
-    item.children.assign(flat.begin(), flat.end());
+    // A spliced gate makes the run longer: it moves to the end.
+    ir.set_children(id, flat);
   }
-  ir.root = ir.resolve(ir.root);
+  ir.graph.top = ir.resolve(ir.graph.top);
   stats.nodes_after = ir.reachable_count();
   return stats;
 }
@@ -379,33 +364,39 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
 // the DFS leaf first-visit order and break the bitwise-parity guarantee.
 PassStats run_merge(Ir& ir, std::size_t nodes_before) {
   PassStats stats{.name = "merge", .nodes_before = nodes_before};
-  // The table holds item ids keyed by (type, threshold, child list) as the
-  // item stands when it is filed. The sweep never revisits a filed item, so
+  const fta::GateGraph& graph = ir.graph;
+  // The table holds gate ids keyed by (type, threshold, children) as the
+  // gate stands when it is filed. The sweep never revisits a filed gate, so
   // the key read back later is the key that was filed. The table is only
   // probed: the first gate of each key wins, in id order. Open addressing
-  // with linear probing, at most half full (no pass adds items here).
-  const auto key_hash = [&ir](std::uint32_t id) {
-    const Item& item = ir.items[id];
-    std::size_t h = (static_cast<std::size_t>(item.gate) << 32) ^ item.k;
-    for (const std::uint32_t child : item.children) {
+  // with linear probing, at most half full (no pass adds nodes here).
+  const auto key_hash = [&graph](std::uint32_t id) {
+    const Node& node = graph.nodes[id];
+    std::size_t h = (static_cast<std::size_t>(node.gate) << 32) ^ node.k;
+    for (const std::uint32_t child : graph.children_of(id)) {
       h ^= child + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     }
     return h;
   };
-  const auto key_equal = [&ir](std::uint32_t a, std::uint32_t b) {
-    const Item& x = ir.items[a];
-    const Item& y = ir.items[b];
-    return x.gate == y.gate && x.k == y.k && x.children == y.children;
+  const auto key_equal = [&graph](std::uint32_t a, std::uint32_t b) {
+    const Node& x = graph.nodes[a];
+    const Node& y = graph.nodes[b];
+    return x.gate == y.gate && x.k == y.k &&
+           std::ranges::equal(graph.children_of(a), graph.children_of(b));
   };
   constexpr std::uint32_t kEmpty = UINT32_MAX;
   int bits = 4;
-  while ((std::size_t{1} << bits) < 2 * ir.items.size()) ++bits;
+  while ((std::size_t{1} << bits) < 2 * graph.nodes.size()) ++bits;
   std::vector<std::uint32_t> canonical(std::size_t{1} << bits, kEmpty);
   const std::size_t mask = canonical.size() - 1;
-  for (std::uint32_t id = 0; id < ir.items.size(); ++id) {
-    Item& item = ir.items[id];
-    if (item.kind != ItemKind::kGate) continue;
-    for (std::uint32_t& child : item.children) child = ir.resolve(child);
+  for (std::uint32_t id = 0; id < graph.nodes.size(); ++id) {
+    const Node& node = graph.nodes[id];
+    if (!is_gate(node)) continue;
+    for (std::uint32_t& child :
+         std::span(ir.graph.children).subspan(node.first_child,
+                                              node.child_count)) {
+      child = ir.resolve(child);
+    }
     // Fibonacci hashing: the top bits of the product spread the key.
     std::size_t i = static_cast<std::size_t>(
         (std::uint64_t{key_hash(id)} * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
@@ -419,7 +410,7 @@ PassStats run_merge(Ir& ir, std::size_t nodes_before) {
       ++stats.rewrites;
     }
   }
-  ir.root = ir.resolve(ir.root);
+  ir.graph.top = ir.resolve(ir.graph.top);
   stats.nodes_after = ir.reachable_count();
   return stats;
 }
@@ -437,12 +428,12 @@ PassStats run_merge(Ir& ir, std::size_t nodes_before) {
 
 struct ModuleScan {
   std::vector<std::uint32_t> postorder;  // reachable ids, children first
-  std::vector<bool> is_module;           // by item id
+  std::vector<bool> is_module;           // by node id
   std::vector<std::size_t> leaf_refs;    // DAG leaf-reference weight
 };
 
 ModuleScan scan_modules(Ir& ir) {
-  const std::size_t n = ir.items.size();
+  const std::size_t n = ir.graph.nodes.size();
   constexpr std::uint64_t kUnset = 0;
   std::vector<std::uint64_t> first(n, kUnset);
   std::vector<std::uint64_t> last(n, kUnset);
@@ -465,14 +456,13 @@ ModuleScan scan_modules(Ir& ir) {
       stack.push_back({id});
     }
   };
-  touch(ir.resolve(ir.root));
+  touch(ir.resolve(ir.graph.top));
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    const Item& item = ir.items[frame.id];
-    if (frame.next_child < item.children.size()) {
-      const std::uint32_t child =
-          ir.resolve(item.children[frame.next_child++]);
-      touch(child);
+    const std::span<const std::uint32_t> children =
+        ir.graph.children_of(frame.id);
+    if (frame.next_child < children.size()) {
+      touch(ir.resolve(children[frame.next_child++]));
     } else {
       ++clock;
       exit1[frame.id] = clock;
@@ -487,13 +477,13 @@ ModuleScan scan_modules(Ir& ir) {
       n, std::numeric_limits<std::uint64_t>::max());
   std::vector<std::uint64_t> desc_max(n, 0);
   for (const std::uint32_t id : scan.postorder) {
-    const Item& item = ir.items[id];
-    if (item.kind != ItemKind::kGate) {
-      scan.leaf_refs[id] = is_constant(item) ? 0 : 1;
+    const Node& node = ir.graph.nodes[id];
+    if (!is_gate(node)) {
+      scan.leaf_refs[id] = is_constant(node) ? 0 : 1;
       continue;
     }
     std::size_t refs = 0;
-    for (const std::uint32_t raw : item.children) {
+    for (const std::uint32_t raw : ir.graph.children_of(id)) {
       const std::uint32_t child = ir.resolve(raw);
       desc_min[id] = std::min({desc_min[id], first[child], desc_min[child]});
       desc_max[id] = std::max({desc_max[id], last[child], desc_max[child]});
@@ -508,14 +498,14 @@ ModuleScan scan_modules(Ir& ir) {
 
 // ------------------------------------------------------------- rebuild
 
-/// Which item became which node of the graph being built: node_of[id] is
-/// valid only where stamp[id] is the current subtree's stamp, so one pair of
-/// vectors serves every subtree without clearing. `operands` holds the
+/// Which IR node became which node of the graph being built: node_of[id]
+/// is valid only where stamp[id] is the current subtree's stamp, so one pair
+/// of vectors serves every subtree without clearing. `operands` holds the
 /// child nodes of every gate on the build path, innermost gate last.
 /// `subtree` is the one being built: it keeps its capacity from module to
 /// module, and each finished module is copied out at its exact size.
 struct BuildScratch {
-  explicit BuildScratch(std::size_t items) : node_of(items), stamp(items, 0) {}
+  explicit BuildScratch(std::size_t nodes) : node_of(nodes), stamp(nodes, 0) {}
 
   std::vector<std::uint32_t> node_of;
   std::vector<std::uint32_t> stamp;
@@ -524,16 +514,17 @@ struct BuildScratch {
   Subtree subtree;
 };
 
-/// Builds the anonymous gate graph for the subtree rooted at `start`,
-/// stopping at chosen module boundaries (they become pseudo-leaf basic
-/// events). Leaves are created at their DFS first visit and gates after
-/// their children, so leaf ordinal order *is* DFS order — the BDD variable
-/// order.
+/// Builds the gate graph of the subtree rooted at `start`, stopping at
+/// chosen module boundaries (they become pseudo-leaf basic events). Leaves
+/// are created at their DFS first visit and gates after their children, so
+/// leaf ordinal order *is* DFS order — the BDD variable order. A constant
+/// that survived the passes stays a childless gate, which compiles to its
+/// value.
 Subtree build_subtree(Ir& ir, std::uint32_t start,
                       const std::vector<std::int64_t>& module_of,
                       BuildScratch& scratch) {
   Subtree& subtree = scratch.subtree;
-  bdd::GateGraph& graph = subtree.graph;
+  fta::GateGraph& graph = subtree.graph;
   graph.nodes.clear();
   graph.children.clear();
   graph.basic_event_count = 0;
@@ -543,41 +534,34 @@ Subtree build_subtree(Ir& ir, std::uint32_t start,
   const std::uint32_t stamp = ++scratch.current;
   const auto build = [&](auto&& self, std::uint32_t id) -> std::uint32_t {
     if (scratch.stamp[id] == stamp) return scratch.node_of[id];
-    const Item& item = ir.items[id];
-    std::uint32_t node = 0;
+    const Node& node = ir.graph.nodes[id];
+    std::uint32_t built = 0;
     if (id != start && module_of[id] >= 0) {
-      node = graph.add_leaf(fta::NodeKind::kBasicEvent);
+      built = graph.add_leaf(fta::NodeKind::kBasicEvent);
       subtree.basic_origin.push_back(
           {LeafOrigin::Kind::kModule,
            static_cast<std::uint32_t>(module_of[id])});
     } else {
-      switch (item.kind) {
-        case ItemKind::kBasic:
-          node = graph.add_leaf(fta::NodeKind::kBasicEvent);
+      switch (node.kind) {
+        case fta::NodeKind::kBasicEvent:
+          built = graph.add_leaf(fta::NodeKind::kBasicEvent);
           subtree.basic_origin.push_back(
-              {LeafOrigin::Kind::kBasicEvent, item.ordinal});
+              {LeafOrigin::Kind::kBasicEvent, node.ordinal});
           break;
-        case ItemKind::kCondition:
-          node = graph.add_leaf(fta::NodeKind::kCondition);
-          subtree.condition_origin.push_back(item.ordinal);
+        case fta::NodeKind::kCondition:
+          built = graph.add_leaf(fta::NodeKind::kCondition);
+          subtree.condition_origin.push_back(node.ordinal);
           break;
-        case ItemKind::kTrue:
-        case ItemKind::kFalse:
-          // Constants reaching the rebuild would need TRUE/FALSE leaves the
-          // gate graph does not have. Constant-free inputs never get here:
-          // propagate() folds every constant a pass introduces.
-          SAFEOPT_ASSERT(false && "unfolded constant survived preprocessing");
-          break;
-        case ItemKind::kGate: {
+        case fta::NodeKind::kGate: {
           const std::size_t base = scratch.operands.size();
-          for (const std::uint32_t raw : item.children) {
+          for (const std::uint32_t raw : ir.graph.children_of(id)) {
             const std::uint32_t child = self(self, ir.resolve(raw));
             scratch.operands.push_back(child);
           }
-          SAFEOPT_ASSERT(item.gate != fta::GateType::kInhibit ||
+          SAFEOPT_ASSERT(node.gate != fta::GateType::kInhibit ||
                          scratch.operands.size() - base == 2);
-          node = graph.add_gate(
-              item.gate, item.gate == fta::GateType::kKofN ? item.k : 0,
+          built = graph.add_gate(
+              node.gate, node.gate == fta::GateType::kKofN ? node.k : 0,
               std::span<const std::uint32_t>(scratch.operands).subspan(base));
           scratch.operands.resize(base);
           break;
@@ -585,8 +569,8 @@ Subtree build_subtree(Ir& ir, std::uint32_t start,
       }
     }
     scratch.stamp[id] = stamp;
-    scratch.node_of[id] = node;
-    return node;
+    scratch.node_of[id] = built;
+    return built;
   };
   graph.top = build(build, start);
   return subtree;  // a copy: each vector at its exact size
@@ -634,9 +618,9 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
 
   // Pick modules bottom-up (postorder puts inner modules first), excluding
   // the root — the top subtree is built last and is "the" tree.
-  std::vector<std::int64_t> module_of(ir.items.size(), -1);
-  BuildScratch scratch(ir.items.size());
-  const std::uint32_t root = ir.resolve(ir.root);
+  std::vector<std::int64_t> module_of(ir.graph.nodes.size(), -1);
+  BuildScratch scratch(ir.graph.nodes.size());
+  const std::uint32_t root = ir.resolve(ir.graph.top);
   if (options.modularize) {
     const ModuleScan scan = scan_modules(ir);
     for (const std::uint32_t id : scan.postorder) {
@@ -649,7 +633,7 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
   result.statistics.modules = result.subtrees.size();
   result.subtrees.push_back(build_subtree(ir, root, module_of, scratch));
 
-  const bdd::GateGraph& top = result.subtrees.back().graph;
+  const fta::GateGraph& top = result.subtrees.back().graph;
   result.statistics.events_after =
       top.basic_event_count + top.condition_count;
   for (const Subtree& subtree : result.subtrees) {
@@ -658,40 +642,8 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
   return result;
 }
 
-fta::QuantificationInput PreprocessedTree::input_for(
-    std::size_t index, const fta::QuantificationInput& original,
-    const std::vector<double>& module_probability) const {
-  SAFEOPT_EXPECTS(index < subtrees.size());
-  const Subtree& subtree = subtrees[index];
-  fta::QuantificationInput input;
-  input.basic_event_probability.reserve(subtree.basic_origin.size());
-  for (const LeafOrigin& origin : subtree.basic_origin) {
-    switch (origin.kind) {
-      case LeafOrigin::Kind::kBasicEvent:
-        input.basic_event_probability.push_back(
-            original.basic_event_probability[origin.index]);
-        break;
-      case LeafOrigin::Kind::kModule:
-        SAFEOPT_EXPECTS(origin.index < module_probability.size());
-        input.basic_event_probability.push_back(
-            module_probability[origin.index]);
-        break;
-      case LeafOrigin::Kind::kCondition:
-        SAFEOPT_ASSERT(false && "condition origin on a basic-event leaf");
-        break;
-    }
-  }
-  input.condition_probability.reserve(subtree.condition_origin.size());
-  for (const std::uint32_t ordinal : subtree.condition_origin) {
-    input.condition_probability.push_back(
-        original.condition_probability[ordinal]);
-  }
-  return input;
-}
-
 CompiledPreprocessedTree::CompiledPreprocessedTree(
-    const PreprocessedTree& preprocessed, const bdd::BddOptions& options)
-    : preprocessed_(&preprocessed) {
+    const PreprocessedTree& preprocessed, const bdd::BddOptions& options) {
   const std::size_t count = preprocessed.subtrees.size();
   const std::size_t budget = options.node_budget;
   const auto budget_exceeded = [&](std::size_t compiled) {
@@ -701,7 +653,7 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
                         std::to_string(compiled), " of ", std::to_string(count),
                         " module diagrams"));
   };
-  compiled_.reserve(count);
+  modules_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const Subtree& subtree = preprocessed.subtrees[i];
     // `options` is a per-manager ceiling, not a per-manager grant: a module
@@ -725,14 +677,15 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
       scaled.node_budget =
           std::max<std::size_t>(budget - statistics_.decision_nodes, 1);
     }
-    try {
-      compiled_.push_back(bdd::compile(subtree.graph, scaled));
-    } catch (const Error& error) {
-      if (error.category() != ErrorCategory::kResourceExhausted) throw;
-      throw budget_exceeded(i + 1);
-    }
-    const bdd::BddStatistics& stats =
-        compiled_.back().manager.statistics();
+    bdd::CompiledFaultTree compiled = [&] {
+      try {
+        return bdd::compile(subtree.graph, scaled);
+      } catch (const Error& error) {
+        if (error.category() != ErrorCategory::kResourceExhausted) throw;
+        throw budget_exceeded(i + 1);
+      }
+    }();
+    const bdd::BddStatistics& stats = compiled.manager.statistics();
     statistics_.decision_nodes += stats.decision_node_count();
     statistics_.ite_calls += stats.ite_calls;
     statistics_.cache_hits += stats.cache_hits;
@@ -740,18 +693,52 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
     if (budget != 0 && statistics_.decision_nodes > budget) {
       throw budget_exceeded(i + 1);
     }
+    // Where each BDD variable's probability comes from: the module's leaf
+    // origins composed with its variable numbering.
+    std::vector<LeafOrigin> source_of_var(compiled.manager.variable_count());
+    for (std::size_t leaf = 0; leaf < subtree.basic_origin.size(); ++leaf) {
+      source_of_var[compiled.var_of_basic_event[leaf]] =
+          subtree.basic_origin[leaf];
+    }
+    for (std::size_t leaf = 0; leaf < subtree.condition_origin.size();
+         ++leaf) {
+      source_of_var[compiled.var_of_condition[leaf]] = {
+          LeafOrigin::Kind::kCondition, subtree.condition_origin[leaf]};
+    }
+    widest_ = std::max(widest_, source_of_var.size());
+    modules_.push_back({std::move(compiled.manager), compiled.root,
+                        std::move(source_of_var)});
   }
 }
 
 double CompiledPreprocessedTree::probability(
     const fta::QuantificationInput& input) const {
-  std::vector<double> module_probability;
-  module_probability.reserve(compiled_.size());
+  std::vector<double> module_probability(modules_.size(), 0.0);
+  // Variable probabilities of the module being evaluated, refilled per
+  // module; BddManager::probability reads exactly variable_count() entries.
+  std::vector<double> probabilities;
+  probabilities.reserve(widest_);
   double probability = 0.0;
-  for (std::size_t i = 0; i < compiled_.size(); ++i) {
-    probability = compiled_[i].probability(
-        preprocessed_->input_for(i, input, module_probability));
-    module_probability.push_back(probability);
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    const Module& module = modules_[i];
+    probabilities.resize(module.source_of_var.size());
+    for (std::size_t var = 0; var < probabilities.size(); ++var) {
+      const LeafOrigin& source = module.source_of_var[var];
+      switch (source.kind) {
+        case LeafOrigin::Kind::kBasicEvent:
+          probabilities[var] = input.basic_event_probability[source.index];
+          break;
+        case LeafOrigin::Kind::kCondition:
+          probabilities[var] = input.condition_probability[source.index];
+          break;
+        case LeafOrigin::Kind::kModule:
+          SAFEOPT_ASSERT(source.index < i);
+          probabilities[var] = module_probability[source.index];
+          break;
+      }
+    }
+    probability = module.manager.probability(module.root, probabilities);
+    module_probability[i] = probability;
   }
   return probability;
 }

@@ -8,6 +8,7 @@
 #include "safeopt/support/build_info.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/json.h"
+#include "safeopt/support/options.h"
 #include "safeopt/support/strings.h"
 
 namespace safeopt::serve {
@@ -53,12 +54,20 @@ struct ParsedRequest {
   std::uint64_t deadline_ms = 0;  // 0 = none requested
 };
 
+/// A request count or seed: a whole number in [0, 2^53], the bound every
+/// declared count option has (a larger double is not an exact integer, and
+/// inf would not convert at all).
 std::uint64_t to_u64(const JsonValue& value, std::string_view field) {
   const double number = value.as_number();
   if (!(number >= 0) || number != std::floor(number)) {
     throw Error(ErrorCategory::kInvalidInput,
                 concat("field \"", field,
                        "\" must be a non-negative integer"));
+  }
+  if (number > kMaxCount) {
+    throw Error(ErrorCategory::kInvalidInput,
+                concat("field \"", field, "\" must be at most 2^53, got ",
+                       format_double(number)));
   }
   return static_cast<std::uint64_t>(number);
 }

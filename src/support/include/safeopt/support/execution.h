@@ -29,10 +29,16 @@ class Deadline {
 
   Deadline() noexcept : when_(Clock::time_point::max()) {}
 
-  /// A deadline `ms` milliseconds from now.
+  /// A deadline `ms` milliseconds from now. A delay past the clock's range
+  /// (about 292 years of steady-clock nanoseconds) saturates to never.
   [[nodiscard]] static Deadline after_ms(std::uint64_t ms) noexcept {
     Deadline deadline;
-    deadline.when_ = Clock::now() + std::chrono::milliseconds(ms);
+    const Clock::time_point now = Clock::now();
+    const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (ms < static_cast<std::uint64_t>(room.count())) {
+      deadline.when_ = now + std::chrono::milliseconds(ms);
+    }
     return deadline;
   }
 

@@ -47,6 +47,10 @@ struct KeyValueArgument;  // strings.h
 /// A command-line `KEY=VALUE` argument's value: its number, else its text.
 [[nodiscard]] OptionValue option_value(const KeyValueArgument& argument);
 
+/// The largest count a double holds exactly; larger "counts" would not
+/// survive the conversion to an integer.
+inline constexpr double kMaxCount = 9007199254740992.0;  // 2^53
+
 enum class OptionKind : unsigned char {
   kCount,   // a whole number in [min, max], at most 2^53
   kNumber,  // a real number in [min, max] ((min, max] if min_exclusive)

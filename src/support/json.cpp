@@ -244,6 +244,10 @@ class Parser {
     if (pos_ == start) fail("expected a value", start);
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
+    // The token holds only [-+.0-9eE], so strtod's hex, inf and whitespace
+    // leniency cannot apply; it is kept for out-of-range literals, which
+    // it reads as ±inf or 0 (1e999 is +inf) where std::from_chars fails.
+    // safeopt-lint: allow(number-parse)
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("malformed number", start);
     return JsonValue::number(value);

@@ -11,10 +11,6 @@
 namespace safeopt {
 namespace {
 
-/// The largest count a double holds exactly; larger "counts" would not
-/// survive the conversion to an integer.
-constexpr double kMaxCount = 9007199254740992.0;  // 2^53
-
 /// A finite bound as messages show it: a count's as a whole number
 /// ("1000000", not "1e+06").
 std::string bound_text(const OptionSpec& row, double bound) {

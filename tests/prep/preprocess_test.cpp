@@ -59,10 +59,10 @@ fta::CutSet merge_cut_sets(const fta::CutSet& a, const fta::CutSet& b) {
 
 /// The anonymous FaultTree a module graph describes, node for node (ids,
 /// leaf ordinals and child order carry over), so MOCUS can run per module.
-fta::FaultTree tree_of(const bdd::GateGraph& graph) {
+fta::FaultTree tree_of(const fta::GateGraph& graph) {
   fta::FaultTree tree{std::string()};
   for (std::uint32_t id = 0; id < graph.nodes.size(); ++id) {
-    const bdd::GateGraph::Node& node = graph.nodes[id];
+    const fta::GateGraph::Node& node = graph.nodes[id];
     const std::span<const std::uint32_t> span = graph.children_of(id);
     std::vector<fta::NodeId> children(span.begin(), span.end());
     switch (node.kind) {
@@ -315,7 +315,7 @@ TEST(PreprocessPassTest, NormalizeExpandsEveryKofN) {
   PreprocessOptions options;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  const bdd::GateGraph& out = preprocessed.top().graph;
+  const fta::GateGraph& out = preprocessed.top().graph;
   for (std::uint32_t id = 0; id < out.nodes.size(); ++id) {
     if (out.nodes[id].kind == fta::NodeKind::kGate) {
       EXPECT_NE(out.nodes[id].gate, fta::GateType::kKofN)
@@ -341,7 +341,7 @@ TEST(PreprocessPassTest, PropagateDegeneratesTrivialVotes) {
   const PreprocessedTree preprocessed = preprocess(tree, options);
   bool saw_or = false;
   bool saw_and = false;
-  for (const bdd::GateGraph::Node& node : preprocessed.top().graph.nodes) {
+  for (const fta::GateGraph::Node& node : preprocessed.top().graph.nodes) {
     if (node.kind != fta::NodeKind::kGate) continue;
     EXPECT_NE(node.gate, fta::GateType::kKofN);
     saw_or = saw_or || node.gate == fta::GateType::kOr;
@@ -366,7 +366,7 @@ TEST(PreprocessPassTest, FlattenSplicesSameOpChains) {
   PreprocessOptions options;
   options.modularize = false;
   const PreprocessedTree preprocessed = preprocess(tree, options);
-  const bdd::GateGraph& out = preprocessed.top().graph;
+  const fta::GateGraph& out = preprocessed.top().graph;
   ASSERT_EQ(out.gate_count(), 1u);
   EXPECT_EQ(out.nodes[out.top].gate, fta::GateType::kOr);
   EXPECT_EQ(out.children_of(out.top).size(), 4u);
@@ -478,7 +478,7 @@ TEST(PreprocessPassTest, ModuleBecomesAnOriginTaggedPseudoLeaf) {
 
   // The module: the AND gate over the four original leaves, in order.
   const Subtree& extracted = preprocessed.subtrees.front();
-  const bdd::GateGraph::Node& gate = extracted.graph.nodes[extracted.graph.top];
+  const fta::GateGraph::Node& gate = extracted.graph.nodes[extracted.graph.top];
   ASSERT_EQ(gate.kind, fta::NodeKind::kGate);
   EXPECT_EQ(gate.gate, fta::GateType::kAnd);
   EXPECT_EQ(gate.child_count, 4u);
@@ -490,7 +490,7 @@ TEST(PreprocessPassTest, ModuleBecomesAnOriginTaggedPseudoLeaf) {
 
   // The parent: OR(pseudo-leaf for subtree 0, "other").
   const Subtree& top = preprocessed.top();
-  const bdd::GateGraph& graph = top.graph;
+  const fta::GateGraph& graph = top.graph;
   ASSERT_EQ(graph.nodes[graph.top].kind, fta::NodeKind::kGate);
   EXPECT_EQ(graph.nodes[graph.top].gate, fta::GateType::kOr);
   const std::span<const std::uint32_t> children = graph.children_of(graph.top);
@@ -518,12 +518,12 @@ TEST(PreprocessPassTest, CorpusTierModuleGraphsAreWellFormed) {
   ASSERT_GT(preprocessed.subtrees.size(), 1u);
   for (std::size_t i = 0; i < preprocessed.subtrees.size(); ++i) {
     const Subtree& subtree = preprocessed.subtrees[i];
-    const bdd::GateGraph& graph = subtree.graph;
+    const fta::GateGraph& graph = subtree.graph;
     ASSERT_LT(graph.top, graph.nodes.size()) << "subtree " << i;
     std::uint32_t basic = 0;
     std::uint32_t conditions = 0;
     for (std::uint32_t id = 0; id < graph.nodes.size(); ++id) {
-      const bdd::GateGraph::Node& node = graph.nodes[id];
+      const fta::GateGraph::Node& node = graph.nodes[id];
       switch (node.kind) {
         case fta::NodeKind::kBasicEvent:
           ASSERT_EQ(node.ordinal, basic++) << "subtree " << i << " node " << id;
@@ -558,8 +558,8 @@ TEST(PreprocessPassTest, CorpusTierModuleGraphsAreWellFormed) {
 }
 
 TEST(PreprocessPassTest, InhibitConditionsSurviveExtraction) {
-  // INHIBIT gates carry condition leaves; input_for must route the original
-  // condition probability into whichever subtree the gate lands in.
+  // INHIBIT gates carry condition leaves; quantification must route the
+  // original condition probability into whichever subtree the gate lands in.
   fta::FaultTree tree("inhibit");
   const auto e0 = tree.add_basic_event("e0");
   const auto e1 = tree.add_basic_event("e1");

@@ -338,6 +338,30 @@ hazard Gap cost = 1;
   server.stop();
 }
 
+TEST(ServerTest, HugeDeadlinesMeanNeverAndIntegersPast2To53AreBadRequests) {
+  // 1e13 ms is past the steady clock's range: the deadline saturates to
+  // "never" instead of wrapping into one that expired before the request
+  // started. Integers above 2^53 (and 1e999, read as +inf) are refused
+  // before any conversion to an integer.
+  Server server(small_server_options());
+  server.start();
+  const auto port = server.port();
+  const auto with = [](const std::string& field) {
+    return "{\"document\": " + json_document(kDoc) + ", " + field + "}";
+  };
+  const auto far = http_request(port, "POST", "/v1/quantify",
+                                with("\"deadline_ms\": 1e13"));
+  EXPECT_EQ(far.status, 200) << far.raw;
+  for (const std::string field :
+       {"\"seed\": 1e20", "\"seed\": 1e999", "\"deadline_ms\": 1e16"}) {
+    const auto reply = http_request(port, "POST", "/v1/quantify", with(field));
+    EXPECT_EQ(reply.status, 400) << field << "\n" << reply.raw;
+    EXPECT_NE(reply.body.find("at most 2^53"), std::string::npos)
+        << reply.body;
+  }
+  server.stop();
+}
+
 TEST(ServerTest, StalledClientDoesNotBlockOtherConnections) {
   // Request reading happens on the worker pool, not the accept thread: a
   // client that connects and sends nothing (slowloris) must not head-of-

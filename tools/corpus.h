@@ -143,8 +143,9 @@ inline CorpusModel make_corpus(const CorpusSpec& spec) {
       cluster_roots.push_back(tree.add_k_of_n(prefix, 2, std::move(groups)));
     } else if (flavor < 35) {
       const fta::NodeId cause =
-          tree.add_or(prefix + ".cause", std::move(groups));
-      const fta::NodeId condition = tree.add_condition(prefix + ".cond");
+          tree.add_or(concat(prefix, ".cause"), std::move(groups));
+      const fta::NodeId condition =
+          tree.add_condition(concat(prefix, ".cond"));
       condition_probability.push_back(detail::uniform(rng, 0.5, 0.9));
       cluster_roots.push_back(tree.add_inhibit(prefix, cause, condition));
     } else {

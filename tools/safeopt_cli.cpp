@@ -462,24 +462,17 @@ int run_serve(int argc, char** argv) {
       numeric(number);
       options.max_requests = number;
     } else if (arg == "--tenant-weight") {
-      const std::string_view pair = value();
-      const std::size_t equals = pair.find('=');
-      if (equals == std::string_view::npos || equals == 0 ||
-          equals + 1 == pair.size()) {
+      const KeyValueArgument weight =
+          parse_key_value_argument(value(), "--tenant-weight");
+      if (!weight.number.has_value() || !std::isfinite(*weight.number) ||
+          !(*weight.number > 0)) {
         throw std::invalid_argument(
-            concat("--tenant-weight expects NAME=WEIGHT, got \"", pair,
+            concat("--tenant-weight \"", weight.key,
+                   "\" must be a finite number > 0, got \"", weight.text,
                    "\""));
       }
-      char* end = nullptr;
-      const std::string weight_text(pair.substr(equals + 1));
-      const double weight = std::strtod(weight_text.c_str(), &end);
-      if (end == weight_text.c_str() || *end != '\0' || !(weight > 0)) {
-        throw std::invalid_argument(
-            concat("--tenant-weight expects a positive weight, got \"", pair,
-                   "\""));
-      }
-      options.tenant_weights.emplace_back(std::string(pair.substr(0, equals)),
-                                          weight);
+      options.tenant_weights.emplace_back(std::string(weight.key),
+                                          *weight.number);
     } else {
       throw std::invalid_argument(concat("unknown serve option \"", arg,
                                          "\""));

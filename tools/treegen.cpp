@@ -19,6 +19,7 @@
 #include <string>
 
 #include "safeopt/ftio/writer.h"
+#include "safeopt/support/strings.h"
 #include "tools/corpus.h"
 
 namespace {
@@ -37,16 +38,18 @@ void print_tiers() {
 std::string render(const safeopt::corpus::CorpusSpec& spec) {
   const safeopt::corpus::CorpusModel model = safeopt::corpus::make_corpus(spec);
   std::string out;
-  out += "# corpus_" + spec.name +
-         " -- deterministic scaling-corpus tier (tools/corpus.h).\n";
-  out += "# " + std::to_string(spec.clusters) + " clusters x " +
-         std::to_string(spec.cluster_leaves) + " leaves, top " +
-         std::to_string(spec.vote_k) + "-of-" +
-         std::to_string(spec.clusters) + " vote, seed " +
-         std::to_string(spec.seed) + ".\n";
-  out += "# Regenerate: treegen --tier " + spec.name + " --out <this file>\n";
+  out += safeopt::concat(
+      "# corpus_", spec.name,
+      " -- deterministic scaling-corpus tier (tools/corpus.h).\n");
+  out += safeopt::concat("# ", std::to_string(spec.clusters), " clusters x ",
+                         std::to_string(spec.cluster_leaves), " leaves, top ",
+                         std::to_string(spec.vote_k), "-of-",
+                         std::to_string(spec.clusters), " vote, seed ",
+                         std::to_string(spec.seed), ".\n");
+  out += safeopt::concat("# Regenerate: treegen --tier ", spec.name,
+                         " --out <this file>\n");
   out += safeopt::ftio::write_fault_tree(model.tree, model.input);
-  out += "hazard " + model.tree.name() + " cost = 1;\n";
+  out += safeopt::concat("hazard ", model.tree.name(), " cost = 1;\n");
   // The only engine that survives this scale; MOCUS on a wide vote gate
   // would enumerate C(n, k) cut sets.
   out += "engine bdd;\n";
