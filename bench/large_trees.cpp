@@ -26,9 +26,11 @@
 //
 // Report-only: `parse_ms` times ftio::parse_study on the tier's document
 // (write_fault_tree of the tier), the layer in front of the pipeline on the
-// exact-quantify path; `prep_allocations` counts the heap allocations of
-// one preprocess() plus CompiledPreprocessedTree construction, through the
-// counting global operator new below (this binary only).
+// exact-quantify path. Three columns count heap allocations through the
+// counting global operator new below (this binary only):
+// `parse_allocations` of that parse, `prep_allocations` of one preprocess()
+// plus CompiledPreprocessedTree construction, and `quantify_allocations` of
+// a repeat CompiledPreprocessedTree::probability call.
 //
 // Usage: bench_large_trees [--json PATH] [--plain-limit EVENTS]
 #include <atomic>
@@ -88,7 +90,9 @@ struct TierReport {
   double parse_ms = 0.0;
   double pipeline_ms = 0.0;
   double prep_compile_eval_ms = 0.0;
+  std::size_t parse_allocations = 0;
   std::size_t prep_allocations = 0;
+  std::size_t quantify_allocations = 0;
   std::size_t prep_decision_nodes = 0;
   std::size_t prep_ite_calls = 0;
   bool plain_measured = false;
@@ -126,9 +130,10 @@ int main(int argc, char** argv) {
   options.cache_size = std::size_t{1} << 20;
 
   std::printf("=== preprocessing pipeline vs monolithic BDD ===\n\n");
-  std::printf("%-6s %8s %8s %12s %12s %9s %9s %9s %9s  %s\n", "tier",
-              "events", "modules", "plain nodes", "prep nodes", "nodes",
-              "time", "parse ms", "allocs", "P(top)");
+  std::printf("%-6s %8s %8s %12s %12s %9s %9s %9s %9s %9s %9s  %s\n",
+              "tier", "events", "modules", "plain nodes", "prep nodes",
+              "nodes", "time", "parse ms", "prep al", "parse al", "quant al",
+              "P(top)");
 
   std::vector<TierReport> reports;
   double max_node_reduction = 0.0;
@@ -143,9 +148,11 @@ int main(int argc, char** argv) {
 
     const std::string document =
         ftio::write_fault_tree(model.tree, model.input);
+    const std::size_t parse_before = g_allocations.load();
     const auto p0 = Clock::now();
     const ftio::StudyDocument parsed = ftio::parse_study(document);
     report.parse_ms = ms_between(p0, Clock::now());
+    report.parse_allocations = g_allocations.load() - parse_before;
     if (parsed.trees.size() != 1 ||
         parsed.trees.front().tree.node_count() != model.tree.node_count()) {
       std::fprintf(stderr, "tier %s: the written document did not parse "
@@ -162,6 +169,9 @@ int main(int argc, char** argv) {
     report.prep_allocations = g_allocations.load() - allocations_before;
     report.probability = compiled.probability(model.input);
     const auto t2 = Clock::now();
+    const std::size_t quantify_before = g_allocations.load();
+    (void)compiled.probability(model.input);
+    report.quantify_allocations = g_allocations.load() - quantify_before;
 
     report.modules = preprocessed.statistics.modules;
     report.pipeline_ms = ms_between(t0, t1);
@@ -211,17 +221,20 @@ int main(int argc, char** argv) {
 
     if (report.plain_measured) {
       std::printf(
-          "%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx %9.1f %9zu  %.6e\n",
+          "%-6s %8zu %8zu %12zu %12zu %8.1fx %8.1fx %9.1f %9zu %9zu %9zu  "
+          "%.6e\n",
           report.name.c_str(), report.events, report.modules,
           report.plain_decision_nodes, report.prep_decision_nodes,
           report.node_reduction, report.time_ratio, report.parse_ms,
-          report.prep_allocations, report.probability);
+          report.prep_allocations, report.parse_allocations,
+          report.quantify_allocations, report.probability);
     } else {
-      std::printf("%-6s %8zu %8zu %12s %12zu %9s %9s %9.1f %9zu  %.6e\n",
-                  report.name.c_str(), report.events, report.modules,
-                  "(skipped)", report.prep_decision_nodes, "-", "-",
-                  report.parse_ms, report.prep_allocations,
-                  report.probability);
+      std::printf(
+          "%-6s %8zu %8zu %12s %12zu %9s %9s %9.1f %9zu %9zu %9zu  %.6e\n",
+          report.name.c_str(), report.events, report.modules, "(skipped)",
+          report.prep_decision_nodes, "-", "-", report.parse_ms,
+          report.prep_allocations, report.parse_allocations,
+          report.quantify_allocations, report.probability);
     }
     reports.push_back(report);
   }
@@ -243,7 +256,9 @@ int main(int argc, char** argv) {
       out << "     \"parse_ms\": " << r.parse_ms
           << ", \"pipeline_ms\": " << r.pipeline_ms
           << ", \"prep_compile_eval_ms\": " << r.prep_compile_eval_ms
+          << ", \"parse_allocations\": " << r.parse_allocations
           << ", \"prep_allocations\": " << r.prep_allocations
+          << ", \"quantify_allocations\": " << r.quantify_allocations
           << ",\n     \"prep_decision_nodes\": " << r.prep_decision_nodes
           << ", \"prep_ite_calls\": " << r.prep_ite_calls << ",\n";
       out << "     \"plain_measured\": " << (r.plain_measured ? "true" : "false");

@@ -209,10 +209,19 @@ bool BddManager::evaluate(BddRef f,
 
 double BddManager::probability(
     BddRef f, const std::vector<double>& probabilities) const {
+  ProbabilityScratch scratch;
+  return probability(f, probabilities, scratch);
+}
+
+double BddManager::probability(BddRef f,
+                               std::span<const double> probabilities,
+                               ProbabilityScratch& scratch) const {
   SAFEOPT_EXPECTS(probabilities.size() == variable_count_);
   // Shannon decomposition, memoized per call (probabilities vary per call).
-  std::vector<double> memo(nodes_.size());
-  std::vector<bool> done(nodes_.size(), false);
+  scratch.memo.resize(nodes_.size());
+  scratch.done.assign(nodes_.size(), 0);
+  std::vector<double>& memo = scratch.memo;
+  std::vector<unsigned char>& done = scratch.done;
   const auto recurse = [&](auto&& self, BddRef r) -> double {
     if (r == kFalse) return 0.0;
     if (r == kTrue) return 1.0;
@@ -222,7 +231,7 @@ double BddManager::probability(
     const double result =
         p * self(self, node.high) + (1.0 - p) * self(self, node.low);
     memo[r] = result;
-    done[r] = true;
+    done[r] = 1;
     return result;
   };
   return recurse(recurse, f);

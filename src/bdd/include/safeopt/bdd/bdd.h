@@ -146,11 +146,26 @@ class BddManager {
   [[nodiscard]] bool evaluate(BddRef f,
                               const std::vector<bool>& assignment) const;
 
+  /// Working memory of probability(): one memo entry and one done flag per
+  /// node. The caller owns it, so calls that share one (sized once for the
+  /// largest manager they serve) allocate nothing; probability() grows it
+  /// when it is too small.
+  struct ProbabilityScratch {
+    std::vector<double> memo;
+    std::vector<unsigned char> done;
+  };
+
   /// Exact P(f = 1) given independent per-variable probabilities
   /// (probabilities.size() == variable_count()). Linear in node count;
   /// the memo is per call, so concurrent calls are safe.
   [[nodiscard]] double probability(
       BddRef f, const std::vector<double>& probabilities) const;
+
+  /// probability() over caller-owned working memory. Concurrent calls are
+  /// safe as long as each has its own scratch.
+  [[nodiscard]] double probability(BddRef f,
+                                   std::span<const double> probabilities,
+                                   ProbabilityScratch& scratch) const;
 
   /// Replaces the control later operations poll (nullptr = unbounded).
   void set_control(const ExecutionControl* control) noexcept {

@@ -103,7 +103,37 @@ std::set<std::string> Expr::parameters() const {
 
 std::string Expr::to_string() const { return node_->print(); }
 
-bool Expr::is_constant() const { return parameters().empty(); }
+namespace {
+
+/// True if a parameter node occurs anywhere below `node`.
+bool mentions_parameter(const detail::Node& node) {
+  switch (node.kind()) {
+    case detail::NodeKind::kConst: return false;
+    case detail::NodeKind::kParam: return true;
+    case detail::NodeKind::kBinary: {
+      const auto& binary = static_cast<const detail::BinaryNode&>(node);
+      return mentions_parameter(*binary.lhs()) ||
+             mentions_parameter(*binary.rhs());
+    }
+    case detail::NodeKind::kUnary:
+      return mentions_parameter(
+          *static_cast<const detail::UnaryNode&>(node).operand());
+    case detail::NodeKind::kPow:
+      return mentions_parameter(
+          *static_cast<const detail::PowNode&>(node).operand());
+    case detail::NodeKind::kCdf:
+      return mentions_parameter(
+          *static_cast<const detail::CdfNode&>(node).operand());
+    case detail::NodeKind::kFunction:
+      return mentions_parameter(
+          *static_cast<const detail::FunctionNode&>(node).operand());
+  }
+  return true;
+}
+
+}  // namespace
+
+bool Expr::is_constant() const { return !mentions_parameter(*node_); }
 
 // ----------------------------------------------------------- constructors
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "node.h"
@@ -522,9 +523,37 @@ bool nodes_equal(const Node* a, const Node* b) noexcept {
   return false;
 }
 
+/// The value of `text` when it is one numeric literal, optionally negated
+/// and padded with the lexer's whitespace ("0.25", " -1e-3 "); nullopt for
+/// anything else. It is what the lexer reads for that literal, and the
+/// parser negates it as parse_factor does.
+std::optional<double> bare_literal(std::string_view text) {
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+  };
+  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) text.remove_prefix(1);
+  if (text.empty() || !((text.front() >= '0' && text.front() <= '9') ||
+                        text.front() == '.')) {
+    return std::nullopt;
+  }
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return negative ? -value : value;
+}
+
 }  // namespace
 
 Expr parse(std::string_view text, const SymbolTable& symbols) {
+  if (const std::optional<double> literal = bare_literal(text)) {
+    return constant(*literal);
+  }
   Parser parser(text, symbols);
   return parser.parse_all();
 }

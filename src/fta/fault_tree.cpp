@@ -86,7 +86,11 @@ bool GateGraph::evaluate(const std::vector<bool>& basic_state,
 
 FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
-void FaultTree::reserve(std::size_t nodes, std::size_t child_references) {
+void FaultTree::reserve(std::size_t basic_events, std::size_t conditions,
+                        std::size_t gates, std::size_t child_references) {
+  const std::size_t nodes = basic_events + conditions + gates;
+  basic_events_.reserve(basic_events);
+  conditions_.reserve(conditions);
   graph_.nodes.reserve(nodes);
   graph_.children.reserve(child_references);
   names_.reserve(nodes);
@@ -121,10 +125,19 @@ NodeId FaultTree::add_condition(std::string name, std::string description) {
 }
 
 NodeId FaultTree::add_gate(std::string name, GateType type, std::uint32_t k,
-                           std::vector<NodeId> children) {
+                           std::span<const NodeId> children) {
   SAFEOPT_EXPECTS(!children.empty());
   for (const NodeId child : children) {
     SAFEOPT_EXPECTS(child < node_count());
+  }
+  if (type == GateType::kKofN) {
+    SAFEOPT_EXPECTS(k >= 1 && k <= children.size());
+  } else {
+    SAFEOPT_EXPECTS(k == 0);
+  }
+  if (type == GateType::kInhibit) {
+    SAFEOPT_EXPECTS(children.size() == 2);
+    SAFEOPT_EXPECTS(graph_.nodes[children[1]].kind == NodeKind::kCondition);
   }
   const NodeId id = graph_.add_gate(type, k, children);
   add_labels(id, std::move(name), {});
@@ -132,29 +145,26 @@ NodeId FaultTree::add_gate(std::string name, GateType type, std::uint32_t k,
 }
 
 NodeId FaultTree::add_and(std::string name, std::vector<NodeId> children) {
-  return add_gate(std::move(name), GateType::kAnd, 0, std::move(children));
+  return add_gate(std::move(name), GateType::kAnd, 0, children);
 }
 
 NodeId FaultTree::add_or(std::string name, std::vector<NodeId> children) {
-  return add_gate(std::move(name), GateType::kOr, 0, std::move(children));
+  return add_gate(std::move(name), GateType::kOr, 0, children);
 }
 
 NodeId FaultTree::add_k_of_n(std::string name, std::uint32_t k,
                              std::vector<NodeId> children) {
-  SAFEOPT_EXPECTS(k >= 1 && k <= children.size());
-  return add_gate(std::move(name), GateType::kKofN, k, std::move(children));
+  return add_gate(std::move(name), GateType::kKofN, k, children);
 }
 
 NodeId FaultTree::add_xor(std::string name, std::vector<NodeId> children) {
-  return add_gate(std::move(name), GateType::kXor, 0, std::move(children));
+  return add_gate(std::move(name), GateType::kXor, 0, children);
 }
 
 NodeId FaultTree::add_inhibit(std::string name, NodeId cause,
                               NodeId condition) {
-  SAFEOPT_EXPECTS(cause < node_count());
-  SAFEOPT_EXPECTS(condition < node_count());
-  SAFEOPT_EXPECTS(graph_.nodes[condition].kind == NodeKind::kCondition);
-  return add_gate(std::move(name), GateType::kInhibit, 0, {cause, condition});
+  const NodeId children[] = {cause, condition};
+  return add_gate(std::move(name), GateType::kInhibit, 0, children);
 }
 
 void FaultTree::set_top(NodeId top) {

@@ -119,10 +119,11 @@ class FaultTree {
 
   // ---- construction (bottom-up) -------------------------------------------
 
-  /// Reserves room for `nodes` nodes (and as many names) and for
-  /// `child_references` entries of the gates' child lists, so building a
-  /// tree of known size reallocates nothing on the way.
-  void reserve(std::size_t nodes, std::size_t child_references = 0);
+  /// Reserves room for this many basic events, conditions and gates (and
+  /// their names) and for `child_references` entries of the gates' child
+  /// lists, so building a tree of known size reallocates nothing on the way.
+  void reserve(std::size_t basic_events, std::size_t conditions,
+               std::size_t gates, std::size_t child_references);
 
   /// Adds a primary failure leaf. A non-empty name must be unique within the
   /// tree; an empty one makes the node anonymous (see the file comment).
@@ -130,6 +131,14 @@ class FaultTree {
 
   /// Adds an environmental-condition leaf for use under INHIBIT gates.
   NodeId add_condition(std::string name, std::string description = {});
+
+  /// Adds a gate of `type` over `children` (ids already in the tree), copied
+  /// into the graph's child array as one run; the add_* helpers below all
+  /// come here. Preconditions: children is non-empty; for kKofN
+  /// 1 <= k <= children.size(), otherwise k == 0; INHIBIT takes exactly
+  /// {cause, condition} with a kCondition leaf second.
+  NodeId add_gate(std::string name, GateType type, std::uint32_t k,
+                  std::span<const NodeId> children);
 
   /// Adds an AND gate over >= 1 children.
   NodeId add_and(std::string name, std::vector<NodeId> children);
@@ -229,8 +238,6 @@ class FaultTree {
   [[nodiscard]] std::vector<std::string> validate() const;
 
  private:
-  NodeId add_gate(std::string name, GateType type, std::uint32_t k,
-                  std::vector<NodeId> children);
   /// Files the labels of node `id`, the node just added to the graph.
   void add_labels(NodeId id, std::string name, std::string description);
   /// 'name', or #id for an anonymous node (validate() messages).

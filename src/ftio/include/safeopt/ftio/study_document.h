@@ -53,6 +53,7 @@
 
 #include "safeopt/expr/expr.h"
 #include "safeopt/fta/fault_tree.h"
+#include "safeopt/fta/probability.h"
 #include "safeopt/support/options.h"
 
 namespace safeopt::ftio {
@@ -81,6 +82,11 @@ struct TreeModel {
 
   [[nodiscard]] const LeafProbability* find_leaf(
       std::string_view name) const noexcept;
+
+  /// The quantification input of a model without parameters, filled by
+  /// ordinal: leaves[i] is basic event i, then condition i minus the basic
+  /// event count. Precondition: every leaf probability is constant.
+  [[nodiscard]] fta::QuantificationInput constant_input() const;
 };
 
 /// `hazard <tree> cost = <c>;` — one Eq. 5 term Cost_Hi · P(Hi)(X).

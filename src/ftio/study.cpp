@@ -4,11 +4,14 @@
 // tree and constant probabilities, and its diagnostics (messages and
 // line:column positions) are pinned by tests/ftio/parser_test.cpp.
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "safeopt/ftio/parser.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/ftio/writer.h"
+#include "safeopt/support/contracts.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/name_index.h"
 #include "safeopt/support/strings.h"
@@ -79,6 +83,32 @@ struct RawExpression {
   std::size_t column = 1;
 };
 
+// ASCII character classes: the grammar is ASCII, and these are the
+// "C"-locale answers of <cctype> without its per-call locale lookup.
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_identifier_start(char c) { return is_alpha(c) || c == '_'; }
+
+/// [A-Za-z0-9_.+-] by character code: one load per character of a word.
+constexpr std::array<bool, 256> kWordChars = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    table[c] = is_alpha(ch) || is_digit(ch) || ch == '_' || ch == '.' ||
+               ch == '+' || ch == '-';
+  }
+  return table;
+}();
+bool is_word_char(char c) { return kWordChars[static_cast<unsigned char>(c)]; }
+
+bool can_start_number(char c) {
+  return is_digit(c) || c == '-' || c == '.' || c == 'i' || c == 'I' ||
+         c == 'n' || c == 'N';
+}
+
 class Lexer {
  public:
   Lexer(std::string_view text, std::string_view source)
@@ -88,36 +118,31 @@ class Lexer {
     skip_whitespace_and_comments();
     Token token;
     token.line = line_;
-    token.column = column_;
+    token.column = column();
     if (pos_ >= text_.size()) {
       token.kind = Token::Kind::kEnd;
       return token;
     }
     const char c = text_[pos_];
-    const auto single = [&](Token::Kind kind) {
-      token.kind = kind;
-      token.text = text_.substr(pos_, 1);
-      advance();
-      return token;
-    };
     switch (c) {
-      case ';': return single(Token::Kind::kSemicolon);
-      case '=': return single(Token::Kind::kEquals);
-      case '[': return single(Token::Kind::kLBracket);
-      case ']': return single(Token::Kind::kRBracket);
-      case ',': return single(Token::Kind::kComma);
+      case ';': return single(token, Token::Kind::kSemicolon);
+      case '=': return single(token, Token::Kind::kEquals);
+      case '[': return single(token, Token::Kind::kLBracket);
+      case ']': return single(token, Token::Kind::kRBracket);
+      case ',': return single(token, Token::Kind::kComma);
       case '"': {
-        advance();
+        ++pos_;
         const std::size_t start = pos_;
+        // The string ends at its line: no newline is stepped over here.
         while (pos_ < text_.size() && text_[pos_] != '"' &&
                text_[pos_] != '\n') {
           // \" and \\ escapes, so the writer can round-trip arbitrary
           // unit/desc strings; any other backslash is literal.
           if (text_[pos_] == '\\' && pos_ + 1 < text_.size() &&
               (text_[pos_ + 1] == '"' || text_[pos_ + 1] == '\\')) {
-            advance();
+            ++pos_;
           }
-          advance();
+          ++pos_;
         }
         if (pos_ >= text_.size() || text_[pos_] != '"') {
           throw ParseError(source_, token.line, token.column,
@@ -125,7 +150,7 @@ class Lexer {
         }
         token.kind = Token::Kind::kString;
         token.text = text_.substr(start, pos_ - start);
-        advance();  // closing quote
+        ++pos_;  // closing quote
         return token;
       }
       default: break;
@@ -138,7 +163,7 @@ class Lexer {
       // '.', or the first letter of inf/infinity/nan, so no other word is
       // handed to it.
       const std::size_t start = pos_;
-      while (pos_ < text_.size() && is_word_char(text_[pos_])) advance();
+      while (pos_ < text_.size() && is_word_char(text_[pos_])) ++pos_;
       token.text = text_.substr(start, pos_ - start);
       const std::string_view slice = token.text;
       if (can_start_number(slice.front())) {
@@ -156,7 +181,7 @@ class Lexer {
       throw ParseError(source_, token.line, token.column,
                        concat("malformed token '", token.text, "'"));
     }
-    throw ParseError(source_, line_, column_,
+    throw ParseError(source_, line_, column(),
                      concat("unexpected character '", std::string(1, c), "'"));
   }
 
@@ -168,13 +193,13 @@ class Lexer {
     skip_whitespace_and_comments();
     RawExpression raw;
     raw.line = line_;
-    raw.column = column_;
+    raw.column = column();
     const std::size_t start = pos_;
     bool commented = false;
     while (pos_ < text_.size() && text_[pos_] != ';') {
       if (text_[pos_] == '#') {
         commented = true;
-        while (pos_ < text_.size() && text_[pos_] != '\n') advance();
+        skip_comment();
         continue;
       }
       advance();
@@ -195,31 +220,32 @@ class Lexer {
   }
 
  private:
-  // ASCII character classes: the grammar is ASCII, and these are the
-  // "C"-locale answers of <cctype> without its per-call locale lookup.
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-  static bool is_alpha(char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-  }
-  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-  static bool is_identifier_start(char c) { return is_alpha(c) || c == '_'; }
-  static bool is_word_char(char c) {
-    return is_alpha(c) || is_digit(c) || c == '_' || c == '.' || c == '+' ||
-           c == '-';
-  }
-  static bool can_start_number(char c) {
-    return is_digit(c) || c == '-' || c == '.' || c == 'i' || c == 'I' ||
-           c == 'n' || c == 'N';
+  /// The one-character token at pos_, of kind `kind`.
+  Token single(Token& token, Token::Kind kind) {
+    token.kind = kind;
+    token.text = text_.substr(pos_, 1);
+    ++pos_;
+    return token;
   }
 
+  /// 1-based column of pos_: characters since the line began.
+  [[nodiscard]] std::size_t column() const noexcept {
+    return pos_ - line_start_ + 1;
+  }
+
+  /// Steps over one character that may be a newline. Scans that cannot meet
+  /// one (words, strings, comment bodies) step with ++pos_.
   void advance() {
     if (text_[pos_] == '\n') {
       ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
+      line_start_ = pos_ + 1;
     }
     ++pos_;
+  }
+
+  /// Skips a '#' comment up to, not including, its newline.
+  void skip_comment() {
+    while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
   }
 
   void skip_whitespace_and_comments() {
@@ -228,7 +254,7 @@ class Lexer {
       if (is_space(c)) {
         advance();
       } else if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') advance();
+        skip_comment();
       } else {
         break;
       }
@@ -239,7 +265,7 @@ class Lexer {
   std::string_view source_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
-  std::size_t column_ = 1;
+  std::size_t line_start_ = 0;  // offset of the current line's first char
 };
 
 // ---------------------------------------------------- declaration capture
@@ -265,12 +291,29 @@ std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_vote(
 }
 
 // Declarations hold views into the document text, which outlives the parse.
+// Every table is document-wide: a section's gates, leaves, operands and
+// symbols are one contiguous range of each, because declarations always go
+// to the section being read.
+
+constexpr std::uint32_t kNone = NameIndex::kNone;
+
+/// A name as one section uses it: the gate and the leaf declared under it,
+/// either of which may be missing (a name declared as both resolves to the
+/// gate when the tree is built).
+struct Symbol {
+  std::string_view name;
+  std::uint32_t gate = kNone;  // into Declarations::gates
+  std::uint32_t leaf = kNone;  // into Declarations::leaves
+};
 
 struct GateDecl {
   std::string_view name;
   fta::GateType type = fta::GateType::kOr;
   std::uint32_t k = 0;
-  std::vector<std::string_view> children;
+  /// The operands: symbol ids in Declarations::operands[first_operand,
+  /// first_operand + operand_count), in document order.
+  std::uint32_t first_operand = 0;
+  std::uint32_t operand_count = 0;
   std::size_t line = 0;
   std::size_t column = 0;
 };
@@ -283,50 +326,29 @@ struct LeafDecl {
   std::size_t column = 0;
 };
 
-/// One tree section's statement-level state. Gates and leaves are kept in
-/// document order, each table indexed by name; a name may be declared both
-/// as a gate and as a leaf (the gate wins when the tree is built).
+/// Half-open range of one document-wide table.
+struct Range {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+
+  [[nodiscard]] std::uint32_t size() const noexcept { return end - begin; }
+};
+
+/// One tree section's statement-level state: its ranges of the document's
+/// gates, leaves and symbols, each in document order.
 struct SectionDecl {
   std::string name = "fault-tree";
   bool explicit_stmt = false;  // introduced by a `tree` statement
   std::size_t line = 1;
   std::size_t column = 1;
-  std::string_view toplevel;
+  std::uint32_t toplevel = kNone;  // the top event's symbol
   std::size_t toplevel_line = 0;
-  std::vector<GateDecl> gates;
-  std::vector<LeafDecl> leaves;
-  NameIndex gate_index;
-  NameIndex leaf_index;
+  Range gates;
+  Range leaves;
+  Range symbols;
 
   [[nodiscard]] bool has_declarations() const noexcept {
-    return !toplevel.empty() || !gates.empty() || !leaves.empty();
-  }
-  [[nodiscard]] auto gate_name() const {
-    return [this](std::uint32_t id) { return gates[id].name; };
-  }
-  [[nodiscard]] auto leaf_name() const {
-    return [this](std::uint32_t id) { return leaves[id].name; };
-  }
-  /// Index into `gates` / `leaves`, or NameIndex::kNone.
-  [[nodiscard]] std::uint32_t find_gate(std::string_view gate) const {
-    return gate_index.find(gate, gate_name());
-  }
-  [[nodiscard]] std::uint32_t find_leaf(std::string_view leaf) const {
-    return leaf_index.find(leaf, leaf_name());
-  }
-  /// Files the declaration; false when the name is already declared as
-  /// the same kind.
-  bool add_gate(GateDecl gate) {
-    const auto id = static_cast<std::uint32_t>(gates.size());
-    if (gate_index.insert(gate.name, id, gate_name()) != id) return false;
-    gates.push_back(std::move(gate));
-    return true;
-  }
-  bool add_leaf(LeafDecl leaf) {
-    const auto id = static_cast<std::uint32_t>(leaves.size());
-    if (leaf_index.insert(leaf.name, id, leaf_name()) != id) return false;
-    leaves.push_back(std::move(leaf));
-    return true;
+    return toplevel != kNone || gates.size() != 0 || leaves.size() != 0;
   }
 };
 
@@ -346,6 +368,10 @@ struct HazardRaw {
 struct Declarations {
   std::vector<ParamRaw> parameters;
   std::vector<SectionDecl> sections;
+  std::vector<GateDecl> gates;
+  std::vector<LeafDecl> leaves;
+  std::vector<std::uint32_t> operands;  // symbol ids, gate by gate
+  std::vector<Symbol> symbols;
   std::vector<HazardRaw> hazards;
   std::optional<SelectionDecl> solver;
   std::optional<SelectionDecl> engine;
@@ -356,11 +382,27 @@ class DocumentParser {
  public:
   DocumentParser(std::string_view text, std::string_view source)
       : lexer_(text, source), source_(source) {
+    // Every gate or leaf statement ends in a ';', so their count bounds the
+    // declarations and (in a valid document) the names: the tables and the
+    // symbol index are sized once. No such statement is shorter than
+    // "a or b;", which keeps a text of bare ';' from reserving more than a
+    // document of that size could fill.
+    constexpr std::size_t kShortestStatement = 7;
+    const auto statements = std::min(
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), ';')),
+        text.size() / kShortestStatement + 1);
+    decls_.gates.reserve(statements);
+    decls_.leaves.reserve(statements);
+    decls_.symbols.reserve(statements);
+    symbol_index_.reserve(statements);
+    // Every node but the top is some gate's operand, so a tree has about
+    // as many operands as statements: one reservation, rarely one more.
+    decls_.operands.reserve(statements);
     consume();
   }
 
   Declarations parse() {
-    decls_.sections.emplace_back();  // the implicit first section
+    begin_section();  // the implicit first section
     while (current_.kind != Token::Kind::kEnd) {
       parse_statement();
     }
@@ -416,13 +458,43 @@ class DocumentParser {
 
   SectionDecl& section() { return decls_.sections.back(); }
 
+  void begin_section() {
+    const auto here = [](const auto& table) {
+      const auto at = static_cast<std::uint32_t>(table.size());
+      return Range{at, at};
+    };
+    SectionDecl& next = decls_.sections.emplace_back();
+    next.gates = here(decls_.gates);
+    next.leaves = here(decls_.leaves);
+    next.symbols = here(decls_.symbols);
+  }
+
+  /// The current section's symbol for `name`, made on first use. Symbols of
+  /// earlier sections stay in the index but read as no name, so each
+  /// section sees only its own.
+  std::uint32_t intern(std::string_view name) {
+    SectionDecl& current = section();
+    const auto id = static_cast<std::uint32_t>(decls_.symbols.size());
+    const std::uint32_t first = current.symbols.begin;
+    const std::uint32_t symbol = symbol_index_.insert(
+        name, id, [this, first](std::uint32_t other) -> std::string_view {
+          return other < first ? std::string_view{}
+                               : decls_.symbols[other].name;
+        });
+    if (symbol == id) {
+      decls_.symbols.push_back(Symbol{name});
+      current.symbols.end = id + 1;
+    }
+    return symbol;
+  }
+
   void parse_statement() {
     const Token head = expect_identifier("a statement");
     if (head.text == "tree") {
       const Token name = expect_identifier("the tree name");
       expect_semicolon();
       if (section().has_declarations() || section().explicit_stmt) {
-        decls_.sections.emplace_back();  // a new tree section begins
+        begin_section();  // a new tree section begins
       }
       section().name = std::string(name.text);
       section().explicit_stmt = true;
@@ -431,11 +503,11 @@ class DocumentParser {
       return;
     }
     if (head.text == "toplevel") {
-      if (!section().toplevel.empty()) {
+      if (section().toplevel != kNone) {
         fail(head.line, head.column, "duplicate 'toplevel' declaration");
       }
       const Token top = expect_identifier("the toplevel node name");
-      section().toplevel = top.text;
+      section().toplevel = intern(top.text);
       section().toplevel_line = top.line;
       expect_semicolon();
       return;
@@ -505,30 +577,37 @@ class DocumentParser {
       fail(kind.line, kind.column,
            concat("unknown gate kind '", kind.text, "'"));
     }
+    std::vector<std::uint32_t>& operands = decls_.operands;
+    gate.first_operand = static_cast<std::uint32_t>(operands.size());
     while (current_.kind == Token::Kind::kIdentifier) {
-      gate.children.push_back(current_.text);
+      operands.push_back(intern(current_.text));
       consume();
     }
+    gate.operand_count =
+        static_cast<std::uint32_t>(operands.size()) - gate.first_operand;
     expect_semicolon();
-    if (gate.children.empty()) {
+    if (gate.operand_count == 0) {
       fail(kind.line, kind.column,
            concat("gate '", head.text, "' has no children"));
     }
-    if (gate.type == fta::GateType::kInhibit && gate.children.size() != 2) {
+    if (gate.type == fta::GateType::kInhibit && gate.operand_count != 2) {
       fail(kind.line, kind.column,
            concat("inhibit gate '", head.text,
                   "' needs exactly two operands (cause, condition)"));
     }
-    if (gate.type == fta::GateType::kKofN &&
-        gate.k > gate.children.size()) {
+    if (gate.type == fta::GateType::kKofN && gate.k > gate.operand_count) {
       fail(kind.line, kind.column,
            concat("vote gate '", head.text,
                   "' has fewer children than its threshold"));
     }
-    if (!section().add_gate(std::move(gate))) {
+    Symbol& symbol = decls_.symbols[intern(head.text)];
+    if (symbol.gate != kNone) {
       fail(head.line, head.column,
            concat("duplicate definition of gate '", head.text, "'"));
     }
+    symbol.gate = static_cast<std::uint32_t>(decls_.gates.size());
+    decls_.gates.push_back(gate);
+    section().gates.end = symbol.gate + 1;
   }
 
   void declare_leaf(const Token& name, bool is_condition) {
@@ -545,10 +624,14 @@ class DocumentParser {
     leaf.probability = lexer_.capture_expression();
     consume();
     expect_semicolon();
-    if (!section().add_leaf(std::move(leaf))) {
+    Symbol& symbol = decls_.symbols[intern(name.text)];
+    if (symbol.leaf != kNone) {
       fail(name.line, name.column,
            concat("duplicate declaration of leaf '", name.text, "'"));
     }
+    symbol.leaf = static_cast<std::uint32_t>(decls_.leaves.size());
+    decls_.leaves.push_back(std::move(leaf));
+    section().leaves.end = symbol.leaf + 1;
   }
 
   void parse_param() {
@@ -672,13 +755,14 @@ class DocumentParser {
   std::string_view source_;
   Token current_;
   Declarations decls_;
+  NameIndex symbol_index_;  // name -> symbol of the current section
 };
 
 // ------------------------------------------------------------ tree builder
 
 /// A section's built tree, plus the declaration behind each leaf: the
-/// index into SectionDecl::leaves of every basic event and condition, in
-/// ordinal order.
+/// section-relative index of every basic event's and condition's LeafDecl,
+/// in ordinal order.
 struct BuiltTree {
   fta::FaultTree tree;
   std::vector<std::uint32_t> basic_decl;
@@ -686,32 +770,56 @@ struct BuiltTree {
 };
 
 /// Second pass: build the FaultTree bottom-up from one section's
-/// declarations, detecting cycles and undefined references.
+/// declarations, detecting cycles and undefined references. Operands are
+/// symbol ids already, so building resolves no name.
 class TreeBuilder {
  public:
-  TreeBuilder(const SectionDecl& section, std::string_view source)
-      : section_(section),
+  TreeBuilder(const Declarations& decls, const SectionDecl& section,
+              std::string_view source)
+      : decls_(decls),
+        section_(section),
         source_(source),
         built_{fta::FaultTree(section.name), {}, {}},
-        gate_node_(section.gates.size(), kUnbuilt),
-        leaf_node_(section.leaves.size(), kUnbuilt) {
+        node_of_(section.symbols.size(), kUnbuilt) {
     // Every declaration becomes at most one node and every gate operand at
-    // most one child reference, so the counts bound the tree: the node
-    // vector, child array and name index are sized once.
+    // most one child reference, so the counts bound the tree: its tables
+    // and the leaf-declaration lists are sized once.
     std::size_t operands = 0;
-    for (const GateDecl& gate : section.gates) operands += gate.children.size();
-    built_.tree.reserve(section.gates.size() + section.leaves.size(),
+    for (std::uint32_t g = section.gates.begin; g < section.gates.end; ++g) {
+      operands += decls.gates[g].operand_count;
+    }
+    std::size_t conditions = 0;
+    for (std::uint32_t l = section.leaves.begin; l < section.leaves.end; ++l) {
+      conditions += decls.leaves[l].is_condition ? 1 : 0;
+    }
+    const std::size_t basic_events = section.leaves.size() - conditions;
+    built_.tree.reserve(basic_events, conditions, section.gates.size(),
                         operands);
+    built_.basic_decl.reserve(basic_events);
+    built_.condition_decl.reserve(conditions);
   }
 
   BuiltTree build() {
-    fta::FaultTree& tree = built_.tree;
-    tree.set_top(build_node(section_.toplevel, section_.toplevel_line));
-    // Of several unreachable leaves, the first by name is reported.
+    const fta::NodeId top =
+        build_node(section_.toplevel, section_.toplevel_line);
+    if (built_.tree.kind(top) == fta::NodeKind::kCondition) {
+      throw ParseError(source_, section_.toplevel_line, 1,
+                       concat("toplevel '",
+                              decls_.symbols[section_.toplevel].name,
+                              "' is a condition leaf; the top event must be a "
+                              "gate or a basic event"));
+    }
+    built_.tree.set_top(top);
+    // A leaf is reachable when its name was built, as the leaf or as the
+    // gate of the same name (the gate wins). Of several unreachable
+    // leaves, the first by name is reported.
     const LeafDecl* unreachable = nullptr;
-    for (const LeafDecl& leaf : section_.leaves) {
-      if (!tree.find(leaf.name).has_value() &&
-          (unreachable == nullptr || leaf.name < unreachable->name)) {
+    for (std::uint32_t s = section_.symbols.begin; s < section_.symbols.end;
+         ++s) {
+      const Symbol& symbol = decls_.symbols[s];
+      if (symbol.leaf == kNone || node_of(s) != kUnbuilt) continue;
+      const LeafDecl& leaf = decls_.leaves[symbol.leaf];
+      if (unreachable == nullptr || leaf.name < unreachable->name) {
         unreachable = &leaf;
       }
     }
@@ -731,88 +839,82 @@ class TreeBuilder {
   /// anything past this bound is an adversarial or corrupted document.
   static constexpr std::size_t kMaxGateDepth = 512;
 
-  /// gate_node_/leaf_node_ states besides a built NodeId.
+  /// node_of_ states besides a built NodeId.
   static constexpr fta::NodeId kUnbuilt = UINT32_MAX;
   static constexpr fta::NodeId kInProgress = UINT32_MAX - 1;
 
-  fta::NodeId build_node(std::string_view name, std::size_t ref_line) {
+  /// The node built for a symbol of the section, by document symbol id.
+  fta::NodeId& node_of(std::uint32_t symbol) {
+    return node_of_[symbol - section_.symbols.begin];
+  }
+
+  fta::NodeId build_node(std::uint32_t symbol_id, std::size_t ref_line) {
     fta::FaultTree& tree = built_.tree;
-    const std::uint32_t gate_index = section_.find_gate(name);
-    if (gate_index != NameIndex::kNone) {
-      if (gate_node_[gate_index] == kInProgress) {
-        throw ParseError(source_, ref_line, 1,
-                         concat("cycle through node '", name, "'"));
-      }
-      if (gate_node_[gate_index] != kUnbuilt) return gate_node_[gate_index];
-      const GateDecl& gate = section_.gates[gate_index];
+    const Symbol& symbol = decls_.symbols[symbol_id];
+    fta::NodeId& node = node_of(symbol_id);  // node_of_ never grows
+    if (node == kInProgress) {
+      throw ParseError(source_, ref_line, 1,
+                       concat("cycle through node '", symbol.name, "'"));
+    }
+    if (node != kUnbuilt) return node;
+    if (symbol.gate != kNone) {
+      const GateDecl& gate = decls_.gates[symbol.gate];
       if (depth_ >= kMaxGateDepth) {
         throw ParseError(source_, gate.line, gate.column,
                          concat("gate nesting exceeds the supported depth (",
                                 std::to_string(kMaxGateDepth),
-                                ") at gate '", name, "'"));
+                                ") at gate '", symbol.name, "'"));
       }
-      gate_node_[gate_index] = kInProgress;
+      node = kInProgress;
       ++depth_;
-      std::vector<fta::NodeId> children;
-      children.reserve(gate.children.size());
-      for (const std::string_view child : gate.children) {
-        children.push_back(build_node(child, gate.line));
+      // The children of every gate on the build path sit on one stack,
+      // innermost gate last.
+      const std::size_t base = children_.size();
+      for (std::uint32_t i = 0; i < gate.operand_count; ++i) {
+        const fta::NodeId child =
+            build_node(decls_.operands[gate.first_operand + i], gate.line);
+        children_.push_back(child);
       }
       --depth_;
-      gate_node_[gate_index] = add_gate(gate, std::move(children));
-      return gate_node_[gate_index];
+      node = add_gate(
+          gate, std::span<const fta::NodeId>(children_).subspan(base));
+      children_.resize(base);
+      return node;
     }
-
-    const std::uint32_t leaf_index = section_.find_leaf(name);
-    if (leaf_index != NameIndex::kNone) {
-      fta::NodeId& node = leaf_node_[leaf_index];
-      if (node == kUnbuilt) {
-        if (section_.leaves[leaf_index].is_condition) {
-          node = tree.add_condition(std::string(name));
-          built_.condition_decl.push_back(leaf_index);
-        } else {
-          node = tree.add_basic_event(std::string(name));
-          built_.basic_decl.push_back(leaf_index);
-        }
+    if (symbol.leaf != kNone) {
+      const std::uint32_t leaf = symbol.leaf - section_.leaves.begin;
+      if (decls_.leaves[symbol.leaf].is_condition) {
+        node = tree.add_condition(std::string(symbol.name));
+        built_.condition_decl.push_back(leaf);
+      } else {
+        node = tree.add_basic_event(std::string(symbol.name));
+        built_.basic_decl.push_back(leaf);
       }
       return node;
     }
-    throw ParseError(source_, ref_line, 1, concat("undefined node '", name, "'"));
+    throw ParseError(source_, ref_line, 1,
+                     concat("undefined node '", symbol.name, "'"));
   }
 
   fta::NodeId add_gate(const GateDecl& gate,
-                       std::vector<fta::NodeId> children) {
+                       std::span<const fta::NodeId> children) {
     fta::FaultTree& tree = built_.tree;
-    std::string name(gate.name);
-    switch (gate.type) {
-      case fta::GateType::kOr:
-        return tree.add_or(std::move(name), std::move(children));
-      case fta::GateType::kAnd:
-        return tree.add_and(std::move(name), std::move(children));
-      case fta::GateType::kXor:
-        return tree.add_xor(std::move(name), std::move(children));
-      case fta::GateType::kKofN:
-        return tree.add_k_of_n(std::move(name), gate.k, std::move(children));
-      case fta::GateType::kInhibit: {
-        const fta::NodeId cause = children[0];
-        const fta::NodeId condition = children[1];
-        if (tree.kind(condition) != fta::NodeKind::kCondition) {
-          throw ParseError(source_, gate.line, gate.column,
-                           concat("second operand of inhibit gate '", name,
-                                  "' must be a condition leaf"));
-        }
-        return tree.add_inhibit(std::move(name), cause, condition);
-      }
+    if (gate.type == fta::GateType::kInhibit &&
+        tree.kind(children[1]) != fta::NodeKind::kCondition) {
+      throw ParseError(source_, gate.line, gate.column,
+                       concat("second operand of inhibit gate '", gate.name,
+                              "' must be a condition leaf"));
     }
-    throw ParseError(source_, gate.line, gate.column, "unreachable gate kind");
+    return tree.add_gate(std::string(gate.name), gate.type, gate.k, children);
   }
 
+  const Declarations& decls_;
   const SectionDecl& section_;
   std::string_view source_;
   BuiltTree built_;
-  std::vector<fta::NodeId> gate_node_;  // by gate index
-  std::vector<fta::NodeId> leaf_node_;  // by leaf index
-  std::size_t depth_ = 0;               // gates under construction
+  std::vector<fta::NodeId> node_of_;   // by section-relative symbol
+  std::vector<fta::NodeId> children_;  // operand stack of build_node
+  std::size_t depth_ = 0;              // gates under construction
 };
 
 // --------------------------------------------------------- semantic pass
@@ -871,22 +973,26 @@ expr::Expr checked_leaf_expression(const LeafDecl& leaf,
 
 /// Every leaf expression of the section, checked, then the ordinal-ordered
 /// LeafProbability list of its built tree.
-std::vector<LeafProbability> resolve_leaves(const SectionDecl& section,
+std::vector<LeafProbability> resolve_leaves(const Declarations& decls,
+                                            const SectionDecl& section,
                                             BuiltTree& built,
                                             const expr::SymbolTable& symbols,
                                             std::string_view source) {
+  const std::span<const LeafDecl> section_leaves =
+      std::span<const LeafDecl>(decls.leaves)
+          .subspan(section.leaves.begin, section.leaves.size());
   std::vector<expr::Expr> parsed;
-  parsed.reserve(section.leaves.size());
+  parsed.reserve(section_leaves.size());
   try {
-    for (const LeafDecl& leaf : section.leaves) {
+    for (const LeafDecl& leaf : section_leaves) {
       parsed.push_back(checked_leaf_expression(leaf, symbols, source));
     }
   } catch (...) {
     // Of several faulty leaves, the first by name is reported: re-check in
     // name order, which throws at that leaf.
     std::vector<const LeafDecl*> by_name;
-    by_name.reserve(section.leaves.size());
-    for (const LeafDecl& leaf : section.leaves) by_name.push_back(&leaf);
+    by_name.reserve(section_leaves.size());
+    for (const LeafDecl& leaf : section_leaves) by_name.push_back(&leaf);
     std::sort(by_name.begin(), by_name.end(),
               [](const LeafDecl* a, const LeafDecl* b) {
                 return a->name < b->name;
@@ -923,7 +1029,7 @@ StudyDocument build_document(Declarations decls, std::string_view source) {
   }
 
   for (const SectionDecl& section : decls.sections) {
-    if (section.toplevel.empty()) {
+    if (section.toplevel == kNone) {
       // An explicit `tree` statement anchors the error; a v1 document
       // without one reports at the document head, as the v1 parser did.
       if (section.explicit_stmt) {
@@ -939,9 +1045,9 @@ StudyDocument build_document(Declarations decls, std::string_view source) {
                          concat("duplicate tree '", section.name, "'"));
       }
     }
-    BuiltTree built = TreeBuilder(section, source).build();
+    BuiltTree built = TreeBuilder(decls, section, source).build();
     std::vector<LeafProbability> leaves =
-        resolve_leaves(section, built, symbols, source);
+        resolve_leaves(decls, section, built, symbols, source);
     doc.trees.push_back(TreeModel{std::move(built.tree), std::move(leaves)});
   }
 
@@ -976,6 +1082,23 @@ const LeafProbability* TreeModel::find_leaf(
     if (leaf.name == name) return &leaf;
   }
   return nullptr;
+}
+
+fta::QuantificationInput TreeModel::constant_input() const {
+  fta::QuantificationInput input =
+      fta::QuantificationInput::for_tree(tree, 0.0);
+  std::vector<double>& basic = input.basic_event_probability;
+  SAFEOPT_EXPECTS(leaves.size() ==
+                  basic.size() + input.condition_probability.size());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const bool is_condition = i >= basic.size();
+    SAFEOPT_EXPECTS(leaves[i].is_condition == is_condition);
+    const double p = leaves[i].probability.evaluate({});
+    SAFEOPT_EXPECTS(p >= 0.0 && p <= 1.0);
+    (is_condition ? input.condition_probability[i - basic.size()]
+                  : basic[i]) = p;
+  }
+  return input;
 }
 
 const OptionValue* SelectionDecl::find_option(
@@ -1038,8 +1161,6 @@ ParsedFaultTree parse_fault_tree(std::string_view text) {
                      "parse_study");
   }
   TreeModel& model = doc.trees.front();
-  fta::QuantificationInput input =
-      fta::QuantificationInput::for_tree(model.tree, 0.0);
   for (const LeafProbability& leaf : model.leaves) {
     if (!leaf.probability.is_constant()) {
       throw ParseError(1, 1,
@@ -1047,8 +1168,8 @@ ParsedFaultTree parse_fault_tree(std::string_view text) {
                               "' has a parameterized probability; load the "
                               "document with parse_study"));
     }
-    input.set(model.tree, leaf.name, leaf.probability.evaluate({}));
   }
+  fta::QuantificationInput input = model.constant_input();
   return ParsedFaultTree{std::move(model.tree), std::move(input)};
 }
 

@@ -111,9 +111,7 @@ struct Subtree {
 /// QuantificationResult::preprocess and `safeopt quantify --json`).
 struct PassStats {
   std::string name;
-  std::size_t nodes_before = 0;  // reachable nodes entering the pass
-  std::size_t nodes_after = 0;   // reachable nodes leaving it
-  std::size_t rewrites = 0;      // local rewrites the pass performed
+  std::size_t rewrites = 0;  // local rewrites the pass performed
 };
 
 /// Aggregate before/after picture of one preprocess() run.
@@ -194,7 +192,8 @@ class CompiledPreprocessedTree {
   };
 
   std::vector<Module> modules_;
-  std::size_t widest_ = 0;  // the most variables of any module
+  std::size_t widest_ = 0;   // the most variables of any module
+  std::size_t largest_ = 0;  // the most BDD nodes of any module's manager
   ModularBddResult statistics_;
 };
 

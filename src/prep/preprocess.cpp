@@ -49,8 +49,9 @@ using Node = fta::GateGraph::Node;
 struct Ir {
   fta::GateGraph graph;              // graph.top is the root
   std::vector<std::uint32_t> alias;  // alias[i] == i when canonical
-  // Walk scratch shared by every reachability walk: node i is visited in
-  // the current walk iff stamp[i] == epoch, so no walk clears the array.
+  // Scratch marks shared by every reachability walk and by propagate's
+  // duplicate check: node i is marked in the current walk (or under the
+  // current gate) iff stamp[i] == epoch, so nothing clears the array.
   std::vector<std::uint32_t> stamp;
   std::uint32_t epoch = 0;
   std::vector<std::uint32_t> stack;
@@ -103,13 +104,6 @@ struct Ir {
       }
     }
   }
-
-  /// Number of nodes reachable from the root through resolved edges.
-  [[nodiscard]] std::size_t reachable_count() {
-    std::size_t count = 0;
-    walk([&count](std::uint32_t) { ++count; });
-    return count;
-  }
 };
 
 /// The IR starts as a copy of the tree's graph, every node canonical.
@@ -133,13 +127,17 @@ std::uint32_t constant(Ir& ir, bool value) {
 // opaque (its condition leaf must stay under it — a validate() invariant).
 // Every rewrite keeps the first DFS visit of every remaining leaf in place,
 // which is what makes the pass bitwise probability-preserving.
-PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
-  PassStats stats{.name = "propagate", .nodes_before = nodes_before};
+PassStats run_propagate(Ir& ir) {
+  PassStats stats{.name = "propagate"};
   // The gate's resolved children and the ones a rule keeps. A node's own
   // children change only when the gate survives, so an aliased gate keeps
   // the children it had.
   std::vector<std::uint32_t> children;
   std::vector<std::uint32_t> kept;
+  // A child is kept under the current gate iff its stamp is this gate's
+  // epoch; the pass adds only constants, which are never kept, so the
+  // stamps of the nodes it starts with are all it needs.
+  ir.stamp.resize(ir.graph.nodes.size(), 0);
   for (std::uint32_t id = 0; id < ir.graph.nodes.size(); ++id) {
     // By value: constant() below may grow the node vector.
     const Node node = ir.graph.nodes[id];
@@ -193,6 +191,7 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
     if (gate == fta::GateType::kAnd || gate == fta::GateType::kOr) {
       const bool is_and = gate == fta::GateType::kAnd;
       kept.clear();
+      ++ir.epoch;
       bool short_circuit = false;
       for (const std::uint32_t child : children) {
         const Node& c = ir.graph.nodes[child];
@@ -202,10 +201,11 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
           ++stats.rewrites;
           continue;
         }
-        if (std::find(kept.begin(), kept.end(), child) != kept.end()) {
+        if (ir.stamp[child] == ir.epoch) {
           ++stats.rewrites;  // idempotence: x AND x = x OR x = x
           continue;
         }
+        ir.stamp[child] = ir.epoch;
         kept.push_back(child);
       }
       if (short_circuit) {
@@ -242,7 +242,6 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
     ir.set_children(id, children);
   }
   ir.graph.top = ir.resolve(ir.graph.top);
-  stats.nodes_after = ir.reachable_count();
   return stats;
 }
 
@@ -256,8 +255,8 @@ PassStats run_propagate(Ir& ir, std::size_t nodes_before) {
 // O(n·k) shared gates — never the C(n,k) sum-of-products blow-up — and the
 // leaves keep their DFS first-visit order (child i is always reached before
 // any gate that first touches child i+1).
-PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
-  PassStats stats{.name = "normalize", .nodes_before = nodes_before};
+PassStats run_normalize(Ir& ir) {
+  PassStats stats{.name = "normalize"};
   // Per-vote scratch: the resolved children and the ge(i, j) memo.
   std::vector<std::uint32_t> children;
   std::vector<std::uint32_t> memo;
@@ -303,7 +302,6 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
     ++stats.rewrites;
   }
   ir.graph.top = ir.resolve(ir.graph.top);
-  stats.nodes_after = ir.reachable_count();
   return stats;
 }
 
@@ -318,8 +316,8 @@ PassStats run_normalize(Ir& ir, std::size_t nodes_before) {
 // parents by normalization, which a second sweep in a later propagate/merge
 // round would catch; in practice normalization emits alternating AND/OR
 // levels, so there is nothing to flatten there anyway.
-PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
-  PassStats stats{.name = "flatten", .nodes_before = nodes_before};
+PassStats run_flatten(Ir& ir) {
+  PassStats stats{.name = "flatten"};
   std::vector<Node>& nodes = ir.graph.nodes;  // the pass adds no node
   // Reference counts over the resolved, reachable graph only.
   std::vector<std::uint32_t> refs(nodes.size(), 0);
@@ -352,7 +350,6 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
     ir.set_children(id, flat);
   }
   ir.graph.top = ir.resolve(ir.graph.top);
-  stats.nodes_after = ir.reachable_count();
   return stats;
 }
 
@@ -362,8 +359,8 @@ PassStats run_flatten(Ir& ir, std::size_t nodes_before) {
 // child *list* become one node. Equal-as-sets-but-differently-ordered
 // gates are deliberately NOT merged — reordering children would permute
 // the DFS leaf first-visit order and break the bitwise-parity guarantee.
-PassStats run_merge(Ir& ir, std::size_t nodes_before) {
-  PassStats stats{.name = "merge", .nodes_before = nodes_before};
+PassStats run_merge(Ir& ir) {
+  PassStats stats{.name = "merge"};
   const fta::GateGraph& graph = ir.graph;
   // The table holds gate ids keyed by (type, threshold, children) as the
   // gate stands when it is filed. The sweep never revisits a filed gate, so
@@ -411,7 +408,6 @@ PassStats run_merge(Ir& ir, std::size_t nodes_before) {
     }
   }
   ir.graph.top = ir.resolve(ir.graph.top);
-  stats.nodes_after = ir.reachable_count();
   return stats;
 }
 
@@ -596,14 +592,9 @@ PreprocessedTree preprocess(const fta::FaultTree& tree,
       options.control->check("fault-tree preprocessing");
     }
   };
-  // Nothing touches the IR between passes, so each pass's nodes_before is
-  // the previous pass's nodes_after: one reachability walk per boundary.
-  std::size_t reachable = ir.reachable_count();
-  const auto run = [&](bool enabled, PassStats (*pass)(Ir&, std::size_t)) {
+  const auto run = [&](bool enabled, PassStats (*pass)(Ir&)) {
     checkpoint();
-    if (!enabled) return;
-    result.statistics.passes.push_back(pass(ir, reachable));
-    reachable = result.statistics.passes.back().nodes_after;
+    if (enabled) result.statistics.passes.push_back(pass(ir));
   };
   run(options.propagate, run_propagate);
   run(options.normalize, run_normalize);
@@ -706,6 +697,7 @@ CompiledPreprocessedTree::CompiledPreprocessedTree(
           LeafOrigin::Kind::kCondition, subtree.condition_origin[leaf]};
     }
     widest_ = std::max(widest_, source_of_var.size());
+    largest_ = std::max(largest_, stats.node_count);
     modules_.push_back({std::move(compiled.manager), compiled.root,
                         std::move(source_of_var)});
   }
@@ -718,6 +710,10 @@ double CompiledPreprocessedTree::probability(
   // module; BddManager::probability reads exactly variable_count() entries.
   std::vector<double> probabilities;
   probabilities.reserve(widest_);
+  // One memo for every module's diagram, sized for the largest.
+  bdd::BddManager::ProbabilityScratch scratch;
+  scratch.memo.reserve(largest_);
+  scratch.done.reserve(largest_);
   double probability = 0.0;
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     const Module& module = modules_[i];
@@ -737,7 +733,8 @@ double CompiledPreprocessedTree::probability(
           break;
       }
     }
-    probability = module.manager.probability(module.root, probabilities);
+    probability =
+        module.manager.probability(module.root, probabilities, scratch);
     module_probability[i] = probability;
   }
   return probability;

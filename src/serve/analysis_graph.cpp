@@ -215,11 +215,7 @@ ConstantQuantification quantify_constant_model(
   out.engine_name = engine_name;
   for (const ftio::HazardDecl& hazard : doc.hazards) {
     const ftio::TreeModel* model = doc.find_tree(hazard.tree);
-    fta::QuantificationInput input =
-        fta::QuantificationInput::for_tree(model->tree, 0.0);
-    for (const ftio::LeafProbability& leaf : model->leaves) {
-      input.set(model->tree, leaf.name, leaf.probability.evaluate({}));
-    }
+    const fta::QuantificationInput input = model->constant_input();
     std::string degradation;
     const auto engine = core::create_engine_with_fallback(
         engine_name, model->tree, engine_config, &degradation, control);

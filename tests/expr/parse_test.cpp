@@ -211,6 +211,58 @@ TEST(ExprParseTest, InfAndNanLiterals) {
   EXPECT_TRUE(std::isnan(parse("nan", kTimers).evaluate({})));
 }
 
+TEST(ExprParseTest, BareLiteralsAreTheConstantsTheGrammarReads) {
+  // A lone literal takes a shortcut past the grammar; wrapped in
+  // parentheses the same text goes the whole way through it, so the two
+  // must agree bit for bit, and both are the plain constant.
+  const struct {
+    const char* text;
+    double value;
+  } cases[] = {{"0.25", 0.25}, {" -0.5 ", -0.5}, {"1e-3", 1e-3},
+               {"\t-0\n", -0.0}, {".5", 0.5}, {"-.5e1", -5.0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const Expr bare = parse(c.text, kTimers);
+    EXPECT_TRUE(structurally_equal(
+        bare, parse(std::string("(") + c.text + ")", kTimers)));
+    EXPECT_TRUE(structurally_equal(bare, constant(c.value)));
+    EXPECT_TRUE(bare.is_constant());
+  }
+}
+
+TEST(ExprParseTest, LiteralLookalikesKeepTheirGrammarResults) {
+  const struct {
+    const char* text;
+    const char* what;
+    std::size_t offset;
+  } errors[] = {
+      {"1e999", "malformed number starting at '1e999'", 0},
+      {"0x1p-3", "unexpected trailing input at 'x1p'", 1},
+      {"+1", "unexpected '+' in expression", 0},
+      {"1.5e", "unexpected trailing input at 'e'", 3},
+      {"- 1e999", "malformed number starting at '1e999'", 2},
+  };
+  for (const auto& c : errors) {
+    SCOPED_TRACE(c.text);
+    try {
+      (void)parse(c.text, kTimers);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& error) {
+      EXPECT_STREQ(error.what(), c.what);
+      EXPECT_EQ(error.offset(), c.offset);
+    }
+  }
+  // Signs and spellings the grammar reads its own way.
+  EXPECT_TRUE(structurally_equal(parse("- 2", kTimers), constant(-2.0)));
+  EXPECT_TRUE(structurally_equal(parse("--2", kTimers), -constant(-2.0)));
+  EXPECT_TRUE(structurally_equal(
+      parse("-inf", kTimers),
+      constant(-std::numeric_limits<double>::infinity())));
+  EXPECT_FALSE(parse("T1", kTimers).is_constant());
+  EXPECT_FALSE(parse("exp(1 + 2 * T1)", kTimers).is_constant());
+  EXPECT_TRUE(parse("exp(1 + 2)", kTimers).is_constant());
+}
+
 TEST(ExprParseTest, SymbolTableFromVectorAndContains) {
   SymbolTable symbols(std::vector<std::string>{"b", "a", "b"});
   EXPECT_TRUE(symbols.contains("a"));

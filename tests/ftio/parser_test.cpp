@@ -4,6 +4,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "../testutil/random_tree.h"
 #include "safeopt/fta/cut_sets.h"
@@ -139,7 +140,12 @@ INSTANTIATE_TEST_SUITE_P(
                   2},
         ErrorCase{"unreachable_leaf",
                   "toplevel t;\nt or a;\na prob = 0.1;\nzombie prob = 0.5;\n",
-                  "not reachable", 4}),
+                  "not reachable", 4},
+        // FaultTree::set_top refuses a condition by contract (an abort),
+        // so the parser must refuse it first.
+        ErrorCase{"condition_toplevel",
+                  "\ntoplevel c;\nc condition prob = 0.5;\n",
+                  "toplevel 'c' is a condition leaf", 2}),
     [](const auto& info) { return info.param.name; });
 
 // Documents with several faults at once: which fault is reported first is
@@ -181,6 +187,48 @@ TEST(ParserTest, SeveralFaultsReportTheSameFirstOne) {
       EXPECT_EQ(error.line(), c.line);
       EXPECT_EQ(error.column(), c.column);
     }
+  }
+}
+
+TEST(ParserTest, AGateShadowsTheLeafOfTheSameName) {
+  // A name declared both as a gate and as a leaf is the gate, in either
+  // declaration order; the shadowed leaf counts as reached through it.
+  const char* gate_first =
+      "toplevel t;\nt or x b;\nx or a b;\nx prob = 0.1;\na prob = 0.2;\n"
+      "b prob = 0.3;\n";
+  const char* leaf_first =
+      "toplevel t;\nt or x b;\nx prob = 0.1;\nx or a b;\na prob = 0.2;\n"
+      "b prob = 0.3;\n";
+  for (const char* text : {gate_first, leaf_first}) {
+    SCOPED_TRACE(text);
+    const ParsedFaultTree parsed = parse_fault_tree(text);
+    EXPECT_EQ(parsed.tree.basic_event_count(), 2u);
+    const auto x = parsed.tree.find("x");
+    ASSERT_TRUE(x.has_value());
+    EXPECT_EQ(parsed.tree.kind(*x), fta::NodeKind::kGate);
+    EXPECT_EQ(parsed.probabilities.basic_event_probability,
+              (std::vector<double>{0.2, 0.3}));
+  }
+  // A leaf nothing reaches is still reported, the first by name, whether
+  // or not a gate shadows another leaf of the document.
+  try {
+    (void)parse_fault_tree(
+        "toplevel t;\nt or x b;\nx or a b;\nx prob = 0.1;\na prob = 0.2;\n"
+        "b prob = 0.3;\nz prob = 0.4;\ny prob = 0.5;\n");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(),
+                 "8:1: leaf 'y' is declared but not reachable from toplevel");
+  }
+  // The shadowing gate itself must be reached for its leaf to count.
+  try {
+    (void)parse_fault_tree(
+        "toplevel t;\nt or a b;\nx or a b;\nx prob = 0.1;\na prob = 0.2;\n"
+        "b prob = 0.3;\n");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(),
+                 "4:1: leaf 'x' is declared but not reachable from toplevel");
   }
 }
 
