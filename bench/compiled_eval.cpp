@@ -12,15 +12,12 @@
 //   backend B — evaluate_batch pinned to each registered backend
 //             (generic, and avx2 where the CPU supports it) at its default
 //             lane width, same grid;
-//   batch N — the lane kernel fanned out over a ThreadPool;
-//   grad    — per-point evaluate_with_gradient vs the lane-batched
-//             gradient request (values + gradients per row).
+//   batch N — the lane kernel fanned out over a ThreadPool.
 //
 // Besides timing, the run *verifies* the architectural contracts: every
 // strategy must produce bitwise-identical surfaces (lane-count and
-// thread-count invariance), batched gradients must equal the per-point
-// reverse sweep bitwise, and grid_search / differential_evolution must return
-// bitwise-identical optima on the tree and compiled paths.
+// thread-count invariance), and grid_search / differential_evolution must
+// return bitwise-identical optima on the tree and compiled paths.
 //
 // The backends are also ranked on a real study tape: the --model document's
 // cost tape evaluated at scattered points in its parameter box, where the
@@ -220,25 +217,6 @@ int main(int argc, char** argv) {
                                   tree_values == tape_values &&
                                   tree_values == parallel_values;
 
-  // --- gradients: per-point reverse sweep vs lane-batched sweep ----------
-  std::vector<double> grad_point_values(rows);
-  std::vector<double> grad_point(rows * 2);
-  const double gradp_s = best_time(repeats, [&] {
-    for (std::size_t r = 0; r < rows; ++r) {
-      grad_point_values[r] = compiled.evaluate_with_gradient(
-          std::span<const double>(&points[2 * r], 2),
-          std::span<double>(&grad_point[2 * r], 2));
-    }
-  });
-  std::vector<double> grad_batch_values(rows);
-  std::vector<double> grad_batch(rows * 2);
-  const double gradb_s = best_time(repeats, [&] {
-    compiled.evaluate_batch({.points = points, .values = grad_batch_values,
-                             .gradients = grad_batch});
-  });
-  const bool gradients_identical = grad_point_values == grad_batch_values &&
-                                   grad_point == grad_batch;
-
   const auto per_eval = [rows](double s) {
     return 1e9 * s / static_cast<double>(rows);
   };
@@ -248,8 +226,6 @@ int main(int argc, char** argv) {
   const double lane4_ns = per_eval(lane4_s);
   const double lane8_ns = per_eval(lane8_s);
   const double batchn_ns = per_eval(batchn_s);
-  const double gradp_ns = per_eval(gradp_s);
-  const double gradb_ns = per_eval(gradb_s);
 
   std::printf("grid workload: %zu points (%zu x %zu), best of %d\n", rows,
               grid, grid, repeats);
@@ -276,13 +252,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  batch, %2zu threads  : %8.1f ns/eval   %.2fx\n",
               pool.thread_count(), batchn_ns, tree_ns / batchn_ns);
-  std::printf("  gradient, per point: %8.1f ns/eval\n", gradp_ns);
-  std::printf("  gradient, 8 lanes  : %8.1f ns/eval   %.2fx vs per-point\n",
-              gradb_ns, gradp_ns / gradb_ns);
-  std::printf("  surfaces bitwise-identical (lane/thread invariant): %s\n",
+  std::printf("  surfaces bitwise-identical (lane/thread invariant): %s\n\n",
               surfaces_identical ? "yes" : "NO — BUG");
-  std::printf("  batched gradients bitwise-identical: %s\n\n",
-              gradients_identical ? "yes" : "NO — BUG");
 
   // --- identical optima through the solvers ------------------------------
   opt::Problem tree_problem;
@@ -439,8 +410,6 @@ int main(int argc, char** argv) {
                  "  \"lane4_ns_per_eval\": %.3f,\n"
                  "  \"lane8_ns_per_eval\": %.3f,\n"
                  "  \"batchn_ns_per_eval\": %.3f,\n"
-                 "  \"grad_point_ns_per_eval\": %.3f,\n"
-                 "  \"grad_lane_ns_per_eval\": %.3f,\n"
                  "  \"load_to_first_eval_ns\": %.3f,\n"
                  "%s"
                  "  \"active_backend\": \"%s\",\n"
@@ -448,23 +417,20 @@ int main(int argc, char** argv) {
                  "  \"speedup_lane8\": %.3f,\n"
                  "  \"speedup_lane8_vs_lane1\": %.3f,\n"
                  "  \"speedup_avx2_vs_generic\": %.3f,\n"
-                 "  \"speedup_grad_lane_vs_point\": %.3f,\n"
                  "  \"surfaces_identical\": %s,\n"
                  "  \"lanes_invariant\": %s,\n"
                  "  \"backends_identical\": %s,\n"
-                 "  \"gradients_identical\": %s,\n"
                  "  \"grid_search_identical\": %s,\n"
                  "  \"de_identical\": %s\n"
                  "}\n",
                  rows, repeats, pool.thread_count(), tree_ns, tape_ns,
-                 lane1_ns, lane4_ns, lane8_ns, batchn_ns, gradp_ns, gradb_ns,
-                 load_ns, backend_json.c_str(), active_backend.c_str(),
+                 lane1_ns, lane4_ns, lane8_ns, batchn_ns, load_ns,
+                 backend_json.c_str(), active_backend.c_str(),
                  tree_ns / tape_ns, tree_ns / lane8_ns, lane1_ns / lane8_ns,
-                 avx2_speedup, gradp_ns / gradb_ns,
+                 avx2_speedup,
                  surfaces_identical ? "true" : "false",
                  lanes_invariant ? "true" : "false",
                  backends_identical ? "true" : "false",
-                 gradients_identical ? "true" : "false",
                  grid_identical ? "true" : "false",
                  de_identical ? "true" : "false");
     std::fclose(f);
@@ -472,6 +438,6 @@ int main(int argc, char** argv) {
   }
 
   const bool ok = surfaces_identical && backends_identical &&
-                  gradients_identical && grid_identical && de_identical;
+                  grid_identical && de_identical;
   return ok ? 0 : 1;
 }

@@ -12,8 +12,8 @@ Compares the fresh benchmark JSON against the committed baseline
 (BENCH_compiled_eval.json). Two kinds of checks:
 
   * contracts — every bitwise-identity boolean in the fresh run must be
-    true (lane/thread invariance, gradient identity, identical optima, and
-    every available evaluation backend bitwise-identical to generic), the
+    true (lane/thread invariance, identical optima, and every available
+    evaluation backend bitwise-identical to generic), the
     8-lane kernel must keep its >= 2x speedup over the single-lane batch
     path, and — on hardware where the avx2 backend runs — avx2 must beat
     the generic 8-lane kernel by >= 1.3x (per-backend ns/eval entries are
@@ -77,7 +77,6 @@ REGRESSION_LIMIT = 0.25  # fail when normalized ns/eval grows by more than 25%
 CONTRACT_FLAGS = [
     "surfaces_identical",
     "lanes_invariant",
-    "gradients_identical",
     "grid_search_identical",
     "de_identical",
     "backends_identical",
@@ -90,8 +89,6 @@ GATED_METRICS = [
     "lane1_ns_per_eval",
     "lane4_ns_per_eval",
     "lane8_ns_per_eval",
-    "grad_point_ns_per_eval",
-    "grad_lane_ns_per_eval",
 ]
 REPORT_ONLY_METRICS = ["batchn_ns_per_eval"]
 

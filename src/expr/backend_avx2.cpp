@@ -270,17 +270,6 @@ class Avx2Backend final : public EvalBackend {
       default: forward_block<16>(expr, points, dim, out, scratch); break;
     }
   }
-
-  void run_block_with_gradients(
-      const CompiledExpr& expr, const double* points, std::size_t dim,
-      std::size_t width, double* values, double* gradients,
-      CompiledExpr::LaneScratch& scratch) const override {
-    // Intrinsic forward sweep fills the slab; the adjoint sweep is shared
-    // with the generic backend (it is already plain vectorizable loops,
-    // and sharing it keeps gradients trivially bitwise-identical).
-    run_block(expr, points, dim, width, values, scratch);
-    expr.run_generic_adjoint_block(dim, width, gradients, scratch);
-  }
 };
 
 }  // namespace

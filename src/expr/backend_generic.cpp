@@ -29,14 +29,6 @@ class GenericBackend final : public EvalBackend {
                  CompiledExpr::LaneScratch& scratch) const override {
     expr.run_generic_block(points, dim, width, out, scratch);
   }
-
-  void run_block_with_gradients(
-      const CompiledExpr& expr, const double* points, std::size_t dim,
-      std::size_t width, double* values, double* gradients,
-      CompiledExpr::LaneScratch& scratch) const override {
-    expr.run_generic_block(points, dim, width, values, scratch);
-    expr.run_generic_adjoint_block(dim, width, gradients, scratch);
-  }
 };
 
 }  // namespace

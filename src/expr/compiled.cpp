@@ -22,7 +22,6 @@ namespace {
 // Scratch buffers reused across evaluations. Per-thread so concurrent
 // evaluation of the same CompiledExpr (the batch path) needs no locking.
 thread_local std::vector<double> t_slots;
-thread_local std::vector<double> t_adjoint;
 thread_local std::vector<double> t_memo_arg;
 thread_local std::vector<double> t_memo_val;
 
@@ -428,11 +427,9 @@ double CompiledExpr::evaluate(const ParameterAssignment& env) const {
   return evaluate(parameters);
 }
 
-void CompiledExpr::bind_lanes(LaneScratch& scratch, std::size_t lanes,
-                              bool with_adjoint) const {
+void CompiledExpr::bind_lanes(LaneScratch& scratch, std::size_t lanes) const {
   static_assert(kMemoEntries == kMemoMask + 1);
   scratch.slab.assign(tape_.size() * lanes, 0.0);
-  if (with_adjoint) scratch.adjoint.assign(tape_.size() * lanes, 0.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::size_t memo_size =
       static_cast<std::size_t>(memo_count_) * kMemoEntries;
@@ -564,9 +561,7 @@ void CompiledExpr::run_lane_block(const double* points, std::size_t dim,
 void CompiledExpr::evaluate_batch(const BatchRequest& request) const {
   const std::size_t dim = parameter_order_.size();
   const std::size_t rows = request.values.size();
-  const bool with_gradients = !request.gradients.empty();
   SAFEOPT_EXPECTS(request.points.size() == rows * dim);
-  if (with_gradients) SAFEOPT_EXPECTS(request.gradients.size() == rows * dim);
   const EvalBackend& backend =
       request.backend != nullptr ? *request.backend : BackendRegistry::active();
   const std::size_t width = request.lane_width == 0
@@ -580,9 +575,8 @@ void CompiledExpr::evaluate_batch(const BatchRequest& request) const {
     // the resolved backend and width pinned, so the split only changes
     // which rows land in lane blocks versus the scalar tail — paths that
     // are bitwise-identical per row by contract.
-    const std::size_t per_task = with_gradients ? 128 : 256;
     const std::size_t grain = std::max<std::size_t>(
-        width, per_task / std::max<std::size_t>(1, tape_.size()));
+        width, 256 / std::max<std::size_t>(1, tape_.size()));
     request.pool->parallel_for(
         rows,
         [&](std::size_t begin, std::size_t end) {
@@ -590,10 +584,6 @@ void CompiledExpr::evaluate_batch(const BatchRequest& request) const {
           BatchRequest chunk;
           chunk.points = request.points.subspan(begin * dim, count * dim);
           chunk.values = request.values.subspan(begin, count);
-          if (with_gradients) {
-            chunk.gradients =
-                request.gradients.subspan(begin * dim, count * dim);
-          }
           chunk.lane_width = width;
           chunk.backend = &backend;
           evaluate_batch(chunk);
@@ -604,19 +594,11 @@ void CompiledExpr::evaluate_batch(const BatchRequest& request) const {
 
   const std::size_t blocks = width > 1 ? rows / width : 0;
   if (blocks == 0 || width == 1) {
-    // The scalar reference paths — also taken for sub-block batches
+    // The scalar reference path — also taken for sub-block batches
     // (finite-difference stencils, tiny populations) that would pay the
     // slab/memo setup without ever running a lane kernel. Values carry a
     // Workspace (the last-argument memo) across rows, exactly the pre-lane
     // batch loop; this is the oracle every backend is tested against.
-    if (with_gradients) {
-      for (std::size_t row = 0; row < rows; ++row) {
-        request.values[row] =
-            evaluate_with_gradient(request.points.subspan(row * dim, dim),
-                                   request.gradients.subspan(row * dim, dim));
-      }
-      return;
-    }
     Workspace workspace;
     bind(workspace);
     for (std::size_t row = 0; row < rows; ++row) {
@@ -628,28 +610,14 @@ void CompiledExpr::evaluate_batch(const BatchRequest& request) const {
   }
 
   LaneScratch scratch;
-  bind_lanes(scratch, width, with_gradients);
+  bind_lanes(scratch, width);
   for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const double* block_points = request.points.data() + blk * width * dim;
-    double* block_values = request.values.data() + blk * width;
-    if (with_gradients) {
-      backend.run_block_with_gradients(
-          *this, block_points, dim, width, block_values,
-          request.gradients.data() + blk * width * dim, scratch);
-    } else {
-      backend.run_block(*this, block_points, dim, width, block_values,
-                        scratch);
-    }
+    backend.run_block(*this, request.points.data() + blk * width * dim, dim,
+                      width, request.values.data() + blk * width, scratch);
   }
   // Scalar tail: the reference loop, bitwise-identical per row.
   for (std::size_t row = blocks * width; row < rows; ++row) {
-    if (with_gradients) {
-      request.values[row] =
-          evaluate_with_gradient(request.points.subspan(row * dim, dim),
-                                 request.gradients.subspan(row * dim, dim));
-    } else {
-      request.values[row] = evaluate(request.points.subspan(row * dim, dim));
-    }
+    request.values[row] = evaluate(request.points.subspan(row * dim, dim));
   }
 }
 
@@ -661,152 +629,6 @@ void CompiledExpr::run_generic_block(const double* points, std::size_t dim,
     case 8: run_lane_block<8>(points, dim, out, scratch); break;
     case 16: run_lane_block<16>(points, dim, out, scratch); break;
     default: SAFEOPT_EXPECTS(false);
-  }
-}
-
-void CompiledExpr::run_generic_adjoint_block(std::size_t dim,
-                                             std::size_t width,
-                                             double* gradients,
-                                             LaneScratch& scratch) const {
-  switch (width) {
-    case 4: run_lane_adjoint<4>(dim, gradients, scratch); break;
-    case 8: run_lane_adjoint<8>(dim, gradients, scratch); break;
-    case 16: run_lane_adjoint<16>(dim, gradients, scratch); break;
-    default: SAFEOPT_EXPECTS(false);
-  }
-}
-
-template <std::size_t L>
-void CompiledExpr::run_lane_adjoint(std::size_t dim, double* gradients,
-                                    LaneScratch& scratch) const {
-  // Reverse sweep over a slab run_lane_block<L> (or an intrinsic backend's
-  // forward kernel) already filled. It mirrors the scalar
-  // evaluate_with_gradient() instruction-for-instruction, so each lane's
-  // gradient is bitwise-identical to the per-point call; intrinsic
-  // backends share this sweep and replace only the forward kernel.
-  const Instruction* const tape = tape_.data();
-  const std::size_t n = tape_.size();
-  const double* const slab = scratch.slab.data();
-  double* const adj = scratch.adjoint.data();
-  std::fill(adj, adj + n * L, 0.0);
-  std::fill(gradients, gradients + L * dim, 0.0);
-  for (std::size_t l = 0; l < L; ++l) adj[(n - 1) * L + l] = 1.0;
-
-  // Same clamp as the forward sweep: keeps the unconditionally-built
-  // operand pointers in-bounds for kConst/kParam instructions.
-  const auto slot_of = [n](std::uint32_t s) {
-    return std::min<std::size_t>(s, n - 1);
-  };
-  for (std::size_t i = n; i-- > 0;) {
-    const Instruction& ins = tape[i];
-    const double* const w = adj + i * L;
-    double* const aa = adj + slot_of(ins.a) * L;
-    double* const ab = adj + slot_of(ins.b) * L;
-    const double* const va = slab + slot_of(ins.a) * L;
-    const double* const vb = slab + slot_of(ins.b) * L;
-    const double* const vi = slab + i * L;
-    switch (ins.op) {
-      case OpCode::kConst:
-        break;
-      case OpCode::kParam:
-        for (std::size_t l = 0; l < L; ++l) {
-          gradients[l * dim + ins.a] += w[l];
-        }
-        break;
-      case OpCode::kAdd:
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l];
-          ab[l] += w[l];
-        }
-        break;
-      case OpCode::kSub:
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l];
-          ab[l] -= w[l];
-        }
-        break;
-      case OpCode::kMul:
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l] * vb[l];
-          ab[l] += w[l] * va[l];
-        }
-        break;
-      case OpCode::kDiv:
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l] / vb[l];
-          ab[l] -= w[l] * vi[l] / vb[l];
-        }
-        break;
-      case OpCode::kMin:
-        // Subgradient at ties: first argument, matching Dual's min/max.
-        for (std::size_t l = 0; l < L; ++l) {
-          (va[l] <= vb[l] ? aa : ab)[l] += w[l];
-        }
-        break;
-      case OpCode::kMax:
-        for (std::size_t l = 0; l < L; ++l) {
-          (va[l] >= vb[l] ? aa : ab)[l] += w[l];
-        }
-        break;
-      case OpCode::kAddImm:
-      case OpCode::kSubImm:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l];
-        break;
-      case OpCode::kRsubImm:
-        for (std::size_t l = 0; l < L; ++l) aa[l] -= w[l];
-        break;
-      case OpCode::kMulImm:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l] * ins.imm;
-        break;
-      case OpCode::kDivImm:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l] / ins.imm;
-        break;
-      case OpCode::kRdivImm:
-        // d(c/x)/dx = −c/x² = −(c/x)/x, reusing this slot's value.
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] -= w[l] * vi[l] / va[l];
-        }
-        break;
-      case OpCode::kNeg:
-        for (std::size_t l = 0; l < L; ++l) aa[l] -= w[l];
-        break;
-      case OpCode::kExp:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l] * vi[l];
-        break;
-      case OpCode::kLog:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l] / va[l];
-        break;
-      case OpCode::kSqrt:
-        for (std::size_t l = 0; l < L; ++l) aa[l] += w[l] * 0.5 / vi[l];
-        break;
-      case OpCode::kPow:
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l] * ins.imm * std::pow(va[l], ins.imm - 1.0);
-        }
-        break;
-      case OpCode::kCdf: {
-        const stats::Distribution& dist = *distributions_[ins.b];
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l] * dist.pdf(va[l]);
-        }
-        break;
-      }
-      case OpCode::kSurvival: {
-        const stats::Distribution& dist = *distributions_[ins.b];
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] -= w[l] * dist.pdf(va[l]);
-        }
-        break;
-      }
-      case OpCode::kCall: {
-        const auto* call =
-            static_cast<const detail::FunctionNode*>(calls_[ins.b].get());
-        for (std::size_t l = 0; l < L; ++l) {
-          aa[l] += w[l] * call->derivative_at(va[l]);
-        }
-        break;
-      }
-    }
   }
 }
 
@@ -974,96 +796,9 @@ op_call:
 #endif
 }
 
-double CompiledExpr::evaluate_with_gradient(
-    std::span<const double> parameters, std::span<double> gradient_out) const {
-  SAFEOPT_EXPECTS(parameters.size() == parameter_order_.size());
-  SAFEOPT_EXPECTS(gradient_out.size() == parameter_order_.size());
-  const std::size_t n = tape_.size();
-  double* slots = scratch(t_slots, n);
-  double* memo_arg = scratch(t_memo_arg, memo_count_);
-  double* memo_val = scratch(t_memo_val, memo_count_);
-  std::fill(memo_arg, memo_arg + memo_count_,
-            std::numeric_limits<double>::quiet_NaN());
-  const double value = run(parameters, slots, memo_arg, memo_val);
-
-  double* adjoint = scratch(t_adjoint, n);
-  std::fill(adjoint, adjoint + n, 0.0);
-  std::fill(gradient_out.begin(), gradient_out.end(), 0.0);
-  adjoint[n - 1] = 1.0;
-
-  for (std::size_t i = n; i-- > 0;) {
-    const Instruction& ins = tape_[i];
-    const double w = adjoint[i];
-    switch (ins.op) {
-      case OpCode::kConst: break;
-      case OpCode::kParam: gradient_out[ins.a] += w; break;
-      case OpCode::kAdd:
-        adjoint[ins.a] += w;
-        adjoint[ins.b] += w;
-        break;
-      case OpCode::kSub:
-        adjoint[ins.a] += w;
-        adjoint[ins.b] -= w;
-        break;
-      case OpCode::kMul:
-        adjoint[ins.a] += w * slots[ins.b];
-        adjoint[ins.b] += w * slots[ins.a];
-        break;
-      case OpCode::kDiv:
-        adjoint[ins.a] += w / slots[ins.b];
-        adjoint[ins.b] -= w * slots[i] / slots[ins.b];
-        break;
-      case OpCode::kMin:
-        // Subgradient at ties: first argument, matching Dual's min/max.
-        adjoint[slots[ins.a] <= slots[ins.b] ? ins.a : ins.b] += w;
-        break;
-      case OpCode::kMax:
-        adjoint[slots[ins.a] >= slots[ins.b] ? ins.a : ins.b] += w;
-        break;
-      case OpCode::kAddImm:
-      case OpCode::kSubImm:
-        adjoint[ins.a] += w;
-        break;
-      case OpCode::kRsubImm: adjoint[ins.a] -= w; break;
-      case OpCode::kMulImm: adjoint[ins.a] += w * ins.imm; break;
-      case OpCode::kDivImm: adjoint[ins.a] += w / ins.imm; break;
-      case OpCode::kRdivImm:
-        // d(c/x)/dx = −c/x² = −(c/x)/x, reusing this slot's value.
-        adjoint[ins.a] -= w * slots[i] / slots[ins.a];
-        break;
-      case OpCode::kNeg: adjoint[ins.a] -= w; break;
-      case OpCode::kExp: adjoint[ins.a] += w * slots[i]; break;
-      case OpCode::kLog: adjoint[ins.a] += w / slots[ins.a]; break;
-      case OpCode::kSqrt: adjoint[ins.a] += w * 0.5 / slots[i]; break;
-      case OpCode::kPow:
-        adjoint[ins.a] +=
-            w * ins.imm * std::pow(slots[ins.a], ins.imm - 1.0);
-        break;
-      case OpCode::kCdf:
-        adjoint[ins.a] += w * distributions_[ins.b]->pdf(slots[ins.a]);
-        break;
-      case OpCode::kSurvival:
-        adjoint[ins.a] -= w * distributions_[ins.b]->pdf(slots[ins.a]);
-        break;
-      case OpCode::kCall:
-        adjoint[ins.a] +=
-            w *
-            static_cast<const detail::FunctionNode*>(calls_[ins.b].get())
-                ->derivative_at(slots[ins.a]);
-        break;
-    }
-  }
-  return value;
-}
-
 double CompiledExpr::apply_call(std::uint32_t index, double x) const {
   return static_cast<const detail::FunctionNode*>(calls_[index].get())->fn()(
       x);
-}
-
-double CompiledExpr::call_derivative_at(std::uint32_t index, double x) const {
-  return static_cast<const detail::FunctionNode*>(calls_[index].get())
-      ->derivative_at(x);
 }
 
 double CompiledExpr::apply_binary(OpCode op, double x, double y) {

@@ -14,15 +14,12 @@
 //   * parameters become slot loads from a flat vector (no name lookups),
 //   * evaluation is a tight loop over plain structs — no virtual calls.
 //
-// The tape supports three access patterns:
+// The tape supports two access patterns:
 //   value     — evaluate(parameters)
-//   gradient  — evaluate_with_gradient(): one reverse (adjoint) sweep over
-//               the tape, O(tape) regardless of dimension count
-//   batch     — evaluate_batch(BatchRequest): many parameter vectors (and
-//               optionally their gradients) in one call. The request names
-//               everything about the evaluation in one struct — points,
-//               values, gradients, lane width, thread pool, and the
-//               hardware backend — so every caller, from opt::Problem to
+//   batch     — evaluate_batch(BatchRequest): many parameter vectors in one
+//               call. The request names everything about the evaluation in
+//               one struct — points, values, lane width, thread pool, and
+//               the hardware backend — so every caller, from opt::Problem to
 //               the sweep tables to `safeopt serve`, hops backends through
 //               a single call shape. Batches run on lane-blocked
 //               structure-of-arrays kernels: L points advance through every
@@ -35,6 +32,10 @@
 //               override pins one. The scalar loop remains the tail
 //               handler, the lane_width == 1 path, and the bitwise-identity
 //               oracle on every backend.
+//
+// The tape computes values only. The one derivative in the library, the
+// §IV-C.2 sensitivity, is forward-mode Dual arithmetic on the tree
+// (Expr::evaluate_dual, expr/dual.h).
 //
 // Evaluation is bitwise-identical to Expr::evaluate(): the tape performs the
 // same floating-point operations on the same values (sharing only removes
@@ -74,17 +75,13 @@ class EvalBackend;
 ///
 ///   compiled.evaluate_batch({.points = points, .values = out});
 ///   compiled.evaluate_batch({.points = points, .values = out,
-///                            .gradients = grads, .pool = &pool});
+///                            .pool = &pool});
 struct BatchRequest {
   /// Row-major parameter vectors, one row of length parameter_order().size()
   /// per output value: points.size() == values.size() * dim.
   std::span<const double> points;
   /// One output value per row; its size is the row count.
   std::span<double> values;
-  /// Empty = values only. Otherwise one row-major gradient vector per row
-  /// (gradients.size() == values.size() * dim), produced by a fused
-  /// forward + adjoint lane sweep.
-  std::span<double> gradients = {};
   /// Points per lane block. 0 = the backend's default width; 1 = the scalar
   /// reference loop (the bitwise oracle, identical on every backend); any
   /// other value must satisfy backend->supports_lane_width(). Results are
@@ -154,22 +151,13 @@ class CompiledExpr {
   /// Name-based convenience; every parameter slot must be bound in `env`.
   [[nodiscard]] double evaluate(const ParameterAssignment& env) const;
 
-  /// Value plus d(value)/d(parameter_i) for every slot, via one reverse
-  /// sweep over the tape. `gradient_out.size()` must equal the slot count;
-  /// it is overwritten. Agrees with Expr::evaluate_dual up to floating-point
-  /// reassociation of the chain rule.
-  double evaluate_with_gradient(std::span<const double> parameters,
-                                std::span<double> gradient_out) const;
-
   /// Default lane width of the generic SoA kernel (points per instruction).
   static constexpr std::size_t kDefaultLaneWidth = 8;
 
-  /// Evaluates `request.values.size()` rows (and, when request.gradients is
-  /// non-empty, their gradients) in one call on the lane-block kernels of
-  /// the requested backend. See BatchRequest for the full shape; value and
-  /// gradient rows are bitwise-identical to per-row evaluate() /
-  /// evaluate_with_gradient() calls for every backend, lane width, batch
-  /// split, and thread count.
+  /// Evaluates `request.values.size()` rows in one call on the lane-block
+  /// kernels of the requested backend. See BatchRequest for the full shape;
+  /// every row is bitwise-identical to a per-row evaluate() call for every
+  /// backend, lane width, batch split, and thread count.
   void evaluate_batch(const BatchRequest& request) const;
 
   /// Human-readable tape listing, one instruction per line (debugging aid).
@@ -207,7 +195,7 @@ class CompiledExpr {
     double imm = 0.0;
   };
 
-  /// Per-call state of the lane kernels: the SoA value/adjoint slabs
+  /// Per-call state of the lane kernels: the SoA value slab
   /// (tape_size() × L doubles, slot-major so each instruction's lanes are
   /// contiguous) plus the distribution-argument memo tables. Where the
   /// scalar Workspace memo remembers only the *last* argument of each cdf /
@@ -219,7 +207,6 @@ class CompiledExpr {
   /// value, only skip recomputing it.
   struct LaneScratch {
     std::vector<double> slab;
-    std::vector<double> adjoint;
     std::vector<double> memo_arg;
     std::vector<double> memo_val;
   };
@@ -238,29 +225,20 @@ class CompiledExpr {
       std::uint32_t index) const noexcept {
     return *distributions_[index];
   }
-  /// Invokes / differentiates the opaque function behind a kCall
-  /// instruction's `b` index (backends keep kCall loops scalar so the
-  /// callback sees the exact per-row invocation pattern of evaluate()).
+  /// Invokes the opaque function behind a kCall instruction's `b` index
+  /// (backends keep kCall loops scalar so the callback sees the exact
+  /// per-row invocation pattern of evaluate()).
   [[nodiscard]] double apply_call(std::uint32_t index, double x) const;
-  [[nodiscard]] double call_derivative_at(std::uint32_t index,
-                                          double x) const;
 
   /// Sizes `scratch` for this tape (cold memo) and L lanes.
-  void bind_lanes(LaneScratch& scratch, std::size_t lanes,
-                  bool with_adjoint) const;
+  void bind_lanes(LaneScratch& scratch, std::size_t lanes) const;
 
-  /// The "generic" kernels, callable from any backend: the portable
-  /// lane-block forward sweep (width ∈ {4, 8, 16}) and the adjoint sweep
-  /// over a slab the forward sweep filled. Intrinsic backends reuse the
-  /// adjoint sweep (plain +,*,/ loops the compiler vectorizes) and replace
-  /// only the forward kernel; a custom backend can delegate entire blocks
-  /// here for tape features it does not accelerate.
+  /// The "generic" kernel, callable from any backend: the portable
+  /// lane-block sweep (width ∈ {4, 8, 16}). A custom backend can delegate
+  /// entire blocks here for tape features it does not accelerate.
   void run_generic_block(const double* points, std::size_t dim,
                          std::size_t width, double* out,
                          LaneScratch& scratch) const;
-  void run_generic_adjoint_block(std::size_t dim, std::size_t width,
-                                 double* gradients,
-                                 LaneScratch& scratch) const;
 
  private:
   class Builder;
@@ -282,12 +260,6 @@ class CompiledExpr {
   template <std::size_t L>
   void run_lane_block(const double* points, std::size_t dim, double* out,
                       LaneScratch& scratch) const;
-
-  /// Adjoint sweep over the slab run_lane_block<L> filled; `gradients`
-  /// receives L row-major gradient vectors of length dim.
-  template <std::size_t L>
-  void run_lane_adjoint(std::size_t dim, double* gradients,
-                        LaneScratch& scratch) const;
 
   // Scalar op semantics shared by run() and compile-time constant folding,
   // so folding is guaranteed bit-identical to deferred evaluation.

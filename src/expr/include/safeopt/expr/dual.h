@@ -1,8 +1,10 @@
 // Vector-forward-mode automatic differentiation. A Dual carries a value plus
 // the gradient with respect to a fixed ordered list of free parameters; all
 // directional derivatives propagate in one evaluation pass. Used to give the
-// optimization layer exact gradients of parameterized hazard probabilities
-// (paper Eqs. 3-6) instead of finite differences.
+// §IV-C.2 sensitivity analysis exact gradients of the cost and of the
+// parameterized hazard probabilities (paper Eqs. 3-6) instead of finite
+// differences. Every value is computed with the same operations as
+// Expr::evaluate, so evaluate_dual(...).value() equals evaluate(...) bitwise.
 #ifndef SAFEOPT_EXPR_DUAL_H
 #define SAFEOPT_EXPR_DUAL_H
 
@@ -113,14 +115,16 @@ inline Dual pow(const Dual& a, double p) {
   return a.chain(std::pow(a.value(), p), p * std::pow(a.value(), p - 1.0));
 }
 
-/// min/max propagate the gradient of the selected branch (a subgradient at
-/// the tie point, where we arbitrarily pick the first argument).
+/// min/max propagate the gradient of the selected branch. They select
+/// exactly as std::min / std::max do (what Expr::evaluate and the tape use):
+/// the first argument at a tie and whenever a comparison involves NaN, so a
+/// NaN first operand propagates.
 inline Dual min(const Dual& a, const Dual& b) {
-  return a.value() <= b.value() ? a : b;
+  return b.value() < a.value() ? b : a;
 }
 
 inline Dual max(const Dual& a, const Dual& b) {
-  return a.value() >= b.value() ? a : b;
+  return a.value() < b.value() ? b : a;
 }
 
 }  // namespace safeopt::expr

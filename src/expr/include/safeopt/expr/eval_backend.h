@@ -75,17 +75,10 @@ class EvalBackend {
   /// Evaluates one block of exactly `width` rows (a supported width).
   /// `points` holds `width` row-major parameter vectors of length `dim`,
   /// `out` receives `width` values; `scratch` was sized by
-  /// CompiledExpr::bind_lanes(scratch, width, ...).
+  /// CompiledExpr::bind_lanes(scratch, width).
   virtual void run_block(const CompiledExpr& expr, const double* points,
                          std::size_t dim, std::size_t width, double* out,
                          CompiledExpr::LaneScratch& scratch) const = 0;
-
-  /// Forward + adjoint sweep over one block: `width` values and `width`
-  /// row-major gradient vectors of length `dim`.
-  virtual void run_block_with_gradients(
-      const CompiledExpr& expr, const double* points, std::size_t dim,
-      std::size_t width, double* values, double* gradients,
-      CompiledExpr::LaneScratch& scratch) const = 0;
 };
 
 /// Process-wide name -> backend table plus the runtime dispatch policy.

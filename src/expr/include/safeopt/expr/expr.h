@@ -5,7 +5,7 @@
 // can be
 //   * evaluated numerically against a ParameterAssignment,
 //   * differentiated exactly (forward-mode autodiff, see dual.h) — which the
-//     gradient-based optimizers of src/opt consume,
+//     §IV-C.2 sensitivity analysis (core/sensitivity.h) consumes,
 //   * printed symbolically for reports, and
 //   * queried for the set of parameters it mentions (used to implement the
 //     paper's footnote 2: each hazard depends only on a subset X_{i,1..n_i}).

@@ -327,8 +327,8 @@ class FunctionNode final : public Node {
   [[nodiscard]] const std::shared_ptr<const Node>& operand() const noexcept {
     return arg_;
   }
-  /// Analytic derivative when provided, otherwise the same central finite
-  /// difference the dual path uses — so tape gradients match tree gradients.
+  /// Analytic derivative when provided, otherwise a central finite
+  /// difference: the chain-rule factor dual() applies.
   [[nodiscard]] double derivative_at(double x) const {
     if (derivative_) return derivative_(x);
     const double h = 1e-6 * std::max(1.0, std::abs(x));

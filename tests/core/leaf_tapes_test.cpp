@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -169,33 +168,6 @@ TEST(LeafTapesTest, HazardBatchIsLaneAndThreadInvariant) {
   compiled.evaluate_batch(
       {.points = points, .values = parallel, .pool = &pool});
   EXPECT_EQ(batch, parallel);
-}
-
-TEST(LeafTapesTest, HazardGradientsMatchSymbolicDual) {
-  const Fig2Fixture f;
-  const expr::CompiledExpr compiled = f.hazard_tape();
-  const expr::Expr symbolic = f.quantification.hazard_expression();
-  const std::vector<std::string> order = {"T1", "T2"};
-  std::vector<double> points;
-  for (const auto& [t1, t2] : kProbePoints) {
-    points.push_back(t1);
-    points.push_back(t2);
-  }
-  const std::size_t rows = kProbePoints.size();
-  std::vector<double> values(rows);
-  std::vector<double> gradients(rows * 2);
-  compiled.evaluate_batch(
-      {.points = points, .values = values, .gradients = gradients});
-  for (std::size_t r = 0; r < rows; ++r) {
-    const ParameterAssignment env{{"T1", points[2 * r]},
-                                  {"T2", points[2 * r + 1]}};
-    const expr::Dual dual = symbolic.evaluate_dual(env, order);
-    EXPECT_EQ(values[r], symbolic.evaluate(env));
-    for (std::size_t i = 0; i < 2; ++i) {
-      const double scale = std::max(1.0, std::abs(dual.grad(i)));
-      EXPECT_NEAR(gradients[r * 2 + i], dual.grad(i), 1e-9 * scale);
-    }
-  }
 }
 
 }  // namespace

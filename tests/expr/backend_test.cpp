@@ -1,7 +1,7 @@
 // The per-backend contract suite for the evaluation-backend registry
 // (eval_backend.h): every registered hardware backend must reproduce the
-// scalar oracle bit for bit at every lane width it supports — values and
-// gradients, whole batches and misaligned splits, serial and pooled — and
+// scalar oracle bit for bit at every lane width it supports — whole
+// batches and misaligned splits, serial and pooled — and
 // the runtime dispatch policy must never select an unavailable backend,
 // degrading explicit requests (BatchRequest pin, process override,
 // SAFEOPT_BACKEND) to the best available kernel with a diagnostic instead
@@ -110,39 +110,6 @@ TEST(BackendParityTest, EveryBackendMatchesScalarOracleBitwise) {
   }
 }
 
-// Gradients ride the same contract: per backend, values and reverse-mode
-// gradients equal the per-point adjoint sweep bit for bit.
-TEST(BackendParityTest, EveryBackendMatchesPerPointGradientsBitwise) {
-  const std::vector<std::string> params = {"a", "b", "c"};
-  const std::vector<const EvalBackend*> backends = available_backends();
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(seed * 92821 + 5);
-    const Expr e = testutil::random_expr(rng, params, 5);
-    const CompiledExpr compiled = CompiledExpr::compile(e, params);
-    const std::size_t rows = 19;  // blocks plus a scalar tail at every width
-    const std::vector<double> points = random_points(rng, rows, 3);
-    for (const EvalBackend* backend : backends) {
-      std::vector<double> values(rows);
-      std::vector<double> gradients(rows * 3);
-      compiled.evaluate_batch({.points = points, .values = values,
-                               .gradients = gradients, .backend = backend});
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::vector<double> grad(3);
-        const double value = compiled.evaluate_with_gradient(
-            std::span<const double>(points).subspan(r * 3, 3), grad);
-        EXPECT_EQ(values[r], value)
-            << "backend " << backend->name() << " seed " << seed << " row "
-            << r;
-        for (std::size_t i = 0; i < 3; ++i) {
-          EXPECT_EQ(gradients[r * 3 + i], grad[i])
-              << "backend " << backend->name() << " seed " << seed << " row "
-              << r << " d/d" << params[i];
-        }
-      }
-    }
-  }
-}
-
 // Split- and thread-invariance per backend: block boundaries and pool fan-
 // out must not change a single bit relative to one serial whole-batch run.
 TEST(BackendParityTest, SplitsAndPoolsAreInvariantPerBackend) {
@@ -236,11 +203,6 @@ class UnavailableBackend final : public EvalBackend {
   }
   void run_block(const CompiledExpr&, const double*, std::size_t, std::size_t,
                  double*, CompiledExpr::LaneScratch&) const override {
-    FAIL() << "dispatch selected an unavailable backend";
-  }
-  void run_block_with_gradients(const CompiledExpr&, const double*,
-                                std::size_t, std::size_t, double*, double*,
-                                CompiledExpr::LaneScratch&) const override {
     FAIL() << "dispatch selected an unavailable backend";
   }
 };

@@ -115,38 +115,6 @@ TEST(CompiledExprTest, MatchesTreeEvaluationOnRandomDags) {
   }
 }
 
-TEST(CompiledExprTest, ReverseGradientAgreesWithForwardDual) {
-  const std::vector<std::string> params = {"a", "b", "c"};
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    Rng rng(seed * 104729 + 3);
-    const Expr e = testutil::random_expr(rng, params, 5);
-    const CompiledExpr compiled = CompiledExpr::compile(e, params);
-    const ParameterAssignment env = testutil::random_assignment(rng, params);
-    const Dual dual = e.evaluate_dual(env, params);
-
-    std::vector<double> gradient(params.size());
-    const double value =
-        compiled.evaluate_with_gradient(values_of(env, params), gradient);
-    EXPECT_EQ(value, e.evaluate(env));
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const double scale = std::max(1.0, std::abs(dual.grad(i)));
-      EXPECT_NEAR(gradient[i], dual.grad(i), 1e-9 * scale)
-          << "seed " << seed << " d/d" << params[i] << ": " << e.to_string();
-    }
-  }
-}
-
-TEST(CompiledExprTest, GradientOfUnmentionedParameterIsZero) {
-  const Expr e = parameter("x") * 3.0;
-  const CompiledExpr compiled = CompiledExpr::compile(e, {"x", "y"});
-  std::vector<double> gradient(2);
-  const double value = compiled.evaluate_with_gradient(
-      std::vector<double>{2.0, 5.0}, gradient);
-  EXPECT_EQ(value, 6.0);
-  EXPECT_EQ(gradient[0], 3.0);
-  EXPECT_EQ(gradient[1], 0.0);
-}
-
 TEST(CompiledExprTest, BatchMatchesScalarEvaluation) {
   const std::vector<std::string> params = {"a", "b"};
   Rng rng(42);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -11,6 +13,8 @@
 
 #include "safeopt/expr/expr.h"
 #include "safeopt/stats/distribution.h"
+#include "safeopt/support/rng.h"
+#include "testutil/random_expr.h"
 
 namespace safeopt::expr {
 namespace {
@@ -89,7 +93,7 @@ TEST_P(AutodiffVsFiniteDifference, GradientsAgree) {
   const std::vector<std::string> wrt{"x", "y"};
   ParameterAssignment env{{"x", c.at[0]}, {"y", c.at[1]}};
   const Dual d = e.evaluate_dual(env, wrt);
-  EXPECT_NEAR(d.value(), e.evaluate(env), 1e-12);
+  EXPECT_EQ(d.value(), e.evaluate(env));
 
   const double h = 1e-6;
   for (std::size_t i = 0; i < wrt.size(); ++i) {
@@ -161,6 +165,48 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GradientCase>& info) {
       return info.param.name;
     });
+
+// A Dual does the same floating-point operations as Expr::evaluate, so its
+// value is the tree walk's bit for bit (two NaNs count as equal).
+TEST(DualExprTest, ValueIsEvaluateOnRandomDags) {
+  const std::vector<std::string> params = {"a", "b", "c"};
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    Rng rng(seed * 104729 + 3);
+    const Expr e = testutil::random_expr(rng, params, 5);
+    const ParameterAssignment env = testutil::random_assignment(rng, params);
+    const double dual = e.evaluate_dual(env, params).value();
+    const double tree = e.evaluate(env);
+    if (std::isnan(tree)) {
+      EXPECT_TRUE(std::isnan(dual)) << "seed " << seed << ": " << e.to_string();
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dual),
+                std::bit_cast<std::uint64_t>(tree))
+          << "seed " << seed << ": " << e.to_string();
+    }
+  }
+}
+
+// min/max select as std::min / std::max do, so a NaN operand reaches the
+// result exactly when it does in Expr::evaluate and the tape.
+TEST(DualExprTest, MinMaxPropagateNaNAsEvaluateDoes) {
+  const std::vector<std::string> wrt{"x", "y"};
+  const ParameterAssignment env{{"x", -1.0}, {"y", 2.0}};
+  const Expr x = parameter("x");
+  const Expr y = parameter("y");
+  for (const Expr& e : {min(sqrt(x), y), max(sqrt(x), y), min(y, sqrt(x)),
+                        max(y, sqrt(x))}) {
+    const double tree = e.evaluate(env);
+    const Dual d = e.evaluate_dual(env, wrt);
+    EXPECT_EQ(std::isnan(d.value()), std::isnan(tree)) << e.to_string();
+    if (!std::isnan(tree)) {
+      EXPECT_EQ(d.value(), tree) << e.to_string();
+    }
+  }
+  const Dual lo = min(sqrt(x), y).evaluate_dual(env, wrt);
+  EXPECT_TRUE(std::isnan(lo.value()));
+  // The sqrt branch is selected (its gradient is NaN too), not y's (1).
+  EXPECT_TRUE(std::isnan(lo.grad(1)));
+}
 
 TEST(DualExprTest, ParametersNotInWrtAreConstants) {
   const Expr e = parameter("x") * parameter("z");

@@ -1,9 +1,9 @@
 // Test-only helper: deterministic random expression-DAG generation for the
-// compiled-tape property tests (tape vs tree equivalence, reverse-mode vs
-// forward-mode gradients). Generated expressions are domain-safe by
-// construction — arguments of log/sqrt/div/pow are clamped into strictly
-// positive ranges and exp arguments are bounded — so evaluation never
-// produces NaN/inf for parameter values in [0.25, 4].
+// expression property tests (tape vs tree equivalence, Dual value vs tree
+// value). Generated expressions are domain-safe by construction — arguments
+// of log/sqrt/div/pow are clamped into strictly positive ranges and exp
+// arguments are bounded — so evaluation never produces NaN/inf for
+// parameter values in [0.25, 4].
 #ifndef SAFEOPT_TESTS_TESTUTIL_RANDOM_EXPR_H
 #define SAFEOPT_TESTS_TESTUTIL_RANDOM_EXPR_H
 
