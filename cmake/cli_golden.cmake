@@ -1,7 +1,5 @@
-# Front-door golden check: runs `safeopt <COMMAND> <MODEL> --json --backend
-# generic` from SOURCE_DIR and compares its stdout byte for byte with
-# GOLDEN. The backend is pinned because the JSON names it; every backend
-# produces the same bits, so the pin hides nothing numeric.
+# Front-door golden check: runs `safeopt <COMMAND> <MODEL> --json` from
+# SOURCE_DIR and compares its stdout byte for byte with GOLDEN.
 #
 #   cmake -DCLI=<safeopt> -DCOMMAND=run -DMODEL=examples/models/x.ft
 #         -DGOLDEN=<file> -DSOURCE_DIR=<repo> -P cmake/cli_golden.cmake
@@ -15,7 +13,7 @@ foreach(var CLI COMMAND MODEL GOLDEN SOURCE_DIR)
 endforeach()
 
 execute_process(
-  COMMAND "${CLI}" "${COMMAND}" "${MODEL}" --json --backend generic
+  COMMAND "${CLI}" "${COMMAND}" "${MODEL}" --json
   WORKING_DIRECTORY "${SOURCE_DIR}"
   OUTPUT_VARIABLE actual
   ERROR_VARIABLE errors

@@ -228,7 +228,7 @@ class BddManager {
   std::size_t ite_mask_ = 0;
   std::size_t node_budget_ = 0;               // decision nodes; 0 = unlimited
   const ExecutionControl* control_ = nullptr;  // not owned
-  mutable BddStatistics stats_;
+  BddStatistics stats_;
 };
 
 /// A fault tree compiled to a BDD: the manager, the root function, and the

@@ -90,13 +90,6 @@ struct QuantificationResult {
   /// "engine \"bdd\" degraded to \"mc_adaptive\" ..." record. Empty in the
   /// happy path; surfaced verbatim by `safeopt quantify --json`.
   std::vector<std::string> diagnostics;
-  /// The expr::EvalBackend that evaluated the compiled tapes (e.g.
-  /// "generic", "avx2"), so perf numbers are attributable to a backend.
-  /// Structured on purpose: diagnostics stay "something went wrong" (the
-  /// serve cache refuses to store results that carry any), while the
-  /// backend name is routine attribution present on every Study result.
-  /// Empty when quantification never touched a compiled tape.
-  std::string backend;
 
   /// CI half-width, the adaptive stopping quantity; 0 without a ci95.
   [[nodiscard]] double halfwidth() const noexcept {
@@ -150,7 +143,7 @@ struct EngineConfig {
   std::size_t bdd_node_budget = 0;
   /// Wall-clock budget in milliseconds for each expensive engine operation:
   /// compilation at engine construction (bdd: the prep pipeline and the
-  /// diagrams; fta's MOCUS is not polled) and each quantify() call
+  /// diagrams; fta: MOCUS) and each quantify() call
   /// (mc/mc_adaptive, which abort with the last completed round's partial
   /// result instead of throwing). 0 = none (document/CLI option
   /// `deadline_ms`). Chained under the caller's
@@ -164,12 +157,6 @@ struct EngineConfig {
   /// fail hard (document/CLI option `fallback`, e.g. `fallback =
   /// mc_adaptive`).
   std::string fallback;
-  /// Evaluation backend for the compiled expression tapes (document/CLI
-  /// option `backend`, e.g. `backend = avx2`): a expr::BackendRegistry name,
-  /// or empty/"auto" for runtime dispatch. A registered-but-unavailable
-  /// name degrades to the best available backend at resolve time with a
-  /// diagnostic (never an error): the same document runs on any host.
-  std::string backend;
 
   /// The BddOptions slice of this config (the bdd engine's per-module
   /// compilation argument).

@@ -247,8 +247,6 @@ class Study {
                                               std::string_view name,
                                               const EngineConfig& config,
                                               const ExecutionControl* control);
-  /// Sets backend_name_/backend_note_ from engine_config_.backend.
-  void resolve_backend();
 
   std::shared_ptr<const OwnedModel> owned_;
   CostModel model_;
@@ -258,11 +256,6 @@ class Study {
   opt::SolverConfig solver_config_;
   std::string engine_name_ = "fta";
   EngineConfig engine_config_;
-  // The evaluation backend `engine_config_.backend` resolves to, stamped on
-  // every result's `backend` field; when the request degraded, the note is
-  // replayed into result diagnostics.
-  std::string backend_name_;
-  std::string backend_note_;
   opt::ProgressObserver observer_;
   std::vector<TreeHazard> tree_hazards_;
 };

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "safeopt/expr/compiled.h"
-#include "safeopt/expr/eval_backend.h"
 #include "safeopt/support/contracts.h"
 #include "safeopt/support/options.h"
 #include "safeopt/support/strings.h"
@@ -140,8 +139,9 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
       .doc = "bdd: per-module cap on the ITE cache entries (power of two)"},
      &set_field<&EngineConfig::bdd_cache_size>},
     {{.name = "deadline_ms", .kind = OptionKind::kCount, .min = 0,
-      .doc = "wall-clock deadline in milliseconds (0 = none): bounds bdd "
-             "construction and each mc/mc_adaptive quantify call"},
+      .doc = "wall-clock deadline in milliseconds (0 = none): bounds fta "
+             "MOCUS, bdd construction and each mc/mc_adaptive quantify "
+             "call"},
      &set_field<&EngineConfig::deadline_ms>},
     {{.name = "bdd_node_budget", .kind = OptionKind::kCount, .min = 0,
       .doc = "bdd: decision-node cap over all modules (0 = unlimited); "
@@ -163,25 +163,6 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
              join(EngineRegistry::available(), ", "), ", or none"));
        }
        config.fallback = value.text;
-     }},
-    {{.name = "backend", .kind = OptionKind::kEnum,
-      .doc = "compiled-tape evaluation backend (a registered backend name, "
-             "or auto for runtime dispatch); unavailable backends degrade "
-             "with a diagnostic"},
-     [](EngineConfig& config, const ftio::OptionValue& value, double) {
-       if (value.text == "auto") {
-         config.backend.clear();
-         return;
-       }
-       // Typos are errors; an *unavailable* registered backend is not — it
-       // degrades at resolve time so one document runs on every host.
-       if (expr::BackendRegistry::find(value.text) == nullptr) {
-         throw std::invalid_argument(concat(
-             "engine option \"backend\" names unknown backend \"",
-             value.text, "\"; registered: ",
-             join(expr::BackendRegistry::registered(), ", "), ", or auto"));
-       }
-       config.backend = value.text;
      }},
 };
 
@@ -331,7 +312,6 @@ Study::Study(CostModel model, ParameterSpace space)
   // Compiled here, once, and shared by copies: every run() reuses this tape
   // and nothing is built later.
   problem_ = std::make_shared<const opt::Problem>(make_problem(cost, space_));
-  resolve_backend();
 }
 
 Study Study::from_document(const ftio::StudyDocument& document,
@@ -414,7 +394,6 @@ Study Study::from_document(const ftio::StudyDocument& document,
   }
   std::tie(study.engine_name_, study.engine_config_) =
       document_engine_selection(document, overrides);
-  study.resolve_backend();
   // Trees attach after the final engine selection, so every engine is
   // built exactly once, under the caller's control.
   for (std::size_t i = 0; i < document.hazards.size(); ++i) {
@@ -451,7 +430,6 @@ Study& Study::engine(std::string name, EngineConfig config) {
   }
   engine_name_ = std::move(name);
   engine_config_ = std::move(config);
-  resolve_backend();
   tree_hazards_ = std::move(rebuilt);
   return *this;
 }
@@ -478,15 +456,6 @@ Study::TreeHazard Study::with_engine(TreeHazard entry, std::string_view name,
   entry.engine = create_engine_with_fallback(name, *entry.tree, config,
                                              &entry.degradation, control);
   return entry;
-}
-
-void Study::resolve_backend() {
-  // Unavailable hardware is a note, not an error (same policy as engine
-  // degradation).
-  expr::BackendRegistry::Selection selection =
-      expr::BackendRegistry::resolve(engine_config_.backend);
-  backend_name_ = std::string(selection.backend->name());
-  backend_note_ = std::move(selection.diagnostic);
 }
 
 SafetyOptimizationResult Study::run(const ExecutionControl* control) const {
@@ -563,8 +532,6 @@ QuantificationResult Study::quantify(
     if (!entry.degradation.empty()) {
       result.diagnostics.push_back(entry.degradation);
     }
-    if (!backend_note_.empty()) result.diagnostics.push_back(backend_note_);
-    result.backend = backend_name_;
     return result;
   }
   throw std::invalid_argument(

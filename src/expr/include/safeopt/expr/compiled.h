@@ -19,17 +19,18 @@
 //   batch     — evaluate_batch(BatchRequest): many parameter vectors in one
 //               call. The request names everything about the evaluation in
 //               one struct — points, values, lane width, thread pool, and
-//               the hardware backend — so every caller, from opt::Problem to
-//               the sweep tables to `safeopt serve`, hops backends through
-//               a single call shape. Batches run on lane-blocked
+//               the hardware backend — so every batch caller, from
+//               opt::Problem to the sweep tables, shares a single call
+//               shape. Batches run on lane-blocked
 //               structure-of-arrays kernels: L points advance through every
 //               instruction together, so interpreter dispatch amortizes
 //               L-fold. *Which* kernel runs is an expr::EvalBackend picked
 //               from the BackendRegistry ("generic" is the portable
-//               interpreter; "avx2" is an explicit intrinsic kernel),
-//               selected at runtime by CPUID dispatch unless the
-//               request, the SAFEOPT_BACKEND env var, or the --backend CLI
-//               override pins one. The scalar loop remains the tail
+//               interpreter; "avx2" is an explicit intrinsic kernel): one
+//               per process, by CPUID dispatch unless the SAFEOPT_BACKEND
+//               env var or the --backend CLI override pins one (a request
+//               may name its own, as tests and benches do). The scalar
+//               loop — evaluate() runs no backend — remains the tail
 //               handler, the lane_width == 1 path, and the bitwise-identity
 //               oracle on every backend.
 //

@@ -1,12 +1,14 @@
 // The hardware backend seam of the batch evaluator.
 //
-// Every layer above expr — opt::Problem batch closures, the engines'
-// compiled quantification, sweeps, DE populations, the service — funnels
-// through CompiledExpr::evaluate_batch(BatchRequest). This header is the
-// seam those requests cross: an `EvalBackend` is one implementation of the
-// lane-block kernels (the per-instruction loops over L points), and the
-// `BackendRegistry` is the name -> backend table that runtime dispatch
-// picks from. Two backends are built in:
+// Every batch above expr — opt::Problem batch closures (grid rounds, DE
+// populations, tabulated surfaces) and environment sweeps — funnels
+// through CompiledExpr::evaluate_batch(BatchRequest); scalar evaluation
+// (the solvers' per-point objective, the leaf tapes every quantification
+// reads) runs no backend. This header is the seam those batches cross:
+// an `EvalBackend` is one implementation of the lane-block kernels (the
+// per-instruction loops over L points), and the `BackendRegistry` is the
+// name -> backend table that runtime dispatch picks from. Two backends are
+// built in:
 //
 //   "generic"  the portable lane-blocked interpreter (compiled.cpp) — the
 //              bitwise oracle every other backend is tested against
@@ -16,12 +18,16 @@
 // fastest on at least one of bench_compiled_eval's two tapes: the Fig. 5
 // surface and a study document's cost tape at scattered points.
 //
+// The backend is a property of the process, not of a study or a result.
 // Dispatch picks the highest-priority backend whose `available()` CPUID
-// probe passes; `SAFEOPT_BACKEND`, the `--backend` CLI flag (a process-wide
-// override) or an explicit BatchRequest::backend pointer pin a specific
-// one. A requested backend that is unknown or unavailable on this CPU
+// probe passes; `SAFEOPT_BACKEND` or the `--backend` CLI flag (a
+// process-wide override) pin a specific one, and an explicit
+// BatchRequest::backend pointer pins one for a single batch (tests,
+// benches). A requested backend that is unknown or unavailable on this CPU
 // *degrades* to the best available backend with a recorded diagnostic —
-// never a crash, and dispatch never selects an unavailable backend.
+// never a crash, and dispatch never selects an unavailable backend. The
+// CLI and `safeopt serve` print that diagnostic once at startup;
+// `safeopt backends` and serve's `/v1/stats` report the pick.
 //
 // The contract a backend must keep (docs/extending.md "Adding an
 // evaluation backend"): for every supported lane width, every batch split

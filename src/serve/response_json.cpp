@@ -70,9 +70,6 @@ std::string render_hazard_results(const HazardResults& results) {
       append_string_array(out, result.diagnostics);
       out += "]";
     }
-    if (!result.backend.empty()) {
-      out += concat(", \"backend\": \"", json_escape(result.backend), "\"");
-    }
     if (result.preprocess.has_value()) {
       const core::PreprocessSummary& pre = *result.preprocess;
       out += concat(", \"preprocess\": {\"modules\": ",

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "safeopt/core/study.h"
-#include "safeopt/expr/eval_backend.h"
 #include "safeopt/ftio/study_document.h"
 #include "safeopt/opt/solver.h"
 #include "safeopt/support/strings.h"
@@ -235,28 +234,21 @@ TEST(StudyDocumentTest, RejectsUnknownSolverAndEngine) {
                std::invalid_argument);
 }
 
-// "avx512" is no longer a backend (it never beat avx2 in
-// bench_compiled_eval); in a document it is an unknown name like any typo,
-// rejected with the registered list.
-TEST(StudyDocumentTest, RejectsAnUnregisteredBackendWithTheRegisteredList) {
-  const std::string registered =
-      join(expr::BackendRegistry::registered(), ", ");
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  EXPECT_EQ(registered, "generic, avx2");
-#endif
+// The batch backend is a property of the process (--backend,
+// SAFEOPT_BACKEND, CPUID dispatch), not of a study: a document that names
+// it gets the schema's unknown-option diagnostic like any typo.
+TEST(StudyDocumentTest, BackendIsNotAnEngineOption) {
   const std::string text =
       "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.1 * X;\n"
-      "hazard fault-tree cost = 1;\nengine fta backend = avx512;\n";
+      "hazard fault-tree cost = 1;\nengine fta backend = generic;\n";
   try {
     (void)Study::from_document(ftio::parse_study(text));
-    FAIL() << "backend = avx512 was accepted";
+    FAIL() << "backend = generic was accepted";
   } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("unknown backend \"avx512\""), std::string::npos)
-        << message;
-    EXPECT_NE(message.find(concat("registered: ", registered, ", or auto")),
+    EXPECT_NE(std::string(error.what())
+                  .find("unknown engine option \"backend\""),
               std::string::npos)
-        << message;
+        << error.what();
   }
 }
 
@@ -516,6 +508,7 @@ TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
   EXPECT_EQ(type_of("ordering"), "enum");
   EXPECT_EQ(type_of("table_size"), "count");
   EXPECT_EQ(type_of("cache_size"), "count");
+  EXPECT_EQ(type_of("backend"), "");
 }
 
 TEST(StudyDocumentTest, SolverOptionsMapOntoTypedConfigFields) {

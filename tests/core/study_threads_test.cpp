@@ -73,7 +73,6 @@ void expect_same_bits(const QuantificationResult& a,
   }
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.diagnostics, b.diagnostics);
-  EXPECT_EQ(a.backend, b.backend);
 }
 
 TEST(StudyThreadsTest, ConstStudyQuantifiesFromFourThreadsLikeASerialRun) {

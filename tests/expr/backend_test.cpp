@@ -253,6 +253,10 @@ TEST(BackendRegistryTest, RemovedAvx512NameDegradesFromEveryProcessLayer) {
   ::unsetenv("SAFEOPT_BACKEND");
   BackendRegistry::refresh_environment();
   EXPECT_EQ(BackendRegistry::find("avx512"), nullptr);
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  EXPECT_EQ(BackendRegistry::registered(),
+            (std::vector<std::string>{"generic", "avx2"}));
+#endif
   const EvalBackend* best = &BackendRegistry::active();
 
   BackendRegistry::set_override("avx512");

@@ -10,8 +10,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "safeopt/expr/eval_backend.h"
 #include "safeopt/serve/analysis_graph.h"
 #include "safeopt/support/error.h"
 #include "safeopt/support/execution.h"
@@ -44,6 +46,39 @@ TEST(AnalysisGraphTest, RepeatedQuantifyHitsEveryPass) {
   EXPECT_EQ(stats.passes.at("compile").hits, 1u);
   EXPECT_EQ(stats.passes.at("quantify").misses, 1u);
   EXPECT_EQ(stats.passes.at("quantify").hits, 1u);
+}
+
+/// Sets the process-wide backend override for one scope and restores the
+/// previous one on exit (the whole suite shares one registry).
+class BackendOverride {
+ public:
+  explicit BackendOverride(std::string name)
+      : previous_(expr::BackendRegistry::override_name()) {
+    expr::BackendRegistry::set_override(std::move(name));
+  }
+  ~BackendOverride() { expr::BackendRegistry::set_override(previous_); }
+  BackendOverride(const BackendOverride&) = delete;
+  BackendOverride& operator=(const BackendOverride&) = delete;
+
+ private:
+  std::string previous_;
+};
+
+TEST(AnalysisGraphTest, ADegradedProcessBackendStillCachesQuantify) {
+  // A degraded backend request is a fact of the process, reported once at
+  // startup; it leaves no note on the results, so they stay reusable.
+  AnalysisGraph plain_graph(1 << 20);
+  const std::string plain =
+      plain_graph.quantify(kDoc, options_named("m"), nullptr);
+
+  const BackendOverride degraded("no-such-backend");
+  ASSERT_FALSE(expr::BackendRegistry::resolve({}).diagnostic.empty());
+  AnalysisGraph graph(1 << 20);
+  const std::string first = graph.quantify(kDoc, options_named("m"), nullptr);
+  const std::string second = graph.quantify(kDoc, options_named("m"), nullptr);
+  EXPECT_EQ(first, plain);
+  EXPECT_EQ(second, plain);
+  EXPECT_EQ(graph.cache_stats().passes.at("quantify").hits, 1u);
 }
 
 TEST(AnalysisGraphTest, CanonicalVariantsShareCompiledArtifacts) {

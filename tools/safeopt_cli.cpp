@@ -228,12 +228,7 @@ void print_hazard_results_text(const HazardResults& results,
         std::printf(" [budget exhausted]");
       }
     }
-    if (result.backend.empty()) {
-      std::printf("   (engine %s)\n", std::string(engine_name).c_str());
-    } else {
-      std::printf("   (engine %s, backend %s)\n",
-                  std::string(engine_name).c_str(), result.backend.c_str());
-    }
+    std::printf("   (engine %s)\n", std::string(engine_name).c_str());
     for (const std::string& diagnostic : result.diagnostics) {
       std::printf("    note: %s\n", diagnostic.c_str());
     }
@@ -405,6 +400,14 @@ int run_optimize(const ftio::StudyDocument& doc, const Options& options) {
   return 0;
 }
 
+/// The batch backend is chosen once per process (BackendRegistry::resolve):
+/// a --backend or SAFEOPT_BACKEND naming an unknown or unavailable backend
+/// degrades to the best available one, and this is its one report.
+void report_backend_degradation() {
+  const std::string note = expr::BackendRegistry::resolve({}).diagnostic;
+  if (!note.empty()) std::fprintf(stderr, "safeopt: note: %s\n", note.c_str());
+}
+
 // ----------------------------------------------------------------- serve
 
 volatile std::sig_atomic_t g_stop_requested = 0;
@@ -478,6 +481,7 @@ int run_serve(int argc, char** argv) {
                                          "\""));
     }
   }
+  report_backend_degradation();
   serve::Server server(options);
   server.start();
   std::printf("safeopt serve listening on 127.0.0.1:%u\n",
@@ -633,10 +637,11 @@ int main(int argc, char** argv) {
     if (options->backend.has_value()) {
       // A process-wide override, one layer below an explicit per-request
       // backend and one above SAFEOPT_BACKEND (see BackendRegistry::
-      // resolve). Unknown/unavailable names degrade with a diagnostic in
-      // the results rather than failing the run.
+      // resolve). Unknown/unavailable names degrade rather than failing
+      // the run.
       expr::BackendRegistry::set_override(*options->backend);
     }
+    report_backend_degradation();
     type_evaluation_point(*options);
     const ftio::StudyDocument doc = ftio::load_study(options->model);
     if (options->command == "validate") {
