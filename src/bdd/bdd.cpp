@@ -274,53 +274,24 @@ BddRef BddManager::node_high(BddRef f) const {
 
 namespace {
 
-/// Leaf -> BDD-variable maps. kDfs numbers leaves by DFS first-visit order
-/// (keeps structurally related variables adjacent); kWeight visits every
-/// gate's children smallest-subtree-first, clustering small cones at low
-/// indices before wide subtrees spread out.
+/// Leaf -> BDD-variable maps, numbered by DFS first-visit order from the
+/// top (keeps structurally related variables adjacent).
 struct VariableOrder {
   std::vector<std::uint32_t> var_of_basic;      // by basic-event ordinal
   std::vector<std::uint32_t> var_of_condition;  // by condition ordinal
   std::uint32_t count = 0;
 };
 
-/// Subtree leaf count per node (DAG-shared subtrees weigh once per
-/// reference), the kWeight visit key.
-std::vector<std::size_t> subtree_weights(const fta::GateGraph& graph) {
-  std::vector<std::size_t> weight(graph.nodes.size(), 0);
-  const auto visit = [&](auto&& self, std::uint32_t id) -> std::size_t {
-    if (weight[id] != 0) return weight[id];
-    std::size_t w = 1;
-    if (graph.nodes[id].kind == fta::NodeKind::kGate) {
-      w = 0;
-      for (const std::uint32_t child : graph.children_of(id)) {
-        w += self(self, child);
-      }
-      w = std::max<std::size_t>(w, 1);
-    }
-    weight[id] = w;
-    return w;
-  };
-  (void)visit(visit, graph.top);
-  return weight;
-}
-
-VariableOrder ordered_variables(const fta::GateGraph& graph,
-                                VariableOrdering ordering) {
+VariableOrder ordered_variables(const fta::GateGraph& graph) {
   VariableOrder order;
   order.var_of_basic.assign(graph.basic_event_count, UINT32_MAX);
   order.var_of_condition.assign(graph.condition_count, UINT32_MAX);
-  std::vector<std::size_t> weight;
-  if (ordering == VariableOrdering::kWeight) weight = subtree_weights(graph);
   // First-visit semantics: re-entering a gate through a second parent can
   // only reach leaves that are already numbered, so shared gates are pruned
   // after one expansion. Without this the traversal walks every *path*
   // through the DAG — combinatorial on heavily shared graphs like a
   // normalized k-of-n network.
   std::vector<bool> expanded(graph.nodes.size(), false);
-  // kWeight's sorted visit lists, innermost gate last; read by index, since
-  // the recursion grows the vector.
-  std::vector<std::uint32_t> by_weight;
   const auto visit = [&](auto&& self, std::uint32_t id) -> void {
     const fta::GateGraph::Node& node = graph.nodes[id];
     switch (node.kind) {
@@ -337,21 +308,8 @@ VariableOrder ordered_variables(const fta::GateGraph& graph,
       case fta::NodeKind::kGate: {
         if (expanded[id]) break;
         expanded[id] = true;
-        const std::span<const std::uint32_t> children = graph.children_of(id);
-        if (ordering == VariableOrdering::kWeight) {
-          const std::size_t base = by_weight.size();
-          by_weight.insert(by_weight.end(), children.begin(), children.end());
-          std::stable_sort(by_weight.begin() + static_cast<std::ptrdiff_t>(base),
-                           by_weight.end(),
-                           [&](std::uint32_t a, std::uint32_t b) {
-                             return weight[a] < weight[b];
-                           });
-          for (std::size_t i = base; i < base + children.size(); ++i) {
-            self(self, by_weight[i]);
-          }
-          by_weight.resize(base);
-        } else {
-          for (const std::uint32_t child : children) self(self, child);
+        for (const std::uint32_t child : graph.children_of(id)) {
+          self(self, child);
         }
         break;
       }
@@ -402,7 +360,7 @@ double CompiledFaultTree::probability(
 CompiledFaultTree compile(const fta::GateGraph& graph,
                           const BddOptions& options) {
   SAFEOPT_EXPECTS(graph.top < graph.nodes.size());
-  VariableOrder order = ordered_variables(graph, options.ordering);
+  VariableOrder order = ordered_variables(graph);
   CompiledFaultTree compiled{BddManager(order.count, options), kFalse,
                              graph.basic_event_count, graph.condition_count,
                              std::move(order.var_of_basic),

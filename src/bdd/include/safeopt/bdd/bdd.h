@@ -45,27 +45,8 @@ using BddRef = std::uint32_t;
 inline constexpr BddRef kFalse = 0;
 inline constexpr BddRef kTrue = 1;
 
-/// How compile() numbers the tree's leaves as BDD variables. The order is
-/// the single biggest lever on BDD size; both heuristics are structural
-/// (no dynamic reordering), so compilation stays deterministic.
-enum class VariableOrdering : std::uint8_t {
-  /// DFS first-visit order from the top event — keeps structurally related
-  /// leaves adjacent (the classical default; bounds growth on
-  /// series-parallel trees).
-  kDfs,
-  /// Weight-guided DFS: at every gate the children are *visited* in
-  /// ascending subtree-leaf-count order (smallest cone first), so tightly
-  /// coupled small clusters get contiguous low variable indices before wide
-  /// subtrees spread out. Gate compilation order is unchanged — only the
-  /// variable numbering moves.
-  kWeight,
-};
-
 /// Tuning knobs for one BddManager / one compile() call.
 struct BddOptions {
-  /// Leaf -> variable numbering used by compile(). Ignored by a raw
-  /// BddManager (its callers assign variables themselves).
-  VariableOrdering ordering = VariableOrdering::kDfs;
   /// Slots reserved up front in the unique (hash-consing) table, an
   /// open-addressing table kept at most half full; rounded up to a power
   /// of two (at least 16). Sized to the expected node count it avoids
@@ -121,8 +102,7 @@ class BddManager {
   /// Delegates to the BddOptions overload with default geometry.
   explicit BddManager(std::uint32_t variable_count);
 
-  /// Creates a manager with explicit table/cache geometry. `options.ordering`
-  /// is compile()'s concern and ignored here.
+  /// Creates a manager with explicit table/cache geometry.
   BddManager(std::uint32_t variable_count, const BddOptions& options);
 
   [[nodiscard]] std::uint32_t variable_count() const noexcept {
@@ -232,8 +212,8 @@ class BddManager {
 };
 
 /// A fault tree compiled to a BDD: the manager, the root function, and the
-/// mapping from tree leaves to BDD variables (assigned by the compile-time
-/// VariableOrdering heuristic).
+/// mapping from tree leaves to BDD variables (DFS first-visit order from the
+/// top event).
 struct CompiledFaultTree {
   BddManager manager;
   BddRef root = kFalse;
@@ -250,9 +230,12 @@ struct CompiledFaultTree {
       const fta::QuantificationInput& input) const;
 };
 
-/// Compiles the graph bottom-up from `graph.top` under `options` (variable
-/// ordering heuristic, table/cache geometry). XOR gates compile exactly
-/// (true XOR, not the coherent hull).
+/// Compiles the graph bottom-up from `graph.top` under `options`
+/// (table/cache geometry, node budget, control). Leaves are numbered as BDD
+/// variables in DFS first-visit order from the top event, which keeps
+/// structurally related leaves adjacent; the order is structural (no
+/// dynamic reordering), so compilation is deterministic. XOR gates compile
+/// exactly (true XOR, not the coherent hull).
 [[nodiscard]] CompiledFaultTree compile(const fta::GateGraph& graph,
                                         const BddOptions& options = {});
 

@@ -5,11 +5,12 @@
 // minimal cut sets is "the" formula, but §II-C notes the bounds involved and
 // the validation story (BDD Shannon decomposition is exact, Monte Carlo
 // sampling checks the independence assumptions). `QuantificationEngine`
-// makes that exchangeability a first-class API: every engine consumes the
-// same numeric `fta::QuantificationInput` (produced on the compiled-tape hot
-// path by `LeafTapes::input_at`) and reports a `QuantificationResult`, so
-// callers — `core::Study`, cross-validation benches, future sharded
-// backends — can pick a backend by name at runtime:
+// makes that exchangeability a first-class API with one call,
+// `quantify(input, control)`: every engine consumes the same numeric
+// `fta::QuantificationInput` (produced on the compiled-tape hot path by
+// `LeafTapes::input_at`) and reports a `QuantificationResult`, so callers —
+// `core::Study`, `safeopt serve`, cross-validation benches — pick a backend
+// by name at runtime:
 //
 //   "fta"         cut-set engine (rare-event / min-cut upper bound /
 //                 inclusion-exclusion; importance measures supported)
@@ -129,13 +130,6 @@ struct EngineConfig {
   static constexpr bool modularize = prep::PreprocessOptions{}.modularize;
   static constexpr std::size_t module_min_leaves =
       prep::PreprocessOptions{}.module_min_leaves;
-  /// bdd engine: structural variable-ordering heuristic for compilation.
-  bdd::VariableOrdering ordering = bdd::VariableOrdering::kDfs;
-  /// bdd engine: per-module caps on the unique-table buckets reserved up
-  /// front and the direct-mapped ITE cache entries (rounded up to a power of
-  /// two); each module's manager is sized to its own tree within them.
-  std::size_t bdd_table_size = 1u << 12;
-  std::size_t bdd_cache_size = 1u << 16;
   /// bdd engine: maximum unique decision nodes, summed over every module's
   /// diagram, before compilation aborts with Error(kResourceExhausted) — the
   /// admission control that keeps a pathological tree from eating the
@@ -158,13 +152,14 @@ struct EngineConfig {
   /// mc_adaptive`).
   std::string fallback;
 
-  /// The BddOptions slice of this config (the bdd engine's per-module
-  /// compilation argument).
+  /// The BddOptions the bdd engine compiles each module with: the default
+  /// table and cache geometry (each module's manager is sized to its own
+  /// tree within those caps) and `bdd_node_budget`.
   /// BddOptions::control is wired separately by the engine: it points at a
   /// per-construction control derived from `deadline_ms` and the caller's
   /// construction control.
   [[nodiscard]] bdd::BddOptions bdd_options() const noexcept {
-    bdd::BddOptions options{ordering, bdd_table_size, bdd_cache_size};
+    bdd::BddOptions options;
     options.node_budget = bdd_node_budget;
     return options;
   }
@@ -173,29 +168,21 @@ struct EngineConfig {
 /// One quantification backend bound to one fault tree. Construction does the
 /// per-tree work exactly once (MOCUS, BDD compilation) under the factory's
 /// control; quantify() is then a const per-point evaluation sharing that
-/// work. Engines are immutable after construction: quantify() and
-/// quantify_batch() are thread-safe, keep all scratch state per call, and
-/// take the caller's deadline/cancellation control per call. No engine
-/// keeps a control pointer after its constructor returns.
+/// work. Engines are immutable after construction: quantify() is
+/// thread-safe, keeps all scratch state per call, and takes the caller's
+/// deadline/cancellation control per call. No engine keeps a control
+/// pointer after its constructor returns.
 class QuantificationEngine {
  public:
   virtual ~QuantificationEngine() = default;
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual const fta::FaultTree& tree() const noexcept = 0;
-
-  /// P(top event) under `input`. Precondition: input.is_valid_for(tree()).
-  /// `control` (not owned, nullptr = unbounded) bounds this call only;
-  /// engines whose quantify() is per-point arithmetic ignore it.
+  /// P(top event) under `input`. Precondition: input.is_valid_for(tree),
+  /// the tree the engine was created over. `control` (not owned, nullptr =
+  /// unbounded) bounds this call only; engines whose quantify() is
+  /// per-point arithmetic ignore it.
   [[nodiscard]] virtual QuantificationResult quantify(
       const fta::QuantificationInput& input,
       const ExecutionControl* control = nullptr) const = 0;
-
-  /// Quantifies many inputs. The base implementation is a serial loop;
-  /// engines with a real batched path (the Monte Carlo engines) override it.
-  [[nodiscard]] virtual std::vector<QuantificationResult> quantify_batch(
-      const std::vector<fta::QuantificationInput>& inputs,
-      const ExecutionControl* control = nullptr) const;
 
  protected:
   QuantificationEngine() = default;

@@ -14,17 +14,6 @@
 
 namespace safeopt::core {
 
-std::vector<QuantificationResult> QuantificationEngine::quantify_batch(
-    const std::vector<fta::QuantificationInput>& inputs,
-    const ExecutionControl* control) const {
-  std::vector<QuantificationResult> results;
-  results.reserve(inputs.size());
-  for (const fta::QuantificationInput& input : inputs) {
-    results.push_back(quantify(input, control));
-  }
-  return results;
-}
-
 namespace {
 
 /// Fills `storage` with a per-operation control — a fresh deadline derived
@@ -81,13 +70,6 @@ class CutSetEngine final : public QuantificationEngine {
     }
   }
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "fta";
-  }
-  [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
-    return tree_;
-  }
-
   [[nodiscard]] QuantificationResult quantify(
       const fta::QuantificationInput& input,
       const ExecutionControl* /*control*/ = nullptr) const override {
@@ -129,13 +111,6 @@ class BddEngine final : public QuantificationEngine {
                                                 control)),
                   config, control) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "bdd";
-  }
-  [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
-    return tree_;
-  }
-
   [[nodiscard]] QuantificationResult quantify(
       const fta::QuantificationInput& input,
       const ExecutionControl* /*control*/ = nullptr) const override {
@@ -168,63 +143,34 @@ class BddEngine final : public QuantificationEngine {
 /// Deterministic and thread-count-invariant for a fixed config seed.
 class AdaptiveMonteCarloEngine final : public QuantificationEngine {
  public:
-  AdaptiveMonteCarloEngine(std::string_view name, const fta::FaultTree& tree,
+  AdaptiveMonteCarloEngine(const fta::FaultTree& tree,
                            const mc::AdaptiveOptions& options,
                            std::uint64_t deadline_ms)
-      : name_(name),
-        tree_(tree),
-        sampler_(options),
-        deadline_ms_(deadline_ms) {}
+      : tree_(tree), sampler_(options), deadline_ms_(deadline_ms) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
-  [[nodiscard]] const fta::FaultTree& tree() const noexcept override {
-    return tree_;
-  }
-
+  /// The sampling loop is this engine's expensive phase, so `deadline_ms`
+  /// is a *per-call* budget: each call derives a fresh deadline (chained to
+  /// the call's `control`) and an expired one flags `aborted` on the
+  /// partial result rather than throwing.
   [[nodiscard]] QuantificationResult quantify(
       const fta::QuantificationInput& input,
       const ExecutionControl* control = nullptr) const override {
-    SAFEOPT_EXPECTS(input.is_valid_for(tree_));
-    return quantify_batch({input}, control).front();
-  }
-
-  /// Real batched path: one super-round scheduler drives every input, so
-  /// slow (rare-event) inputs keep the pool busy after easy ones converge.
-  /// Entries are bitwise-identical to the serial quantify() loop. The
-  /// sampling loop is this engine's expensive phase, so `deadline_ms` is a
-  /// *per-call* budget: each call derives a fresh deadline (chained to the
-  /// call's `control`) and an expired one flags `aborted` on the partial
-  /// results rather than throwing.
-  [[nodiscard]] std::vector<QuantificationResult> quantify_batch(
-      const std::vector<fta::QuantificationInput>& inputs,
-      const ExecutionControl* control = nullptr) const override {
-    for (const fta::QuantificationInput& input : inputs) {
-      SAFEOPT_EXPECTS(input.is_valid_for(tree_));
-    }
     ExecutionControl storage;
-    const ExecutionControl* active =
-        activate_control(deadline_ms_, control, storage);
-    const bool has_target = sampler_.options().target_halfwidth > 0.0;
-    std::vector<QuantificationResult> results;
-    results.reserve(inputs.size());
-    for (const mc::AdaptiveResult& estimate :
-         sampler_.estimate_batch(tree_, inputs, active)) {
-      QuantificationResult result;
-      result.probability = estimate.estimate;
-      result.ci95 = estimate.ci95;
-      result.trials = estimate.trials;
-      result.ess = estimate.ess;
-      if (has_target) result.converged = estimate.converged;
-      result.aborted = estimate.aborted;
-      results.push_back(std::move(result));
+    const mc::AdaptiveResult estimate = sampler_.estimate(
+        tree_, input, activate_control(deadline_ms_, control, storage));
+    QuantificationResult result;
+    result.probability = estimate.estimate;
+    result.ci95 = estimate.ci95;
+    result.trials = estimate.trials;
+    result.ess = estimate.ess;
+    if (sampler_.options().target_halfwidth > 0.0) {
+      result.converged = estimate.converged;
     }
-    return results;
+    result.aborted = estimate.aborted;
+    return result;
   }
 
  private:
-  std::string_view name_;  // a registry literal
   const fta::FaultTree& tree_;
   mc::AdaptiveMonteCarlo sampler_;
   std::uint64_t deadline_ms_ = 0;
@@ -275,14 +221,13 @@ NameRegistry<EngineRegistry::Factory>& registry() {
           options.target_halfwidth = 0.0;  // no stopping target: run to trials
           options.tilt = 0.0;              // crude sampling
           return std::make_unique<AdaptiveMonteCarloEngine>(
-              "mc", tree, options, config.deadline_ms);
+              tree, options, config.deadline_ms);
         }},
        {"mc_adaptive",
         [](const fta::FaultTree& tree, const EngineConfig& config,
            const ExecutionControl*) {
           return std::make_unique<AdaptiveMonteCarloEngine>(
-              "mc_adaptive", tree, sampler_options(config),
-              config.deadline_ms);
+              tree, sampler_options(config), config.deadline_ms);
         }}});
   return instance;
 }

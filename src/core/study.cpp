@@ -123,21 +123,6 @@ constexpr EngineOptionSpec kEngineOptionSchema[] = {
              "preprocesses, fta never does)");
        }
      }},
-    {{.name = "ordering", .kind = OptionKind::kEnum,
-      .doc = "bdd: structural variable-ordering heuristic: dfs | weight"},
-     [](EngineConfig& config, const ftio::OptionValue& value, double) {
-       config.ordering =
-           require_choice("ordering", value, {"dfs", "weight"}) == 0
-               ? bdd::VariableOrdering::kDfs
-               : bdd::VariableOrdering::kWeight;
-     }},
-    {{.name = "table_size", .kind = OptionKind::kCount, .min = 1,
-      .doc = "bdd: per-module cap on the unique-table buckets reserved up "
-             "front"},
-     &set_field<&EngineConfig::bdd_table_size>},
-    {{.name = "cache_size", .kind = OptionKind::kCount, .min = 1,
-      .doc = "bdd: per-module cap on the ITE cache entries (power of two)"},
-     &set_field<&EngineConfig::bdd_cache_size>},
     {{.name = "deadline_ms", .kind = OptionKind::kCount, .min = 0,
       .doc = "wall-clock deadline in milliseconds (0 = none): bounds fta "
              "MOCUS, bdd construction and each mc/mc_adaptive quantify "

@@ -358,6 +358,7 @@ CutSetCollection minimal_cut_sets_bruteforce(const FaultTree& tree) {
       node.gate = GateType::kOr;
     }
   }
+  std::vector<signed char> memo(hull.nodes.size());
   const auto evaluate_mask = [&](std::uint64_t mask) {
     std::vector<bool> basic(n_events, false);
     std::vector<bool> cond(n_conditions, false);
@@ -367,7 +368,7 @@ CutSetCollection minimal_cut_sets_bruteforce(const FaultTree& tree) {
     for (std::size_t i = 0; i < n_conditions; ++i) {
       cond[i] = (mask & (1ULL << (n_events + i))) != 0;
     }
-    return hull.evaluate(basic, cond);
+    return hull.evaluate(basic, cond, memo);
   };
 
   std::vector<CutSet> minimal;

@@ -42,9 +42,11 @@ NodeId GateGraph::add_gate(GateType type, std::uint32_t k,
 }
 
 bool GateGraph::evaluate(const std::vector<bool>& basic_state,
-                         const std::vector<bool>& condition_state) const {
+                         const std::vector<bool>& condition_state,
+                         std::span<signed char> memo) const {
   SAFEOPT_EXPECTS(top < nodes.size());
-  std::vector<signed char> memo(nodes.size(), -1);  // -1: not evaluated yet
+  SAFEOPT_EXPECTS(memo.size() == nodes.size());
+  std::fill(memo.begin(), memo.end(), -1);  // -1: not evaluated yet
   const auto value = [&](auto&& self, NodeId id) -> bool {
     if (memo[id] >= 0) return memo[id] != 0;
     const Node& node = nodes[id];
@@ -235,7 +237,8 @@ bool FaultTree::evaluate(const std::vector<bool>& basic_state,
   SAFEOPT_EXPECTS(has_top());
   SAFEOPT_EXPECTS(basic_state.size() == basic_events_.size());
   SAFEOPT_EXPECTS(condition_state.size() == conditions_.size());
-  return graph_.evaluate(basic_state, condition_state);
+  std::vector<signed char> memo(graph_.nodes.size());
+  return graph_.evaluate(basic_state, condition_state, memo);
 }
 
 bool FaultTree::evaluate(const std::vector<bool>& basic_state) const {

@@ -106,9 +106,13 @@ struct GateGraph {
 
   /// The structure function at `top` under a leaf truth assignment
   /// (`basic_state` by basic-event ordinal, `condition_state` by condition
-  /// ordinal). XOR is exactly-one. Precondition: top < nodes.size().
+  /// ordinal). XOR is exactly-one. `memo` is caller-owned working memory of
+  /// one entry per node, reset by the call, so a caller that evaluates many
+  /// assignments allocates nothing per call.
+  /// Preconditions: top < nodes.size(), memo.size() == nodes.size().
   [[nodiscard]] bool evaluate(const std::vector<bool>& basic_state,
-                              const std::vector<bool>& condition_state) const;
+                              const std::vector<bool>& condition_state,
+                              std::span<signed char> memo) const;
 };
 
 class FaultTree {
@@ -223,6 +227,8 @@ class FaultTree {
   /// Evaluates the structure function: does the hazard occur under the given
   /// leaf truth assignment? `basic_state` is indexed by BasicEventOrdinal,
   /// `condition_state` by ConditionOrdinal; both must cover every leaf.
+  /// The convenience for single evaluations: it allocates its own memo (a
+  /// sampling loop calls graph().evaluate with one memo it reuses).
   /// Precondition: has_top().
   [[nodiscard]] bool evaluate(const std::vector<bool>& basic_state,
                               const std::vector<bool>& condition_state) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "safeopt/stats/special_functions.h"
@@ -70,10 +71,11 @@ struct ChunkSums {
   double sum_wi2 = 0.0;  // Σ (W·1{top})²
 };
 
-ChunkSums run_crude_chunk(const fta::FaultTree& tree,
+ChunkSums run_crude_chunk(const fta::GateGraph& graph,
                           const fta::QuantificationInput& input, Rng rng,
                           std::uint64_t trials, std::vector<bool>& basic,
-                          std::vector<bool>& condition) {
+                          std::vector<bool>& condition,
+                          std::span<signed char> memo) {
   ChunkSums sums;
   sums.trials = trials;
   for (std::uint64_t t = 0; t < trials; ++t) {
@@ -83,15 +85,16 @@ ChunkSums run_crude_chunk(const fta::FaultTree& tree,
     for (std::size_t i = 0; i < condition.size(); ++i) {
       condition[i] = bernoulli(rng, input.condition_probability[i]);
     }
-    if (tree.evaluate(basic, condition)) ++sums.hits;
+    if (graph.evaluate(basic, condition, memo)) ++sums.hits;
   }
   return sums;
 }
 
-ChunkSums run_importance_chunk(const fta::FaultTree& tree,
+ChunkSums run_importance_chunk(const fta::GateGraph& graph,
                                const Proposal& proposal, Rng rng,
                                std::uint64_t trials, std::vector<bool>& basic,
-                               std::vector<bool>& condition) {
+                               std::vector<bool>& condition,
+                               std::span<signed char> memo) {
   ChunkSums sums;
   sums.trials = trials;
   for (std::uint64_t t = 0; t < trials; ++t) {
@@ -108,7 +111,7 @@ ChunkSums run_importance_chunk(const fta::FaultTree& tree,
     }
     sums.sum_w += w;
     sums.sum_w2 += w * w;
-    if (tree.evaluate(basic, condition)) {
+    if (graph.evaluate(basic, condition, memo)) {
       ++sums.hits;
       sums.sum_wi += w;
       sums.sum_wi2 += w * w;
@@ -117,31 +120,27 @@ ChunkSums run_importance_chunk(const fta::FaultTree& tree,
   return sums;
 }
 
-/// Running totals and the chunk-stream cursor of one input's adaptive loop.
+/// Running totals of the adaptive loop and the result of its last completed
+/// round.
 struct AdaptiveState {
-  const fta::QuantificationInput* input = nullptr;
-  Proposal proposal;
-  Rng stream{0};  // the next chunk's generator; jump()ed per handout
-  std::uint64_t round_left = 0;  // trials of the current round not handed out
   std::uint64_t done = 0;
   std::uint64_t hits = 0;
   stats::ProportionEstimator crude;
   double sum_w = 0.0, sum_w2 = 0.0, sum_wi = 0.0, sum_wi2 = 0.0;
-  bool finished = false;
   AdaptiveResult result;
 };
 
-/// One chunk of one input's current round, with its result slot.
+/// One chunk of the current round, with its result slot.
 struct ChunkJob {
-  AdaptiveState* state = nullptr;
   Rng rng{0};
   std::uint64_t trials = 0;
   ChunkSums sums;
 };
 
 /// Updates the state's estimate/interval from its totals and applies the
-/// stopping rule. `z` is the 97.5% normal quantile (95% two-sided).
-void finish_round(AdaptiveState& s, const AdaptiveOptions& options,
+/// stopping rule; true when the loop is finished (converged, or the budget
+/// is spent). `z` is the 97.5% normal quantile (95% two-sided).
+bool finish_round(AdaptiveState& s, const AdaptiveOptions& options,
                   bool importance, double z) {
   double estimate = 0.0;
   double halfwidth = 0.0;
@@ -188,9 +187,7 @@ void finish_round(AdaptiveState& s, const AdaptiveOptions& options,
       importance
           ? (s.sum_w2 > 0.0 ? s.sum_w * s.sum_w / s.sum_w2 : 0.0)
           : static_cast<double>(s.done);
-  s.result.self_normalized =
-      importance ? (s.sum_w > 0.0 ? s.sum_wi / s.sum_w : 0.0) : estimate;
-  if (converged || s.done >= options.max_trials) s.finished = true;
+  return converged || s.done >= options.max_trials;
 }
 
 }  // namespace
@@ -207,14 +204,9 @@ AdaptiveMonteCarlo::AdaptiveMonteCarlo(AdaptiveOptions options)
 AdaptiveResult AdaptiveMonteCarlo::estimate(
     const fta::FaultTree& tree, const fta::QuantificationInput& input,
     const ExecutionControl* control) const {
-  return estimate_batch(tree, {input}, control).front();
-}
-
-std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
-    const fta::FaultTree& tree,
-    const std::vector<fta::QuantificationInput>& inputs,
-    const ExecutionControl* control) const {
   SAFEOPT_EXPECTS(tree.has_top());
+  SAFEOPT_EXPECTS(input.is_valid_for(tree));
+  const fta::GateGraph& graph = tree.graph();
   const bool importance = options_.tilt > 1.0;
   const double z = stats::normal_quantile(0.975);
   // Chunks per slab: enough to keep every worker busy, and the most chunk
@@ -223,75 +215,59 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
       options_.pool != nullptr
           ? std::max<std::size_t>(1, options_.pool->thread_count())
           : 1;
-
-  std::vector<AdaptiveState> states(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    SAFEOPT_EXPECTS(inputs[i].is_valid_for(tree));
-    states[i].input = &inputs[i];
-    states[i].stream = Rng(options_.seed);
-    if (importance) states[i].proposal = make_proposal(inputs[i], options_.tilt);
-  }
+  const Proposal proposal =
+      importance ? make_proposal(input, options_.tilt) : Proposal{};
 
   std::vector<ChunkJob> jobs;
   jobs.reserve(slab);
   const auto run_jobs = [&](std::size_t begin, std::size_t end) {
-    std::vector<bool> basic(tree.basic_event_count());
-    std::vector<bool> condition(tree.condition_count());
+    std::vector<bool> basic(graph.basic_event_count);
+    std::vector<bool> condition(graph.condition_count);
+    std::vector<signed char> memo(graph.nodes.size());
     for (std::size_t j = begin; j < end; ++j) {
       ChunkJob& job = jobs[j];
       job.sums = importance
-                     ? run_importance_chunk(tree, job.state->proposal, job.rng,
-                                            job.trials, basic, condition)
-                     : run_crude_chunk(tree, *job.state->input, job.rng,
-                                       job.trials, basic, condition);
+                     ? run_importance_chunk(graph, proposal, job.rng,
+                                            job.trials, basic, condition, memo)
+                     : run_crude_chunk(graph, input, job.rng, job.trials,
+                                       basic, condition, memo);
     }
   };
 
-  bool aborted = false;
-  for (;;) {
-    // Plan the next round of every unfinished input: min(batch, budget
-    // left) trials, handed out below as kChunkTrials-sized chunks, each on
-    // its own jump() stream. The layout depends only on the options, never
-    // on the pool.
-    bool any = false;
-    for (AdaptiveState& state : states) {
-      if (state.finished) continue;
-      state.round_left =
-          std::min(options_.batch, options_.max_trials - state.done);
-      any = true;
-    }
-    if (!any) break;
-
-    // Run the round slab by slab, in input order and chunk order.
-    std::size_t cursor = 0;
-    for (;;) {
+  AdaptiveState state;
+  Rng stream(options_.seed);  // the next chunk's generator, jump()ed per chunk
+  for (bool finished = false; !finished;) {
+    // The next round: min(batch, budget left) trials, handed out below as
+    // kChunkTrials-sized chunks, each on its own jump() stream. The layout
+    // depends only on the options, never on the pool.
+    std::uint64_t round_left =
+        std::min(options_.batch, options_.max_trials - state.done);
+    // Run the round slab by slab, in chunk order.
+    while (round_left > 0) {
       jobs.clear();
-      while (jobs.size() < slab && cursor < states.size()) {
-        AdaptiveState& state = states[cursor];
-        if (state.finished || state.round_left == 0) {
-          ++cursor;
-          continue;
-        }
+      while (jobs.size() < slab && round_left > 0) {
         ChunkJob job;
-        job.state = &state;
-        job.rng = state.stream;
-        state.stream.jump();
-        job.trials = std::min(kChunkTrials, state.round_left);
-        state.round_left -= job.trials;
+        job.rng = stream;
+        stream.jump();
+        job.trials = std::min(kChunkTrials, round_left);
+        round_left -= job.trials;
         jobs.push_back(job);
       }
-      if (jobs.empty()) break;
 
       // The abort poll, once per slab; the round's first slab polls at the
-      // round boundary. Unfinished inputs keep their last finish_round()
-      // result and the torn round's partial totals are never published, so
-      // only completed-round totals (thread-count-invariant) can surface;
-      // an abort during the first round reports zero trials. Aborted
-      // estimates are flagged, never thrown: a partial estimate with an
-      // honest interval is still a result.
+      // round boundary. The result keeps the last finish_round() values and
+      // the torn round's partial totals are never published, so only
+      // completed-round totals (thread-count-invariant) can surface; an
+      // abort during the first round reports zero trials. Aborted estimates
+      // are flagged, never thrown: a partial estimate with an honest
+      // interval is still a result.
       if (control != nullptr && control->should_abort()) {
-        aborted = true;
-        break;
+        state.result.aborted = true;
+        state.result.importance = importance;
+        // No completed round: nothing is known about p, and the interval
+        // says so instead of claiming a certain zero.
+        if (state.result.trials == 0) state.result.ci95 = {0.0, 1.0};
+        return state.result;
       }
 
       if (options_.pool != nullptr && jobs.size() > 1) {
@@ -300,11 +276,10 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
         run_jobs(0, jobs.size());
       }
 
-      // Reduce in job order — each input's chunks arrive in chunk order
-      // across slabs, so its floating-point totals accumulate in exactly
-      // the order of a single whole-round reduction.
+      // Reduce in job order — the chunks arrive in chunk order across
+      // slabs, so the floating-point totals accumulate in exactly the order
+      // of a single whole-round reduction.
       for (const ChunkJob& job : jobs) {
-        AdaptiveState& state = *job.state;
         state.done += job.sums.trials;
         state.hits += job.sums.hits;
         state.crude.add_batch(job.sums.trials, job.sums.hits);
@@ -314,27 +289,9 @@ std::vector<AdaptiveResult> AdaptiveMonteCarlo::estimate_batch(
         state.sum_wi2 += job.sums.sum_wi2;
       }
     }
-    if (aborted) break;
-    for (AdaptiveState& state : states) {
-      if (!state.finished && state.done > 0) {
-        finish_round(state, options_, importance, z);
-      }
-    }
+    finished = finish_round(state, options_, importance, z);
   }
-
-  for (AdaptiveState& state : states) {
-    if (state.finished) continue;  // unfinished now means aborted
-    state.result.aborted = true;
-    state.result.importance = importance;
-    // No completed round: nothing is known about p, and the interval says
-    // so instead of claiming a certain zero.
-    if (state.result.trials == 0) state.result.ci95 = {0.0, 1.0};
-  }
-
-  std::vector<AdaptiveResult> results;
-  results.reserve(states.size());
-  for (const AdaptiveState& state : states) results.push_back(state.result);
-  return results;
+  return state.result;
 }
 
 }  // namespace safeopt::mc

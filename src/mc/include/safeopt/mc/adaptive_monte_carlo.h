@@ -33,12 +33,13 @@
 // chunks, each driven by its own xoshiro jump() stream, so the *entire
 // trajectory* — estimate, interval and the stopped trial count — is a pure
 // function of (tree, input, options): bitwise thread-count-invariant, with
-// or without a pool.
+// or without a pool. One call samples one input; each trial evaluates the
+// tree's GateGraph over leaf-state vectors and a memo that the chunk runner
+// allocates once and reuses.
 #ifndef SAFEOPT_MC_ADAPTIVE_MONTE_CARLO_H
 #define SAFEOPT_MC_ADAPTIVE_MONTE_CARLO_H
 
 #include <cstdint>
-#include <vector>
 
 #include "safeopt/fta/fault_tree.h"
 #include "safeopt/fta/probability.h"
@@ -105,10 +106,6 @@ struct AdaptiveResult {
   /// `trials` for crude sampling. A small ESS/trials ratio flags a poorly
   /// matched proposal (tilt too aggressive).
   double ess = 0.0;
-  /// Self-normalized estimate Σ(w·1{top})/Σw — biased but often lower-
-  /// variance; equals `estimate` for crude sampling. Reported as a
-  /// diagnostic; `estimate` itself is the unbiased sample mean.
-  double self_normalized = 0.0;
 
   [[nodiscard]] double halfwidth() const noexcept {
     return 0.5 * ci95.width();
@@ -119,10 +116,11 @@ struct AdaptiveResult {
   }
 };
 
-/// Sequential-batched estimator over one option set; estimate() can be
-/// called for any number of (tree, input) pairs. The class itself holds no
-/// mutable state — it is safe to share across threads as long as the
-/// configured pool is used from one call at a time.
+/// Sequential-batched estimator over one option set. Each estimate() call
+/// samples one (tree, input) pair; its pool fans out the chunks of that one
+/// input's rounds. The class itself holds no mutable state — it is safe to
+/// share across threads as long as the configured pool is used from one
+/// call at a time.
 ///
 /// Every call takes an optional cooperative deadline/cancellation `control`
 /// (not owned; nullptr = unbounded). It is polled before every slab of at
@@ -146,15 +144,6 @@ class AdaptiveMonteCarlo {
   /// Precondition: tree.has_top(), input.is_valid_for(tree).
   [[nodiscard]] AdaptiveResult estimate(
       const fta::FaultTree& tree, const fta::QuantificationInput& input,
-      const ExecutionControl* control = nullptr) const;
-
-  /// Estimates many inputs in one call: every input's chunk work for a
-  /// super-round goes through the same slabs, so inputs that need
-  /// more rounds keep the workers busy after the easy ones converge. Each
-  /// entry is bitwise-identical to the corresponding estimate() call.
-  [[nodiscard]] std::vector<AdaptiveResult> estimate_batch(
-      const fta::FaultTree& tree,
-      const std::vector<fta::QuantificationInput>& inputs,
       const ExecutionControl* control = nullptr) const;
 
  private:

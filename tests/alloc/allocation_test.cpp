@@ -4,7 +4,8 @@
 //
 // Parsing the 1k corpus tier may allocate once per leaf (its probability
 // expression) plus a constant number of tables; a repeat quantify on the
-// `bdd` engine may allocate a handful of per-call buffers, none per module.
+// `bdd` engine may allocate a handful of per-call buffers, none per module;
+// a repeat `mc` quantify a handful of per-call buffers, none per trial.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,6 +80,30 @@ TEST(AllocationTest, RepeatBddQuantifyAllocatesNothingPerModule) {
   EXPECT_GT(again.preprocess->modules, 8u);
   EXPECT_LE(allocations, 8u);
   EXPECT_EQ(std::memcmp(&first, &again.probability, sizeof first), 0);
+}
+
+TEST(AllocationTest, RepeatMcQuantifyAllocatesNothingPerTrial) {
+  const ftio::StudyDocument doc = ftio::parse_study(corpus_1k_text());
+  const ftio::TreeModel& model = doc.trees.front();
+  const fta::QuantificationInput input = model.constant_input();
+  core::EngineConfig config;
+  config.mc_trials = 2000;
+  const std::unique_ptr<core::QuantificationEngine> engine =
+      core::EngineRegistry::create("mc", model.tree, config);
+  const core::QuantificationResult first = engine->quantify(input);
+
+  const std::size_t before = g_allocations.load();
+  const core::QuantificationResult again = engine->quantify(input);
+  const std::size_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(again.trials, 2000u);
+  EXPECT_LE(allocations, 16u);
+  EXPECT_EQ(std::memcmp(&first.probability, &again.probability,
+                        sizeof first.probability),
+            0);
+  ASSERT_TRUE(first.ci95.has_value());
+  ASSERT_TRUE(again.ci95.has_value());
+  EXPECT_EQ(std::memcmp(&*first.ci95, &*again.ci95, sizeof *first.ci95), 0);
 }
 
 }  // namespace

@@ -153,25 +153,6 @@ TEST(BddOptionsTest, CacheGeometryNeverChangesResults) {
             b.manager.statistics().cache_evictions);
 }
 
-TEST(BddOptionsTest, WeightOrderingAgreesWithDfsOnProbability) {
-  // kWeight renumbers variables (small cones first) but compiles the same
-  // function — probabilities agree to rounding across the two orders.
-  for (std::uint64_t seed = 90; seed < 100; ++seed) {
-    const fta::FaultTree tree =
-        testutil::random_tree(seed, {.basic_events = 9, .gates = 8});
-    const fta::QuantificationInput input =
-        testutil::random_probabilities(tree, seed);
-    BddOptions weight;
-    weight.ordering = VariableOrdering::kWeight;
-    CompiledFaultTree dfs = compile(tree);
-    CompiledFaultTree weighted = compile(tree, weight);
-    const double p_dfs = dfs.probability(input);
-    EXPECT_NEAR(weighted.probability(input), p_dfs,
-                1e-12 * std::max(p_dfs, 1e-300))
-        << "seed " << seed;
-  }
-}
-
 /// "%a" of a probability, for bit-for-bit comparisons with a readable diff.
 std::string bits_of(double value) {
   char bits[64];
@@ -215,43 +196,30 @@ TEST(BddOptionsTest, SmallUniqueTableGrowsToTheSameDiagram) {
   }
 }
 
-TEST(CompileTest, PlainCountsArePinnedUnderBothOrderings) {
+TEST(CompileTest, PlainCountsArePinned) {
   // Decision nodes and ITE calls of the unpreprocessed compile on random
-  // trees, under both variable orderings. The ITE sequence is fixed by the
-  // node order, the child order and the fold order, so any change to them
-  // moves these counts. Captured with the compile that read fta::FaultTree
-  // directly and kept its unique table in a node-based hash map.
+  // trees. The ITE sequence is fixed by the node order, the child order and
+  // the fold order, so any change to them moves these counts. Captured with
+  // the compile that read fta::FaultTree directly and kept its unique table
+  // in a node-based hash map.
   struct Row {
     std::uint64_t seed;
-    std::size_t dfs_nodes, dfs_ite, weight_nodes, weight_ite;
+    std::size_t nodes, ite;
   };
   const std::vector<Row> rows = {
-      {0, 454, 1516, 408, 1146},
-      {1, 188, 609, 186, 601},
-      {2, 552, 1522, 461, 1360},
-      {3, 242, 700, 242, 682},
-      {4, 520, 1621, 378, 1047},
-      {5, 314, 950, 284, 940},
-      {6, 302, 956, 293, 816},
-      {7, 287, 858, 308, 880},
-      {8, 516, 1450, 377, 1012},
-      {9, 238, 856, 223, 886},
+      {0, 454, 1516}, {1, 188, 609}, {2, 552, 1522}, {3, 242, 700},
+      {4, 520, 1621}, {5, 314, 950}, {6, 302, 956},  {7, 287, 858},
+      {8, 516, 1450}, {9, 238, 856},
   };
   ASSERT_EQ(rows.size(), 10u);
   for (const Row& row : rows) {
     const fta::FaultTree tree = testutil::random_tree(
         row.seed, {.basic_events = 24, .conditions = 3, .gates = 30,
                    .allow_xor = true});
-    BddOptions weight;
-    weight.ordering = VariableOrdering::kWeight;
-    const CompiledFaultTree dfs = compile(tree);
-    const CompiledFaultTree weighted = compile(tree, weight);
-    const BddStatistics& d = dfs.manager.statistics();
-    const BddStatistics& w = weighted.manager.statistics();
-    EXPECT_EQ(d.decision_node_count(), row.dfs_nodes) << "seed " << row.seed;
-    EXPECT_EQ(d.ite_calls, row.dfs_ite) << "seed " << row.seed;
-    EXPECT_EQ(w.decision_node_count(), row.weight_nodes) << "seed " << row.seed;
-    EXPECT_EQ(w.ite_calls, row.weight_ite) << "seed " << row.seed;
+    const CompiledFaultTree compiled = compile(tree);
+    const BddStatistics& stats = compiled.manager.statistics();
+    EXPECT_EQ(stats.decision_node_count(), row.nodes) << "seed " << row.seed;
+    EXPECT_EQ(stats.ite_calls, row.ite) << "seed " << row.seed;
   }
 }
 

@@ -252,6 +252,21 @@ TEST(StudyDocumentTest, BackendIsNotAnEngineOption) {
   }
 }
 
+TEST(StudyDocumentTest, TableSizeIsNotAnEngineOption) {
+  const std::string text =
+      "param X in [0, 1];\ntoplevel t;\nt or a;\na prob = 0.1 * X;\n"
+      "hazard fault-tree cost = 1;\nengine bdd table_size = 65536;\n";
+  try {
+    (void)Study::from_document(ftio::parse_study(text));
+    FAIL() << "table_size = 65536 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("unknown engine option \"table_size\""),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 // "gradient_descent" and "simulated_annealing" are no longer solvers (each
 // lost to another solver on quality and time in bench_optimizers); in a
 // document they are unknown names like any typo, rejected with the
@@ -440,8 +455,11 @@ TEST(StudyDocumentTest, PreprocessOptionsMapOntoTypedConfigFields) {
               std::string::npos)
         << error.what();
   }
-  // The module knobs are fixed at prep's defaults, not options.
-  for (const char* removed : {"modularize=false", "module_min_leaves=8"}) {
+  // The module knobs are fixed at prep's defaults and the BDD geometry and
+  // variable order at BddOptions's: none of them is an option.
+  for (const char* removed :
+       {"modularize=false", "module_min_leaves=8", "ordering=weight",
+        "table_size=65536", "cache_size=262144"}) {
     try {
       set_engine_argument(config, removed);
       FAIL() << "expected std::invalid_argument for " << removed;
@@ -451,22 +469,13 @@ TEST(StudyDocumentTest, PreprocessOptionsMapOntoTypedConfigFields) {
           << error.what();
     }
   }
-  set_engine_argument(config, "ordering=weight");
-  set_engine_argument(config, "table_size=65536");
-  set_engine_argument(config, "cache_size=262144");
-  EXPECT_EQ(config.ordering, bdd::VariableOrdering::kWeight);
-  EXPECT_EQ(config.bdd_table_size, 65536u);
-  EXPECT_EQ(config.bdd_cache_size, 262144u);
-  // bdd_options() is the slice the bdd engine compiles with.
+  // bdd_options() is the slice the bdd engine compiles with: the default
+  // geometry and the node budget.
+  set_engine_argument(config, "bdd_node_budget=4096");
   const bdd::BddOptions options = config.bdd_options();
-  EXPECT_EQ(options.ordering, bdd::VariableOrdering::kWeight);
-  EXPECT_EQ(options.initial_table_size, 65536u);
-  EXPECT_EQ(options.cache_size, 262144u);
-
-  EXPECT_THROW(set_engine_argument(config, "ordering=random"),
-               std::invalid_argument);
-  EXPECT_THROW(set_engine_argument(config, "table_size=0"),
-               std::invalid_argument);
+  EXPECT_EQ(options.initial_table_size, bdd::BddOptions{}.initial_table_size);
+  EXPECT_EQ(options.cache_size, bdd::BddOptions{}.cache_size);
+  EXPECT_EQ(options.node_budget, 4096u);
 }
 
 TEST(StudyDocumentTest, UnknownOptionsSuggestTheNearestSchemaKey) {
@@ -482,11 +491,12 @@ TEST(StudyDocumentTest, UnknownOptionsSuggestTheNearestSchemaKey) {
         << error.what();
   }
   try {
-    set_engine_argument(config, "table_sise=64");
+    set_engine_argument(config, "bdd_node_budgt=64");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("did you mean \"table_size\""),
-              std::string::npos)
+    EXPECT_NE(
+        std::string(error.what()).find("did you mean \"bdd_node_budget\""),
+        std::string::npos)
         << error.what();
   }
 }
@@ -494,7 +504,7 @@ TEST(StudyDocumentTest, UnknownOptionsSuggestTheNearestSchemaKey) {
 TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
   // engine_option_docs() is the single source of truth the CLI help prints;
   // every preprocessing/BDD key must be listed with its type, and the
-  // removed module knobs must not be.
+  // removed module, ordering and geometry knobs must not be.
   const std::vector<OptionSpec> docs = engine_option_docs();
   const auto type_of = [&](std::string_view name) -> std::string_view {
     for (const OptionSpec& doc : docs) {
@@ -505,9 +515,10 @@ TEST(StudyDocumentTest, EngineOptionDocsCoverThePreprocessSchema) {
   EXPECT_EQ(type_of("preprocess"), "flag");
   EXPECT_EQ(type_of("modularize"), "");
   EXPECT_EQ(type_of("module_min_leaves"), "");
-  EXPECT_EQ(type_of("ordering"), "enum");
-  EXPECT_EQ(type_of("table_size"), "count");
-  EXPECT_EQ(type_of("cache_size"), "count");
+  EXPECT_EQ(type_of("bdd_node_budget"), "count");
+  EXPECT_EQ(type_of("ordering"), "");
+  EXPECT_EQ(type_of("table_size"), "");
+  EXPECT_EQ(type_of("cache_size"), "");
   EXPECT_EQ(type_of("backend"), "");
 }
 

@@ -701,18 +701,26 @@ TEST(DegradationTest, NodeBudgetCountsEveryModuleDiagram) {
               std::string::npos)
         << error.what();
   }
+  // Which engine was built shows in its result: only bdd reports a pass
+  // pipeline, only the sampled engines an interval.
   config.fallback = "mc";
+  config.mc_trials = 1000;
+  const fta::QuantificationInput input = doc.trees.front().constant_input();
   std::string diagnostic;
-  EXPECT_EQ(core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
-                ->name(),
-            "mc");
+  const core::QuantificationResult degraded =
+      core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
+          ->quantify(input);
+  EXPECT_TRUE(degraded.ci95.has_value());
+  EXPECT_FALSE(degraded.preprocess.has_value());
   EXPECT_NE(diagnostic.find("resource_exhausted"), std::string::npos);
 
   config.bdd_node_budget = 4013;
   diagnostic.clear();
-  EXPECT_EQ(core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
-                ->name(),
-            "bdd");
+  const core::QuantificationResult exact =
+      core::create_engine_with_fallback("bdd", tree, config, &diagnostic)
+          ->quantify(input);
+  EXPECT_TRUE(exact.preprocess.has_value());
+  EXPECT_FALSE(exact.ci95.has_value());
   EXPECT_TRUE(diagnostic.empty()) << diagnostic;
 }
 
